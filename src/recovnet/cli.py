@@ -70,13 +70,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_workers() -> int:
+    """RECOVNET_THREADS when set, else 1."""
     env = os.environ.get("RECOVNET_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"RECOVNET_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return 1
+
+
+def _record_workers(settings: Settings) -> None:
+    """Resolve and record the worker count; evaluation runs on one thread
+    whatever it is (a thread pool measured no faster, see README)."""
+    settings.get("workers", default=_default_workers(), cast=int)
 
 
 class Settings:
@@ -285,12 +292,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     schedule = _schedule(settings)
     seed_cutoff = settings.get("seed_cutoff", default=3.0, cast=float)
     rng_seed = settings.get("rng_seed", default=0, cast=int)
-    workers = settings.get("workers", default=_default_workers(), cast=int)
+    _record_workers(settings)
     config = _ga_config(settings, "stage1", default_max=10_000, rng_seed=rng_seed)
     baseline_runs = settings.get("baseline_runs", default=0, cast=int)
 
     problem = build_fit_problem(graph, durations, seed_cutoff, schedule)
-    result = fit_thresholds(problem, config, n_workers=workers)
+    result = fit_thresholds(problem, config)
 
     io.write_thresholds(result.thresholds, out / "thresholds.csv")
     io.write_generation_stats(
@@ -311,9 +318,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "generation_stats_file": "generations.csv",
     }
     if baseline_runs > 0:
-        baseline = random_baseline(
-            problem, baseline_runs, rng_seed=rng_seed, n_workers=workers
-        )
+        baseline = random_baseline(problem, baseline_runs, rng_seed=rng_seed)
         report["baseline"] = {
             "mean": baseline.mean,
             "std": baseline.std,
@@ -349,10 +354,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     seed_cutoff = settings.get("seed_cutoff", default=3.0, cast=float)
     runs = settings.get("runs", default=1000, cast=int)
     rng_seed = settings.get("rng_seed", default=0, cast=int)
-    workers = settings.get("workers", default=_default_workers(), cast=int)
+    _record_workers(settings)
 
     problem = build_fit_problem(graph, durations, seed_cutoff, schedule)
-    stats = random_baseline(problem, runs, rng_seed=rng_seed, n_workers=workers)
+    stats = random_baseline(problem, runs, rng_seed=rng_seed)
     io.write_json(
         {"mean": stats.mean, "std": stats.std, "runs": stats.runs},
         out / "baseline.json",
@@ -398,7 +403,7 @@ def cmd_multipliers(args: argparse.Namespace) -> int:
     )
     schedule = _schedule(settings)
     rng_seed = settings.get("rng_seed", default=0, cast=int)
-    workers = settings.get("workers", default=_default_workers(), cast=int)
+    _record_workers(settings)
     brute = bool(settings.get("brute_force", default=False))
     enumeration_cap = settings.get("enumeration_cap", default=10**6, cast=int)
     pool_kind = settings.get("pool", default="all", cast=str)
@@ -437,7 +442,7 @@ def cmd_multipliers(args: argparse.Namespace) -> int:
                 settings, "stage2", default_max=2_000,
                 rng_seed=_multiplier_seed(rng_seed, size),
             )
-            result = search_multipliers(problem, config, n_workers=workers)
+            result = search_multipliers(problem, config)
             method = "ga"
             io.write_generation_stats(
                 result.ga_result.history,
@@ -711,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--durations", help="durations CSV (id,duration_weeks)")
     p.add_argument("--seed-cutoff", type=float, help="seed duration cutoff in weeks (3)")
     p.add_argument("--rng-seed", type=int, help="random seed (0)")
-    p.add_argument("--workers", type=int, help="parallel fitness evaluators")
+    p.add_argument("--workers", type=int,
+                   help="recorded in the manifest; evaluation runs on one thread (1)")
     p.add_argument("--baseline-runs", type=int, help="also run a random baseline")
     p.set_defaults(handler=cmd_fit)
 

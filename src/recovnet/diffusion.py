@@ -9,7 +9,7 @@ configurable week, and stop at the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class ThresholdVector:
             )
         if seed_mask.shape != values.shape:
             raise ValueError("seed_mask shape does not match values")
-        if np.any((values < 0.0) | (values > 1.0)):
-            raise ValueError("threshold values must lie in [0, 1]")
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError("threshold values must be finite and lie in [0, 1]")
         if np.any(values[seed_mask] != 0.0):
             raise ValueError("seed nodes must have threshold 0")
 
@@ -112,11 +112,102 @@ def diffusion_step(g: SpatialGraph, prev: np.ndarray, tau: ThresholdVector) -> n
     prev = _as_state(prev, g.n, "prev state")
     if tau.n != g.n:
         raise ValueError(f"threshold vector has {tau.n} entries, graph has {g.n} nodes")
-    return _step(g, prev, tau.values)
+    return prev | (recovered_neighbor_fraction(g, prev) >= tau.values)
 
 
-def _step(g: SpatialGraph, prev: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return prev | (recovered_neighbor_fraction(g, prev) >= values)
+def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
+    """Reject a threshold vector that is not in the graph's node order."""
+    if tau.n != g.n:
+        raise ValueError(f"threshold vector has {tau.n} entries, graph has {g.n} nodes")
+    if tau.node_ids != g.nodes:
+        raise ValueError("threshold vector node ids do not match graph node order")
+
+
+# cells (nodes x columns) per kernel call: about 64 columns at n = 2010
+CHUNK_CELLS = 1 << 17
+
+
+def chunk_columns(n: int) -> int:
+    """Columns per kernel call for an n-node graph."""
+    return max(1, CHUNK_CELLS // max(n, 1))
+
+
+def map_column_chunks(
+    fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n: int
+) -> np.ndarray:
+    """Apply fn to consecutive blocks of chunk_columns(n) rows (one kernel
+    column per row) and concatenate the results."""
+    size = chunk_columns(n)
+    return np.concatenate([fn(rows[i : i + size]) for i in range(0, len(rows), size)])
+
+
+class DiffusionKernel:
+    """One graph and schedule, prepared once and simulated for many columns.
+
+    A column is one threshold vector with one initial state. The states of
+    all columns form an n x P matrix that advances one week per sparse
+    product, until no column changes. Thresholds enter as recovery needs:
+    the smallest recovered-neighbor count whose float64 fraction count/deg
+    meets the threshold, so each week is one product and one comparison
+    and the tie rule of recovered_neighbor_fraction holds exactly.
+    """
+
+    def __init__(self, g: SpatialGraph, schedule: DiffusionSchedule = DiffusionSchedule()):
+        self.schedule = schedule
+        # counts and week totals are integers below 2**24, exact in float32
+        exact = max(g.n, schedule.horizon + 1) <= 1 << 24
+        self.dtype = np.float32 if exact else np.float64
+        self.adjacency = g.adjacency_matrix.astype(self.dtype)
+        # an isolate's fraction is 0, which is what count/1 gives it
+        self._degrees = np.maximum(g.degrees, 1).astype(np.float64)[:, None]
+
+    def need(self, values: np.ndarray) -> np.ndarray:
+        """Recovery needs for an n x P matrix (or n-vector) of thresholds.
+
+        Threshold t needs the smallest c in 0..deg with c/deg >= t in
+        float64; deg + 1 (never met) when no such c exists, as for t > 1
+        or an isolate with t > 0. Rounding in ceil(t * deg) can miss the
+        smallest c by a step either way, which the two loops correct.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        deg = self._degrees if values.ndim == 2 else self._degrees[:, 0]
+        need = np.clip(np.ceil(values * deg), 0.0, deg + 1.0)
+        while True:
+            lower = (need > 0) & ((need - 1) / deg >= values)
+            if not lower.any():
+                break
+            need -= lower
+        while True:
+            higher = (need <= deg) & (need / deg < values)
+            if not higher.any():
+                break
+            need += higher
+        return need.astype(self.dtype)
+
+    def weeks_recovered(self, need: np.ndarray, initial: np.ndarray) -> np.ndarray:
+        """Weeks 1..horizon that each node spends recovered, per column.
+
+        need is n x P (or n x 1, shared by every column) and initial an
+        n x P boolean matrix of week-0 states. Since states never revert,
+        a node with w recovered weeks recovers at week horizon + 1 - w;
+        the count fixes the whole trajectory, the final state (w > 0) and
+        the 0-1 loss against any other monotone trajectory.
+        """
+        horizon, first = self.schedule.horizon, self.schedule.first_update_week
+        state = initial.astype(self.dtype)
+        weeks = state * float(first - 1)
+        recovered = np.count_nonzero(state)
+        ready = np.empty(state.shape, dtype=bool)
+        for t in range(first, horizon + 1):
+            np.greater_equal(self.adjacency @ state, need, out=ready)
+            np.maximum(state, ready, out=state)
+            now = np.count_nonzero(state)
+            if now == recovered:  # fixed point: weeks t..horizon repeat this state
+                weeks += state * float(horizon + 1 - t)
+                break
+            weeks += state
+            recovered = now
+        return weeks
 
 
 def run_diffusion(
@@ -132,22 +223,13 @@ def run_diffusion(
     repeats its predecessor the remaining weeks are filled with copies (the
     update rule is at a fixed point).
     """
-    if tau.n != g.n:
-        raise ValueError(f"threshold vector has {tau.n} entries, graph has {g.n} nodes")
-    if tau.node_ids != g.nodes:
-        raise ValueError("threshold vector node ids do not match graph node order")
+    check_aligned(g, tau)
     state = _as_state(initial, g.n, "initial state")
-
-    states = np.zeros((schedule.horizon + 1, g.n), dtype=bool)
+    kernel = DiffusionKernel(g, schedule)
+    weeks = kernel.weeks_recovered(kernel.need(tau.values[:, None]), state[:, None])[:, 0]
+    first_recovered = schedule.horizon + 1 - weeks
+    states = np.arange(schedule.horizon + 1)[:, None] >= first_recovered[None, :]
     states[0] = state
-    for t in range(1, schedule.horizon + 1):
-        if t < schedule.first_update_week:
-            states[t] = states[t - 1]
-            continue
-        states[t] = _step(g, states[t - 1], tau.values)
-        if np.array_equal(states[t], states[t - 1]):
-            states[t + 1 :] = states[t]
-            break
     return states
 
 

@@ -110,6 +110,8 @@ def compute_recovery_duration(
 
 def validate_durations(durations: Sequence[float], horizon: int = CAP_WEEKS) -> np.ndarray:
     arr = np.asarray(durations, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError("durations must be finite")
     if np.any(arr <= 0):
         raise DataError("durations must be strictly positive")
     if np.any(arr > horizon):

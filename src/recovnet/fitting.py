@@ -9,15 +9,22 @@ and excluded from the chromosome; the GA optimizes only the free nodes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, ThresholdVector, all_affected, run_diffusion
+from .diffusion import (
+    DiffusionKernel,
+    DiffusionSchedule,
+    ThresholdVector,
+    all_affected,
+    map_column_chunks,
+    run_diffusion,
+)
 from .empirical import align_durations, durations_to_trajectory, validate_durations, zero_one_loss
 from .errors import ConfigError
-from .ga import GaConfig, GaResult, GenerationRecord, RealVectorEncoding, run_ga
+from .ga import GaConfig, GaResult, GenerationRecord, PopulationFitness, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
 
 DEFAULT_SEED_CUTOFF_WEEKS = 3.0
@@ -25,20 +32,41 @@ DEFAULT_SEED_CUTOFF_WEEKS = 3.0
 
 @dataclass(eq=False)
 class FitProblem:
-    """A graph, the empirical trajectory, and the seed/free node split."""
+    """A graph, the empirical trajectory, and the seed/free node split.
+
+    The empirical trajectory must be monotone (as built from durations):
+    the loss is then the per-node gap between recovered-week counts.
+    """
 
     graph: SpatialGraph
     empirical: np.ndarray
     seed_mask: np.ndarray
     schedule: DiffusionSchedule
+    kernel: DiffusionKernel = field(init=False, repr=False)
+    free_indices: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def free_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.seed_mask)
+    def __post_init__(self) -> None:
+        self.kernel = DiffusionKernel(self.graph, self.schedule)
+        self.free_indices = np.flatnonzero(~self.seed_mask)
+        self._empirical_weeks = (
+            np.asarray(self.empirical)[1:].sum(axis=0).astype(self.kernel.dtype)[:, None]
+        )
 
     @property
     def free_count(self) -> int:
-        return int((~self.seed_mask).sum())
+        return int(self.free_indices.size)
+
+    def losses(self, chromosomes: np.ndarray) -> np.ndarray:
+        """0-1 loss of each row's free-node thresholds (rows: P x free_count)."""
+
+        def chunk(rows: np.ndarray) -> np.ndarray:
+            values = np.zeros((self.graph.n, rows.shape[0]))
+            values[self.free_indices] = rows.T
+            affected = np.zeros(values.shape, dtype=bool)
+            weeks = self.kernel.weeks_recovered(self.kernel.need(values), affected)
+            return np.abs(weeks - self._empirical_weeks).sum(axis=0, dtype=np.int64)
+
+        return map_column_chunks(chunk, chromosomes, self.graph.n)
 
 
 @dataclass
@@ -104,11 +132,9 @@ def fit_fitness(free_values: np.ndarray, problem: FitProblem) -> int:
         raise ValueError(
             f"chromosome has shape {free_values.shape}, expected ({problem.free_count},)"
         )
-    tau = ThresholdVector.assemble(problem.graph.nodes, problem.seed_mask, free_values)
-    simulated = run_diffusion(
-        problem.graph, tau, all_affected(problem.graph.n), problem.schedule
-    )
-    return zero_one_loss(problem.empirical, simulated)
+    if not np.all((free_values >= 0.0) & (free_values <= 1.0)):
+        raise ValueError("threshold values must be finite and lie in [0, 1]")
+    return int(problem.losses(free_values[None, :])[0])
 
 
 def fit_thresholds(
@@ -118,7 +144,8 @@ def fit_thresholds(
 
     A problem with no free nodes (every node a seed) has nothing to
     optimize; the all-zero threshold vector is returned directly with a
-    single synthetic generation record.
+    single synthetic generation record. n_workers is accepted for
+    compatibility; evaluation runs on the calling thread.
     """
     if problem.free_count == 0:
         loss = fit_fitness(np.empty(0), problem)
@@ -132,11 +159,10 @@ def fit_thresholds(
 
     encoding = RealVectorEncoding(problem.free_count)
     result = run_ga(
-        lambda chromosome: fit_fitness(chromosome, problem),
+        PopulationFitness(lambda population: problem.losses(population).tolist()),
         direction="minimize",
         encoding=encoding,
         config=config,
-        n_workers=n_workers,
     )
     tau = ThresholdVector.assemble(
         problem.graph.nodes, problem.seed_mask, result.best_chromosome
@@ -150,18 +176,15 @@ def fit_thresholds(
 def random_baseline(
     problem: FitProblem, runs: int, rng_seed: int = 0, n_workers: int = 1
 ) -> BaselineStats:
-    """Loss distribution of uniform-random thresholds on the free nodes."""
+    """Loss distribution of uniform-random thresholds on the free nodes.
+
+    The draws are simulated in column chunks; n_workers is accepted for
+    compatibility and evaluation runs on the calling thread.
+    """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     rng = np.random.default_rng(rng_seed)
     chromosomes = rng.random((runs, problem.free_count))
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            losses = list(executor.map(lambda c: fit_fitness(c, problem), chromosomes))
-    else:
-        losses = [fit_fitness(c, problem) for c in chromosomes]
-    arr = np.array(losses, dtype=np.float64)
+    arr = problem.losses(chromosomes).astype(np.float64)
     std = float(arr.std(ddof=1)) if runs > 1 else 0.0
     return BaselineStats(mean=float(arr.mean()), std=std, runs=runs, losses=arr)

@@ -1,15 +1,14 @@
 """Classic generational genetic algorithm with elitism and two encodings:
 real vectors in [0, 1]^k and fixed-size index subsets.
 
-All random decisions come from one seeded generator on the driver thread,
-so runs are reproducible even when fitness evaluation is dispatched to a
-thread pool (evaluations are pure and collected in submission order).
+All random decisions come from one seeded generator, and fitness
+evaluation draws nothing from it, so runs are reproducible however a
+population is evaluated.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +25,20 @@ class FitnessEvaluationError(RecovnetError):
     def __init__(self, chromosome):
         super().__init__(f"fitness evaluation failed for chromosome {chromosome!r}")
         self.chromosome = chromosome
+
+
+class PopulationFitness:
+    """A fitness that scores a whole population in one call.
+
+    score maps a P x k matrix of chromosomes to P fitness values; calling
+    the object on one chromosome scores a population of one.
+    """
+
+    def __init__(self, score: Callable[[np.ndarray], Sequence[float]]):
+        self.score = score
+
+    def __call__(self, chromosome: np.ndarray) -> float:
+        return self.score(np.asarray(chromosome)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -176,17 +189,13 @@ class SubsetEncoding:
         if self.subset_size == self.pool_size or rng.random() >= prob:
             return out
         drop = rng.integers(self.subset_size)
-        members = set(out.tolist())
-        # draw a non-member by rank among the pool_size - subset_size outsiders
-        rank = int(rng.integers(self.pool_size - self.subset_size))
-        candidate = -1
-        for value in range(self.pool_size):
-            if value in members:
-                continue
-            if rank == 0:
-                candidate = value
+        # draw a non-member by rank among the pool_size - subset_size outsiders:
+        # walking the members upwards, each one at or below it shifts it by one
+        candidate = int(rng.integers(self.pool_size - self.subset_size))
+        for member in sorted(out.tolist()):
+            if member > candidate:
                 break
-            rank -= 1
+            candidate += 1
         out[drop] = candidate
         return np.sort(out)
 
@@ -205,6 +214,11 @@ def run_ga(
     the elitism_count best carried over unchanged. max_iterations counts
     generations including the initial one, so a budget of 1 returns the best
     of the random population.
+
+    Each generation is scored in one call: by fitness.score for a
+    PopulationFitness, else by calling fitness on each chromosome in turn.
+    n_workers is accepted for compatibility; evaluation runs on the
+    calling thread.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -216,74 +230,80 @@ def run_ga(
         else encoding.default_mutation_prob()
     )
 
-    def wrapped(chromosome: np.ndarray) -> float:
+    if isinstance(fitness, PopulationFitness):
+        score = fitness.score
+    else:
+        def score(population):
+            return [fitness(chromosome) for chromosome in population]
+
+    def evaluate(population: list[np.ndarray]) -> list[float]:
         try:
-            return fitness(chromosome)
+            return list(score(np.stack(population)))
         except Exception as exc:
-            raise FitnessEvaluationError(chromosome) from exc
-
-    executor = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-
-    def evaluate(pop: Sequence[np.ndarray]) -> list[float]:
-        if executor is None:
-            return [wrapped(c) for c in pop]
-        return list(executor.map(wrapped, pop))
+            raise FitnessEvaluationError(_first_failing(fitness, population)) from exc
 
     def key(value: float) -> float:
         return value if minimize else -value
 
     def tournament(fits: list[float]) -> int:
         contenders = rng.integers(config.population_size, size=config.tournament_size)
-        return min(contenders, key=lambda i: (key(fits[i]), i))
+        return min(contenders.tolist(), key=lambda i: (key(fits[i]), i))
 
-    try:
-        population = [encoding.random(rng) for _ in range(config.population_size)]
-        history: list[GenerationRecord] = []
-        best_chromosome: Optional[np.ndarray] = None
-        best_fitness = 0.0
+    population = [encoding.random(rng) for _ in range(config.population_size)]
+    history: list[GenerationRecord] = []
+    best_chromosome: Optional[np.ndarray] = None
+    best_fitness = 0.0
 
-        tick = time.perf_counter()
-        fits = evaluate(population)
-        for generation in range(config.max_iterations):
-            if generation > 0:
-                order = sorted(
-                    range(config.population_size), key=lambda i: (key(fits[i]), i)
-                )
-                children = [population[i].copy() for i in order[: config.elitism_count]]
-                while len(children) < config.population_size:
-                    p1 = population[tournament(fits)]
-                    p2 = population[tournament(fits)]
-                    if rng.random() < config.crossover_prob:
-                        c1, c2 = encoding.crossover(p1, p2, rng)
-                    else:
-                        c1, c2 = p1.copy(), p2.copy()
-                    for child in (c1, c2):
-                        if len(children) < config.population_size:
-                            children.append(encoding.mutate(child, rng, mutation_prob))
-                population = children
-                fits = evaluate(population)
-
-            gen_best = min(range(config.population_size), key=lambda i: (key(fits[i]), i))
-            if best_chromosome is None or key(fits[gen_best]) < key(best_fitness):
-                best_chromosome = population[gen_best].copy()
-                best_fitness = fits[gen_best]
-            tock = time.perf_counter()
-            history.append(
-                GenerationRecord(
-                    generation=generation,
-                    best_fitness=fits[gen_best],
-                    seconds=tock - tick,
-                )
+    tick = time.perf_counter()
+    fits = evaluate(population)
+    for generation in range(config.max_iterations):
+        if generation > 0:
+            order = sorted(
+                range(config.population_size), key=lambda i: (key(fits[i]), i)
             )
-            tick = tock
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+            children = [population[i].copy() for i in order[: config.elitism_count]]
+            while len(children) < config.population_size:
+                p1 = population[tournament(fits)]
+                p2 = population[tournament(fits)]
+                if rng.random() < config.crossover_prob:
+                    c1, c2 = encoding.crossover(p1, p2, rng)
+                else:
+                    c1, c2 = p1.copy(), p2.copy()
+                for child in (c1, c2):
+                    if len(children) < config.population_size:
+                        children.append(encoding.mutate(child, rng, mutation_prob))
+            population = children
+            fits = evaluate(population)
+
+        gen_best = min(range(config.population_size), key=lambda i: (key(fits[i]), i))
+        if best_chromosome is None or key(fits[gen_best]) < key(best_fitness):
+            best_chromosome = population[gen_best].copy()
+            best_fitness = fits[gen_best]
+        tock = time.perf_counter()
+        history.append(
+            GenerationRecord(
+                generation=generation,
+                best_fitness=fits[gen_best],
+                seconds=tock - tick,
+            )
+        )
+        tick = tock
 
     assert best_chromosome is not None
     return GaResult(
         best_chromosome=best_chromosome, best_fitness=best_fitness, history=history
     )
+
+
+def _first_failing(fitness: Callable[[np.ndarray], float], population: list[np.ndarray]):
+    """The first chromosome whose own evaluation raises (the whole
+    population when each one alone succeeds)."""
+    for chromosome in population:
+        try:
+            fitness(chromosome)
+        except Exception:
+            return chromosome
+    return np.stack(population)
 
 
 def performance_index(

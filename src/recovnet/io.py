@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -160,9 +161,12 @@ def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
 
 def _parse_float(text: str, path, row) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"{path}: non-numeric value {text!r} in row {row!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}: non-finite value {text!r} in row {row!r}")
+    return value
 
 
 def read_durations(path: str | Path) -> dict[str, float]:
@@ -272,11 +276,16 @@ def read_thresholds(path: str | Path) -> ThresholdVector:
     for row in rows:
         if len(row) < 3:
             raise DataError(f"{path}: malformed threshold row {row!r}")
-        ids.append(row[0].strip())
-        values.append(_parse_float(row[1], path, row))
+        value = _parse_float(row[1], path, row)
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"{path}: threshold outside [0, 1] in row {row!r}")
         flag = row[2].strip()
         if flag not in ("0", "1"):
             raise DataError(f"{path}: is_seed must be 0 or 1, got {flag!r}")
+        if flag == "1" and value != 0.0:
+            raise DataError(f"{path}: seed with a non-zero threshold in row {row!r}")
+        ids.append(row[0].strip())
+        values.append(value)
         seeds.append(flag == "1")
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate node ids")

@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .diffusion import DiffusionSchedule, ThresholdVector, all_affected, run_diffusion
+from .diffusion import (
+    DiffusionKernel,
+    DiffusionSchedule,
+    ThresholdVector,
+    check_aligned,
+    chunk_columns,
+    map_column_chunks,
+)
 from .errors import ConfigError, DataError
-from .ga import GaConfig, GaResult, SubsetEncoding, run_ga
+from .ga import GaConfig, GaResult, PopulationFitness, SubsetEncoding, run_ga
 from .graph import SpatialGraph
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -31,8 +38,10 @@ class MultiplierProblem:
     size: int
     schedule: DiffusionSchedule = DiffusionSchedule()
     candidate_pool: Optional[tuple[str, ...]] = None
+    kernel: DiffusionKernel = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_aligned(self.graph, self.thresholds)
         if self.candidate_pool is None:
             self.candidate_pool = self.graph.nodes
         else:
@@ -46,10 +55,24 @@ class MultiplierProblem:
             raise ConfigError(
                 f"size must be in [1, {len(self.candidate_pool)}], got {self.size}"
             )
+        self.kernel = DiffusionKernel(self.graph, self.schedule)
+        self._need = self.kernel.need(self.thresholds.values[:, None])
 
     @property
     def pool_indices(self) -> np.ndarray:
         return np.array([self.graph.index[n] for n in self.candidate_pool], dtype=np.int64)
+
+    def recovered(self, seed_sets: np.ndarray) -> np.ndarray:
+        """Horizon recovered count for each row of node indices (P x k,
+        k >= 0) forced recovered at week 0."""
+
+        def chunk(rows: np.ndarray) -> np.ndarray:
+            initial = np.zeros((self.graph.n, rows.shape[0]), dtype=bool)
+            initial[rows, np.arange(rows.shape[0])[:, None]] = True
+            weeks = self.kernel.weeks_recovered(self._need, initial)
+            return np.count_nonzero(weeks, axis=0)
+
+        return map_column_chunks(chunk, seed_sets, self.graph.n)
 
 
 @dataclass
@@ -67,13 +90,6 @@ class MultiplierResult:
     ga_result: Optional[GaResult] = None
 
 
-def _objective_from_node_indices(problem: MultiplierProblem, indices: np.ndarray) -> int:
-    initial = all_affected(problem.graph.n)
-    initial[indices] = True
-    trajectory = run_diffusion(problem.graph, problem.thresholds, initial, problem.schedule)
-    return int(trajectory[-1].sum())
-
-
 def multiplier_objective(members: Iterable[str], problem: MultiplierProblem) -> int:
     """Recovered count at the horizon when `members` start recovered."""
     members = list(members)
@@ -86,16 +102,13 @@ def multiplier_objective(members: Iterable[str], problem: MultiplierProblem) -> 
     outside = unique - pool
     if outside:
         raise ValueError(f"nodes outside the candidate pool: {sorted(outside)[:10]}")
-    indices = np.array([problem.graph.index[n] for n in members], dtype=np.int64)
-    return _objective_from_node_indices(problem, indices)
+    indices = np.array([[problem.graph.index[n] for n in members]], dtype=np.int64)
+    return int(problem.recovered(indices)[0])
 
 
 def natural_outcome(problem: MultiplierProblem) -> int:
     """Recovered count at the horizon with no forced seeds."""
-    trajectory = run_diffusion(
-        problem.graph, problem.thresholds, all_affected(problem.graph.n), problem.schedule
-    )
-    return int(trajectory[-1].sum())
+    return int(problem.recovered(np.empty((1, 0), dtype=np.int64))[0])
 
 
 def increment_rate(recovered_with: int, recovered_without: int) -> float:
@@ -127,20 +140,18 @@ def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with
 def search_multipliers(
     problem: MultiplierProblem, config: GaConfig, n_workers: int = 1
 ) -> MultiplierResult:
-    """Maximize the horizon recovered count over size-N subsets with the GA."""
+    """Maximize the horizon recovered count over size-N subsets with the GA.
+
+    n_workers is accepted for compatibility; evaluation runs on the
+    calling thread."""
     pool_indices = problem.pool_indices
     encoding = SubsetEncoding(len(problem.candidate_pool), problem.size)
-
-    def fitness(chromosome: np.ndarray) -> int:
-        return _objective_from_node_indices(problem, pool_indices[chromosome])
-
-    result = run_ga(
-        fitness, direction="maximize", encoding=encoding, config=config, n_workers=n_workers
+    fitness = PopulationFitness(
+        lambda population: problem.recovered(pool_indices[population]).tolist()
     )
+    result = run_ga(fitness, direction="maximize", encoding=encoding, config=config)
     members = tuple(sorted(problem.candidate_pool[i] for i in result.best_chromosome))
-    recovered_with = _objective_from_node_indices(
-        problem, pool_indices[result.best_chromosome]
-    )
+    recovered_with = int(problem.recovered(pool_indices[result.best_chromosome][None, :])[0])
     return _finish(problem, members, recovered_with, result)
 
 
@@ -148,19 +159,30 @@ def brute_force_multipliers(
     problem: MultiplierProblem, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MultiplierResult:
     """Exact maximizer by exhaustive enumeration, ties broken by taking the
-    lexicographically first subset of the sorted candidate pool."""
+    lexicographically first subset of the sorted candidate pool.
+
+    Subsets are simulated in chunks in enumeration order; a chunk's best
+    replaces the running best only when strictly better, so the first
+    maximum is kept across chunk boundaries."""
     total = math.comb(len(problem.candidate_pool), problem.size)
     if total > enumeration_cap:
         raise ConfigError(
             f"{total} candidate subsets exceed the enumeration cap {enumeration_cap}"
         )
     pool_sorted = sorted(problem.candidate_pool)
-    best_members: Optional[tuple[str, ...]] = None
+    pool_indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
+    combos = itertools.combinations(range(len(pool_sorted)), problem.size)
+    step = chunk_columns(problem.graph.n)
+    best_combo: Optional[np.ndarray] = None
     best_value = -1
-    for combo in itertools.combinations(pool_sorted, problem.size):
-        indices = np.array([problem.graph.index[n] for n in combo], dtype=np.int64)
-        value = _objective_from_node_indices(problem, indices)
-        if value > best_value:
-            best_members, best_value = combo, value
-    assert best_members is not None
-    return _finish(problem, best_members, best_value, None)
+    while True:
+        chunk = np.array(list(itertools.islice(combos, step)), dtype=np.int64)
+        if chunk.size == 0:
+            break
+        values = problem.recovered(pool_indices[chunk])
+        first_best = int(np.argmax(values))
+        if values[first_best] > best_value:
+            best_combo, best_value = chunk[first_best], int(values[first_best])
+    assert best_combo is not None
+    members = tuple(pool_sorted[i] for i in best_combo)
+    return _finish(problem, members, best_value, None)

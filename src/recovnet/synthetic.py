@@ -10,6 +10,7 @@ never recover, which the 14-week cap marks recovered at the horizon).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -94,20 +95,27 @@ def grid_units(count: int) -> list[SpatialUnit]:
     return units
 
 
-def _connected_without(adjacency: dict[str, set[str]], nodes: tuple[str, ...]) -> bool:
-    start = nodes[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nbr in adjacency[stack.pop()]:
+def _reachable(adjacency: dict[str, set[str]], source: str, target: str) -> bool:
+    """Breadth-first search from source that stops once it reaches target."""
+    seen = {source}
+    frontier = deque([source])
+    while frontier:
+        for nbr in adjacency[frontier.popleft()]:
+            if nbr == target:
+                return True
             if nbr not in seen:
                 seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == len(nodes)
+                frontier.append(nbr)
+    return False
 
 
 def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generator) -> SpatialGraph:
-    """Drop random edges, skipping any removal that would disconnect the graph."""
+    """Drop random edges, skipping any removal that would disconnect the graph.
+
+    The grid starts connected and every accepted removal keeps it so; a
+    removal then disconnects it exactly when its endpoints no longer reach
+    each other.
+    """
     target = int(math.floor(fraction * graph.m + 0.5))
     adjacency = {n: set(graph.neighbors(n)) for n in graph.nodes}
     order = rng.permutation(graph.m)
@@ -118,7 +126,7 @@ def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generato
         u, v = graph.edges[idx]
         adjacency[u].discard(v)
         adjacency[v].discard(u)
-        if _connected_without(adjacency, graph.nodes):
+        if _reachable(adjacency, u, v):
             removed += 1
         else:
             adjacency[u].add(v)

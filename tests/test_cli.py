@@ -377,6 +377,78 @@ class TestExitCodes:
         assert run("--help") == 0
 
 
+def _rewrite_row(path: Path, row_index: int, column: int, value: str) -> str:
+    """Set one cell of a data row (0-based, header excluded); returns the row's id."""
+    lines = path.read_text().splitlines()
+    cells = lines[row_index + 1].split(",")
+    cells[column] = value
+    lines[row_index + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return cells[0]
+
+
+class TestBadInputRows:
+    """Bad values exit 3 (data error) and name the offending row."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_duration(self, tmp_path, instance_dir, capsys, value):
+        node = _rewrite_row(instance_dir / "durations.csv", 4, 1, value)
+        assert run(
+            "fit", "--edges", instance_dir / "edges.csv",
+            "--durations", instance_dir / "durations.csv",
+            "--max-iterations", 2, "--out", tmp_path / "fit",
+        ) == 3
+        assert node in capsys.readouterr().err
+
+    def _multipliers(self, tmp_path, instance_dir, thresholds) -> int:
+        return run(
+            "multipliers", "--edges", instance_dir / "edges.csv",
+            "--thresholds", thresholds, "--sizes", 1, "--max-iterations", 2,
+            "--out", tmp_path / "mult",
+        )
+
+    @staticmethod
+    def _row_where(path: Path, is_seed: bool) -> int:
+        rows = path.read_text().splitlines()[1:]
+        return next(i for i, row in enumerate(rows) if row.endswith(",1" if is_seed else ",0"))
+
+    def test_non_finite_threshold(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "planted_thresholds.csv"
+        node = _rewrite_row(path, self._row_where(path, is_seed=False), 1, "nan")
+        assert self._multipliers(tmp_path, instance_dir, path) == 3
+        assert node in capsys.readouterr().err
+
+    def test_seed_with_non_zero_threshold(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "planted_thresholds.csv"
+        node = _rewrite_row(path, self._row_where(path, is_seed=True), 1, "0.5")
+        assert self._multipliers(tmp_path, instance_dir, path) == 3
+        assert node in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.25"])
+    def test_threshold_outside_unit_interval(self, tmp_path, instance_dir, capsys, value):
+        path = instance_dir / "planted_thresholds.csv"
+        node = _rewrite_row(path, self._row_where(path, is_seed=False), 1, value)
+        assert self._multipliers(tmp_path, instance_dir, path) == 3
+        assert node in capsys.readouterr().err
+
+
+class TestCliImports:
+    def test_scipy_stats_not_imported(self):
+        """scipy.stats costs over a second of start-up; the CLI must not load it."""
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, recovnet.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         def pipeline(root: Path, workers: int):

@@ -172,3 +172,35 @@ class TestSeedDominance:
             assert multiplier_objective(base | {extra}, big) >= multiplier_objective(
                 base, small
             )
+
+
+class TestBruteForceChunks:
+    """Forcing n2 or n3 recovers both, as does forcing n6 or n7; every
+    other node stays alone. Ties fall in different chunks for every chunk
+    size, and the lexicographically first subset must win."""
+
+    @pytest.fixture
+    def tied_problem(self):
+        from recovnet import load_edge_list
+
+        nodes = [f"n{i}" for i in range(10)]
+        graph = load_edge_list(nodes, [("n2", "n3"), ("n6", "n7")])
+        tau = ThresholdVector(node_ids=graph.nodes, values=np.ones(10))
+        return graph, tau
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 100])
+    @pytest.mark.parametrize("size,expected,value", [
+        (1, ("n2",), 2),
+        (2, ("n2", "n6"), 4),
+    ])
+    def test_first_maximum_kept_across_chunks(self, tied_problem, chunk, size, expected, value):
+        from unittest import mock
+
+        from recovnet import diffusion
+
+        graph, tau = tied_problem
+        problem = MultiplierProblem(graph=graph, thresholds=tau, size=size)
+        with mock.patch.object(diffusion, "CHUNK_CELLS", graph.n * chunk):
+            result = brute_force_multipliers(problem)
+        assert result.members == expected
+        assert result.recovered_with == value

@@ -194,3 +194,42 @@ class TestPerturbedGrid:
                     seen.add(nbr)
                     stack.append(nbr)
         assert len(seen) == perturbed.graph.n
+
+    @pytest.mark.parametrize("node_count,rng_seed", [(40, 1), (40, 1009), (120, 5), (500, 1)])
+    def test_removals_match_whole_graph_connectivity_loop(self, node_count, rng_seed):
+        """Each removal is decided by a search from one endpoint to the other;
+        a loop that re-checks the connectivity of the whole graph after
+        every removal must drop exactly the same edges."""
+        import math
+
+        from recovnet.graph import ContiguityRule, build_contiguity_graph
+        from recovnet.synthetic import _perturb_edges
+
+        def reference(graph, fraction, rng):
+            target = int(math.floor(fraction * graph.m + 0.5))
+            adjacency = {n: set(graph.neighbors(n)) for n in graph.nodes}
+            removed = 0
+            for idx in rng.permutation(graph.m):
+                if removed == target:
+                    break
+                u, v = graph.edges[idx]
+                adjacency[u].discard(v)
+                adjacency[v].discard(u)
+                seen, stack = {graph.nodes[0]}, [graph.nodes[0]]
+                while stack:
+                    for nbr in adjacency[stack.pop()]:
+                        if nbr not in seen:
+                            seen.add(nbr)
+                            stack.append(nbr)
+                if len(seen) == graph.n:
+                    removed += 1
+                else:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+            return {(u, v) for u in graph.nodes for v in adjacency[u] if u < v}
+
+        grid = build_contiguity_graph(grid_units(node_count), ContiguityRule("queen"))
+        for fraction in (0.15, 0.6):
+            fast = _perturb_edges(grid, fraction, np.random.default_rng(rng_seed))
+            slow = reference(grid, fraction, np.random.default_rng(rng_seed))
+            assert set(fast.edges) == slow
