@@ -11,13 +11,12 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 data/I-O, 4 internal.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
-import os
 import platform
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -32,6 +31,8 @@ from .analysis import (
     threshold_summary,
 )
 from .diffusion import (
+    DEFAULT_FIRST_UPDATE_WEEK,
+    DEFAULT_HORIZON_WEEKS,
     DiffusionSchedule,
     ThresholdVector,
     all_affected,
@@ -40,16 +41,22 @@ from .diffusion import (
 )
 from .empirical import VisitSeries, compute_recovery_duration, weekly_difference
 from .errors import ConfigError, DataError, RecovnetError
-from .fitting import build_fit_problem, fit_thresholds, random_baseline
+from .fitting import (
+    DEFAULT_SEED_CUTOFF_WEEKS,
+    FitProblem,
+    build_fit_problem,
+    fit_thresholds,
+    random_baseline,
+)
 from .ga import GaConfig, performance_index
-from .graph import ContiguityRule, build_contiguity_graph, graph_metrics
+from .graph import CONTIGUITY_KINDS, ContiguityRule, build_contiguity_graph, graph_metrics
 from .multipliers import (
+    DEFAULT_ENUMERATION_CAP,
     MultiplierProblem,
-    MultiplierResult,
     brute_force_multipliers,
     search_multipliers,
 )
-from .synthetic import SynthSpec, generate_instance, write_instance
+from .synthetic import GRAPH_KINDS, SynthSpec, generate_instance, write_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,76 +76,243 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_workers() -> int:
-    """RECOVNET_THREADS when set, else 1."""
-    env = os.environ.get("RECOVNET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"RECOVNET_THREADS must be an integer, got {env!r}") from None
-    return 1
+# Option types: each converts a flag's text or a config file's JSON value,
+# raising ValueError on anything else.
 
-
-def _record_workers(settings: Settings) -> None:
-    """Resolve and record the worker count; evaluation runs on one thread
-    whatever it is (a thread pool measured no faster, see README)."""
-    settings.get("workers", default=_default_workers(), cast=int)
-
-
-class Settings:
-    """CLI values merged over a flat JSON config file; flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.config: dict = {}
-        self.resolved: dict = {}
-        path = self.args.get("config")
-        if path:
-            if not Path(path).exists():
-                raise ConfigError(f"config file not found: {path}")
-            try:
-                loaded = io.read_json(path)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"config file {path} must hold a JSON object")
-            self.config = loaded
-
-    def get(
-        self,
-        dest: str,
-        config_key: Optional[str] = None,
-        default=None,
-        cast: Optional[Callable] = None,
-        required: bool = False,
-    ):
-        key = config_key or dest
-        value = self.args.get(dest)
-        if value is None:
-            value = self.config.get(key, default)
-        if value is None:
-            if required:
-                raise ConfigError(f"missing required setting {key!r}")
-            self.resolved[key] = None
-            return None
-        if cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        self.resolved[key] = value
-        return value
-
-
-def _parse_sizes(value) -> list[int]:
+def _integer(value) -> int:
+    """An integer; a JSON 2.0 passes, 2.7 and true do not."""
     if isinstance(value, str):
-        parts = [p for p in value.replace(" ", "").split(",") if p]
-        value = [int(p) for p in parts]
-    sizes = [int(v) for v in value]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("sizes must be positive integers")
-    return sizes
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _number(value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
+def _day(value) -> str:
+    """A day index or ISO date, kept as written; io.parse_day reads it."""
+    return str(_integer(value)) if isinstance(value, int) else _text(value)
+
+
+def _switch(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+def _sizes(value) -> list[int]:
+    """Comma-separated flag text or a JSON list of integers."""
+    if isinstance(value, str):
+        value = [part for part in value.replace(" ", "").split(",") if part]
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a list of set sizes, got {value!r}")
+    return [_integer(v) for v in value]
+
+
+ALL = ("build-graph", "durations", "fit", "baseline", "multipliers", "analyze", "synth")
+GRAPH = ("build-graph", "fit", "baseline", "multipliers")
+SCHEDULE = ("fit", "baseline", "multipliers", "analyze")
+GA = ("fit", "multipliers")
+STAGE_PREFIX = {"fit": "stage1_", "multipliers": "stage2_"}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting, taken by each command in commands as the flag --name
+    (underscores as dashes) and the config key key, else name.
+
+    Staged rows (the GA settings) take the key stage1_<name> under fit and
+    stage2_<name> under multipliers. default may map each command to its
+    own default; the commands in required have none. minimum bounds an
+    integer, or each item of a list, whose items must then also be distinct.
+    """
+
+    name: str
+    type: Callable
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    key: Optional[str] = None
+    staged: bool = False
+    required: tuple[str, ...] = ()
+    choices: tuple[str, ...] = ()
+    minimum: Optional[int] = None
+
+    def config_key(self, command: str) -> str:
+        return STAGE_PREFIX[command] + self.name if self.staged else self.key or self.name
+
+    def default_for(self, command: str):
+        return self.default[command] if isinstance(self.default, dict) else self.default
+
+
+# Every setting of every command, declared once: the flags, the config keys,
+# the defaults, the help text and the manifest's settings all come from here.
+OPTIONS = (
+    Option("out", _text, None, "output directory", ALL, required=ALL),
+    Option("geometry", _text, None, "GeoJSON feature collection of polygon units", GRAPH),
+    Option("edges", _text, None, "edge-list CSV (src,dst); analyze draws recovery curves "
+           "when given it and --durations", GRAPH + ("analyze",)),
+    Option("rule", _text, "queen", "contiguity rule for --geometry", GRAPH,
+           choices=CONTIGUITY_KINDS),
+    Option("snap_tolerance", _number, 0.0, "vertex snap tolerance for --geometry", GRAPH),
+    Option("visits", _text, None, "visits CSV (id,day,visits)", ("durations",),
+           required=("durations",)),
+    Option("baseline_start", _day, None, "first baseline day (index or ISO date)",
+           ("durations",), required=("durations",)),
+    Option("baseline_end", _day, None, "last baseline day (inclusive)", ("durations",),
+           required=("durations",)),
+    Option("recovery_start", _day, None, "first day recovery is assessed", ("durations",),
+           required=("durations",)),
+    Option("ratio", _number, 0.9, "recovery ratio vs baseline", ("durations",)),
+    Option("persistence_days", _integer, 3, "consecutive qualifying days", ("durations",)),
+    Option("ma_halfwidth", _integer, 3, "moving-average halfwidth", ("durations",)),
+    Option("durations", _text, None, "durations CSV (id,duration_weeks)",
+           ("fit", "baseline", "analyze"), required=("fit", "baseline")),
+    Option("thresholds", _text, None, "thresholds CSV (id,threshold,is_seed)",
+           ("multipliers", "analyze"), required=("multipliers", "analyze")),
+    Option("attributes", _text, None, "attributes CSV", ("analyze",), required=("analyze",)),
+    Option("horizon", _integer, DEFAULT_HORIZON_WEEKS, "diffusion horizon in weeks", SCHEDULE),
+    Option("first_update_week", _integer, DEFAULT_FIRST_UPDATE_WEEK, "first update week",
+           SCHEDULE),
+    Option("seed_cutoff", _number, DEFAULT_SEED_CUTOFF_WEEKS, "seed duration cutoff in weeks",
+           ("fit", "baseline", "analyze")),
+    Option("population_size", _integer, 10, "GA population size", GA, staged=True),
+    Option("max_iterations", _integer, {"fit": 10_000, "multipliers": 2_000},
+           "GA generation budget", GA, staged=True),
+    Option("crossover_prob", _number, 0.9, "GA crossover probability", GA, staged=True),
+    Option("mutation_prob", _number, None, "GA mutation probability (by default 1/k per "
+           "threshold for fit, one swap per child for multipliers)", GA, staged=True),
+    Option("tournament_size", _integer, 2, "GA tournament size", GA, staged=True),
+    Option("elitism_count", _integer, 1, "GA elites kept per generation", GA, staged=True),
+    Option("rng_seed", _integer, 0, "random seed", ("fit", "baseline", "multipliers", "synth"),
+           minimum=0),
+    Option("baseline_runs", _integer, 0, "also run a random baseline of this many draws",
+           ("fit",), minimum=0),
+    Option("runs", _integer, 1000, "number of random draws", ("baseline",)),
+    Option("sizes", _sizes, None, "comma-separated set sizes (by default 1,3,5,10%% of n)",
+           ("multipliers",), minimum=1),
+    Option("pool", _text, "all", "candidate pool", ("multipliers",),
+           choices=("all", "unrecovered")),
+    Option("brute_force", _switch, False, "enumerate instead of running the GA",
+           ("multipliers",)),
+    Option("enumeration_cap", _integer, DEFAULT_ENUMERATION_CAP, "max subsets to enumerate",
+           ("multipliers",)),
+    Option("include_seeds", _switch, False, "include seed nodes in summaries and tertiles",
+           ("analyze",)),
+    Option("multipliers_dir", _text, None, "output directory of a multipliers run",
+           ("analyze",)),
+    Option("nodes", _integer, None, "number of spatial units", ("synth",), key="node_count",
+           required=("synth",)),
+    Option("kind", _text, "grid", "graph kind", ("synth",), key="graph_kind",
+           choices=GRAPH_KINDS),
+    Option("seed_fraction", _number, 0.2, "fraction of threshold-0 seeds", ("synth",)),
+    Option("threshold_low", _number, 0.1, "planted threshold lower bound", ("synth",)),
+    Option("threshold_high", _number, 0.6, "planted threshold upper bound", ("synth",)),
+    Option("coupling", _number, -0.8, "attribute-threshold rank coupling", ("synth",),
+           key="attribute_coupling"),
+    Option("edge_removal_fraction", _number, 0.15, "perturbed_grid edge removals", ("synth",)),
+)
+
+# one config file may serve several commands, so any command's key is accepted
+CONFIG_ROWS = {o.config_key(c): o for o in OPTIONS for c in o.commands}
+
+
+def _options(command: str) -> list[Option]:
+    return [option for option in OPTIONS if command in option.commands]
+
+
+def _flag(option: Option) -> str:
+    return "--" + option.name.replace("_", "-")
+
+
+def _check(option: Option, value, source: str) -> None:
+    if option.choices and value not in option.choices:
+        raise ConfigError(f"{source} must be one of {', '.join(option.choices)}, got {value!r}")
+    items = value if isinstance(value, list) else [value]
+    if option.minimum is not None and min(items) < option.minimum:
+        raise ConfigError(f"{source} must be >= {option.minimum}, got {min(items)}")
+    repeated = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeated:
+        raise ConfigError(f"{source} lists {repeated[0]} more than once")
+
+
+def _read_config(path: str) -> dict:
+    """The config file's values by key, each converted and checked by its
+    row; a null value counts as absent."""
+    if not Path(path).exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        loaded = io.read_json(path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(loaded) - set(CONFIG_ROWS))
+    if unknown:
+        hints = [
+            f"for {_flag(o)} use " + " or ".join(sorted({o.config_key(c) for c in o.commands}))
+            for o in OPTIONS if o.name in unknown
+        ]
+        raise ConfigError(
+            f"unknown config key(s) in {path}: {', '.join(map(repr, unknown))}"
+            + (f" ({'; '.join(hints)})" if hints else "")
+        )
+    config = {}
+    for key, value in loaded.items():
+        if value is not None:
+            source = f"config key {key!r}"
+            try:
+                config[key] = CONFIG_ROWS[key].type(value)
+            except ValueError as exc:
+                raise ConfigError(f"{source}: {exc}") from None
+            _check(CONFIG_ROWS[key], config[key], source)
+    return config
+
+
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option of the command from its flag, else the config file, else
+    its default; a missing required value or a bad value is a config error."""
+    command = args.command
+    config = _read_config(args.config) if args.config else {}
+    values = {}
+    for option in _options(command):
+        key = option.config_key(command)
+        value = getattr(args, option.name)
+        if value is not None:
+            _check(option, value, _flag(option))
+        else:
+            value = config.get(key)
+        if value is None:
+            if command in option.required:
+                raise ConfigError(f"missing required setting {key!r}")
+            value = option.default_for(command)
+        values[option.name] = value
+    return argparse.Namespace(command=command, **values)
+
+
+def _ga_settings(s: argparse.Namespace) -> dict:
+    """The staged settings of a fit or multipliers run, as GaConfig fields."""
+    return {o.name: getattr(s, o.name) for o in OPTIONS if o.staged}
 
 
 def _round_half_up(x: float) -> int:
@@ -161,12 +335,10 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _write_manifest(
-    out_dir: Path, command: str, settings: Settings, extra: Optional[dict] = None
-) -> None:
+def _write_manifest(out_dir: Path, s: argparse.Namespace, extra: Optional[dict] = None) -> None:
     manifest = {
-        "command": command,
-        "settings": settings.resolved,
+        "command": s.command,
+        "settings": {o.config_key(s.command): getattr(s, o.name) for o in _options(s.command)},
         "versions": {
             "recovnet": __version__,
             "python": platform.python_version(),
@@ -180,88 +352,55 @@ def _write_manifest(
     io.write_json(manifest, out_dir / "manifest.json")
 
 
-def _out_dir(settings: Settings) -> Path:
-    out = settings.get("out", required=True, cast=str)
-    path = Path(out)
+def _out_dir(s: argparse.Namespace) -> Path:
+    path = Path(s.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _load_graph(settings: Settings):
-    geometry = settings.get("geometry", cast=str)
-    edges = settings.get("edges", cast=str)
-    if (geometry is None) == (edges is None):
+def _load_graph(s: argparse.Namespace):
+    if (s.geometry is None) == (s.edges is None):
         raise ConfigError("exactly one of --geometry or --edges is required")
-    if geometry is not None:
-        _require_file(geometry, "geometry")
-        rule = ContiguityRule(
-            kind=settings.get("rule", default="queen", cast=str),
-            snap_tolerance=settings.get("snap_tolerance", default=0.0, cast=float),
-        )
-        return build_contiguity_graph(io.read_feature_collection(geometry), rule)
-    _require_file(edges, "edge list")
-    return io.read_edge_list(edges)
+    if s.geometry is not None:
+        units = io.read_feature_collection(_require_file(s.geometry, "geometry"))
+        return build_contiguity_graph(units, ContiguityRule(s.rule, s.snap_tolerance))
+    return io.read_edge_list(_require_file(s.edges, "edge list"))
 
 
-def _schedule(settings: Settings) -> DiffusionSchedule:
-    return DiffusionSchedule(
-        horizon=settings.get("horizon", default=14, cast=int),
-        first_update_week=settings.get("first_update_week", default=3, cast=int),
-    )
+def _fit_problem(s: argparse.Namespace) -> FitProblem:
+    graph = _load_graph(s)
+    durations = io.read_durations(_require_file(s.durations, "durations"))
+    schedule = DiffusionSchedule(s.horizon, s.first_update_week)
+    return build_fit_problem(graph, durations, s.seed_cutoff, schedule)
 
 
-def _ga_config(settings: Settings, prefix: str, default_max: int, rng_seed: int) -> GaConfig:
-    def key(name: str) -> str:
-        return f"{prefix}_{name}"
-
-    mutation = settings.get("mutation_prob", key("mutation_prob"), cast=float)
-    return GaConfig(
-        population_size=settings.get(
-            "population_size", key("population_size"), default=10, cast=int
-        ),
-        max_iterations=settings.get(
-            "max_iterations", key("max_iterations"), default=default_max, cast=int
-        ),
-        crossover_prob=settings.get(
-            "crossover_prob", key("crossover_prob"), default=0.9, cast=float
-        ),
-        mutation_prob=mutation,
-        tournament_size=settings.get(
-            "tournament_size", key("tournament_size"), default=2, cast=int
-        ),
-        elitism_count=settings.get(
-            "elitism_count", key("elitism_count"), default=1, cast=int
-        ),
-        rng_seed=rng_seed,
-    )
+def _summary_cells(summary) -> list:
+    """count, mean, q1, median and q3 of a distribution summary; for none,
+    count 0 and the rest empty."""
+    if summary is None:
+        return [0, "", "", "", ""]
+    return [summary.count, *map(repr, (summary.mean, summary.q1, summary.median, summary.q3))]
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_build_graph(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    graph = _load_graph(settings)
+def cmd_build_graph(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    graph = _load_graph(s)
     metrics = graph_metrics(graph)
     io.write_edge_list(graph, out / "edges.csv")
     io.write_metrics(metrics, out / "metrics.json")
-    _write_manifest(out, "build-graph", settings)
+    _write_manifest(out, s)
     print(io.metrics_line(metrics))
     return EXIT_OK
 
 
-def cmd_durations(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    visits_path = _require_file(settings.get("visits", required=True, cast=str), "visits")
-    baseline_start = io.parse_day(settings.get("baseline_start", required=True, cast=str))
-    baseline_end = io.parse_day(settings.get("baseline_end", required=True, cast=str))
-    recovery_start = io.parse_day(settings.get("recovery_start", required=True, cast=str))
-    ratio = settings.get("ratio", default=0.9, cast=float)
-    persistence = settings.get("persistence_days", default=3, cast=int)
-    halfwidth = settings.get("ma_halfwidth", default=3, cast=int)
+def cmd_durations(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    visits_path = _require_file(s.visits, "visits")
+    start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
 
     series_by_node = io.read_visit_series(visits_path)
     durations: dict[str, float] = {}
@@ -269,68 +408,52 @@ def cmd_durations(args: argparse.Namespace) -> int:
         first_day, visits = series_by_node[node]
         series = VisitSeries(
             visits=visits,
-            baseline_start=baseline_start - first_day,
-            baseline_end=baseline_end - first_day,
-            recovery_start=recovery_start - first_day,
+            baseline_start=start - first_day,
+            baseline_end=end - first_day,
+            recovery_start=recovery - first_day,
         )
         durations[node] = compute_recovery_duration(
-            series, ratio=ratio, persistence_days=persistence, ma_halfwidth=halfwidth
+            series, ratio=s.ratio, persistence_days=s.persistence_days,
+            ma_halfwidth=s.ma_halfwidth,
         )
     io.write_durations(durations, out / "durations.csv")
-    _write_manifest(out, "durations", settings)
+    _write_manifest(out, s)
     print(f"computed recovery durations for {len(durations)} nodes")
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    graph = _load_graph(settings)
-    durations = io.read_durations(
-        _require_file(settings.get("durations", required=True, cast=str), "durations")
-    )
-    schedule = _schedule(settings)
-    seed_cutoff = settings.get("seed_cutoff", default=3.0, cast=float)
-    rng_seed = settings.get("rng_seed", default=0, cast=int)
-    _record_workers(settings)
-    config = _ga_config(settings, "stage1", default_max=10_000, rng_seed=rng_seed)
-    baseline_runs = settings.get("baseline_runs", default=0, cast=int)
-
-    problem = build_fit_problem(graph, durations, seed_cutoff, schedule)
+def cmd_fit(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
+    problem = _fit_problem(s)
     result = fit_thresholds(problem, config)
+    history = result.ga_result.history
 
     io.write_thresholds(result.thresholds, out / "thresholds.csv")
-    io.write_generation_stats(
-        result.ga_result.history, out / "generations.csv", include_seconds=False
-    )
-    io.write_generation_stats(
-        result.ga_result.history, out / "ga_timing.csv", include_seconds=True
-    )
-    simulated = run_diffusion(graph, result.thresholds, all_affected(graph.n), schedule)
+    io.write_generation_stats(history, out / "generations.csv", include_seconds=False)
+    io.write_generation_stats(history, out / "ga_timing.csv", include_seconds=True)
+    graph = problem.graph
+    simulated = run_diffusion(graph, result.thresholds, all_affected(graph.n), problem.schedule)
     io.write_trajectory(graph.nodes, simulated, out / "trajectory.csv")
 
     report = {
         "final_loss": result.final_loss,
-        "initial_best_loss": result.ga_result.history[0].best_fitness,
+        "initial_best_loss": history[0].best_fitness,
         "generations": result.ga_result.generations,
         "free_nodes": problem.free_count,
         "seed_nodes": int(problem.seed_mask.sum()),
         "generation_stats_file": "generations.csv",
     }
-    if baseline_runs > 0:
-        baseline = random_baseline(problem, baseline_runs, rng_seed=rng_seed)
-        report["baseline"] = {
-            "mean": baseline.mean,
-            "std": baseline.std,
-            "runs": baseline.runs,
-        }
+    if s.baseline_runs > 0:
+        baseline = random_baseline(problem, s.baseline_runs, rng_seed=s.rng_seed)
+        report["baseline"] = {"mean": baseline.mean, "std": baseline.std, "runs": baseline.runs}
     io.write_json(report, out / "fit_report.json")
 
     # wall-clock figures stay out of the deterministic tables
     timing: dict = {"total_seconds": result.ga_result.total_seconds}
     if result.ga_result.total_seconds > 0:
         perf = performance_index(
-            initial_best_loss=result.ga_result.history[0].best_fitness,
+            initial_best_loss=history[0].best_fitness,
             final_best_loss=result.final_loss,
             generations=result.ga_result.generations,
             total_seconds=result.ga_result.total_seconds,
@@ -338,36 +461,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
         timing["loss_descent_per_generation"] = perf.loss_descent_per_generation
         timing["seconds_per_generation"] = perf.seconds_per_generation
         timing["performance_index"] = perf.index
-    _write_manifest(out, "fit", settings, extra={"timing": timing})
+    _write_manifest(out, s, extra={"timing": timing})
     print(f"final loss {result.final_loss} after {result.ga_result.generations} generations")
     return EXIT_OK
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    graph = _load_graph(settings)
-    durations = io.read_durations(
-        _require_file(settings.get("durations", required=True, cast=str), "durations")
-    )
-    schedule = _schedule(settings)
-    seed_cutoff = settings.get("seed_cutoff", default=3.0, cast=float)
-    runs = settings.get("runs", default=1000, cast=int)
-    rng_seed = settings.get("rng_seed", default=0, cast=int)
-    _record_workers(settings)
-
-    problem = build_fit_problem(graph, durations, seed_cutoff, schedule)
-    stats = random_baseline(problem, runs, rng_seed=rng_seed)
-    io.write_json(
-        {"mean": stats.mean, "std": stats.std, "runs": stats.runs},
-        out / "baseline.json",
-    )
-    with io.atomic_write(out / "baseline_losses.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["run", "loss"])
-        for i, loss in enumerate(stats.losses):
-            writer.writerow([i, int(loss)])
-    _write_manifest(out, "baseline", settings)
+def cmd_baseline(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    stats = random_baseline(_fit_problem(s), s.runs, rng_seed=s.rng_seed)
+    io.write_json({"mean": stats.mean, "std": stats.std, "runs": stats.runs}, out / "baseline.json")
+    io.write_table(out / "baseline_losses.csv", ["run", "loss"],
+                   ([i, int(loss)] for i, loss in enumerate(stats.losses)))
+    _write_manifest(out, s)
     print(f"baseline loss over {stats.runs} runs: mean {stats.mean:.3f}, std {stats.std:.3f}")
     return EXIT_OK
 
@@ -391,32 +496,18 @@ def _align_thresholds(tau, graph):
     )
 
 
-def cmd_multipliers(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    graph = _load_graph(settings)
+def cmd_multipliers(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    graph = _load_graph(s)
     thresholds = _align_thresholds(
-        io.read_thresholds(
-            _require_file(settings.get("thresholds", required=True, cast=str), "thresholds")
-        ),
-        graph,
+        io.read_thresholds(_require_file(s.thresholds, "thresholds")), graph
     )
-    schedule = _schedule(settings)
-    rng_seed = settings.get("rng_seed", default=0, cast=int)
-    _record_workers(settings)
-    brute = bool(settings.get("brute_force", default=False))
-    enumeration_cap = settings.get("enumeration_cap", default=10**6, cast=int)
-    pool_kind = settings.get("pool", default="all", cast=str)
-    if pool_kind not in ("all", "unrecovered"):
-        raise ConfigError(f"pool must be 'all' or 'unrecovered', got {pool_kind!r}")
-
-    sizes = settings.get("sizes", cast=_parse_sizes)
-    if sizes is None:
-        sizes = default_multiplier_sizes(graph.n)
-        settings.resolved["sizes"] = sizes
+    schedule = DiffusionSchedule(s.horizon, s.first_update_week)
+    if s.sizes is None:
+        s.sizes = default_multiplier_sizes(graph.n)
 
     candidate_pool = None
-    if pool_kind == "unrecovered":
+    if s.pool == "unrecovered":
         base = run_diffusion(graph, thresholds, all_affected(graph.n), schedule)
         candidate_pool = tuple(
             node for node, recovered in zip(graph.nodes, base[-1]) if not recovered
@@ -424,9 +515,8 @@ def cmd_multipliers(args: argparse.Namespace) -> int:
         if not candidate_pool:
             raise DataError("cannot restrict pool to unrecovered nodes: none exist")
 
-    summary_rows = []
-    geometry = settings.args.get("geometry") or settings.config.get("geometry")
-    for size in sizes:
+    results = []
+    for size in s.sizes:
         problem = MultiplierProblem(
             graph=graph,
             thresholds=thresholds,
@@ -434,35 +524,22 @@ def cmd_multipliers(args: argparse.Namespace) -> int:
             schedule=schedule,
             candidate_pool=candidate_pool,
         )
-        if brute:
-            result = brute_force_multipliers(problem, enumeration_cap)
+        if s.brute_force:
+            result = brute_force_multipliers(problem, s.enumeration_cap)
             method = "brute-force"
         else:
-            config = _ga_config(
-                settings, "stage2", default_max=2_000,
-                rng_seed=_multiplier_seed(rng_seed, size),
-            )
+            config = GaConfig(**_ga_settings(s), rng_seed=_multiplier_seed(s.rng_seed, size))
             result = search_multipliers(problem, config)
             method = "ga"
             io.write_generation_stats(
-                result.ga_result.history,
-                out / f"generations_N{size}.csv",
-                include_seconds=False,
+                result.ga_result.history, out / f"generations_N{size}.csv", include_seconds=False
             )
         io.write_multiplier_set(graph.nodes, set(result.members), out / f"multipliers_N{size}.csv")
-        if geometry:
+        if s.geometry:
             io.annotate_feature_collection(
-                geometry, set(result.members), out / f"multipliers_N{size}.geojson"
+                s.geometry, set(result.members), out / f"multipliers_N{size}.geojson"
             )
-        summary_rows.append(
-            [
-                size,
-                method,
-                result.recovered_with,
-                result.recovered_without,
-                "" if result.increment_rate is None else repr(result.increment_rate),
-            ]
-        )
+        results.append((method, result))
         rate = (
             "undefined" if result.increment_rate is None
             else f"{result.increment_rate:.2f}%"
@@ -472,28 +549,17 @@ def cmd_multipliers(args: argparse.Namespace) -> int:
             f"natural ({rate} increment)"
         )
 
-    with io.atomic_write(out / "multipliers_summary.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["size", "method", "recovered_with", "recovered_without", "increment_rate_pct"]
-        )
-        writer.writerows(summary_rows)
-    _write_manifest(out, "multipliers", settings)
+    io.write_multiplier_summary(results, out / "multipliers_summary.csv")
+    _write_manifest(out, s)
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
-    thresholds = io.read_thresholds(
-        _require_file(settings.get("thresholds", required=True, cast=str), "thresholds")
-    )
-    attrs = io.read_attributes(
-        _require_file(settings.get("attributes", required=True, cast=str), "attributes")
-    )
-    include_seeds = bool(settings.get("include_seeds", default=False))
+def cmd_analyze(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
+    thresholds = io.read_thresholds(_require_file(s.thresholds, "thresholds"))
+    attrs = io.read_attributes(_require_file(s.attributes, "attributes"))
 
-    summary = threshold_summary(thresholds, include_seeds=include_seeds)
+    summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
     report = {
         "threshold_summary": {
             "mean": summary.mean,
@@ -510,7 +576,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     included = [
         (node, value)
         for node, value, seed in zip(thresholds.node_ids, thresholds.values, thresholds.seed_mask)
-        if include_seeds or not seed
+        if s.include_seeds or not seed
     ]
     included_ids = [node for node, _ in included]
     tau_values = np.array([value for _, value in included])
@@ -527,83 +593,58 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n": corr.n,
         }
 
-    tertiles = tertile_attribute_report(thresholds, attrs, include_seeds=include_seeds)
-    with io.atomic_write(out / "tertile_attributes.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tertile", "attribute", "count", "mean", "q1", "median", "q3"])
-        for tertile, by_attr in tertiles.summaries.items():
-            for attribute, s in by_attr.items():
-                writer.writerow(
-                    [tertile, attribute, s.count, repr(s.mean), repr(s.q1),
-                     repr(s.median), repr(s.q3)]
-                )
-    with io.atomic_write(out / "tertile_members.csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tertile", "id"])
-        for tertile, members in tertiles.tertiles.items():
-            for node in members:
-                writer.writerow([tertile, node])
+    tertiles = tertile_attribute_report(thresholds, attrs, include_seeds=s.include_seeds)
+    io.write_table(
+        out / "tertile_attributes.csv",
+        ["tertile", "attribute", "count", "mean", "q1", "median", "q3"],
+        ([tertile, attribute, *_summary_cells(st)]
+         for tertile, by_attr in tertiles.summaries.items() for attribute, st in by_attr.items()),
+    )
+    io.write_table(
+        out / "tertile_members.csv", ["tertile", "id"],
+        ([tertile, node] for tertile, members in tertiles.tertiles.items() for node in members),
+    )
 
-    edges = settings.get("edges", cast=str)
-    durations_path = settings.get("durations", cast=str)
-    if edges and durations_path:
-        graph = io.read_edge_list(_require_file(edges, "edge list"))
+    if s.edges and s.durations:
+        graph = io.read_edge_list(_require_file(s.edges, "edge list"))
         aligned = _align_thresholds(thresholds, graph)
-        durations = io.read_durations(_require_file(durations_path, "durations"))
-        schedule = _schedule(settings)
-        problem = build_fit_problem(
-            graph, durations,
-            settings.get("seed_cutoff", default=3.0, cast=float), schedule,
-        )
+        durations = io.read_durations(_require_file(s.durations, "durations"))
+        schedule = DiffusionSchedule(s.horizon, s.first_update_week)
+        problem = build_fit_problem(graph, durations, s.seed_cutoff, schedule)
         simulated = run_diffusion(graph, aligned, all_affected(graph.n), schedule)
         diff, cumulative = weekly_difference(problem.empirical, simulated)
         empirical_counts = recovered_counts(problem.empirical)
         simulated_counts = recovered_counts(simulated)
-        with io.atomic_write(out / "recovery_curves.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["week", "empirical_recovered", "simulated_recovered",
-                 "difference", "cumulative_difference"]
-            )
-            for week in range(len(diff)):
-                writer.writerow(
-                    [week, int(empirical_counts[week]), int(simulated_counts[week]),
-                     int(diff[week]), int(cumulative[week])]
-                )
+        io.write_table(
+            out / "recovery_curves.csv",
+            ["week", "empirical_recovered", "simulated_recovered",
+             "difference", "cumulative_difference"],
+            ([week, int(empirical_counts[week]), int(simulated_counts[week]),
+              int(diff[week]), int(cumulative[week])] for week in range(len(diff))),
+        )
         report["recovery_curves_file"] = "recovery_curves.csv"
 
-    multipliers_dir = settings.get("multipliers_dir", cast=str)
-    if multipliers_dir:
-        results = _load_multiplier_results(Path(multipliers_dir))
+    if s.multipliers_dir:
+        directory = Path(s.multipliers_dir)
+        _require_file(directory / "multipliers_summary.csv", "multiplier summary")
+        results = io.read_multiplier_results(directory)
         comparison = multiplier_attribute_comparison(results, attrs)
-        with io.atomic_write(out / "multiplier_attributes.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["size", "group", "attribute", "count", "mean", "q1", "median", "q3"]
-            )
-            for entry in comparison.entries:
-                if entry.summary is None:
-                    writer.writerow(
-                        [entry.size, entry.group, entry.attribute, 0, "", "", "", ""]
-                    )
-                else:
-                    s = entry.summary
-                    writer.writerow(
-                        [entry.size, entry.group, entry.attribute, s.count,
-                         repr(s.mean), repr(s.q1), repr(s.median), repr(s.q3)]
-                    )
-        with io.atomic_write(out / "increment_rates.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["size", "recovered_with", "recovered_without", "increment_rate_pct"])
-            for result in results:
-                writer.writerow(
-                    [len(result.members), result.recovered_with, result.recovered_without,
-                     "" if result.increment_rate is None else repr(result.increment_rate)]
-                )
+        io.write_table(
+            out / "multiplier_attributes.csv",
+            ["size", "group", "attribute", "count", "mean", "q1", "median", "q3"],
+            ([e.size, e.group, e.attribute, *_summary_cells(e.summary)]
+             for e in comparison.entries),
+        )
+        io.write_table(
+            out / "increment_rates.csv",
+            ["size", "recovered_with", "recovered_without", "increment_rate_pct"],
+            ([len(r.members), r.recovered_with, r.recovered_without,
+              "" if r.increment_rate is None else repr(r.increment_rate)] for r in results),
+        )
         report["multiplier_comparison_file"] = "multiplier_attributes.csv"
 
     io.write_json(report, out / "analysis_report.json")
-    _write_manifest(out, "analyze", settings)
+    _write_manifest(out, s)
     print(
         f"threshold mean {summary.mean:.4f}, variance {summary.variance:.4f} "
         f"over {summary.count} nodes"
@@ -611,47 +652,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_multiplier_results(directory: Path) -> list[MultiplierResult]:
-    summary_path = directory / "multipliers_summary.csv"
-    if not summary_path.exists():
-        raise ConfigError(f"multiplier summary not found: {summary_path}")
-    results = []
-    with open(summary_path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            size = int(row["size"])
-            set_path = directory / f"multipliers_N{size}.csv"
-            if not set_path.exists():
-                raise ConfigError(f"multiplier set file not found: {set_path}")
-            members = io.read_multiplier_set(set_path)
-            rate = row.get("increment_rate_pct", "")
-            results.append(
-                MultiplierResult(
-                    members=members,
-                    recovered_with=int(row["recovered_with"]),
-                    recovered_without=int(row["recovered_without"]),
-                    increment_rate=float(rate) if rate else None,
-                )
-            )
-    return results
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    out = _out_dir(settings)
+def cmd_synth(s: argparse.Namespace) -> int:
+    out = _out_dir(s)
     spec = SynthSpec(
-        node_count=settings.get("nodes", "node_count", required=True, cast=int),
-        graph_kind=settings.get("kind", "graph_kind", default="grid", cast=str),
-        seed_fraction=settings.get("seed_fraction", default=0.2, cast=float),
-        threshold_low=settings.get("threshold_low", default=0.1, cast=float),
-        threshold_high=settings.get("threshold_high", default=0.6, cast=float),
-        attribute_coupling=settings.get("coupling", "attribute_coupling", default=-0.8, cast=float),
-        rng_seed=settings.get("rng_seed", default=0, cast=int),
-        edge_removal_fraction=settings.get("edge_removal_fraction", default=0.15, cast=float),
+        node_count=s.nodes,
+        graph_kind=s.kind,
+        seed_fraction=s.seed_fraction,
+        threshold_low=s.threshold_low,
+        threshold_high=s.threshold_high,
+        attribute_coupling=s.coupling,
+        rng_seed=s.rng_seed,
+        edge_removal_fraction=s.edge_removal_fraction,
     )
     instance = generate_instance(spec)
     write_instance(instance, spec, out)
-    _write_manifest(out, "synth", settings)
+    _write_manifest(out, s)
     unrecovered = int(instance.graph.n - instance.trajectory[-1].sum())
     print(
         f"synthesized {instance.graph.n} nodes / {instance.graph.m} edges, "
@@ -665,124 +680,58 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag_type(convert: Callable) -> Callable:
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _help(option: Option, command: str) -> str:
+    if command in option.required:
+        return f"{option.help} (required)"
+    default = option.default_for(command)
+    return option.help if default is None else f"{option.help} (default: {default})"
+
+
+def _parser() -> argparse.ArgumentParser:
+    # built per call, so that a handler rebound after import (by a tracer,
+    # say) is the one that runs
+    commands = {
+        "build-graph": (cmd_build_graph, "construct a contiguity graph and its metrics"),
+        "durations": (cmd_durations, "recovery durations from daily visit series"),
+        "fit": (cmd_fit, "stage 1: fit thresholds to observed durations"),
+        "baseline": (cmd_baseline, "random-threshold loss baseline"),
+        "multipliers": (cmd_multipliers, "stage 2: search recovery-multiplier sets"),
+        "analyze": (cmd_analyze, "threshold and attribute reports"),
+        "synth": (cmd_synth, "generate a synthetic instance"),
+    }
     parser = _Parser(prog="recovnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"recovnet {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p):
+    for command, (handler, summary) in commands.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-
-    def graph_source(p):
-        p.add_argument("--geometry", help="GeoJSON feature collection of polygon units")
-        p.add_argument("--edges", help="edge-list CSV (src,dst)")
-
-    def schedule_opts(p):
-        p.add_argument("--horizon", type=int, help="diffusion horizon in weeks (14)")
-        p.add_argument("--first-update-week", type=int, help="first update week (3)")
-
-    def ga_opts(p):
-        p.add_argument("--population-size", type=int, help="GA population size (10)")
-        p.add_argument("--max-iterations", type=int, help="GA generation budget")
-        p.add_argument("--crossover-prob", type=float)
-        p.add_argument("--mutation-prob", type=float)
-        p.add_argument("--tournament-size", type=int)
-        p.add_argument("--elitism-count", type=int)
-
-    p = sub.add_parser("build-graph", help="construct a contiguity graph and its metrics")
-    common(p)
-    graph_source(p)
-    p.add_argument("--rule", choices=["queen", "rook", "bishop"], help="contiguity rule")
-    p.add_argument("--snap-tolerance", type=float, help="vertex snap tolerance (0)")
-    p.set_defaults(handler=cmd_build_graph)
-
-    p = sub.add_parser("durations", help="recovery durations from daily visit series")
-    common(p)
-    p.add_argument("--visits", help="visits CSV (id,day,visits)")
-    p.add_argument("--baseline-start", help="first baseline day (index or ISO date)")
-    p.add_argument("--baseline-end", help="last baseline day (inclusive)")
-    p.add_argument("--recovery-start", help="first day recovery is assessed")
-    p.add_argument("--ratio", type=float, help="recovery ratio vs baseline (0.9)")
-    p.add_argument("--persistence-days", type=int, help="consecutive qualifying days (3)")
-    p.add_argument("--ma-halfwidth", type=int, help="moving-average halfwidth (3)")
-    p.set_defaults(handler=cmd_durations)
-
-    p = sub.add_parser("fit", help="stage 1: fit thresholds to observed durations")
-    common(p)
-    graph_source(p)
-    schedule_opts(p)
-    ga_opts(p)
-    p.add_argument("--durations", help="durations CSV (id,duration_weeks)")
-    p.add_argument("--seed-cutoff", type=float, help="seed duration cutoff in weeks (3)")
-    p.add_argument("--rng-seed", type=int, help="random seed (0)")
-    p.add_argument("--workers", type=int,
-                   help="recorded in the manifest; evaluation runs on one thread (1)")
-    p.add_argument("--baseline-runs", type=int, help="also run a random baseline")
-    p.set_defaults(handler=cmd_fit)
-
-    p = sub.add_parser("baseline", help="random-threshold loss baseline")
-    common(p)
-    graph_source(p)
-    schedule_opts(p)
-    p.add_argument("--durations", help="durations CSV (id,duration_weeks)")
-    p.add_argument("--seed-cutoff", type=float)
-    p.add_argument("--runs", type=int, help="number of random draws (1000)")
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(handler=cmd_baseline)
-
-    p = sub.add_parser("multipliers", help="stage 2: search recovery-multiplier sets")
-    common(p)
-    graph_source(p)
-    schedule_opts(p)
-    ga_opts(p)
-    p.add_argument("--thresholds", help="fitted thresholds CSV")
-    p.add_argument("--sizes", help="comma-separated set sizes (default 1,3,5,10%% of n)")
-    p.add_argument("--pool", choices=["all", "unrecovered"], help="candidate pool")
-    p.add_argument("--brute-force", action="store_const", const=True, default=None,
-                   help="enumerate instead of running the GA")
-    p.add_argument("--enumeration-cap", type=int, help="max subsets to enumerate (1e6)")
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(handler=cmd_multipliers)
-
-    p = sub.add_parser("analyze", help="threshold and attribute reports")
-    common(p)
-    schedule_opts(p)
-    p.add_argument("--thresholds", help="thresholds CSV")
-    p.add_argument("--attributes", help="attributes CSV")
-    p.add_argument("--include-seeds", action="store_const", const=True, default=None,
-                   help="include seed nodes in summaries and tertiles")
-    p.add_argument("--edges", help="edge list (enables recovery curves)")
-    p.add_argument("--durations", help="durations CSV (enables recovery curves)")
-    p.add_argument("--seed-cutoff", type=float)
-    p.add_argument("--multipliers-dir", help="output directory of a multipliers run")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("synth", help="generate a synthetic instance")
-    common(p)
-    p.add_argument("--nodes", type=int, help="number of spatial units")
-    p.add_argument("--kind", choices=["grid", "perturbed_grid"], help="graph kind")
-    p.add_argument("--seed-fraction", type=float, help="fraction of threshold-0 seeds (0.2)")
-    p.add_argument("--threshold-low", type=float, help="planted threshold lower bound (0.1)")
-    p.add_argument("--threshold-high", type=float, help="planted threshold upper bound (0.6)")
-    p.add_argument("--coupling", type=float, help="attribute-threshold rank coupling (-0.8)")
-    p.add_argument("--edge-removal-fraction", type=float, help="perturbed_grid removals (0.15)")
-    p.add_argument("--rng-seed", type=int)
-    p.set_defaults(handler=cmd_synth)
-
+        for option in _options(command):
+            if option.type is _switch:
+                p.add_argument(_flag(option), dest=option.name, action="store_const",
+                               const=True, help=_help(option, command))
+            else:
+                p.add_argument(_flag(option), dest=option.name, type=_flag_type(option.type),
+                               choices=option.choices or None, help=_help(option, command))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = getattr(args, "handler", None)
-        if handler is None:
+        args = _parser().parse_args(argv)
+        if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        return handler(args)
+        return args.handler(_settings(args))
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_OK

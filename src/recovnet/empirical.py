@@ -154,12 +154,22 @@ def weekly_difference(
     return diff, np.cumsum(diff)
 
 
+def _first_ten(ids: Sequence[str]) -> str:
+    return ", ".join(map(str, ids[:10])) + (" ..." if len(ids) > 10 else "")
+
+
 def align_durations(
     durations: Mapping[str, float], node_ids: Sequence[str]
 ) -> np.ndarray:
-    """Duration table values in the given node order; missing nodes are named."""
+    """Duration table values in the given node order; nodes missing a
+    duration and durations of nodes outside node_ids are both named."""
     missing = [n for n in node_ids if n not in durations]
     if missing:
-        raise DataError(f"nodes missing a duration: {', '.join(map(str, missing[:10]))}"
-                        + (" ..." if len(missing) > 10 else ""))
+        raise DataError(f"nodes missing a duration: {_first_ten(missing)}")
+    extra = sorted(set(durations) - set(node_ids))
+    if extra:
+        raise DataError(
+            f"durations for nodes absent from the graph: {_first_ten(extra)}; an edge list "
+            "cannot hold isolated units, a graph built from --geometry can"
+        )
     return np.array([float(durations[n]) for n in node_ids], dtype=np.float64)

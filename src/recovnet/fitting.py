@@ -137,15 +137,12 @@ def fit_fitness(free_values: np.ndarray, problem: FitProblem) -> int:
     return int(problem.losses(free_values[None, :])[0])
 
 
-def fit_thresholds(
-    problem: FitProblem, config: GaConfig, n_workers: int = 1
-) -> FitResult:
+def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     """Minimize the 0-1 loss over free-node thresholds with the GA.
 
     A problem with no free nodes (every node a seed) has nothing to
     optimize; the all-zero threshold vector is returned directly with a
-    single synthetic generation record. n_workers is accepted for
-    compatibility; evaluation runs on the calling thread.
+    single synthetic generation record.
     """
     if problem.free_count == 0:
         loss = fit_fitness(np.empty(0), problem)
@@ -173,14 +170,9 @@ def fit_thresholds(
     return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result)
 
 
-def random_baseline(
-    problem: FitProblem, runs: int, rng_seed: int = 0, n_workers: int = 1
-) -> BaselineStats:
-    """Loss distribution of uniform-random thresholds on the free nodes.
-
-    The draws are simulated in column chunks; n_workers is accepted for
-    compatibility and evaluation runs on the calling thread.
-    """
+def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:
+    """Loss distribution of uniform-random thresholds on the free nodes,
+    simulated in column chunks."""
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     rng = np.random.default_rng(rng_seed)

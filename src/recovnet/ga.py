@@ -205,7 +205,6 @@ def run_ga(
     direction: str,
     encoding,
     config: GaConfig,
-    n_workers: int = 1,
 ) -> GaResult:
     """Run the generational loop and return the best chromosome ever seen.
 
@@ -217,8 +216,6 @@ def run_ga(
 
     Each generation is scored in one call: by fitness.score for a
     PopulationFitness, else by calling fitness on each chromosome in turn.
-    n_workers is accepted for compatibility; evaluation runs on the
-    calling thread.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")

@@ -1,6 +1,7 @@
 """Readers and writers for every file format the pipeline consumes or
 produces: GeoJSON feature collections, edge lists, duration / attribute /
-threshold tables, trajectories, and per-generation GA statistics.
+threshold tables, trajectories, per-generation GA statistics, and the
+multiplier sets and summary of a multipliers run.
 
 All writers go through an atomic write-then-rename so a failed run never
 leaves a truncated table behind.
@@ -25,6 +26,7 @@ from .diffusion import ThresholdVector
 from .errors import DataError
 from .ga import GenerationRecord
 from .graph import GraphMetrics, SpatialGraph, SpatialUnit, load_edge_list
+from .multipliers import MultiplierResult
 
 
 @contextmanager
@@ -43,6 +45,14 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         except OSError:
             pass
         raise
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table: the header line, then one line per row."""
+    with atomic_write(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(obj, path: str | Path) -> None:
@@ -132,10 +142,7 @@ def read_edge_list(path: str | Path) -> SpatialGraph:
 
 
 def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["src", "dst"])
-        writer.writerows(graph.edges)
+    write_table(path, ["src", "dst"], graph.edges)
 
 
 def metrics_line(metrics: GraphMetrics) -> str:
@@ -157,6 +164,13 @@ def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
         },
         path,
     )
+
+
+def _parse_int(text: str, path, row) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{path}: non-integer value {text!r} in row {row!r}") from None
 
 
 def _parse_float(text: str, path, row) -> float:
@@ -183,11 +197,10 @@ def read_durations(path: str | Path) -> dict[str, float]:
 
 
 def write_durations(durations: Mapping[str, float], path: str | Path) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "duration_weeks"])
-        for node, value in durations.items():
-            writer.writerow([node, repr(float(value))])
+    write_table(
+        path, ["id", "duration_weeks"],
+        ([node, repr(float(value))] for node, value in durations.items()),
+    )
 
 
 def parse_day(text: str) -> int:
@@ -255,19 +268,16 @@ def read_attributes(path: str | Path) -> AttributeTable:
 
 
 def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ATTRIBUTE_HEADER + ["flood_extent"])
-        for node, row in attrs.rows.items():
-            writer.writerow(
-                [
-                    node,
-                    repr(row.per_capita_income),
-                    repr(row.median_household_income),
-                    repr(row.minority_pct),
-                    "" if row.flood_extent is None else repr(row.flood_extent),
-                ]
-            )
+    write_table(path, ATTRIBUTE_HEADER + ["flood_extent"], (
+        [
+            node,
+            repr(row.per_capita_income),
+            repr(row.median_household_income),
+            repr(row.minority_pct),
+            "" if row.flood_extent is None else repr(row.flood_extent),
+        ]
+        for node, row in attrs.rows.items()
+    ))
 
 
 def read_thresholds(path: str | Path) -> ThresholdVector:
@@ -297,11 +307,10 @@ def read_thresholds(path: str | Path) -> ThresholdVector:
 
 
 def write_thresholds(tau: ThresholdVector, path: str | Path) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "threshold", "is_seed"])
-        for node, value, seed in zip(tau.node_ids, tau.values, tau.seed_mask):
-            writer.writerow([node, repr(float(value)), "1" if seed else "0"])
+    write_table(path, ["id", "threshold", "is_seed"], (
+        [node, repr(float(value)), "1" if seed else "0"]
+        for node, value, seed in zip(tau.node_ids, tau.values, tau.seed_mask)
+    ))
 
 
 def write_trajectory(
@@ -313,12 +322,11 @@ def write_trajectory(
         raise ValueError(
             f"trajectory has {trajectory.shape[1]} columns for {len(node_ids)} nodes"
         )
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "week", "state"])
-        for i, node in enumerate(node_ids):
-            for week in range(trajectory.shape[0]):
-                writer.writerow([node, week, int(trajectory[week, i])])
+    write_table(path, ["id", "week", "state"], (
+        [node, week, int(trajectory[week, i])]
+        for i, node in enumerate(node_ids)
+        for week in range(trajectory.shape[0])
+    ))
 
 
 def write_generation_stats(
@@ -326,28 +334,71 @@ def write_generation_stats(
 ) -> None:
     """Per-generation GA statistics; seconds can be dropped so repeated runs
     with one seed produce byte-identical files."""
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        if include_seconds:
-            writer.writerow(["generation", "best_fitness", "seconds"])
-            for rec in history:
-                writer.writerow([rec.generation, repr(float(rec.best_fitness)), repr(rec.seconds)])
-        else:
-            writer.writerow(["generation", "best_fitness"])
-            for rec in history:
-                writer.writerow([rec.generation, repr(float(rec.best_fitness))])
+    header = ["generation", "best_fitness"] + (["seconds"] if include_seconds else [])
+    write_table(path, header, (
+        [rec.generation, repr(float(rec.best_fitness))]
+        + ([repr(rec.seconds)] if include_seconds else [])
+        for rec in history
+    ))
 
 
 def write_multiplier_set(
     node_ids: Sequence[str], selected: set[str], path: str | Path
 ) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "selected"])
-        for node in node_ids:
-            writer.writerow([node, "1" if node in selected else "0"])
+    write_table(
+        path, ["id", "selected"], ([node, "1" if node in selected else "0"] for node in node_ids)
+    )
 
 
 def read_multiplier_set(path: str | Path) -> tuple[str, ...]:
-    rows = _open_csv(path, ["id", "selected"])
-    return tuple(row[0].strip() for row in rows if row[1].strip() == "1")
+    members = []
+    for row in _open_csv(path, ["id", "selected"]):
+        if len(row) < 2:
+            raise DataError(f"{path}: malformed multiplier row {row!r}")
+        if row[1].strip() == "1":
+            members.append(row[0].strip())
+    return tuple(members)
+
+
+MULTIPLIER_SUMMARY_HEADER = [
+    "size", "method", "recovered_with", "recovered_without", "increment_rate_pct",
+]
+
+
+def write_multiplier_summary(
+    results: Iterable[tuple[str, MultiplierResult]], path: str | Path
+) -> None:
+    """One row per (method, result), its size being the set's size."""
+    write_table(path, MULTIPLIER_SUMMARY_HEADER, (
+        [len(result.members), method, result.recovered_with, result.recovered_without,
+         "" if result.increment_rate is None else repr(result.increment_rate)]
+        for method, result in results
+    ))
+
+
+def read_multiplier_results(directory: str | Path) -> list[MultiplierResult]:
+    """The results of a multipliers run: each multipliers_summary.csv row
+    with the members of its multipliers_N<size>.csv set."""
+    directory = Path(directory)
+    path = directory / "multipliers_summary.csv"
+    results = []
+    for row in _open_csv(path, MULTIPLIER_SUMMARY_HEADER):
+        if len(row) < 5:
+            raise DataError(f"{path}: malformed summary row {row!r}")
+        size, recovered_with, recovered_without = (
+            _parse_int(text, path, row) for text in (row[0], row[2], row[3])
+        )
+        set_path = directory / f"multipliers_N{size}.csv"
+        members = read_multiplier_set(set_path)
+        if len(members) != size:
+            raise DataError(f"{set_path}: {len(members)} nodes selected, row {row!r} says {size}")
+        rate = row[4].strip()
+        results.append(
+            MultiplierResult(
+                members=members,
+                recovered_with=recovered_with,
+                recovered_without=recovered_without,
+                increment_rate=_parse_float(rate, path, row) if rate else None,
+            )
+        )
+    return results

@@ -137,13 +137,8 @@ def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with
     )
 
 
-def search_multipliers(
-    problem: MultiplierProblem, config: GaConfig, n_workers: int = 1
-) -> MultiplierResult:
-    """Maximize the horizon recovered count over size-N subsets with the GA.
-
-    n_workers is accepted for compatibility; evaluation runs on the
-    calling thread."""
+def search_multipliers(problem: MultiplierProblem, config: GaConfig) -> MultiplierResult:
+    """Maximize the horizon recovered count over size-N subsets with the GA."""
     pool_indices = problem.pool_indices
     encoding = SubsetEncoding(len(problem.candidate_pool), problem.size)
     fitness = PopulationFitness(

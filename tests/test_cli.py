@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from recovnet import io
-from recovnet.cli import default_multiplier_sizes, main
+from recovnet.cli import OPTIONS, default_multiplier_sizes, main
 
 
 def run(*argv) -> int:
@@ -94,7 +94,6 @@ class TestFitAndMultipliers:
             "--durations", instance_dir / "durations.csv",
             "--max-iterations", 60,
             "--rng-seed", 1,
-            "--workers", 1,
             "--out", out,
         )
         assert code == 0
@@ -261,19 +260,6 @@ class TestPoolAndGeometry:
         ) == 0
         selected = io.read_multiplier_set(out / "multipliers_N1.csv")
         assert set(selected) <= {"s2", "s3"}
-
-
-class TestWorkerDefaults:
-    def test_env_override(self, monkeypatch):
-        from recovnet.cli import _default_workers
-
-        monkeypatch.setenv("RECOVNET_THREADS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("RECOVNET_THREADS", "bogus")
-        from recovnet.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            _default_workers()
 
 
 class TestDurationsCommand:
@@ -451,7 +437,7 @@ class TestCliImports:
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
-        def pipeline(root: Path, workers: int):
+        def pipeline(root: Path):
             synth = root / "synth"
             fit = root / "fit"
             assert run("synth", "--nodes", 16, "--rng-seed", 5, "--out", synth) == 0
@@ -461,20 +447,222 @@ class TestDeterminism:
                 "--durations", synth / "durations.csv",
                 "--max-iterations", 40,
                 "--rng-seed", 2,
-                "--workers", workers,
                 "--out", fit,
             ) == 0
             return synth, fit
 
-        a_synth, a_fit = pipeline(tmp_path / "a", workers=2)
-        b_synth, b_fit = pipeline(tmp_path / "b", workers=2)
-        c_synth, c_fit = pipeline(tmp_path / "c", workers=1)
+        a_synth, a_fit = pipeline(tmp_path / "a")
+        b_synth, b_fit = pipeline(tmp_path / "b")
 
         skip = {"manifest.json", "ga_timing.csv"}
-        for a_dir, b_dir in (
-            (a_synth, b_synth), (a_fit, b_fit), (a_synth, c_synth), (a_fit, c_fit),
-        ):
+        for a_dir, b_dir in ((a_synth, b_synth), (a_fit, b_fit)):
             for a_file in sorted(a_dir.iterdir()):
                 if a_file.name in skip:
                     continue
                 assert a_file.read_bytes() == (b_dir / a_file.name).read_bytes(), a_file.name
+
+
+def _grid_geojson(path: Path, size: int = 3) -> Path:
+    features = [
+        {
+            "type": "Feature", "properties": {"id": f"g{r}{c}"},
+            "geometry": {"type": "Polygon", "coordinates": [[
+                [c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]]},
+        }
+        for r in range(size) for c in range(size)
+    ]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return path
+
+
+def _visits_csv(path: Path) -> Path:
+    rows = ["id,day,visits"]
+    for node, post in (("fast", 95.0), ("mid", 88.0), ("slow", 10.0)):
+        for day in range(131):
+            rows.append(f"{node},{day},{100.0 if day <= 20 else post}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestOptionTable:
+    """Every setting is one row of the option table: a config file holding
+    a command's keys and the same values given as flags make the same run."""
+
+    # the one graph source each command is run without (they exclude each other)
+    UNUSED = {"build-graph": "edges", "fit": "geometry", "baseline": "geometry",
+              "multipliers": "geometry"}
+
+    @pytest.fixture
+    def values(self, tmp_path, instance_dir):
+        edges = str(instance_dir / "edges.csv")
+        durations = str(instance_dir / "durations.csv")
+        thresholds = str(instance_dir / "planted_thresholds.csv")
+        graph = {"edges": edges, "rule": "rook", "snap_tolerance": 0.5}
+        schedule = {"horizon": 14, "first_update_week": 3}
+        ga = {"population_size": 6, "crossover_prob": 0.8, "mutation_prob": 0.2,
+              "tournament_size": 3, "elitism_count": 2}
+        mult_dir = tmp_path / "mult_input"
+        assert run("multipliers", "--edges", edges, "--thresholds", thresholds,
+                   "--sizes", "1,2", "--brute-force", "--out", mult_dir) == 0
+        return {
+            "build-graph": {"geometry": str(_grid_geojson(tmp_path / "grid.geojson")),
+                            "rule": "rook", "snap_tolerance": 0.001},
+            "durations": {"visits": str(_visits_csv(tmp_path / "visits.csv")),
+                          "baseline_start": 0, "baseline_end": 20, "recovery_start": 27,
+                          "ratio": 0.85, "persistence_days": 2, "ma_halfwidth": 2},
+            "fit": {**graph, **schedule, **ga, "durations": durations, "seed_cutoff": 2.75,
+                    "max_iterations": 15, "rng_seed": 4, "baseline_runs": 12},
+            "baseline": {**graph, **schedule, "durations": durations, "seed_cutoff": 2.75,
+                         "runs": 20, "rng_seed": 6},
+            "multipliers": {**graph, **schedule, **ga, "thresholds": thresholds,
+                            "max_iterations": 12, "rng_seed": 2, "sizes": [1, 2],
+                            "pool": "all", "brute_force": False, "enumeration_cap": 500},
+            "analyze": {**schedule, "thresholds": thresholds,
+                        "attributes": str(instance_dir / "attributes.csv"),
+                        "include_seeds": True, "edges": edges, "durations": durations,
+                        "seed_cutoff": 2.75, "multipliers_dir": str(mult_dir)},
+            "synth": {"nodes": 12, "kind": "perturbed_grid", "seed_fraction": 0.25,
+                      "threshold_low": 0.2, "threshold_high": 0.7, "coupling": -0.5,
+                      "edge_removal_fraction": 0.1, "rng_seed": 3},
+        }
+
+    @pytest.mark.parametrize("command", [
+        "build-graph", "durations", "fit", "baseline", "multipliers", "analyze", "synth",
+    ])
+    def test_config_matches_flags(self, tmp_path, values, command):
+        given = values[command]
+        rows = {o.name: o for o in OPTIONS if command in o.commands}
+        assert set(given) | {"out", self.UNUSED.get(command)} - {None} == set(rows)
+
+        argv = [command]
+        for name, value in given.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(value, bool):
+                argv += [flag] if value else []
+            else:
+                argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else value]
+        config = {rows[name].config_key(command): value for name, value in given.items()}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**config, "out": str(tmp_path / "by_config")}))
+
+        assert run(*argv, "--out", tmp_path / "by_flags") == 0
+        assert run(command, "--config", config_path) == 0
+
+        def settings(out):
+            doc = json.loads((tmp_path / out / "manifest.json").read_text())["settings"]
+            return {key: value for key, value in doc.items() if key != "out"}
+
+        assert settings("by_flags") == settings("by_config")
+        tables = sorted(p.name for p in (tmp_path / "by_flags").iterdir())
+        assert tables == sorted(p.name for p in (tmp_path / "by_config").iterdir())
+        for name in set(tables) - {"manifest.json", "ga_timing.csv"}:
+            flags_bytes = (tmp_path / "by_flags" / name).read_bytes()
+            assert flags_bytes == (tmp_path / "by_config" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command,config,named", [
+        ("fit", {"stage1_max_iteration": 5}, "stage1_max_iteration"),
+        ("fit", {"stage1_max_iterations": 2.7}, "stage1_max_iterations"),
+        ("fit", {"rule": "hex"}, "rule"),
+        ("fit", {"rng_seed": -1}, "rng_seed"),
+        ("multipliers", {"brute_force": "false"}, "brute_force"),
+        ("multipliers", {"pool": "some"}, "pool"),
+        ("analyze", {"include_seeds": "no"}, "include_seeds"),
+        ("synth", {"nodes": 9}, "node_count"),
+    ])
+    def test_bad_config_value_names_key(
+        self, tmp_path, instance_dir, capsys, command, config, named
+    ):
+        inputs = {
+            "fit": ["--edges", instance_dir / "edges.csv",
+                    "--durations", instance_dir / "durations.csv", "--max-iterations", 2],
+            "multipliers": ["--edges", instance_dir / "edges.csv",
+                            "--thresholds", instance_dir / "planted_thresholds.csv",
+                            "--sizes", 1, "--max-iterations", 2],
+            "analyze": ["--thresholds", instance_dir / "planted_thresholds.csv",
+                        "--attributes", instance_dir / "attributes.csv"],
+            "synth": [],
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(command, *inputs[command], "--config", path, "--out", tmp_path / "x") == 2
+        assert named in capsys.readouterr().err
+
+    def test_other_stage_key_accepted(self, tmp_path, instance_dir):
+        """One config file can serve fit and multipliers."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"stage1_max_iterations": 4, "stage2_max_iterations": 3}))
+        out = tmp_path / "fit"
+        assert run("fit", "--edges", instance_dir / "edges.csv",
+                   "--durations", instance_dir / "durations.csv",
+                   "--config", path, "--out", out) == 0
+        assert json.loads((out / "fit_report.json").read_text())["generations"] == 4
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--sizes", "2,2"], "--sizes lists 2 more than once"),
+        (["--sizes", "0,1"], "--sizes must be >= 1, got 0"),
+        (["--rng-seed", "-1"], "--rng-seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_multipliers_flag(self, tmp_path, instance_dir, capsys, flags, named):
+        out = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--max-iterations", 2, *flags, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "multipliers_summary.csv").exists()
+
+    def test_negative_baseline_runs(self, tmp_path, instance_dir, capsys):
+        assert run("fit", "--edges", instance_dir / "edges.csv",
+                   "--durations", instance_dir / "durations.csv", "--max-iterations", 2,
+                   "--baseline-runs", -4, "--out", tmp_path / "fit") == 2
+        assert "--baseline-runs must be >= 0, got -4" in capsys.readouterr().err
+
+
+class TestRunDirectoryInputs:
+    @pytest.fixture
+    def mult_dir(self, tmp_path, instance_dir):
+        out = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", "1,2", "--brute-force", "--out", out) == 0
+        return out
+
+    def _analyze(self, tmp_path, instance_dir, mult_dir) -> int:
+        return run("analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--attributes", instance_dir / "attributes.csv",
+                   "--multipliers-dir", mult_dir, "--out", tmp_path / "analysis")
+
+    def test_summary_without_size_column(self, tmp_path, instance_dir, mult_dir, capsys):
+        summary = mult_dir / "multipliers_summary.csv"
+        lines = summary.read_text().splitlines()
+        summary.write_text("\n".join(line.split(",", 1)[1] for line in lines) + "\n")
+        assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
+        assert "multipliers_summary.csv" in capsys.readouterr().err
+
+    def test_summary_with_non_integer_size(self, tmp_path, instance_dir, mult_dir, capsys):
+        _rewrite_row(mult_dir / "multipliers_summary.csv", 1, 0, "two")
+        assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
+        err = capsys.readouterr().err
+        assert "multipliers_summary.csv" in err and "'two'" in err
+
+    def test_set_file_disagreeing_with_summary(self, tmp_path, instance_dir, mult_dir, capsys):
+        set_file = mult_dir / "multipliers_N1.csv"
+        set_file.write_text(set_file.read_text().replace(",0\n", ",1\n", 1))
+        assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
+        assert "multipliers_N1.csv" in capsys.readouterr().err
+
+    def test_summary_round_trip(self, tmp_path, instance_dir, mult_dir):
+        results = io.read_multiplier_results(mult_dir)
+        assert [len(r.members) for r in results] == [1, 2]
+        io.write_multiplier_summary([("brute-force", r) for r in results],
+                                    tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            mult_dir / "multipliers_summary.csv").read_bytes()
+
+    def test_durations_for_absent_nodes(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "durations.csv"
+        path.write_text(path.read_text() + "zz,5.0\n")
+        assert run("baseline", "--edges", instance_dir / "edges.csv",
+                   "--durations", path, "--runs", 5, "--out", tmp_path / "b") == 3
+        err = capsys.readouterr().err
+        assert "zz" in err and "--geometry" in err

@@ -159,11 +159,6 @@ class TestRandomBaseline:
         b = random_baseline(path_problem, runs=50, rng_seed=9)
         assert np.array_equal(a.losses, b.losses)
 
-    def test_parallel_matches_sequential(self, path_problem):
-        seq = random_baseline(path_problem, runs=40, rng_seed=5, n_workers=1)
-        par = random_baseline(path_problem, runs=40, rng_seed=5, n_workers=4)
-        assert np.array_equal(seq.losses, par.losses)
-
     def test_zero_runs_rejected(self, path_problem):
         with pytest.raises(ConfigError, match="runs"):
             random_baseline(path_problem, runs=0)
