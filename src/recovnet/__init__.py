@@ -20,9 +20,7 @@ from .diffusion import (
     DiffusionSchedule,
     ThresholdVector,
     all_affected,
-    diffusion_step,
     recovered_counts,
-    recovered_neighbor_fraction,
     run_diffusion,
 )
 from .empirical import (
@@ -38,7 +36,6 @@ from .fitting import (
     FitProblem,
     FitResult,
     build_fit_problem,
-    fit_fitness,
     fit_thresholds,
     random_baseline,
 )
@@ -59,15 +56,12 @@ from .graph import (
     SpatialUnit,
     build_contiguity_graph,
     graph_metrics,
-    load_edge_list,
 )
 from .multipliers import (
     MultiplierProblem,
     MultiplierResult,
     brute_force_multipliers,
     increment_rate,
-    multiplier_objective,
-    natural_outcome,
     search_multipliers,
 )
 from .synthetic import (

@@ -555,6 +555,10 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
 
 
 def cmd_analyze(s: argparse.Namespace) -> int:
+    curves = bool(s.edges)
+    if curves != bool(s.durations):
+        missing = "durations" if curves else "edges"
+        raise ConfigError(f"recovery curves need both --edges and --durations; missing {missing!r}")
     out = _out_dir(s)
     thresholds = io.read_thresholds(_require_file(s.thresholds, "thresholds"))
     attrs = io.read_attributes(_require_file(s.attributes, "attributes"))
@@ -605,7 +609,7 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         ([tertile, node] for tertile, members in tertiles.tertiles.items() for node in members),
     )
 
-    if s.edges and s.durations:
+    if curves:
         graph = io.read_edge_list(_require_file(s.edges, "edge list"))
         aligned = _align_thresholds(thresholds, graph)
         durations = io.read_durations(_require_file(s.durations, "durations"))

@@ -98,23 +98,6 @@ def _as_state(state: np.ndarray, n: int, what: str) -> np.ndarray:
     return arr.astype(bool)
 
 
-def recovered_neighbor_fraction(g: SpatialGraph, state: np.ndarray) -> np.ndarray:
-    """Per-node fraction of neighbors recovered in `state`; 0 for isolates."""
-    counts = g.adjacency_matrix @ state.astype(np.int64)
-    safe_deg = np.where(g.degrees > 0, g.degrees, 1)
-    frac = counts / safe_deg
-    return np.where(g.degrees > 0, frac, 0.0)
-
-
-def diffusion_step(g: SpatialGraph, prev: np.ndarray, tau: ThresholdVector) -> np.ndarray:
-    """One synchronous update: recovered iff already recovered or the
-    recovered-neighbor fraction meets the node's threshold (ties recover)."""
-    prev = _as_state(prev, g.n, "prev state")
-    if tau.n != g.n:
-        raise ValueError(f"threshold vector has {tau.n} entries, graph has {g.n} nodes")
-    return prev | (recovered_neighbor_fraction(g, prev) >= tau.values)
-
-
 def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
     """Reject a threshold vector that is not in the graph's node order."""
     if tau.n != g.n:
@@ -149,7 +132,8 @@ class DiffusionKernel:
     product, until no column changes. Thresholds enter as recovery needs:
     the smallest recovered-neighbor count whose float64 fraction count/deg
     meets the threshold, so each week is one product and one comparison
-    and the tie rule of recovered_neighbor_fraction holds exactly.
+    and the tie rule (a fraction equal to the threshold recovers) holds
+    exactly.
     """
 
     def __init__(self, g: SpatialGraph, schedule: DiffusionSchedule = DiffusionSchedule()):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -97,14 +98,15 @@ def compute_recovery_duration(
     smoothed = moving_average(series.visits, ma_halfwidth)
     threshold = ratio * baseline
 
-    n = series.visits.shape[0]
-    for day in range(1, CAP_DAYS + 1):
-        start = series.recovery_start + day - 1
-        end = start + persistence_days  # exclusive
-        if end > n:  # persistence run would need unseen days
-            break
-        if np.all(smoothed[start:end] >= threshold):
-            return day / 7.0
+    # days 1..CAP_DAYS and the runs that follow them, cut at the series end
+    # so that a run needing unseen days has no window
+    start = series.recovery_start
+    meets = smoothed[start : start + CAP_DAYS + persistence_days - 1] >= threshold
+    if meets.size >= persistence_days:
+        held = sliding_window_view(meets, persistence_days).all(axis=1)
+        days = np.flatnonzero(held)
+        if days.size:
+            return (days[0] + 1) / 7.0
     return float(CAP_WEEKS)
 
 

@@ -24,7 +24,7 @@ from .diffusion import (
 )
 from .empirical import align_durations, durations_to_trajectory, validate_durations, zero_one_loss
 from .errors import ConfigError
-from .ga import GaConfig, GaResult, GenerationRecord, PopulationFitness, RealVectorEncoding, run_ga
+from .ga import GaConfig, GaResult, GenerationRecord, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
 
 DEFAULT_SEED_CUTOFF_WEEKS = 3.0
@@ -125,18 +125,6 @@ def build_fit_problem(
     return FitProblem(graph=graph, empirical=empirical, seed_mask=seed_mask, schedule=schedule)
 
 
-def fit_fitness(free_values: np.ndarray, problem: FitProblem) -> int:
-    """0-1 loss of the diffusion run under the chromosome's thresholds."""
-    free_values = np.asarray(free_values, dtype=np.float64)
-    if free_values.shape != (problem.free_count,):
-        raise ValueError(
-            f"chromosome has shape {free_values.shape}, expected ({problem.free_count},)"
-        )
-    if not np.all((free_values >= 0.0) & (free_values <= 1.0)):
-        raise ValueError("threshold values must be finite and lie in [0, 1]")
-    return int(problem.losses(free_values[None, :])[0])
-
-
 def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     """Minimize the 0-1 loss over free-node thresholds with the GA.
 
@@ -145,7 +133,7 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     single synthetic generation record.
     """
     if problem.free_count == 0:
-        loss = fit_fitness(np.empty(0), problem)
+        loss = int(problem.losses(np.empty((1, 0)))[0])
         tau = ThresholdVector.assemble(problem.graph.nodes, problem.seed_mask, np.empty(0))
         trivial = GaResult(
             best_chromosome=np.empty(0),
@@ -155,12 +143,7 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
         return FitResult(thresholds=tau, final_loss=loss, ga_result=trivial)
 
     encoding = RealVectorEncoding(problem.free_count)
-    result = run_ga(
-        PopulationFitness(lambda population: problem.losses(population).tolist()),
-        direction="minimize",
-        encoding=encoding,
-        config=config,
-    )
+    result = run_ga(problem.losses, direction="minimize", encoding=encoding, config=config)
     tau = ThresholdVector.assemble(
         problem.graph.nodes, problem.seed_mask, result.best_chromosome
     )

@@ -2,8 +2,7 @@
 real vectors in [0, 1]^k and fixed-size index subsets.
 
 All random decisions come from one seeded generator, and fitness
-evaluation draws nothing from it, so runs are reproducible however a
-population is evaluated.
+evaluation draws nothing from it, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -25,20 +24,6 @@ class FitnessEvaluationError(RecovnetError):
     def __init__(self, chromosome):
         super().__init__(f"fitness evaluation failed for chromosome {chromosome!r}")
         self.chromosome = chromosome
-
-
-class PopulationFitness:
-    """A fitness that scores a whole population in one call.
-
-    score maps a P x k matrix of chromosomes to P fitness values; calling
-    the object on one chromosome scores a population of one.
-    """
-
-    def __init__(self, score: Callable[[np.ndarray], Sequence[float]]):
-        self.score = score
-
-    def __call__(self, chromosome: np.ndarray) -> float:
-        return self.score(np.asarray(chromosome)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -201,7 +186,7 @@ class SubsetEncoding:
 
 
 def run_ga(
-    fitness: Callable[[np.ndarray], float],
+    fitness: Callable[[np.ndarray], Sequence[float]],
     direction: str,
     encoding,
     config: GaConfig,
@@ -214,8 +199,8 @@ def run_ga(
     generations including the initial one, so a budget of 1 returns the best
     of the random population.
 
-    Each generation is scored in one call: by fitness.score for a
-    PopulationFitness, else by calling fitness on each chromosome in turn.
+    fitness maps a P x k matrix of chromosomes (one per row) to P values
+    and is called once per generation.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -227,15 +212,9 @@ def run_ga(
         else encoding.default_mutation_prob()
     )
 
-    if isinstance(fitness, PopulationFitness):
-        score = fitness.score
-    else:
-        def score(population):
-            return [fitness(chromosome) for chromosome in population]
-
     def evaluate(population: list[np.ndarray]) -> list[float]:
         try:
-            return list(score(np.stack(population)))
+            return np.asarray(fitness(np.stack(population))).tolist()
         except Exception as exc:
             raise FitnessEvaluationError(_first_failing(fitness, population)) from exc
 
@@ -292,12 +271,14 @@ def run_ga(
     )
 
 
-def _first_failing(fitness: Callable[[np.ndarray], float], population: list[np.ndarray]):
-    """The first chromosome whose own evaluation raises (the whole
-    population when each one alone succeeds)."""
+def _first_failing(
+    fitness: Callable[[np.ndarray], Sequence[float]], population: list[np.ndarray]
+):
+    """The first chromosome whose own evaluation, as a population of one,
+    raises (the whole population when each one alone succeeds)."""
     for chromosome in population:
         try:
-            fitness(chromosome)
+            fitness(chromosome[None, :])
         except Exception:
             return chromosome
     return np.stack(population)

@@ -78,6 +78,9 @@ class SpatialGraph:
     Node order is preserved from construction and defines the index used by
     every array-valued quantity downstream (states, thresholds). Edges are
     stored as lexicographically sorted id pairs.
+
+    Rejects duplicate node ids, unknown endpoints, self-loops, and duplicate
+    edges (in either orientation), naming the offender.
     """
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
@@ -153,15 +156,6 @@ class GraphMetrics:
     degree_histogram: dict[int, int]
 
 
-def load_edge_list(node_ids: Sequence[str], edges: Iterable[tuple[str, str]]) -> SpatialGraph:
-    """Build a graph from explicit nodes and undirected edge pairs.
-
-    Rejects unknown endpoints, self-loops, and duplicate pairs (in either
-    orientation), naming the offender.
-    """
-    return SpatialGraph(node_ids, edges)
-
-
 def _snap_key(coord: Coordinate, tolerance: float) -> tuple:
     if tolerance == 0:
         return coord
@@ -189,7 +183,9 @@ def build_contiguity_graph(
 
     Two units are queen-adjacent iff they share at least one boundary
     coordinate (after snapping), rook-adjacent iff they share a whole edge
-    segment, and bishop-adjacent iff queen- but not rook-adjacent.
+    segment, and bishop-adjacent iff queen- but not rook-adjacent. A border
+    split at different vertices on its two sides (a T-junction) shares no
+    segment, so rook misses it.
     """
     unit_list = list(units)
     seen: set[str] = set()

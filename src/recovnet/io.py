@@ -25,7 +25,7 @@ from .analysis import AttributeRow, AttributeTable
 from .diffusion import ThresholdVector
 from .errors import DataError
 from .ga import GenerationRecord
-from .graph import GraphMetrics, SpatialGraph, SpatialUnit, load_edge_list
+from .graph import GraphMetrics, SpatialGraph, SpatialUnit
 from .multipliers import MultiplierResult
 
 
@@ -138,7 +138,7 @@ def read_edge_list(path: str | Path) -> SpatialGraph:
         u, v = row[0].strip(), row[1].strip()
         edges.append((u, v))
         nodes.update((u, v))
-    return load_edge_list(sorted(nodes), edges)
+    return SpatialGraph(sorted(nodes), edges)
 
 
 def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .diffusion import (
     map_column_chunks,
 )
 from .errors import ConfigError, DataError
-from .ga import GaConfig, GaResult, PopulationFitness, SubsetEncoding, run_ga
+from .ga import GaConfig, GaResult, SubsetEncoding, run_ga
 from .graph import SpatialGraph
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -90,27 +90,6 @@ class MultiplierResult:
     ga_result: Optional[GaResult] = None
 
 
-def multiplier_objective(members: Iterable[str], problem: MultiplierProblem) -> int:
-    """Recovered count at the horizon when `members` start recovered."""
-    members = list(members)
-    unique = set(members)
-    if len(unique) != len(members) or len(members) != problem.size:
-        raise ValueError(
-            f"multiplier set must contain exactly {problem.size} distinct nodes"
-        )
-    pool = set(problem.candidate_pool)
-    outside = unique - pool
-    if outside:
-        raise ValueError(f"nodes outside the candidate pool: {sorted(outside)[:10]}")
-    indices = np.array([[problem.graph.index[n] for n in members]], dtype=np.int64)
-    return int(problem.recovered(indices)[0])
-
-
-def natural_outcome(problem: MultiplierProblem) -> int:
-    """Recovered count at the horizon with no forced seeds."""
-    return int(problem.recovered(np.empty((1, 0), dtype=np.int64))[0])
-
-
 def increment_rate(recovered_with: int, recovered_without: int) -> float:
     """Percent gain of the forced over the unforced recovered count."""
     if recovered_without <= 0:
@@ -122,7 +101,7 @@ def increment_rate(recovered_with: int, recovered_without: int) -> float:
 
 def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with: int,
             ga_result: Optional[GaResult]) -> MultiplierResult:
-    recovered_without = natural_outcome(problem)
+    recovered_without = int(problem.recovered(np.empty((1, 0), dtype=np.int64))[0])
     rate = (
         increment_rate(recovered_with, recovered_without)
         if recovered_without > 0
@@ -141,10 +120,12 @@ def search_multipliers(problem: MultiplierProblem, config: GaConfig) -> Multipli
     """Maximize the horizon recovered count over size-N subsets with the GA."""
     pool_indices = problem.pool_indices
     encoding = SubsetEncoding(len(problem.candidate_pool), problem.size)
-    fitness = PopulationFitness(
-        lambda population: problem.recovered(pool_indices[population]).tolist()
+    result = run_ga(
+        lambda population: problem.recovered(pool_indices[population]),
+        direction="maximize",
+        encoding=encoding,
+        config=config,
     )
-    result = run_ga(fitness, direction="maximize", encoding=encoding, config=config)
     members = tuple(sorted(problem.candidate_pool[i] for i in result.best_chromosome))
     recovered_with = int(problem.recovered(pool_indices[result.best_chromosome][None, :])[0])
     return _finish(problem, members, recovered_with, result)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from recovnet import SpatialUnit, ThresholdVector, load_edge_list
+from recovnet import SpatialGraph, SpatialUnit, ThresholdVector
 
 
 def square(unit_id: str, x: float, y: float, size: float = 1.0) -> SpatialUnit:
@@ -32,7 +32,7 @@ def grid3x3():
 
 @pytest.fixture
 def path_graph():
-    return load_edge_list(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    return SpatialGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
 
 
 @pytest.fixture
@@ -52,4 +52,4 @@ def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.25):
         for j in range(i + 1, n)
         if rng.random() < edge_prob
     ]
-    return load_edge_list(nodes, edges)
+    return SpatialGraph(nodes, edges)

@@ -13,6 +13,7 @@ from recovnet import (
     GaConfig,
     MultiplierProblem,
     RealVectorEncoding,
+    SpatialGraph,
     SynthSpec,
     ThresholdVector,
     all_affected,
@@ -20,12 +21,10 @@ from recovnet import (
     build_contiguity_graph,
     build_fit_problem,
     durations_to_trajectory,
-    fit_fitness,
     fit_thresholds,
     generate_instance,
     graph_metrics,
     increment_rate,
-    load_edge_list,
     random_baseline,
     run_diffusion,
     run_ga,
@@ -49,7 +48,7 @@ def test_criterion_01_graph_metrics():
         i, j = rng.integers(2010, size=2)
         if i != j:
             edges.add((nodes[min(i, j)], nodes[max(i, j)]))
-    metrics = graph_metrics(load_edge_list(nodes, sorted(edges)))
+    metrics = graph_metrics(SpatialGraph(nodes, sorted(edges)))
     ok = abs(metrics.avg_degree - 6.049) <= 0.001 and abs(metrics.density - 0.00301) <= 0.00001
     report(1, ok, f"n=2010 m=6079 gives k={metrics.avg_degree:.4f} d={metrics.density:.6f}")
 
@@ -70,7 +69,7 @@ def test_criterion_02_contiguity_oracle():
 
 
 def test_criterion_03_diffusion_correctness():
-    g = load_edge_list(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    g = SpatialGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
     tau = ThresholdVector(
         node_ids=g.nodes, values=np.array([0.0, 0.5, 1.0]),
         seed_mask=np.array([True, False, False]),
@@ -134,10 +133,10 @@ def test_criterion_05_planted_round_trip(planted_50):
             continue
         other_problem = build_fit_problem(other.graph, other.durations)
         planted = other.thresholds.values[~other.thresholds.seed_mask]
-        ok = ok and fit_fitness(planted, other_problem) == 0
+        ok = ok and other_problem.losses(planted[None])[0] == 0
 
     planted = instance.thresholds.values[~instance.thresholds.seed_mask]
-    planted_loss = fit_fitness(planted, problem)
+    planted_loss = problem.losses(planted[None])[0]
     ok = ok and planted_loss == 0
 
     baseline = random_baseline(problem, runs=1000, rng_seed=11)
@@ -225,7 +224,7 @@ def test_criterion_10_ga_sanity():
     for seed in range(10):
         config = GaConfig(population_size=10, max_iterations=200, rng_seed=seed)
         result = run_ga(
-            lambda x: float(np.sum(x)), "minimize", RealVectorEncoding(5), config
+            lambda population: population.sum(axis=1), "minimize", RealVectorEncoding(5), config
         )
         best.append(result.best_fitness)
         wins += result.best_fitness <= 0.05

@@ -184,6 +184,22 @@ class TestFitAndMultipliers:
         assert not narrow["threshold_summary"]["includes_seeds"]
         assert wide["threshold_summary"]["includes_seeds"]
 
+    @pytest.mark.parametrize("given,missing", [("edges", "durations"), ("durations", "edges")])
+    def test_analyze_lone_curve_input_is_config(self, tmp_path, instance_dir, capsys,
+                                                given, missing):
+        inputs = {"edges": instance_dir / "edges.csv", "durations": instance_dir / "durations.csv"}
+        out = tmp_path / "analysis"
+        code = run(
+            "analyze",
+            "--thresholds", instance_dir / "planted_thresholds.csv",
+            "--attributes", instance_dir / "attributes.csv",
+            f"--{given}", inputs[given],
+            "--out", out,
+        )
+        assert code == 2
+        assert f"missing {missing!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baseline_command(self, tmp_path, instance_dir):
         out = tmp_path / "baseline"
         assert run(

@@ -7,10 +7,9 @@ import oracles
 from conftest import random_graph
 from recovnet import (
     DiffusionSchedule,
+    SpatialGraph,
     ThresholdVector,
     all_affected,
-    diffusion_step,
-    load_edge_list,
     recovered_counts,
     run_diffusion,
 )
@@ -52,34 +51,40 @@ class TestSchedule:
             DiffusionSchedule(first_update_week=first)
 
 
+def step(g, prev, tau):
+    """One synchronous update from prev: week 1 of a one-week schedule."""
+    return run_diffusion(g, tau, prev, DiffusionSchedule(horizon=1, first_update_week=1))[1]
+
+
 class TestDiffusionStep:
     def test_all_affected_only_zero_threshold_flips(self, path_graph, path_tau):
-        out = diffusion_step(path_graph, np.zeros(3), path_tau)
+        out = step(path_graph, np.zeros(3), path_tau)
         assert out.tolist() == [True, False, False]
 
     def test_all_recovered_is_absorbing(self, path_graph, path_tau):
-        out = diffusion_step(path_graph, np.ones(3), path_tau)
+        out = step(path_graph, np.ones(3), path_tau)
         assert out.tolist() == [True, True, True]
 
     def test_half_threshold_tie_recovers(self, path_graph, path_tau):
-        out = diffusion_step(path_graph, np.array([1, 0, 0]), path_tau)
+        out = step(path_graph, np.array([1, 0, 0]), path_tau)
         # B sees 1/2 >= 0.5 and flips; C sees 0/1 < 1 and stays
         assert out.tolist() == [True, True, False]
 
     def test_dimension_mismatch(self, path_graph, path_tau):
         with pytest.raises(ValueError, match="shape"):
-            diffusion_step(path_graph, np.zeros(4), path_tau)
+            step(path_graph, np.zeros(4), path_tau)
 
     def test_non_binary_state_rejected(self, path_graph, path_tau):
         with pytest.raises(ValueError, match="binary"):
-            diffusion_step(path_graph, np.array([0.5, 0, 0]), path_tau)
+            step(path_graph, np.array([0.5, 0, 0]), path_tau)
 
     def test_isolate_needs_zero_threshold(self):
-        g = load_edge_list(["lone"], [])
+        g = SpatialGraph(["lone"], [])
         zero = ThresholdVector(node_ids=g.nodes, values=np.array([0.0]))
-        one = ThresholdVector(node_ids=g.nodes, values=np.array([0.7]))
-        assert diffusion_step(g, np.zeros(1), zero).tolist() == [True]
-        assert diffusion_step(g, np.zeros(1), one).tolist() == [False]
+        assert step(g, np.zeros(1), zero).tolist() == [True]
+        for value in (0.7, 1.0):
+            tau = ThresholdVector(node_ids=g.nodes, values=np.array([value]))
+            assert step(g, np.zeros(1), tau).tolist() == [False]
 
 
 class TestRunDiffusion:

@@ -97,6 +97,25 @@ class TestComputeRecoveryDuration:
             assert compute_recovery_duration(series) == oracles.naive_recovery_duration(
                 visits, 0, 20, RSTART
             )
+        # series ending 98-104 days past recovery start: sparse random
+        # recoveries, and a final run of high days starting near the end
+        for length in range(98, 105):
+            for persistence in range(1, 6):
+                for halfwidth in (0, 3):
+                    tails = [np.where(rng.random(length) < 0.15, 100.0, 50.0) for _ in range(4)]
+                    for first_high in range(length - 10, length + 1):
+                        tails.append(np.where(np.arange(length) >= first_high, 100.0, 50.0))
+                    for tail in tails:
+                        visits = np.concatenate(([100.0] * RSTART, tail))
+                        expected = oracles.naive_recovery_duration(
+                            visits, 0, 20, RSTART,
+                            persistence_days=persistence, ma_halfwidth=halfwidth,
+                        )
+                        assert compute_recovery_duration(
+                            make_series(visits),
+                            persistence_days=persistence,
+                            ma_halfwidth=halfwidth,
+                        ) == expected
 
     def test_persistence_must_hold_full_run(self):
         # unsmoothed: a 2-day blip over the threshold must not count as recovery

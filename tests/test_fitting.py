@@ -9,10 +9,8 @@ from recovnet import (
     SynthSpec,
     build_fit_problem,
     durations_to_trajectory,
-    fit_fitness,
     fit_thresholds,
     generate_instance,
-    load_edge_list,
     random_baseline,
     zero_one_loss,
 )
@@ -44,7 +42,7 @@ class TestBuildFitProblem:
     def test_all_seeds_trivially_zero_loss(self, path_graph):
         problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})
         assert problem.free_count == 0
-        assert fit_fitness(np.array([]), problem) == 0
+        assert problem.losses(np.empty((1, 0)))[0] == 0
 
     def test_off_schedule_seed_warns(self, path_graph):
         # a 1.5-week duration recovers empirically at week 2, before updates start
@@ -63,19 +61,15 @@ class TestBuildFitProblem:
 class TestFitFitness:
     def test_planted_truth_is_zero(self, path_problem):
         # B flips at 1/2 >= tau, C at 1/1 >= tau, exactly one week apart
-        assert fit_fitness(np.array([0.5, 1.0]), path_problem) == 0
+        assert path_problem.losses(np.array([0.5, 1.0])[None])[0] == 0
 
     def test_all_ones_only_seed_recovers(self, path_problem):
         # empirical: B recovered weeks 4..14 (11 cells), C weeks 5..14 (10 cells)
-        assert fit_fitness(np.array([1.0, 1.0]), path_problem) == 21
+        assert path_problem.losses(np.array([1.0, 1.0])[None])[0] == 21
 
     def test_all_zeros_everything_recovers_week_three(self, path_problem):
         # simulation recovers B and C at week 3: B off by week 3, C by weeks 3-4
-        assert fit_fitness(np.array([0.0, 0.0]), path_problem) == 3
-
-    def test_wrong_length_rejected(self, path_problem):
-        with pytest.raises(ValueError, match="chromosome"):
-            fit_fitness(np.array([0.5]), path_problem)
+        assert path_problem.losses(np.array([0.0, 0.0])[None])[0] == 3
 
 
 class TestFitThresholds:
@@ -90,7 +84,7 @@ class TestFitThresholds:
         result = fit_thresholds(path_problem, config)
         rng = np.random.default_rng(13)
         losses = [
-            fit_fitness(rng.random(path_problem.free_count), path_problem)
+            path_problem.losses(rng.random(path_problem.free_count)[None])[0]
             for _ in range(10)
         ]
         assert result.final_loss == min(losses)
@@ -122,7 +116,7 @@ class TestFitThresholds:
         assert problem.empirical.shape == (11, 3)
         # sim: A week 3, B week 4, C week 5; empirically C waits until week 10,
         # so the simulation is wrong for C on weeks 5-9
-        assert fit_fitness(np.array([0.5, 1.0]), problem) == 5
+        assert problem.losses(np.array([0.5, 1.0])[None])[0] == 5
 
     def test_all_seed_problem_short_circuits(self, path_graph):
         problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})

@@ -17,8 +17,8 @@ from recovnet.errors import ConfigError
 from recovnet.ga import FitnessEvaluationError
 
 
-def sphere(x: np.ndarray) -> float:
-    return float(np.sum(x))
+def sphere(population: np.ndarray) -> np.ndarray:
+    return population.sum(axis=1)
 
 
 class TestGaConfig:
@@ -47,7 +47,7 @@ class TestRealVectorGa:
         config = GaConfig(population_size=10, max_iterations=200, rng_seed=0)
         result = run_ga(sphere, "minimize", RealVectorEncoding(5), config)
         assert result.best_fitness <= 0.05
-        assert result.best_fitness == pytest.approx(sphere(result.best_chromosome))
+        assert result.best_fitness == pytest.approx(sphere(result.best_chromosome[None])[0])
 
     def test_maximize_direction(self):
         config = GaConfig(population_size=10, max_iterations=100, rng_seed=1)
@@ -59,8 +59,8 @@ class TestRealVectorGa:
         result = run_ga(sphere, "minimize", RealVectorEncoding(6), config)
         # replay the generator: the initial population is drawn first
         rng = np.random.default_rng(42)
-        population = [rng.random(6) for _ in range(10)]
-        assert result.best_fitness == min(sphere(c) for c in population)
+        population = np.stack([rng.random(6) for _ in range(10)])
+        assert result.best_fitness == sphere(population).min()
         assert len(result.history) == 1
 
     def test_reproducible(self):
@@ -81,7 +81,7 @@ class TestRealVectorGa:
             run_ga(sphere, "up", RealVectorEncoding(3), GaConfig())
 
     def test_fitness_error_carries_chromosome(self):
-        def broken(x):
+        def broken(population):
             raise RuntimeError("boom")
 
         with pytest.raises(FitnessEvaluationError) as info:
@@ -89,12 +89,44 @@ class TestRealVectorGa:
         assert info.value.chromosome.shape == (3,)
 
 
+class TestFitnessContract:
+    @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])
+    def test_one_call_per_generation_with_whole_population(self, encoding, k):
+        shapes = []
+
+        def recording(population):
+            shapes.append(population.shape)
+            return population.sum(axis=1)
+
+        config = GaConfig(population_size=7, max_iterations=25, rng_seed=11)
+        run_ga(recording, "minimize", encoding, config)
+        assert shapes == [(7, k)] * 25
+
+    def test_error_names_the_first_offending_row(self):
+        populations = []
+
+        def picky(population):
+            if population.shape[0] > 1:
+                populations.append(population.copy())
+            if (population > 0.9).any():
+                raise ValueError("gene above 0.9")
+            return sphere(population)
+
+        config = GaConfig(population_size=10, max_iterations=50, rng_seed=6)
+        with pytest.raises(FitnessEvaluationError) as info:
+            run_ga(picky, "minimize", RealVectorEncoding(3), config)
+        failing = populations[-1]
+        offending = [row for row in failing if (row > 0.9).any()]
+        assert offending
+        assert np.array_equal(info.value.chromosome, offending[0])
+
+
 class TestSubsetGa:
     def test_recovers_target_subset(self):
         target = {2, 9, 14}
 
-        def overlap(chromosome: np.ndarray) -> float:
-            return float(len(target & set(chromosome.tolist())))
+        def overlap(population: np.ndarray) -> list[float]:
+            return [float(len(target & set(row.tolist()))) for row in population]
 
         config = GaConfig(population_size=10, max_iterations=500, rng_seed=5)
         result = run_ga(overlap, "maximize", SubsetEncoding(20, 3), config)
@@ -104,7 +136,7 @@ class TestSubsetGa:
     def test_full_pool_subset(self):
         config = GaConfig(population_size=4, max_iterations=2, rng_seed=0)
         result = run_ga(
-            lambda c: float(c.sum()), "maximize", SubsetEncoding(4, 4), config
+            lambda population: population.sum(axis=1), "maximize", SubsetEncoding(4, 4), config
         )
         assert sorted(result.best_chromosome.tolist()) == [0, 1, 2, 3]
 

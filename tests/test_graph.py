@@ -10,10 +10,10 @@ from conftest import random_graph, square, square_grid
 from recovnet import (
     ContiguityRule,
     DataError,
+    SpatialGraph,
     SpatialUnit,
     build_contiguity_graph,
     graph_metrics,
-    load_edge_list,
 )
 from recovnet.errors import ConfigError
 
@@ -120,25 +120,25 @@ class TestContiguity:
 
 class TestLoadEdgeList:
     def test_path(self):
-        g = load_edge_list(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        g = SpatialGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
         assert [len(g.neighbors(n)) for n in g.nodes] == [1, 2, 1]
 
     def test_isolate(self):
-        g = load_edge_list(["A"], [])
+        g = SpatialGraph(["A"], [])
         assert g.neighbors("A") == frozenset()
         assert g.m == 0
 
     def test_self_loop_rejected(self):
         with pytest.raises(DataError, match="self-loop"):
-            load_edge_list(["A", "B"], [("A", "A")])
+            SpatialGraph(["A", "B"], [("A", "A")])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DataError, match="duplicate edge"):
-            load_edge_list(["A", "B"], [("A", "B"), ("B", "A")])
+            SpatialGraph(["A", "B"], [("A", "B"), ("B", "A")])
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(DataError, match="unknown endpoint 'C'"):
-            load_edge_list(["A", "B"], [("A", "C")])
+            SpatialGraph(["A", "B"], [("A", "C")])
 
     def test_adjacency_symmetric(self):
         rng = np.random.default_rng(5)
@@ -157,12 +157,12 @@ class TestGraphMetrics:
             i, j = rng.integers(2010, size=2)
             if i != j:
                 edges.add((nodes[min(i, j)], nodes[max(i, j)]))
-        metrics = graph_metrics(load_edge_list(nodes, sorted(edges)))
+        metrics = graph_metrics(SpatialGraph(nodes, sorted(edges)))
         assert metrics.avg_degree == pytest.approx(6.049, abs=1e-3)
         assert metrics.density == pytest.approx(0.00301, abs=1e-5)
 
     def test_triangle(self):
-        g = load_edge_list(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+        g = SpatialGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         metrics = graph_metrics(g)
         assert metrics.avg_degree == 2.0
         assert metrics.density == 1.0
@@ -174,13 +174,13 @@ class TestGraphMetrics:
         assert metrics.degree_histogram == {3: 4, 5: 4, 8: 1}
 
     def test_single_node_density_zero(self):
-        metrics = graph_metrics(load_edge_list(["A"], []))
+        metrics = graph_metrics(SpatialGraph(["A"], []))
         assert metrics.avg_degree == 0.0
         assert metrics.density == 0.0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
-            graph_metrics(load_edge_list([], []))
+            graph_metrics(SpatialGraph([], []))
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)

@@ -10,17 +10,17 @@ from recovnet import (
     AttributeTable,
     ContiguityRule,
     DataError,
+    SpatialGraph,
     ThresholdVector,
     build_contiguity_graph,
     graph_metrics,
-    load_edge_list,
 )
 from recovnet import io
 
 
 @pytest.fixture
 def tmp_graph():
-    return load_edge_list(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    return SpatialGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
 
 
 class TestEdgeListCsv:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from recovnet import DiffusionSchedule, build_fit_problem, diffusion, load_edge_list
+from recovnet import DiffusionSchedule, SpatialGraph, build_fit_problem, diffusion
 
 HORIZON = 14
 FIRST_UPDATE = 3
@@ -38,7 +38,7 @@ def instances(draw):
     ]
     columns = draw(st.integers(1, 70))
     chunk = draw(st.integers(1, 16))
-    return load_edge_list(nodes, edges), columns, chunk, rng
+    return SpatialGraph(nodes, edges), columns, chunk, rng
 
 
 def grid_thresholds(graph, rng, columns):
@@ -121,7 +121,7 @@ def test_need_is_smallest_count_meeting_threshold():
     its float neighbours on stars of degree 1..60 against a linear scan."""
     for d in range(1, 61):
         leaves = [f"l{i}" for i in range(d)]
-        graph = load_edge_list(["c", *leaves], [("c", leaf) for leaf in leaves])
+        graph = SpatialGraph(["c", *leaves], [("c", leaf) for leaf in leaves])
         kernel = diffusion.DiffusionKernel(graph)
         grid = np.arange(d + 1) / d
         taus = np.clip(

@@ -10,7 +10,6 @@ from recovnet import (
     SynthSpec,
     build_fit_problem,
     durations_to_trajectory,
-    fit_fitness,
     generate_instance,
     grid_units,
 )
@@ -67,7 +66,7 @@ class TestGenerateInstance:
         assert instance.trajectory[-1].all()
         problem = build_fit_problem(instance.graph, instance.durations)
         planted = instance.thresholds.values[~instance.thresholds.seed_mask]
-        assert fit_fitness(planted, problem) == 0
+        assert problem.losses(planted[None])[0] == 0
 
     def test_planted_loss_equals_capped_count(self):
         # high thresholds strand part of the grid; the cap shows up at week 14
@@ -79,7 +78,7 @@ class TestGenerateInstance:
         assert capped > 0
         problem = build_fit_problem(instance.graph, instance.durations)
         planted = instance.thresholds.values[~instance.thresholds.seed_mask]
-        assert fit_fitness(planted, problem) == capped
+        assert problem.losses(planted[None])[0] == capped
 
     def test_all_seeds_recover_at_first_update(self):
         instance = generate_instance(SynthSpec(node_count=9, seed_fraction=1.0, rng_seed=2))
