@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .diffusion import ThresholdVector
 from .errors import DataError
@@ -235,7 +234,10 @@ def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     else:
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
         # the t survival function as scipy.stats.t.sf computes it, without
-        # importing scipy.stats (over a second of start-up for every command)
+        # importing scipy.stats (over a second of start-up for every command);
+        # scipy.special is imported here so only analyze pays for it
+        from scipy import special
+
         p = float(2.0 * special.stdtr(n - 2, -abs(t_stat)))
     return CorrelationResult(r=r, p_value=p, n=n)
 

@@ -406,12 +406,15 @@ def cmd_durations(s: argparse.Namespace) -> int:
     durations: dict[str, float] = {}
     for node in sorted(series_by_node):
         first_day, visits = series_by_node[node]
-        series = VisitSeries(
-            visits=visits,
-            baseline_start=start - first_day,
-            baseline_end=end - first_day,
-            recovery_start=recovery - first_day,
-        )
+        try:
+            series = VisitSeries(
+                visits=visits,
+                baseline_start=start - first_day,
+                baseline_end=end - first_day,
+                recovery_start=recovery - first_day,
+            )
+        except DataError as exc:
+            raise DataError(f"{visits_path}: unit {node!r}: {exc}") from None
         durations[node] = compute_recovery_duration(
             series, ratio=s.ratio, persistence_days=s.persistence_days,
             ma_halfwidth=s.ma_halfwidth,

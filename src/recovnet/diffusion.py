@@ -128,20 +128,36 @@ class DiffusionKernel:
     """One graph and schedule, prepared once and simulated for many columns.
 
     A column is one threshold vector with one initial state. The states of
-    all columns form an n x P matrix that advances one week per sparse
-    product, until no column changes. Thresholds enter as recovery needs:
+    all columns form an n x P matrix that advances one week per neighbour
+    count, until no column changes. Thresholds enter as recovery needs:
     the smallest recovered-neighbor count whose float64 fraction count/deg
-    meets the threshold, so each week is one product and one comparison
-    and the tie rule (a fraction equal to the threshold recovers) holds
+    meets the threshold, so each week is one count and one comparison and
+    the tie rule (a fraction equal to the threshold recovers) holds
     exactly.
+
+    Counts use a jagged-diagonal layout: nodes sorted by descending degree,
+    and slot k holds the (sorted) index of the k-th neighbour of every node
+    of degree above k, which is a prefix of the sorted order. A week gathers
+    the state rows of each slot and adds them into that prefix of the counts,
+    so memory is O(edges) even with a hub. States, needs and counts use the
+    smallest unsigned integer type that holds the largest degree + 1.
     """
 
     def __init__(self, g: SpatialGraph, schedule: DiffusionSchedule = DiffusionSchedule()):
         self.schedule = schedule
-        # counts and week totals are integers below 2**24, exact in float32
-        exact = max(g.n, schedule.horizon + 1) <= 1 << 24
-        self.dtype = np.float32 if exact else np.float64
-        self.adjacency = g.adjacency_matrix.astype(self.dtype)
+        max_degree = int(g.degrees.max(initial=0))
+        self.dtype = np.min_scalar_type(max_degree + 1)
+        # signed, so that week counts in 0..horizon can be subtracted
+        self.weeks_dtype = np.min_scalar_type(-schedule.horizon - 1)
+        self._order = np.argsort(-g.degrees, kind="stable")
+        rank = np.empty(g.n, dtype=np.intp)
+        rank[self._order] = np.arange(g.n)
+        starts = g.indptr[self._order]
+        descending = -g.degrees[self._order]
+        self._slots = [
+            rank[g.indices[starts[: np.searchsorted(descending, -k)] + k]]
+            for k in range(max_degree)
+        ]
         # an isolate's fraction is 0, which is what count/1 gives it
         self._degrees = np.maximum(g.degrees, 1).astype(np.float64)[:, None]
 
@@ -168,6 +184,18 @@ class DiffusionKernel:
             need += higher
         return need.astype(self.dtype)
 
+    def _count(self, state: np.ndarray, counts: np.ndarray, gathered: np.ndarray) -> None:
+        """Recovered neighbours of every sorted node, written into counts
+        (rows past the first slot, the isolates, stay zero)."""
+        if not self._slots:
+            return
+        head = self._slots[0]
+        np.take(state, head, axis=0, out=counts[: head.size], mode="clip")
+        for slot in self._slots[1:]:
+            part = gathered[: slot.size]
+            np.take(state, slot, axis=0, out=part, mode="clip")
+            counts[: slot.size] += part
+
     def weeks_recovered(self, need: np.ndarray, initial: np.ndarray) -> np.ndarray:
         """Weeks 1..horizon that each node spends recovered, per column.
 
@@ -178,20 +206,27 @@ class DiffusionKernel:
         the 0-1 loss against any other monotone trajectory.
         """
         horizon, first = self.schedule.horizon, self.schedule.first_update_week
-        state = initial.astype(self.dtype)
-        weeks = state * float(first - 1)
+        need = np.asarray(need)[self._order]
+        state = initial[self._order].astype(self.dtype)
+        weeks = np.zeros(state.shape, dtype=self.weeks_dtype)
+        weeks += state * self.weeks_dtype.type(first - 1)
         recovered = np.count_nonzero(state)
+        counts = np.zeros(state.shape, dtype=self.dtype)
+        gathered = np.empty(state.shape, dtype=self.dtype)
         ready = np.empty(state.shape, dtype=bool)
         for t in range(first, horizon + 1):
-            np.greater_equal(self.adjacency @ state, need, out=ready)
-            np.maximum(state, ready, out=state)
+            self._count(state, counts, gathered)
+            np.greater_equal(counts, need, out=ready)
+            np.bitwise_or(state, ready, out=state)
             now = np.count_nonzero(state)
             if now == recovered:  # fixed point: weeks t..horizon repeat this state
-                weeks += state * float(horizon + 1 - t)
+                weeks += state * self.weeks_dtype.type(horizon + 1 - t)
                 break
             weeks += state
             recovered = now
-        return weeks
+        unsorted = np.empty_like(weeks)
+        unsorted[self._order] = weeks
+        return unsorted
 
 
 def run_diffusion(

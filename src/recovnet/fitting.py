@@ -49,7 +49,7 @@ class FitProblem:
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self.free_indices = np.flatnonzero(~self.seed_mask)
         self._empirical_weeks = (
-            np.asarray(self.empirical)[1:].sum(axis=0).astype(self.kernel.dtype)[:, None]
+            np.asarray(self.empirical)[1:].sum(axis=0).astype(self.kernel.weeks_dtype)[:, None]
         )
 
     @property

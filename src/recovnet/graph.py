@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, DataError
 
@@ -79,6 +78,10 @@ class SpatialGraph:
     every array-valued quantity downstream (states, thresholds). Edges are
     stored as lexicographically sorted id pairs.
 
+    Neighbour lists are also kept as two CSR arrays over node indices: the
+    neighbours of node i are indices[indptr[i]:indptr[i + 1]], in ascending
+    order, so indptr has n + 1 entries and indices 2m.
+
     Rejects duplicate node ids, unknown endpoints, self-loops, and duplicate
     edges (in either orientation), naming the offender.
     """
@@ -112,20 +115,19 @@ class SpatialGraph:
 
         self.edges: tuple[tuple[str, str], ...] = tuple(sorted(pair_set))
         self._adjacency = {n: frozenset(nbrs) for n, nbrs in adjacency.items()}
-        self.degrees: np.ndarray = np.array(
-            [len(self._adjacency[n]) for n in self.nodes], dtype=np.int64
-        )
-        self.adjacency_matrix: sparse.csr_matrix = self._build_matrix()
+        self.indptr, self.indices = self._build_csr()
+        self.degrees: np.ndarray = np.diff(self.indptr)
 
-    def _build_matrix(self) -> sparse.csr_matrix:
-        n = len(self.nodes)
-        rows, cols = [], []
-        for u, v in self.edges:
-            i, j = self.index[u], self.index[v]
-            rows.extend((i, j))
-            cols.extend((j, i))
-        data = np.ones(len(rows), dtype=np.int64)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    def _build_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        ends = np.array(
+            [(self.index[u], self.index[v]) for u, v in self.edges], dtype=np.int64
+        ).reshape(-1, 2)
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        by_row = np.lexsort((cols, rows))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, cols[by_row]
 
     @property
     def n(self) -> int:

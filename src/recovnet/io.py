@@ -71,28 +71,48 @@ def read_json(path: str | Path):
 # ---------------------------------------------------------------------------
 
 def read_feature_collection(path: str | Path) -> list[SpatialUnit]:
-    """Load polygon features (with a string property "id") as spatial units."""
-    doc = read_json(path)
-    if doc.get("type") != "FeatureCollection":
+    """Load polygon features (with a string property "id") as spatial units.
+
+    Positions must be [x, y] pairs of finite numbers; anything else names
+    the file and the feature (by index, and by id once it is known).
+    """
+    try:
+        doc = read_json(path)
+    except ValueError as exc:  # JSONDecodeError, or bad UTF-8
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise DataError(f"{path}: expected a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise DataError(f"{path}: 'features' must be a list")
     units = []
-    for k, feature in enumerate(doc.get("features", [])):
+    for k, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise DataError(f"{path}: feature {k} is not an object: {feature!r}")
         props = feature.get("properties") or {}
-        unit_id = props.get("id")
+        unit_id = props.get("id") if isinstance(props, dict) else None
         if not isinstance(unit_id, str):
             raise DataError(f"{path}: feature {k} lacks a string property 'id'")
+        name = f"feature {k} ({unit_id!r})"
         geometry = feature.get("geometry") or {}
-        if geometry.get("type") != "Polygon":
+        kind = geometry.get("type") if isinstance(geometry, dict) else None
+        if kind != "Polygon":
             raise DataError(
-                f"{path}: feature {unit_id!r} has geometry type "
-                f"{geometry.get('type')!r}, only Polygon is supported"
+                f"{path}: {name} has geometry type {kind!r}, only Polygon is supported"
             )
-        rings = tuple(
-            tuple((float(x), float(y)) for x, y in ring)
-            for ring in geometry.get("coordinates", [])
-        )
+        try:
+            rings = tuple(
+                tuple((float(x), float(y)) for x, y in ring)
+                for ring in geometry.get("coordinates", [])
+            )
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(
+                f"{path}: {name}: coordinates must be rings of [x, y] number pairs"
+            ) from None
         if not rings:
-            raise DataError(f"{path}: feature {unit_id!r} has no rings")
+            raise DataError(f"{path}: {name} has no rings")
+        if not all(math.isfinite(v) for ring in rings for xy in ring for v in xy):
+            raise DataError(f"{path}: {name} has a non-finite coordinate")
         units.append(SpatialUnit(id=unit_id, geometry=rings))
     return units
 
@@ -228,9 +248,11 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
         if len(row) < 3:
             raise DataError(f"{path}: malformed visit row {row!r}")
         node = row[0].strip()
-        per_node.setdefault(node, []).append(
-            (parse_day(row[1]), _parse_float(row[2], path, row))
-        )
+        try:
+            day = parse_day(row[1])
+        except DataError as exc:
+            raise DataError(f"{path}: {exc} in row {row!r}") from None
+        per_node.setdefault(node, []).append((day, _parse_float(row[2], path, row)))
     out: dict[str, tuple[int, np.ndarray]] = {}
     for node, pairs in per_node.items():
         pairs.sort()

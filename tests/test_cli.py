@@ -322,6 +322,80 @@ class TestDurationsCommand:
         assert durations["slow"] == 14.0
 
 
+class TestVisitInput:
+    """durations errors name the unit, or the file and row, and exit 3."""
+
+    def _durations(self, tmp_path, rows) -> int:
+        visits = tmp_path / "visits.csv"
+        visits.write_text("\n".join(["id,day,visits", *rows]) + "\n")
+        return run(
+            "durations", "--visits", visits, "--baseline-start", 0, "--baseline-end", 20,
+            "--recovery-start", 27, "--out", tmp_path / "durations",
+        )
+
+    @staticmethod
+    def _series(node, days=131, bad_day=None):
+        return [
+            f"{node},{day},{-1.0 if day == bad_day else 100.0}" for day in range(days)
+        ]
+
+    def test_negative_visit_names_unit(self, tmp_path, capsys):
+        rows = self._series("good") + self._series("neg_unit", bad_day=40)
+        assert self._durations(tmp_path, rows) == 3
+        err = capsys.readouterr().err
+        assert "neg_unit" in err and "nonnegative" in err
+
+    def test_short_series_names_unit(self, tmp_path, capsys):
+        rows = self._series("good") + self._series("short_unit", days=27 + 97)
+        assert self._durations(tmp_path, rows) == 3
+        err = capsys.readouterr().err
+        assert "short_unit" in err and "too short" in err
+
+    def test_bad_day_names_file_and_row(self, tmp_path, capsys):
+        rows = self._series("good") + ["b,xx,100"]
+        assert self._durations(tmp_path, rows) == 3
+        err = capsys.readouterr().err
+        assert "visits.csv" in err and "['b', 'xx', '100']" in err
+
+
+class TestGeometryInput:
+    """Malformed GeoJSON exits 3 and names the file and the feature."""
+
+    @staticmethod
+    def _write(tmp_path, text: str) -> Path:
+        path = tmp_path / "units.geojson"
+        path.write_text(text)
+        return path
+
+    def _build(self, tmp_path, geometry: Path) -> int:
+        return run("build-graph", "--geometry", geometry, "--out", tmp_path / "g")
+
+    @pytest.mark.parametrize("position,name", [
+        ("[1, 1, 0]", "3-D position"),
+        ('[1, "a"]', "non-numeric coordinate"),
+        ("[1, 1e999]", "infinite coordinate"),
+        ("[NaN, 1]", "NaN coordinate"),
+    ])
+    def test_bad_position_names_feature(self, tmp_path, capsys, position, name):
+        path = _grid_geojson(tmp_path / "grid.geojson")
+        text = path.read_text().replace("[1, 1]", position, 1)
+        assert text != path.read_text(), name
+        assert self._build(tmp_path, self._write(tmp_path, text)) == 3
+        err = capsys.readouterr().err
+        assert "units.geojson" in err and "feature 0 ('g00')" in err, name
+
+    def test_not_json_names_file(self, tmp_path, capsys):
+        assert self._build(tmp_path, self._write(tmp_path, "{not json")) == 3
+        assert "units.geojson" in capsys.readouterr().err
+
+    def test_bare_number_feature_names_index(self, tmp_path, capsys):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        doc["features"].insert(2, 5)
+        assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 3
+        err = capsys.readouterr().err
+        assert "units.geojson" in err and "feature 2" in err
+
+
 class TestConfigMerging:
     def test_flags_override_config(self, tmp_path, instance_dir):
         config = tmp_path / "run.json"
@@ -435,8 +509,13 @@ class TestBadInputRows:
 
 
 class TestCliImports:
-    def test_scipy_stats_not_imported(self):
-        """scipy.stats costs over a second of start-up; the CLI must not load it."""
+    """scipy.stats costs over a second of start-up and scipy.sparse and
+    scipy.special about a third of one; only analyze may load scipy.special."""
+
+    HEAVY = ("scipy.stats", "scipy.sparse", "scipy.special")
+
+    @staticmethod
+    def _loaded(code: str) -> list[str]:
         import os
         import subprocess
         import sys
@@ -444,11 +523,26 @@ class TestCliImports:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, recovnet.cli; print('scipy.stats' in sys.modules)"
+        code += f"\nprint(','.join(m for m in {TestCliImports.HEAVY!r} if m in sys.modules))"
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        return [m for m in result.stdout.splitlines()[-1].split(",") if m]
+
+    def test_scipy_stats_not_imported(self):
+        assert self._loaded("import sys, recovnet.cli") == []
+
+    def test_synth_then_fit_loads_no_heavy_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from recovnet.cli import main\n"
+            f"assert main(['synth', '--nodes', '16', '--rng-seed', '3', '--out', r'{tmp_path}']) == 0\n"
+            f"assert main(['fit', '--edges', r'{tmp_path / 'edges.csv'}', "
+            f"'--durations', r'{tmp_path / 'durations.csv'}', '--max-iterations', '5', "
+            f"'--out', r'{tmp_path / 'fit'}']) == 0"
+        )
+        assert self._loaded(code) == []
+        assert (tmp_path / "fit" / "thresholds.csv").exists()
 
 
 class TestDeterminism:

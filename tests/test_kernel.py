@@ -1,6 +1,7 @@
 """The batched diffusion kernel against the dict-based oracle.
 
-Graphs have isolates, thresholds sit on the count/deg grid (exact ties)
+Graphs have isolates and sometimes a hub of degree 300 (past what a
+uint8 count holds), thresholds sit on the count/deg grid (exact ties)
 or one float step off it, and the kernel runs up to ~70 columns in chunks
 small enough that every run crosses chunk boundaries.
 """
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from recovnet import DiffusionSchedule, SpatialGraph, build_fit_problem, diffusion
+from recovnet import (
+    DiffusionSchedule,
+    MultiplierProblem,
+    SpatialGraph,
+    ThresholdVector,
+    build_fit_problem,
+    diffusion,
+)
 
 HORIZON = 14
 FIRST_UPDATE = 3
@@ -36,6 +44,11 @@ def instances(draw):
         for j in range(i + 1, linked)
         if rng.random() < edge_prob
     ]
+    hub_degree = draw(st.sampled_from([0, 0, 0, 300]))
+    if hub_degree:  # a hub joined to every linked node and to fresh leaves
+        leaves = [f"h{i:03d}" for i in range(hub_degree - linked)]
+        edges += [("hub", node) for node in nodes[:linked] + leaves]
+        nodes += ["hub", *leaves]
     columns = draw(st.integers(1, 70))
     chunk = draw(st.integers(1, 16))
     return SpatialGraph(nodes, edges), columns, chunk, rng
@@ -131,3 +144,44 @@ def test_need_is_smallest_count_meeting_threshold():
         values[0] = taus
         expected = [next(c for c in range(d + 1) if c / d >= t) for t in taus]
         assert kernel.need(values)[0].tolist() == expected, d
+
+
+def test_star_of_degree_300_matches_oracle():
+    """A hub of degree 300 counts past 255 recovered neighbours: hub
+    thresholds on the c/300 grid on both sides of that limit, and one float
+    step off each, through both problem types against the oracle."""
+    degree = 300
+    leaves = [f"l{i:03d}" for i in range(degree)]
+    graph = SpatialGraph(["c", *leaves], [("c", leaf) for leaf in leaves])
+    grid = np.array([0, 1, 14, 15, 44, 45, 150, 255, 256, 257, 269, 270, 271, 299, 300]) / degree
+    taus = np.unique(
+        np.clip(np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)]), 0, 1)
+    )
+
+    def simulate(values, initial):
+        return oracles.naive_diffusion(
+            neighbor_lists(graph), dict(zip(graph.nodes, values)), dict(zip(graph.nodes, initial))
+        )
+
+    # fit: 270 leaves are seeds; the other leaves recover only after the hub
+    durations = {leaf: 2.5 if i < 270 else 5.0 for i, leaf in enumerate(leaves)}
+    durations["c"] = 4.0
+    problem = build_fit_problem(graph, durations)
+    values = np.ones((graph.n, taus.size))
+    values[0] = taus
+    values[problem.seed_mask] = 0.0
+    losses = problem.losses(values[problem.free_indices].T)
+    for p, tau in enumerate(taus):
+        ref = simulate(values[:, p], np.zeros(graph.n, dtype=int))
+        assert losses[p] == naive_loss(durations, ref, graph.nodes), tau
+
+    # multipliers: no seeds, every leaf waits for the hub; force s leaves
+    for tau in taus:
+        thresholds = ThresholdVector(graph.nodes, np.r_[tau, np.ones(degree)])
+        multipliers = MultiplierProblem(graph, thresholds, size=1)
+        for s in (14, 255, 256, 270, 300):
+            initial = np.zeros(graph.n, dtype=int)
+            initial[1 : s + 1] = 1
+            ref = simulate(thresholds.values, initial)
+            got = multipliers.recovered(np.arange(1, s + 1)[None, :])[0]
+            assert got == sum(ref[-1].values()), (tau, s)
