@@ -110,8 +110,13 @@ def _text(value) -> str:
 
 
 def _day(value) -> str:
-    """A day index or ISO date, kept as written; io.parse_day reads it."""
-    return str(_integer(value)) if isinstance(value, int) else _text(value)
+    """A day index or ISO date that io.parse_day reads, kept as written."""
+    text = str(_integer(value)) if isinstance(value, int) else _text(value)
+    try:
+        io.parse_day(text)
+    except DataError:
+        raise ValueError(f"expected a day index or ISO date, got {value!r}") from None
+    return text
 
 
 def _switch(value) -> bool:

@@ -1,7 +1,8 @@
 """Classic generational genetic algorithm with elitism and two encodings:
 real vectors in [0, 1]^k and fixed-size index subsets.
 
-All random decisions come from one seeded generator, and fitness
+The population is one P x k array and every operator works on all rows at
+once. All random decisions come from one seeded generator, and fitness
 evaluation draws nothing from it, so runs are reproducible.
 """
 
@@ -16,6 +17,11 @@ import numpy as np
 from .errors import ConfigError, RecovnetError
 
 DIRECTIONS = ("minimize", "maximize")
+
+# real-vector mutation: the creep step's standard deviation, and the share
+# of hit genes resampled uniformly instead
+CREEP_SIGMA = 0.1
+RESAMPLE_PROB = 0.2
 
 
 class FitnessEvaluationError(RecovnetError):
@@ -97,52 +103,45 @@ class PerformanceRecord:
 class RealVectorEncoding:
     """Chromosomes are length-k float vectors with every gene in [0, 1].
 
-    Mutation perturbs a hit gene with clipped gaussian creep most of the
-    time and occasionally resamples it uniformly, so the search can both
-    polish a good solution and escape a plateau.
+    Mutation perturbs a hit gene with clipped gaussian creep (standard
+    deviation CREEP_SIGMA) most of the time and resamples it uniformly with
+    probability RESAMPLE_PROB, so the search can both polish a good
+    solution and escape a plateau.
     """
 
-    def __init__(self, length: int, creep_sigma: float = 0.1, resample_prob: float = 0.2):
+    def __init__(self, length: int):
         if length < 1:
             raise ConfigError(f"real-vector length must be >= 1, got {length}")
-        if creep_sigma <= 0:
-            raise ConfigError(f"creep_sigma must be > 0, got {creep_sigma}")
-        if not 0.0 <= resample_prob <= 1.0:
-            raise ConfigError(f"resample_prob must be in [0, 1], got {resample_prob}")
         self.length = length
-        self.creep_sigma = creep_sigma
-        self.resample_prob = resample_prob
 
     def default_mutation_prob(self) -> float:
         return 1.0 / self.length
 
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(self.length)
+    def random(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.random((count, self.length))
 
     def crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform crossover: each gene swaps between the children with p = 1/2."""
-        swap = rng.random(self.length) < 0.5
-        c1, c2 = a.copy(), b.copy()
-        c1[swap], c2[swap] = b[swap], a[swap]
-        return c1, c2
+        """Uniform crossover of each row pair: each gene swaps between the
+        two children with p = 1/2."""
+        swap = rng.random(a.shape) < 0.5
+        return np.where(swap, b, a), np.where(swap, a, b)
 
     def mutate(self, x: np.ndarray, rng: np.random.Generator, prob: float) -> np.ndarray:
-        """Per-gene mutation: gaussian creep clipped to [0, 1], or a uniform
-        resample with probability resample_prob."""
-        hit = rng.random(self.length) < prob
-        out = x.copy()
+        """Per-gene mutation of every row: gaussian creep clipped to [0, 1],
+        or a uniform resample with probability RESAMPLE_PROB."""
+        hit = rng.random(x.shape) < prob
         count = int(hit.sum())
-        if count:
-            fresh = rng.random(count)
-            crept = np.clip(out[hit] + rng.normal(0.0, self.creep_sigma, count), 0.0, 1.0)
-            out[hit] = np.where(rng.random(count) < self.resample_prob, fresh, crept)
+        out = x.copy()
+        fresh = rng.random(count)
+        crept = np.clip(out[hit] + rng.normal(0.0, CREEP_SIGMA, count), 0.0, 1.0)
+        out[hit] = np.where(rng.random(count) < RESAMPLE_PROB, fresh, crept)
         return out
 
 
 class SubsetEncoding:
-    """Chromosomes are sorted arrays of exactly subset_size distinct indices
+    """Chromosomes are sorted rows of exactly subset_size distinct indices
     drawn from 0..pool_size-1."""
 
     def __init__(self, pool_size: int, subset_size: int):
@@ -156,32 +155,38 @@ class SubsetEncoding:
     def default_mutation_prob(self) -> float:
         return 1.0
 
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        return np.sort(rng.choice(self.pool_size, size=self.subset_size, replace=False))
+    def random(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Per row, the subset_size smallest of pool_size uniform keys."""
+        keys = rng.random((count, self.pool_size))
+        return np.sort(np.argpartition(keys, self.subset_size - 1)[:, : self.subset_size])
 
     def crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pool the parents' members and subsample each child back to size."""
-        union = np.union1d(a, b)
-        c1 = np.sort(rng.choice(union, size=self.subset_size, replace=False))
-        c2 = np.sort(rng.choice(union, size=self.subset_size, replace=False))
+        """Each child of a row pair is a uniform subset_size-subset of the
+        pair's pooled members: random keys over the pair's sorted
+        concatenation, where a repeated member's key is out of reach."""
+        pooled = np.sort(np.concatenate([a, b], axis=1), axis=1)
+        repeat = np.zeros(pooled.shape, dtype=bool)
+        repeat[:, 1:] = pooled[:, 1:] == pooled[:, :-1]
+        keys = np.where(repeat, 2.0, rng.random((2, *pooled.shape)))
+        picks = np.argpartition(keys, self.subset_size - 1)[..., : self.subset_size]
+        c1, c2 = np.sort(pooled[np.arange(len(pooled))[:, None], picks])
         return c1, c2
 
     def mutate(self, x: np.ndarray, rng: np.random.Generator, prob: float) -> np.ndarray:
-        """With the given probability, swap one member for a random non-member."""
+        """Each row, with the given probability, swaps one member for a
+        uniformly drawn non-member."""
+        rows, size = x.shape
+        if size == self.pool_size:
+            return x.copy()
+        hit = np.flatnonzero(rng.random(rows) < prob)
+        # outsider number c is c + #{j : m_j - j <= c} over the sorted members
+        # m_j, since m_j - j outsiders lie below member j
+        c = rng.integers(self.pool_size - size, size=hit.size)
+        fresh = c + np.count_nonzero(x[hit] - np.arange(size) <= c[:, None], axis=1)
         out = x.copy()
-        if self.subset_size == self.pool_size or rng.random() >= prob:
-            return out
-        drop = rng.integers(self.subset_size)
-        # draw a non-member by rank among the pool_size - subset_size outsiders:
-        # walking the members upwards, each one at or below it shifts it by one
-        candidate = int(rng.integers(self.pool_size - self.subset_size))
-        for member in sorted(out.tolist()):
-            if member > candidate:
-                break
-            candidate += 1
-        out[drop] = candidate
+        out[hit, rng.integers(size, size=hit.size)] = fresh
         return np.sort(out)
 
 
@@ -199,67 +204,63 @@ def run_ga(
     generations including the initial one, so a budget of 1 returns the best
     of the random population.
 
-    fitness maps a P x k matrix of chromosomes (one per row) to P values
-    and is called once per generation.
+    fitness maps the P x k population (a chromosome per row) to P values
+    and is called once per generation. Ties in fitness go to the lower row:
+    in tournaments, among the elites and for the best chromosome.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    minimize = direction == "minimize"
+    sign = 1.0 if direction == "minimize" else -1.0
     rng = np.random.default_rng(config.rng_seed)
     mutation_prob = (
         config.mutation_prob
         if config.mutation_prob is not None
         else encoding.default_mutation_prob()
     )
+    size, elites = config.population_size, config.elitism_count
+    pairs = (size - elites + 1) // 2
 
-    def evaluate(population: list[np.ndarray]) -> list[float]:
+    def evaluate(population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The fitness values and, from them, float keys where lower is better."""
         try:
-            return np.asarray(fitness(np.stack(population))).tolist()
+            fits = np.asarray(fitness(population))
         except Exception as exc:
             raise FitnessEvaluationError(_first_failing(fitness, population)) from exc
+        return fits, sign * fits.astype(np.float64)
 
-    def key(value: float) -> float:
-        return value if minimize else -value
-
-    def tournament(fits: list[float]) -> int:
-        contenders = rng.integers(config.population_size, size=config.tournament_size)
-        return min(contenders.tolist(), key=lambda i: (key(fits[i]), i))
-
-    population = [encoding.random(rng) for _ in range(config.population_size)]
+    population = encoding.random(rng, size)
     history: list[GenerationRecord] = []
     best_chromosome: Optional[np.ndarray] = None
-    best_fitness = 0.0
+    best_fitness = best_key = 0.0
 
     tick = time.perf_counter()
-    fits = evaluate(population)
+    fits, key = evaluate(population)
     for generation in range(config.max_iterations):
         if generation > 0:
-            order = sorted(
-                range(config.population_size), key=lambda i: (key(fits[i]), i)
+            # sorted contenders, so argmin gives a tie to the lower row
+            contenders = np.sort(
+                rng.integers(size, size=(2 * pairs, config.tournament_size)), axis=1
             )
-            children = [population[i].copy() for i in order[: config.elitism_count]]
-            while len(children) < config.population_size:
-                p1 = population[tournament(fits)]
-                p2 = population[tournament(fits)]
-                if rng.random() < config.crossover_prob:
-                    c1, c2 = encoding.crossover(p1, p2, rng)
-                else:
-                    c1, c2 = p1.copy(), p2.copy()
-                for child in (c1, c2):
-                    if len(children) < config.population_size:
-                        children.append(encoding.mutate(child, rng, mutation_prob))
-            population = children
-            fits = evaluate(population)
+            winners = contenders[np.arange(2 * pairs), key[contenders].argmin(axis=1)]
+            p1, p2 = population[winners[:pairs]], population[winners[pairs:]]
+            crossed = rng.random(pairs) < config.crossover_prob
+            p1[crossed], p2[crossed] = encoding.crossover(p1[crossed], p2[crossed], rng)
+            children = np.concatenate([p1, p2])[: size - elites]
+            population = np.concatenate([
+                population[np.argsort(key, kind="stable")[:elites]],
+                encoding.mutate(children, rng, mutation_prob),
+            ])
+            fits, key = evaluate(population)
 
-        gen_best = min(range(config.population_size), key=lambda i: (key(fits[i]), i))
-        if best_chromosome is None or key(fits[gen_best]) < key(best_fitness):
+        gen_best = int(key.argmin())
+        if best_chromosome is None or key[gen_best] < best_key:
             best_chromosome = population[gen_best].copy()
-            best_fitness = fits[gen_best]
+            best_fitness, best_key = fits[gen_best].item(), key[gen_best]
         tock = time.perf_counter()
         history.append(
             GenerationRecord(
                 generation=generation,
-                best_fitness=fits[gen_best],
+                best_fitness=fits[gen_best].item(),
                 seconds=tock - tick,
             )
         )
@@ -271,17 +272,15 @@ def run_ga(
     )
 
 
-def _first_failing(
-    fitness: Callable[[np.ndarray], Sequence[float]], population: list[np.ndarray]
-):
-    """The first chromosome whose own evaluation, as a population of one,
-    raises (the whole population when each one alone succeeds)."""
+def _first_failing(fitness: Callable[[np.ndarray], Sequence[float]], population: np.ndarray):
+    """The first row whose own evaluation, as a population of one, raises
+    (the whole population when each row alone succeeds)."""
     for chromosome in population:
         try:
             fitness(chromosome[None, :])
         except Exception:
             return chromosome
-    return np.stack(population)
+    return population
 
 
 def performance_index(

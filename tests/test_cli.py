@@ -678,6 +678,7 @@ class TestOptionTable:
         ("multipliers", {"pool": "some"}, "pool"),
         ("analyze", {"include_seeds": "no"}, "include_seeds"),
         ("synth", {"nodes": 9}, "node_count"),
+        ("durations", {"baseline_start": "xx"}, "baseline_start"),
     ])
     def test_bad_config_value_names_key(
         self, tmp_path, instance_dir, capsys, command, config, named
@@ -691,6 +692,8 @@ class TestOptionTable:
             "analyze": ["--thresholds", instance_dir / "planted_thresholds.csv",
                         "--attributes", instance_dir / "attributes.csv"],
             "synth": [],
+            "durations": ["--visits", _visits_csv(tmp_path / "visits.csv"),
+                          "--baseline-end", 20, "--recovery-start", 27],
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -720,6 +723,18 @@ class TestOptionTable:
                    "--max-iterations", 2, *flags, "--out", out) == 2
         assert named in capsys.readouterr().err
         assert not (out / "multipliers_summary.csv").exists()
+
+    def test_bad_day_flag_named_like_bad_integer(self, tmp_path, capsys):
+        visits = _visits_csv(tmp_path / "visits.csv")
+        assert run("durations", "--visits", visits, "--baseline-start", "xx",
+                   "--baseline-end", 20, "--recovery-start", 27, "--out", tmp_path / "d") == 1
+        day_error = capsys.readouterr().err
+        assert run("baseline", "--horizon", "abc", "--out", tmp_path / "b") == 1
+        integer_error = capsys.readouterr().err
+        assert day_error.startswith("usage error: argument --baseline-start: expected ")
+        assert integer_error.startswith("usage error: argument --horizon: expected ")
+        assert "'xx'" in day_error
+        assert not (tmp_path / "d").exists()
 
     def test_negative_baseline_runs(self, tmp_path, instance_dir, capsys):
         assert run("fit", "--edges", instance_dir / "edges.csv",

@@ -14,7 +14,7 @@ from recovnet import (
     run_ga,
 )
 from recovnet.errors import ConfigError
-from recovnet.ga import FitnessEvaluationError
+from recovnet.ga import DIRECTIONS, FitnessEvaluationError
 
 
 def sphere(population: np.ndarray) -> np.ndarray:
@@ -59,7 +59,7 @@ class TestRealVectorGa:
         result = run_ga(sphere, "minimize", RealVectorEncoding(6), config)
         # replay the generator: the initial population is drawn first
         rng = np.random.default_rng(42)
-        population = np.stack([rng.random(6) for _ in range(10)])
+        population = rng.random((10, 6))
         assert result.best_fitness == sphere(population).min()
         assert len(result.history) == 1
 
@@ -102,6 +102,17 @@ class TestFitnessContract:
         run_ga(recording, "minimize", encoding, config)
         assert shapes == [(7, k)] * 25
 
+    @pytest.mark.parametrize("encoding", [RealVectorEncoding(4), SubsetEncoding(12, 3)])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("elites", [0, 1])
+    def test_constant_fitness_keeps_row_zero_of_generation_zero(self, encoding, direction, elites):
+        """Every tie goes to the lower row, and a later equal never replaces
+        the best; generation 0 is the generator's first draw."""
+        config = GaConfig(population_size=6, max_iterations=30, elitism_count=elites, rng_seed=8)
+        result = run_ga(lambda population: np.ones(len(population)), direction, encoding, config)
+        first = encoding.random(np.random.default_rng(8), 6)
+        assert np.array_equal(result.best_chromosome, first[0])
+
     def test_error_names_the_first_offending_row(self):
         populations = []
 
@@ -133,6 +144,16 @@ class TestSubsetGa:
         assert result.best_fitness == 3.0
         assert set(result.best_chromosome.tolist()) == target
 
+    def test_elitism_keeps_population_best_monotone(self):
+        weights = np.random.default_rng(0).integers(0, 100, size=40)
+        config = GaConfig(population_size=10, max_iterations=150, rng_seed=3)
+        result = run_ga(
+            lambda population: weights[population].sum(axis=1), "maximize",
+            SubsetEncoding(40, 5), config,
+        )
+        best = [r.best_fitness for r in result.history]
+        assert all(b >= a for a, b in zip(best, best[1:]))
+
     def test_full_pool_subset(self):
         config = GaConfig(population_size=4, max_iterations=2, rng_seed=0)
         result = run_ga(
@@ -142,20 +163,21 @@ class TestSubsetGa:
 
 
 class TestOperators:
+    """Operators take and return row matrices; each property holds row by row."""
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_real_genes_stay_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         enc = RealVectorEncoding(8)
-        a, b = enc.random(rng), enc.random(rng)
+        a, b = enc.random(rng, 6), enc.random(rng, 6)
         c1, c2 = enc.crossover(a, b, rng)
         m = enc.mutate(c1, rng, 0.6)
-        for vec in (c1, c2, m):
-            assert np.all((vec >= 0.0) & (vec <= 1.0))
-        # crossover only rearranges genes
-        assert sorted(np.concatenate([c1, c2])) == pytest.approx(
-            sorted(np.concatenate([a, b]))
-        )
+        for rows in (a, b, c1, c2, m):
+            assert rows.shape == (6, 8)
+            assert np.all((rows >= 0.0) & (rows <= 1.0))
+        # crossover only exchanges genes between the two rows of a pair, in place
+        assert np.array_equal(np.sort([c1, c2], axis=0), np.sort([a, b], axis=0))
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -166,32 +188,60 @@ class TestOperators:
         rng = np.random.default_rng(seed)
         pool = size + int(rng.integers(0, 10))
         enc = SubsetEncoding(pool, size)
-        a, b = enc.random(rng), enc.random(rng)
+        a, b = enc.random(rng, 7), enc.random(rng, 7)
+        b[0] = a[0]  # a pair whose union is exactly one subset
         c1, c2 = enc.crossover(a, b, rng)
         m = enc.mutate(c1, rng, 1.0)
-        for chromosome in (a, b, c1, c2, m):
-            values = chromosome.tolist()
-            assert len(values) == size
-            assert len(set(values)) == size
-            assert all(0 <= v < pool for v in values)
-            assert values == sorted(values)
+        for rows in (a, b, c1, c2, m):
+            assert rows.shape == (7, size)
+            for values in rows.tolist():
+                assert len(set(values)) == size
+                assert all(0 <= v < pool for v in values)
+                assert values == sorted(values)
+        assert np.array_equal(c1[0], a[0]) and np.array_equal(c2[0], a[0])
 
     def test_subset_crossover_draws_from_union(self):
+        """Each child row is a subset of its own pair's union."""
         rng = np.random.default_rng(2)
         enc = SubsetEncoding(30, 4)
-        a, b = enc.random(rng), enc.random(rng)
-        union = set(a.tolist()) | set(b.tolist())
+        a, b = enc.random(rng, 50), enc.random(rng, 50)
         for _ in range(20):
             c1, c2 = enc.crossover(a, b, rng)
-            assert set(c1.tolist()) <= union
-            assert set(c2.tolist()) <= union
+            for i in range(50):
+                union = set(a[i].tolist()) | set(b[i].tolist())
+                assert set(c1[i].tolist()) <= union
+                assert set(c2[i].tolist()) <= union
+
+    def test_subset_crossover_child_is_uniform_over_union(self):
+        """A member both parents hold is drawn no more often than any other."""
+        rng = np.random.default_rng(5)
+        enc = SubsetEncoding(10, 3)
+        rows = 3000
+        a = np.repeat([[0, 1, 2]], rows, axis=0)
+        b = np.repeat([[1, 2, 3]], rows, axis=0)
+        children = np.concatenate(enc.crossover(a, b, rng))
+        subsets, counts = np.unique(children, axis=0, return_counts=True)
+        assert len(subsets) == 4  # the 3-subsets of {0, 1, 2, 3}
+        assert np.all(np.abs(counts - 2 * rows / 4) < 0.1 * 2 * rows / 4)
 
     def test_subset_mutation_swaps_one_member(self):
         rng = np.random.default_rng(9)
         enc = SubsetEncoding(25, 5)
-        x = enc.random(rng)
+        x = enc.random(rng, 200)
         mutated = enc.mutate(x, rng, 1.0)
-        assert len(set(x.tolist()) & set(mutated.tolist())) == 4
+        for before, after in zip(x.tolist(), mutated.tolist()):
+            assert len(set(before) & set(after)) == 4
+        assert np.array_equal(enc.mutate(x, rng, 0.0), x)
+
+    def test_subset_mutation_reaches_every_outsider(self):
+        rng = np.random.default_rng(4)
+        pool = 15
+        for size in range(1, pool):
+            enc = SubsetEncoding(pool, size)
+            row = enc.random(rng, 1)[0].tolist()
+            mutated = enc.mutate(np.repeat([row], 800, axis=0), rng, 1.0)
+            newcomers = {v for after in mutated.tolist() for v in after if v not in row}
+            assert sorted(newcomers) == [v for v in range(pool) if v not in row]
 
 
 class TestPerformanceIndex:
