@@ -26,8 +26,7 @@ from .diffusion import (
 from .empirical import (
     VisitSeries,
     compute_recovery_duration,
-    durations_to_trajectory,
-    weekly_difference,
+    durations_to_weeks,
     zero_one_loss,
 )
 from .errors import ConfigError, DataError, RecovnetError

@@ -147,7 +147,8 @@ class MultiplierComparisonReport:
     entries: tuple[ComparisonEntry, ...]
 
 
-def _included(tau: ThresholdVector, include_seeds: bool) -> tuple[list[str], np.ndarray]:
+def included(tau: ThresholdVector, include_seeds: bool) -> tuple[list[str], np.ndarray]:
+    """Ids and thresholds of the nodes a summary covers (seeds on request)."""
     if include_seeds:
         return list(tau.node_ids), tau.values
     keep = ~tau.seed_mask
@@ -160,7 +161,7 @@ def threshold_summary(
 ) -> ThresholdSummary:
     """Mean, population variance, and 1/3-2/3 quantile boundaries; seeds
     (threshold pinned at 0) are excluded unless requested."""
-    _, values = _included(tau, include_seeds)
+    _, values = included(tau, include_seeds)
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
     lower, upper = np.quantile(values, (1.0 / 3.0, 2.0 / 3.0))
@@ -179,7 +180,7 @@ def split_tertiles(
 ) -> dict[str, tuple[str, ...]]:
     """Partition nodes into low/middle/high-threshold thirds of near-equal
     size, ordering by threshold with ties broken by node id."""
-    ids, values = _included(tau, include_seeds)
+    ids, values = included(tau, include_seeds)
     if not ids:
         raise ValueError("no nodes to split into tertiles")
     ranked = sorted(zip(values, ids), key=lambda pair: (pair[0], pair[1]))

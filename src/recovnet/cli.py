@@ -26,6 +26,7 @@ import scipy
 from . import __version__, io
 from .analysis import (
     correlate,
+    included,
     multiplier_attribute_comparison,
     tertile_attribute_report,
     threshold_summary,
@@ -39,7 +40,7 @@ from .diffusion import (
     recovered_counts,
     run_diffusion,
 )
-from .empirical import VisitSeries, compute_recovery_duration, weekly_difference
+from .empirical import VisitSeries, align_durations, compute_recovery_duration, durations_to_weeks
 from .errors import ConfigError, DataError, RecovnetError
 from .fitting import (
     DEFAULT_SEED_CUTOFF_WEEKS,
@@ -200,7 +201,7 @@ OPTIONS = (
     Option("first_update_week", _integer, DEFAULT_FIRST_UPDATE_WEEK, "first update week",
            SCHEDULE),
     Option("seed_cutoff", _number, DEFAULT_SEED_CUTOFF_WEEKS, "seed duration cutoff in weeks",
-           ("fit", "baseline", "analyze")),
+           ("fit", "baseline")),
     Option("population_size", _integer, 10, "GA population size", GA, staged=True),
     Option("max_iterations", _integer, {"fit": 10_000, "multipliers": 2_000},
            "GA generation budget", GA, staged=True),
@@ -440,9 +441,9 @@ def cmd_fit(s: argparse.Namespace) -> int:
     io.write_thresholds(result.thresholds, out / "thresholds.csv")
     io.write_generation_stats(history, out / "generations.csv", include_seconds=False)
     io.write_generation_stats(history, out / "ga_timing.csv", include_seconds=True)
-    graph = problem.graph
-    simulated = run_diffusion(graph, result.thresholds, all_affected(graph.n), problem.schedule)
-    io.write_trajectory(graph.nodes, simulated, out / "trajectory.csv")
+    graph, schedule = problem.graph, problem.schedule
+    weeks = run_diffusion(graph, result.thresholds, all_affected(graph.n), schedule)
+    io.write_trajectory(graph.nodes, weeks, schedule.horizon, out / "trajectory.csv")
 
     report = {
         "final_loss": result.final_loss,
@@ -505,7 +506,6 @@ def _align_thresholds(tau, graph):
 
 
 def cmd_multipliers(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
     graph = _load_graph(s)
     thresholds = _align_thresholds(
         io.read_thresholds(_require_file(s.thresholds, "thresholds")), graph
@@ -516,13 +516,16 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
 
     candidate_pool = None
     if s.pool == "unrecovered":
-        base = run_diffusion(graph, thresholds, all_affected(graph.n), schedule)
-        candidate_pool = tuple(
-            node for node, recovered in zip(graph.nodes, base[-1]) if not recovered
-        )
+        weeks = run_diffusion(graph, thresholds, all_affected(graph.n), schedule)
+        candidate_pool = tuple(node for node, w in zip(graph.nodes, weeks) if w == 0)
         if not candidate_pool:
             raise DataError("cannot restrict pool to unrecovered nodes: none exist")
+    pool_size = len(candidate_pool or graph.nodes)
+    if max(s.sizes) > pool_size:
+        raise ConfigError(f"sizes must be at most the {s.pool!r} candidate pool's "
+                          f"{pool_size} nodes, got {max(s.sizes)}")
 
+    out = _out_dir(s)
     results = []
     for size in s.sizes:
         problem = MultiplierProblem(
@@ -585,13 +588,7 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         "correlations": {},
     }
 
-    included = [
-        (node, value)
-        for node, value, seed in zip(thresholds.node_ids, thresholds.values, thresholds.seed_mask)
-        if s.include_seeds or not seed
-    ]
-    included_ids = [node for node, _ in included]
-    tau_values = np.array([value for _, value in included])
+    included_ids, tau_values = included(thresholds, s.include_seeds)
     for attribute in attrs.available_attributes():
         values = attrs.values(attribute, included_ids)
         try:
@@ -622,17 +619,17 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         aligned = _align_thresholds(thresholds, graph)
         durations = io.read_durations(_require_file(s.durations, "durations"))
         schedule = DiffusionSchedule(s.horizon, s.first_update_week)
-        problem = build_fit_problem(graph, durations, s.seed_cutoff, schedule)
+        empirical = durations_to_weeks(align_durations(durations, graph.nodes), s.horizon)
         simulated = run_diffusion(graph, aligned, all_affected(graph.n), schedule)
-        diff, cumulative = weekly_difference(problem.empirical, simulated)
-        empirical_counts = recovered_counts(problem.empirical)
-        simulated_counts = recovered_counts(simulated)
+        empirical_counts = recovered_counts(empirical, s.horizon)
+        simulated_counts = recovered_counts(simulated, s.horizon)
+        diff = empirical_counts - simulated_counts
         io.write_table(
             out / "recovery_curves.csv",
             ["week", "empirical_recovered", "simulated_recovered",
              "difference", "cumulative_difference"],
-            ([week, int(empirical_counts[week]), int(simulated_counts[week]),
-              int(diff[week]), int(cumulative[week])] for week in range(len(diff))),
+            zip(range(s.horizon + 1), empirical_counts.tolist(), simulated_counts.tolist(),
+                diff.tolist(), diff.cumsum().tolist()),
         )
         report["recovery_curves_file"] = "recovery_curves.csv"
 
@@ -679,7 +676,7 @@ def cmd_synth(s: argparse.Namespace) -> int:
     instance = generate_instance(spec)
     write_instance(instance, spec, out)
     _write_manifest(out, s)
-    unrecovered = int(instance.graph.n - instance.trajectory[-1].sum())
+    unrecovered = int(np.count_nonzero(instance.weeks == 0))
     print(
         f"synthesized {instance.graph.n} nodes / {instance.graph.m} edges, "
         f"{int(instance.thresholds.seed_mask.sum())} seeds, "

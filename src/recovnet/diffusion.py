@@ -4,6 +4,10 @@ A node flips from affected (0) to recovered (1) once the fraction of its
 neighbors already recovered reaches its threshold; recovered nodes never
 revert. Updates are synchronous from the previous week's state, start at a
 configurable week, and stop at the horizon.
+
+A run is therefore described in full by each node's recovered weeks w in
+0..horizon (the node recovers at week horizon + 1 - w; w = 0 means never),
+which is what simulations return.
 """
 
 from __future__ import annotations
@@ -235,29 +239,23 @@ def run_diffusion(
     initial: np.ndarray,
     schedule: DiffusionSchedule = DiffusionSchedule(),
 ) -> np.ndarray:
-    """Simulate weeks 0..horizon; returns a (horizon+1, n) boolean trajectory.
+    """Simulate weeks 1..horizon from the initial state; returns each node's
+    recovered weeks (0 = never recovered), as DiffusionKernel.weeks_recovered.
 
-    Week 0 is the initial state; weeks before first_update_week copy it;
-    every later week applies one synchronous threshold update. Once a week
-    repeats its predecessor the remaining weeks are filled with copies (the
-    update rule is at a fixed point).
+    Weeks before first_update_week keep the initial state; every later week
+    applies one synchronous threshold update.
     """
     check_aligned(g, tau)
     state = _as_state(initial, g.n, "initial state")
     kernel = DiffusionKernel(g, schedule)
-    weeks = kernel.weeks_recovered(kernel.need(tau.values[:, None]), state[:, None])[:, 0]
-    first_recovered = schedule.horizon + 1 - weeks
-    states = np.arange(schedule.horizon + 1)[:, None] >= first_recovered[None, :]
-    states[0] = state
-    return states
+    return kernel.weeks_recovered(kernel.need(tau.values[:, None]), state[:, None])[:, 0]
 
 
-def recovered_counts(trajectory: np.ndarray) -> np.ndarray:
-    """Number of recovered nodes at the end of each week, t = 0..horizon."""
-    traj = np.asarray(trajectory)
-    if traj.ndim != 2:
-        raise ValueError(f"trajectory must be 2-D (weeks x nodes), got {traj.shape}")
-    return traj.astype(np.int64).sum(axis=1)
+def recovered_counts(weeks: np.ndarray, horizon: int) -> np.ndarray:
+    """Number of recovered nodes at the end of each week t = 0..horizon, for
+    nodes with the given recovered weeks; week 0 is the all-affected start."""
+    first_recovered = horizon + 1 - np.asarray(weeks, dtype=np.int64)
+    return np.bincount(first_recovered, minlength=horizon + 2)[: horizon + 1].cumsum()
 
 
 def all_affected(n: int) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Observed recovery: durations from visit series, empirical trajectories,
-and the 0-1 loss against simulated trajectories.
+"""Observed recovery: durations from visit series, empirical recovered
+weeks, and the 0-1 loss against simulated recovered weeks.
 
 A unit counts as recovered on the first day its smoothed visit count holds
 at or above a fraction of its pre-event baseline for a run of consecutive
 days; the duration is that day expressed in weeks, capped at 14.
+Recovery never reverts, so a node's weekly states are fixed by the number
+of weeks 1..T it spends recovered.
 """
 
 from __future__ import annotations
@@ -123,37 +125,30 @@ def validate_durations(durations: Sequence[float], horizon: int = CAP_WEEKS) -> 
     return arr
 
 
-def durations_to_trajectory(
-    durations: Sequence[float], horizon: int = CAP_WEEKS
-) -> np.ndarray:
-    """Empirical (horizon+1, n) trajectory: node i recovered at week t iff
-    its duration is <= t. Durations must already be capped at the horizon."""
+def durations_to_weeks(durations: Sequence[float], horizon: int = CAP_WEEKS) -> np.ndarray:
+    """Empirical recovered weeks: a node with duration d is recovered at
+    week t iff d <= t, so for weeks 1..horizon it spends horizon + 1 -
+    ceil(d) of them recovered. Durations must already be capped at the
+    horizon."""
     arr = validate_durations(durations, horizon)
-    weeks = np.arange(horizon + 1, dtype=np.float64)
-    return weeks[:, None] >= arr[None, :]
+    return (horizon + 1 - np.ceil(arr)).astype(np.int64)
 
 
-def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int:
-    """Count of node-week cells where the trajectories disagree, weeks 1..T
-    (week 0 excluded)."""
-    s = np.asarray(empirical)
-    s_hat = np.asarray(simulated)
-    if s.shape != s_hat.shape:
-        raise ValueError(f"trajectory shapes differ: {s.shape} vs {s_hat.shape}")
-    return int(np.sum(s[1:] != s_hat[1:]))
+def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int | np.ndarray:
+    """Count of node-week cells, weeks 1..T, where two trajectories given as
+    recovered weeks disagree: |empirical - simulated| summed over nodes.
 
-
-def weekly_difference(
-    empirical: np.ndarray, simulated: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-week difference in recovered counts (empirical minus simulated)
-    and its running sum, both over weeks 0..T."""
-    s = np.asarray(empirical)
-    s_hat = np.asarray(simulated)
-    if s.shape != s_hat.shape:
-        raise ValueError(f"trajectory shapes differ: {s.shape} vs {s_hat.shape}")
-    diff = s.astype(np.int64).sum(axis=1) - s_hat.astype(np.int64).sum(axis=1)
-    return diff, np.cumsum(diff)
+    A simulated n x P matrix gives one loss per column (against an n-vector
+    or an n x P empirical matrix); two n-vectors give one integer.
+    """
+    s = np.asarray(empirical, dtype=np.int64)
+    s_hat = np.asarray(simulated, dtype=np.int64)
+    if s.shape != s_hat.shape and not (s.ndim == 1 and s_hat.shape[:1] == s.shape):
+        raise ValueError(f"week count shapes differ: {s.shape} vs {s_hat.shape}")
+    if s.ndim < s_hat.ndim:
+        s = s[:, None]
+    loss = np.abs(s - s_hat).sum(axis=0)
+    return int(loss) if loss.ndim == 0 else loss
 
 
 def _first_ten(ids: Sequence[str]) -> str:

@@ -1,6 +1,6 @@
 """Stage-1 optimization: estimate per-node thresholds from observed
 recovery durations by minimizing the 0-1 loss between the simulated and
-empirical trajectories.
+empirical trajectories, both held as each node's recovered weeks.
 
 Nodes recovering faster than the seed cutoff are pinned at threshold zero
 and excluded from the chromosome; the GA optimizes only the free nodes.
@@ -18,11 +18,9 @@ from .diffusion import (
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
-    all_affected,
     map_column_chunks,
-    run_diffusion,
 )
-from .empirical import align_durations, durations_to_trajectory, validate_durations, zero_one_loss
+from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
 from .ga import GaConfig, GaResult, GenerationRecord, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
@@ -32,11 +30,7 @@ DEFAULT_SEED_CUTOFF_WEEKS = 3.0
 
 @dataclass(eq=False)
 class FitProblem:
-    """A graph, the empirical trajectory, and the seed/free node split.
-
-    The empirical trajectory must be monotone (as built from durations):
-    the loss is then the per-node gap between recovered-week counts.
-    """
+    """A graph, the empirical recovered weeks, and the seed/free node split."""
 
     graph: SpatialGraph
     empirical: np.ndarray
@@ -48,9 +42,6 @@ class FitProblem:
     def __post_init__(self) -> None:
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self.free_indices = np.flatnonzero(~self.seed_mask)
-        self._empirical_weeks = (
-            np.asarray(self.empirical)[1:].sum(axis=0).astype(self.kernel.weeks_dtype)[:, None]
-        )
 
     @property
     def free_count(self) -> int:
@@ -64,7 +55,7 @@ class FitProblem:
             values[self.free_indices] = rows.T
             affected = np.zeros(values.shape, dtype=bool)
             weeks = self.kernel.weeks_recovered(self.kernel.need(values), affected)
-            return np.abs(weeks - self._empirical_weeks).sum(axis=0, dtype=np.int64)
+            return zero_one_loss(self.empirical, weeks)
 
         return map_column_chunks(chunk, chromosomes, self.graph.n)
 
@@ -95,7 +86,7 @@ def build_fit_problem(
     schedule: DiffusionSchedule = DiffusionSchedule(),
 ) -> FitProblem:
     """Split nodes into seeds (duration below the cutoff) and free nodes,
-    and build the empirical trajectory from the duration table.
+    and take the empirical recovered weeks from the duration table.
 
     Warns when the seed set is empty (nothing can ever recover from an
     all-affected start) and when a seed's empirical recovery week differs
@@ -104,9 +95,8 @@ def build_fit_problem(
     if seed_cutoff_weeks <= 0:
         raise ConfigError(f"seed_cutoff_weeks must be > 0, got {seed_cutoff_weeks}")
     values = align_durations(durations, graph.nodes)
-    validate_durations(values, schedule.horizon)
+    empirical = durations_to_weeks(values, schedule.horizon)
     seed_mask = values < seed_cutoff_weeks
-    empirical = durations_to_trajectory(values, schedule.horizon)
 
     if not seed_mask.any():
         warnings.warn(
@@ -134,22 +124,19 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     """
     if problem.free_count == 0:
         loss = int(problem.losses(np.empty((1, 0)))[0])
-        tau = ThresholdVector.assemble(problem.graph.nodes, problem.seed_mask, np.empty(0))
-        trivial = GaResult(
+        result = GaResult(
             best_chromosome=np.empty(0),
             best_fitness=loss,
             history=[GenerationRecord(generation=0, best_fitness=loss, seconds=0.0)],
         )
-        return FitResult(thresholds=tau, final_loss=loss, ga_result=trivial)
-
-    encoding = RealVectorEncoding(problem.free_count)
-    result = run_ga(problem.losses, direction="minimize", encoding=encoding, config=config)
+    else:
+        encoding = RealVectorEncoding(problem.free_count)
+        result = run_ga(problem.losses, direction="minimize", encoding=encoding, config=config)
     tau = ThresholdVector.assemble(
         problem.graph.nodes, problem.seed_mask, result.best_chromosome
     )
     # re-simulate rather than trust the GA bookkeeping
-    simulated = run_diffusion(problem.graph, tau, all_affected(problem.graph.n), problem.schedule)
-    final_loss = zero_one_loss(problem.empirical, simulated)
+    final_loss = int(problem.losses(result.best_chromosome[None])[0])
     return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result)
 
 

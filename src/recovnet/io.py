@@ -336,18 +336,18 @@ def write_thresholds(tau: ThresholdVector, path: str | Path) -> None:
 
 
 def write_trajectory(
-    node_ids: Sequence[str], trajectory: np.ndarray, path: str | Path
+    node_ids: Sequence[str], weeks: np.ndarray, horizon: int, path: str | Path
 ) -> None:
-    """Long-form trajectory export: one row per (id, week)."""
-    trajectory = np.asarray(trajectory)
-    if trajectory.shape[1] != len(node_ids):
-        raise ValueError(
-            f"trajectory has {trajectory.shape[1]} columns for {len(node_ids)} nodes"
-        )
+    """Long-form trajectory export, one row per (id, week) for weeks
+    0..horizon: a node with w recovered weeks is recovered from week
+    horizon + 1 - w on."""
+    first = horizon + 1 - np.asarray(weeks, dtype=np.int64)
+    if first.shape != (len(node_ids),):
+        raise ValueError(f"{first.shape} recovered-week counts for {len(node_ids)} nodes")
     write_table(path, ["id", "week", "state"], (
-        [node, week, int(trajectory[week, i])]
-        for i, node in enumerate(node_ids)
-        for week in range(trajectory.shape[0])
+        [node, week, int(week >= start)]
+        for node, start in zip(node_ids, first.tolist())
+        for week in range(horizon + 1)
     ))
 
 

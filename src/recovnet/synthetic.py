@@ -3,8 +3,8 @@ squares, planted thresholds, durations obtained by forward simulation, and
 attributes rank-correlated with the planted thresholds.
 
 Because durations come from simulating the planted thresholds, the planted
-chromosome reproduces the empirical trajectory exactly (up to nodes that
-never recover, which the 14-week cap marks recovered at the horizon).
+chromosome reproduces the empirical recovered weeks exactly (up to nodes
+that never recover, which the 14-week cap marks recovered at the horizon).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .analysis import AttributeRow, AttributeTable
-from .diffusion import DiffusionSchedule, ThresholdVector, all_affected, run_diffusion
+from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, all_affected, run_diffusion
 from .errors import ConfigError
 from .graph import ContiguityRule, SpatialGraph, SpatialUnit, build_contiguity_graph
 
@@ -74,13 +74,13 @@ class SynthSpec:
 
 @dataclass(eq=False)
 class SyntheticInstance:
-    """Everything the pipeline consumes, plus the planted forward trajectory."""
+    """Everything the pipeline consumes, plus the planted run's recovered weeks."""
 
     graph: SpatialGraph
     thresholds: ThresholdVector
     durations: dict[str, float]
     attributes: AttributeTable
-    trajectory: np.ndarray
+    weeks: np.ndarray
 
 
 def grid_units(count: int) -> list[SpatialUnit]:
@@ -160,18 +160,11 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
     free_values = rng.uniform(spec.threshold_low, spec.threshold_high, int((~seed_mask).sum()))
     tau = ThresholdVector.assemble(graph.nodes, seed_mask, free_values)
 
-    schedule = DiffusionSchedule()
-    trajectory = run_diffusion(graph, tau, all_affected(n), schedule)
-
-    durations: dict[str, float] = {}
-    for i, node in enumerate(graph.nodes):
-        if seed_mask[i]:
-            durations[node] = SEED_DURATION_WEEKS
-        elif trajectory[-1, i]:
-            first_week = int(np.argmax(trajectory[:, i]))
-            durations[node] = float(first_week)
-        else:
-            durations[node] = float(schedule.horizon)
+    weeks = run_diffusion(graph, tau, all_affected(n))
+    # a node's first recovered week; one that never recovers gets the horizon
+    first_week = np.minimum(DEFAULT_HORIZON_WEEKS + 1 - weeks, DEFAULT_HORIZON_WEEKS)
+    values = np.where(seed_mask, SEED_DURATION_WEEKS, first_week.astype(np.float64))
+    durations = dict(zip(graph.nodes, values.tolist()))
 
     attributes = _coupled_attributes(graph, tau, spec.attribute_coupling, rng)
     return SyntheticInstance(
@@ -179,7 +172,7 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
         thresholds=tau,
         durations=durations,
         attributes=attributes,
-        trajectory=trajectory,
+        weeks=weeks,
     )
 
 
@@ -226,6 +219,6 @@ def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str 
     io.write_attributes(instance.attributes, directory / "attributes.csv")
     io.write_thresholds(instance.thresholds, directory / "planted_thresholds.csv")
     io.write_trajectory(
-        instance.graph.nodes, instance.trajectory, directory / "trajectory.csv"
+        instance.graph.nodes, instance.weeks, DEFAULT_HORIZON_WEEKS, directory / "trajectory.csv"
     )
     io.write_json(asdict(spec), directory / "instance.json")

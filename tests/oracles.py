@@ -92,3 +92,9 @@ def naive_diffusion(neighbors, thresholds, initial, horizon=14, first_update_wee
         state = new_state
         weeks.append(dict(state))
     return weeks
+
+
+def recovered_weeks(weeks):
+    """Weeks 1..horizon that each node spends recovered in a naive_diffusion
+    run (its list of weekly states)."""
+    return {node: sum(state[node] for state in weeks[1:]) for node in weeks[0]}

@@ -20,16 +20,16 @@ from recovnet import (
     brute_force_multipliers,
     build_contiguity_graph,
     build_fit_problem,
-    durations_to_trajectory,
+    durations_to_weeks,
     fit_thresholds,
     generate_instance,
     graph_metrics,
     increment_rate,
     random_baseline,
+    recovered_counts,
     run_diffusion,
     run_ga,
     search_multipliers,
-    weekly_difference,
     zero_one_loss,
 )
 from recovnet.cli import main
@@ -74,44 +74,45 @@ def test_criterion_03_diffusion_correctness():
         node_ids=g.nodes, values=np.array([0.0, 0.5, 1.0]),
         seed_mask=np.array([True, False, False]),
     )
-    traj = run_diffusion(g, tau, all_affected(3))
-    weeks = [int(np.argmax(traj[:, i])) for i in range(3)]
+    weeks = (15 - run_diffusion(g, tau, all_affected(3))).tolist()
     ok = weeks == [3, 4, 5]
 
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         n = int(rng.integers(2, 16))
         graph = random_graph(rng, n, edge_prob=0.3)
-        thresholds = ThresholdVector(node_ids=graph.nodes, values=rng.random(n))
+        values = rng.random(n)
+        thresholds = ThresholdVector(node_ids=graph.nodes, values=values)
         initial = rng.random(n) < 0.25
         first = run_diffusion(graph, thresholds, initial)
         second = run_diffusion(graph, thresholds, initial.copy())
         ok = ok and np.array_equal(first, second)
-        ok = ok and bool(np.all(np.diff(first.astype(int), axis=0) >= 0))
+        reference = oracles.recovered_weeks(oracles.naive_diffusion(
+            {u: sorted(graph.neighbors(u)) for u in graph.nodes},
+            dict(zip(graph.nodes, values)),
+            dict(zip(graph.nodes, initial.astype(int))),
+        ))
+        ok = ok and first.tolist() == [reference[u] for u in graph.nodes]
         if not ok:
             break
-    report(3, ok, f"path recovers at weeks {weeks}; determinism and monotonicity "
-                  "hold on 1000 random instances")
+    report(3, ok, f"path recovers at weeks {weeks}; determinism and the dict oracle's "
+                  "recovered weeks hold on 1000 random instances")
 
 
 def test_criterion_04_loss_correctness():
     def one_node(week):
-        states = np.zeros((15, 1), dtype=bool)
-        if week:
-            states[week:, 0] = True
-        return states
+        """Recovered weeks of one node first recovering at `week` (0 = never)."""
+        return np.array([15 - week if week else 0])
 
     hand_cases = [(3, 6, 3), (6, 3, 3), (1, 14, 13), (5, 0, 10), (2, 9, 7)]
     ok = all(
         zero_one_loss(one_node(emp), one_node(sim)) == expected
         for emp, sim, expected in hand_cases
     )
-    traj = durations_to_trajectory([3.0, 7.5, 14.0])
-    ok = ok and zero_one_loss(traj, traj) == 0
+    weeks = durations_to_weeks([3.0, 7.5, 14.0])
+    ok = ok and zero_one_loss(weeks, weeks) == 0
     n = 6
-    full_emp = np.zeros((15, n), dtype=bool)
-    full_emp[1:] = True
-    ok = ok and zero_one_loss(full_emp, np.zeros((15, n), dtype=bool)) == 14 * n
+    ok = ok and zero_one_loss(np.full(n, 14), np.zeros(n, dtype=int)) == 14 * n
     report(4, ok, f"{len(hand_cases)} hand-enumerated cases, identity = 0, "
                   f"full disagreement = 14n")
 
@@ -119,7 +120,7 @@ def test_criterion_04_loss_correctness():
 @pytest.fixture(scope="module")
 def planted_50():
     instance = generate_instance(SynthSpec(node_count=50, seed_fraction=0.2, rng_seed=7))
-    assert instance.trajectory[-1].all(), "instance must fully recover for the round trip"
+    assert instance.weeks.all(), "instance must fully recover for the round trip"
     problem = build_fit_problem(instance.graph, instance.durations)
     return instance, problem
 
@@ -129,7 +130,7 @@ def test_criterion_05_planted_round_trip(planted_50):
     ok = True
     for seed in (1, 2, 3):
         other = generate_instance(SynthSpec(node_count=36, seed_fraction=0.25, rng_seed=seed))
-        if not other.trajectory[-1].all():
+        if not other.weeks.all():
             continue
         other_problem = build_fit_problem(other.graph, other.durations)
         planted = other.thresholds.values[~other.thresholds.seed_mask]
@@ -177,12 +178,12 @@ def test_criterion_08_week14_cap_artifact():
         SynthSpec(node_count=36, seed_fraction=0.06, threshold_low=0.55,
                   threshold_high=0.95, rng_seed=3)
     )
-    unrecovered = int(instance.graph.n - instance.trajectory[-1].sum())
+    unrecovered = int(np.count_nonzero(instance.weeks == 0))
     assert unrecovered > 0, "need an instance the fitted simulation cannot finish"
-    empirical = durations_to_trajectory(
+    empirical = durations_to_weeks(
         [instance.durations[n] for n in instance.graph.nodes]
     )
-    diff, _ = weekly_difference(empirical, instance.trajectory)
+    diff = recovered_counts(empirical, 14) - recovered_counts(instance.weeks, 14)
     ok = diff[14] == unrecovered and not diff[:14].any()
     report(8, ok, f"diff(14) = {diff[14]} equals the {unrecovered} unrecovered nodes")
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+import oracles
 from recovnet import io
 from recovnet.cli import OPTIONS, default_multiplier_sizes, main
 
@@ -276,6 +278,24 @@ class TestPoolAndGeometry:
         ) == 0
         selected = io.read_multiplier_set(out / "multipliers_N1.csv")
         assert set(selected) <= {"s2", "s3"}
+
+    @pytest.mark.parametrize("sizes,named", [(["--sizes", "1,2,500"], "got 500"),
+                                             ([], "got 3")])  # default sizes: 1 and 3
+    def test_sizes_beyond_pool_fail_before_any_output(self, tmp_path, capsys, sizes, named):
+        geometry = _grid_geojson(tmp_path / "grid.geojson", size=5)
+        # every unit is a seed except g00 and g01, which each wait for the other
+        stuck = {"g00", "g01"}
+        thresholds = tmp_path / "thresholds.csv"
+        thresholds.write_text("id,threshold,is_seed\n" + "".join(
+            f"g{r}{c},{1.0 if f'g{r}{c}' in stuck else 0.0},{0 if f'g{r}{c}' in stuck else 1}\n"
+            for r in range(5) for c in range(5)
+        ))
+        out = tmp_path / "mult"
+        assert run("multipliers", "--geometry", geometry, "--thresholds", thresholds,
+                   "--pool", "unrecovered", "--max-iterations", 2, *sizes, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "sizes" in err and "'unrecovered' candidate pool's 2 nodes" in err and named in err
+        assert not out.exists()
 
 
 class TestDurationsCommand:
@@ -572,6 +592,53 @@ class TestDeterminism:
                 assert a_file.read_bytes() == (b_dir / a_file.name).read_bytes(), a_file.name
 
 
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+class TestTablesAgainstOracle:
+    """Weekly state tables are built only where they are written: each must
+    equal the dict oracle run on the thresholds the pipeline wrote."""
+
+    def test_trajectories_and_simulated_curve(self, tmp_path):
+        synth, fit, analysis = tmp_path / "synth", tmp_path / "fit", tmp_path / "analysis"
+        edges, durations = synth / "edges.csv", synth / "durations.csv"
+        assert run("synth", "--nodes", 30, "--kind", "perturbed_grid", "--seed-fraction", 0.1,
+                   "--threshold-low", 0.3, "--threshold-high", 0.9, "--rng-seed", 4,
+                   "--out", synth) == 0
+        assert run("fit", "--edges", edges, "--durations", durations, "--max-iterations", 20,
+                   "--rng-seed", 1, "--out", fit) == 0
+        assert run("analyze", "--thresholds", fit / "thresholds.csv",
+                   "--attributes", synth / "attributes.csv", "--edges", edges,
+                   "--durations", durations, "--out", analysis) == 0
+
+        neighbors: dict[str, list[str]] = {}
+        for src, dst in _rows(edges):
+            neighbors.setdefault(src, []).append(dst)
+            neighbors.setdefault(dst, []).append(src)
+
+        def oracle(thresholds_path):
+            thresholds = {node: float(value) for node, value, _ in _rows(thresholds_path)}
+            return oracles.naive_diffusion(neighbors, thresholds, dict.fromkeys(neighbors, 0))
+
+        for directory, thresholds_path in ((synth, synth / "planted_thresholds.csv"),
+                                           (fit, fit / "thresholds.csv")):
+            states = oracle(thresholds_path)
+            written = _rows(directory / "trajectory.csv")
+            assert len(written) == len(neighbors) * len(states)
+            for node, week, state in written:
+                assert int(state) == states[int(week)][node], (directory.name, node, week)
+
+        states = oracle(fit / "thresholds.csv")
+        assert 0 < sum(states[-1].values()) < len(neighbors)  # a curve with some shape
+        observed = [float(d) for _, d in _rows(durations)]
+        curve = [list(map(int, row)) for row in _rows(analysis / "recovery_curves.csv")]
+        assert [row[0] for row in curve] == list(range(15))
+        assert [row[1] for row in curve] == [sum(d <= t for d in observed) for t in range(15)]
+        assert [row[2] for row in curve] == [sum(state.values()) for state in states]
+
+
 def _grid_geojson(path: Path, size: int = 3) -> Path:
     features = [
         {
@@ -630,7 +697,7 @@ class TestOptionTable:
             "analyze": {**schedule, "thresholds": thresholds,
                         "attributes": str(instance_dir / "attributes.csv"),
                         "include_seeds": True, "edges": edges, "durations": durations,
-                        "seed_cutoff": 2.75, "multipliers_dir": str(mult_dir)},
+                        "multipliers_dir": str(mult_dir)},
             "synth": {"nodes": 12, "kind": "perturbed_grid", "seed_fraction": 0.25,
                       "threshold_low": 0.2, "threshold_high": 0.7, "coupling": -0.5,
                       "edge_removal_fraction": 0.1, "rng_seed": 3},
@@ -710,6 +777,25 @@ class TestOptionTable:
                    "--durations", instance_dir / "durations.csv",
                    "--config", path, "--out", out) == 0
         assert json.loads((out / "fit_report.json").read_text())["generations"] == 4
+
+    def test_analyze_ignores_seed_cutoff_key(self, tmp_path, instance_dir, capsys):
+        """A config file shared with fit may hold seed_cutoff; analyze has no
+        flag for it and runs unchanged."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed_cutoff": 2.75}))
+        common = ["analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                  "--attributes", instance_dir / "attributes.csv",
+                  "--edges", instance_dir / "edges.csv",
+                  "--durations", instance_dir / "durations.csv"]
+        assert run(*common, "--config", path, "--out", tmp_path / "a") == 0
+        assert run(*common, "--out", tmp_path / "b") == 0
+        for name in ("analysis_report.json", "recovery_curves.csv", "tertile_members.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        settings = json.loads((tmp_path / "a" / "manifest.json").read_text())["settings"]
+        assert "seed_cutoff" not in settings
+        capsys.readouterr()
+        assert run(*common, "--seed-cutoff", 2.75, "--out", tmp_path / "c") == 1
+        assert "--seed-cutoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,named", [
         (["--sizes", "2,2"], "--sizes lists 2 more than once"),

@@ -53,7 +53,7 @@ class TestSchedule:
 
 def step(g, prev, tau):
     """One synchronous update from prev: week 1 of a one-week schedule."""
-    return run_diffusion(g, tau, prev, DiffusionSchedule(horizon=1, first_update_week=1))[1]
+    return run_diffusion(g, tau, prev, DiffusionSchedule(horizon=1, first_update_week=1)) > 0
 
 
 class TestDiffusionStep:
@@ -87,30 +87,42 @@ class TestDiffusionStep:
             assert step(g, np.zeros(1), tau).tolist() == [False]
 
 
+def oracle_weeks(g, values, initial, horizon=14, first_update_week=3):
+    """Recovered weeks of the dict oracle, in graph node order."""
+    states = oracles.naive_diffusion(
+        {u: sorted(g.neighbors(u)) for u in g.nodes},
+        dict(zip(g.nodes, values)),
+        dict(zip(g.nodes, np.asarray(initial).astype(int))),
+        horizon,
+        first_update_week,
+    )
+    weeks = oracles.recovered_weeks(states)
+    return [weeks[u] for u in g.nodes]
+
+
 class TestRunDiffusion:
     def test_path_recovery_weeks(self, path_graph, path_tau):
-        traj = run_diffusion(path_graph, path_tau, all_affected(3))
-        first_week = [int(np.argmax(traj[:, i])) for i in range(3)]
-        assert first_week == [3, 4, 5]
-        assert traj.shape == (15, 3)
+        weeks = run_diffusion(path_graph, path_tau, all_affected(3))
+        assert weeks.shape == (3,)
+        # recovered from week 15 - w on: weeks 3, 4 and 5
+        assert weeks.tolist() == [12, 11, 10]
 
     def test_all_zero_thresholds_recover_at_first_update(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        traj = run_diffusion(path_graph, tau, all_affected(3))
-        assert traj[2].sum() == 0
-        assert traj[3].sum() == 3
+        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        assert weeks.tolist() == [12, 12, 12]  # weeks 3..14
 
     def test_all_one_thresholds_never_recover(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        traj = run_diffusion(path_graph, tau, all_affected(3))
-        assert traj.sum() == 0
+        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        assert not weeks.any()
 
     def test_initial_state_preserved_before_first_update(self, path_graph, path_tau):
         initial = np.array([0, 1, 0])
-        traj = run_diffusion(path_graph, path_tau, initial)
-        assert traj[0].tolist() == [False, True, False]
-        assert traj[1].tolist() == [False, True, False]
-        assert traj[2].tolist() == [False, True, False]
+        weeks = run_diffusion(path_graph, path_tau, initial)
+        # B is recovered for all 14 weeks; A (threshold 0) and C (its one
+        # neighbour B recovered) wait for the first update, week 3
+        assert weeks.tolist() == [12, 14, 12]
 
     def test_matches_dict_oracle_on_random_instances(self):
         rng = np.random.default_rng(123)
@@ -120,14 +132,10 @@ class TestRunDiffusion:
             values = np.round(rng.random(n), 3)
             tau = ThresholdVector(node_ids=g.nodes, values=values)
             initial = rng.random(n) < 0.2
-            traj = run_diffusion(g, tau, initial)
-            ref = oracles.naive_diffusion(
-                {u: sorted(g.neighbors(u)) for u in g.nodes},
-                dict(zip(g.nodes, values)),
-                dict(zip(g.nodes, initial.astype(int))),
-            )
-            for week, states in enumerate(ref):
-                assert traj[week].tolist() == [bool(states[u]) for u in g.nodes]
+            for horizon, first in ((14, 3), (6, 1), (5, 5)):
+                schedule = DiffusionSchedule(horizon, first)
+                weeks = run_diffusion(g, tau, initial, schedule)
+                assert weeks.tolist() == oracle_weeks(g, values, initial, horizon, first)
 
     def test_deterministic_and_monotone(self):
         rng = np.random.default_rng(99)
@@ -139,13 +147,15 @@ class TestRunDiffusion:
             a = run_diffusion(g, tau, initial)
             b = run_diffusion(g, tau, initial.copy())
             assert np.array_equal(a, b)
-            assert np.all(np.diff(a.astype(int), axis=0) >= 0)
+            # a node recovered at week 0 stays recovered for every week
+            assert np.all(a[initial] == 14)
+            assert np.all((a >= 0) & (a <= 14))
 
     def test_fixed_point_propagates(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.0, 1.0, 1.0]))
-        traj = run_diffusion(path_graph, tau, all_affected(3))
-        # A flips at week 3; B needs 1/2 > ... 1.0 never; steady from week 3 on
-        assert np.array_equal(traj[3], traj[14])
+        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        # A flips at week 3; B needs 1/2 >= 1.0, never; steady from week 3 on
+        assert weeks.tolist() == [12, 0, 0]
 
     def test_lower_threshold_never_slows_recovery(self):
         rng = np.random.default_rng(7)
@@ -156,13 +166,14 @@ class TestRunDiffusion:
             node = int(rng.integers(n))
             lowered = values.copy()
             lowered[node] = values[node] * rng.random()
-            base = recovered_counts(
-                run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values), all_affected(n))
+            base = run_diffusion(
+                g, ThresholdVector(node_ids=g.nodes, values=values), all_affected(n)
             )
-            more = recovered_counts(
-                run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=lowered), all_affected(n))
+            more = run_diffusion(
+                g, ThresholdVector(node_ids=g.nodes, values=lowered), all_affected(n)
             )
-            assert np.all(more >= base)
+            assert np.all(more >= base)  # node by node, not only in total
+            assert np.all(recovered_counts(more, 14) >= recovered_counts(base, 14))
 
     def test_seed_dominance(self):
         rng = np.random.default_rng(17)
@@ -172,9 +183,10 @@ class TestRunDiffusion:
             tau = ThresholdVector(node_ids=g.nodes, values=rng.random(n))
             small = rng.random(n) < 0.2
             big = small | (rng.random(n) < 0.2)
-            counts_small = recovered_counts(run_diffusion(g, tau, small))
-            counts_big = recovered_counts(run_diffusion(g, tau, big))
-            assert np.all(counts_big >= counts_small)
+            weeks_small = run_diffusion(g, tau, small)
+            weeks_big = run_diffusion(g, tau, big)
+            assert np.all(weeks_big >= weeks_small)
+            assert np.all(recovered_counts(weeks_big, 14) >= recovered_counts(weeks_small, 14))
 
     def test_node_order_mismatch_rejected(self, path_graph):
         tau = ThresholdVector(node_ids=("B", "A", "C"), values=np.zeros(3))
@@ -184,23 +196,43 @@ class TestRunDiffusion:
 
 class TestRecoveredCounts:
     def test_path_counts(self, path_graph, path_tau):
-        traj = run_diffusion(path_graph, path_tau, all_affected(3))
-        counts = recovered_counts(traj)
+        weeks = run_diffusion(path_graph, path_tau, all_affected(3))
+        counts = recovered_counts(weeks, 14)
+        assert counts.shape == (15,)
         assert counts[:6].tolist() == [0, 0, 0, 1, 2, 3]
         assert np.all(counts[5:] == 3)
 
     def test_all_recovered_initial_constant(self, path_graph, path_tau):
-        traj = run_diffusion(path_graph, path_tau, np.ones(3))
-        assert np.all(recovered_counts(traj) == 3)
+        weeks = run_diffusion(path_graph, path_tau, np.ones(3))
+        counts = recovered_counts(weeks, 14)
+        # week 0 is the all-affected start; every node is recovered in weeks 1..14
+        assert counts[0] == 0
+        assert np.all(counts[1:] == 3)
 
     def test_never_recovering_constant_zero(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        traj = run_diffusion(path_graph, tau, all_affected(3))
-        assert np.all(recovered_counts(traj) == 0)
+        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        assert np.all(recovered_counts(weeks, 14) == 0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 12)
         tau = ThresholdVector(node_ids=g.nodes, values=rng.random(12))
-        counts = recovered_counts(run_diffusion(g, tau, rng.random(12) < 0.3))
+        counts = recovered_counts(run_diffusion(g, tau, rng.random(12) < 0.3), 14)
         assert np.all(np.diff(counts) >= 0)
+
+    def test_matches_oracle_weekly_states(self):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            n = int(rng.integers(2, 15))
+            g = random_graph(rng, n, edge_prob=0.3)
+            values = rng.random(n)
+            states = oracles.naive_diffusion(
+                {u: sorted(g.neighbors(u)) for u in g.nodes},
+                dict(zip(g.nodes, values)),
+                dict.fromkeys(g.nodes, 0),
+            )
+            weeks = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values),
+                                  all_affected(n))
+            expected = [sum(state.values()) for state in states]
+            assert recovered_counts(weeks, 14).tolist() == expected

@@ -9,8 +9,8 @@ import oracles
 from recovnet import (
     VisitSeries,
     compute_recovery_duration,
-    durations_to_trajectory,
-    weekly_difference,
+    durations_to_weeks,
+    recovered_counts,
     zero_one_loss,
 )
 from recovnet.empirical import moving_average
@@ -145,60 +145,70 @@ class TestComputeRecoveryDuration:
             compute_recovery_duration(make_series(dip_recover_visits()), ratio=0.0)
 
 
+def first_recovered_week(weeks, horizon=14):
+    """The week a node with these recovered weeks recovers (horizon + 1: never)."""
+    return horizon + 1 - np.asarray(weeks)
+
+
 class TestDurationsToTrajectory:
+    """durations_to_weeks: the empirical trajectory as recovered weeks."""
+
     def test_paper_minimum_duration(self):
-        traj = durations_to_trajectory([2.14])
-        assert traj[:, 0].astype(int).tolist() == [0, 0, 0] + [1] * 12
+        # weekly states 0, 0, 0, then recovered in weeks 3..14
+        assert durations_to_weeks([2.14]).tolist() == [12]
 
     def test_cap_boundary(self):
-        traj = durations_to_trajectory([14.0])
-        assert traj[13, 0] == False  # noqa: E712
-        assert traj[14, 0] == True  # noqa: E712
+        # affected through week 13, recovered at week 14 only
+        assert durations_to_weeks([14.0]).tolist() == [1]
+        assert first_recovered_week(durations_to_weeks([14.0])).tolist() == [14]
 
     def test_integer_duration_recovers_that_week(self):
-        traj = durations_to_trajectory([5.0])
-        assert traj[4, 0] == False  # noqa: E712
-        assert traj[5, 0] == True  # noqa: E712
+        # affected at week 4, recovered from week 5 on
+        assert first_recovered_week(durations_to_weeks([5.0])).tolist() == [5]
+        assert durations_to_weeks([4.01]).tolist() == durations_to_weeks([5.0]).tolist()
 
     def test_monotone_and_recovered_at_horizon(self):
         rng = np.random.default_rng(8)
         durations = rng.uniform(0.1, 14.0, size=40)
-        traj = durations_to_trajectory(durations)
-        assert np.all(np.diff(traj.astype(int), axis=0) >= 0)
-        assert traj[14].all()
-        assert not traj[0].any()
+        weeks = durations_to_weeks(durations)
+        # recovered at week 14 (w >= 1), never at week 0 (w <= 14)
+        assert np.all((weeks >= 1) & (weeks <= 14))
+        # the week a node first counts as recovered is the first t >= d
+        assert np.array_equal(first_recovered_week(weeks), np.ceil(durations))
+        assert np.array_equal(
+            weeks, [sum(1 for t in range(1, 15) if t >= d) for d in durations]
+        )
 
     def test_uncapped_duration_rejected(self):
         with pytest.raises(DataError, match="capped"):
-            durations_to_trajectory([15.0])
+            durations_to_weeks([15.0])
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(DataError, match="positive"):
-            durations_to_trajectory([0.0])
+            durations_to_weeks([0.0])
+
+    def test_horizon_sets_the_count(self):
+        assert durations_to_weeks([2.5, 10.0], horizon=10).tolist() == [8, 1]
+        with pytest.raises(DataError, match="capped at 10"):
+            durations_to_weeks([10.5], horizon=10)
 
 
-def single_node_trajectory(week, horizon=14):
-    """Column trajectory of one node recovering at `week` (0 = never)."""
-    states = np.zeros((horizon + 1, 1), dtype=bool)
-    if week:
-        states[week:, 0] = True
-    return states
+def weeks_of(week, horizon=14):
+    """Recovered weeks of one node first recovering at `week` (0 = never)."""
+    return np.array([horizon + 1 - week if week else 0])
 
 
 class TestZeroOneLoss:
     def test_identity_is_zero(self):
-        traj = durations_to_trajectory([3.0, 7.0, 14.0])
-        assert zero_one_loss(traj, traj) == 0
+        weeks = durations_to_weeks([3.0, 7.0, 14.0])
+        assert zero_one_loss(weeks, weeks) == 0
 
     def test_three_week_shift_costs_three(self):
-        assert zero_one_loss(single_node_trajectory(3), single_node_trajectory(6)) == 3
+        assert zero_one_loss(weeks_of(3), weeks_of(6)) == 3
 
     def test_full_disagreement_is_14n(self):
         n = 5
-        s = np.zeros((15, n), dtype=bool)
-        s[1:] = True
-        s_hat = np.zeros((15, n), dtype=bool)
-        assert zero_one_loss(s, s_hat) == 14 * n
+        assert zero_one_loss(np.full(n, 14), np.zeros(n, dtype=np.int8)) == 14 * n
 
     def test_hand_enumerated_cases(self):
         cases = [
@@ -209,55 +219,70 @@ class TestZeroOneLoss:
             (14, 14, 0),  # agreement at the cap
         ]
         for emp_week, sim_week, expected in cases:
-            loss = zero_one_loss(
-                single_node_trajectory(emp_week), single_node_trajectory(sim_week)
-            )
+            loss = zero_one_loss(weeks_of(emp_week), weeks_of(sim_week))
             assert loss == expected, (emp_week, sim_week)
 
     def test_symmetric(self):
         rng = np.random.default_rng(21)
-        a = rng.random((15, 9)) < 0.5
-        b = rng.random((15, 9)) < 0.5
+        a = rng.integers(0, 15, 9)
+        b = rng.integers(0, 15, 9)
         assert zero_one_loss(a, b) == zero_one_loss(b, a)
 
-    def test_week_zero_excluded(self):
-        a = np.zeros((15, 2), dtype=bool)
-        b = a.copy()
-        b[0] = True  # disagreement only at week 0
-        assert zero_one_loss(a, b) == 0
+    def test_counts_disagreeing_cells(self):
+        """Against the cellwise definition on the expanded weekly states."""
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 15, 30)
+        b = rng.integers(0, 15, 30)
+        week = np.arange(1, 15)[:, None]
+        cells = np.sum((week >= 15 - a) != (week >= 15 - b))
+        assert zero_one_loss(a, b) == cells
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_bounds(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        a = rng.random((15, n)) < 0.5
-        b = rng.random((15, n)) < 0.5
+        a = rng.integers(0, 15, n)
+        b = rng.integers(0, 15, n)
         assert 0 <= zero_one_loss(a, b) <= 14 * n
+
+    def test_columns_scored_separately(self):
+        empirical = np.array([12, 1, 0])
+        simulated = np.array([[12, 10, 0], [1, 1, 14], [0, 0, 0]])
+        assert zero_one_loss(empirical, simulated).tolist() == [0, 2, 25]
+        assert zero_one_loss(simulated, simulated).tolist() == [0, 0, 0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            zero_one_loss(np.zeros((15, 2)), np.zeros((15, 3)))
+            zero_one_loss(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="shapes"):
+            zero_one_loss(np.zeros(2), np.zeros((3, 2)))
 
 
 class TestWeeklyDifference:
+    """The recovery curves' difference: empirical minus simulated recovered
+    counts per week, as analyze writes it."""
+
+    @staticmethod
+    def difference(empirical, simulated):
+        diff = recovered_counts(empirical, 14) - recovered_counts(simulated, 14)
+        return diff, np.cumsum(diff)
+
     def test_identity_all_zero(self):
-        traj = durations_to_trajectory([3.0, 9.0])
-        diff, cumulative = weekly_difference(traj, traj)
+        weeks = durations_to_weeks([3.0, 9.0])
+        diff, cumulative = self.difference(weeks, weeks)
         assert not diff.any()
         assert not cumulative.any()
 
     def test_one_week_shift(self):
-        diff, cumulative = weekly_difference(
-            single_node_trajectory(3), single_node_trajectory(4)
-        )
+        diff, cumulative = self.difference(weeks_of(3), weeks_of(4))
         assert diff.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
         assert cumulative.tolist() == [0, 0, 0] + [1] * 12
 
     def test_cap_spike(self):
         # empirical caps at 14 while the simulation leaves both nodes affected
-        empirical = durations_to_trajectory([14.0, 14.0])
-        simulated = np.zeros((15, 2), dtype=bool)
-        diff, _ = weekly_difference(empirical, simulated)
+        empirical = durations_to_weeks([14.0, 14.0])
+        simulated = np.zeros(2, dtype=np.int8)
+        diff, _ = self.difference(empirical, simulated)
         assert diff[14] == 2
         assert not diff[:14].any()

@@ -8,7 +8,7 @@ from recovnet import (
     GaConfig,
     SynthSpec,
     build_fit_problem,
-    durations_to_trajectory,
+    durations_to_weeks,
     fit_thresholds,
     generate_instance,
     random_baseline,
@@ -54,8 +54,8 @@ class TestBuildFitProblem:
             build_fit_problem(path_graph, {"A": 2.5, "B": 4.0, "C": 5.0}, seed_cutoff_weeks=0)
 
     def test_empirical_matches_durations(self, path_problem):
-        expected = durations_to_trajectory([2.5, 4.0, 5.0])
-        assert np.array_equal(path_problem.empirical, expected)
+        assert path_problem.empirical.tolist() == [12, 11, 10]
+        assert np.array_equal(path_problem.empirical, durations_to_weeks([2.5, 4.0, 5.0]))
 
 
 class TestFitFitness:
@@ -107,13 +107,14 @@ class TestFitThresholds:
             path_problem.schedule,
         )
         assert zero_one_loss(path_problem.empirical, simulated) == result.final_loss
+        assert isinstance(result.final_loss, int)
 
     def test_custom_horizon(self, path_graph):
         schedule = DiffusionSchedule(horizon=10, first_update_week=3)
         problem = build_fit_problem(
             path_graph, {"A": 2.5, "B": 4.0, "C": 10.0}, schedule=schedule
         )
-        assert problem.empirical.shape == (11, 3)
+        assert problem.empirical.tolist() == [8, 7, 1]  # weeks 3..10, 4..10, 10
         # sim: A week 3, B week 4, C week 5; empirically C waits until week 10,
         # so the simulation is wrong for C on weeks 5-9
         assert problem.losses(np.array([0.5, 1.0])[None])[0] == 5

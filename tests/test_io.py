@@ -239,11 +239,13 @@ class TestWriters:
 
     def test_trajectory_long_form(self, tmp_path):
         path = tmp_path / "trajectory.csv"
-        trajectory = np.array([[0, 0], [1, 0], [1, 1]], dtype=bool)
-        io.write_trajectory(["a", "b"], trajectory, path)
+        # a recovers from week 1 on (2 recovered weeks), b at week 2 (1 week)
+        io.write_trajectory(["a", "b"], np.array([2, 1], dtype=np.int8), 2, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "id,week,state"
-        assert lines[1:4] == ["a,0,0", "a,1,1", "a,2,1"]
+        assert lines[1:] == ["a,0,0", "a,1,1", "a,2,1", "b,0,0", "b,1,0", "b,2,1"]
+        with pytest.raises(ValueError, match="2 nodes"):
+            io.write_trajectory(["a", "b"], np.array([2, 1, 0]), 2, path)
 
     def test_generation_stats_layouts(self, tmp_path):
         from recovnet import GenerationRecord

@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 from recovnet import (
     SynthSpec,
     build_fit_problem,
-    durations_to_trajectory,
+    durations_to_weeks,
     generate_instance,
     grid_units,
 )
@@ -57,13 +57,13 @@ class TestGenerateInstance:
             SynthSpec(node_count=25, seed_fraction=0.2, threshold_low=0.1,
                       threshold_high=0.6, rng_seed=0)
         )
-        assert instance.trajectory[-1].all()  # precondition: no capped nodes
-        empirical = durations_to_trajectory(durations_in_graph_order(instance))
-        assert np.array_equal(empirical, instance.trajectory)
+        assert instance.weeks.all()  # precondition: no capped nodes
+        empirical = durations_to_weeks(durations_in_graph_order(instance))
+        assert np.array_equal(empirical, instance.weeks)
 
     def test_planted_fit_loss_is_zero(self):
         instance = generate_instance(SynthSpec(node_count=36, rng_seed=1))
-        assert instance.trajectory[-1].all()
+        assert instance.weeks.all()
         problem = build_fit_problem(instance.graph, instance.durations)
         planted = instance.thresholds.values[~instance.thresholds.seed_mask]
         assert problem.losses(planted[None])[0] == 0
@@ -74,7 +74,7 @@ class TestGenerateInstance:
             SynthSpec(node_count=36, seed_fraction=0.06, threshold_low=0.55,
                       threshold_high=0.95, rng_seed=3)
         )
-        capped = int(instance.graph.n - instance.trajectory[-1].sum())
+        capped = int(np.count_nonzero(instance.weeks == 0))
         assert capped > 0
         problem = build_fit_problem(instance.graph, instance.durations)
         planted = instance.thresholds.values[~instance.thresholds.seed_mask]
@@ -83,8 +83,7 @@ class TestGenerateInstance:
     def test_all_seeds_recover_at_first_update(self):
         instance = generate_instance(SynthSpec(node_count=9, seed_fraction=1.0, rng_seed=2))
         assert all(v == SEED_DURATION_WEEKS for v in instance.durations.values())
-        assert not instance.trajectory[2].any()
-        assert instance.trajectory[3].all()
+        assert np.all(instance.weeks == 12)  # recovered in weeks 3..14
 
     def test_durations_within_bounds_and_seed_convention(self):
         instance = generate_instance(SynthSpec(node_count=49, rng_seed=5))
