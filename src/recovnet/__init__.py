@@ -26,6 +26,7 @@ from .diffusion import (
 from .empirical import (
     VisitSeries,
     compute_recovery_duration,
+    compute_recovery_durations,
     durations_to_weeks,
     zero_one_loss,
 )

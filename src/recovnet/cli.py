@@ -40,7 +40,12 @@ from .diffusion import (
     recovered_counts,
     run_diffusion,
 )
-from .empirical import VisitSeries, align_durations, compute_recovery_duration, durations_to_weeks
+from .empirical import (
+    VisitRowError,
+    align_durations,
+    compute_recovery_durations,
+    durations_to_weeks,
+)
 from .errors import ConfigError, DataError, RecovnetError
 from .fitting import (
     DEFAULT_SEED_CUTOFF_WEEKS,
@@ -190,8 +195,10 @@ OPTIONS = (
     Option("recovery_start", _day, None, "first day recovery is assessed", ("durations",),
            required=("durations",)),
     Option("ratio", _number, 0.9, "recovery ratio vs baseline", ("durations",)),
-    Option("persistence_days", _integer, 3, "consecutive qualifying days", ("durations",)),
-    Option("ma_halfwidth", _integer, 3, "moving-average halfwidth", ("durations",)),
+    Option("persistence_days", _integer, 3, "consecutive qualifying days", ("durations",),
+           minimum=1),
+    Option("ma_halfwidth", _integer, 3, "moving-average halfwidth", ("durations",),
+           minimum=0),
     Option("durations", _text, None, "durations CSV (id,duration_weeks)",
            ("fit", "baseline", "analyze"), required=("fit", "baseline")),
     Option("thresholds", _text, None, "thresholds CSV (id,threshold,is_seed)",
@@ -215,7 +222,8 @@ OPTIONS = (
     Option("baseline_runs", _integer, 0, "also run a random baseline of this many draws",
            ("fit",), minimum=0),
     Option("runs", _integer, 1000, "number of random draws", ("baseline",)),
-    Option("sizes", _sizes, None, "comma-separated set sizes (by default 1,3,5,10%% of n)",
+    Option("sizes", _sizes, None, "comma-separated set sizes (by default those of 1,3,5,10%% "
+           "of n that fit the candidate pool)",
            ("multipliers",), minimum=1),
     Option("pool", _text, "all", "candidate pool", ("multipliers",),
            choices=("all", "unrecovered")),
@@ -404,30 +412,39 @@ def cmd_build_graph(s: argparse.Namespace) -> int:
 
 
 def cmd_durations(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
+    if not 0 < s.ratio <= 1:
+        raise ConfigError(f"ratio must be in (0, 1], got {s.ratio}")
     visits_path = _require_file(s.visits, "visits")
     start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
 
     series_by_node = io.read_visit_series(visits_path)
-    durations: dict[str, float] = {}
-    for node in sorted(series_by_node):
-        first_day, visits = series_by_node[node]
+    if not series_by_node:
+        raise DataError(f"{visits_path}: no visit rows")
+    nodes, series = list(series_by_node), list(series_by_node.values())
+    # units sharing a first day and a length share a window: one matrix each
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (first_day, visits) in enumerate(series):
+        groups.setdefault((first_day, visits.size), []).append(i)
+    durations = np.empty(len(nodes))
+    failures = []
+    for (first_day, _), rows in groups.items():
         try:
-            series = VisitSeries(
-                visits=visits,
-                baseline_start=start - first_day,
-                baseline_end=end - first_day,
-                recovery_start=recovery - first_day,
+            durations[rows] = compute_recovery_durations(
+                np.stack([series[i][1] for i in rows]),
+                start - first_day, end - first_day, recovery - first_day,
+                ratio=s.ratio, persistence_days=s.persistence_days, ma_halfwidth=s.ma_halfwidth,
             )
-        except DataError as exc:
-            raise DataError(f"{visits_path}: unit {node!r}: {exc}") from None
-        durations[node] = compute_recovery_duration(
-            series, ratio=s.ratio, persistence_days=s.persistence_days,
-            ma_halfwidth=s.ma_halfwidth,
-        )
-    io.write_durations(durations, out / "durations.csv")
+        except VisitRowError as exc:
+            failures.append((nodes[rows[exc.row]], str(exc)))
+    if failures:
+        # the unit that comes first in id order, whatever its group
+        node, problem = min(failures)
+        raise DataError(f"{visits_path}: unit {node!r}: {problem}")
+
+    out = _out_dir(s)
+    io.write_durations(dict(zip(nodes, durations.tolist())), out / "durations.csv")
     _write_manifest(out, s)
-    print(f"computed recovery durations for {len(durations)} nodes")
+    print(f"computed recovery durations for {len(nodes)} nodes")
     return EXIT_OK
 
 
@@ -511,8 +528,6 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
         io.read_thresholds(_require_file(s.thresholds, "thresholds")), graph
     )
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)
-    if s.sizes is None:
-        s.sizes = default_multiplier_sizes(graph.n)
 
     candidate_pool = None
     if s.pool == "unrecovered":
@@ -521,9 +536,18 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
         if not candidate_pool:
             raise DataError("cannot restrict pool to unrecovered nodes: none exist")
     pool_size = len(candidate_pool or graph.nodes)
+    pool = f"the {s.pool!r} candidate pool's {pool_size} nodes"
+    if s.sizes is None:
+        sizes = default_multiplier_sizes(graph.n)
+        s.sizes = [size for size in sizes if size <= pool_size]
+        dropped = [size for size in sizes if size > pool_size]
+        if dropped:
+            print(f"dropped default sizes {','.join(map(str, dropped))}, larger than {pool}",
+                  file=sys.stderr)
+        if not s.sizes:
+            raise ConfigError(f"every default size exceeds {pool}; give --sizes")
     if max(s.sizes) > pool_size:
-        raise ConfigError(f"sizes must be at most the {s.pool!r} candidate pool's "
-                          f"{pool_size} nodes, got {max(s.sizes)}")
+        raise ConfigError(f"sizes must be at most {pool}, got {max(s.sizes)}")
 
     out = _out_dir(s)
     results = []

@@ -22,6 +22,43 @@ CAP_WEEKS = 14
 CAP_DAYS = CAP_WEEKS * 7
 
 
+class VisitRowError(DataError):
+    """A row of a visit matrix that breaks a series rule; row is its index."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _check_visit_matrix(
+    visits: np.ndarray, baseline_start: int, baseline_end: int, recovery_start: int
+) -> None:
+    """The series rules for a units x days matrix whose rows share one
+    window: counts are nonnegative, the inclusive baseline window lies in the
+    series and precedes recovery_start, and 98 days (14 weeks) follow
+    recovery_start. The window and length are checked once; the error names
+    the first row that breaks a rule, a row's counts checked before the
+    shared window."""
+    negative = np.flatnonzero((visits < 0).any(axis=1))
+    length = visits.shape[1]
+    problem = None
+    if not 0 <= baseline_start <= baseline_end:
+        problem = f"invalid baseline window [{baseline_start}, {baseline_end}]"
+    elif baseline_end >= recovery_start:
+        problem = "baseline window must precede recovery start"
+    elif baseline_end >= length:
+        problem = "baseline window extends past the series"
+    elif length - recovery_start < CAP_DAYS:
+        problem = (
+            f"series too short: need >= {CAP_DAYS} days after recovery start, "
+            f"got {length - recovery_start}"
+        )
+    if negative.size and (problem is None or negative[0] == 0):
+        raise VisitRowError("visit counts must be nonnegative", int(negative[0]))
+    if problem is not None:
+        raise VisitRowError(problem, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class VisitSeries:
     """Daily visit counts for one unit, with the baseline window and the
@@ -41,43 +78,39 @@ class VisitSeries:
         object.__setattr__(self, "visits", visits)
         if visits.ndim != 1:
             raise DataError("visit series must be one-dimensional")
-        if np.any(visits < 0):
-            raise DataError("visit counts must be nonnegative")
-        if not 0 <= self.baseline_start <= self.baseline_end:
-            raise DataError(
-                f"invalid baseline window [{self.baseline_start}, {self.baseline_end}]"
-            )
-        if self.baseline_end >= self.recovery_start:
-            raise DataError("baseline window must precede recovery start")
-        if self.baseline_end >= visits.shape[0]:
-            raise DataError("baseline window extends past the series")
-        if visits.shape[0] - self.recovery_start < CAP_DAYS:
-            raise DataError(
-                f"series too short: need >= {CAP_DAYS} days after recovery start, "
-                f"got {visits.shape[0] - self.recovery_start}"
-            )
+        _check_visit_matrix(
+            visits[None, :], self.baseline_start, self.baseline_end, self.recovery_start
+        )
 
 
 def moving_average(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Centered moving average; the window shrinks at the series edges."""
+    """Centered moving average along the last axis; the window shrinks at
+    the series edges."""
     values = np.asarray(values, dtype=np.float64)
     if halfwidth == 0:
         return values.copy()
-    n = values.shape[0]
-    cumsum = np.concatenate(([0.0], np.cumsum(values)))
+    n = values.shape[-1]
+    cumsum = np.zeros(values.shape[:-1] + (n + 1,))
+    np.cumsum(values, axis=-1, out=cumsum[..., 1:])
     idx = np.arange(n)
     lo = np.maximum(idx - halfwidth, 0)
     hi = np.minimum(idx + halfwidth, n - 1)
-    return (cumsum[hi + 1] - cumsum[lo]) / (hi - lo + 1)
+    return (cumsum[..., hi + 1] - cumsum[..., lo]) / (hi - lo + 1)
 
 
-def compute_recovery_duration(
-    series: VisitSeries,
+def compute_recovery_durations(
+    visits: np.ndarray,
+    baseline_start: int,
+    baseline_end: int,
+    recovery_start: int,
     ratio: float = 0.9,
     persistence_days: int = 3,
     ma_halfwidth: int = 3,
-) -> float:
-    """Weeks until smoothed visits persist at >= ratio x baseline, capped at 14.
+) -> np.ndarray:
+    """Weeks until smoothed visits persist at >= ratio x baseline, capped at
+    14, for every row of a units x days matrix whose rows share the window
+    (indices into a row). Each row must satisfy VisitSeries's rules; a
+    VisitRowError names the first row that does not.
 
     The baseline is the mean over the baseline window; the smoothed series is
     a centered moving average (halfwidth days each side). Recovery is the
@@ -93,23 +126,38 @@ def compute_recovery_duration(
         raise ConfigError(f"persistence_days must be >= 1, got {persistence_days}")
     if ma_halfwidth < 0:
         raise ConfigError(f"ma_halfwidth must be >= 0, got {ma_halfwidth}")
+    visits = np.asarray(visits, dtype=np.float64)
+    if visits.ndim != 2:
+        raise DataError("visit matrix must be two-dimensional")
+    _check_visit_matrix(visits, baseline_start, baseline_end, recovery_start)
 
-    baseline = float(
-        np.mean(series.visits[series.baseline_start : series.baseline_end + 1])
-    )
-    smoothed = moving_average(series.visits, ma_halfwidth)
+    baseline = visits[:, baseline_start : baseline_end + 1].mean(axis=1)
+    smoothed = moving_average(visits, ma_halfwidth)
     threshold = ratio * baseline
 
     # days 1..CAP_DAYS and the runs that follow them, cut at the series end
     # so that a run needing unseen days has no window
-    start = series.recovery_start
-    meets = smoothed[start : start + CAP_DAYS + persistence_days - 1] >= threshold
-    if meets.size >= persistence_days:
-        held = sliding_window_view(meets, persistence_days).all(axis=1)
-        days = np.flatnonzero(held)
-        if days.size:
-            return (days[0] + 1) / 7.0
-    return float(CAP_WEEKS)
+    scanned = smoothed[:, recovery_start : recovery_start + CAP_DAYS + persistence_days - 1]
+    meets = scanned >= threshold[:, None]
+    durations = np.full(visits.shape[0], float(CAP_WEEKS))
+    if meets.shape[1] >= persistence_days:
+        held = sliding_window_view(meets, persistence_days, axis=1).all(axis=2)
+        recovered = held.any(axis=1)
+        durations[recovered] = (np.argmax(held[recovered], axis=1) + 1) / 7.0
+    return durations
+
+
+def compute_recovery_duration(
+    series: VisitSeries,
+    ratio: float = 0.9,
+    persistence_days: int = 3,
+    ma_halfwidth: int = 3,
+) -> float:
+    """compute_recovery_durations for one unit's series."""
+    return float(compute_recovery_durations(
+        series.visits[None, :], series.baseline_start, series.baseline_end,
+        series.recovery_start, ratio, persistence_days, ma_halfwidth,
+    )[0])
 
 
 def validate_durations(durations: Sequence[float], horizon: int = CAP_WEEKS) -> np.ndarray:

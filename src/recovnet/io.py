@@ -10,6 +10,7 @@ leaves a truncated table behind.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -132,18 +134,22 @@ def annotate_feature_collection(
 # CSV tables
 # ---------------------------------------------------------------------------
 
+def _check_header(path: str | Path, reader, expected_header: list[str]) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if [h.strip() for h in header[: len(expected_header)]] != expected_header:
+        raise DataError(
+            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"got {','.join(header)!r}"
+        )
+
+
 def _open_csv(path: str | Path, expected_header: list[str]) -> list[list[str]]:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip() for h in header[: len(expected_header)]] != expected_header:
-            raise DataError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
+        _check_header(path, reader, expected_header)
         return [row for row in reader if row]
 
 
@@ -236,33 +242,116 @@ def parse_day(text: str) -> int:
         raise DataError(f"cannot parse day value {text!r}") from None
 
 
+# day indices stay within this bound, so that a difference of two fits int64
+_DAY_LIMIT = 2**62
+
+
+def _visit_day(text: str) -> int:
+    day = parse_day(text)
+    if not -_DAY_LIMIT < day < _DAY_LIMIT:
+        raise DataError(f"day value {text.strip()!r} is out of range")
+    return day
+
+
+def _check_visit_row(path, row: list[str]) -> None:
+    """Raise the error of a visit row whose day or value cell is bad."""
+    try:
+        _visit_day(row[1])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc} in row {row!r}") from None
+    _parse_float(row[2], path, row)
+
+
+def _data_row(path, index: int) -> list[str]:
+    """The index-th non-blank row after the header, read again to quote it."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return next(itertools.islice(filter(None, reader), index, None))
+
+
+def _parsed(texts: list[str], parse, dtype) -> tuple[np.ndarray, Optional[int]]:
+    """Each cell through parse, called once per distinct text, and the index
+    of the first cell that parse rejects (None if none is rejected)."""
+    table: dict = dict.fromkeys(texts, 0)
+    bad = set()
+    for text in table:
+        try:
+            table[text] = parse(text)
+        except DataError:
+            bad.add(text)
+    first_bad = next(i for i, t in enumerate(texts) if t in bad) if bad else None
+    return np.fromiter(map(table.__getitem__, texts), dtype, len(texts)), first_bad
+
+
 def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
-    """Visit CSV (header id,day,visits) grouped per node.
+    """Visit CSV (header id,day,visits) grouped per node, in sorted id order.
 
     Each node's days must be consecutive once sorted; the result maps the
-    node id to (first day, daily visit array).
+    node id to (first day, daily visit array). The columns are read in one
+    pass, each distinct day or value text parsed once, and the rows sorted
+    by (node, day) at once; every series is a view into one sorted array.
+    A bad row, a duplicate day or a gap is named as a row-by-row reader
+    would name it: the first bad row in file order, else the first node in
+    order of appearance.
     """
-    rows = _open_csv(path, ["id", "day", "visits"])
-    per_node: dict[str, list[tuple[int, float]]] = {}
-    for row in rows:
-        if len(row) < 3:
-            raise DataError(f"{path}: malformed visit row {row!r}")
-        node = row[0].strip()
-        try:
-            day = parse_day(row[1])
-        except DataError as exc:
-            raise DataError(f"{path}: {exc} in row {row!r}") from None
-        per_node.setdefault(node, []).append((day, _parse_float(row[2], path, row)))
-    out: dict[str, tuple[int, np.ndarray]] = {}
-    for node, pairs in per_node.items():
-        pairs.sort()
-        days = [d for d, _ in pairs]
-        if len(set(days)) != len(days):
-            raise DataError(f"{path}: duplicate day for node {node!r}")
-        if days[-1] - days[0] + 1 != len(days):
-            raise DataError(f"{path}: gaps in the day series for node {node!r}")
-        out[node] = (days[0], np.array([v for _, v in pairs], dtype=np.float64))
-    return out
+    ids: list[str] = []
+    days: list[str] = []
+    values: list[str] = []
+    short = None
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        _check_header(path, reader, ["id", "day", "visits"])
+        add_id, add_day, add_value = ids.append, days.append, values.append
+        # cells repeat (ids per day, days and counts per unit): interned,
+        # each distinct text is one object, and later lookups hash it once
+        for row in reader:
+            if len(row) >= 3:
+                add_id(intern(row[0]))
+                add_day(intern(row[1]))
+                add_value(intern(row[2]))
+            elif row:
+                short = row
+                break
+    n = len(ids)
+    day, bad_day = _parsed(days, _visit_day, np.int64)
+    visits, bad_value = _parsed(values, lambda text: _parse_float(text, path, None), np.float64)
+    bad_rows = [i for i in (bad_day, bad_value) if i is not None]
+    if bad_rows:
+        _check_visit_row(path, _data_row(path, min(bad_rows)))
+    if short is not None:
+        raise DataError(f"{path}: malformed visit row {short!r}")
+    if not n:
+        return {}
+
+    node_of = {text: text.strip() for text in dict.fromkeys(ids)}
+    nodes = sorted(set(node_of.values()))
+    index = {node: code for code, node in enumerate(nodes)}
+    code_of = {text: index[node] for text, node in node_of.items()}
+    codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, n)
+    order = np.lexsort((day, codes))
+    codes, day, visits = codes[order], day[order], visits[order]
+
+    same_node = codes[1:] == codes[:-1]
+    step = np.diff(day)
+    duplicate = same_node & (step == 0)
+    gap = same_node & (step > 1)
+    if duplicate.any() or gap.any():
+        duplicated = set(codes[1:][duplicate].tolist())
+        bad = duplicated | set(codes[1:][gap].tolist())
+        first_row = np.full(len(nodes), n)
+        np.minimum.at(first_row, codes, order)
+        code = min(bad, key=first_row.__getitem__)
+        problem = "duplicate day" if code in duplicated else "gaps in the day series"
+        raise DataError(f"{path}: {problem} for node {nodes[code]!r}")
+
+    starts = np.flatnonzero(np.concatenate(([True], ~same_node))).tolist()
+    ends = starts[1:] + [n]
+    first_days = day[starts].tolist()
+    return {
+        node: (first_day, visits[a:b])
+        for node, first_day, a, b in zip(nodes, first_days, starts, ends)
+    }
 
 
 ATTRIBUTE_HEADER = ["id", "per_capita_income", "median_household_income", "minority_pct"]

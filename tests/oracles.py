@@ -6,7 +6,10 @@ operations, sharing no code path with the package.
 
 from __future__ import annotations
 
+import csv
+import datetime
 import itertools
+import math
 
 
 def ring_coords(unit):
@@ -70,6 +73,65 @@ def naive_recovery_duration(
         if all(smoothed[start + j] >= ratio * baseline for j in range(persistence_days)):
             return day / 7.0
     return 14.0
+
+
+def naive_read_visit_series(path):
+    """The row-by-row visit reader: rows in file order, then per node in
+    order of first appearance. Raises ValueError with the message the
+    package's reader gives for the same file."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        expected = ["id", "day", "visits"]
+        if [h.strip() for h in header[:3]] != expected:
+            raise ValueError(
+                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+            )
+        rows = [row for row in reader if row]
+
+    def day_of(text):
+        text = text.strip()
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return datetime.date.fromisoformat(text).toordinal()
+        except ValueError:
+            raise ValueError(f"cannot parse day value {text!r}") from None
+
+    def value_of(text, row):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value {text!r} in row {row!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite value {text!r} in row {row!r}")
+        return value
+
+    per_node = {}
+    for row in rows:
+        if len(row) < 3:
+            raise ValueError(f"{path}: malformed visit row {row!r}")
+        node = row[0].strip()
+        try:
+            day = day_of(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} in row {row!r}") from None
+        per_node.setdefault(node, []).append((day, value_of(row[2], row)))
+    out = {}
+    for node, pairs in per_node.items():
+        pairs.sort()
+        days = [d for d, _ in pairs]
+        if len(set(days)) != len(days):
+            raise ValueError(f"{path}: duplicate day for node {node!r}")
+        if days[-1] - days[0] + 1 != len(days):
+            raise ValueError(f"{path}: gaps in the day series for node {node!r}")
+        out[node] = (days[0], [v for _, v in pairs])
+    return out
 
 
 def naive_diffusion(neighbors, thresholds, initial, horizon=14, first_update_week=3):

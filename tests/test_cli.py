@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -279,22 +280,47 @@ class TestPoolAndGeometry:
         selected = io.read_multiplier_set(out / "multipliers_N1.csv")
         assert set(selected) <= {"s2", "s3"}
 
-    @pytest.mark.parametrize("sizes,named", [(["--sizes", "1,2,500"], "got 500"),
-                                             ([], "got 3")])  # default sizes: 1 and 3
-    def test_sizes_beyond_pool_fail_before_any_output(self, tmp_path, capsys, sizes, named):
-        geometry = _grid_geojson(tmp_path / "grid.geojson", size=5)
-        # every unit is a seed except g00 and g01, which each wait for the other
-        stuck = {"g00", "g01"}
+    @staticmethod
+    def two_stuck_units(tmp_path, n):
+        """A chain of n units, all seeds except u000 and u001, which each
+        wait for the other: a 2-node unrecovered pool."""
+        nodes = [f"u{i:03d}" for i in range(n)]
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n" + "".join(f"{a},{b}\n" for a, b in zip(nodes, nodes[1:])))
         thresholds = tmp_path / "thresholds.csv"
         thresholds.write_text("id,threshold,is_seed\n" + "".join(
-            f"g{r}{c},{1.0 if f'g{r}{c}' in stuck else 0.0},{0 if f'g{r}{c}' in stuck else 1}\n"
-            for r in range(5) for c in range(5)
+            f"{node},1.0,0\n" if i < 2 else f"{node},0.0,1\n" for i, node in enumerate(nodes)
         ))
+        return ["--edges", edges, "--thresholds", thresholds, "--pool", "unrecovered",
+                "--max-iterations", 2]
+
+    @pytest.mark.parametrize("sizes,named", [(["--sizes", "1,2,500"], "got 500")])
+    def test_sizes_beyond_pool_fail_before_any_output(self, tmp_path, capsys, sizes, named):
         out = tmp_path / "mult"
-        assert run("multipliers", "--geometry", geometry, "--thresholds", thresholds,
-                   "--pool", "unrecovered", "--max-iterations", 2, *sizes, "--out", out) == 2
+        assert run("multipliers", *self.two_stuck_units(tmp_path, 25), *sizes,
+                   "--out", out) == 2
         err = capsys.readouterr().err
         assert "sizes" in err and "'unrecovered' candidate pool's 2 nodes" in err and named in err
+        assert not out.exists()
+
+    def test_default_sizes_beyond_pool_dropped(self, tmp_path, capsys):
+        # 25 nodes: default sizes 1 and 3, and 3 exceeds the pool
+        out = tmp_path / "mult"
+        assert run("multipliers", *self.two_stuck_units(tmp_path, 25), "--out", out) == 0
+        assert capsys.readouterr().err == (
+            "dropped default sizes 3, larger than the 'unrecovered' candidate pool's 2 nodes\n"
+        )
+        assert [len(r.members) for r in io.read_multiplier_results(out)] == [1]
+        assert json.loads((out / "manifest.json").read_text())["settings"]["sizes"] == [1]
+        assert not (out / "multipliers_N3.csv").exists()
+
+    def test_no_default_size_fits_pool(self, tmp_path, capsys):
+        # 250 nodes: the smallest default size is 3
+        out = tmp_path / "mult"
+        assert run("multipliers", *self.two_stuck_units(tmp_path, 250), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "dropped default sizes 3,8,13,25," in err
+        assert "every default size exceeds the 'unrecovered' candidate pool's 2 nodes" in err
         assert not out.exists()
 
 
@@ -376,6 +402,90 @@ class TestVisitInput:
         assert self._durations(tmp_path, rows) == 3
         err = capsys.readouterr().err
         assert "visits.csv" in err and "['b', 'xx', '100']" in err
+
+    def test_no_data_rows_names_file(self, tmp_path, capsys):
+        assert self._durations(tmp_path, ["", ""]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path / 'visits.csv'}: no visit rows\n"
+        assert not (tmp_path / "durations").exists()
+
+    @pytest.mark.parametrize("flags,config,named", [
+        (["--ratio", 5], {}, "ratio must be in (0, 1], got 5.0"),
+        (["--ratio", 0], {}, "ratio must be in (0, 1], got 0.0"),
+        ([], {"ratio": -0.5}, "ratio must be in (0, 1], got -0.5"),
+        (["--persistence-days", 0], {}, "--persistence-days must be >= 1, got 0"),
+        ([], {"persistence_days": 0}, "config key 'persistence_days' must be >= 1, got 0"),
+        (["--ma-halfwidth", -1], {}, "--ma-halfwidth must be >= 0, got -1"),
+        ([], {"ma_halfwidth": -2}, "config key 'ma_halfwidth' must be >= 0, got -2"),
+    ])
+    @pytest.mark.parametrize("rows", [[], ["b,xx,100"]], ids=["header_only", "bad_row"])
+    def test_bad_setting_checked_before_data(self, tmp_path, capsys, rows, flags, config, named):
+        visits = tmp_path / "visits.csv"
+        visits.write_text("\n".join(["id,day,visits", *rows]) + "\n")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run("durations", "--visits", visits, "--baseline-start", 0, "--baseline-end", 20,
+                   "--recovery-start", 27, *flags, "--config", path,
+                   "--out", tmp_path / "durations") == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not (tmp_path / "durations").exists()
+
+
+class TestDurationGroups:
+    """Units with different first days and lengths are scored one matrix per
+    (first day, length) group, each as the oracle scores it alone."""
+
+    # id -> (first day, length); every window ends >= 98 days past day 27
+    SHAPES = {"a0": (0, 125), "a1": (-3, 140), "a2": (0, 131), "a3": (-5, 135),
+              "a4": (-3, 140), "a5": (0, 125), "a6": (0, 131), "a7": (-5, 132)}
+
+    @staticmethod
+    def _visits(rng, length, first_day):
+        days = np.arange(first_day, first_day + length)
+        recover = int(rng.integers(20, 130))
+        visits = np.where(days < recover, rng.uniform(0, 80, length), rng.uniform(85, 120, length))
+        visits[days <= 20] = rng.uniform(95, 105, int((days <= 20).sum()))
+        return np.round(visits, 1)
+
+    def _run(self, tmp_path, series) -> int:
+        rows = ["id,day,visits"]
+        for node, (first_day, visits) in series.items():
+            rows += [f"{node},{first_day + d},{v!r}" for d, v in enumerate(visits.tolist())]
+        rows = [rows[0]] + rows[:0:-1]  # units interleaved in no id order
+        visits_path = tmp_path / "visits.csv"
+        visits_path.write_text("\n".join(rows) + "\n")
+        return run("durations", "--visits", visits_path, "--baseline-start", 0,
+                   "--baseline-end", 20, "--recovery-start", 27, "--out", tmp_path / "d")
+
+    def test_durations_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(9)
+        series = {node: (first, self._visits(rng, length, first))
+                  for node, (first, length) in self.SHAPES.items()}
+        assert self._run(tmp_path, series) == 0
+        written = io.read_durations(tmp_path / "d" / "durations.csv")
+        assert list(written) == sorted(self.SHAPES)
+        for node, (first, visits) in series.items():
+            expected = oracles.naive_recovery_duration(visits, -first, 20 - first, 27 - first)
+            assert written[node] == expected, node
+        assert len(set(written.values())) > 3
+
+    @pytest.mark.parametrize("late_start,named", [
+        (False, "unit 'a1': visit counts must be nonnegative"),
+        (True, "unit 'a0': invalid baseline window [-4, 16]"),
+    ])
+    def test_error_names_first_unit_in_id_order(self, tmp_path, capsys, late_start, named):
+        """a5 fails in the first group and a1 in a later one; a per-unit loop
+        in id order stops at a1, or at a0 once its window starts too late."""
+        rng = np.random.default_rng(3)
+        series = {node: (first, self._visits(rng, length, first))
+                  for node, (first, length) in self.SHAPES.items()}
+        for node in ("a1", "a5"):
+            series[node][1][60] = -1.0
+        if late_start:
+            series["a0"] = (4, series["a0"][1])
+        assert self._run(tmp_path, series) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path / 'visits.csv'}: {named}\n"
 
 
 class TestGeometryInput:

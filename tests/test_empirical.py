@@ -9,11 +9,12 @@ import oracles
 from recovnet import (
     VisitSeries,
     compute_recovery_duration,
+    compute_recovery_durations,
     durations_to_weeks,
     recovered_counts,
     zero_one_loss,
 )
-from recovnet.empirical import moving_average
+from recovnet.empirical import VisitRowError, moving_average
 from recovnet.errors import ConfigError, DataError
 
 RSTART = 27
@@ -143,6 +144,76 @@ class TestComputeRecoveryDuration:
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigError, match="ratio"):
             compute_recovery_duration(make_series(dip_recover_visits()), ratio=0.0)
+
+
+def recovery_rows(rng, units, length, start=RSTART):
+    """Rows of a units x days matrix: a baseline of ~100, a dip, then a
+    noisy recovery from a random day, some false starts and some units that
+    never recover."""
+    rows = []
+    for _ in range(units):
+        visits = rng.uniform(0, 60, length)
+        visits[:21] = rng.uniform(95, 105, 21)
+        recover = int(rng.integers(start - 5, length + 3))
+        visits[recover:] = rng.uniform(80, 120, max(length - recover, 0))
+        blip = int(rng.integers(start, length))
+        visits[blip : blip + int(rng.integers(1, 5))] = 100.0
+        rows.append(visits)
+    return np.array(rows)
+
+
+class TestComputeRecoveryDurations:
+    """The matrix call: each row as the oracle scores it alone, one error
+    naming the row a per-unit loop would stop at."""
+
+    def test_rows_match_naive_oracle(self):
+        rng = np.random.default_rng(44)
+        for length in (125, 126, 131):
+            visits = recovery_rows(rng, 30, length)
+            for persistence in (1, 3, 5):
+                for halfwidth in (0, 3):
+                    durations = compute_recovery_durations(
+                        visits, 0, 20, RSTART, 0.9, persistence, halfwidth
+                    )
+                    expected = [
+                        oracles.naive_recovery_duration(
+                            row, 0, 20, RSTART,
+                            persistence_days=persistence, ma_halfwidth=halfwidth,
+                        )
+                        for row in visits
+                    ]
+                    assert durations.tolist() == expected
+                    assert durations.tolist() == [
+                        compute_recovery_duration(
+                            make_series(row),
+                            persistence_days=persistence, ma_halfwidth=halfwidth,
+                        )
+                        for row in visits
+                    ]
+
+    def test_first_negative_row_named(self):
+        visits = np.ones((6, 131))
+        visits[[2, 5], 40] = -1
+        with pytest.raises(VisitRowError, match="nonnegative") as raised:
+            compute_recovery_durations(visits, 0, 20, RSTART)
+        assert raised.value.row == 2
+
+    @pytest.mark.parametrize("negative_row,message", [(0, "nonnegative"), (3, "too short")])
+    def test_window_error_names_first_row(self, negative_row, message):
+        visits = np.ones((5, 124))
+        visits[negative_row, 40] = -1
+        with pytest.raises(VisitRowError, match=message) as raised:
+            compute_recovery_durations(visits, 0, 20, RSTART)
+        assert raised.value.row == 0
+
+    def test_settings_checked_once(self):
+        visits = np.ones((3, 131))
+        with pytest.raises(ConfigError, match="ratio"):
+            compute_recovery_durations(visits, 0, 20, RSTART, ratio=1.5)
+        with pytest.raises(ConfigError, match="persistence_days"):
+            compute_recovery_durations(visits, 0, 20, RSTART, persistence_days=0)
+        with pytest.raises(ConfigError, match="ma_halfwidth"):
+            compute_recovery_durations(visits, 0, 20, RSTART, ma_halfwidth=-1)
 
 
 def first_recovered_week(weeks, horizon=14):

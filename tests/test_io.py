@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from recovnet import (
     AttributeRow,
     AttributeTable,
@@ -118,6 +124,135 @@ class TestVisitSeriesCsv:
     def test_bad_day_rejected(self):
         with pytest.raises(DataError, match="day"):
             io.parse_day("next tuesday")
+
+    def test_sorted_views_into_one_array(self, tmp_path):
+        path = tmp_path / "visits.csv"
+        path.write_text("id,day,visits\nz,2,1\n a ,7,4\nz,1,0\na,6,3\n")
+        series = io.read_visit_series(path)
+        assert list(series) == ["a", "z"]
+        assert series["a"][0] == 6 and series["a"][1].tolist() == [3.0, 4.0]
+        assert series["z"][0] == 1 and series["z"][1].tolist() == [0.0, 1.0]
+        assert series["a"][1].base is series["z"][1].base is not None
+
+    @pytest.mark.parametrize("rows,named", [
+        # z comes first in the file, a first in id order
+        (["z,1,0", "a,1,0", "a,1,1", "z,3,0"], "gaps in the day series for node 'z'"),
+        (["a,1,0", "z,1,0", "a,1,1", "z,3,0"], "duplicate day for node 'a'"),
+        # one node with both: the duplicate is named
+        (["a,1,0", "a,3,0", "a,3,1"], "duplicate day for node 'a'"),
+    ])
+    def test_series_error_names_first_node_in_file(self, tmp_path, rows, named):
+        path = tmp_path / "visits.csv"
+        path.write_text("\n".join(["id,day,visits", *rows]) + "\n")
+        with pytest.raises(DataError) as raised:
+            io.read_visit_series(path)
+        assert str(raised.value) == f"{path}: {named}"
+        with pytest.raises(ValueError) as reference:
+            oracles.naive_read_visit_series(path)
+        assert str(reference.value) == str(raised.value)
+
+    def test_day_beyond_int64_range_named(self, tmp_path):
+        path = tmp_path / "visits.csv"
+        path.write_text("id,day,visits\nu,1,3\nu,99999999999999999999,4\n")
+        with pytest.raises(DataError) as raised:
+            io.read_visit_series(path)
+        assert str(raised.value) == (
+            f"{path}: day value '99999999999999999999' is out of range "
+            "in row ['u', '99999999999999999999', '4']"
+        )
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "visits.csv"
+        path.write_text("id,day,visits\n\n")
+        assert io.read_visit_series(path) == {}
+
+
+BASE_DAY = 736_900  # near 2018-07, so a day may be written as an index or a date
+ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite")
+
+
+@st.composite
+def visit_files(draw):
+    """A visits CSV as lines: shuffled rows of a few units with different
+    first days and lengths, ids padded with spaces, days written as indices
+    or ISO dates, some fields quoted, extra columns and blank lines. A unit
+    may have a duplicate day, a gap or both, and up to two bad rows go in at
+    random places."""
+    units = draw(st.dictionaries(
+        st.sampled_from(["u0", "u1", "u2", "b", "a10"]),
+        st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=1, max_size=4,
+    ))
+    value_texts = st.sampled_from(["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0"])
+    rows = []
+    for node, (offset, length) in units.items():
+        for day in range(BASE_DAY + offset, BASE_DAY + offset + length):
+            rows.append([node, day, draw(value_texts)])
+    good = list(rows)
+
+    def pick(candidates):
+        return candidates[draw(st.integers(0, len(candidates) - 1))]
+
+    for node, (_, length) in units.items():
+        series = [r for r in good if r[0] == node]
+        fault = draw(st.sampled_from([None, "duplicate", "gap", "both"]))
+        if fault in ("gap", "both") and length >= 3:
+            rows.remove(pick(series[1:-1]))
+        if fault in ("duplicate", "both"):
+            rows.append([node, pick(series)[1], draw(value_texts)])
+    for fault in draw(st.lists(st.sampled_from(ROW_FAULTS), max_size=2)):
+        row = list(pick(good))
+        if fault == "short":
+            row = row[:draw(st.integers(1, 2))]
+        elif fault == "bad_day":
+            row[1] = draw(st.sampled_from(["xx", "2018-13-01", "3.5", ""]))
+        elif fault == "non_numeric":
+            row[2] = draw(st.sampled_from(["abc", "", "1,0"]))
+        else:
+            row[2] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+
+    def cell(value):
+        if isinstance(value, int) and draw(st.booleans()):
+            value = date.fromordinal(value).isoformat()
+        text = str(value)
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+        if "," in text or draw(st.integers(0, 3)) == 0:
+            text = '"' + text + '"'
+        return text
+
+    lines = ["id,day,visits" + draw(st.sampled_from(["", ",note"]))]
+    for row in rows:
+        extra = draw(st.sampled_from([[], ["x"], ["", "y"]]))
+        lines.append(",".join(cell(v) for v in row + extra))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return lines
+
+
+class TestVisitReaderAgainstOracle:
+    """The columnar reader against the row-by-row reference: same series,
+    or the same error naming the same row, node or file."""
+
+    @given(visit_files(), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_reader(self, lines, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "visits.csv"
+            path.write_text(newline.join(lines) + newline, newline="")
+            try:
+                expected = oracles.naive_read_visit_series(path)
+            except ValueError as exc:
+                with pytest.raises(DataError) as raised:
+                    io.read_visit_series(path)
+                assert str(raised.value) == str(exc)
+                return
+            series = io.read_visit_series(path)
+        assert list(series) == sorted(expected)
+        for node, (first_day, values) in series.items():
+            assert type(first_day) is int and first_day == expected[node][0]
+            assert values.dtype == np.float64 and values.tolist() == expected[node][1]
 
 
 class TestAttributesCsv:
