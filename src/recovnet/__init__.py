@@ -3,12 +3,9 @@ contiguity networks: threshold fitting from observed recovery durations and
 search for recovery-multiplier seed sets."""
 
 from .analysis import (
-    AttributeRow,
     AttributeTable,
     CorrelationResult,
     DistributionSummary,
-    MultiplierComparisonReport,
-    TertileReport,
     ThresholdSummary,
     correlate,
     multiplier_attribute_comparison,
@@ -24,8 +21,6 @@ from .diffusion import (
     run_diffusion,
 )
 from .empirical import (
-    VisitSeries,
-    compute_recovery_duration,
     compute_recovery_durations,
     durations_to_weeks,
     zero_one_loss,
@@ -54,6 +49,7 @@ from .graph import (
     GraphMetrics,
     SpatialGraph,
     SpatialUnit,
+    align_rows,
     build_contiguity_graph,
     graph_metrics,
 )

@@ -1,5 +1,10 @@
 """Post-fit analytics: threshold summary statistics, tertile splits by
-threshold, attribute comparisons for multiplier sets, and correlations."""
+threshold, attribute comparisons for multiplier sets, and correlations.
+
+The tertile and multiplier summaries take attribute columns in the
+thresholds' node order (AttributeTable.take with graph.align_rows puts them
+there) and groups of nodes as positions in that order.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +15,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .diffusion import ThresholdVector
-from .errors import DataError
-from .multipliers import MultiplierResult
 
 TERTILE_NAMES = ("low", "middle", "high")
 ATTRIBUTE_NAMES = (
@@ -22,63 +25,24 @@ ATTRIBUTE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class AttributeRow:
-    """Socio-demographic attributes of one node; flood_extent is optional."""
-
-    per_capita_income: float
-    median_household_income: float
-    minority_pct: float
-    flood_extent: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.minority_pct <= 100.0:
-            raise DataError(
-                f"minority_pct must be in [0, 100], got {self.minority_pct}"
-            )
-        if self.flood_extent is not None and self.flood_extent < 0:
-            raise DataError(f"flood_extent must be >= 0, got {self.flood_extent}")
-
-
+@dataclass(frozen=True, eq=False)
 class AttributeTable:
-    """Per-node attribute rows keyed by node id."""
+    """Per-node attributes: the node ids and one float64 column per attribute,
+    keyed in ATTRIBUTE_NAMES order; flood_extent is present only when every
+    node has a value."""
 
-    def __init__(self, rows: Mapping[str, AttributeRow]):
-        self.rows: dict[str, AttributeRow] = dict(rows)
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.rows
+    ids: tuple[str, ...]
+    columns: dict[str, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.rows)
-
-    @property
-    def has_flood_extent(self) -> bool:
-        return all(row.flood_extent is not None for row in self.rows.values())
-
-    def available_attributes(self) -> tuple[str, ...]:
-        names = list(ATTRIBUTE_NAMES[:3])
-        if self.has_flood_extent and self.rows:
-            names.append("flood_extent")
-        return tuple(names)
-
-    def values(self, attribute: str, node_ids: Sequence[str]) -> np.ndarray:
-        if attribute not in ATTRIBUTE_NAMES:
-            raise DataError(f"unknown attribute {attribute!r}")
-        missing = [n for n in node_ids if n not in self.rows]
-        if missing:
-            raise DataError(
-                "nodes missing attribute rows: " + ", ".join(missing[:10])
-                + (" ..." if len(missing) > 10 else "")
-            )
-        out = [getattr(self.rows[n], attribute) for n in node_ids]
-        if any(v is None for v in out):
-            raise DataError(f"attribute {attribute!r} is not populated for every node")
-        return np.array(out, dtype=np.float64)
+    def take(self, rows: np.ndarray) -> "AttributeTable":
+        """The given rows, in that order (graph.align_rows gives node order)."""
+        return AttributeTable(
+            ids=tuple(self.ids[i] for i in rows),
+            columns={name: column[rows] for name, column in self.columns.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -117,43 +81,16 @@ class ThresholdSummary:
 
 
 @dataclass(frozen=True)
-class TertileReport:
-    """Node ids per threshold tertile and per-attribute summaries for each."""
-
-    tertiles: dict[str, tuple[str, ...]]
-    summaries: dict[str, dict[str, DistributionSummary]]
-
-
-@dataclass(frozen=True)
 class CorrelationResult:
     r: float
     p_value: float
     n: int
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    """One (size, group, attribute) cell of the multiplier comparison;
-    summary is None for an empty group (e.g. every node selected)."""
-
-    size: int
-    group: str
-    attribute: str
-    summary: Optional[DistributionSummary]
-
-
-@dataclass(frozen=True)
-class MultiplierComparisonReport:
-    entries: tuple[ComparisonEntry, ...]
-
-
-def included(tau: ThresholdVector, include_seeds: bool) -> tuple[list[str], np.ndarray]:
-    """Ids and thresholds of the nodes a summary covers (seeds on request)."""
-    if include_seeds:
-        return list(tau.node_ids), tau.values
-    keep = ~tau.seed_mask
-    ids = [n for n, k in zip(tau.node_ids, keep) if k]
-    return ids, tau.values[keep]
+def included(tau: ThresholdVector, include_seeds: bool) -> np.ndarray:
+    """Positions of the nodes a summary covers: the free nodes, and the
+    seeds on request."""
+    return np.arange(tau.n) if include_seeds else np.flatnonzero(~tau.seed_mask)
 
 
 def threshold_summary(
@@ -161,7 +98,7 @@ def threshold_summary(
 ) -> ThresholdSummary:
     """Mean, population variance, and 1/3-2/3 quantile boundaries; seeds
     (threshold pinned at 0) are excluded unless requested."""
-    _, values = included(tau, include_seeds)
+    values = tau.values[included(tau, include_seeds)]
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
     lower, upper = np.quantile(values, (1.0 / 3.0, 2.0 / 3.0))
@@ -177,36 +114,28 @@ def threshold_summary(
 
 def split_tertiles(
     tau: ThresholdVector, include_seeds: bool = False
-) -> dict[str, tuple[str, ...]]:
-    """Partition nodes into low/middle/high-threshold thirds of near-equal
-    size, ordering by threshold with ties broken by node id."""
-    ids, values = included(tau, include_seeds)
-    if not ids:
+) -> dict[str, np.ndarray]:
+    """Partition the covered nodes into low/middle/high-threshold thirds of
+    near-equal size: positions into tau, ordered by threshold with ties
+    broken by node id."""
+    positions = included(tau, include_seeds).tolist()
+    if not positions:
         raise ValueError("no nodes to split into tertiles")
-    ranked = sorted(zip(values, ids), key=lambda pair: (pair[0], pair[1]))
-    chunks = np.array_split(np.arange(len(ranked)), 3)
-    return {
-        name: tuple(ranked[i][1] for i in chunk)
-        for name, chunk in zip(TERTILE_NAMES, chunks)
-    }
+    ranked = sorted(positions, key=lambda i: (tau.values[i], tau.node_ids[i]))
+    return dict(zip(TERTILE_NAMES, np.array_split(np.array(ranked, dtype=np.intp), 3)))
 
 
 def tertile_attribute_report(
-    tau: ThresholdVector, attrs: AttributeTable, include_seeds: bool = False
-) -> TertileReport:
-    """Quartile summaries of every populated attribute within each threshold
-    tertile."""
-    tertiles = split_tertiles(tau, include_seeds)
-    attributes = attrs.available_attributes()
-    summaries: dict[str, dict[str, DistributionSummary]] = {}
-    for name, members in tertiles.items():
-        summaries[name] = {}
-        for attribute in attributes:
-            if not members:
-                continue
-            values = attrs.values(attribute, members)
-            summaries[name][attribute] = DistributionSummary.from_values(values)
-    return TertileReport(tertiles=tertiles, summaries=summaries)
+    tertiles: Mapping[str, np.ndarray], columns: Mapping[str, np.ndarray]
+) -> list[tuple[str, str, DistributionSummary]]:
+    """(tertile, attribute, summary) rows: every attribute column summarized
+    within each non-empty tertile, members taken in tertile order."""
+    return [
+        (name, attribute, DistributionSummary.from_values(column[members]))
+        for name, members in tertiles.items()
+        if members.size
+        for attribute, column in columns.items()
+    ]
 
 
 def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -244,31 +173,18 @@ def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 
 def multiplier_attribute_comparison(
-    results: Iterable[MultiplierResult], attrs: AttributeTable
-) -> MultiplierComparisonReport:
-    """For each multiplier size, summarize every populated attribute over the
-    selected nodes and over the rest; an empty complement yields a None
-    summary so callers can flag it."""
-    attributes = attrs.available_attributes()
-    universe = list(attrs.rows)
-    entries: list[ComparisonEntry] = []
-    for result in results:
-        selected = list(result.members)
-        missing = [n for n in selected if n not in attrs]
-        if missing:
-            raise DataError(f"multiplier nodes missing attribute rows: {missing[:10]}")
-        chosen = set(selected)
-        others = [n for n in universe if n not in chosen]
+    selections: Iterable[np.ndarray], columns: Mapping[str, np.ndarray]
+) -> list[tuple[int, str, str, Optional[DistributionSummary]]]:
+    """(size, group, attribute, summary) rows: for each multiplier set, given
+    as positions in selection order, every attribute column summarized over
+    the selected nodes and over all the others in node order. An empty group
+    (every node selected) has summary None so callers can flag it."""
+    n = len(next(iter(columns.values())))
+    rows = []
+    for selected in selections:
+        others = np.delete(np.arange(n), selected)
         for group, members in (("multiplier", selected), ("non_multiplier", others)):
-            for attribute in attributes:
-                summary = (
-                    DistributionSummary.from_values(attrs.values(attribute, members))
-                    if members
-                    else None
-                )
-                entries.append(
-                    ComparisonEntry(
-                        size=len(selected), group=group, attribute=attribute, summary=summary
-                    )
-                )
-    return MultiplierComparisonReport(entries=tuple(entries))
+            for attribute, column in columns.items():
+                summary = DistributionSummary.from_values(column[members]) if members.size else None
+                rows.append((len(selected), group, attribute, summary))
+    return rows

@@ -28,6 +28,7 @@ from .analysis import (
     correlate,
     included,
     multiplier_attribute_comparison,
+    split_tertiles,
     tertile_attribute_report,
     threshold_summary,
 )
@@ -35,7 +36,6 @@ from .diffusion import (
     DEFAULT_FIRST_UPDATE_WEEK,
     DEFAULT_HORIZON_WEEKS,
     DiffusionSchedule,
-    ThresholdVector,
     all_affected,
     recovered_counts,
     run_diffusion,
@@ -55,7 +55,13 @@ from .fitting import (
     random_baseline,
 )
 from .ga import GaConfig, performance_index
-from .graph import CONTIGUITY_KINDS, ContiguityRule, build_contiguity_graph, graph_metrics
+from .graph import (
+    CONTIGUITY_KINDS,
+    ContiguityRule,
+    align_rows,
+    build_contiguity_graph,
+    graph_metrics,
+)
 from .multipliers import (
     DEFAULT_ENUMERATION_CAP,
     MultiplierProblem,
@@ -383,9 +389,10 @@ def _load_graph(s: argparse.Namespace):
 
 def _fit_problem(s: argparse.Namespace) -> FitProblem:
     graph = _load_graph(s)
-    durations = io.read_durations(_require_file(s.durations, "durations"))
+    path = _require_file(s.durations, "durations")
+    durations = io.read_durations(path)
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)
-    return build_fit_problem(graph, durations, s.seed_cutoff, schedule)
+    return build_fit_problem(graph, durations, s.seed_cutoff, schedule, source=path)
 
 
 def _summary_cells(summary) -> list:
@@ -507,26 +514,11 @@ def _multiplier_seed(rng_seed: int, size: int) -> int:
     return int(np.random.SeedSequence([rng_seed, size]).generate_state(1)[0])
 
 
-def _align_thresholds(tau, graph):
-    """Reorder a threshold table to the graph's node order (same id set)."""
-    if tau.node_ids == graph.nodes:
-        return tau
-    if sorted(tau.node_ids) != sorted(graph.nodes):
-        raise DataError("threshold table and graph cover different node sets")
-    position = {node: i for i, node in enumerate(tau.node_ids)}
-    order = [position[node] for node in graph.nodes]
-    return ThresholdVector(
-        node_ids=graph.nodes,
-        values=tau.values[order],
-        seed_mask=tau.seed_mask[order],
-    )
-
-
 def cmd_multipliers(s: argparse.Namespace) -> int:
     graph = _load_graph(s)
-    thresholds = _align_thresholds(
-        io.read_thresholds(_require_file(s.thresholds, "thresholds")), graph
-    )
+    path = _require_file(s.thresholds, "thresholds")
+    table = io.read_thresholds(path)
+    thresholds = table.take(align_rows(table.node_ids, graph.nodes, path))
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)
 
     candidate_pool = None
@@ -594,9 +586,34 @@ def cmd_analyze(s: argparse.Namespace) -> int:
     if curves != bool(s.durations):
         missing = "durations" if curves else "edges"
         raise ConfigError(f"recovery curves need both --edges and --durations; missing {missing!r}")
+    thresholds_path = _require_file(s.thresholds, "thresholds")
+    thresholds = io.read_thresholds(thresholds_path)
+    keep = included(thresholds, s.include_seeds)
+    if not keep.size:
+        seeds = int(thresholds.seed_mask.sum())
+        if not seeds:
+            raise DataError(f"{thresholds_path}: no nodes to summarize")
+        raise DataError(f"{thresholds_path}: no free nodes to summarize; its {seeds} seed "
+                        "node(s) count with --include-seeds")
+    if curves:
+        graph = io.read_edge_list(_require_file(s.edges, "edge list"))
+        aligned = thresholds.take(align_rows(thresholds.node_ids, graph.nodes, thresholds_path))
+        durations_path = _require_file(s.durations, "durations")
+        durations = io.read_durations(durations_path)
+        schedule = DiffusionSchedule(s.horizon, s.first_update_week)
+        empirical = durations_to_weeks(
+            align_durations(durations, graph.nodes, s.horizon, durations_path), s.horizon
+        )
+        simulated = run_diffusion(graph, aligned, all_affected(graph.n), schedule)
+    # every attribute summary indexes these columns, in the thresholds' node order
+    attributes_path = _require_file(s.attributes, "attributes")
+    attrs = io.read_attributes(attributes_path)
+    columns = attrs.take(align_rows(attrs.ids, thresholds.node_ids, attributes_path)).columns
+    if s.multipliers_dir:
+        directory = Path(s.multipliers_dir)
+        _require_file(directory / "multipliers_summary.csv", "multiplier summary")
+        results = io.read_multiplier_results(directory, thresholds.node_ids)
     out = _out_dir(s)
-    thresholds = io.read_thresholds(_require_file(s.thresholds, "thresholds"))
-    attrs = io.read_attributes(_require_file(s.attributes, "attributes"))
 
     summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
     report = {
@@ -612,11 +629,9 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         "correlations": {},
     }
 
-    included_ids, tau_values = included(thresholds, s.include_seeds)
-    for attribute in attrs.available_attributes():
-        values = attrs.values(attribute, included_ids)
+    for attribute, column in columns.items():
         try:
-            corr = correlate(tau_values, values)
+            corr = correlate(thresholds.values[keep], column[keep])
         except ValueError as exc:
             report["correlations"][attribute] = {"error": str(exc)}
             continue
@@ -626,25 +641,20 @@ def cmd_analyze(s: argparse.Namespace) -> int:
             "n": corr.n,
         }
 
-    tertiles = tertile_attribute_report(thresholds, attrs, include_seeds=s.include_seeds)
+    tertiles = split_tertiles(thresholds, include_seeds=s.include_seeds)
     io.write_table(
         out / "tertile_attributes.csv",
         ["tertile", "attribute", "count", "mean", "q1", "median", "q3"],
         ([tertile, attribute, *_summary_cells(st)]
-         for tertile, by_attr in tertiles.summaries.items() for attribute, st in by_attr.items()),
+         for tertile, attribute, st in tertile_attribute_report(tertiles, columns)),
     )
     io.write_table(
         out / "tertile_members.csv", ["tertile", "id"],
-        ([tertile, node] for tertile, members in tertiles.tertiles.items() for node in members),
+        ([tertile, thresholds.node_ids[i]] for tertile, members in tertiles.items()
+         for i in members),
     )
 
     if curves:
-        graph = io.read_edge_list(_require_file(s.edges, "edge list"))
-        aligned = _align_thresholds(thresholds, graph)
-        durations = io.read_durations(_require_file(s.durations, "durations"))
-        schedule = DiffusionSchedule(s.horizon, s.first_update_week)
-        empirical = durations_to_weeks(align_durations(durations, graph.nodes), s.horizon)
-        simulated = run_diffusion(graph, aligned, all_affected(graph.n), schedule)
         empirical_counts = recovered_counts(empirical, s.horizon)
         simulated_counts = recovered_counts(simulated, s.horizon)
         diff = empirical_counts - simulated_counts
@@ -658,21 +668,18 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         report["recovery_curves_file"] = "recovery_curves.csv"
 
     if s.multipliers_dir:
-        directory = Path(s.multipliers_dir)
-        _require_file(directory / "multipliers_summary.csv", "multiplier summary")
-        results = io.read_multiplier_results(directory)
-        comparison = multiplier_attribute_comparison(results, attrs)
+        comparison = multiplier_attribute_comparison([p for _, p in results], columns)
         io.write_table(
             out / "multiplier_attributes.csv",
             ["size", "group", "attribute", "count", "mean", "q1", "median", "q3"],
-            ([e.size, e.group, e.attribute, *_summary_cells(e.summary)]
-             for e in comparison.entries),
+            ([size, group, attribute, *_summary_cells(st)]
+             for size, group, attribute, st in comparison),
         )
         io.write_table(
             out / "increment_rates.csv",
             ["size", "recovered_with", "recovered_without", "increment_rate_pct"],
             ([len(r.members), r.recovered_with, r.recovered_without,
-              "" if r.increment_rate is None else repr(r.increment_rate)] for r in results),
+              "" if r.increment_rate is None else repr(r.increment_rate)] for r, _ in results),
         )
         report["multiplier_comparison_file"] = "multiplier_attributes.csv"
 

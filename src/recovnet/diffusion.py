@@ -88,6 +88,14 @@ class ThresholdVector:
         values[~seed_mask] = np.asarray(free_values, dtype=np.float64)
         return cls(node_ids=tuple(node_ids), values=values, seed_mask=seed_mask)
 
+    def take(self, rows: np.ndarray) -> "ThresholdVector":
+        """The given rows, in that order (graph.align_rows gives node order)."""
+        return ThresholdVector(
+            node_ids=tuple(self.node_ids[i] for i in rows),
+            values=self.values[rows],
+            seed_mask=self.seed_mask[rows],
+        )
+
     @property
     def n(self) -> int:
         return self.values.shape[0]

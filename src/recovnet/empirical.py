@@ -10,13 +10,13 @@ of weeks 1..T it spends recovered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
+from .graph import align_rows
 
 CAP_WEEKS = 14
 CAP_DAYS = CAP_WEEKS * 7
@@ -59,30 +59,6 @@ def _check_visit_matrix(
         raise VisitRowError(problem, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class VisitSeries:
-    """Daily visit counts for one unit, with the baseline window and the
-    first day on which recovery is assessed (all indices into `visits`).
-
-    The baseline window is inclusive and must precede recovery_start; the
-    series must extend at least 98 days (14 weeks) past recovery_start.
-    """
-
-    visits: np.ndarray
-    baseline_start: int
-    baseline_end: int
-    recovery_start: int
-
-    def __post_init__(self) -> None:
-        visits = np.asarray(self.visits, dtype=np.float64)
-        object.__setattr__(self, "visits", visits)
-        if visits.ndim != 1:
-            raise DataError("visit series must be one-dimensional")
-        _check_visit_matrix(
-            visits[None, :], self.baseline_start, self.baseline_end, self.recovery_start
-        )
-
-
 def moving_average(values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Centered moving average along the last axis; the window shrinks at
     the series edges."""
@@ -109,8 +85,10 @@ def compute_recovery_durations(
 ) -> np.ndarray:
     """Weeks until smoothed visits persist at >= ratio x baseline, capped at
     14, for every row of a units x days matrix whose rows share the window
-    (indices into a row). Each row must satisfy VisitSeries's rules; a
-    VisitRowError names the first row that does not.
+    (indices into a row). Counts must be nonnegative, the inclusive baseline
+    window must lie in the series and precede recovery_start, and the series
+    must extend 98 days (14 weeks) past recovery_start; a VisitRowError
+    names the first row that breaks a rule.
 
     The baseline is the mean over the baseline window; the smoothed series is
     a centered moving average (halfwidth days each side). Recovery is the
@@ -147,29 +125,26 @@ def compute_recovery_durations(
     return durations
 
 
-def compute_recovery_duration(
-    series: VisitSeries,
-    ratio: float = 0.9,
-    persistence_days: int = 3,
-    ma_halfwidth: int = 3,
-) -> float:
-    """compute_recovery_durations for one unit's series."""
-    return float(compute_recovery_durations(
-        series.visits[None, :], series.baseline_start, series.baseline_end,
-        series.recovery_start, ratio, persistence_days, ma_halfwidth,
-    )[0])
-
-
-def validate_durations(durations: Sequence[float], horizon: int = CAP_WEEKS) -> np.ndarray:
+def validate_durations(
+    durations: Sequence[float],
+    horizon: int = CAP_WEEKS,
+    node_ids: Optional[Sequence[str]] = None,
+) -> np.ndarray:
+    """Durations as float64, each finite, positive and at most horizon weeks;
+    a DataError names the first entry that is not, by its id in node_ids
+    when given, else by its index."""
     arr = np.asarray(durations, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("durations must be finite")
-    if np.any(arr <= 0):
-        raise DataError("durations must be strictly positive")
-    if np.any(arr > horizon):
-        raise DataError(
-            f"durations must be capped at {horizon} weeks; max is {arr.max():g}"
+    bad = ~np.isfinite(arr) | (arr <= 0) | (arr > horizon)
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = arr[i]
+        rule = (
+            "must be finite" if not np.isfinite(value)
+            else "must be strictly positive" if value <= 0
+            else f"must be capped at {horizon} weeks"
         )
+        entry = f"node {node_ids[i]!r}" if node_ids is not None else f"entry {i}"
+        raise DataError(f"durations {rule}; {entry} has {value:g}")
     return arr
 
 
@@ -199,22 +174,20 @@ def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int | np.ndar
     return int(loss) if loss.ndim == 0 else loss
 
 
-def _first_ten(ids: Sequence[str]) -> str:
-    return ", ".join(map(str, ids[:10])) + (" ..." if len(ids) > 10 else "")
-
-
 def align_durations(
-    durations: Mapping[str, float], node_ids: Sequence[str]
+    durations: Mapping[str, float],
+    node_ids: Sequence[str],
+    horizon: int = CAP_WEEKS,
+    source: str = "durations",
 ) -> np.ndarray:
-    """Duration table values in the given node order; nodes missing a
-    duration and durations of nodes outside node_ids are both named."""
-    missing = [n for n in node_ids if n not in durations]
-    if missing:
-        raise DataError(f"nodes missing a duration: {_first_ten(missing)}")
-    extra = sorted(set(durations) - set(node_ids))
-    if extra:
-        raise DataError(
-            f"durations for nodes absent from the graph: {_first_ten(extra)}; an edge list "
-            "cannot hold isolated units, a graph built from --geometry can"
-        )
-    return np.array([float(durations[n]) for n in node_ids], dtype=np.float64)
+    """Duration table values in the given node order, checked by
+    validate_durations; errors name source (the table's file)."""
+    rows = align_rows(
+        tuple(durations), node_ids, source,
+        hint="an edge list cannot hold isolated units, a graph built from --geometry can",
+    )
+    values = np.fromiter(durations.values(), np.float64, len(durations))[rows]
+    try:
+        return validate_durations(values, horizon, node_ids)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None

@@ -84,9 +84,11 @@ def build_fit_problem(
     durations: Mapping[str, float],
     seed_cutoff_weeks: float = DEFAULT_SEED_CUTOFF_WEEKS,
     schedule: DiffusionSchedule = DiffusionSchedule(),
+    source: str = "durations",
 ) -> FitProblem:
     """Split nodes into seeds (duration below the cutoff) and free nodes,
-    and take the empirical recovered weeks from the duration table.
+    and take the empirical recovered weeks from the duration table (errors
+    name source, its file).
 
     Warns when the seed set is empty (nothing can ever recover from an
     all-affected start) and when a seed's empirical recovery week differs
@@ -94,7 +96,7 @@ def build_fit_problem(
     """
     if seed_cutoff_weeks <= 0:
         raise ConfigError(f"seed_cutoff_weeks must be > 0, got {seed_cutoff_weeks}")
-    values = align_durations(durations, graph.nodes)
+    values = align_durations(durations, graph.nodes, schedule.horizon, source)
     empirical = durations_to_weeks(values, schedule.horizon)
     seed_mask = values < seed_cutoff_weeks
 

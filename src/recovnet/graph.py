@@ -237,3 +237,37 @@ def graph_metrics(g: SpatialGraph) -> GraphMetrics:
     return GraphMetrics(
         n=g.n, m=g.m, avg_degree=avg_degree, density=density, degree_histogram=histogram
     )
+
+
+def _first_ten(ids: Sequence[str]) -> str:
+    return ", ".join(map(str, ids[:10])) + (" ..." if len(ids) > 10 else "")
+
+
+def align_rows(ids: Sequence[str], nodes: Sequence[str], source, hint: str = "") -> np.ndarray:
+    """Row positions that put a per-node table in node order: row rows[i] of
+    the table (whose rows have the given ids) holds nodes[i].
+
+    The table must hold one row per node and no other: otherwise a DataError
+    names source, the first ten nodes without a row and the first ten ids
+    that are not nodes, and ends with hint when there are such ids.
+    """
+    row_of = {node: i for i, node in enumerate(ids)}
+    if len(row_of) < len(ids):
+        # row_of keeps the last row of an id: the first row it disowns is repeated
+        repeated = next(node for i, node in enumerate(ids) if row_of[node] != i)
+        raise DataError(f"{source}: more than one row for node {repeated!r}")
+    missing = [node for node in nodes if node not in row_of]
+    known = set(nodes)
+    extra = [node for node in ids if node not in known]
+    problems = []
+    if missing:
+        problems.append(f"no row for {len(missing)} of the {len(nodes)} nodes: "
+                        f"{_first_ten(missing)}")
+    if extra:
+        problems.append(
+            f"{len(extra)} row(s) for ids not among the {len(nodes)} nodes: {_first_ten(extra)}"
+            + (f"; {hint}" if hint else "")
+        )
+    if problems:
+        raise DataError(f"{source}: " + "; ".join(problems))
+    return np.fromiter(map(row_of.__getitem__, nodes), np.intp, len(nodes))

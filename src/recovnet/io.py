@@ -23,11 +23,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import AttributeRow, AttributeTable
+from .analysis import ATTRIBUTE_NAMES, AttributeTable
 from .diffusion import ThresholdVector
 from .errors import DataError
 from .ga import GenerationRecord
-from .graph import GraphMetrics, SpatialGraph, SpatialUnit
+from .graph import GraphMetrics, SpatialGraph, SpatialUnit, align_rows
 from .multipliers import MultiplierResult
 
 
@@ -354,41 +354,57 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     }
 
 
-ATTRIBUTE_HEADER = ["id", "per_capita_income", "median_household_income", "minority_pct"]
-
-
 def read_attributes(path: str | Path) -> AttributeTable:
-    rows = _open_csv(path, ATTRIBUTE_HEADER)
-    table: dict[str, AttributeRow] = {}
+    """Attributes CSV (header id,per_capita_income,median_household_income,
+    minority_pct, then optionally flood_extent) as columns.
+
+    Values must be finite; ids distinct, minority_pct in [0, 100] and
+    flood_extent >= 0, given in every row or in none (then the table has no
+    flood_extent column). The columns are checked at once and an error names
+    the file and the first row that breaks a rule.
+    """
+    rows = _open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]])
     for row in rows:
         if len(row) < 4:
             raise DataError(f"{path}: malformed attribute row {row!r}")
-        node = row[0].strip()
-        if node in table:
-            raise DataError(f"{path}: duplicate attribute row for node {node!r}")
-        flood: Optional[float] = None
-        if len(row) >= 5 and row[4].strip() != "":
-            flood = _parse_float(row[4], path, row)
-        table[node] = AttributeRow(
-            per_capita_income=_parse_float(row[1], path, row),
-            median_household_income=_parse_float(row[2], path, row),
-            minority_pct=_parse_float(row[3], path, row),
-            flood_extent=flood,
-        )
-    return AttributeTable(table)
+    ids = [row[0].strip() for row in rows]
+    income, household, minority = np.array(
+        [[_parse_float(text, path, row) for text in row[1:4]] for row in rows], dtype=np.float64
+    ).reshape(-1, 3).T.copy()
+    given = np.array([len(row) > 4 and row[4].strip() != "" for row in rows], dtype=bool)
+    flood = np.array(
+        [_parse_float(row[4], path, row) if has else 0.0 for row, has in zip(rows, given)],
+        dtype=np.float64,
+    )
+    first_row: dict[str, int] = {}
+    repeated = [first_row.setdefault(node, i) != i for i, node in enumerate(ids)]
+    faults = (
+        (repeated, "a second attribute row for its node"),
+        ((minority < 0) | (minority > 100), "minority_pct outside [0, 100]"),
+        (flood < 0, "negative flood_extent"),
+        (~given & given.any(), "no flood_extent where other rows give one (give it in every "
+                               "row or in none)"),
+    )
+    bad = np.array([mask for mask, _ in faults], dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        problem = next(message for mask, message in faults if mask[i])
+        raise DataError(f"{path}: {problem} in row {rows[i]!r}")
+    columns = dict(zip(ATTRIBUTE_NAMES, (income, household, minority)))
+    if given.size and given.all():
+        columns["flood_extent"] = flood
+    return AttributeTable(ids=tuple(ids), columns=columns)
 
 
 def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
-    write_table(path, ATTRIBUTE_HEADER + ["flood_extent"], (
-        [
-            node,
-            repr(row.per_capita_income),
-            repr(row.median_household_income),
-            repr(row.minority_pct),
-            "" if row.flood_extent is None else repr(row.flood_extent),
-        ]
-        for node, row in attrs.rows.items()
-    ))
+    """Every attribute column; flood_extent cells stay empty when the table
+    has none."""
+    cells = [
+        list(map(repr, attrs.columns[name].tolist())) if name in attrs.columns
+        else [""] * len(attrs)
+        for name in ATTRIBUTE_NAMES
+    ]
+    write_table(path, ["id", *ATTRIBUTE_NAMES], zip(attrs.ids, *cells))
 
 
 def read_thresholds(path: str | Path) -> ThresholdVector:
@@ -461,14 +477,15 @@ def write_multiplier_set(
     )
 
 
-def read_multiplier_set(path: str | Path) -> tuple[str, ...]:
-    members = []
+def read_multiplier_set(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of a multiplier set file and which are selected, in file order."""
+    ids, selected = [], []
     for row in _open_csv(path, ["id", "selected"]):
         if len(row) < 2:
             raise DataError(f"{path}: malformed multiplier row {row!r}")
-        if row[1].strip() == "1":
-            members.append(row[0].strip())
-    return tuple(members)
+        ids.append(row[0].strip())
+        selected.append(row[1].strip() == "1")
+    return tuple(ids), np.array(selected, dtype=bool)
 
 
 MULTIPLIER_SUMMARY_HEADER = [
@@ -487,9 +504,13 @@ def write_multiplier_summary(
     ))
 
 
-def read_multiplier_results(directory: str | Path) -> list[MultiplierResult]:
-    """The results of a multipliers run: each multipliers_summary.csv row
-    with the members of its multipliers_N<size>.csv set."""
+def read_multiplier_results(
+    directory: str | Path, nodes: Sequence[str]
+) -> list[tuple[MultiplierResult, np.ndarray]]:
+    """The results of a multipliers run over the given nodes: each
+    multipliers_summary.csv row with the members of its multipliers_N<size>.csv
+    set, and their positions in node order. Members keep the set file's
+    order; the set file must list every node once and no other id."""
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
     results = []
@@ -500,16 +521,18 @@ def read_multiplier_results(directory: str | Path) -> list[MultiplierResult]:
             _parse_int(text, path, row) for text in (row[0], row[2], row[3])
         )
         set_path = directory / f"multipliers_N{size}.csv"
-        members = read_multiplier_set(set_path)
+        ids, selected = read_multiplier_set(set_path)
+        members = tuple(node for node, chosen in zip(ids, selected) if chosen)
         if len(members) != size:
             raise DataError(f"{set_path}: {len(members)} nodes selected, row {row!r} says {size}")
+        # align_rows maps node order to file rows; its inverse maps file rows to nodes
+        positions = np.argsort(align_rows(ids, nodes, set_path))[selected]
         rate = row[4].strip()
-        results.append(
-            MultiplierResult(
-                members=members,
-                recovered_with=recovered_with,
-                recovered_without=recovered_without,
-                increment_rate=_parse_float(rate, path, row) if rate else None,
-            )
+        result = MultiplierResult(
+            members=members,
+            recovered_with=recovered_with,
+            recovered_without=recovered_without,
+            increment_rate=_parse_float(rate, path, row) if rate else None,
         )
+        results.append((result, positions))
     return results

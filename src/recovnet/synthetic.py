@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .analysis import AttributeRow, AttributeTable
+from .analysis import ATTRIBUTE_NAMES, AttributeTable
 from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, all_affected, run_diffusion
 from .errors import ConfigError
 from .graph import ContiguityRule, SpatialGraph, SpatialUnit, build_contiguity_graph
@@ -198,16 +198,8 @@ def _coupled_attributes(
     minority = 10.0 + 80.0 * (1.0 - position)
     flood = rng.uniform(0.0, 3.0, n)
 
-    rows = {
-        node: AttributeRow(
-            per_capita_income=float(per_capita[i]),
-            median_household_income=float(household[i]),
-            minority_pct=float(minority[i]),
-            flood_extent=float(flood[i]),
-        )
-        for i, node in enumerate(graph.nodes)
-    }
-    return AttributeTable(rows)
+    columns = dict(zip(ATTRIBUTE_NAMES, (per_capita, household, minority, flood)))
+    return AttributeTable(ids=graph.nodes, columns=columns)
 
 
 def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str | Path) -> None:

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from recovnet import (
-    AttributeRow,
-    AttributeTable,
-    MultiplierResult,
     ThresholdVector,
+    align_rows,
     correlate,
     multiplier_attribute_comparison,
     split_tertiles,
     tertile_attribute_report,
     threshold_summary,
 )
+from recovnet import io
 from recovnet.analysis import DistributionSummary
 from recovnet.errors import DataError
 
@@ -31,19 +30,24 @@ def tau_of(values, seeds=None):
 
 
 def attrs_for(tau, pci=None, mhi=None, minority=None, flood=None):
+    """Attribute columns in tau's node order; flood_extent only when given."""
     n = tau.n
-    pci = pci if pci is not None else [50_000.0] * n
-    mhi = mhi if mhi is not None else [80_000.0] * n
-    minority = minority if minority is not None else [30.0] * n
-    rows = {}
-    for i, node in enumerate(tau.node_ids):
-        rows[node] = AttributeRow(
-            per_capita_income=float(pci[i]),
-            median_household_income=float(mhi[i]),
-            minority_pct=float(minority[i]),
-            flood_extent=None if flood is None else float(flood[i]),
-        )
-    return AttributeTable(rows)
+    columns = {
+        "per_capita_income": pci if pci is not None else [50_000.0] * n,
+        "median_household_income": mhi if mhi is not None else [80_000.0] * n,
+        "minority_pct": minority if minority is not None else [30.0] * n,
+    }
+    if flood is not None:
+        columns["flood_extent"] = flood
+    return {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+
+
+def write_attributes_csv(path, rows):
+    path.write_text(
+        "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"
+        + "".join(",".join(map(str, row)) + "\n" for row in rows)
+    )
+    return path
 
 
 class TestThresholdSummary:
@@ -87,13 +91,16 @@ class TestSplitTertiles:
         tertiles = split_tertiles(
             tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
         )
-        assert tertiles["low"] == ("n0", "n1")
-        assert tertiles["middle"] == ("n2", "n3")
-        assert tertiles["high"] == ("n4", "n5")
+        assert tertiles["low"].tolist() == [0, 1]
+        assert tertiles["middle"].tolist() == [2, 3]
+        assert tertiles["high"].tolist() == [4, 5]
 
     def test_ties_broken_by_id(self):
-        tertiles = split_tertiles(tau_of([0.5, 0.5, 0.5]), include_seeds=True)
-        assert tertiles == {"low": ("n0",), "middle": ("n1",), "high": ("n2",)}
+        tau = ThresholdVector(node_ids=("n2", "n0", "n1"), values=np.full(3, 0.5))
+        tertiles = split_tertiles(tau, include_seeds=True)
+        assert {name: members.tolist() for name, members in tertiles.items()} == {
+            "low": [1], "middle": [2], "high": [0]
+        }
 
     @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
@@ -101,51 +108,47 @@ class TestSplitTertiles:
         rng = np.random.default_rng(seed)
         tau = tau_of(rng.random(n))
         tertiles = split_tertiles(tau, include_seeds=True)
-        groups = [set(v) for v in tertiles.values()]
-        assert set().union(*groups) == set(tau.node_ids)
+        groups = [set(v.tolist()) for v in tertiles.values()]
+        assert set().union(*groups) == set(range(n))
         assert sum(len(g) for g in groups) == n
         sizes = sorted(len(g) for g in groups)
         assert sizes[-1] - sizes[0] <= 1
 
 
+def tertile_medians(tau, columns, attribute):
+    rows = tertile_attribute_report(split_tertiles(tau, include_seeds=True), columns)
+    return {name: summary.median for name, attr, summary in rows if attr == attribute}
+
+
 class TestTertileAttributeReport:
     def test_constant_attributes_identical_summaries(self):
         tau = tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-        report = tertile_attribute_report(tau, attrs_for(tau), include_seeds=True)
-        medians = {
-            name: report.summaries[name]["per_capita_income"].median
-            for name in ("low", "middle", "high")
-        }
+        medians = tertile_medians(tau, attrs_for(tau), "per_capita_income")
+        assert list(medians) == ["low", "middle", "high"]
         assert len(set(medians.values())) == 1
 
     def test_income_declining_in_threshold(self):
         rng = np.random.default_rng(3)
         values = rng.random(30)
         tau = tau_of(values)
-        income = 100.0 - 50.0 * values
-        report = tertile_attribute_report(
-            tau, attrs_for(tau, pci=income), include_seeds=True
-        )
-        low = report.summaries["low"]["per_capita_income"].median
-        mid = report.summaries["middle"]["per_capita_income"].median
-        high = report.summaries["high"]["per_capita_income"].median
-        assert low > mid > high
+        medians = tertile_medians(tau, attrs_for(tau, pci=100.0 - 50.0 * values),
+                                  "per_capita_income")
+        assert medians["low"] > medians["middle"] > medians["high"]
 
-    def test_missing_rows_listed(self):
-        tau = tau_of([0.1, 0.2, 0.3])
-        attrs = attrs_for(tau)
-        del attrs.rows["n1"]
-        with pytest.raises(DataError, match="n1"):
-            tertile_attribute_report(tau, attrs, include_seeds=True)
+    def test_missing_rows_listed(self, tmp_path):
+        path = write_attributes_csv(tmp_path / "attributes.csv",
+                                    [("n0", 1, 2, 3, ""), ("n2", 1, 2, 3, "")])
+        attrs = io.read_attributes(path)
+        with pytest.raises(DataError, match="attributes.csv: no row for 1 of the 3 nodes: n1$"):
+            align_rows(attrs.ids, tau_of([0.1, 0.2, 0.3]).node_ids, path)
 
     def test_flood_included_only_when_complete(self):
         tau = tau_of([0.1, 0.2, 0.3])
-        with_flood = attrs_for(tau, flood=[1.0, 2.0, 0.5])
-        report = tertile_attribute_report(tau, with_flood, include_seeds=True)
-        assert "flood_extent" in report.summaries["low"]
-        without = attrs_for(tau)
-        report = tertile_attribute_report(tau, without, include_seeds=True)
-        assert "flood_extent" not in report.summaries["low"]
+        tertiles = split_tertiles(tau, include_seeds=True)
+        with_flood = tertile_attribute_report(tertiles, attrs_for(tau, flood=[1.0, 2.0, 0.5]))
+        assert ("low", "flood_extent") in {(name, attr) for name, attr, _ in with_flood}
+        without = tertile_attribute_report(tertiles, attrs_for(tau))
+        assert "flood_extent" not in {attr for _, attr, _ in without}
 
 
 class TestCorrelate:
@@ -195,50 +198,34 @@ class TestCorrelate:
 
 
 class TestMultiplierComparison:
-    def result_of(self, members):
-        return MultiplierResult(
-            members=tuple(members), recovered_with=0, recovered_without=0, increment_rate=None
-        )
-
     def test_all_nodes_selected_flags_empty_complement(self):
         tau = tau_of([0.1, 0.2, 0.3])
-        attrs = attrs_for(tau)
-        report = multiplier_attribute_comparison([self.result_of(tau.node_ids)], attrs)
-        non = [e for e in report.entries if e.group == "non_multiplier"]
-        assert non and all(e.summary is None for e in non)
+        rows = multiplier_attribute_comparison([np.arange(3)], attrs_for(tau))
+        non = [summary for _, group, _, summary in rows if group == "non_multiplier"]
+        assert non and all(summary is None for summary in non)
 
     def test_high_threshold_selection_shifts_minority(self):
         rng = np.random.default_rng(5)
         values = rng.random(20)
         tau = tau_of(values)
-        attrs = attrs_for(tau, minority=100.0 * values)
-        top = [tau.node_ids[i] for i in np.argsort(values)[-4:]]
-        report = multiplier_attribute_comparison([self.result_of(top)], attrs)
-        by_group = {
-            e.group: e.summary
-            for e in report.entries
-            if e.attribute == "minority_pct"
-        }
+        columns = attrs_for(tau, minority=100.0 * values)
+        rows = multiplier_attribute_comparison([np.argsort(values)[-4:]], columns)
+        by_group = {group: summary for _, group, attr, summary in rows if attr == "minority_pct"}
         assert by_group["multiplier"].median > by_group["non_multiplier"].median
 
     def test_sizes_reported_independently(self):
         tau = tau_of([0.1, 0.2, 0.3, 0.4])
-        attrs = attrs_for(tau)
-        report = multiplier_attribute_comparison(
-            [self.result_of(("n0",)), self.result_of(("n1", "n2"))], attrs
+        rows = multiplier_attribute_comparison(
+            [np.array([0]), np.array([1, 2])], attrs_for(tau)
         )
-        sizes = {e.size for e in report.entries}
-        assert sizes == {1, 2}
-        for entry in report.entries:
-            if entry.summary is not None and entry.group == "multiplier":
-                assert entry.summary.count == entry.size
+        assert {size for size, *_ in rows} == {1, 2}
+        for size, group, _, summary in rows:
+            assert summary.count == (size if group == "multiplier" else 4 - size)
 
-    def test_missing_attribute_rows_rejected(self):
-        tau = tau_of([0.1, 0.2])
-        attrs = attrs_for(tau)
-        del attrs.rows["n0"]
-        with pytest.raises(DataError, match="n0"):
-            multiplier_attribute_comparison([self.result_of(("n0",))], attrs)
+    def test_missing_attribute_rows_rejected(self, tmp_path):
+        path = write_attributes_csv(tmp_path / "attributes.csv", [("n1", 1, 2, 3, "")])
+        with pytest.raises(DataError, match="no row for 1 of the 2 nodes: n0$"):
+            align_rows(io.read_attributes(path).ids, ("n0", "n1"), path)
 
 
 class TestDistributionSummary:
@@ -253,17 +240,18 @@ class TestDistributionSummary:
 
 
 class TestAttributeRow:
-    def test_minority_bounds(self):
-        with pytest.raises(DataError, match="minority"):
-            AttributeRow(
-                per_capita_income=1.0, median_household_income=2.0, minority_pct=140.0
-            )
+    """The rules for one row of an attributes table, checked as it is read."""
 
-    def test_negative_flood_rejected(self):
-        with pytest.raises(DataError, match="flood"):
-            AttributeRow(
-                per_capita_income=1.0,
-                median_household_income=2.0,
-                minority_pct=10.0,
-                flood_extent=-0.5,
-            )
+    def test_minority_bounds(self, tmp_path):
+        path = write_attributes_csv(tmp_path / "attributes.csv",
+                                    [("a", 1, 2, 10, ""), ("b", 1, 2, 140, "")])
+        with pytest.raises(DataError, match=r"attributes.csv: minority_pct outside \[0, 100\] "
+                                            r"in row \['b', "):
+            io.read_attributes(path)
+
+    def test_negative_flood_rejected(self, tmp_path):
+        path = write_attributes_csv(tmp_path / "attributes.csv",
+                                    [("a", 1, 2, 10, 0.5), ("b", 1, 2, 10, -0.5)])
+        with pytest.raises(DataError, match=r"attributes.csv: negative flood_extent "
+                                            r"in row \['b', "):
+            io.read_attributes(path)

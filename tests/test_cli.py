@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from recovnet import io
@@ -277,8 +280,8 @@ class TestPoolAndGeometry:
             "multipliers", "--geometry", geometry, "--thresholds", thresholds,
             "--sizes", "1", "--pool", "unrecovered", "--brute-force", "--out", out,
         ) == 0
-        selected = io.read_multiplier_set(out / "multipliers_N1.csv")
-        assert set(selected) <= {"s2", "s3"}
+        ids, selected = io.read_multiplier_set(out / "multipliers_N1.csv")
+        assert selected.sum() == 1 and ids[np.argmax(selected)] in {"s2", "s3"}
 
     @staticmethod
     def two_stuck_units(tmp_path, n):
@@ -310,7 +313,8 @@ class TestPoolAndGeometry:
         assert capsys.readouterr().err == (
             "dropped default sizes 3, larger than the 'unrecovered' candidate pool's 2 nodes\n"
         )
-        assert [len(r.members) for r in io.read_multiplier_results(out)] == [1]
+        nodes = io.read_edge_list(tmp_path / "edges.csv").nodes
+        assert [len(r.members) for r, _ in io.read_multiplier_results(out, nodes)] == [1]
         assert json.loads((out / "manifest.json").read_text())["settings"]["sizes"] == [1]
         assert not (out / "multipliers_N3.csv").exists()
 
@@ -973,9 +977,12 @@ class TestRunDirectoryInputs:
         assert "multipliers_N1.csv" in capsys.readouterr().err
 
     def test_summary_round_trip(self, tmp_path, instance_dir, mult_dir):
-        results = io.read_multiplier_results(mult_dir)
-        assert [len(r.members) for r in results] == [1, 2]
-        io.write_multiplier_summary([("brute-force", r) for r in results],
+        nodes = io.read_edge_list(instance_dir / "edges.csv").nodes
+        results = io.read_multiplier_results(mult_dir, nodes)
+        assert [len(r.members) for r, _ in results] == [1, 2]
+        for result, positions in results:
+            assert tuple(nodes[i] for i in positions) == result.members
+        io.write_multiplier_summary([("brute-force", r) for r, _ in results],
                                     tmp_path / "summary.csv")
         assert (tmp_path / "summary.csv").read_bytes() == (
             mult_dir / "multipliers_summary.csv").read_bytes()
@@ -987,3 +994,153 @@ class TestRunDirectoryInputs:
                    "--durations", path, "--runs", 5, "--out", tmp_path / "b") == 3
         err = capsys.readouterr().err
         assert "zz" in err and "--geometry" in err
+
+
+def _append_row(path: Path, row: str) -> Path:
+    path.write_text(path.read_text() + row + "\n")
+    return path
+
+
+def _drop_row(path: Path, row_index: int) -> str:
+    """Remove one data row (0-based, header excluded); returns its id."""
+    lines = path.read_text().splitlines()
+    node = lines[row_index + 1].split(",")[0]
+    path.write_text("\n".join(lines[: row_index + 1] + lines[row_index + 2:]) + "\n")
+    return node
+
+
+class TestNodeTables:
+    """Every per-node table is put in node order by one function: a table
+    that misses a node or holds another, or a row with a bad value, exits 3
+    naming the file and the row or node, before any output is written."""
+
+    @pytest.fixture
+    def mult_dir(self, tmp_path, instance_dir):
+        out = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", "1,2", "--brute-force", "--out", out) == 0
+        return out
+
+    def _analyze(self, tmp_path, instance_dir, *flags, thresholds=None, attributes=None,
+                 durations=None) -> int:
+        return run(
+            "analyze",
+            "--thresholds", thresholds or instance_dir / "planted_thresholds.csv",
+            "--attributes", attributes or instance_dir / "attributes.csv",
+            "--edges", instance_dir / "edges.csv",
+            "--durations", durations or instance_dir / "durations.csv",
+            *flags, "--out", tmp_path / "analysis",
+        )
+
+    def test_extra_attribute_row_named(self, tmp_path, instance_dir, mult_dir, capsys):
+        path = _append_row(instance_dir / "attributes.csv", "zz,30000.0,60000.0,20.0,1.0")
+        assert self._analyze(tmp_path, instance_dir, "--multipliers-dir", mult_dir) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: 1 row(s) for ids not among the 16 nodes: zz\n"
+        )
+        assert not (tmp_path / "analysis").exists()
+
+    def test_partial_flood_column_named(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "attributes.csv"
+        node = _rewrite_row(path, 5, 4, "")
+        assert self._analyze(tmp_path, instance_dir) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: no flood_extent where other rows give one" in err
+        assert f"in row ['{node}', " in err
+
+    def test_minority_out_of_range_named(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "attributes.csv"
+        node = _rewrite_row(path, 7, 3, "150")
+        assert self._analyze(tmp_path, instance_dir) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: minority_pct outside [0, 100] in row ['{node}', " in err
+        assert "'150'" in err
+
+    def test_thresholds_one_node_short(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "planted_thresholds.csv"
+        node = _drop_row(path, 9)
+        expected = f"data error: {path}: no row for 1 of the 16 nodes: {node}\n"
+        assert self._analyze(tmp_path, instance_dir) == 3
+        assert capsys.readouterr().err == expected
+        assert run("multipliers", "--edges", instance_dir / "edges.csv", "--thresholds", path,
+                   "--sizes", 1, "--brute-force", "--out", tmp_path / "mult") == 3
+        assert capsys.readouterr().err == expected
+
+    def test_multiplier_set_of_another_network(self, tmp_path, instance_dir, mult_dir, capsys):
+        path = _append_row(mult_dir / "multipliers_N2.csv", "zz,0")
+        assert self._analyze(tmp_path, instance_dir, "--multipliers-dir", mult_dir) == 3
+        assert f"{path}: 1 row(s) for ids not among the 16 nodes: zz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,rule", [
+        ("20", "must be capped at 14 weeks"), ("0", "must be strictly positive"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    def test_out_of_range_duration_names_node(self, tmp_path, instance_dir, capsys,
+                                              command, value, rule):
+        path = instance_dir / "durations.csv"
+        first = _rewrite_row(path, 6, 1, value)
+        _rewrite_row(path, 11, 1, value)
+        if command == "fit":
+            code = run("fit", "--edges", instance_dir / "edges.csv", "--durations", path,
+                       "--max-iterations", 2, "--out", tmp_path / "fit")
+        else:
+            code = self._analyze(tmp_path, instance_dir, durations=path)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: durations {rule}; node {first!r} has {value}\n"
+        )
+
+    @pytest.mark.parametrize("rows,flags,named", [
+        ("a,0.0,1\nb,0.0,1\n", [],
+         "no free nodes to summarize; its 2 seed node(s) count with --include-seeds"),
+        ("", [], "no nodes to summarize"),
+        ("", ["--include-seeds"], "no nodes to summarize"),
+    ])
+    def test_no_nodes_to_summarize(self, tmp_path, instance_dir, capsys, rows, flags, named):
+        path = tmp_path / "thresholds.csv"
+        path.write_text("id,threshold,is_seed\n" + rows)
+        assert run("analyze", "--thresholds", path, "--attributes", instance_dir / "attributes.csv",
+                   *flags, "--out", tmp_path / "analysis") == 3
+        assert capsys.readouterr().err == f"data error: {path}: {named}\n"
+
+
+@pytest.fixture(scope="module")
+def analysis_run(tmp_path_factory):
+    """A pipeline run up to analyze: the analyze command for a given
+    attributes file, and the instance directory."""
+    root = tmp_path_factory.mktemp("shuffle")
+    synth, fit, mult = (root / name for name in ("synth", "fit", "mult"))
+    assert run("synth", "--nodes", 30, "--rng-seed", 8, "--out", synth) == 0
+    assert run("fit", "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
+               "--max-iterations", 20, "--out", fit) == 0
+    assert run("multipliers", "--edges", synth / "edges.csv", "--thresholds",
+               fit / "thresholds.csv", "--sizes", "1,2,29", "--max-iterations", 5,
+               "--out", mult) == 0
+
+    def analyze(attributes: Path, out: Path) -> dict[str, bytes]:
+        """Every table analyze writes, by file name."""
+        assert run("analyze", "--thresholds", fit / "thresholds.csv", "--attributes", attributes,
+                   "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
+                   "--multipliers-dir", mult, "--out", out) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+
+    return analyze, synth
+
+
+class TestAttributeOrder:
+    """The attributes are put in the thresholds' node order once, so the
+    order of their rows changes no analyze table."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=10, deadline=None)
+    def test_shuffled_rows_same_tables(self, analysis_run, random):
+        analyze, synth = analysis_run
+        header, *rows = (synth / "attributes.csv").read_text().splitlines(keepends=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            expected = analyze(synth / "attributes.csv", Path(tmp) / "unshuffled")
+            random.shuffle(rows)
+            shuffled = Path(tmp) / "attributes.csv"
+            shuffled.write_text(header + "".join(rows))
+            assert analyze(shuffled, Path(tmp) / "shuffled") == expected
+        assert len(expected) == 6

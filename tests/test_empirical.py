@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from recovnet import (
-    VisitSeries,
-    compute_recovery_duration,
     compute_recovery_durations,
     durations_to_weeks,
     recovered_counts,
@@ -20,13 +18,11 @@ from recovnet.errors import ConfigError, DataError
 RSTART = 27
 
 
-def make_series(visits):
-    return VisitSeries(
-        visits=np.asarray(visits, dtype=float),
-        baseline_start=0,
-        baseline_end=20,
-        recovery_start=RSTART,
-    )
+def one_duration(visits, **settings):
+    """compute_recovery_durations for one unit: a one-row matrix with the
+    baseline on days 0-20 and recovery assessed from day RSTART."""
+    row = np.asarray(visits, dtype=float)[None, :]
+    return float(compute_recovery_durations(row, 0, 20, RSTART, **settings)[0])
 
 
 def dip_recover_visits():
@@ -36,23 +32,21 @@ def dip_recover_visits():
 
 
 class TestVisitSeries:
+    """A unit's series rules, checked by a one-row call."""
+
     def test_baseline_must_precede_recovery(self):
         with pytest.raises(DataError, match="precede"):
-            VisitSeries(
-                visits=np.ones(200), baseline_start=0, baseline_end=30, recovery_start=20
-            )
+            compute_recovery_durations(np.ones((1, 200)), 0, 30, 20)
 
     def test_series_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            VisitSeries(
-                visits=np.ones(100), baseline_start=0, baseline_end=5, recovery_start=10
-            )
+            compute_recovery_durations(np.ones((1, 100)), 0, 5, 10)
 
     def test_negative_visits_rejected(self):
-        visits = np.ones(150)
-        visits[40] = -1
+        visits = np.ones((1, 150))
+        visits[0, 40] = -1
         with pytest.raises(DataError, match="nonnegative"):
-            VisitSeries(visits=visits, baseline_start=0, baseline_end=5, recovery_start=10)
+            compute_recovery_durations(visits, 0, 5, 10)
 
 
 class TestMovingAverage:
@@ -74,9 +68,10 @@ class TestMovingAverage:
 
 
 class TestComputeRecoveryDuration:
+    """One unit's duration, from one-row calls."""
+
     def test_dip_then_recover(self):
-        series = make_series(dip_recover_visits())
-        duration = compute_recovery_duration(series)
+        duration = one_duration(dip_recover_visits())
         assert duration == pytest.approx(10 / 7)
         assert duration == oracles.naive_recovery_duration(
             dip_recover_visits(), 0, 20, RSTART
@@ -84,18 +79,17 @@ class TestComputeRecoveryDuration:
 
     def test_never_drops_recovers_immediately(self):
         visits = [100.0] * 21 + [95.0] * 130
-        assert compute_recovery_duration(make_series(visits)) == pytest.approx(1 / 7)
+        assert one_duration(visits) == pytest.approx(1 / 7)
 
     def test_never_recovers_capped_at_14(self):
         visits = [100.0] * 21 + [50.0] * 130
-        assert compute_recovery_duration(make_series(visits)) == 14.0
+        assert one_duration(visits) == 14.0
 
     def test_matches_naive_oracle_on_random_series(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
             visits = rng.uniform(0, 120, size=131)
-            series = make_series(visits)
-            assert compute_recovery_duration(series) == oracles.naive_recovery_duration(
+            assert one_duration(visits) == oracles.naive_recovery_duration(
                 visits, 0, 20, RSTART
             )
         # series ending 98-104 days past recovery start: sparse random
@@ -112,8 +106,8 @@ class TestComputeRecoveryDuration:
                             visits, 0, 20, RSTART,
                             persistence_days=persistence, ma_halfwidth=halfwidth,
                         )
-                        assert compute_recovery_duration(
-                            make_series(visits),
+                        assert one_duration(
+                            visits,
                             persistence_days=persistence,
                             ma_halfwidth=halfwidth,
                         ) == expected
@@ -122,28 +116,25 @@ class TestComputeRecoveryDuration:
         # unsmoothed: a 2-day blip over the threshold must not count as recovery
         visits = [100.0] * 21 + [50.0] * 130
         visits[RSTART + 5] = visits[RSTART + 6] = 100.0
-        series = make_series(visits)
-        assert compute_recovery_duration(series, ma_halfwidth=0) == 14.0
-        assert compute_recovery_duration(
-            series, ma_halfwidth=0, persistence_days=2
-        ) == pytest.approx(6 / 7)
+        assert one_duration(visits, ma_halfwidth=0) == 14.0
+        assert one_duration(visits, ma_halfwidth=0, persistence_days=2) == pytest.approx(6 / 7)
 
     @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariant_power_of_two(self, exponent, seed):
         rng = np.random.default_rng(seed)
         visits = rng.integers(0, 200, size=131).astype(float)
-        base = compute_recovery_duration(make_series(visits))
-        scaled = compute_recovery_duration(make_series(visits * 2.0**exponent))
+        base = one_duration(visits)
+        scaled = one_duration(visits * 2.0**exponent)
         assert base == scaled
 
     def test_scale_invariant_typical_factor(self):
         visits = np.asarray(dip_recover_visits())
-        assert compute_recovery_duration(make_series(visits * 3.7)) == pytest.approx(10 / 7)
+        assert one_duration(visits * 3.7) == pytest.approx(10 / 7)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigError, match="ratio"):
-            compute_recovery_duration(make_series(dip_recover_visits()), ratio=0.0)
+            one_duration(dip_recover_visits(), ratio=0.0)
 
 
 def recovery_rows(rng, units, length, start=RSTART):
@@ -184,9 +175,8 @@ class TestComputeRecoveryDurations:
                     ]
                     assert durations.tolist() == expected
                     assert durations.tolist() == [
-                        compute_recovery_duration(
-                            make_series(row),
-                            persistence_days=persistence, ma_halfwidth=halfwidth,
+                        one_duration(
+                            row, persistence_days=persistence, ma_halfwidth=halfwidth
                         )
                         for row in visits
                     ]

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 import oracles
 from recovnet import (
-    AttributeRow,
-    AttributeTable,
     ContiguityRule,
     DataError,
     SpatialGraph,
@@ -22,6 +20,7 @@ from recovnet import (
     graph_metrics,
 )
 from recovnet import io
+from recovnet.analysis import ATTRIBUTE_NAMES, AttributeTable
 
 
 @pytest.fixture
@@ -255,36 +254,75 @@ class TestVisitReaderAgainstOracle:
             assert values.dtype == np.float64 and values.tolist() == expected[node][1]
 
 
+ATTRIBUTES_HEADER = "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"
+
+
 class TestAttributesCsv:
     def test_round_trip_with_flood(self, tmp_path):
         attrs = AttributeTable(
-            {
-                "a": AttributeRow(30_000.0, 60_000.0, 25.0, 1.5),
-                "b": AttributeRow(50_000.0, 90_000.0, 10.0, 0.0),
-            }
+            ids=("a", "b"),
+            columns={
+                "per_capita_income": np.array([30_000.0, 50_000.0]),
+                "median_household_income": np.array([60_000.0, 90_000.0]),
+                "minority_pct": np.array([25.0, 10.0]),
+                "flood_extent": np.array([1.5, 0.0]),
+            },
         )
         path = tmp_path / "attributes.csv"
         io.write_attributes(attrs, path)
         loaded = io.read_attributes(path)
-        assert loaded.rows == attrs.rows
-        assert loaded.has_flood_extent
+        assert loaded.ids == attrs.ids
+        assert list(loaded.columns) == list(attrs.columns)
+        for name, column in attrs.columns.items():
+            assert loaded.columns[name].tolist() == column.tolist()
+        assert all(column.dtype == np.float64 for column in loaded.columns.values())
 
     def test_missing_flood_cells(self, tmp_path):
         path = tmp_path / "attributes.csv"
-        path.write_text(
-            "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"
-            "a,1000,2000,5.0,\n"
-        )
+        path.write_text(ATTRIBUTES_HEADER + "a,1000,2000,5.0,\nb,1000,2000,5.0,\n")
         loaded = io.read_attributes(path)
-        assert loaded.rows["a"].flood_extent is None
-        assert not loaded.has_flood_extent
+        assert "flood_extent" not in loaded.columns
+        io.write_attributes(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == (
+            ATTRIBUTES_HEADER + "a,1000.0,2000.0,5.0,\nb,1000.0,2000.0,5.0,\n"
+        )
 
     def test_flood_column_optional(self, tmp_path):
         path = tmp_path / "attributes.csv"
         path.write_text(
             "id,per_capita_income,median_household_income,minority_pct\na,1,2,5\n"
         )
-        assert io.read_attributes(path).rows["a"].minority_pct == 5.0
+        loaded = io.read_attributes(path)
+        assert loaded.ids == ("a",) and loaded.columns["minority_pct"].tolist() == [5.0]
+        assert "flood_extent" not in loaded.columns
+
+    @pytest.mark.parametrize("rows,problem,row", [
+        (["a,1,2,5,1", "b,1,2,5,", "c,1,2,5,"], "no flood_extent where other rows give one",
+         "['b', '1', '2', '5', '']"),
+        (["a,1,2,5,", "b,1,2,5", "c,1,2,5,0.5"], "no flood_extent where other rows give one",
+         "['a', '1', '2', '5', '']"),
+        (["a,1,2,5", "b,1,2,150", "a,1,2,5"], r"minority_pct outside \[0, 100\]",
+         "['b', '1', '2', '150']"),
+        (["a,1,2,5", "b,1,2,-0.5"], r"minority_pct outside \[0, 100\]",
+         "['b', '1', '2', '-0.5']"),
+        (["a,1,2,5,0", "b,1,2,5,-1"], "negative flood_extent", "['b', '1', '2', '5', '-1']"),
+        (["a,1,2,5", " a,1,2,6"], "a second attribute row for its node",
+         "[' a', '1', '2', '6']"),
+        (["a,1,2,5", "b,1,x,5"], "non-numeric value 'x'", "['b', '1', 'x', '5']"),
+    ])
+    def test_bad_row_named(self, tmp_path, rows, problem, row):
+        path = tmp_path / "attributes.csv"
+        path.write_text(ATTRIBUTES_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=problem) as raised:
+            io.read_attributes(path)
+        assert str(raised.value).startswith(f"{path}: ")
+        assert str(raised.value).endswith(f"in row {row}")
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "attributes.csv"
+        path.write_text(ATTRIBUTES_HEADER)
+        loaded = io.read_attributes(path)
+        assert len(loaded) == 0 and list(loaded.columns) == list(ATTRIBUTE_NAMES[:3])
 
 
 class TestGeojson:
@@ -407,4 +445,18 @@ class TestWriters:
     def test_multiplier_set_round_trip(self, tmp_path, tmp_graph):
         path = tmp_path / "multipliers.csv"
         io.write_multiplier_set(tmp_graph.nodes, {"b", "d"}, path)
-        assert io.read_multiplier_set(path) == ("b", "d")
+        ids, selected = io.read_multiplier_set(path)
+        assert ids == tmp_graph.nodes
+        assert selected.tolist() == [False, True, False, True]
+
+    def test_multiplier_results_in_another_node_order(self, tmp_path):
+        io.write_multiplier_set(("a", "b", "c", "d"), {"d", "b"}, tmp_path / "multipliers_N2.csv")
+        (tmp_path / "multipliers_summary.csv").write_text(
+            "size,method,recovered_with,recovered_without,increment_rate_pct\n2,ga,3,1,200.0\n"
+        )
+        nodes = ("d", "c", "a", "b")
+        [(result, positions)] = io.read_multiplier_results(tmp_path, nodes)
+        assert result.members == ("b", "d")  # the set file's order
+        assert positions.tolist() == [3, 0]
+        with pytest.raises(DataError, match=r"multipliers_N2.csv: no row for 1 of the 5 nodes: e$"):
+            io.read_multiplier_results(tmp_path, nodes + ("e",))

@@ -13,6 +13,7 @@ from recovnet import (
     generate_instance,
     grid_units,
 )
+from recovnet.analysis import ATTRIBUTE_NAMES
 from recovnet.errors import ConfigError
 from recovnet.synthetic import SEED_DURATION_WEEKS
 
@@ -101,9 +102,10 @@ class TestGenerateInstance:
         assert a.graph.edges == b.graph.edges
         assert a.durations == b.durations
         assert np.array_equal(a.thresholds.values, b.thresholds.values)
-        assert all(
-            a.attributes.rows[n] == b.attributes.rows[n] for n in a.graph.nodes
-        )
+        assert a.attributes.ids == b.attributes.ids == a.graph.nodes
+        assert a.attributes.columns.keys() == b.attributes.columns.keys()
+        for name, column in a.attributes.columns.items():
+            assert np.array_equal(column, b.attributes.columns[name])
 
     def test_different_seeds_differ(self):
         a = generate_instance(SynthSpec(node_count=30, rng_seed=0))
@@ -115,10 +117,8 @@ class TestAttributeCoupling:
     @staticmethod
     def free_arrays(instance, attribute):
         free = ~instance.thresholds.seed_mask
-        ids = [n for n, f in zip(instance.graph.nodes, free) if f]
-        tau = instance.thresholds.values[free]
-        vals = np.array([getattr(instance.attributes.rows[n], attribute) for n in ids])
-        return tau, vals
+        assert instance.attributes.ids == instance.thresholds.node_ids
+        return instance.thresholds.values[free], instance.attributes.columns[attribute][free]
 
     def test_perfect_negative_coupling(self):
         instance = generate_instance(
@@ -149,8 +149,8 @@ class TestAttributeCoupling:
 
     def test_minority_within_bounds(self):
         instance = generate_instance(SynthSpec(node_count=50, rng_seed=8))
-        minority = [row.minority_pct for row in instance.attributes.rows.values()]
-        assert min(minority) >= 0 and max(minority) <= 100
+        minority = instance.attributes.columns["minority_pct"]
+        assert minority.min() >= 0 and minority.max() <= 100
 
 
 class TestWriteInstance:
@@ -168,7 +168,10 @@ class TestWriteInstance:
         tau = io.read_thresholds(tmp_path / "planted_thresholds.csv")
         assert np.array_equal(tau.values, instance.thresholds.values)
         attrs = io.read_attributes(tmp_path / "attributes.csv")
-        assert attrs.rows == instance.attributes.rows
+        assert attrs.ids == instance.attributes.ids
+        assert list(attrs.columns) == list(ATTRIBUTE_NAMES)
+        for name, column in attrs.columns.items():
+            assert column.tolist() == instance.attributes.columns[name].tolist()
         recipe = json.loads((tmp_path / "instance.json").read_text())
         assert recipe["node_count"] == 20 and recipe["rng_seed"] == 13
 
