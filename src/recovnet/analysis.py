@@ -138,6 +138,65 @@ def tertile_attribute_report(
     ]
 
 
+def t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t on df degrees of freedom: the regularized
+    incomplete beta I_x(df/2, 1/2) at x = df/(df+t^2).
+
+    x and 1 - x are formed separately, so a p-value near 1 keeps its digits.
+    """
+    square = t * t
+    x, y = df / (df + square), square / (df + square)
+    if y == 0.0:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    a = 0.5 * df
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    front = math.exp(a * log_x + 0.5 * log_y - _log_beta_half(a))  # x^a y^(1/2) / B(a, 1/2)
+    # I_x(a, b) = 1 - I_y(b, a); the fraction converges fast below the mean
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
+
+
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2). For a >= 30, Stirling's series gives lgamma(a) -
+    lgamma(a + 1/2) without the cancellation of two large lgamma values."""
+    if a < 30.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+
+    def stirling_rest(z: float) -> float:  # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
+        w = 1.0 / (z * z)
+        return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+    return (0.5 * math.log(math.pi) + 0.5 - 0.5 * math.log(a + 0.5)
+            - (a - 0.5) * math.log1p(0.5 / a) + stirling_rest(a) - stirling_rest(a + 0.5))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+
+    def guard(value: float) -> float:
+        return value if abs(value) > tiny else tiny
+
+    c, d = 1.0, 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / guard(1.0 + even * d)
+        c = guard(1.0 + even / c)
+        h *= d * c
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        d = 1.0 / guard(1.0 + odd * d)
+        c = guard(1.0 + odd / c)
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
 def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Pearson r with a two-sided p-value from the t distribution on n-2
     degrees of freedom."""
@@ -162,13 +221,10 @@ def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if abs(r) == 1.0:
         p = 0.0
     else:
+        # the t tail is computed here, not by scipy.special.stdtr (whose import
+        # cost more than the rest of analyze); the tests hold it to 1e-10 of stdtr
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-        # the t survival function as scipy.stats.t.sf computes it, without
-        # importing scipy.stats (over a second of start-up for every command);
-        # scipy.special is imported here so only analyze pays for it
-        from scipy import special
-
-        p = float(2.0 * special.stdtr(n - 2, -abs(t_stat)))
+        p = t_two_sided(t_stat, n - 2)
     return CorrelationResult(r=r, p_value=p, n=n)
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__, io
 from .analysis import (
@@ -363,7 +362,6 @@ def _write_manifest(out_dir: Path, s: argparse.Namespace, extra: Optional[dict] 
             "recovnet": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

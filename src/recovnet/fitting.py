@@ -18,6 +18,7 @@ from .diffusion import (
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
+    chunk_columns,
     map_column_chunks,
 )
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
@@ -144,11 +145,16 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
 
 def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:
     """Loss distribution of uniform-random thresholds on the free nodes,
-    simulated in column chunks."""
+    drawn and simulated one column chunk at a time."""
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     rng = np.random.default_rng(rng_seed)
-    chromosomes = rng.random((runs, problem.free_count))
-    arr = problem.losses(chromosomes).astype(np.float64)
+    # one chunk of draws at a time: the generator's doubles come in sequence,
+    # so the chunks are the rows of one runs x free_count draw
+    size = chunk_columns(problem.graph.n)
+    arr = np.concatenate([
+        problem.losses(rng.random((min(size, runs - start), problem.free_count)))
+        for start in range(0, runs, size)
+    ]).astype(np.float64)
     std = float(arr.std(ddof=1)) if runs > 1 else 0.0
     return BaselineStats(mean=float(arr.mean()), std=std, runs=runs, losses=arr)

@@ -83,51 +83,63 @@ class SpatialGraph:
     order, so indptr has n + 1 entries and indices 2m.
 
     Rejects duplicate node ids, unknown endpoints, self-loops, and duplicate
-    edges (in either orientation), naming the offender.
+    edges (in either orientation), naming the first offender in input order.
+    The endpoints are coded to node indices once; the faults, the sorted
+    edges and the CSR arrays all come from those codes.
     """
 
     def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
         node_list = [str(n) for n in nodes]
-        seen: set[str] = set()
-        for node in node_list:
-            if node in seen:
-                raise DataError(f"duplicate node id {node!r}")
-            seen.add(node)
+        self.index: dict[str, int] = {n: i for i, n in enumerate(node_list)}
+        if len(self.index) < len(node_list):
+            # index keeps the last position of an id: the first one it disowns is repeated
+            repeated = next(n for i, n in enumerate(node_list) if self.index[n] != i)
+            raise DataError(f"duplicate node id {repeated!r}")
         self.nodes: tuple[str, ...] = tuple(node_list)
-        self.index: dict[str, int] = {n: i for i, n in enumerate(self.nodes)}
 
-        pair_set: set[tuple[str, str]] = set()
-        adjacency: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in edges:
-            u, v = str(u), str(v)
-            if u not in self.index:
-                raise DataError(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
-            if v not in self.index:
-                raise DataError(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
-            if u == v:
-                raise DataError(f"self-loop on node {u!r}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in pair_set:
-                raise DataError(f"duplicate edge ({pair[0]!r}, {pair[1]!r})")
-            pair_set.add(pair)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        heads: list[str] = []
+        tails: list[str] = []
+        for head, tail in edges:
+            heads.append(str(head))
+            tails.append(str(tail))
+        m, n = len(heads), self.n
+        codes = np.fromiter(map(self.index.get, heads + tails, itertools.repeat(-1)), np.int64, 2 * m)
+        u, v = codes[:m], codes[m:]
+        # rank: position in sorted id order, so rank pairs sort as id pairs; an
+        # unknown endpoint (-1) reads the extra last slot
+        rank = np.arange(n + 1)
+        rank[sorted(range(n), key=node_list.__getitem__)] = np.arange(n)
+        swap = rank[u] > rank[v]
+        lo, hi = np.where(swap, v, u), np.where(swap, u, v)
+        # first: each distinct pair's first edge, in the sorted order of the pairs
+        _, first = np.unique(rank[lo] * (n + 1) + rank[hi], return_index=True)
+        repeat = np.ones(m, dtype=bool)
+        repeat[first] = False
+        faulty = (u < 0) | (v < 0) | (u == v) | repeat
+        if faulty.any():
+            self._raise_edge_fault(heads, tails, int(np.argmax(faulty)))
 
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(pair_set))
-        self._adjacency = {n: frozenset(nbrs) for n, nbrs in adjacency.items()}
-        self.indptr, self.indices = self._build_csr()
+        lo, hi = lo[first], hi[first]
+        names = np.array(node_list, dtype=object)
+        self.edges: tuple[tuple[str, str], ...] = tuple(zip(names[lo].tolist(), names[hi].tolist()))
+        # both orientations of every edge, sorted by (row, column) as one key
+        key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+        self.indptr: np.ndarray = np.searchsorted(key, np.arange(n + 1) * n)
+        self.indices: np.ndarray = key % n
         self.degrees: np.ndarray = np.diff(self.indptr)
 
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        ends = np.array(
-            [(self.index[u], self.index[v]) for u, v in self.edges], dtype=np.int64
-        ).reshape(-1, 2)
-        rows = np.concatenate([ends[:, 0], ends[:, 1]])
-        cols = np.concatenate([ends[:, 1], ends[:, 0]])
-        by_row = np.lexsort((cols, rows))
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return indptr, cols[by_row]
+    def _raise_edge_fault(self, heads: list[str], tails: list[str], first: int) -> None:
+        """The error for the first faulty edge, as a one-edge-at-a-time check
+        names it: an unknown endpoint, a self-loop, or a repeat of an earlier
+        edge in either orientation."""
+        u, v = heads[first], tails[first]
+        for end in (u, v):
+            if end not in self.index:
+                raise DataError(f"edge ({u!r}, {v!r}): unknown endpoint {end!r}")
+        if u == v:
+            raise DataError(f"self-loop on node {u!r}")
+        pair = (u, v) if u < v else (v, u)
+        raise DataError(f"duplicate edge ({pair[0]!r}, {pair[1]!r})")
 
     @property
     def n(self) -> int:
@@ -139,9 +151,11 @@ class SpatialGraph:
 
     def neighbors(self, node_id: str) -> frozenset[str]:
         try:
-            return self._adjacency[node_id]
+            i = self.index[node_id]
         except KeyError:
             raise DataError(f"unknown node id {node_id!r}") from None
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
+        return frozenset(map(self.nodes.__getitem__, row.tolist()))
 
     def __repr__(self) -> str:
         return f"SpatialGraph(n={self.n}, m={self.m})"

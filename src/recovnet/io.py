@@ -134,37 +134,46 @@ def annotate_feature_collection(
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def _check_header(path: str | Path, reader, expected_header: list[str]) -> None:
+def _check_header(
+    path: str | Path, reader, expected_header: list[str], optional: Optional[str] = None
+) -> None:
+    """The header must start with expected_header; the column after it, if
+    named, must be named optional."""
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    if [h.strip() for h in header[: len(expected_header)]] != expected_header:
+    cells = [h.strip() for h in header[: len(expected_header) + 1]]
+    if cells[: len(expected_header)] != expected_header:
         raise DataError(
             f"{path}: expected header {','.join(expected_header)!r}, "
             f"got {','.join(header)!r}"
         )
+    if optional is not None and cells[len(expected_header):] not in ([], [""], [optional]):
+        raise DataError(
+            f"{path}: column {len(cells)} must be {optional!r} or unnamed, "
+            f"got header {','.join(header)!r}"
+        )
 
 
-def _open_csv(path: str | Path, expected_header: list[str]) -> list[list[str]]:
+def _open_csv(
+    path: str | Path, expected_header: list[str], optional: Optional[str] = None
+) -> list[list[str]]:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        _check_header(path, reader, expected_header)
+        _check_header(path, reader, expected_header, optional)
         return [row for row in reader if row]
 
 
 def read_edge_list(path: str | Path) -> SpatialGraph:
     """Edge-list CSV (header src,dst); nodes are the sorted endpoint union."""
     rows = _open_csv(path, ["src", "dst"])
-    edges = []
-    nodes = set()
     for row in rows:
         if len(row) < 2:
             raise DataError(f"{path}: malformed edge row {row!r}")
-        u, v = row[0].strip(), row[1].strip()
-        edges.append((u, v))
-        nodes.update((u, v))
-    return SpatialGraph(sorted(nodes), edges)
+    heads = [row[0].strip() for row in rows]
+    tails = [row[1].strip() for row in rows]
+    return SpatialGraph(sorted(set(heads).union(tails)), zip(heads, tails))
 
 
 def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:
@@ -363,7 +372,7 @@ def read_attributes(path: str | Path) -> AttributeTable:
     flood_extent column). The columns are checked at once and an error names
     the file and the first row that breaks a rule.
     """
-    rows = _open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]])
+    rows = _open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]], optional=ATTRIBUTE_NAMES[3])
     for row in rows:
         if len(row) < 4:
             raise DataError(f"{path}: malformed attribute row {row!r}")
@@ -410,9 +419,14 @@ def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
 def read_thresholds(path: str | Path) -> ThresholdVector:
     rows = _open_csv(path, ["id", "threshold", "is_seed"])
     ids, values, seeds = [], [], []
+    seen = set()
     for row in rows:
         if len(row) < 3:
             raise DataError(f"{path}: malformed threshold row {row!r}")
+        node = row[0].strip()
+        if node in seen:
+            raise DataError(f"{path}: a second threshold row for its node in row {row!r}")
+        seen.add(node)
         value = _parse_float(row[1], path, row)
         if not 0.0 <= value <= 1.0:
             raise DataError(f"{path}: threshold outside [0, 1] in row {row!r}")
@@ -421,11 +435,9 @@ def read_thresholds(path: str | Path) -> ThresholdVector:
             raise DataError(f"{path}: is_seed must be 0 or 1, got {flag!r}")
         if flag == "1" and value != 0.0:
             raise DataError(f"{path}: seed with a non-zero threshold in row {row!r}")
-        ids.append(row[0].strip())
+        ids.append(node)
         values.append(value)
         seeds.append(flag == "1")
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate node ids")
     return ThresholdVector(
         node_ids=tuple(ids),
         values=np.array(values, dtype=np.float64),

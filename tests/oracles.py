@@ -134,6 +134,48 @@ def naive_read_visit_series(path):
     return out
 
 
+def naive_spatial_graph(nodes, edges):
+    """The edge-at-a-time graph build with per-node neighbour sets: node
+    ids, sorted edges, CSR lists and neighbour sets in a dict. Raises
+    ValueError with the message the package's SpatialGraph gives."""
+    node_list = [str(n) for n in nodes]
+    seen = set()
+    for node in node_list:
+        if node in seen:
+            raise ValueError(f"duplicate node id {node!r}")
+        seen.add(node)
+    index = {n: i for i, n in enumerate(node_list)}
+
+    pair_set = set()
+    adjacency = {n: set() for n in node_list}
+    for u, v in edges:
+        u, v = str(u), str(v)
+        if u not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
+        if v not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
+        if u == v:
+            raise ValueError(f"self-loop on node {u!r}")
+        pair = (u, v) if u < v else (v, u)
+        if pair in pair_set:
+            raise ValueError(f"duplicate edge ({pair[0]!r}, {pair[1]!r})")
+        pair_set.add(pair)
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    indptr, indices = [0], []
+    for node in node_list:
+        indices.extend(sorted(index[other] for other in adjacency[node]))
+        indptr.append(len(indices))
+    return {
+        "nodes": tuple(node_list),
+        "edges": tuple(sorted(pair_set)),
+        "indptr": indptr,
+        "indices": indices,
+        "neighbors": {n: frozenset(nbrs) for n, nbrs in adjacency.items()},
+    }
+
+
 def naive_diffusion(neighbors, thresholds, initial, horizon=14, first_update_week=3):
     """Dict-based reference simulation of the weekly threshold process."""
     state = dict(initial)

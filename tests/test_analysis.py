@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as scipy_stats
 
 from recovnet import (
@@ -151,6 +154,22 @@ class TestTertileAttributeReport:
         assert "flood_extent" not in {attr for _, attr, _ in without}
 
 
+@st.composite
+def sizes_and_correlations(draw):
+    """A sample size n in [3, 20 000] and a correlation in (-1, 1): any, near
+    0, near +-1, or one whose t statistic on n - 2 df is within +-6."""
+    n = draw(st.integers(min_value=3, max_value=20_000) | st.integers(min_value=3, max_value=12))
+    r = draw(
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        | st.floats(min_value=1e-300, max_value=1e-3)
+        | st.floats(min_value=-1e-3, max_value=-1e-300)
+        | st.floats(min_value=1e-13, max_value=1e-2).map(lambda d: 1.0 - d)
+        | st.floats(min_value=1e-13, max_value=1e-2).map(lambda d: d - 1.0)
+        | st.floats(min_value=-6.0, max_value=6.0).map(lambda t: t / math.sqrt(n - 2 + t * t))
+    )
+    return n, r
+
+
 class TestCorrelate:
     def test_perfect_positive(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -187,6 +206,46 @@ class TestCorrelate:
         x = rng.random(10) * 3
         result = correlate(x, a * x + b)
         assert result.r == (1.0 if a > 0 else -1.0)
+
+    def test_zero_correlation_has_p_one(self):
+        result = correlate([1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0])
+        assert result.r == 0.0
+        assert result.p_value == 1.0
+
+    @given(sizes_and_correlations())
+    # t near 1.7 on ~17 000 df, where the tail is 1 - (an incomplete beta
+    # near 0.9), so an error in log B(df/2, 1/2) shows ten times over
+    @example((17_204, 0.013062248441319202))
+    @example((9_348, -0.01766737487682457))
+    @settings(max_examples=400, deadline=None)
+    def test_p_value_matches_scipy_stdtr(self, case):
+        n, target = case
+        # x and y have correlation target by construction; the oracle takes
+        # the r that correlate found, so only the t tail is compared
+        x = np.zeros(n)
+        x[:2] = (1.0, -1.0)
+        rest = np.zeros(n)
+        if n == 3:
+            rest[:] = np.array([1.0, 1.0, -2.0]) / np.sqrt(3.0)
+        else:
+            rest[2:4] = (1.0, -1.0)
+        y = target * x + np.sqrt(1.0 - target * target) * rest
+        result = correlate(x, y)
+        r = result.r
+        if abs(r) == 1.0:
+            assert result.p_value == 0.0
+            return
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        if n == 3:
+            # the Cauchy tail, exact in closed form: stdtr(1, t) is off by up
+            # to ~3e-9 relative for |t| below 1e-7 (SciPy 1.17)
+            expected = 2.0 / math.pi * math.atan2(1.0, abs(t))
+        else:
+            expected = float(2.0 * special.stdtr(n - 2, -abs(t)))
+        if expected >= 1e-300:
+            assert abs(result.p_value - expected) <= 1e-10 * expected
+        else:
+            assert result.p_value <= 1e-300
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):

@@ -39,6 +39,7 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["settings"]["node_count"] == 16
         assert manifest["versions"]["recovnet"]
+        assert set(manifest["versions"]) == {"recovnet", "python", "numpy"}
 
 
 class TestBuildGraph:
@@ -643,13 +644,14 @@ class TestBadInputRows:
 
 
 class TestCliImports:
-    """scipy.stats costs over a second of start-up and scipy.sparse and
-    scipy.special about a third of one; only analyze may load scipy.special."""
-
-    HEAVY = ("scipy.stats", "scipy.sparse", "scipy.special")
+    """No command loads SciPy: it is a test dependency only. The correlation
+    p-values use an in-package t tail, and the manifest records no SciPy
+    version."""
 
     @staticmethod
-    def _loaded(code: str) -> list[str]:
+    def _scipy_after_each(steps: list[str]) -> list[str]:
+        """Run the steps in one fresh interpreter after `import recovnet.cli`;
+        a line per step (the import first) lists the scipy modules loaded."""
         import os
         import subprocess
         import sys
@@ -657,26 +659,41 @@ class TestCliImports:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code += f"\nprint(','.join(m for m in {TestCliImports.HEAVY!r} if m in sys.modules))"
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        report = "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = "\n".join(
+            ["import sys", "from recovnet.cli import main", report]
+            + [line for step in steps for line in (step, report)]
         )
-        return [m for m in result.stdout.splitlines()[-1].split(",") if m]
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return [line for line in result.stdout.splitlines() if line.startswith("loaded:")]
 
-    def test_scipy_stats_not_imported(self):
-        assert self._loaded("import sys, recovnet.cli") == []
+    def test_import_loads_no_scipy(self):
+        assert self._scipy_after_each([]) == ["loaded:"]
 
-    def test_synth_then_fit_loads_no_heavy_scipy(self, tmp_path):
-        code = (
-            "import sys\n"
-            "from recovnet.cli import main\n"
-            f"assert main(['synth', '--nodes', '16', '--rng-seed', '3', '--out', r'{tmp_path}']) == 0\n"
-            f"assert main(['fit', '--edges', r'{tmp_path / 'edges.csv'}', "
-            f"'--durations', r'{tmp_path / 'durations.csv'}', '--max-iterations', '5', "
-            f"'--out', r'{tmp_path / 'fit'}']) == 0"
-        )
-        assert self._loaded(code) == []
-        assert (tmp_path / "fit" / "thresholds.csv").exists()
+    def test_every_command_loads_no_scipy(self, tmp_path):
+        synth, fit, mult = tmp_path / "synth", tmp_path / "fit", tmp_path / "mult"
+        commands = [
+            ["synth", "--nodes", "16", "--rng-seed", "3", "--out", synth],
+            ["build-graph", "--geometry", _grid_geojson(tmp_path / "grid.geojson"),
+             "--out", tmp_path / "graph"],
+            ["durations", "--visits", _visits_csv(tmp_path / "visits.csv"),
+             "--baseline-start", "0", "--baseline-end", "20", "--recovery-start", "27",
+             "--out", tmp_path / "durations"],
+            ["fit", "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
+             "--max-iterations", "5", "--out", fit],
+            ["baseline", "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
+             "--runs", "20", "--out", tmp_path / "baseline"],
+            ["multipliers", "--edges", synth / "edges.csv", "--thresholds",
+             fit / "thresholds.csv", "--sizes", "1,2", "--max-iterations", "3", "--out", mult],
+            ["analyze", "--thresholds", fit / "thresholds.csv",
+             "--attributes", synth / "attributes.csv", "--edges", synth / "edges.csv",
+             "--durations", synth / "durations.csv", "--multipliers-dir", mult,
+             "--out", tmp_path / "analysis"],
+        ]
+        steps = [f"assert main({list(map(str, argv))!r}) == 0" for argv in commands]
+        assert self._scipy_after_each(steps) == ["loaded:"] * (len(steps) + 1)
+        assert (tmp_path / "analysis" / "analysis_report.json").exists()
 
 
 class TestDeterminism:
@@ -1056,6 +1073,29 @@ class TestNodeTables:
         err = capsys.readouterr().err
         assert f"{path}: minority_pct outside [0, 100] in row ['{node}', " in err
         assert "'150'" in err
+
+    def test_repeated_threshold_row_named(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "planted_thresholds.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + [lines[2]] + lines[4:]) + "\n")
+        assert self._analyze(tmp_path, instance_dir) == 3
+        row = lines[2].split(",")
+        assert capsys.readouterr().err == (
+            f"data error: {path}: a second threshold row for its node in row {row!r}\n"
+        )
+        assert not (tmp_path / "analysis").exists()
+
+    def test_fifth_attribute_column_named(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "attributes.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].replace("flood_extent", "households")
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        assert self._analyze(tmp_path, instance_dir) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: column 5 must be 'flood_extent' or unnamed, "
+            f"got header {header!r}\n"
+        )
+        assert not (tmp_path / "analysis").exists()
 
     def test_thresholds_one_node_short(self, tmp_path, instance_dir, capsys):
         path = instance_dir / "planted_thresholds.csv"

@@ -14,6 +14,7 @@ from recovnet import (
     random_baseline,
     zero_one_loss,
 )
+from recovnet.diffusion import chunk_columns
 from recovnet.errors import ConfigError, DataError
 
 
@@ -153,6 +154,14 @@ class TestRandomBaseline:
         a = random_baseline(path_problem, runs=50, rng_seed=9)
         b = random_baseline(path_problem, runs=50, rng_seed=9)
         assert np.array_equal(a.losses, b.losses)
+
+    def test_chunked_draws_equal_one_draw(self):
+        instance = generate_instance(SynthSpec(node_count=400, rng_seed=4))
+        problem = build_fit_problem(instance.graph, instance.durations)
+        for runs in (1, 5 * chunk_columns(problem.graph.n) // 2):  # one run, 2.5 chunks
+            stats = random_baseline(problem, runs=runs, rng_seed=5)
+            draw = np.random.default_rng(5).random((runs, problem.free_count))
+            assert np.array_equal(stats.losses, problem.losses(draw))
 
     def test_zero_runs_rejected(self, path_problem):
         with pytest.raises(ConfigError, match="runs"):

@@ -148,6 +148,73 @@ class TestLoadEdgeList:
                 assert u in g.neighbors(v)
 
 
+EDGE_FAULTS = (
+    "unknown_head", "unknown_tail", "unknown_both", "self_loop", "repeat", "reversed_repeat",
+)
+
+
+@st.composite
+def edge_lists(draw):
+    """Node ids in an unsorted order (some padded with spaces, some isolated)
+    and a shuffled edge list in mixed orientations, an endpoint sometimes
+    given as an int that str() turns into a node id; up to two planted
+    faults (one or two unknown endpoints, a self-loop, a repeated edge in
+    either orientation) at random positions, or a repeated node id."""
+    pool = ["n0", "n1", "n2", "n10", " n1", "n1 ", "a", "B", "b", "3", "17", "é"]
+    nodes = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    edges = [tuple(int(x) if x.isdigit() and draw(st.booleans()) else x for x in e) for e in edges]
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULTS), max_size=2)):
+        node = draw(st.sampled_from(nodes))
+        if fault == "unknown_head":
+            edge = ("zz", node)
+        elif fault == "unknown_tail":
+            edge = (node, " zz")
+        elif fault == "unknown_both":
+            edge = ("zz", "yy")
+        elif fault == "self_loop":
+            edge = (node, node)
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            edge = (v, u) if fault == "reversed_repeat" else (u, v)
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    if draw(st.integers(0, 9)) == 0:
+        nodes = nodes + [draw(st.sampled_from(nodes))]
+    return nodes, edges
+
+
+class TestGraphAgainstOracle:
+    """The array build against the edge-at-a-time build with neighbour
+    sets: the same graph, or the same error for the same first offender."""
+
+    @given(edge_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_edge_at_a_time_build(self, case):
+        nodes, edges = case
+        try:
+            expected = oracles.naive_spatial_graph(nodes, edges)
+        except ValueError as exc:
+            with pytest.raises(DataError) as raised:
+                SpatialGraph(nodes, edges)
+            assert str(raised.value) == str(exc)
+            return
+        g = SpatialGraph(nodes, iter(edges))
+        assert g.nodes == expected["nodes"]
+        assert g.edges == expected["edges"]
+        assert g.indptr.tolist() == expected["indptr"]
+        assert g.indices.tolist() == expected["indices"]
+        assert g.degrees.tolist() == [len(expected["neighbors"][n]) for n in g.nodes]
+        assert {n: g.neighbors(n) for n in g.nodes} == expected["neighbors"]
+
+    def test_unknown_node_in_neighbors_rejected(self, path_graph):
+        with pytest.raises(DataError, match="unknown node id 'Z'"):
+            path_graph.neighbors("Z")
+
+
 class TestGraphMetrics:
     def test_paper_sized_graph(self):
         rng = np.random.default_rng(42)

@@ -89,6 +89,15 @@ class TestThresholdsCsv:
         with pytest.raises(DataError, match="is_seed"):
             io.read_thresholds(path)
 
+    def test_repeated_id_names_second_row(self, tmp_path):
+        path = tmp_path / "thresholds.csv"
+        path.write_text("id,threshold,is_seed\na,0.0,1\nb,0.5,0\n a,0.25,0\nc,0.5,0\n")
+        with pytest.raises(DataError) as raised:
+            io.read_thresholds(path)
+        assert str(raised.value) == (
+            f"{path}: a second threshold row for its node in row [' a', '0.25', '0']"
+        )
+
 
 class TestVisitSeriesCsv:
     def test_integer_days(self, tmp_path):
@@ -317,6 +326,25 @@ class TestAttributesCsv:
             io.read_attributes(path)
         assert str(raised.value).startswith(f"{path}: ")
         assert str(raised.value).endswith(f"in row {row}")
+
+    @pytest.mark.parametrize("fifth", ["households", " flood", "minority_pct"])
+    def test_fifth_column_other_than_flood_rejected(self, tmp_path, fifth):
+        header = f"id,per_capita_income,median_household_income,minority_pct,{fifth}"
+        path = tmp_path / "attributes.csv"
+        path.write_text(header + "\na,1,2,5,400\nb,1,2,5,500\n")
+        with pytest.raises(DataError) as raised:
+            io.read_attributes(path)
+        assert str(raised.value) == (
+            f"{path}: column 5 must be 'flood_extent' or unnamed, got header {header!r}"
+        )
+
+    @pytest.mark.parametrize("fifth", ["", " flood_extent ", "flood_extent,notes"])
+    def test_fifth_column_flood_or_unnamed_accepted(self, tmp_path, fifth):
+        path = tmp_path / "attributes.csv"
+        path.write_text(
+            f"id,per_capita_income,median_household_income,minority_pct,{fifth}\na,1,2,5,4\n"
+        )
+        assert io.read_attributes(path).columns["flood_extent"].tolist() == [4.0]
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "attributes.csv"
