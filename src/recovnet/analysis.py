@@ -45,6 +45,20 @@ class AttributeTable:
         )
 
 
+def quantiles(values: np.ndarray, probabilities: Sequence[float]) -> np.ndarray:
+    """np.quantile's default (linear) rule without its np.unique, which imports
+    numpy.ma: lerp between the sorted neighbours of (n - 1) * q (both the last
+    one at or past it), from the upper one once the weight reaches 1/2, as
+    NumPy's _lerp does."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    virtual = (ordered.size - 1) * np.asarray(probabilities, dtype=np.float64)
+    lower = np.where(virtual >= ordered.size - 1, -1.0, np.floor(virtual))
+    upper = np.where(lower < 0, -1.0, lower + 1)
+    weight = virtual - lower
+    a, b = ordered[lower.astype(np.intp)], ordered[upper.astype(np.intp)]
+    return np.where(weight >= 0.5, b - (b - a) * (1 - weight), a + (b - a) * weight)
+
+
 @dataclass(frozen=True)
 class DistributionSummary:
     """Quartiles and mean of one attribute over one node group."""
@@ -58,7 +72,7 @@ class DistributionSummary:
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DistributionSummary":
         values = np.asarray(values, dtype=np.float64)
-        q1, median, q3 = np.quantile(values, (0.25, 0.5, 0.75))
+        q1, median, q3 = quantiles(values, (0.25, 0.5, 0.75))
         return cls(
             count=int(values.size),
             mean=float(values.mean()),
@@ -101,7 +115,7 @@ def threshold_summary(
     values = tau.values[included(tau, include_seeds)]
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
-    lower, upper = np.quantile(values, (1.0 / 3.0, 2.0 / 3.0))
+    lower, upper = quantiles(values, (1.0 / 3.0, 2.0 / 3.0))
     return ThresholdSummary(
         mean=float(values.mean()),
         variance=float(values.var()),

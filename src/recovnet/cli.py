@@ -16,7 +16,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -481,7 +481,8 @@ def cmd_fit(s: argparse.Namespace) -> int:
     io.write_json(report, out / "fit_report.json")
 
     # wall-clock figures stay out of the deterministic tables
-    timing: dict = {"total_seconds": result.ga_result.total_seconds}
+    timing: dict = {"total_seconds": result.ga_result.total_seconds,
+                    "rows_scored": result.ga_result.rows_scored}
     if result.ga_result.total_seconds > 0:
         perf = performance_index(
             initial_best_loss=history[0].best_fitness,
@@ -615,29 +616,15 @@ def cmd_analyze(s: argparse.Namespace) -> int:
 
     summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
     report = {
-        "threshold_summary": {
-            "mean": summary.mean,
-            "variance": summary.variance,
-            "tertile_lower": summary.tertile_lower,
-            "tertile_upper": summary.tertile_upper,
-            "count": summary.count,
-            "includes_seeds": summary.includes_seeds,
-            "variance_convention": "population",
-        },
+        "threshold_summary": {**asdict(summary), "variance_convention": "population"},
         "correlations": {},
     }
-
     for attribute, column in columns.items():
         try:
-            corr = correlate(thresholds.values[keep], column[keep])
+            corr = asdict(correlate(thresholds.values[keep], column[keep]))
         except ValueError as exc:
-            report["correlations"][attribute] = {"error": str(exc)}
-            continue
-        report["correlations"][attribute] = {
-            "r": corr.r,
-            "p_value": corr.p_value,
-            "n": corr.n,
-        }
+            corr = {"error": str(exc)}
+        report["correlations"][attribute] = corr
 
     tertiles = split_tertiles(thresholds, include_seeds=s.include_seeds)
     io.write_table(
@@ -692,16 +679,9 @@ def cmd_analyze(s: argparse.Namespace) -> int:
 
 def cmd_synth(s: argparse.Namespace) -> int:
     out = _out_dir(s)
-    spec = SynthSpec(
-        node_count=s.nodes,
-        graph_kind=s.kind,
-        seed_fraction=s.seed_fraction,
-        threshold_low=s.threshold_low,
-        threshold_high=s.threshold_high,
-        attribute_coupling=s.coupling,
-        rng_seed=s.rng_seed,
-        edge_removal_fraction=s.edge_removal_fraction,
-    )
+    # every synth setting but --out is a SynthSpec field under its config key
+    spec = SynthSpec(**{o.config_key("synth"): getattr(s, o.name)
+                        for o in _options("synth") if o.name != "out"})
     instance = generate_instance(spec)
     write_instance(instance, spec, out)
     _write_manifest(out, s)

@@ -118,7 +118,7 @@ def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
         raise ValueError("threshold vector node ids do not match graph node order")
 
 
-# cells (nodes x columns) per kernel call: about 64 columns at n = 2010
+# cells (nodes x columns) per kernel call: 65 columns at n = 2010
 CHUNK_CELLS = 1 << 17
 
 
@@ -147,81 +147,94 @@ class DiffusionKernel:
     the tie rule (a fraction equal to the threshold recovers) holds
     exactly.
 
-    Counts use a jagged-diagonal layout: nodes sorted by descending degree,
-    and slot k holds the (sorted) index of the k-th neighbour of every node
-    of degree above k, which is a prefix of the sorted order. A week gathers
-    the state rows of each slot and adds them into that prefix of the counts,
-    so memory is O(edges) even with a hub. States, needs and counts use the
-    smallest unsigned integer type that holds the largest degree + 1.
+    Rows are in kernel order, by descending degree: row r is node order[r]
+    and node i is row rank[i]. need and weeks_recovered take and return
+    matrices in that order, so callers map their rows once.
+
+    Counts use a jagged-diagonal layout: slot k holds the row of the k-th
+    neighbour of every node of degree above k, which is a prefix of the
+    rows. A week gathers the state rows of each slot and adds them into that
+    prefix of the counts; a need counts the fractions c/deg below the
+    threshold over the same prefixes. So memory is O(edges) even with a hub.
+    States, needs and counts use the smallest unsigned integer type that
+    holds the largest degree + 1, recovered weeks the signed type of that
+    width (wider if the horizon needs it), so that a 0/1 state adds to the
+    weeks as a view.
     """
 
     def __init__(self, g: SpatialGraph, schedule: DiffusionSchedule = DiffusionSchedule()):
         self.schedule = schedule
         max_degree = int(g.degrees.max(initial=0))
-        self.dtype = np.min_scalar_type(max_degree + 1)
-        # signed, so that week counts in 0..horizon can be subtracted
-        self.weeks_dtype = np.min_scalar_type(-schedule.horizon - 1)
-        self._order = np.argsort(-g.degrees, kind="stable")
-        rank = np.empty(g.n, dtype=np.intp)
-        rank[self._order] = np.arange(g.n)
-        starts = g.indptr[self._order]
-        descending = -g.degrees[self._order]
+        size = max(np.min_scalar_type(max_degree + 1).itemsize,
+                   np.min_scalar_type(-schedule.horizon - 1).itemsize)
+        self.dtype, self.weeks_dtype = np.dtype(f"u{size}"), np.dtype(f"i{size}")
+        self.order = np.argsort(-g.degrees, kind="stable")
+        self.rank = np.empty(g.n, dtype=np.intp)
+        self.rank[self.order] = np.arange(g.n)
+        starts = g.indptr[self.order]
+        descending = -g.degrees[self.order]
         self._slots = [
-            rank[g.indices[starts[: np.searchsorted(descending, -k)] + k]]
+            self.rank[g.indices[starts[: np.searchsorted(descending, -k)] + k]]
             for k in range(max_degree)
         ]
-        # an isolate's fraction is 0, which is what count/1 gives it
-        self._degrees = np.maximum(g.degrees, 1).astype(np.float64)[:, None]
+        # c / deg for c = 0..deg over the rows of degree >= c; an isolate's
+        # fraction is 0, which is what count/1 gives it
+        degrees = np.maximum(-descending, 1).astype(np.float64)
+        self._fractions = [
+            (c / degrees[: np.count_nonzero(degrees >= c)])[:, None]
+            for c in range(max(max_degree, 1) + 1)
+        ]
 
     def need(self, values: np.ndarray) -> np.ndarray:
-        """Recovery needs for an n x P matrix (or n-vector) of thresholds.
+        """Recovery needs for an n x P matrix of thresholds in kernel order.
 
         Threshold t needs the smallest c in 0..deg with c/deg >= t in
-        float64; deg + 1 (never met) when no such c exists, as for t > 1
-        or an isolate with t > 0. Rounding in ceil(t * deg) can miss the
-        smallest c by a step either way, which the two loops correct.
+        float64, which is the number of c in 0..deg with c/deg < t: deg + 1
+        (never met) when there is none, as for t > 1 or an isolate with t > 0.
         """
         values = np.asarray(values, dtype=np.float64)
-        deg = self._degrees if values.ndim == 2 else self._degrees[:, 0]
-        need = np.clip(np.ceil(values * deg), 0.0, deg + 1.0)
-        while True:
-            lower = (need > 0) & ((need - 1) / deg >= values)
-            if not lower.any():
-                break
-            need -= lower
-        while True:
-            higher = (need <= deg) & (need / deg < values)
-            if not higher.any():
-                break
-            need += higher
-        return need.astype(self.dtype)
+        need = np.zeros(values.shape, dtype=self.dtype)
+        below = np.empty(values.shape, dtype=bool)
+        for fractions in self._fractions:
+            rows = fractions.shape[0]
+            np.less(fractions, values[:rows], out=below[:rows])
+            need[:rows] += below[:rows].view(np.uint8)
+        return need
 
     def _count(self, state: np.ndarray, counts: np.ndarray, gathered: np.ndarray) -> None:
-        """Recovered neighbours of every sorted node, written into counts
-        (rows past the first slot, the isolates, stay zero)."""
+        """Recovered neighbours of every row, written into counts (rows past
+        the first slot, the isolates, stay zero)."""
         if not self._slots:
             return
         head = self._slots[0]
-        np.take(state, head, axis=0, out=counts[: head.size], mode="clip")
+        state.take(head, axis=0, out=counts[: head.size], mode="clip")
         for slot in self._slots[1:]:
             part = gathered[: slot.size]
-            np.take(state, slot, axis=0, out=part, mode="clip")
+            state.take(slot, axis=0, out=part, mode="clip")
             counts[: slot.size] += part
 
     def weeks_recovered(self, need: np.ndarray, initial: np.ndarray) -> np.ndarray:
         """Weeks 1..horizon that each node spends recovered, per column.
 
         need is n x P (or n x 1, shared by every column) and initial an
-        n x P boolean matrix of week-0 states. Since states never revert,
-        a node with w recovered weeks recovers at week horizon + 1 - w;
-        the count fixes the whole trajectory, the final state (w > 0) and
-        the 0-1 loss against any other monotone trajectory.
+        n x P boolean matrix of week-0 states, both in kernel order, as is
+        the result. Since states never revert, a node with w recovered weeks
+        recovers at week horizon + 1 - w; the count fixes the whole
+        trajectory, the final state (w > 0) and the 0-1 loss against any
+        other monotone trajectory.
         """
         horizon, first = self.schedule.horizon, self.schedule.first_update_week
-        need = np.asarray(need)[self._order]
-        state = initial[self._order].astype(self.dtype)
-        weeks = np.zeros(state.shape, dtype=self.weeks_dtype)
-        weeks += state * self.weeks_dtype.type(first - 1)
+        columns = initial.shape[1]
+        # take copies rows of 1, 2, 4, 8, 16 or 32 bytes far faster than
+        # others: pad to such a width with columns whose need is never met
+        width = 1 << (columns - 1).bit_length() if columns <= 32 else columns
+        state = np.zeros((initial.shape[0], width), dtype=self.dtype)
+        state[:, :columns] = initial
+        if need.shape[1] > 1 and width > columns:
+            never = np.full((need.shape[0], width - columns), np.iinfo(self.dtype).max, self.dtype)
+            need = np.concatenate([need, never], axis=1)
+        as_weeks = state.view(self.weeks_dtype)
+        weeks = as_weeks * self.weeks_dtype.type(first - 1)
         recovered = np.count_nonzero(state)
         counts = np.zeros(state.shape, dtype=self.dtype)
         gathered = np.empty(state.shape, dtype=self.dtype)
@@ -229,16 +242,14 @@ class DiffusionKernel:
         for t in range(first, horizon + 1):
             self._count(state, counts, gathered)
             np.greater_equal(counts, need, out=ready)
-            np.bitwise_or(state, ready, out=state)
+            np.bitwise_or(state, ready.view(np.uint8), out=state)
             now = np.count_nonzero(state)
             if now == recovered:  # fixed point: weeks t..horizon repeat this state
-                weeks += state * self.weeks_dtype.type(horizon + 1 - t)
+                weeks += as_weeks * self.weeks_dtype.type(horizon + 1 - t)
                 break
-            weeks += state
+            weeks += as_weeks
             recovered = now
-        unsorted = np.empty_like(weeks)
-        unsorted[self._order] = weeks
-        return unsorted
+        return weeks[:, :columns]
 
 
 def run_diffusion(
@@ -248,7 +259,8 @@ def run_diffusion(
     schedule: DiffusionSchedule = DiffusionSchedule(),
 ) -> np.ndarray:
     """Simulate weeks 1..horizon from the initial state; returns each node's
-    recovered weeks (0 = never recovered), as DiffusionKernel.weeks_recovered.
+    recovered weeks (0 = never recovered) in node order, as
+    DiffusionKernel.weeks_recovered.
 
     Weeks before first_update_week keep the initial state; every later week
     applies one synchronous threshold update.
@@ -256,7 +268,8 @@ def run_diffusion(
     check_aligned(g, tau)
     state = _as_state(initial, g.n, "initial state")
     kernel = DiffusionKernel(g, schedule)
-    return kernel.weeks_recovered(kernel.need(tau.values[:, None]), state[:, None])[:, 0]
+    rows = kernel.order[:, None]
+    return kernel.weeks_recovered(kernel.need(tau.values[rows]), state[rows])[kernel.rank, 0]
 
 
 def recovered_counts(weeks: np.ndarray, horizon: int) -> np.ndarray:

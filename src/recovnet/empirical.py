@@ -162,15 +162,19 @@ def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int | np.ndar
     recovered weeks disagree: |empirical - simulated| summed over nodes.
 
     A simulated n x P matrix gives one loss per column (against an n-vector
-    or an n x P empirical matrix); two n-vectors give one integer.
+    or an n x P empirical matrix); two n-vectors give one integer. Both
+    operands lie in 0..horizon, so signed integer operands are subtracted in
+    their common type (the kernel's narrow weeks type, say) and summed into
+    int64; other operands are taken as int64.
     """
-    s = np.asarray(empirical, dtype=np.int64)
-    s_hat = np.asarray(simulated, dtype=np.int64)
+    s, s_hat = np.asarray(empirical), np.asarray(simulated)
     if s.shape != s_hat.shape and not (s.ndim == 1 and s_hat.shape[:1] == s.shape):
         raise ValueError(f"week count shapes differ: {s.shape} vs {s_hat.shape}")
     if s.ndim < s_hat.ndim:
         s = s[:, None]
-    loss = np.abs(s - s_hat).sum(axis=0)
+    dtype = np.result_type(s, s_hat, np.int8)
+    diff = np.subtract(s, s_hat, dtype=dtype if dtype.kind == "i" else np.int64, casting="unsafe")
+    loss = np.abs(diff).sum(axis=0, dtype=np.int64)
     return int(loss) if loss.ndim == 0 else loss
 
 

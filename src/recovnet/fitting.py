@@ -43,6 +43,8 @@ class FitProblem:
     def __post_init__(self) -> None:
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self.free_indices = np.flatnonzero(~self.seed_mask)
+        self._free_rows = self.kernel.rank[self.free_indices]
+        self._empirical = self.empirical[self.kernel.order].astype(self.kernel.weeks_dtype)
 
     @property
     def free_count(self) -> int:
@@ -53,10 +55,10 @@ class FitProblem:
 
         def chunk(rows: np.ndarray) -> np.ndarray:
             values = np.zeros((self.graph.n, rows.shape[0]))
-            values[self.free_indices] = rows.T
+            values[self._free_rows] = rows.T
             affected = np.zeros(values.shape, dtype=bool)
             weeks = self.kernel.weeks_recovered(self.kernel.need(values), affected)
-            return zero_one_loss(self.empirical, weeks)
+            return zero_one_loss(self._empirical, weeks)
 
         return map_column_chunks(chunk, chromosomes, self.graph.n)
 

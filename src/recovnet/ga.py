@@ -81,6 +81,7 @@ class GaResult:
     best_chromosome: np.ndarray
     best_fitness: float
     history: list[GenerationRecord] = field(default_factory=list)
+    rows_scored: int = 0  # chromosomes passed to the fitness function
 
     @property
     def generations(self) -> int:
@@ -204,9 +205,11 @@ def run_ga(
     generations including the initial one, so a budget of 1 returns the best
     of the random population.
 
-    fitness maps the P x k population (a chromosome per row) to P values
-    and is called once per generation. Ties in fitness go to the lower row:
-    in tournaments, among the elites and for the best chromosome.
+    fitness maps rows (a chromosome each) to one value per row, and must be
+    deterministic: it scores the P rows of generation 0, then only the P -
+    elitism_count children of each generation, as the elites keep their
+    values. Ties in fitness go to the lower row: in tournaments, among the
+    elites and for the best chromosome.
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -245,12 +248,12 @@ def run_ga(
             p1, p2 = population[winners[:pairs]], population[winners[pairs:]]
             crossed = rng.random(pairs) < config.crossover_prob
             p1[crossed], p2[crossed] = encoding.crossover(p1[crossed], p2[crossed], rng)
-            children = np.concatenate([p1, p2])[: size - elites]
-            population = np.concatenate([
-                population[np.argsort(key, kind="stable")[:elites]],
-                encoding.mutate(children, rng, mutation_prob),
-            ])
-            fits, key = evaluate(population)
+            children = encoding.mutate(np.concatenate([p1, p2])[: size - elites], rng, mutation_prob)
+            kept = np.argsort(key, kind="stable")[:elites]
+            child_fits, child_key = evaluate(children)
+            population = np.concatenate([population[kept], children])
+            fits = np.concatenate([fits[kept], child_fits])
+            key = np.concatenate([key[kept], child_key])
 
         gen_best = int(key.argmin())
         if best_chromosome is None or key[gen_best] < best_key:
@@ -268,7 +271,8 @@ def run_ga(
 
     assert best_chromosome is not None
     return GaResult(
-        best_chromosome=best_chromosome, best_fitness=best_fitness, history=history
+        best_chromosome=best_chromosome, best_fitness=best_fitness, history=history,
+        rows_scored=size + (config.max_iterations - 1) * (size - elites),
     )
 
 

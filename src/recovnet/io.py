@@ -16,9 +16,11 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 from sys import intern
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
@@ -188,17 +190,9 @@ def metrics_line(metrics: GraphMetrics) -> str:
 
 
 def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
-    write_json(
-        {
-            "summary": metrics_line(metrics),
-            "n": metrics.n,
-            "m": metrics.m,
-            "avg_degree": metrics.avg_degree,
-            "density": metrics.density,
-            "degree_histogram": {str(k): v for k, v in metrics.degree_histogram.items()},
-        },
-        path,
-    )
+    histogram = {str(k): v for k, v in metrics.degree_histogram.items()}
+    write_json({**asdict(metrics), "summary": metrics_line(metrics),
+                "degree_histogram": histogram}, path)
 
 
 def _parse_int(text: str, path, row) -> int:
@@ -461,11 +455,15 @@ def write_trajectory(
     first = horizon + 1 - np.asarray(weeks, dtype=np.int64)
     if first.shape != (len(node_ids),):
         raise ValueError(f"{first.shape} recovered-week counts for {len(node_ids)} nodes")
-    write_table(path, ["id", "week", "state"], (
-        [node, week, int(week >= start)]
-        for node, start in zip(node_ids, first.tolist())
-        for week in range(horizon + 1)
-    ))
+    # the ",week,state" lines of each start week, joined with each id as
+    # csv.writer quotes it (writerow returns what the file's write returns)
+    tails = [[""] + [f",{week},{int(week >= start)}\r\n" for week in range(horizon + 1)]
+             for start in range(horizon + 2)]
+    line = csv.writer(SimpleNamespace(write=str)).writerow
+    starts = np.clip(first, 0, horizon + 1).tolist()
+    with atomic_write(path) as handle:
+        handle.write(line(["id", "week", "state"]) + "".join(
+            line((node, ""))[:-3].join(tails[start]) for node, start in zip(node_ids, starts)))
 
 
 def write_generation_stats(

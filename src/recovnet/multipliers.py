@@ -56,7 +56,7 @@ class MultiplierProblem:
                 f"size must be in [1, {len(self.candidate_pool)}], got {self.size}"
             )
         self.kernel = DiffusionKernel(self.graph, self.schedule)
-        self._need = self.kernel.need(self.thresholds.values[:, None])
+        self._need = self.kernel.need(self.thresholds.values[self.kernel.order, None])
 
     @property
     def pool_indices(self) -> np.ndarray:
@@ -68,7 +68,7 @@ class MultiplierProblem:
 
         def chunk(rows: np.ndarray) -> np.ndarray:
             initial = np.zeros((self.graph.n, rows.shape[0]), dtype=bool)
-            initial[rows, np.arange(rows.shape[0])[:, None]] = True
+            initial[self.kernel.rank[rows], np.arange(rows.shape[0])[:, None]] = True
             weeks = self.kernel.weeks_recovered(self._need, initial)
             return np.count_nonzero(weeks, axis=0)
 

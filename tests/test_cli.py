@@ -646,12 +646,14 @@ class TestBadInputRows:
 class TestCliImports:
     """No command loads SciPy: it is a test dependency only. The correlation
     p-values use an in-package t tail, and the manifest records no SciPy
-    version."""
+    version. Nor does any command load numpy.ma (np.quantile would, through
+    np.unique), which costs each process tens of milliseconds."""
 
     @staticmethod
     def _scipy_after_each(steps: list[str]) -> list[str]:
         """Run the steps in one fresh interpreter after `import recovnet.cli`;
-        a line per step (the import first) lists the scipy modules loaded."""
+        a line per step (the import first) lists the scipy and numpy.ma
+        modules loaded."""
         import os
         import subprocess
         import sys
@@ -659,7 +661,8 @@ class TestCliImports:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        report = "print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        report = ("print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                  " or m.split('.')[:2] == ['numpy', 'ma']))")
         code = "\n".join(
             ["import sys", "from recovnet.cli import main", report]
             + [line for step in steps for line in (step, report)]

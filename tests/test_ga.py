@@ -91,16 +91,51 @@ class TestRealVectorGa:
 
 class TestFitnessContract:
     @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])
-    def test_one_call_per_generation_with_whole_population(self, encoding, k):
+    @pytest.mark.parametrize("elites", [0, 1, 3])
+    def test_one_call_per_generation_with_children_after_the_first(self, encoding, k, elites):
         shapes = []
 
         def recording(population):
             shapes.append(population.shape)
             return population.sum(axis=1)
 
-        config = GaConfig(population_size=7, max_iterations=25, rng_seed=11)
-        run_ga(recording, "minimize", encoding, config)
-        assert shapes == [(7, k)] * 25
+        config = GaConfig(population_size=7, max_iterations=25, elitism_count=elites, rng_seed=11)
+        result = run_ga(recording, "minimize", encoding, config)
+        assert shapes == [(7, k)] + [(7 - elites, k)] * 24
+        assert result.rows_scored == 7 + 24 * (7 - elites)
+
+    @pytest.mark.parametrize("encoding", [RealVectorEncoding(5), SubsetEncoding(15, 4)])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("elites", [1, 2])
+    def test_kept_elite_values_equal_rescored_ones(self, encoding, direction, elites):
+        """The history and the best equal those of a fitness wrapper that
+        rebuilds each population (the previous one's elites, then the
+        children) and re-scores the whole of it."""
+
+        def fitness(population):
+            # coarse values, so that ties between elites and children occur
+            return np.round(np.sin(3.0 * population).sum(axis=1), 1)
+
+        sign = 1.0 if direction == "minimize" else -1.0
+        rescored = []  # per generation: the whole population and its values
+
+        def rescoring(rows):
+            population = rows
+            if rescored:
+                previous, fits = rescored[-1]
+                kept = previous[np.argsort(sign * fits, kind="stable")[:elites]]
+                population = np.concatenate([kept, rows])
+            fits = fitness(population)
+            rescored.append((population, fits))
+            return fits[len(population) - len(rows):]
+
+        config = GaConfig(population_size=8, max_iterations=40, elitism_count=elites,
+                          rng_seed=5)
+        result = run_ga(rescoring, direction, encoding, config)
+        best = [sign * (sign * fits).min() for _, fits in rescored]
+        assert [rec.best_fitness for rec in result.history] == best
+        assert result.best_fitness == sign * min(sign * b for b in best)
+        assert fitness(result.best_chromosome[None])[0] == result.best_fitness
 
     @pytest.mark.parametrize("encoding", [RealVectorEncoding(4), SubsetEncoding(12, 3)])
     @pytest.mark.parametrize("direction", DIRECTIONS)

@@ -448,6 +448,26 @@ class TestWriters:
         with pytest.raises(ValueError, match="2 nodes"):
             io.write_trajectory(["a", "b"], np.array([2, 1, 0]), 2, path)
 
+    def test_trajectory_bytes_equal_csv_writer_rows(self, tmp_path):
+        """Ids that need quoting, and recovered weeks of every kind, against
+        csv.writer writing one row per (id, week)."""
+        import csv
+
+        ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", " lead", "trail ",
+               "", "é ü", '"', ",", "x"]
+        horizon = 5
+        weeks = np.array([0, 1, 2, 3, 4, 5, 5, 0, 3, 1, 2, 4], dtype=np.int8)
+        path = tmp_path / "trajectory.csv"
+        io.write_trajectory(ids, weeks, horizon, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "week", "state"])
+            for node, w in zip(ids, weeks.tolist()):
+                for week in range(horizon + 1):
+                    writer.writerow([node, week, int(week >= horizon + 1 - w)])
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_generation_stats_layouts(self, tmp_path):
         from recovnet import GenerationRecord
 

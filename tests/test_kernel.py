@@ -83,7 +83,8 @@ def test_kernel_trajectories_match_oracle(case):
     values = grid_thresholds(graph, rng, columns)
     initial = rng.random((graph.n, columns)) < 0.2
     kernel = diffusion.DiffusionKernel(graph, DiffusionSchedule(HORIZON, FIRST_UPDATE))
-    weeks = kernel.weeks_recovered(kernel.need(values), initial)
+    order = kernel.order  # inputs and outputs are in kernel order
+    weeks = kernel.weeks_recovered(kernel.need(values[order]), initial[order])[kernel.rank]
     for p in range(columns):
         ref = oracles.naive_diffusion(
             neighbor_lists(graph),
@@ -128,22 +129,30 @@ def test_chunked_fit_losses_match_naive_loss(case):
         assert losses[p] == naive_loss(durations, ref, graph.nodes), p
 
 
+def linear_need(taus, degree):
+    """Per threshold t, the first count c in 0..deg with c/deg >= t, else
+    deg + 1; an isolate counts as degree 1 (its fraction is 0)."""
+    degree = max(degree, 1)
+    meets = np.arange(degree + 1) / degree >= np.asarray(taus)[:, None]
+    return np.where(meets.any(axis=1), meets.argmax(axis=1), degree + 1).tolist()
+
+
 def test_need_is_smallest_count_meeting_threshold():
-    """From degree 25 up, ceil(t * deg) can overshoot the smallest count
-    (7/25 rounds to a product above 7), so check every grid threshold and
-    its float neighbours on stars of degree 1..60 against a linear scan."""
-    for d in range(1, 61):
+    """need against a linear scan on a star of every degree 0..300 (0 is a
+    lone isolate): every grid threshold c/deg, one float step either side
+    of it, and 0, 1 and 1.5."""
+    for d in range(301):
         leaves = [f"l{i}" for i in range(d)]
         graph = SpatialGraph(["c", *leaves], [("c", leaf) for leaf in leaves])
         kernel = diffusion.DiffusionKernel(graph)
-        grid = np.arange(d + 1) / d
-        taus = np.clip(
-            np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)]), 0.0, 1.0
+        grid = np.arange(d + 1) / max(d, 1)
+        taus = np.concatenate(
+            [grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0), [0.0, 1.0, 1.5]]
         )
-        values = np.zeros((d + 1, taus.size))
-        values[0] = taus
-        expected = [next(c for c in range(d + 1) if c / d >= t) for t in taus]
-        assert kernel.need(values)[0].tolist() == expected, d
+        values = np.tile(taus, (graph.n, 1))
+        need = kernel.need(values[kernel.order])[kernel.rank]
+        for node, degree in ((0, d), (graph.n - 1, 1 if d else 0)):
+            assert need[node].tolist() == linear_need(taus, degree), (d, node)
 
 
 def test_star_of_degree_300_matches_oracle():
