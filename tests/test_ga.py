@@ -91,7 +91,21 @@ class TestRealVectorGa:
 
 class TestFitnessContract:
     @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])
-    @pytest.mark.parametrize("elites", [0, 1, 3])
+    def test_one_call_per_generation_with_whole_population(self, encoding, k):
+        """With no elites kept, every generation is scored whole."""
+        shapes = []
+
+        def recording(population):
+            shapes.append(population.shape)
+            return population.sum(axis=1)
+
+        config = GaConfig(population_size=7, max_iterations=25, elitism_count=0, rng_seed=11)
+        result = run_ga(recording, "minimize", encoding, config)
+        assert shapes == [(7, k)] * 25
+        assert result.rows_scored == 7 * 25
+
+    @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])
+    @pytest.mark.parametrize("elites", [1, 3])
     def test_one_call_per_generation_with_children_after_the_first(self, encoding, k, elites):
         shapes = []
 
