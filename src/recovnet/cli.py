@@ -419,8 +419,15 @@ def cmd_build_graph(s: argparse.Namespace) -> int:
 def cmd_durations(s: argparse.Namespace) -> int:
     if not 0 < s.ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {s.ratio}")
-    visits_path = _require_file(s.visits, "visits")
     start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
+    # a unit's first day shifts all three days alike, so their order is the flags' alone
+    if start > end:
+        raise ConfigError(f"--baseline-start {s.baseline_start} is after "
+                          f"--baseline-end {s.baseline_end}")
+    if end >= recovery:
+        raise ConfigError(f"--baseline-end {s.baseline_end} must be before "
+                          f"--recovery-start {s.recovery_start}")
+    visits_path = _require_file(s.visits, "visits")
 
     series_by_node = io.read_visit_series(visits_path)
     if not series_by_node:

@@ -158,11 +158,31 @@ def _check_header(
         )
 
 
+def _check_utf8(path, data: bytes) -> None:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+@contextmanager
+def _csv_reader(path: str | Path) -> Iterator:
+    """csv.reader over a text file; a byte that is not UTF-8 is a DataError
+    naming the file and the byte's offset."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            yield csv.reader(handle)
+    except UnicodeDecodeError:
+        # the decoder counts from the chunk it was given; decode the whole
+        # file again for the offset within it
+        _check_utf8(path, Path(path).read_bytes())
+        raise
+
+
 def _open_csv(
     path: str | Path, expected_header: list[str], optional: Optional[str] = None
 ) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         _check_header(path, reader, expected_header, optional)
         return [row for row in reader if row]
 
@@ -267,45 +287,146 @@ def _check_visit_row(path, row: list[str]) -> None:
 
 def _data_row(path, index: int) -> list[str]:
     """The index-th non-blank row after the header, read again to quote it."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         next(reader)
         return next(itertools.islice(filter(None, reader), index, None))
 
 
-def _parsed(texts: list[str], parse, dtype) -> tuple[np.ndarray, Optional[int]]:
-    """Each cell through parse, called once per distinct text, and the index
-    of the first cell that parse rejects (None if none is rejected)."""
-    table: dict = dict.fromkeys(texts, 0)
-    bad = set()
-    for text in table:
-        try:
-            table[text] = parse(text)
-        except DataError:
-            bad.add(text)
-    first_bad = next(i for i, t in enumerate(texts) if t in bad) if bad else None
-    return np.fromiter(map(table.__getitem__, texts), dtype, len(texts)), first_bad
+# A column: its distinct cell texts, and per row the index of its text.
+Column = tuple[list[str], np.ndarray]
+
+VISIT_HEADER = ["id", "day", "visits"]
+# rows tokenized at a time: the key arrays of one block stay small next to
+# the columns of the whole file
+_BLOCK_ROWS = 16_384
 
 
-def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
-    """Visit CSV (header id,day,visits) grouped per node, in sorted id order.
+def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the start and end of each line's text, split as a file
+    opened with newline="" splits them: at \\n, \\r\\n and a lone \\r. A
+    last line without a terminator is a line; nothing after a final
+    terminator is."""
+    buf = np.frombuffer(data, np.uint8)
+    if b"\r" in data:
+        cr = buf == 13
+        ends = buf == 10
+        ends[1:] &= ~cr[:-1]  # the \n of a \r\n ends no second line
+        ends |= cr
+        del cr
+        ends = np.flatnonzero(ends)
+        starts = ends + 1
+        # a \r that ends the file is compared with itself, so it ends no \r\n
+        crlf = buf[ends] == 13
+        crlf[crlf] = buf[np.minimum(starts[crlf], buf.size - 1)] == 10
+        starts += crlf
+    else:
+        ends = np.flatnonzero(buf == 10)
+        starts = ends + 1
+    starts = np.concatenate(([0], starts))
+    if starts[-1] == buf.size:
+        return starts[:-1], ends
+    return starts, np.append(ends, buf.size)
 
-    Each node's days must be consecutive once sorted; the result maps the
-    node id to (first day, daily visit array). The columns are read in one
-    pass, each distinct day or value text parsed once, and the rows sorted
-    by (node, day) at once; every series is a view into one sorted array.
-    A bad row, a duplicate day or a gap is named as a row-by-row reader
-    would name it: the first bad row in file order, else the first node in
-    order of appearance.
-    """
-    ids: list[str] = []
-    days: list[str] = []
-    values: list[str] = []
+
+# _LOW_BYTES[k] keeps the low k bytes of a 64-bit word
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _field_words(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Each field buf[start:stop] as a row of 64-bit words: its bytes,
+    zero-padded, and its length, so that two rows are equal iff the fields
+    are. The length is the top byte of the last word, a byte past every
+    field, when every field is shorter than 256 bytes, else a word of its
+    own."""
+    lengths = stops - starts
+    longest = int(lengths.max())
+    count = longest // 8 + 1
+    lo, hi = int(starts.min()), int(stops.max())
+    words = np.zeros((hi - lo) // 8 + count + 1, np.uint64)
+    words.view(np.uint8)[: hi - lo] = buf[lo:hi]
+    index = (starts - lo) >> 3
+    shift = ((starts - lo) & 7).astype(np.uint64) * 8
+    keys = np.empty((starts.size, count + (longest > 255)), np.uint64)
+    for j in range(count):
+        # the 8 bytes from the field's start + 8j, which straddle two words
+        word = (words[index + j] >> shift) | ((words[index + j + 1] << 1) << (63 - shift))
+        keys[:, j] = word & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
+    if longest > 255:
+        keys[:, count] = lengths
+    else:
+        keys[:, count - 1] |= lengths.astype(np.uint64) << 56
+    return keys
+
+
+def _field_codes(
+    data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, table: dict
+) -> np.ndarray:
+    """The code in table of each field data[start:stop]; a field not yet in
+    table gets the next code. Fields are told apart by their integer keys
+    (_field_words), so that only distinct fields become Python objects."""
+    if not starts.size:
+        return np.zeros(0, np.intp)
+    inverse = None
+    for column in _field_words(buf, starts, stops).T:
+        _, codes = np.unique(column, return_inverse=True)
+        if inverse is not None:
+            # both are codes below the row count: their pair fits one int64
+            _, codes = np.unique(inverse * (codes.max() + 1) + codes, return_inverse=True)
+        inverse = codes.reshape(-1)
+    sample = np.empty(int(inverse.max()) + 1, np.intp)
+    sample[inverse] = np.arange(inverse.size)
+    local = np.fromiter(
+        (table.setdefault(data[a:b], len(table))
+         for a, b in zip(starts[sample].tolist(), stops[sample].tolist())),
+        np.intp, sample.size,
+    )
+    return local[inverse]
+
+
+def _byte_columns(
+    data: bytes, starts: np.ndarray, ends: np.ndarray
+) -> tuple[list[Column], Optional[list[str]]]:
+    """The id, day and value columns of unquoted visit lines (the text of
+    line i is data[starts[i]:ends[i]]), read up to the first short row, and
+    that row's cells (None if there is none). Blank lines are skipped."""
+    buf = np.frombuffer(data, np.uint8)
+    tables: list[dict] = [{}, {}, {}]
+    codes = [np.empty(starts.size, np.intp) for _ in tables]
+    n = 0
     short = None
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        _check_header(path, reader, ["id", "day", "visits"])
-        add_id, add_day, add_value = ids.append, days.append, values.append
+    for lo in range(0, starts.size, _BLOCK_ROWS):
+        s, e = starts[lo:lo + _BLOCK_ROWS], ends[lo:lo + _BLOCK_ROWS]
+        filled = e > s
+        s, e = s[filled], e[filled]
+        if not s.size:
+            continue
+        commas = np.flatnonzero(buf[s[0]:e[-1]] == 44) + s[0]
+        first = np.searchsorted(commas, s)
+        count = np.searchsorted(commas, e) - first
+        if (count < 2).any():
+            cut = int(np.argmax(count < 2))
+            short = next(csv.reader([data[s[cut]:e[cut]].decode("utf-8")]))
+            s, e, first, count = s[:cut], e[:cut], first[:cut], count[:cut]
+        c1, c2 = commas[first], commas[first + 1]
+        c3 = np.where(count > 2, commas[np.minimum(first + 2, commas.size - 1)], e)
+        for table, out, (a, b) in zip(tables, codes, ((s, c1), (c1 + 1, c2), (c2 + 1, c3))):
+            out[n:n + s.size] = _field_codes(data, buf, a, b, table)
+        n += s.size
+        if short is not None:
+            break
+    columns = [([raw.decode("utf-8") for raw in table], out[:n])
+               for table, out in zip(tables, codes)]
+    return columns, short
+
+
+def _csv_columns(path) -> tuple[list[Column], Optional[list[str]]]:
+    """The id, day and value columns read by csv.reader, up to the first
+    short row, and that row (None if there is none)."""
+    cells: list[list[str]] = [[], [], []]
+    short = None
+    with _csv_reader(path) as reader:
+        _check_header(path, reader, VISIT_HEADER)
+        add_id, add_day, add_value = (column.append for column in cells)
         # cells repeat (ids per day, days and counts per unit): interned,
         # each distinct text is one object, and later lookups hash it once
         for row in reader:
@@ -316,24 +437,87 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
             elif row:
                 short = row
                 break
-    n = len(ids)
+    columns = []
+    for column in cells:
+        code = {text: k for k, text in enumerate(dict.fromkeys(column))}
+        columns.append((list(code), np.fromiter(map(code.__getitem__, column), np.intp,
+                                                len(column))))
+    return columns, short
+
+
+def _parsed(column: Column, parse, dtype) -> tuple[np.ndarray, Optional[int]]:
+    """Each row's cell through parse, called once per distinct text, and the
+    index of the first row whose text parse rejects (None if none is)."""
+    texts, codes = column
+    table = np.zeros(len(texts), dtype)
+    bad = np.zeros(len(texts), bool)
+    for k, text in enumerate(texts):
+        try:
+            table[k] = parse(text)
+        except DataError:
+            bad[k] = True
+    first_bad = int(np.argmax(bad[codes])) if bad.any() else None
+    return table[codes], first_bad
+
+
+def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
+    """Visit CSV (header id,day,visits) grouped per node, in sorted id order.
+
+    Each node's days must be consecutive once sorted; the result maps the
+    node id to (first day, daily visit array).
+
+    The file is read as bytes and checked to be UTF-8. A file with no '"'
+    is tokenized with NumPy: lines end at \\n, \\r\\n or a lone \\r, blank
+    lines are skipped, and cells are split at commas, as csv.reader would
+    split them. The rows are taken in blocks of _BLOCK_ROWS; each field is
+    packed with its length into integer keys, the distinct keys are found
+    with one sort per column and block, and only the distinct texts are
+    decoded. A file with a '"' (or a line longer than csv's field size
+    limit) is read by csv.reader instead, the only reader that splits quoted
+    fields exactly. Either way, each distinct day or value text is parsed
+    once, and the rows are sorted by (node, day) at once; every series is a
+    view into one sorted array.
+
+    A bad row, a duplicate day or a gap is named as a row-by-row reader
+    would name it: the first bad row in file order (rows after the first
+    short row are not read), else the first short row, else the first node
+    in order of appearance.
+    """
+    data = Path(path).read_bytes()
+    _check_utf8(path, data)
+    starts, ends = _line_bounds(data)
+    if b'"' in data or np.any(ends - starts > csv.field_size_limit()):
+        del data, starts, ends  # the csv.reader path reads the file again
+        columns, short = _csv_columns(path)
+    else:
+        header = [data[starts[0]:ends[0]].decode("utf-8")] if starts.size else []
+        _check_header(path, csv.reader(header), VISIT_HEADER)
+        columns, short = _byte_columns(data, starts[1:], ends[1:])
+        del data, starts, ends
+    # each column is dropped once it is used, to keep the peak memory low
+    (id_texts, id_codes), days, values = columns
+    del columns
     day, bad_day = _parsed(days, _visit_day, np.int64)
     visits, bad_value = _parsed(values, lambda text: _parse_float(text, path, None), np.float64)
+    del days, values
     bad_rows = [i for i in (bad_day, bad_value) if i is not None]
     if bad_rows:
         _check_visit_row(path, _data_row(path, min(bad_rows)))
     if short is not None:
         raise DataError(f"{path}: malformed visit row {short!r}")
+    n = day.size
     if not n:
         return {}
 
-    node_of = {text: text.strip() for text in dict.fromkeys(ids)}
-    nodes = sorted(set(node_of.values()))
+    node_of = [text.strip() for text in id_texts]
+    nodes = sorted(set(node_of))
     index = {node: code for code, node in enumerate(nodes)}
-    code_of = {text: index[node] for text, node in node_of.items()}
-    codes = np.fromiter(map(code_of.__getitem__, ids), np.int64, n)
+    codes = np.array([index[node] for node in node_of], np.int64)[id_codes]
+    del id_codes
     order = np.lexsort((day, codes))
-    codes, day, visits = codes[order], day[order], visits[order]
+    codes = codes[order]
+    day = day[order]
+    visits = visits[order]
 
     same_node = codes[1:] == codes[:-1]
     step = np.diff(day)

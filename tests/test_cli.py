@@ -436,6 +436,27 @@ class TestVisitInput:
         assert not (tmp_path / "durations").exists()
 
 
+    @pytest.mark.parametrize("days,named", [
+        ((5, 2, 27), "--baseline-start 5 is after --baseline-end 2"),
+        (("2017-08-05", "2017-08-02", "2017-09-01"),
+         "--baseline-start 2017-08-05 is after --baseline-end 2017-08-02"),
+        ((0, 27, 27), "--baseline-end 27 must be before --recovery-start 27"),
+        ((0, 30, 27), "--baseline-end 30 must be before --recovery-start 27"),
+    ])
+    def test_window_flags_checked_before_data(self, tmp_path, capsys, days, named):
+        """A unit's first day shifts the three days alike, so their order is
+        a configuration fault whatever the file holds; the file, here with a
+        bad row, is not read."""
+        visits = tmp_path / "visits.csv"
+        visits.write_text("id,day,visits\nb,xx,100\n")
+        start, end, recovery = days
+        assert run("durations", "--visits", visits, "--baseline-start", start,
+                   "--baseline-end", end, "--recovery-start", recovery,
+                   "--out", tmp_path / "durations") == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not (tmp_path / "durations").exists()
+
+
 class TestDurationGroups:
     """Units with different first days and lengths are scored one matrix per
     (first day, length) group, each as the oracle scores it alone."""
@@ -641,6 +662,52 @@ class TestBadInputRows:
         node = _rewrite_row(path, self._row_where(path, is_seed=False), 1, value)
         assert self._multipliers(tmp_path, instance_dir, path) == 3
         assert node in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """A CSV input with a byte that is not UTF-8 exits 3 and names the file
+    and the byte's offset, whichever command reads it."""
+
+    @staticmethod
+    def _visits(tmp_path, quoted: bool) -> Path:
+        path = tmp_path / "visits.csv"
+        cell = '"u"' if quoted else "u"
+        path.write_text("id,day,visits\n" + "".join(f"{cell},{d},100\n" for d in range(131)))
+        return path
+
+    @pytest.mark.parametrize("command,target", [
+        ("build-graph", "edges"), ("fit", "durations"), ("baseline", "durations"),
+        ("multipliers", "thresholds"), ("analyze", "attributes"),
+        ("durations", "visits"), ("durations", "quoted visits"),
+    ])
+    def test_exits_3_naming_the_byte(self, tmp_path, instance_dir, capsys, command, target):
+        files = {
+            "edges": instance_dir / "edges.csv",
+            "durations": instance_dir / "durations.csv",
+            "thresholds": instance_dir / "planted_thresholds.csv",
+            "attributes": instance_dir / "attributes.csv",
+            "visits": self._visits(tmp_path, quoted=target == "quoted visits"),
+        }
+        path = files[target.split()[-1]]
+        data = path.read_bytes()
+        offset = data.index(b"\n") + 2  # inside the first data row
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+        flags = {
+            "build-graph": ["--edges", files["edges"]],
+            "fit": ["--edges", files["edges"], "--durations", files["durations"],
+                    "--max-iterations", 2],
+            "baseline": ["--edges", files["edges"], "--durations", files["durations"],
+                         "--runs", 2],
+            "multipliers": ["--edges", files["edges"], "--thresholds", files["thresholds"],
+                            "--sizes", 1, "--max-iterations", 2],
+            "analyze": ["--thresholds", files["thresholds"], "--attributes", files["attributes"]],
+            "durations": ["--visits", files["visits"], "--baseline-start", 0,
+                          "--baseline-end", 20, "--recovery-start", 27],
+        }[command]
+        assert run(command, *flags, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: not valid UTF-8 at byte {offset}\n"
+        )
 
 
 class TestCliImports:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import tempfile
 from datetime import date
@@ -174,23 +175,82 @@ class TestVisitSeriesCsv:
         path.write_text("id,day,visits\n\n")
         assert io.read_visit_series(path) == {}
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_line_ends_split_as_csv_reader_splits_them(self, tmp_path, quote):
+        """\\n, \\r\\n and a lone \\r end a line, a \\r\\n after a lone \\r
+        ends a blank one, and the last line needs no terminator."""
+        path = tmp_path / "visits.csv"
+        path.write_bytes(f"id,day,visits\r{quote}u{quote},1,3\r\nu,2,4\ru,3,5\r\r\n"
+                         "\nu,4,6\rv,9,1".encode())
+        series = io.read_visit_series(path)
+        assert {node: (first, values.tolist()) for node, (first, values) in series.items()} \
+            == oracles.naive_read_visit_series(path) \
+            == {"u": (1, [3.0, 4.0, 5.0, 6.0]), "v": (9, [1.0])}
+
+    @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
+    def test_fields_alike_in_their_leading_bytes_stay_apart(self, tmp_path, monkeypatch,
+                                                             block_rows):
+        """Ids and days that share their first 8 bytes, or differ only by a
+        trailing NUL byte (below and past 255 bytes), are distinct cells; each
+        pair of ids is in one block of 2 rows."""
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+        ids = ["g480201234567", "g480201234568", "n", "n\x00", "L" * 300, "L" * 300 + "\x00"]
+        rows = [f"{node},2018-07-0{day},100.00000000{k}"
+                for day in (1, 2) for k, node in enumerate(ids)]
+        path = tmp_path / "visits.csv"
+        path.write_text("\n".join(["id,day,visits", *rows]) + "\n", encoding="utf-8")
+        series = io.read_visit_series(path)
+        expected = oracles.naive_read_visit_series(path)
+        assert sorted(series) == sorted(expected) == sorted(ids)
+        for node, (first_day, values) in series.items():
+            assert (first_day, values.tolist()) == expected[node]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("rows,named", [
+        (["u,1,3", "u", "u,xx,4"], "malformed visit row ['u']"),
+        (["u,1,3", "u,xx,4", "u"], "cannot parse day value 'xx' in row ['u', 'xx', '4']"),
+        (["u,1,3", "u,2", "u,3,abc", "u,4,inf"], "malformed visit row ['u', '2']"),
+    ])
+    def test_bad_cells_after_a_short_row_are_not_read(self, tmp_path, monkeypatch, block_rows,
+                                                      quote, rows, named):
+        """A bad cell is named only before the first short row, which is
+        named otherwise, with either tokenizer and whichever block holds
+        the short row."""
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "visits.csv"
+        path.write_text("\n".join(["id,day,visits", *rows]).replace("u", quote + "u" + quote))
+        with pytest.raises(DataError) as raised:
+            io.read_visit_series(path)
+        assert str(raised.value) == f"{path}: {named}"
+
 
 BASE_DAY = 736_900  # near 2018-07, so a day may be written as an index or a date
 ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite")
+# ids longer than a 64-bit word that differ only past it, non-ASCII ids, and
+# ids that differ only by a trailing NUL byte, short and past 255 bytes
+NODE_IDS = ["u0", "u1", "b", "a10", "g480201234567", "g480201234568", "é", "日本",
+            "n", "n\x00", "L" * 300, "L" * 300 + "\x00"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def visit_files(draw):
-    """A visits CSV as lines: shuffled rows of a few units with different
-    first days and lengths, ids padded with spaces, days written as indices
-    or ISO dates, some fields quoted, extra columns and blank lines. A unit
-    may have a duplicate day, a gap or both, and up to two bad rows go in at
-    random places."""
+    """A visits CSV as lines, each with its terminator: shuffled rows of a
+    few units with different first days and lengths, ids padded with spaces,
+    days written as indices or ISO dates, extra columns and blank lines.
+    About half the files quote some fields (read by csv.reader); the rest
+    have no quote (read by the byte tokenizer). Lines end at \\n, \\r\\n or
+    a lone \\r, and the last one may have no terminator. A unit may have a
+    duplicate day, a gap or both, and up to three bad rows (short rows, bad
+    days or values) go in at random places."""
+    quoted = draw(st.booleans())
     units = draw(st.dictionaries(
-        st.sampled_from(["u0", "u1", "u2", "b", "a10"]),
-        st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=1, max_size=4,
+        st.sampled_from(NODE_IDS),
+        st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=0, max_size=4,
     ))
-    value_texts = st.sampled_from(["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0"])
+    value_texts = st.sampled_from(
+        ["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0", "100.000000001", "0100"])
     rows = []
     for node, (offset, length) in units.items():
         for day in range(BASE_DAY + offset, BASE_DAY + offset + length):
@@ -207,7 +267,7 @@ def visit_files(draw):
             rows.remove(pick(series[1:-1]))
         if fault in ("duplicate", "both"):
             rows.append([node, pick(series)[1], draw(value_texts)])
-    for fault in draw(st.lists(st.sampled_from(ROW_FAULTS), max_size=2)):
+    def faulty(fault):
         row = list(pick(good))
         if fault == "short":
             row = row[:draw(st.integers(1, 2))]
@@ -217,8 +277,17 @@ def visit_files(draw):
             row[2] = draw(st.sampled_from(["abc", "", "1,0"]))
         else:
             row[2] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
-        rows.append(row)
+        return row
+
+    if good:
+        faults = draw(st.lists(st.sampled_from(ROW_FAULTS), max_size=3))
+        rows += [faulty(fault) for fault in faults]
     rows = draw(st.permutations(rows))
+    if good and draw(st.booleans()):
+        # a short row next to a bad cell, in either order
+        pair = [faulty("short"), faulty(draw(st.sampled_from(ROW_FAULTS[1:])))]
+        at = draw(st.one_of(st.just(0), st.integers(0, len(rows))))
+        rows[at:at] = draw(st.permutations(pair))
 
     def cell(value):
         if isinstance(value, int) and draw(st.booleans()):
@@ -226,41 +295,66 @@ def visit_files(draw):
         text = str(value)
         if draw(st.booleans()):
             text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
-        if "," in text or draw(st.integers(0, 3)) == 0:
+        if quoted and ("," in text or draw(st.booleans())):
             text = '"' + text + '"'
         return text
 
-    lines = ["id,day,visits" + draw(st.sampled_from(["", ",note"]))]
+    # a quoted file quotes its header's first cell, so that it has a quote
+    lines = [('"id"' if quoted else "id") + ",day,visits" + draw(st.sampled_from(["", ",note"]))]
     for row in rows:
         extra = draw(st.sampled_from([[], ["x"], ["", "y"]]))
         lines.append(",".join(cell(v) for v in row + extra))
         if draw(st.integers(0, 5)) == 0:
             lines.append("")
-    return lines
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return [line + end for line, end in zip(lines, ends)]
 
 
 class TestVisitReaderAgainstOracle:
-    """The columnar reader against the row-by-row reference: same series,
-    or the same error naming the same row, node or file."""
+    """The reader against the row-by-row reference, for both tokenizers and
+    blocks of a few rows as well as the default: same series, or the same
+    error naming the same row, node or file."""
 
-    @given(visit_files(), st.sampled_from(["\n", "\r\n"]))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_row_by_row_reader(self, lines, newline):
+    @given(visit_files(), st.one_of(st.just(io._BLOCK_ROWS), st.sampled_from([1, 2, 3, 7])))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_by_row_reader(self, lines, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "visits.csv"
-            path.write_text(newline.join(lines) + newline, newline="")
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            default, io._BLOCK_ROWS = io._BLOCK_ROWS, block_rows
+            by_csv_reader = []
+            csv_columns = io._csv_columns
+            io._csv_columns = lambda *args: by_csv_reader.append(True) or csv_columns(*args)
             try:
-                expected = oracles.naive_read_visit_series(path)
-            except ValueError as exc:
-                with pytest.raises(DataError) as raised:
-                    io.read_visit_series(path)
-                assert str(raised.value) == str(exc)
-                return
-            series = io.read_visit_series(path)
+                try:
+                    expected = oracles.naive_read_visit_series(path)
+                except ValueError as exc:
+                    with pytest.raises(DataError) as raised:
+                        io.read_visit_series(path)
+                    assert str(raised.value) == str(exc)
+                    return
+                series = io.read_visit_series(path)
+            finally:
+                io._BLOCK_ROWS, io._csv_columns = default, csv_columns
+                # only a file with a quote needs csv.reader
+                assert bool(by_csv_reader) == any('"' in line for line in lines)
         assert list(series) == sorted(expected)
         for node, (first_day, values) in series.items():
             assert type(first_day) is int and first_day == expected[node][0]
             assert values.dtype == np.float64 and values.tolist() == expected[node][1]
+
+    def test_line_past_csv_field_limit_read_by_csv_reader(self, tmp_path):
+        """csv.reader rejects a field longer than its limit; such a file is
+        not split by the byte tokenizer, so it fails the same way."""
+        path = tmp_path / "visits.csv"
+        path.write_text("id,day,visits\nu,1,3\n" + "x" * (csv.field_size_limit() + 1) + ",2,4\n")
+        with pytest.raises(csv.Error) as expected:
+            oracles.naive_read_visit_series(path)
+        with pytest.raises(csv.Error) as raised:
+            io.read_visit_series(path)
+        assert str(raised.value) == str(expected.value)
 
 
 ATTRIBUTES_HEADER = "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"

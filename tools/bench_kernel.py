@@ -1,4 +1,5 @@
-"""Times one fitness call of each kind on a county-scale instance.
+"""Times one fitness call of each kind on a county-scale instance, and one
+read of a large visits file.
 
     PYTHONPATH=src python tools/bench_kernel.py --label change
 
@@ -13,9 +14,18 @@ calls after two warm-up calls:
   20 nodes, over the planted thresholds.
 
 Before timing, the losses and recovered counts of a few columns are checked
-against the plain-loop re-simulation of ``tests/oracles.py``. The result is
-stored under --label in --out (other labels are kept), so that two source
-trees can be compared by running the harness once with each on PYTHONPATH.
+against the plain-loop re-simulation of ``tests/oracles.py``.
+
+``read_visits`` is io.read_visit_series on a visits file of 4 000 units x
+110 days (440 000 unquoted rows, 5.7 MB, shaped like the benchmark's
+``ingest-large`` input), written to a temporary directory and checked
+against ``tests/oracles.naive_read_visit_series``. It is timed as the median
+of --visit-repeats calls after two warm-up calls, and one more call gives
+``peak_mib``, the tracemalloc peak of a read.
+
+The result is stored under --label in --out (other labels are kept), so that
+two source trees can be compared by running the harness once with each on
+PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +55,7 @@ import oracles  # noqa: E402
 
 NODES = 2010
 HORIZON, FIRST_UPDATE_WEEK = 14, 3
+VISIT_UNITS, VISIT_DAYS = 4000, 110
 
 
 def instance(root: Path):
@@ -91,7 +103,32 @@ def timed(fn, repeats: int) -> dict:
             "calls": repeats}
 
 
-def measure(repeats: int) -> dict:
+def read_visits(repeats: int) -> dict:
+    """Time io.read_visit_series on an ingest-large-shaped visits file,
+    after checking it against the row-by-row oracle."""
+    rng = np.random.default_rng(0)
+    visits = rng.integers(0, 102, (VISIT_UNITS, VISIT_DAYS)).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "visits.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("id,day,visits\n")
+            for unit, series in enumerate(visits):
+                handle.write("".join(f"g{unit:05d},{d},{v}\n" for d, v in enumerate(series)))
+        expected = oracles.naive_read_visit_series(path)
+        series = io.read_visit_series(path)
+        assert list(series) == sorted(expected), "read_visits: node ids differ from the oracle"
+        for node, (first_day, values) in series.items():
+            assert (first_day, values.tolist()) == expected[node], f"read_visits: node {node}"
+        del expected, series
+        timing = timed(lambda: io.read_visit_series(path), repeats)
+        tracemalloc.start()
+        io.read_visit_series(path)
+        timing["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        tracemalloc.stop()
+    return timing
+
+
+def measure(repeats: int, visit_repeats: int) -> dict:
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
         graph, durations, planted = instance(Path(tmp))
@@ -107,6 +144,7 @@ def measure(repeats: int) -> dict:
         "losses_P10": timed(lambda: problem.losses(chromosomes[10]), repeats),
         "losses_P65": timed(lambda: problem.losses(chromosomes[65]), repeats),
         "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
+        "read_visits": read_visits(visit_repeats),
     }
 
 
@@ -115,6 +153,7 @@ def main(argv=None) -> None:
     parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     parser.add_argument("--out", type=Path, default=ROOT / "tools" / "BENCH_kernel.json")
     parser.add_argument("--repeats", type=int, default=200)
+    parser.add_argument("--visit-repeats", type=int, default=20)
     args = parser.parse_args(argv)
     results = json.loads(args.out.read_text()) if args.out.exists() else {}
     results.setdefault("instance", f"synth --nodes {NODES} --kind perturbed_grid --rng-seed 1")
@@ -122,7 +161,7 @@ def main(argv=None) -> None:
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "timings": measure(args.repeats),
+        "timings": measure(args.repeats, args.visit_repeats),
     }
     args.out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(json.dumps(results["entries"][args.label]["timings"], indent=2))
