@@ -354,7 +354,7 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _write_manifest(out_dir: Path, s: argparse.Namespace, extra: Optional[dict] = None) -> None:
+def _write_manifest(s: argparse.Namespace, extra: Optional[dict]) -> None:
     manifest = {
         "command": s.command,
         "settings": {o.config_key(s.command): getattr(s, o.name) for o in _options(s.command)},
@@ -367,13 +367,7 @@ def _write_manifest(out_dir: Path, s: argparse.Namespace, extra: Optional[dict] 
     }
     if extra:
         manifest.update(extra)
-    io.write_json(manifest, out_dir / "manifest.json")
-
-
-def _out_dir(s: argparse.Namespace) -> Path:
-    path = Path(s.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    io.write_json(manifest, Path(s.out) / "manifest.json")
 
 
 def _load_graph(s: argparse.Namespace):
@@ -402,21 +396,19 @@ def _summary_cells(summary) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes its tables under --out (the directory
+# appears with the first file) and returns its extra manifest fields, if any
 # ---------------------------------------------------------------------------
 
-def cmd_build_graph(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
+def cmd_build_graph(s: argparse.Namespace) -> None:
     graph = _load_graph(s)
     metrics = graph_metrics(graph)
-    io.write_edge_list(graph, out / "edges.csv")
-    io.write_metrics(metrics, out / "metrics.json")
-    _write_manifest(out, s)
+    io.write_edge_list(graph, Path(s.out) / "edges.csv")
+    io.write_metrics(metrics, Path(s.out) / "metrics.json")
     print(io.metrics_line(metrics))
-    return EXIT_OK
 
 
-def cmd_durations(s: argparse.Namespace) -> int:
+def cmd_durations(s: argparse.Namespace) -> None:
     if not 0 < s.ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {s.ratio}")
     start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
@@ -453,17 +445,14 @@ def cmd_durations(s: argparse.Namespace) -> int:
         node, problem = min(failures)
         raise DataError(f"{visits_path}: unit {node!r}: {problem}")
 
-    out = _out_dir(s)
-    io.write_durations(dict(zip(nodes, durations.tolist())), out / "durations.csv")
-    _write_manifest(out, s)
+    io.write_durations(dict(zip(nodes, durations.tolist())), Path(s.out) / "durations.csv")
     print(f"computed recovery durations for {len(nodes)} nodes")
-    return EXIT_OK
 
 
-def cmd_fit(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
+def cmd_fit(s: argparse.Namespace) -> dict:
     config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
     problem = _fit_problem(s)
+    out = Path(s.out)
     result = fit_thresholds(problem, config)
     history = result.ga_result.history
 
@@ -500,37 +489,34 @@ def cmd_fit(s: argparse.Namespace) -> int:
         timing["loss_descent_per_generation"] = perf.loss_descent_per_generation
         timing["seconds_per_generation"] = perf.seconds_per_generation
         timing["performance_index"] = perf.index
-    _write_manifest(out, s, extra={"timing": timing})
     print(f"final loss {result.final_loss} after {result.ga_result.generations} generations")
-    return EXIT_OK
+    return {"timing": timing}
 
 
-def cmd_baseline(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
+def cmd_baseline(s: argparse.Namespace) -> None:
     stats = random_baseline(_fit_problem(s), s.runs, rng_seed=s.rng_seed)
+    out = Path(s.out)
     io.write_json({"mean": stats.mean, "std": stats.std, "runs": stats.runs}, out / "baseline.json")
     io.write_table(out / "baseline_losses.csv", ["run", "loss"],
                    ([i, int(loss)] for i, loss in enumerate(stats.losses)))
-    _write_manifest(out, s)
     print(f"baseline loss over {stats.runs} runs: mean {stats.mean:.3f}, std {stats.std:.3f}")
-    return EXIT_OK
 
 
 def _multiplier_seed(rng_seed: int, size: int) -> int:
     return int(np.random.SeedSequence([rng_seed, size]).generate_state(1)[0])
 
 
-def cmd_multipliers(s: argparse.Namespace) -> int:
+def cmd_multipliers(s: argparse.Namespace) -> None:
     graph = _load_graph(s)
     path = _require_file(s.thresholds, "thresholds")
     table = io.read_thresholds(path)
     thresholds = table.take(align_rows(table.node_ids, graph.nodes, path))
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)
+    problem = MultiplierProblem(graph, thresholds, schedule)  # for every size and the pool
 
     candidate_pool = None
     if s.pool == "unrecovered":
-        weeks = run_diffusion(graph, thresholds, all_affected(graph.n), schedule)
-        candidate_pool = tuple(node for node, w in zip(graph.nodes, weeks) if w == 0)
+        candidate_pool = tuple(n for n, w in zip(graph.nodes, problem.unforced_weeks) if w == 0)
         if not candidate_pool:
             raise DataError("cannot restrict pool to unrecovered nodes: none exist")
     pool_size = len(candidate_pool or graph.nodes)
@@ -547,22 +533,15 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
     if max(s.sizes) > pool_size:
         raise ConfigError(f"sizes must be at most {pool}, got {max(s.sizes)}")
 
-    out = _out_dir(s)
+    out = Path(s.out)
     results = []
     for size in s.sizes:
-        problem = MultiplierProblem(
-            graph=graph,
-            thresholds=thresholds,
-            size=size,
-            schedule=schedule,
-            candidate_pool=candidate_pool,
-        )
         if s.brute_force:
-            result = brute_force_multipliers(problem, s.enumeration_cap)
+            result = brute_force_multipliers(problem, size, candidate_pool, s.enumeration_cap)
             method = "brute-force"
         else:
             config = GaConfig(**_ga_settings(s), rng_seed=_multiplier_seed(s.rng_seed, size))
-            result = search_multipliers(problem, config)
+            result = search_multipliers(problem, size, config, candidate_pool)
             method = "ga"
             io.write_generation_stats(
                 result.ga_result.history, out / f"generations_N{size}.csv", include_seconds=False
@@ -583,11 +562,9 @@ def cmd_multipliers(s: argparse.Namespace) -> int:
         )
 
     io.write_multiplier_summary(results, out / "multipliers_summary.csv")
-    _write_manifest(out, s)
-    return EXIT_OK
 
 
-def cmd_analyze(s: argparse.Namespace) -> int:
+def cmd_analyze(s: argparse.Namespace) -> None:
     curves = bool(s.edges)
     if curves != bool(s.durations):
         missing = "durations" if curves else "edges"
@@ -619,7 +596,7 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         directory = Path(s.multipliers_dir)
         _require_file(directory / "multipliers_summary.csv", "multiplier summary")
         results = io.read_multiplier_results(directory, thresholds.node_ids)
-    out = _out_dir(s)
+    out = Path(s.out)
 
     summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
     report = {
@@ -676,29 +653,24 @@ def cmd_analyze(s: argparse.Namespace) -> int:
         report["multiplier_comparison_file"] = "multiplier_attributes.csv"
 
     io.write_json(report, out / "analysis_report.json")
-    _write_manifest(out, s)
     print(
         f"threshold mean {summary.mean:.4f}, variance {summary.variance:.4f} "
         f"over {summary.count} nodes"
     )
-    return EXIT_OK
 
 
-def cmd_synth(s: argparse.Namespace) -> int:
-    out = _out_dir(s)
+def cmd_synth(s: argparse.Namespace) -> None:
     # every synth setting but --out is a SynthSpec field under its config key
     spec = SynthSpec(**{o.config_key("synth"): getattr(s, o.name)
                         for o in _options("synth") if o.name != "out"})
     instance = generate_instance(spec)
-    write_instance(instance, spec, out)
-    _write_manifest(out, s)
+    write_instance(instance, spec, s.out)
     unrecovered = int(np.count_nonzero(instance.weeks == 0))
     print(
         f"synthesized {instance.graph.n} nodes / {instance.graph.m} edges, "
         f"{int(instance.thresholds.seed_mask.sum())} seeds, "
         f"{unrecovered} unrecovered at the horizon"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +728,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        return args.handler(_settings(args))
+        s = _settings(args)
+        _write_manifest(s, args.handler(s))
+        return EXIT_OK
     except SystemExit as exc:  # --help / --version
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_OK

@@ -167,32 +167,38 @@ def _check_utf8(path, data: bytes) -> None:
 
 @contextmanager
 def _csv_reader(path: str | Path) -> Iterator:
-    """csv.reader over a text file; a byte that is not UTF-8 is a DataError
-    naming the file and the byte's offset."""
+    """csv.reader over a text file. A byte that is not UTF-8 is a DataError
+    naming the file and the byte's offset, a line csv rejects (a field past
+    csv.field_size_limit(), say) one naming the file and the line."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            yield csv.reader(handle)
+            reader = csv.reader(handle)
+            yield reader
     except UnicodeDecodeError:
         # the decoder counts from the chunk it was given; decode the whole
         # file again for the offset within it
         _check_utf8(path, Path(path).read_bytes())
         raise
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _open_csv(
-    path: str | Path, expected_header: list[str], optional: Optional[str] = None
-) -> list[list[str]]:
+    path: str | Path, header: list[str], what: str, optional: Optional[str] = None
+) -> Iterator[list[str]]:
+    """The non-blank rows after the header. A row with fewer cells than the
+    header is a DataError, raised once the rows before it are taken."""
     with _csv_reader(path) as reader:
-        _check_header(path, reader, expected_header, optional)
-        return [row for row in reader if row]
+        _check_header(path, reader, header, optional)
+        for row in filter(None, reader):
+            if len(row) < len(header):
+                raise DataError(f"{path}: malformed {what} row {row!r}")
+            yield row
 
 
 def read_edge_list(path: str | Path) -> SpatialGraph:
     """Edge-list CSV (header src,dst); nodes are the sorted endpoint union."""
-    rows = _open_csv(path, ["src", "dst"])
-    for row in rows:
-        if len(row) < 2:
-            raise DataError(f"{path}: malformed edge row {row!r}")
+    rows = list(_open_csv(path, ["src", "dst"], "edge"))
     heads = [row[0].strip() for row in rows]
     tails = [row[1].strip() for row in rows]
     return SpatialGraph(sorted(set(heads).union(tails)), zip(heads, tails))
@@ -233,11 +239,8 @@ def _parse_float(text: str, path, row) -> float:
 
 
 def read_durations(path: str | Path) -> dict[str, float]:
-    rows = _open_csv(path, ["id", "duration_weeks"])
     durations: dict[str, float] = {}
-    for row in rows:
-        if len(row) < 2:
-            raise DataError(f"{path}: malformed duration row {row!r}")
+    for row in _open_csv(path, ["id", "duration_weeks"], "duration"):
         node = row[0].strip()
         if node in durations:
             raise DataError(f"{path}: duplicate duration for node {node!r}")
@@ -550,10 +553,8 @@ def read_attributes(path: str | Path) -> AttributeTable:
     flood_extent column). The columns are checked at once and an error names
     the file and the first row that breaks a rule.
     """
-    rows = _open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]], optional=ATTRIBUTE_NAMES[3])
-    for row in rows:
-        if len(row) < 4:
-            raise DataError(f"{path}: malformed attribute row {row!r}")
+    rows = list(_open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]], "attribute",
+                          optional=ATTRIBUTE_NAMES[3]))
     ids = [row[0].strip() for row in rows]
     income, household, minority = np.array(
         [[_parse_float(text, path, row) for text in row[1:4]] for row in rows], dtype=np.float64
@@ -595,12 +596,9 @@ def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
 
 
 def read_thresholds(path: str | Path) -> ThresholdVector:
-    rows = _open_csv(path, ["id", "threshold", "is_seed"])
     ids, values, seeds = [], [], []
     seen = set()
-    for row in rows:
-        if len(row) < 3:
-            raise DataError(f"{path}: malformed threshold row {row!r}")
+    for row in _open_csv(path, ["id", "threshold", "is_seed"], "threshold"):
         node = row[0].strip()
         if node in seen:
             raise DataError(f"{path}: a second threshold row for its node in row {row!r}")
@@ -674,9 +672,7 @@ def write_multiplier_set(
 def read_multiplier_set(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """The ids of a multiplier set file and which are selected, in file order."""
     ids, selected = [], []
-    for row in _open_csv(path, ["id", "selected"]):
-        if len(row) < 2:
-            raise DataError(f"{path}: malformed multiplier row {row!r}")
+    for row in _open_csv(path, ["id", "selected"], "multiplier"):
         ids.append(row[0].strip())
         selected.append(row[1].strip() == "1")
     return tuple(ids), np.array(selected, dtype=bool)
@@ -708,9 +704,7 @@ def read_multiplier_results(
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
     results = []
-    for row in _open_csv(path, MULTIPLIER_SUMMARY_HEADER):
-        if len(row) < 5:
-            raise DataError(f"{path}: malformed summary row {row!r}")
+    for row in _open_csv(path, MULTIPLIER_SUMMARY_HEADER, "summary"):
         size, recovered_with, recovered_without = (
             _parse_int(text, path, row) for text in (row[0], row[2], row[3])
         )

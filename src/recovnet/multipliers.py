@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,36 +31,31 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 @dataclass
 class MultiplierProblem:
-    """Fitted thresholds plus the size and candidate pool of the seed set."""
+    """Fitted thresholds on a graph, prepared once for seed sets of any size:
+    the kernel, the recovery needs and the unforced run.
+
+    unforced_weeks holds each node's recovered weeks (node order) with
+    nothing forced; recovered_without counts the nodes that run recovers.
+    The set size and the candidate pool are arguments of search_multipliers
+    and brute_force_multipliers, so one problem serves every size.
+    """
 
     graph: SpatialGraph
     thresholds: ThresholdVector
-    size: int
     schedule: DiffusionSchedule = DiffusionSchedule()
-    candidate_pool: Optional[tuple[str, ...]] = None
     kernel: DiffusionKernel = field(init=False, repr=False)
+    unforced_weeks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_aligned(self.graph, self.thresholds)
-        if self.candidate_pool is None:
-            self.candidate_pool = self.graph.nodes
-        else:
-            self.candidate_pool = tuple(self.candidate_pool)
-            unknown = [n for n in self.candidate_pool if n not in self.graph.index]
-            if unknown:
-                raise DataError(f"candidate pool contains unknown nodes: {unknown[:10]}")
-            if len(set(self.candidate_pool)) != len(self.candidate_pool):
-                raise DataError("candidate pool contains duplicate nodes")
-        if not 1 <= self.size <= len(self.candidate_pool):
-            raise ConfigError(
-                f"size must be in [1, {len(self.candidate_pool)}], got {self.size}"
-            )
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self._need = self.kernel.need(self.thresholds.values[self.kernel.order, None])
+        unforced = np.zeros((self.graph.n, 1), dtype=bool)
+        self.unforced_weeks = self.kernel.weeks_recovered(self._need, unforced)[self.kernel.rank, 0]
 
     @property
-    def pool_indices(self) -> np.ndarray:
-        return np.array([self.graph.index[n] for n in self.candidate_pool], dtype=np.int64)
+    def recovered_without(self) -> int:
+        return int(np.count_nonzero(self.unforced_weeks))
 
     def recovered(self, seed_sets: np.ndarray) -> np.ndarray:
         """Horizon recovered count for each row of node indices (P x k,
@@ -99,55 +94,68 @@ def increment_rate(recovered_with: int, recovered_without: int) -> float:
     return 100.0 * (recovered_with - recovered_without) / recovered_without
 
 
+def _pool(problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]]) -> tuple[str, ...]:
+    """The candidate pool (every node when None), checked against the graph
+    and the set size."""
+    if pool is None:
+        pool = problem.graph.nodes
+    else:
+        pool = tuple(pool)
+        unknown = [n for n in pool if n not in problem.graph.index]
+        if unknown:
+            raise DataError(f"candidate pool contains unknown nodes: {unknown[:10]}")
+        if len(set(pool)) != len(pool):
+            raise DataError("candidate pool contains duplicate nodes")
+    if not 1 <= size <= len(pool):
+        raise ConfigError(f"size must be in [1, {len(pool)}], got {size}")
+    return pool
+
+
 def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with: int,
             ga_result: Optional[GaResult]) -> MultiplierResult:
-    recovered_without = int(problem.recovered(np.empty((1, 0), dtype=np.int64))[0])
-    rate = (
-        increment_rate(recovered_with, recovered_without)
-        if recovered_without > 0
-        else None
-    )
-    return MultiplierResult(
-        members=members,
-        recovered_with=recovered_with,
-        recovered_without=recovered_without,
-        increment_rate=rate,
-        ga_result=ga_result,
-    )
+    without = problem.recovered_without
+    rate = increment_rate(recovered_with, without) if without > 0 else None
+    return MultiplierResult(members, recovered_with, without, rate, ga_result)
 
 
-def search_multipliers(problem: MultiplierProblem, config: GaConfig) -> MultiplierResult:
-    """Maximize the horizon recovered count over size-N subsets with the GA."""
-    pool_indices = problem.pool_indices
-    encoding = SubsetEncoding(len(problem.candidate_pool), problem.size)
+def search_multipliers(
+    problem: MultiplierProblem, size: int, config: GaConfig,
+    pool: Optional[Sequence[str]] = None,
+) -> MultiplierResult:
+    """Maximize the horizon recovered count over the size-node subsets of the
+    candidate pool (every node by default) with the GA."""
+    pool = _pool(problem, size, pool)
+    indices = np.array([problem.graph.index[n] for n in pool], dtype=np.int64)
     result = run_ga(
-        lambda population: problem.recovered(pool_indices[population]),
+        lambda population: problem.recovered(indices[population]),
         direction="maximize",
-        encoding=encoding,
+        encoding=SubsetEncoding(len(pool), size),
         config=config,
     )
-    members = tuple(sorted(problem.candidate_pool[i] for i in result.best_chromosome))
-    recovered_with = int(problem.recovered(pool_indices[result.best_chromosome][None, :])[0])
+    members = tuple(sorted(pool[i] for i in result.best_chromosome))
+    recovered_with = int(problem.recovered(indices[result.best_chromosome][None, :])[0])
     return _finish(problem, members, recovered_with, result)
 
 
 def brute_force_multipliers(
-    problem: MultiplierProblem, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+    problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]] = None,
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MultiplierResult:
-    """Exact maximizer by exhaustive enumeration, ties broken by taking the
-    lexicographically first subset of the sorted candidate pool.
+    """Exact maximizer over the size-node subsets of the candidate pool
+    (every node by default) by exhaustive enumeration, ties broken by taking
+    the lexicographically first subset of the sorted pool.
 
     Subsets are simulated in chunks in enumeration order; a chunk's best
     replaces the running best only when strictly better, so the first
     maximum is kept across chunk boundaries."""
-    total = math.comb(len(problem.candidate_pool), problem.size)
+    pool_sorted = sorted(_pool(problem, size, pool))
+    total = math.comb(len(pool_sorted), size)
     if total > enumeration_cap:
         raise ConfigError(
             f"{total} candidate subsets exceed the enumeration cap {enumeration_cap}"
         )
-    pool_sorted = sorted(problem.candidate_pool)
-    pool_indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
-    combos = itertools.combinations(range(len(pool_sorted)), problem.size)
+    indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
+    combos = itertools.combinations(range(len(pool_sorted)), size)
     step = chunk_columns(problem.graph.n)
     best_combo: Optional[np.ndarray] = None
     best_value = -1
@@ -155,7 +163,7 @@ def brute_force_multipliers(
         chunk = np.array(list(itertools.islice(combos, step)), dtype=np.int64)
         if chunk.size == 0:
             break
-        values = problem.recovered(pool_indices[chunk])
+        values = problem.recovered(indices[chunk])
         first_best = int(np.argmax(values))
         if values[first_best] > best_value:
             best_combo, best_value = chunk[first_best], int(values[first_best])

@@ -154,12 +154,12 @@ def test_criterion_06_stage2_oracle_equivalence():
         SynthSpec(node_count=30, seed_fraction=0.1, threshold_low=0.3,
                   threshold_high=0.9, rng_seed=11)
     )
-    problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds, size=3)
-    exact = brute_force_multipliers(problem)
+    problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
+    exact = brute_force_multipliers(problem, 3)
     wins = 0
     for seed in range(10):
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=seed)
-        result = search_multipliers(problem, config)
+        result = search_multipliers(problem, 3, config)
         wins += result.recovered_with == exact.recovered_with
     ok = wins >= 9
     report(6, ok, f"C(30,3)=4060 subsets: GA matched the brute-force optimum "

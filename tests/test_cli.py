@@ -285,23 +285,49 @@ class TestPoolAndGeometry:
         assert selected.sum() == 1 and ids[np.argmax(selected)] in {"s2", "s3"}
 
     @staticmethod
-    def two_stuck_units(tmp_path, n):
-        """A chain of n units, all seeds except u000 and u001, which each
-        wait for the other: a 2-node unrecovered pool."""
+    def stuck_units(tmp_path, n, stuck=2):
+        """A chain of n units, all seeds except the first stuck ones (u000
+        and u001 by default), which each wait for all their neighbours: an
+        unrecovered pool of stuck nodes."""
         nodes = [f"u{i:03d}" for i in range(n)]
         edges = tmp_path / "edges.csv"
         edges.write_text("src,dst\n" + "".join(f"{a},{b}\n" for a, b in zip(nodes, nodes[1:])))
         thresholds = tmp_path / "thresholds.csv"
         thresholds.write_text("id,threshold,is_seed\n" + "".join(
-            f"{node},1.0,0\n" if i < 2 else f"{node},0.0,1\n" for i, node in enumerate(nodes)
+            f"{node},1.0,0\n" if i < stuck else f"{node},0.0,1\n" for i, node in enumerate(nodes)
         ))
         return ["--edges", edges, "--thresholds", thresholds, "--pool", "unrecovered",
                 "--max-iterations", 2]
 
+    @pytest.mark.parametrize("flags", [[], ["--brute-force"]])
+    @pytest.mark.parametrize("pool", ["all", "unrecovered"])
+    def test_one_kernel_for_every_size(self, tmp_path, pool, flags):
+        """One kernel, and so one set of recovery needs and one unforced
+        run, serves the pool and every size."""
+        from unittest import mock
+
+        from recovnet import diffusion, multipliers
+
+        built = []
+
+        class CountedKernel(diffusion.DiffusionKernel):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        inputs = self.stuck_units(tmp_path, 12, stuck=4)
+        with mock.patch.object(diffusion, "DiffusionKernel", CountedKernel), \
+                mock.patch.object(multipliers, "DiffusionKernel", CountedKernel):
+            assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3", *flags,
+                       "--out", tmp_path / "mult") == 0
+        assert len(built) == 1
+        summary = (tmp_path / "mult" / "multipliers_summary.csv").read_text().splitlines()
+        assert [row.split(",")[3] for row in summary[1:]] == ["8"] * 3  # the 8 seeds
+
     @pytest.mark.parametrize("sizes,named", [(["--sizes", "1,2,500"], "got 500")])
     def test_sizes_beyond_pool_fail_before_any_output(self, tmp_path, capsys, sizes, named):
         out = tmp_path / "mult"
-        assert run("multipliers", *self.two_stuck_units(tmp_path, 25), *sizes,
+        assert run("multipliers", *self.stuck_units(tmp_path, 25), *sizes,
                    "--out", out) == 2
         err = capsys.readouterr().err
         assert "sizes" in err and "'unrecovered' candidate pool's 2 nodes" in err and named in err
@@ -310,7 +336,7 @@ class TestPoolAndGeometry:
     def test_default_sizes_beyond_pool_dropped(self, tmp_path, capsys):
         # 25 nodes: default sizes 1 and 3, and 3 exceeds the pool
         out = tmp_path / "mult"
-        assert run("multipliers", *self.two_stuck_units(tmp_path, 25), "--out", out) == 0
+        assert run("multipliers", *self.stuck_units(tmp_path, 25), "--out", out) == 0
         assert capsys.readouterr().err == (
             "dropped default sizes 3, larger than the 'unrecovered' candidate pool's 2 nodes\n"
         )
@@ -322,7 +348,7 @@ class TestPoolAndGeometry:
     def test_no_default_size_fits_pool(self, tmp_path, capsys):
         # 250 nodes: the smallest default size is 3
         out = tmp_path / "mult"
-        assert run("multipliers", *self.two_stuck_units(tmp_path, 250), "--out", out) == 2
+        assert run("multipliers", *self.stuck_units(tmp_path, 250), "--out", out) == 2
         err = capsys.readouterr().err
         assert "dropped default sizes 3,8,13,25," in err
         assert "every default size exceeds the 'unrecovered' candidate pool's 2 nodes" in err
@@ -664,16 +690,49 @@ class TestBadInputRows:
         assert node in capsys.readouterr().err
 
 
-class TestNotUtf8:
-    """A CSV input with a byte that is not UTF-8 exits 3 and names the file
-    and the byte's offset, whichever command reads it."""
+def _run_on_damaged_input(tmp_path, instance_dir, command: str, target: str, damage):
+    """Run command on the synth instance (and a 131-day visits file, quoted
+    when target says so) after damage(path) rewrites the target file; the
+    exit code, the target's path and damage's return value."""
+    visits = tmp_path / "visits.csv"
+    cell = '"u"' if target == "quoted visits" else "u"
+    visits.write_text("id,day,visits\n" + "".join(f"{cell},{d},100\n" for d in range(131)))
+    files = {
+        "edges": instance_dir / "edges.csv",
+        "durations": instance_dir / "durations.csv",
+        "thresholds": instance_dir / "planted_thresholds.csv",
+        "attributes": instance_dir / "attributes.csv",
+        "visits": visits,
+    }
+    path = files[target.split()[-1]]
+    damaged = damage(path)
+    flags = {
+        "build-graph": ["--edges", files["edges"]],
+        "fit": ["--edges", files["edges"], "--durations", files["durations"],
+                "--max-iterations", 2],
+        "baseline": ["--edges", files["edges"], "--durations", files["durations"],
+                     "--runs", 2],
+        "multipliers": ["--edges", files["edges"], "--thresholds", files["thresholds"],
+                        "--sizes", 1, "--max-iterations", 2],
+        "analyze": ["--thresholds", files["thresholds"], "--attributes", files["attributes"]],
+        "durations": ["--visits", files["visits"], "--baseline-start", 0,
+                      "--baseline-end", 20, "--recovery-start", 27],
+    }[command]
+    return run(command, *flags, "--out", tmp_path / "out"), path, damaged
 
-    @staticmethod
-    def _visits(tmp_path, quoted: bool) -> Path:
-        path = tmp_path / "visits.csv"
-        cell = '"u"' if quoted else "u"
-        path.write_text("id,day,visits\n" + "".join(f"{cell},{d},100\n" for d in range(131)))
-        return path
+
+def _put_byte_ff(path: Path) -> int:
+    """Put a \\xff byte inside the first data row; its offset."""
+    data = path.read_bytes()
+    offset = data.index(b"\n") + 2
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    return offset
+
+
+class TestNotUtf8:
+    """A CSV input with a byte that is not UTF-8 exits 3, names the file
+    and the byte's offset, and leaves no output directory, whichever
+    command reads it."""
 
     @pytest.mark.parametrize("command,target", [
         ("build-graph", "edges"), ("fit", "durations"), ("baseline", "durations"),
@@ -681,33 +740,55 @@ class TestNotUtf8:
         ("durations", "visits"), ("durations", "quoted visits"),
     ])
     def test_exits_3_naming_the_byte(self, tmp_path, instance_dir, capsys, command, target):
-        files = {
-            "edges": instance_dir / "edges.csv",
-            "durations": instance_dir / "durations.csv",
-            "thresholds": instance_dir / "planted_thresholds.csv",
-            "attributes": instance_dir / "attributes.csv",
-            "visits": self._visits(tmp_path, quoted=target == "quoted visits"),
-        }
-        path = files[target.split()[-1]]
-        data = path.read_bytes()
-        offset = data.index(b"\n") + 2  # inside the first data row
-        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
-        flags = {
-            "build-graph": ["--edges", files["edges"]],
-            "fit": ["--edges", files["edges"], "--durations", files["durations"],
-                    "--max-iterations", 2],
-            "baseline": ["--edges", files["edges"], "--durations", files["durations"],
-                         "--runs", 2],
-            "multipliers": ["--edges", files["edges"], "--thresholds", files["thresholds"],
-                            "--sizes", 1, "--max-iterations", 2],
-            "analyze": ["--thresholds", files["thresholds"], "--attributes", files["attributes"]],
-            "durations": ["--visits", files["visits"], "--baseline-start", 0,
-                          "--baseline-end", 20, "--recovery-start", 27],
-        }[command]
-        assert run(command, *flags, "--out", tmp_path / "out") == 3
+        code, path, offset = _run_on_damaged_input(
+            tmp_path, instance_dir, command, target, _put_byte_ff
+        )
+        assert code == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: not valid UTF-8 at byte {offset}\n"
         )
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnreadableInput:
+    """An input that fails to load exits 3, names the file and the line or
+    row, and leaves no output directory behind."""
+
+    @pytest.mark.parametrize("command,target,what", [
+        ("build-graph", "edges", "edge"), ("fit", "durations", "duration"),
+        ("baseline", "durations", "duration"), ("multipliers", "thresholds", "threshold"),
+    ])
+    def test_short_row(self, tmp_path, instance_dir, capsys, command, target, what):
+        code, path, _ = _run_on_damaged_input(
+            tmp_path, instance_dir, command, target, lambda path: _append_row(path, "x")
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {path}: malformed {what} row ['x']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,target", [
+        ("build-graph", "edges"), ("fit", "durations"), ("multipliers", "thresholds"),
+        ("analyze", "attributes"), ("durations", "visits"), ("durations", "quoted visits"),
+    ])
+    def test_field_past_csv_limit(self, tmp_path, instance_dir, capsys, command, target):
+        """csv.reader rejects a field longer than its limit: the file's
+        third line here, read by csv.reader in every case (an unquoted
+        visits file included, as its line is past the limit)."""
+        limit = csv.field_size_limit()
+
+        def put_long_field(path: Path) -> None:
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:2]) + "x" * (limit + 1) + ",1,1,1\n"
+                            + "".join(lines[2:]))
+
+        code, path, _ = _run_on_damaged_input(
+            tmp_path, instance_dir, command, target, put_long_field
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 3: field larger than field limit ({limit})\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliImports:

@@ -347,14 +347,15 @@ class TestVisitReaderAgainstOracle:
 
     def test_line_past_csv_field_limit_read_by_csv_reader(self, tmp_path):
         """csv.reader rejects a field longer than its limit; such a file is
-        not split by the byte tokenizer, so it fails the same way."""
+        not split by the byte tokenizer, so it fails the same way, as a
+        DataError naming the file and the line."""
         path = tmp_path / "visits.csv"
         path.write_text("id,day,visits\nu,1,3\n" + "x" * (csv.field_size_limit() + 1) + ",2,4\n")
         with pytest.raises(csv.Error) as expected:
             oracles.naive_read_visit_series(path)
-        with pytest.raises(csv.Error) as raised:
+        with pytest.raises(DataError) as raised:
             io.read_visit_series(path)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"{path}: line 3: {expected.value}"
 
 
 ATTRIBUTES_HEADER = "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"

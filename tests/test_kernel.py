@@ -187,7 +187,7 @@ def test_star_of_degree_300_matches_oracle():
     # multipliers: no seeds, every leaf waits for the hub; force s leaves
     for tau in taus:
         thresholds = ThresholdVector(graph.nodes, np.r_[tau, np.ones(degree)])
-        multipliers = MultiplierProblem(graph, thresholds, size=1)
+        multipliers = MultiplierProblem(graph, thresholds)
         for s in (14, 255, 256, 270, 300):
             initial = np.zeros(graph.n, dtype=int)
             initial[1 : s + 1] = 1

@@ -8,9 +8,11 @@ from recovnet import (
     MultiplierProblem,
     SynthSpec,
     ThresholdVector,
+    all_affected,
     brute_force_multipliers,
     generate_instance,
     increment_rate,
+    run_diffusion,
     search_multipliers,
 )
 from recovnet.errors import ConfigError, DataError
@@ -19,7 +21,14 @@ from recovnet.errors import ConfigError, DataError
 @pytest.fixture
 def path_problem(path_graph):
     tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.6, 0.5, 1.0]))
-    return MultiplierProblem(graph=path_graph, thresholds=tau, size=1)
+    return MultiplierProblem(graph=path_graph, thresholds=tau)
+
+
+def _search(search, problem, size, pool):
+    if search == "ga":
+        return search_multipliers(problem, size, GaConfig(population_size=4, max_iterations=5),
+                                  pool)
+    return brute_force_multipliers(problem, size, pool)
 
 
 def recovered(problem, members):
@@ -35,22 +44,42 @@ class TestMultiplierObjective:
     def test_nothing_recovers_without_forcing(self, path_problem):
         assert recovered(path_problem, []) == 0
 
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_unforced_run_is_the_empty_set(self, seed):
+        instance = generate_instance(SynthSpec(node_count=25, rng_seed=seed))
+        problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
+        assert problem.recovered_without == recovered(problem, [])
+        assert problem.recovered_without > 0
+        assert problem.unforced_weeks.tolist() == run_diffusion(
+            instance.graph, instance.thresholds, all_affected(instance.graph.n)
+        ).tolist()
+
     def test_forcing_everything(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau, size=3)
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
         assert recovered(problem, ["A", "B", "C"]) == 3
 
     def test_bad_size_rejected(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        with pytest.raises(ConfigError, match="size"):
-            MultiplierProblem(graph=path_graph, thresholds=tau, size=4)
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        for search in ("ga", "brute-force"):
+            for size, pool in [(4, None), (0, None), (3, ("A", "B")), (1, ())]:
+                with pytest.raises(ConfigError, match="size"):
+                    _search(search, problem, size, pool)
 
     def test_unknown_pool_node_rejected(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        with pytest.raises(DataError, match="unknown"):
-            MultiplierProblem(
-                graph=path_graph, thresholds=tau, size=1, candidate_pool=("A", "Z")
-            )
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        for search in ("ga", "brute-force"):
+            with pytest.raises(DataError, match="unknown"):
+                _search(search, problem, 1, ("A", "Z"))
+
+    def test_duplicate_pool_node_rejected(self, path_graph):
+        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        for search in ("ga", "brute-force"):
+            with pytest.raises(DataError, match="duplicate"):
+                _search(search, problem, 1, ("A", "B", "A"))
 
 
 class TestIncrementRate:
@@ -74,23 +103,23 @@ class TestIncrementRate:
 
 class TestBruteForce:
     def test_singleton_tie_breaks_lexicographically(self, path_problem):
-        result = brute_force_multipliers(path_problem)
+        result = brute_force_multipliers(path_problem, 1)
         assert result.members == ("A",)
         assert result.recovered_with == 3
 
     def test_full_pool(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau, size=3)
-        result = brute_force_multipliers(problem)
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        result = brute_force_multipliers(problem, 3)
         assert result.members == ("A", "B", "C")
         assert result.recovered_with == 3
 
     def test_cap_enforced(self, path_problem):
         with pytest.raises(ConfigError, match="cap"):
-            brute_force_multipliers(path_problem, enumeration_cap=2)
+            brute_force_multipliers(path_problem, 1, enumeration_cap=2)
 
     def test_increment_rate_none_when_nothing_recovers_naturally(self, path_problem):
-        result = brute_force_multipliers(path_problem)
+        result = brute_force_multipliers(path_problem, 1)
         assert result.recovered_without == 0
         assert result.increment_rate is None
 
@@ -101,33 +130,29 @@ class TestSearchMultipliers:
             SynthSpec(node_count=10, seed_fraction=0.1, threshold_low=0.3,
                       threshold_high=0.9, rng_seed=5)
         )
-        problem = MultiplierProblem(
-            graph=instance.graph, thresholds=instance.thresholds, size=2
-        )
-        exact = brute_force_multipliers(problem)
+        problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
+        exact = brute_force_multipliers(problem, 2)
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=0)
-        searched = search_multipliers(problem, config)
+        searched = search_multipliers(problem, 2, config)
         assert searched.recovered_with == exact.recovered_with
 
     def test_respects_candidate_pool(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.6, 0.5, 1.0]))
-        problem = MultiplierProblem(
-            graph=path_graph, thresholds=tau, size=1, candidate_pool=("B", "C")
-        )
+        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
         config = GaConfig(population_size=4, max_iterations=50, rng_seed=1)
-        result = search_multipliers(problem, config)
+        result = search_multipliers(problem, 1, config, ("B", "C"))
         assert set(result.members) <= {"B", "C"}
+        # B and C tie (each recovers all three): the pool's first in sorted order wins
+        assert brute_force_multipliers(problem, 1, ("C", "B")).members == ("B",)
 
     def test_beats_random_sets(self):
         instance = generate_instance(
             SynthSpec(node_count=25, seed_fraction=0.08, threshold_low=0.4,
                       threshold_high=0.95, rng_seed=9)
         )
-        problem = MultiplierProblem(
-            graph=instance.graph, thresholds=instance.thresholds, size=3
-        )
+        problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
         config = GaConfig(population_size=8, max_iterations=300, rng_seed=2)
-        result = search_multipliers(problem, config)
+        result = search_multipliers(problem, 3, config)
         rng = np.random.default_rng(0)
         for _ in range(20):
             members = rng.choice(instance.graph.nodes, size=3, replace=False)
@@ -135,11 +160,9 @@ class TestSearchMultipliers:
 
     def test_increment_rate_consistent(self):
         instance = generate_instance(SynthSpec(node_count=16, rng_seed=2))
-        problem = MultiplierProblem(
-            graph=instance.graph, thresholds=instance.thresholds, size=2
-        )
+        problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
         config = GaConfig(population_size=6, max_iterations=100, rng_seed=3)
-        result = search_multipliers(problem, config)
+        result = search_multipliers(problem, 2, config)
         assert result.recovered_with >= result.recovered_without
         if result.recovered_without > 0:
             assert result.increment_rate == pytest.approx(
@@ -153,15 +176,14 @@ class TestSeedDominance:
             SynthSpec(node_count=20, seed_fraction=0.1, threshold_low=0.3,
                       threshold_high=0.9, rng_seed=4)
         )
-        graph, tau = instance.graph, instance.thresholds
+        graph = instance.graph
+        problem = MultiplierProblem(graph=graph, thresholds=instance.thresholds)
         rng = np.random.default_rng(8)
         for _ in range(15):
             k = int(rng.integers(1, 5))
             base = set(rng.choice(graph.nodes, size=k, replace=False).tolist())
             extra = str(rng.choice([n for n in graph.nodes if n not in base]))
-            small = MultiplierProblem(graph=graph, thresholds=tau, size=k)
-            big = MultiplierProblem(graph=graph, thresholds=tau, size=k + 1)
-            assert recovered(big, base | {extra}) >= recovered(small, base)
+            assert recovered(problem, base | {extra}) >= recovered(problem, base)
 
 
 class TestBruteForceChunks:
@@ -189,8 +211,8 @@ class TestBruteForceChunks:
         from recovnet import diffusion
 
         graph, tau = tied_problem
-        problem = MultiplierProblem(graph=graph, thresholds=tau, size=size)
+        problem = MultiplierProblem(graph=graph, thresholds=tau)
         with mock.patch.object(diffusion, "CHUNK_CELLS", graph.n * chunk):
-            result = brute_force_multipliers(problem)
+            result = brute_force_multipliers(problem, size)
         assert result.members == expected
         assert result.recovered_with == value

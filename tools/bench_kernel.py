@@ -134,7 +134,7 @@ def measure(repeats: int, visit_repeats: int) -> dict:
         graph, durations, planted = instance(Path(tmp))
     schedule = recovnet.DiffusionSchedule(HORIZON, FIRST_UPDATE_WEEK)
     problem = build_fit_problem(graph, durations, schedule=schedule)
-    multipliers = MultiplierProblem(graph, planted, size=20, schedule=schedule)
+    multipliers = MultiplierProblem(graph, planted, schedule=schedule)
     chromosomes = {p: rng.random((p, problem.free_count)) for p in (10, 65)}
     seed_sets = np.sort(np.argsort(rng.random((10, graph.n)), axis=1)[:, :20], axis=1)
     check_against_oracle(graph, durations, problem, multipliers, chromosomes[10], seed_sets)
