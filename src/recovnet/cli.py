@@ -65,6 +65,7 @@ from .multipliers import (
     DEFAULT_ENUMERATION_CAP,
     MultiplierProblem,
     brute_force_multipliers,
+    check_enumeration_cap,
     search_multipliers,
 )
 from .synthetic import GRAPH_KINDS, SynthSpec, generate_instance, write_instance
@@ -235,7 +236,7 @@ OPTIONS = (
     Option("brute_force", _switch, False, "enumerate instead of running the GA",
            ("multipliers",)),
     Option("enumeration_cap", _integer, DEFAULT_ENUMERATION_CAP, "max subsets to enumerate",
-           ("multipliers",)),
+           ("multipliers",), minimum=1),
     Option("include_seeds", _switch, False, "include seed nodes in summaries and tertiles",
            ("analyze",)),
     Option("multipliers_dir", _text, None, "output directory of a multipliers run",
@@ -459,9 +460,8 @@ def cmd_fit(s: argparse.Namespace) -> dict:
     io.write_thresholds(result.thresholds, out / "thresholds.csv")
     io.write_generation_stats(history, out / "generations.csv", include_seconds=False)
     io.write_generation_stats(history, out / "ga_timing.csv", include_seconds=True)
-    graph, schedule = problem.graph, problem.schedule
-    weeks = run_diffusion(graph, result.thresholds, all_affected(graph.n), schedule)
-    io.write_trajectory(graph.nodes, weeks, schedule.horizon, out / "trajectory.csv")
+    io.write_trajectory(problem.graph.nodes, result.weeks, problem.schedule.horizon,
+                        out / "trajectory.csv")
 
     report = {
         "final_loss": result.final_loss,
@@ -532,9 +532,12 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
             raise ConfigError(f"every default size exceeds {pool}; give --sizes")
     if max(s.sizes) > pool_size:
         raise ConfigError(f"sizes must be at most {pool}, got {max(s.sizes)}")
+    if s.brute_force:
+        for size in s.sizes:
+            check_enumeration_cap(pool_size, size, s.enumeration_cap)
 
     out = Path(s.out)
-    results = []
+    results, copies = [], {}
     for size in s.sizes:
         if s.brute_force:
             result = brute_force_multipliers(problem, size, candidate_pool, s.enumeration_cap)
@@ -547,10 +550,7 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
                 result.ga_result.history, out / f"generations_N{size}.csv", include_seconds=False
             )
         io.write_multiplier_set(graph.nodes, set(result.members), out / f"multipliers_N{size}.csv")
-        if s.geometry:
-            io.annotate_feature_collection(
-                s.geometry, set(result.members), out / f"multipliers_N{size}.geojson"
-            )
+        copies[out / f"multipliers_N{size}.geojson"] = set(result.members)
         results.append((method, result))
         rate = (
             "undefined" if result.increment_rate is None
@@ -561,6 +561,8 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
             f"natural ({rate} increment)"
         )
 
+    if s.geometry:  # after the searches, so that one parse serves every copy
+        io.annotate_feature_collection(s.geometry, copies)
     io.write_multiplier_summary(results, out / "multipliers_summary.csv")
 
 

@@ -50,26 +50,28 @@ class FitProblem:
     def free_count(self) -> int:
         return int(self.free_indices.size)
 
+    def weeks(self, chromosomes: np.ndarray) -> np.ndarray:
+        """Recovered weeks (n x P, kernel order) of each row's free-node
+        thresholds from the all-affected start (rows: P x free_count)."""
+        values = np.zeros((self.graph.n, chromosomes.shape[0]))
+        values[self._free_rows] = chromosomes.T
+        return self.kernel.weeks_recovered(self.kernel.need(values), np.zeros(values.shape, bool))
+
     def losses(self, chromosomes: np.ndarray) -> np.ndarray:
         """0-1 loss of each row's free-node thresholds (rows: P x free_count)."""
-
-        def chunk(rows: np.ndarray) -> np.ndarray:
-            values = np.zeros((self.graph.n, rows.shape[0]))
-            values[self._free_rows] = rows.T
-            affected = np.zeros(values.shape, dtype=bool)
-            weeks = self.kernel.weeks_recovered(self.kernel.need(values), affected)
-            return zero_one_loss(self._empirical, weeks)
-
-        return map_column_chunks(chunk, chromosomes, self.graph.n)
+        return map_column_chunks(
+            lambda rows: zero_one_loss(self._empirical, self.weeks(rows)), chromosomes, self.graph.n
+        )
 
 
 @dataclass
 class FitResult:
-    """Fitted thresholds, the loss of their simulation, and the GA trace."""
+    """Fitted thresholds, their simulated weeks (node order) and loss, and the GA trace."""
 
     thresholds: ThresholdVector
     final_loss: int
     ga_result: GaResult
+    weeks: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,7 @@ def build_fit_problem(
     from the schedule's first update week (irreducible loss).
     """
     if seed_cutoff_weeks <= 0:
-        raise ConfigError(f"seed_cutoff_weeks must be > 0, got {seed_cutoff_weeks}")
+        raise ConfigError(f"seed_cutoff must be > 0, got {seed_cutoff_weeks}")
     values = align_durations(durations, graph.nodes, schedule.horizon, source)
     empirical = durations_to_weeks(values, schedule.horizon)
     seed_mask = values < seed_cutoff_weeks
@@ -141,8 +143,9 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
         problem.graph.nodes, problem.seed_mask, result.best_chromosome
     )
     # re-simulate rather than trust the GA bookkeeping
-    final_loss = int(problem.losses(result.best_chromosome[None])[0])
-    return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result)
+    weeks = problem.weeks(result.best_chromosome[None])[problem.kernel.rank, 0]
+    final_loss = zero_one_loss(problem.empirical, weeks)
+    return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result, weeks=weeks)
 
 
 def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:

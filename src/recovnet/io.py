@@ -61,8 +61,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 def write_json(obj, path: str | Path) -> None:
     with atomic_write(path) as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path):
@@ -122,14 +121,16 @@ def read_feature_collection(path: str | Path) -> list[SpatialUnit]:
 
 
 def annotate_feature_collection(
-    src: str | Path, selected: set[str], dest: str | Path
+    src: str | Path, selections: Mapping[str | Path, set[str]]
 ) -> None:
-    """Copy a feature collection adding a boolean "multiplier" property."""
+    """Copy a feature collection (parsed once) to each destination, adding a
+    boolean "multiplier" property that marks that destination's selected ids."""
     doc = read_json(src)
-    for feature in doc.get("features", []):
-        props = feature.setdefault("properties", {})
-        props["multiplier"] = props.get("id") in selected
-    write_json(doc, dest)
+    for dest, selected in selections.items():
+        for feature in doc.get("features", []):
+            props = feature.setdefault("properties", {})
+            props["multiplier"] = props.get("id") in selected
+        write_json(doc, dest)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,13 @@ def _pool(problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]]) 
     return pool
 
 
+def check_enumeration_cap(pool_size: int, size: int, enumeration_cap: int) -> None:
+    """Reject enumerating more than enumeration_cap size-subsets of the pool."""
+    total = math.comb(pool_size, size)
+    if total > enumeration_cap:
+        raise ConfigError(f"{total} candidate subsets exceed the enumeration cap {enumeration_cap}")
+
+
 def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with: int,
             ga_result: Optional[GaResult]) -> MultiplierResult:
     without = problem.recovered_without
@@ -133,8 +140,8 @@ def search_multipliers(
         config=config,
     )
     members = tuple(sorted(pool[i] for i in result.best_chromosome))
-    recovered_with = int(problem.recovered(indices[result.best_chromosome][None, :])[0])
-    return _finish(problem, members, recovered_with, result)
+    # the fitness is deterministic, so the best row's value is its count
+    return _finish(problem, members, int(result.best_fitness), result)
 
 
 def brute_force_multipliers(
@@ -149,11 +156,7 @@ def brute_force_multipliers(
     replaces the running best only when strictly better, so the first
     maximum is kept across chunk boundaries."""
     pool_sorted = sorted(_pool(problem, size, pool))
-    total = math.comb(len(pool_sorted), size)
-    if total > enumeration_cap:
-        raise ConfigError(
-            f"{total} candidate subsets exceed the enumeration cap {enumeration_cap}"
-        )
+    check_enumeration_cap(len(pool_sorted), size, enumeration_cap)
     indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
     combos = itertools.combinations(range(len(pool_sorted)), size)
     step = chunk_columns(problem.graph.n)

@@ -10,7 +10,6 @@ that never recover, which the 14-week cap marks recovered at the horizon).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -95,46 +94,34 @@ def grid_units(count: int) -> list[SpatialUnit]:
     return units
 
 
-def _reachable(adjacency: dict[str, set[str]], source: str, target: str) -> bool:
-    """Breadth-first search from source that stops once it reaches target."""
-    seen = {source}
-    frontier = deque([source])
-    while frontier:
-        for nbr in adjacency[frontier.popleft()]:
-            if nbr == target:
-                return True
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return False
-
-
 def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generator) -> SpatialGraph:
     """Drop random edges, skipping any removal that would disconnect the graph.
 
-    The grid starts connected and every accepted removal keeps it so; a
-    removal then disconnects it exactly when its endpoints no longer reach
-    each other.
+    Edges are tried in a random order, each dropped (until target are) iff
+    the graph without it still joins its ends. That is reverse-delete, which
+    keeps the spanning forest Kruskal builds from the end of the order: an
+    edge is dropped iff the edges after it join its ends, and stopping at the
+    target changes no earlier decision. So one union-find pass over the
+    reversed order finds the droppable edges, and the first target of them go.
     """
     target = int(math.floor(fraction * graph.m + 0.5))
-    adjacency = {n: set(graph.neighbors(n)) for n in graph.nodes}
-    order = rng.permutation(graph.m)
-    removed = 0
-    for idx in order:
-        if removed == target:
-            break
-        u, v = graph.edges[idx]
-        adjacency[u].discard(v)
-        adjacency[v].discard(u)
-        if _reachable(adjacency, u, v):
-            removed += 1
+    parent = list(range(graph.n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    droppable = []
+    for idx in rng.permutation(graph.m)[::-1].tolist():
+        u, v = (root(graph.index[end]) for end in graph.edges[idx])
+        if u == v:
+            droppable.append(idx)
         else:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    edges = sorted(
-        (u, v) for u in graph.nodes for v in adjacency[u] if u < v
-    )
-    return SpatialGraph(graph.nodes, edges)
+            parent[u] = v
+    dropped = set(droppable[::-1][:target])
+    return SpatialGraph(graph.nodes, (e for k, e in enumerate(graph.edges) if k not in dropped))
 
 
 def _rank_positions(values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ operations, sharing no code path with the package.
 
 from __future__ import annotations
 
+import collections
 import csv
 import datetime
 import itertools
@@ -202,3 +203,45 @@ def recovered_weeks(weeks):
     """Weeks 1..horizon that each node spends recovered in a naive_diffusion
     run (its list of weekly states)."""
     return {node: sum(state[node] for state in weeks[1:]) for node in weeks[0]}
+
+
+def _reachable(adjacency, source, target):
+    """Breadth-first search from source that stops once it reaches target."""
+    seen = {source}
+    frontier = collections.deque([source])
+    while frontier:
+        for nbr in adjacency[frontier.popleft()]:
+            if nbr == target:
+                return True
+            if nbr not in seen:
+                seen.add(nbr)
+                frontier.append(nbr)
+    return False
+
+
+def bfs_perturb_edges(graph, fraction, rng):
+    """Drop random edges, skipping any removal that would disconnect the graph.
+
+    The grid starts connected and every accepted removal keeps it so; a
+    removal then disconnects it exactly when its endpoints no longer reach
+    each other. Returns the kept edges as sorted id pairs.
+    """
+    target = int(math.floor(fraction * graph.m + 0.5))
+    adjacency = {n: set(graph.neighbors(n)) for n in graph.nodes}
+    order = rng.permutation(graph.m)
+    removed = 0
+    for idx in order:
+        if removed == target:
+            break
+        u, v = graph.edges[idx]
+        adjacency[u].discard(v)
+        adjacency[v].discard(u)
+        if _reachable(adjacency, u, v):
+            removed += 1
+        else:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    edges = sorted(
+        (u, v) for u in graph.nodes for v in adjacency[u] if u < v
+    )
+    return tuple(edges)

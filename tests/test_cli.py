@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,25 @@ from recovnet.cli import OPTIONS, default_multiplier_sizes, main
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+@contextmanager
+def counted_kernels():
+    """The arguments of every DiffusionKernel built inside the block, in
+    each module that builds one."""
+    from recovnet import diffusion, fitting, multipliers
+
+    built = []
+
+    class CountedKernel(diffusion.DiffusionKernel):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    with mock.patch.object(diffusion, "DiffusionKernel", CountedKernel), \
+            mock.patch.object(fitting, "DiffusionKernel", CountedKernel), \
+            mock.patch.object(multipliers, "DiffusionKernel", CountedKernel):
+        yield built
 
 
 @pytest.fixture
@@ -304,25 +325,47 @@ class TestPoolAndGeometry:
     def test_one_kernel_for_every_size(self, tmp_path, pool, flags):
         """One kernel, and so one set of recovery needs and one unforced
         run, serves the pool and every size."""
-        from unittest import mock
-
-        from recovnet import diffusion, multipliers
-
-        built = []
-
-        class CountedKernel(diffusion.DiffusionKernel):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
         inputs = self.stuck_units(tmp_path, 12, stuck=4)
-        with mock.patch.object(diffusion, "DiffusionKernel", CountedKernel), \
-                mock.patch.object(multipliers, "DiffusionKernel", CountedKernel):
+        with counted_kernels() as built:
             assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3", *flags,
                        "--out", tmp_path / "mult") == 0
         assert len(built) == 1
         summary = (tmp_path / "mult" / "multipliers_summary.csv").read_text().splitlines()
         assert [row.split(",")[3] for row in summary[1:]] == ["8"] * 3  # the 8 seeds
+
+    def test_enumeration_cap_checked_for_every_size_first(self, tmp_path, capsys):
+        """40 nodes: 40 sets of one fit a cap of 100, the 780 pairs do not,
+        and no size is searched or written."""
+        synth = tmp_path / "synth"
+        assert run("synth", "--nodes", 40, "--seed-fraction", 0.1, "--threshold-low", 0.3,
+                   "--threshold-high", 0.9, "--rng-seed", 1, "--out", synth) == 0
+        out = tmp_path / "bf"
+        capsys.readouterr()
+        assert run("multipliers", "--edges", synth / "edges.csv",
+                   "--thresholds", synth / "planted_thresholds.csv", "--brute-force",
+                   "--sizes", "1,2", "--enumeration-cap", 100, "--out", out) == 2
+        assert "780 candidate subsets exceed the enumeration cap 100" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_geometry_parsed_once_for_every_size(self, tmp_path):
+        """The source GeoJSON is read for the graph and once more for every
+        size's copy; each copy marks its own set."""
+        geometry = _grid_geojson(tmp_path / "grid.geojson")
+        thresholds = tmp_path / "thresholds.csv"
+        thresholds.write_text("id,threshold,is_seed\n" + "".join(
+            f"g{r}{c},0.5,0\n" for r in range(3) for c in range(3)))
+        out = tmp_path / "mult"
+        with mock.patch.object(io, "read_json", wraps=io.read_json) as read_json:
+            assert run("multipliers", "--geometry", geometry, "--thresholds", thresholds,
+                       "--sizes", "1,2,3", "--max-iterations", 3, "--out", out) == 0
+        assert read_json.call_count == 2
+        for size in (1, 2, 3):
+            ids, selected = io.read_multiplier_set(out / f"multipliers_N{size}.csv")
+            members = {node for node, chosen in zip(ids, selected) if chosen}
+            doc = json.loads((out / f"multipliers_N{size}.geojson").read_text())
+            marked = {f["properties"]["id"] for f in doc["features"]
+                      if f["properties"]["multiplier"]}
+            assert len(members) == size and marked == members
 
     @pytest.mark.parametrize("sizes,named", [(["--sizes", "1,2,500"], "got 500")])
     def test_sizes_beyond_pool_fail_before_any_output(self, tmp_path, capsys, sizes, named):
@@ -353,6 +396,26 @@ class TestPoolAndGeometry:
         assert "dropped default sizes 3,8,13,25," in err
         assert "every default size exceeds the 'unrecovered' candidate pool's 2 nodes" in err
         assert not out.exists()
+
+
+class TestKernelCount:
+    @pytest.mark.parametrize("command,flags,kernels", [
+        ("build-graph", [], 0),
+        ("synth", ["--nodes", 16], 1),
+        ("fit", ["--durations", "durations.csv", "--max-iterations", 3,
+                 "--baseline-runs", 5], 1),
+        ("baseline", ["--durations", "durations.csv", "--runs", 5], 1),
+        ("analyze", ["--thresholds", "planted_thresholds.csv", "--attributes", "attributes.csv",
+                     "--durations", "durations.csv"], 1),
+    ])
+    def test_at_most_one_kernel(self, tmp_path, instance_dir, command, flags, kernels):
+        """A command prepares its graph for simulation at most once, however
+        many runs it makes (multipliers: see TestPoolAndGeometry)."""
+        inputs = [] if command == "synth" else ["--edges", instance_dir / "edges.csv"]
+        flags = [instance_dir / f if str(f).endswith(".csv") else f for f in flags]
+        with counted_kernels() as built:
+            assert run(command, *inputs, *flags, "--out", tmp_path / "out") == 0
+        assert len(built) == kernels
 
 
 class TestDurationsCommand:
@@ -1025,6 +1088,7 @@ class TestOptionTable:
         ("fit", {"rng_seed": -1}, "rng_seed"),
         ("multipliers", {"brute_force": "false"}, "brute_force"),
         ("multipliers", {"pool": "some"}, "pool"),
+        ("multipliers", {"enumeration_cap": 0}, "'enumeration_cap' must be >= 1, got 0"),
         ("analyze", {"include_seeds": "no"}, "include_seeds"),
         ("synth", {"nodes": 9}, "node_count"),
         ("durations", {"baseline_start": "xx"}, "baseline_start"),
@@ -1083,6 +1147,8 @@ class TestOptionTable:
         (["--sizes", "2,2"], "--sizes lists 2 more than once"),
         (["--sizes", "0,1"], "--sizes must be >= 1, got 0"),
         (["--rng-seed", "-1"], "--rng-seed must be >= 0, got -1"),
+        (["--brute-force", "--enumeration-cap", "0"], "--enumeration-cap must be >= 1, got 0"),
+        (["--brute-force", "--enumeration-cap", "-5"], "--enumeration-cap must be >= 1, got -5"),
     ])
     def test_out_of_range_multipliers_flag(self, tmp_path, instance_dir, capsys, flags, named):
         out = tmp_path / "mult"
@@ -1103,6 +1169,21 @@ class TestOptionTable:
         assert integer_error.startswith("usage error: argument --horizon: expected ")
         assert "'xx'" in day_error
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,flags", [
+        ("fit", ["--max-iterations", 2]), ("baseline", ["--runs", 2])])
+    def test_zero_seed_cutoff_names_key(self, tmp_path, instance_dir, capsys, command, flags,
+                                        via):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed_cutoff": 0}))
+        setting = ["--seed-cutoff", 0] if via == "flag" else ["--config", config]
+        out = tmp_path / "out"
+        assert run(command, "--edges", instance_dir / "edges.csv",
+                   "--durations", instance_dir / "durations.csv", *flags, *setting,
+                   "--out", out) == 2
+        assert "seed_cutoff must be > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_baseline_runs(self, tmp_path, instance_dir, capsys):
         assert run("fit", "--edges", instance_dir / "edges.csv",

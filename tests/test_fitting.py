@@ -109,6 +109,7 @@ class TestFitThresholds:
         )
         assert zero_one_loss(path_problem.empirical, simulated) == result.final_loss
         assert isinstance(result.final_loss, int)
+        assert np.array_equal(result.weeks, simulated)
 
     def test_custom_horizon(self, path_graph):
         schedule = DiffusionSchedule(horizon=10, first_update_week=3)
@@ -126,6 +127,23 @@ class TestFitThresholds:
         assert result.final_loss == 0
         assert np.all(result.thresholds.values == 0.0)
         assert result.ga_result.generations == 1  # nothing to optimize
+        assert result.weeks.tolist() == problem.empirical.tolist() == [12, 12, 12]
+
+    def test_weeks_are_the_winner_in_node_order(self):
+        """The winner's weeks come from the problem's own kernel, mapped back
+        from kernel order; they equal a fresh simulation of the thresholds."""
+        from recovnet import all_affected, run_diffusion
+
+        instance = generate_instance(SynthSpec(node_count=30, graph_kind="perturbed_grid",
+                                               rng_seed=5))
+        schedule = DiffusionSchedule(horizon=16, first_update_week=3)
+        problem = build_fit_problem(instance.graph, instance.durations, schedule=schedule)
+        result = fit_thresholds(problem, GaConfig(population_size=6, max_iterations=20, rng_seed=2))
+        simulated = run_diffusion(instance.graph, result.thresholds, all_affected(30), schedule)
+        assert np.array_equal(result.weeks, simulated)
+        assert not np.array_equal(problem.kernel.order, np.arange(30))  # a real mapping
+        assert result.final_loss == zero_one_loss(problem.empirical, simulated)
+        assert result.final_loss == result.ga_result.best_fitness
 
     def test_never_worse_than_initial_population(self):
         instance = generate_instance(SynthSpec(node_count=30, rng_seed=3))

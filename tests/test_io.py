@@ -516,11 +516,14 @@ class TestGeojson:
 
     def test_annotation(self, tmp_path):
         src = self.make_collection(tmp_path)
-        dest = tmp_path / "annotated.geojson"
-        io.annotate_feature_collection(src, {"right"}, dest)
+        dest, other = tmp_path / "annotated.geojson", tmp_path / "other.geojson"
+        io.annotate_feature_collection(src, {dest: {"right"}, other: {"left"}})
         doc = json.loads(dest.read_text())
         flags = {f["properties"]["id"]: f["properties"]["multiplier"] for f in doc["features"]}
         assert flags == {"left": False, "right": True}
+        doc = json.loads(other.read_text())
+        flags = {f["properties"]["id"]: f["properties"]["multiplier"] for f in doc["features"]}
+        assert flags == {"left": True, "right": False}
 
 
 class TestWriters:

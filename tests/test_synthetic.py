@@ -234,3 +234,21 @@ class TestPerturbedGrid:
             fast = _perturb_edges(grid, fraction, np.random.default_rng(rng_seed))
             slow = reference(grid, fraction, np.random.default_rng(rng_seed))
             assert set(fast.edges) == slow
+
+    @pytest.mark.parametrize("node_count", [1, 2, 4, 9, 25, 40, 101, 400])
+    def test_union_find_pass_matches_breadth_first_removals(self, node_count):
+        """One union-find pass over the reversed permutation drops exactly
+        the edges that trying each in order, with a search between its
+        ends, drops; and it draws the same permutation, so the stream
+        after it is the same too."""
+        import oracles
+        from recovnet.graph import ContiguityRule, build_contiguity_graph
+        from recovnet.synthetic import _perturb_edges
+
+        grid = build_contiguity_graph(grid_units(node_count), ContiguityRule("queen"))
+        for rng_seed in range(8):
+            for fraction in (0.0, 0.15, 0.5, 0.9):
+                fast_rng, slow_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+                fast = _perturb_edges(grid, fraction, fast_rng)
+                assert fast.edges == oracles.bfs_perturb_edges(grid, fraction, slow_rng)
+                assert fast_rng.random() == slow_rng.random()
