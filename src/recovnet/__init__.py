@@ -47,8 +47,8 @@ from .ga import (
 from .graph import (
     ContiguityRule,
     GraphMetrics,
+    Polygons,
     SpatialGraph,
-    SpatialUnit,
     align_rows,
     build_contiguity_graph,
     graph_metrics,

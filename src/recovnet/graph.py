@@ -9,46 +9,92 @@ to a tolerance grid.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
-Coordinate = tuple[float, float]
-Ring = tuple[Coordinate, ...]
-
 CONTIGUITY_KINDS = ("queen", "rook", "bishop")
+NUMBER_PAIRS = "coordinates must be rings of [x, y] number pairs"
 
 
-@dataclass(frozen=True)
-class SpatialUnit:
-    """One spatial unit: an opaque id plus optional polygon geometry.
+def _members(items: list) -> list:
+    """The elements of every item, each of which must be a list or tuple."""
+    if not set(map(type, items)) <= {list, tuple}:
+        raise ValueError(NUMBER_PAIRS)
+    return list(itertools.chain.from_iterable(items))
 
-    Geometry is a sequence of rings (outer ring first, holes after it),
-    each ring an ordered sequence of (x, y) pairs. Rings must be closed
-    (first coordinate equals last) and carry at least 4 entries.
-    """
 
-    id: str
-    geometry: Optional[tuple[Ring, ...]] = None
+def _ring_columns(coordinates: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xy, ring offsets and ring units of Polygon coordinate arrays, one per
+    unit; each check covers every unit at once (a level's types as one set),
+    and a ValueError names the first check that fails."""
+    rings = _members(coordinates)
+    positions = _members(rings)
+    values = _members(positions)
+    # bool and str are not numbers
+    if not (set(map(len, positions)) <= {2} and set(map(type, values)) <= {int, float}):
+        raise ValueError(NUMBER_PAIRS)
+    try:
+        xy = np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(NUMBER_PAIRS) from None
+    counts = np.fromiter(map(len, coordinates), np.intp, len(coordinates))
+    if not counts.all():
+        raise ValueError("no rings")
+    if not np.isfinite(xy).all():
+        raise ValueError("non-finite coordinate")
+    sizes = np.fromiter(map(len, rings), np.intp, len(rings))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    bad = sizes < 4
+    whole = np.flatnonzero(~bad)
+    bad[whole] = (xy[offsets[whole]] != xy[offsets[whole + 1] - 1]).any(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"ring {j} has {sizes[j]} coordinates, need >= 4" if sizes[j] < 4
+                         else f"ring {j} is not closed")
+    return xy, offsets, np.repeat(np.arange(counts.size), counts)
 
-    def __post_init__(self) -> None:
-        if self.geometry is None:
-            return
-        rings = tuple(
-            tuple((float(x), float(y)) for x, y in ring) for ring in self.geometry
-        )
-        for k, ring in enumerate(rings):
-            if len(ring) < 4:
-                raise DataError(
-                    f"unit {self.id!r}: ring {k} has {len(ring)} coordinates, need >= 4"
-                )
-            if ring[0] != ring[-1]:
-                raise DataError(f"unit {self.id!r}: ring {k} is not closed")
-        object.__setattr__(self, "geometry", rings)
+
+@dataclass(frozen=True, eq=False)
+class Polygons:
+    """Polygon units as columns. Unit u is ids[u]; ring r holds the vertices
+    xy[offsets[r]:offsets[r + 1]] and belongs to unit ring_unit[r]. A unit's
+    outer ring comes first and its holes after it; every ring is closed
+    (first vertex equals last) and holds at least 4 vertices."""
+
+    ids: tuple[str, ...]
+    xy: np.ndarray  # (vertices, 2) float64
+    offsets: np.ndarray  # (rings + 1,)
+    ring_unit: np.ndarray  # (rings,)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_coordinates(cls, ids: Sequence[str], coordinates: Sequence,
+                         source: str) -> Polygons:
+        """Units with the given ids and one GeoJSON Polygon coordinate array
+        each: rings of [x, y] positions (lists or tuples). Positions must be
+        pairs of finite numbers (int or float; not bool or str), each unit
+        needs a ring, and each ring must be closed and hold at least 4
+        positions. All units are checked at once; on a fault, unit by unit,
+        and a DataError names the first unit at fault as feature k of the
+        file source."""
+        try:
+            return cls(tuple(ids), *_ring_columns(coordinates))
+        except ValueError:
+            for k, unit in enumerate(coordinates):
+                try:
+                    _ring_columns([unit])
+                except ValueError as fault:
+                    raise DataError(f"{source}: feature {k} ({ids[k]!r}): {fault}") from None
+            raise
 
 
 @dataclass(frozen=True)
@@ -67,28 +113,27 @@ class ContiguityRule:
             raise ConfigError(
                 f"unknown contiguity kind {self.kind!r}, expected one of {CONTIGUITY_KINDS}"
             )
-        if self.snap_tolerance < 0:
-            raise ConfigError(f"snap_tolerance must be >= 0, got {self.snap_tolerance}")
+        if not 0 <= self.snap_tolerance < math.inf:
+            raise ConfigError(f"snap_tolerance must be finite and >= 0, got {self.snap_tolerance}")
 
 
 class SpatialGraph:
     """Undirected graph over unit ids with symmetric adjacency.
 
     Node order is preserved from construction and defines the index used by
-    every array-valued quantity downstream (states, thresholds). Edges are
-    stored as lexicographically sorted id pairs.
+    every array-valued quantity downstream (states, thresholds). Edge k
+    joins node indices heads[k] and tails[k]; edges are stored sorted as id
+    pairs, src[k] and dst[k] holding the lower id's index and the other.
 
     Neighbour lists are also kept as two CSR arrays over node indices: the
     neighbours of node i are indices[indptr[i]:indptr[i + 1]], in ascending
     order, so indptr has n + 1 entries and indices 2m.
 
-    Rejects duplicate node ids, unknown endpoints, self-loops, and duplicate
-    edges (in either orientation), naming the first offender in input order.
-    The endpoints are coded to node indices once; the faults, the sorted
-    edges and the CSR arrays all come from those codes.
+    Rejects duplicate node ids, self-loops, and duplicate edges (in either
+    orientation), naming the first offender in input order.
     """
 
-    def __init__(self, nodes: Sequence[str], edges: Iterable[tuple[str, str]]):
+    def __init__(self, nodes: Sequence[str], heads, tails):
         node_list = [str(n) for n in nodes]
         self.index: dict[str, int] = {n: i for i, n in enumerate(node_list)}
         if len(self.index) < len(node_list):
@@ -97,49 +142,39 @@ class SpatialGraph:
             raise DataError(f"duplicate node id {repeated!r}")
         self.nodes: tuple[str, ...] = tuple(node_list)
 
-        heads: list[str] = []
-        tails: list[str] = []
-        for head, tail in edges:
-            heads.append(str(head))
-            tails.append(str(tail))
-        m, n = len(heads), self.n
-        codes = np.fromiter(map(self.index.get, heads + tails, itertools.repeat(-1)), np.int64, 2 * m)
-        u, v = codes[:m], codes[m:]
-        # rank: position in sorted id order, so rank pairs sort as id pairs; an
-        # unknown endpoint (-1) reads the extra last slot
-        rank = np.arange(n + 1)
+        u, v = np.asarray(heads, np.int64), np.asarray(tails, np.int64)
+        n = self.n
+        if u.shape != v.shape or u.ndim != 1 or ((u < 0) | (u >= n) | (v < 0) | (v >= n)).any():
+            raise ValueError(f"edge ends must be two equal-length arrays of node indices < {n}")
+        # rank: position in sorted id order, so rank pairs sort as id pairs
+        rank = np.empty(n, np.int64)
         rank[sorted(range(n), key=node_list.__getitem__)] = np.arange(n)
         swap = rank[u] > rank[v]
         lo, hi = np.where(swap, v, u), np.where(swap, u, v)
         # first: each distinct pair's first edge, in the sorted order of the pairs
-        _, first = np.unique(rank[lo] * (n + 1) + rank[hi], return_index=True)
-        repeat = np.ones(m, dtype=bool)
+        _, first = np.unique(rank[lo] * n + rank[hi], return_index=True)
+        repeat = np.ones(u.size, dtype=bool)
         repeat[first] = False
-        faulty = (u < 0) | (v < 0) | (u == v) | repeat
+        faulty = (u == v) | repeat
         if faulty.any():
-            self._raise_edge_fault(heads, tails, int(np.argmax(faulty)))
+            k = int(np.argmax(faulty))
+            a, b = self.nodes[lo[k]], self.nodes[hi[k]]
+            if a == b:
+                raise DataError(f"self-loop on node {a!r}")
+            raise DataError(f"duplicate edge ({a!r}, {b!r})")
 
-        lo, hi = lo[first], hi[first]
-        names = np.array(node_list, dtype=object)
-        self.edges: tuple[tuple[str, str], ...] = tuple(zip(names[lo].tolist(), names[hi].tolist()))
+        self.src: np.ndarray = lo[first]
+        self.dst: np.ndarray = hi[first]
         # both orientations of every edge, sorted by (row, column) as one key
-        key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+        key = np.sort(np.concatenate([self.src * n + self.dst, self.dst * n + self.src]))
         self.indptr: np.ndarray = np.searchsorted(key, np.arange(n + 1) * n)
         self.indices: np.ndarray = key % n
         self.degrees: np.ndarray = np.diff(self.indptr)
 
-    def _raise_edge_fault(self, heads: list[str], tails: list[str], first: int) -> None:
-        """The error for the first faulty edge, as a one-edge-at-a-time check
-        names it: an unknown endpoint, a self-loop, or a repeat of an earlier
-        edge in either orientation."""
-        u, v = heads[first], tails[first]
-        for end in (u, v):
-            if end not in self.index:
-                raise DataError(f"edge ({u!r}, {v!r}): unknown endpoint {end!r}")
-        if u == v:
-            raise DataError(f"self-loop on node {u!r}")
-        pair = (u, v) if u < v else (v, u)
-        raise DataError(f"duplicate edge ({pair[0]!r}, {pair[1]!r})")
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        names = np.array(self.nodes, dtype=object)
+        return tuple(zip(names[self.src].tolist(), names[self.dst].tolist()))
 
     @property
     def n(self) -> int:
@@ -147,7 +182,7 @@ class SpatialGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.src.size
 
     def neighbors(self, node_id: str) -> frozenset[str]:
         try:
@@ -172,73 +207,71 @@ class GraphMetrics:
     degree_histogram: dict[int, int]
 
 
-def _snap_key(coord: Coordinate, tolerance: float) -> tuple:
-    if tolerance == 0:
-        return coord
-    return (round(coord[0] / tolerance), round(coord[1] / tolerance))
+def _pair_codes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From one sort: a code per entry, the rank of (a[i], b[i]) among the
+    distinct pairs (compared as numbers, so 0.0 == -0.0), and one entry of
+    each distinct pair in rank order."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    codes = np.empty(order.size, np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return codes, order[new]
 
 
-def _boundary_keys(unit: SpatialUnit, tolerance: float) -> tuple[set, set]:
-    """Snapped vertex keys and snapped edge-segment keys of a unit's boundary."""
-    vertices: set = set()
-    segments: set = set()
-    for ring in unit.geometry or ():
-        keys = [_snap_key(c, tolerance) for c in ring]
-        vertices.update(keys)
-        for a, b in zip(keys, keys[1:]):
-            if a == b:  # segment collapsed by snapping
-                continue
-            segments.add((a, b) if a <= b else (b, a))
-    return vertices, segments
+def _shared_pairs(keys: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
+    """The pairs i < j of the n units that own a key in common, as sorted
+    codes i * n + j; unit owners[k] owns keys[k]."""
+    _, first = _pair_codes(keys, owners)
+    key, owner = keys[first], owners[first]  # grouped by key, owners ascending in a group
+    # each entry pairs with the entries after it in its key's group
+    later = np.searchsorted(key, key, side="right") - np.arange(key.size) - 1
+    left = np.repeat(np.arange(key.size), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    lo, hi = owner[left], owner[right]
+    return (lo * n + hi)[_pair_codes(lo, hi)[1]]
 
 
 def build_contiguity_graph(
-    units: Iterable[SpatialUnit], rule: ContiguityRule = ContiguityRule()
+    polygons: Polygons, rule: ContiguityRule = ContiguityRule()
 ) -> SpatialGraph:
-    """Construct the contiguity graph of a unit collection under a rule.
+    """Construct the contiguity graph of polygon units under a rule.
 
-    Two units are queen-adjacent iff they share at least one boundary
-    coordinate (after snapping), rook-adjacent iff they share a whole edge
-    segment, and bishop-adjacent iff queen- but not rook-adjacent. A border
-    split at different vertices on its two sides (a T-junction) shares no
-    segment, so rook misses it.
+    Every vertex gets a code from one sort of its coordinates: two vertices
+    share a code iff their coordinates are equal as floats (0.0 == -0.0)
+    after rounding them to multiples of rule.snap_tolerance, when that is >
+    0 (np.rint rounds halves to even, as round() does). Two units are
+    queen-adjacent iff they share a vertex code, rook-adjacent iff they
+    share a segment code (the two vertex codes of a ring edge that snapping
+    did not collapse, the lower first), and bishop-adjacent iff queen- but
+    not rook-adjacent. A border split at different vertices on its two
+    sides (a T-junction) shares no segment, so rook misses it.
     """
-    unit_list = list(units)
-    seen: set[str] = set()
-    for unit in unit_list:
-        if unit.id in seen:
-            raise DataError(f"duplicate unit id {unit.id!r}")
-        seen.add(unit.id)
-        if unit.geometry is None:
-            raise DataError(f"unit {unit.id!r} has no geometry")
-
-    vertex_owners: dict[tuple, list[int]] = {}
-    segment_owners: dict[tuple, list[int]] = {}
-    for i, unit in enumerate(unit_list):
-        vertices, segments = _boundary_keys(unit, rule.snap_tolerance)
-        for key in vertices:
-            vertex_owners.setdefault(key, []).append(i)
-        for key in segments:
-            segment_owners.setdefault(key, []).append(i)
-
-    def shared_pairs(owners: dict[tuple, list[int]]) -> set[tuple[int, int]]:
-        pairs: set[tuple[int, int]] = set()
-        for members in owners.values():
-            if len(members) > 1:
-                pairs.update(itertools.combinations(sorted(members), 2))
-        return pairs
-
-    queen = shared_pairs(vertex_owners)
-    rook = shared_pairs(segment_owners)
-    if rule.kind == "queen":
-        chosen = queen
-    elif rule.kind == "rook":
-        chosen = rook
-    else:
-        chosen = queen - rook
-
-    ids = [u.id for u in unit_list]
-    return SpatialGraph(ids, ((ids[i], ids[j]) for i, j in sorted(chosen)))
+    n, xy, tolerance = len(polygons), polygons.xy, rule.snap_tolerance
+    if tolerance:
+        with np.errstate(over="ignore"):
+            xy = xy / tolerance
+        if not np.isfinite(xy).all():
+            value = float(polygons.xy[~np.isfinite(xy)][0])
+            raise ConfigError(f"snap_tolerance {tolerance!r} is too small: coordinate "
+                              f"{value!r} divided by it is not a finite number")
+        xy = np.rint(xy)
+    codes, _ = _pair_codes(xy[:, 0], xy[:, 1])
+    unit = np.repeat(polygons.ring_unit, np.diff(polygons.offsets))
+    chosen = queen = _shared_pairs(codes, unit, n) if rule.kind != "rook" else None
+    if rule.kind != "queen":
+        # segment k joins vertices k and k + 1 of one ring
+        inside = np.ones(max(codes.size - 1, 0), dtype=bool)
+        inside[polygons.offsets[1:-1] - 1] = False
+        a, b = codes[:-1][inside], codes[1:][inside]
+        kept = a != b
+        segments, _ = _pair_codes(np.minimum(a, b)[kept], np.maximum(a, b)[kept])
+        chosen = rook = _shared_pairs(segments, unit[:-1][inside][kept], n)
+        if rule.kind == "bishop":
+            chosen = np.setdiff1d(queen, rook, assume_unique=True)
+    src, dst = np.divmod(chosen, n)
+    return SpatialGraph(polygons.ids, src, dst)
 
 
 def graph_metrics(g: SpatialGraph) -> GraphMetrics:

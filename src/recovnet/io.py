@@ -14,10 +14,10 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 from sys import intern
 from types import SimpleNamespace
@@ -29,7 +29,7 @@ from .analysis import ATTRIBUTE_NAMES, AttributeTable
 from .diffusion import ThresholdVector
 from .errors import DataError
 from .ga import GenerationRecord
-from .graph import GraphMetrics, SpatialGraph, SpatialUnit, align_rows
+from .graph import GraphMetrics, Polygons, SpatialGraph, align_rows
 from .multipliers import MultiplierResult
 
 
@@ -38,7 +38,9 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Write to a sibling temp file and rename over the target on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # mode 0666 less the umask, as open() gives a new file
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -73,11 +75,11 @@ def read_json(path: str | Path):
 # geometry
 # ---------------------------------------------------------------------------
 
-def read_feature_collection(path: str | Path) -> list[SpatialUnit]:
-    """Load polygon features (with a string property "id") as spatial units.
-
-    Positions must be [x, y] pairs of finite numbers; anything else names
-    the file and the feature (by index, and by id once it is known).
+def read_feature_collection(path: str | Path) -> Polygons:
+    """Load polygon features (with a string property "id") as a Polygons
+    table, one unit per feature, checked as Polygons.from_coordinates checks
+    them. A fault names the file and the first feature at fault in file
+    order (by index, and by id once it is known).
     """
     try:
         doc = read_json(path)
@@ -88,36 +90,26 @@ def read_feature_collection(path: str | Path) -> list[SpatialUnit]:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise DataError(f"{path}: 'features' must be a list")
-    units = []
-    for k, feature in enumerate(features):
-        if not isinstance(feature, dict):
-            raise DataError(f"{path}: feature {k} is not an object: {feature!r}")
-        props = feature.get("properties") or {}
-        unit_id = props.get("id") if isinstance(props, dict) else None
-        if not isinstance(unit_id, str):
-            raise DataError(f"{path}: feature {k} lacks a string property 'id'")
-        name = f"feature {k} ({unit_id!r})"
-        geometry = feature.get("geometry") or {}
-        kind = geometry.get("type") if isinstance(geometry, dict) else None
-        if kind != "Polygon":
-            raise DataError(
-                f"{path}: {name} has geometry type {kind!r}, only Polygon is supported"
-            )
-        try:
-            rings = tuple(
-                tuple((float(x), float(y)) for x, y in ring)
-                for ring in geometry.get("coordinates", [])
-            )
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(
-                f"{path}: {name}: coordinates must be rings of [x, y] number pairs"
-            ) from None
-        if not rings:
-            raise DataError(f"{path}: {name} has no rings")
-        if not all(math.isfinite(v) for ring in rings for xy in ring for v in xy):
-            raise DataError(f"{path}: {name} has a non-finite coordinate")
-        units.append(SpatialUnit(id=unit_id, geometry=rings))
-    return units
+    ids, coordinates = [], []
+    try:
+        for k, feature in enumerate(features):
+            if not isinstance(feature, dict):
+                raise DataError(f"{path}: feature {k} is not an object: {feature!r}")
+            props = feature.get("properties") or {}
+            unit_id = props.get("id") if isinstance(props, dict) else None
+            if not isinstance(unit_id, str):
+                raise DataError(f"{path}: feature {k} lacks a string property 'id'")
+            geometry = feature.get("geometry") or {}
+            kind = geometry.get("type") if isinstance(geometry, dict) else None
+            if kind != "Polygon":
+                raise DataError(f"{path}: feature {k} ({unit_id!r}) has geometry type "
+                                f"{kind!r}, only Polygon is supported")
+            ids.append(unit_id)
+            coordinates.append(geometry.get("coordinates", []))
+    except DataError:
+        Polygons.from_coordinates(ids, coordinates, str(path))  # an earlier feature's fault first
+        raise
+    return Polygons.from_coordinates(ids, coordinates, str(path))
 
 
 def annotate_feature_collection(
@@ -200,9 +192,12 @@ def _open_csv(
 def read_edge_list(path: str | Path) -> SpatialGraph:
     """Edge-list CSV (header src,dst); nodes are the sorted endpoint union."""
     rows = list(_open_csv(path, ["src", "dst"], "edge"))
-    heads = [row[0].strip() for row in rows]
-    tails = [row[1].strip() for row in rows]
-    return SpatialGraph(sorted(set(heads).union(tails)), zip(heads, tails))
+    ends = list(map(str.strip, map(itemgetter(0), rows))) \
+        + list(map(str.strip, map(itemgetter(1), rows)))
+    nodes = sorted(set(ends))
+    index = dict(zip(nodes, range(len(nodes))))
+    codes = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+    return SpatialGraph(nodes, codes[:len(rows)], codes[len(rows):])
 
 
 def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from . import io
 from .analysis import ATTRIBUTE_NAMES, AttributeTable
 from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, all_affected, run_diffusion
 from .errors import ConfigError
-from .graph import ContiguityRule, SpatialGraph, SpatialUnit, build_contiguity_graph
+from .graph import ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
 
 GRAPH_KINDS = ("grid", "perturbed_grid")
 SEED_DURATION_WEEKS = 2.5  # any value under the 3-week cutoff; fixed for determinism
@@ -82,16 +82,14 @@ class SyntheticInstance:
     weeks: np.ndarray
 
 
-def grid_units(count: int) -> list[SpatialUnit]:
+def grid_units(count: int) -> Polygons:
     """`count` unit squares laid out row-major on a near-square grid."""
     cols = max(1, int(round(math.sqrt(count))))
-    units = []
-    for k in range(count):
-        r, c = divmod(k, cols)
-        x, y = float(c), float(r)
-        ring = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y))
-        units.append(SpatialUnit(id=f"u{k:04d}", geometry=(ring,)))
-    return units
+    row, col = np.divmod(np.arange(count, dtype=np.float64), cols)
+    # the closed ring (x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y)
+    xy = np.stack([col[:, None] + [0, 1, 1, 0, 0], row[:, None] + [0, 0, 1, 1, 0]], axis=-1)
+    ids = tuple(f"u{k:04d}" for k in range(count))
+    return Polygons(ids, xy.reshape(-1, 2), np.arange(0, 5 * count + 1, 5), np.arange(count))
 
 
 def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generator) -> SpatialGraph:
@@ -106,6 +104,7 @@ def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generato
     """
     target = int(math.floor(fraction * graph.m + 0.5))
     parent = list(range(graph.n))
+    src, dst = graph.src.tolist(), graph.dst.tolist()
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -115,13 +114,14 @@ def _perturb_edges(graph: SpatialGraph, fraction: float, rng: np.random.Generato
 
     droppable = []
     for idx in rng.permutation(graph.m)[::-1].tolist():
-        u, v = (root(graph.index[end]) for end in graph.edges[idx])
+        u, v = root(src[idx]), root(dst[idx])
         if u == v:
             droppable.append(idx)
         else:
             parent[u] = v
-    dropped = set(droppable[::-1][:target])
-    return SpatialGraph(graph.nodes, (e for k, e in enumerate(graph.edges) if k not in dropped))
+    kept = np.ones(graph.m, dtype=bool)
+    kept[droppable[::-1][:target]] = False
+    return SpatialGraph(graph.nodes, graph.src[kept], graph.dst[kept])
 
 
 def _rank_positions(values: np.ndarray) -> np.ndarray:

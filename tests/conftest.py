@@ -3,26 +3,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from recovnet import SpatialGraph, SpatialUnit, ThresholdVector
+from recovnet import Polygons, SpatialGraph, ThresholdVector
 
 
-def square(unit_id: str, x: float, y: float, size: float = 1.0) -> SpatialUnit:
-    ring = (
-        (x, y),
-        (x + size, y),
-        (x + size, y + size),
-        (x, y + size),
-        (x, y),
-    )
-    return SpatialUnit(id=unit_id, geometry=(ring,))
+def square(unit_id: str, x: float, y: float, size: float = 1.0) -> tuple[str, list]:
+    """A unit square as (id, rings), the form tests/oracles.py reads."""
+    ring = [(x, y), (x + size, y), (x + size, y + size), (x, y + size), (x, y)]
+    return unit_id, [ring]
 
 
-def square_grid(rows: int, cols: int) -> list[SpatialUnit]:
+def square_grid(rows: int, cols: int) -> list[tuple[str, list]]:
     return [
         square(f"c{r}{c}", float(c), float(r))
         for r in range(rows)
         for c in range(cols)
     ]
+
+
+def graph_of(nodes, edges) -> SpatialGraph:
+    """The SpatialGraph of (id, id) edge pairs, each end put through str()."""
+    node_list = [str(n) for n in nodes]
+    index = {n: i for i, n in enumerate(node_list)}
+    codes = np.array([[index[str(end)] for end in pair] for pair in edges],
+                     np.int64).reshape(-1, 2)
+    return SpatialGraph(node_list, codes[:, 0], codes[:, 1])
+
+
+def polygons(units) -> Polygons:
+    """The package's table of (id, rings) units, named as if read from a
+    file units.geojson."""
+    return Polygons.from_coordinates([u for u, _ in units], [rings for _, rings in units],
+                                     "units.geojson")
 
 
 @pytest.fixture
@@ -32,7 +43,7 @@ def grid3x3():
 
 @pytest.fixture
 def path_graph():
-    return SpatialGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    return graph_of(["A", "B", "C"], [("A", "B"), ("B", "C")])
 
 
 @pytest.fixture
@@ -52,4 +63,4 @@ def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.25):
         for j in range(i + 1, n)
         if rng.random() < edge_prob
     ]
-    return SpatialGraph(nodes, edges)
+    return graph_of(nodes, edges)

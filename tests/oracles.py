@@ -10,46 +10,106 @@ import collections
 import csv
 import datetime
 import itertools
+import json
 import math
 
 
-def ring_coords(unit):
-    coords = set()
-    for ring in unit.geometry:
-        coords.update(ring)
-    return coords
+def snapped(coord, tolerance):
+    """A coordinate pair, or with tolerance > 0 the pair of round(c / tolerance)."""
+    x, y = coord
+    return (round(x / tolerance), round(y / tolerance)) if tolerance else (x, y)
 
 
-def ring_segments(unit):
+def ring_coords(rings, tolerance=0.0):
+    return {snapped(c, tolerance) for ring in rings for c in ring}
+
+
+def ring_segments(rings, tolerance=0.0):
     segments = set()
-    for ring in unit.geometry:
-        for a, b in zip(ring, ring[1:]):
+    for ring in rings:
+        keys = [snapped(c, tolerance) for c in ring]
+        for a, b in zip(keys, keys[1:]):
             if a != b:
                 segments.add(frozenset((a, b)))
     return segments
 
 
-def classify_pair(unit_a, unit_b):
-    """Return 'rook', 'bishop', or None for a pair of units (exact matching)."""
-    shared = ring_coords(unit_a) & ring_coords(unit_b)
+def classify_pair(rings_a, rings_b, tolerance=0.0):
+    """Return 'rook', 'bishop', or None for the rings of two units."""
+    shared = ring_coords(rings_a, tolerance) & ring_coords(rings_b, tolerance)
     if not shared:
         return None
-    if ring_segments(unit_a) & ring_segments(unit_b):
+    if ring_segments(rings_a, tolerance) & ring_segments(rings_b, tolerance):
         return "rook"
     return "bishop"
 
 
-def contiguity_edges(units):
-    """All queen/rook/bishop edges of a unit collection by pairwise tests."""
+def contiguity_edges(units, tolerance=0.0):
+    """All queen/rook/bishop edges of (id, rings) units by pairwise tests;
+    a ring is a sequence of (x, y) pairs."""
     queen, rook, bishop = set(), set(), set()
-    for a, b in itertools.combinations(units, 2):
-        kind = classify_pair(a, b)
+    for (id_a, rings_a), (id_b, rings_b) in itertools.combinations(units, 2):
+        kind = classify_pair(rings_a, rings_b, tolerance)
         if kind is None:
             continue
-        pair = tuple(sorted((a.id, b.id)))
+        pair = tuple(sorted((id_a, id_b)))
         queen.add(pair)
         (rook if kind == "rook" else bishop).add(pair)
     return queen, rook, bishop
+
+
+def naive_read_feature_collection(path):
+    """The feature-at-a-time GeoJSON reader: (id, rings) per feature, a ring
+    being a list of (x, y) float pairs. The first feature at fault in file
+    order raises ValueError with the message the package gives."""
+    with open(path, encoding="utf-8") as handle:
+        features = json.load(handle)["features"]
+
+    def number(value):
+        if type(value) not in (int, float):  # bool and str are not numbers
+            raise TypeError(value)
+        return float(value)  # OverflowError past the float range
+
+    units = []
+    for k, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ValueError(f"{path}: feature {k} is not an object: {feature!r}")
+        props = feature.get("properties") or {}
+        unit_id = props.get("id") if isinstance(props, dict) else None
+        if not isinstance(unit_id, str):
+            raise ValueError(f"{path}: feature {k} lacks a string property 'id'")
+        name = f"{path}: feature {k} ({unit_id!r})"
+        geometry = feature.get("geometry") or {}
+        kind = geometry.get("type") if isinstance(geometry, dict) else None
+        if kind != "Polygon":
+            raise ValueError(f"{name} has geometry type {kind!r}, only Polygon is supported")
+        rings = []
+        try:
+            coordinates = geometry.get("coordinates", [])
+            if not isinstance(coordinates, list):
+                raise TypeError(coordinates)
+            for ring in coordinates:
+                if not isinstance(ring, list):
+                    raise TypeError(ring)
+                points = []
+                for position in ring:
+                    if not isinstance(position, list) or len(position) != 2:
+                        raise TypeError(position)
+                    points.append((number(position[0]), number(position[1])))
+                rings.append(points)
+        except (TypeError, OverflowError):
+            raise ValueError(f"{name}: coordinates must be rings of [x, y] number pairs") from None
+        if not rings:
+            raise ValueError(f"{name}: no rings")
+        if not all(math.isfinite(v) for ring in rings for point in ring for v in point):
+            raise ValueError(f"{name}: non-finite coordinate")
+        for j, ring in enumerate(rings):
+            if len(ring) < 4:
+                raise ValueError(f"{name}: ring {j} has {len(ring)} coordinates, need >= 4")
+            if ring[0] != ring[-1]:
+                raise ValueError(f"{name}: ring {j} is not closed")
+        units.append((unit_id, rings))
+    return units
 
 
 def naive_recovery_duration(
@@ -151,10 +211,6 @@ def naive_spatial_graph(nodes, edges):
     adjacency = {n: set() for n in node_list}
     for u, v in edges:
         u, v = str(u), str(v)
-        if u not in index:
-            raise ValueError(f"edge ({u!r}, {v!r}): unknown endpoint {u!r}")
-        if v not in index:
-            raise ValueError(f"edge ({u!r}, {v!r}): unknown endpoint {v!r}")
         if u == v:
             raise ValueError(f"self-loop on node {u!r}")
         pair = (u, v) if u < v else (v, u)

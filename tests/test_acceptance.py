@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_graph, square_grid
+from conftest import graph_of, polygons, random_graph, square_grid
 from recovnet import (
     ContiguityRule,
     GaConfig,
     MultiplierProblem,
     RealVectorEncoding,
-    SpatialGraph,
     SynthSpec,
     ThresholdVector,
     all_affected,
@@ -48,16 +47,16 @@ def test_criterion_01_graph_metrics():
         i, j = rng.integers(2010, size=2)
         if i != j:
             edges.add((nodes[min(i, j)], nodes[max(i, j)]))
-    metrics = graph_metrics(SpatialGraph(nodes, sorted(edges)))
+    metrics = graph_metrics(graph_of(nodes, sorted(edges)))
     ok = abs(metrics.avg_degree - 6.049) <= 0.001 and abs(metrics.density - 0.00301) <= 0.00001
     report(1, ok, f"n=2010 m=6079 gives k={metrics.avg_degree:.4f} d={metrics.density:.6f}")
 
 
 def test_criterion_02_contiguity_oracle():
     units = square_grid(3, 3)
-    queen = set(build_contiguity_graph(units, ContiguityRule("queen")).edges)
-    rook = set(build_contiguity_graph(units, ContiguityRule("rook")).edges)
-    bishop = set(build_contiguity_graph(units, ContiguityRule("bishop")).edges)
+    queen = set(build_contiguity_graph(polygons(units), ContiguityRule("queen")).edges)
+    rook = set(build_contiguity_graph(polygons(units), ContiguityRule("rook")).edges)
+    bishop = set(build_contiguity_graph(polygons(units), ContiguityRule("bishop")).edges)
     queen_o, rook_o, bishop_o = oracles.contiguity_edges(units)
     ok = (
         len(queen) == 20 and len(rook) == 12 and len(bishop) == 8
@@ -69,7 +68,7 @@ def test_criterion_02_contiguity_oracle():
 
 
 def test_criterion_03_diffusion_correctness():
-    g = SpatialGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    g = graph_of(["A", "B", "C"], [("A", "B"), ("B", "C")])
     tau = ThresholdVector(
         node_ids=g.nodes, values=np.array([0.0, 0.5, 1.0]),
         seed_mask=np.array([True, False, False]),

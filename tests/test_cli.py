@@ -629,6 +629,56 @@ class TestGeometryInput:
         err = capsys.readouterr().err
         assert "units.geojson" in err and "feature 0 ('g00')" in err, name
 
+    @pytest.mark.parametrize("ring,name", [
+        ([["0", "0"], ["1", "0"], ["1", "1"], ["0", "0"]], "strings"),
+        (["10", "11", "01", "10"], "two-character strings"),
+        ([[True, False], [1, 0], [1, 1], [True, False]], "booleans"),
+    ])
+    def test_positions_that_are_not_numbers_name_feature(self, tmp_path, capsys, ring, name):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        doc["features"][4]["geometry"]["coordinates"] = [ring]
+        assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 3, name
+        err = capsys.readouterr().err
+        assert "units.geojson" in err and "feature 4 ('g11')" in err, name
+        assert "[x, y] number pairs" in err, name
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("faults,named", [
+        ({1: "string", 3: "no_id"}, "feature 1 ('g01')"),
+        ({1: "no_id", 3: "string"}, "feature 1 lacks"),
+        ({2: "duplicate", 5: "open"}, "feature 5 ('g12')"),
+        ({6: "duplicate"}, "duplicate node id 'g00'"),
+    ])
+    def test_first_bad_feature_in_file_order_named(self, tmp_path, capsys, faults, named):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        for k, fault in faults.items():
+            feature = doc["features"][k]
+            if fault == "string":
+                feature["geometry"]["coordinates"][0][1] = ["1", "0"]
+            elif fault == "no_id":
+                del feature["properties"]["id"]
+            elif fault == "open":
+                feature["geometry"]["coordinates"][0][-1] = [9, 9]
+            else:
+                feature["properties"]["id"] = "g00"
+        assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_snap_tolerance_too_small_is_config(self, tmp_path, capsys, via):
+        geometry = _grid_geojson(tmp_path / "grid.geojson")
+        if via == "flag":
+            code = run("build-graph", "--geometry", geometry, "--snap-tolerance", "1e-320",
+                       "--out", tmp_path / "g")
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"geometry": str(geometry), "snap_tolerance": 1e-320}))
+            code = run("build-graph", "--config", config, "--out", tmp_path / "g")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "snap_tolerance 1e-320 is too small" in err
+        assert not (tmp_path / "g").exists()
+
     def test_not_json_names_file(self, tmp_path, capsys):
         assert self._build(tmp_path, self._write(tmp_path, "{not json")) == 3
         assert "units.geojson" in capsys.readouterr().err

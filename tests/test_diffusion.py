@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_graph
+from conftest import graph_of, random_graph
 from recovnet import (
     DiffusionSchedule,
-    SpatialGraph,
     ThresholdVector,
     all_affected,
     recovered_counts,
@@ -79,7 +78,7 @@ class TestDiffusionStep:
             step(path_graph, np.array([0.5, 0, 0]), path_tau)
 
     def test_isolate_needs_zero_threshold(self):
-        g = SpatialGraph(["lone"], [])
+        g = graph_of(["lone"], [])
         zero = ThresholdVector(node_ids=g.nodes, values=np.array([0.0]))
         assert step(g, np.zeros(1), zero).tolist() == [True]
         for value in (0.7, 1.0):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -12,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import graph_of
 from recovnet import (
     ContiguityRule,
     DataError,
-    SpatialGraph,
     ThresholdVector,
     build_contiguity_graph,
     graph_metrics,
@@ -26,7 +28,7 @@ from recovnet.analysis import ATTRIBUTE_NAMES, AttributeTable
 
 @pytest.fixture
 def tmp_graph():
-    return SpatialGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    return graph_of(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
 
 
 class TestEdgeListCsv:
@@ -41,6 +43,23 @@ class TestEdgeListCsv:
         path = tmp_path / "edges.csv"
         path.write_text("from,to\na,b\n")
         with pytest.raises(DataError, match="header"):
+            io.read_edge_list(path)
+
+    def test_endpoints_stripped_and_nodes_sorted(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\n b , a\n\nc,b,extra\n")
+        g = io.read_edge_list(path)
+        assert g.nodes == ("a", "b", "c")
+        assert g.edges == (("a", "b"), ("b", "c"))
+
+    def test_short_row_named_before_a_later_bad_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\na,b\nlonely\nb,c\n" + "x" * (csv.field_size_limit() + 1)
+                        + ",d\n")
+        with pytest.raises(DataError, match=r"malformed edge row \['lonely'\]"):
+            io.read_edge_list(path)
+        path.write_text("src,dst\na,b\n" + "x" * (csv.field_size_limit() + 1) + ",d\nlonely\n")
+        with pytest.raises(DataError, match="line 3"):
             io.read_edge_list(path)
 
     def test_duplicate_edge_propagates(self, tmp_path):
@@ -477,7 +496,7 @@ class TestGeojson:
 
     def test_read_and_build(self, tmp_path):
         units = io.read_feature_collection(self.make_collection(tmp_path))
-        assert [u.id for u in units] == ["left", "right"]
+        assert list(units.ids) == ["left", "right"]
         g = build_contiguity_graph(units, ContiguityRule("rook"))
         assert g.m == 1
 
@@ -526,7 +545,112 @@ class TestGeojson:
         assert flags == {"left": True, "right": False}
 
 
+FEATURE_EDITS = (
+    "not_object", "no_id", "not_polygon", "string", "two_char", "bool", "three_d", "nan",
+    "inf", "big_int", "open", "short", "no_rings", "coordinates_not_list", "hole",
+    "negative_zero", "duplicate",
+)
+
+
+@st.composite
+def edited_collections(draw):
+    """A 3 x 3 grid of unit squares as GeoJSON with up to three edits at
+    random features: faults of every kind the reader names, a repeated id,
+    and edits that are no fault (a hole, a -0.0)."""
+    features = [
+        {"type": "Feature", "properties": {"id": f"g{r}{c}"},
+         "geometry": {"type": "Polygon", "coordinates": [[
+             [c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]]}}
+        for r in range(3) for c in range(3)
+    ]
+    for edit in draw(st.lists(st.sampled_from(FEATURE_EDITS), max_size=3)):
+        k = draw(st.integers(0, len(features) - 1))
+        feature = features[k]
+        if not isinstance(feature, dict) or not isinstance(feature.get("geometry"), dict):
+            continue
+        ring = feature["geometry"]["coordinates"]
+        ring = ring[0] if ring and isinstance(ring, list) and isinstance(ring[0], list) else None
+        spot = draw(st.integers(1, 3))
+        if edit == "not_object":
+            features[k] = draw(st.sampled_from([5, "x", None, [1]]))
+        elif edit == "no_id":
+            feature["properties"] = draw(st.sampled_from([{}, {"id": 7}, None, []]))
+        elif edit == "not_polygon":
+            feature["geometry"] = draw(st.sampled_from(
+                [None, {"type": "MultiPolygon", "coordinates": []}]))
+        elif edit == "coordinates_not_list":
+            feature["geometry"]["coordinates"] = draw(st.sampled_from([5, {"a": 1}, "ab"]))
+        elif edit == "no_rings":
+            feature["geometry"]["coordinates"] = []
+        elif edit == "hole" and isinstance(feature["geometry"]["coordinates"], list):
+            feature["geometry"]["coordinates"].append([[0.2, 0.2], [0.4, 0.2], [0.3, 0.4],
+                                                       [0.2, 0.2]])
+        elif edit == "duplicate":
+            feature["properties"] = {"id": f"g{draw(st.integers(0, 2))}0"}
+        elif ring is None or len(ring) < 5:
+            continue
+        elif edit == "two_char":
+            feature["geometry"]["coordinates"][0] = ["10", "11", "01", "10"]
+        elif edit == "short":
+            del ring[1:3]
+        elif edit == "open":
+            ring[-1] = [ring[-1][0] + 0.5, ring[-1][1]]
+        else:
+            value = {"string": "0", "bool": True, "nan": math.nan, "inf": math.inf,
+                     "big_int": 10**400, "negative_zero": -0.0}.get(edit)
+            ring[spot] = [ring[spot][0], 0, 0] if edit == "three_d" else [value, ring[spot][1]]
+    return features
+
+
+class TestFeatureReaderAgainstOracle:
+    """The columnar reader against the feature-at-a-time reader: the same
+    units, or the same message for the first feature at fault in file
+    order; a repeated id is named once every feature passes."""
+
+    @given(edited_collections())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_feature_at_a_time_reader(self, features):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "units.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+            try:
+                expected = oracles.naive_read_feature_collection(path)
+            except ValueError as exc:
+                with pytest.raises(DataError) as raised:
+                    io.read_feature_collection(path)
+                assert str(raised.value) == str(exc)
+                return
+            table = io.read_feature_collection(path)
+        assert table.ids == tuple(unit for unit, _ in expected)
+        rings = [ring for _, unit_rings in expected for ring in unit_rings]
+        assert table.xy.tolist() == [list(point) for ring in rings for point in ring]
+        assert np.diff(table.offsets).tolist() == [len(ring) for ring in rings]
+        assert table.ring_unit.tolist() == [
+            k for k, (_, unit_rings) in enumerate(expected) for _ in unit_rings]
+        if len(set(table.ids)) < len(table):
+            with pytest.raises(DataError, match="duplicate node id"):
+                build_contiguity_graph(table, ContiguityRule("queen"))
+            return
+        queen, rook, _ = oracles.contiguity_edges(expected)
+        assert set(build_contiguity_graph(table, ContiguityRule("queen")).edges) == queen
+        assert set(build_contiguity_graph(table, ContiguityRule("rook")).edges) == rook
+
+
 class TestWriters:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_outputs_take_the_mode_the_umask_gives(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            io.write_json({"a": 1}, tmp_path / "out.json")
+            io.write_table(tmp_path / "out.csv", ["a"], [[1]])
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("x")
+        finally:
+            os.umask(old)
+        for name in ("out.json", "out.csv", "plain.txt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json", "plain.txt"]
+
     def test_atomic_write_failure_leaves_nothing(self, tmp_path):
         target = tmp_path / "out.csv"
         with pytest.raises(RuntimeError):

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import graph_of
 from recovnet import (
     DiffusionSchedule,
     MultiplierProblem,
-    SpatialGraph,
     ThresholdVector,
     build_fit_problem,
     diffusion,
@@ -51,7 +51,7 @@ def instances(draw):
         nodes += ["hub", *leaves]
     columns = draw(st.integers(1, 70))
     chunk = draw(st.integers(1, 16))
-    return SpatialGraph(nodes, edges), columns, chunk, rng
+    return graph_of(nodes, edges), columns, chunk, rng
 
 
 def grid_thresholds(graph, rng, columns):
@@ -143,7 +143,7 @@ def test_need_is_smallest_count_meeting_threshold():
     of it, and 0, 1 and 1.5."""
     for d in range(301):
         leaves = [f"l{i}" for i in range(d)]
-        graph = SpatialGraph(["c", *leaves], [("c", leaf) for leaf in leaves])
+        graph = graph_of(["c", *leaves], [("c", leaf) for leaf in leaves])
         kernel = diffusion.DiffusionKernel(graph)
         grid = np.arange(d + 1) / max(d, 1)
         taus = np.concatenate(
@@ -161,7 +161,7 @@ def test_star_of_degree_300_matches_oracle():
     step off each, through both problem types against the oracle."""
     degree = 300
     leaves = [f"l{i:03d}" for i in range(degree)]
-    graph = SpatialGraph(["c", *leaves], [("c", leaf) for leaf in leaves])
+    graph = graph_of(["c", *leaves], [("c", leaf) for leaf in leaves])
     grid = np.array([0, 1, 14, 15, 44, 45, 150, 255, 256, 257, 269, 270, 271, 299, 300]) / degree
     taus = np.unique(
         np.clip(np.concatenate([grid, np.nextafter(grid, -1.0), np.nextafter(grid, 2.0)]), 0, 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import graph_of
 from recovnet import (
     GaConfig,
     MultiplierProblem,
@@ -193,10 +194,8 @@ class TestBruteForceChunks:
 
     @pytest.fixture
     def tied_problem(self):
-        from recovnet import SpatialGraph
-
         nodes = [f"n{i}" for i in range(10)]
-        graph = SpatialGraph(nodes, [("n2", "n3"), ("n6", "n7")])
+        graph = graph_of(nodes, [("n2", "n3"), ("n6", "n7")])
         tau = ThresholdVector(node_ids=graph.nodes, values=np.ones(10))
         return graph, tau
 

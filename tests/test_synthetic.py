@@ -44,12 +44,32 @@ class TestGridUnits:
     def test_count_and_ids_unique(self):
         units = grid_units(13)
         assert len(units) == 13
-        assert len({u.id for u in units}) == 13
+        assert len(set(units.ids)) == 13
 
     def test_exact_square(self):
         units = grid_units(25)
-        xs = {c for u in units for ring in u.geometry for c, _ in ring}
+        xs = set(units.xy[:, 0].tolist())
         assert max(xs) == 5.0
+
+    @pytest.mark.parametrize("count", [1, 2, 13, 25, 40])
+    def test_columns_equal_the_squares_one_at_a_time(self, count):
+        """Row-major unit squares, each one closed ring from its lower left
+        corner, counter-clockwise."""
+        from recovnet import Polygons
+
+        cols = max(1, int(round(count ** 0.5)))
+        ids, rings = [], []
+        for k in range(count):
+            r, c = divmod(k, cols)
+            x, y = float(c), float(r)
+            ids.append(f"u{k:04d}")
+            rings.append([[(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1), (x, y)]])
+        expected = Polygons.from_coordinates(ids, rings, "grid")
+        units = grid_units(count)
+        assert units.ids == expected.ids
+        assert units.xy.dtype == expected.xy.dtype
+        for column in ("xy", "offsets", "ring_unit"):
+            assert getattr(units, column).tolist() == getattr(expected, column).tolist()
 
 
 class TestGenerateInstance:

@@ -1,5 +1,5 @@
-"""Times one fitness call of each kind on a county-scale instance, and one
-read of a large visits file.
+"""Times one fitness call of each kind on a county-scale instance, one read
+of a large visits file, and the GeoJSON-to-graph and edge-list reads.
 
     PYTHONPATH=src python tools/bench_kernel.py --label change
 
@@ -22,6 +22,16 @@ against the plain-loop re-simulation of ``tests/oracles.py``.
 against ``tests/oracles.naive_read_visit_series``. It is timed as the median
 of --visit-repeats calls after two warm-up calls, and one more call gives
 ``peak_mib``, the tracemalloc peak of a read.
+
+``contiguity`` is io.read_feature_collection plus build_contiguity_graph
+(queen) on a 50 x 80 grid of squares as GeoJSON (4 000 units, the
+coordinates of ``ingest-large``'s ``units.geojson``), and ``read_edges`` is
+io.read_edge_list on the 15 612-edge list of that graph. Before timing, the
+queen edges are checked against the pairwise test of
+``tests/oracles.classify_pair``, run on every pair of units whose bounding
+boxes touch (no other pair can share a vertex), and the edge list read back
+against the graph that wrote it. Each is timed as the median of
+GRAPH_REPEATS (30) calls after two warm-up calls.
 
 The result is stored under --label in --out (other labels are kept), so that
 two source trees can be compared by running the harness once with each on
@@ -128,6 +138,67 @@ def read_visits(repeats: int) -> dict:
     return timing
 
 
+GRID_ROWS, GRID_COLS = 50, 80
+GRAPH_REPEATS = 30
+LON, LAT, STEP = -95.8, 29.5, 0.005
+
+
+def grid_geojson(path: Path) -> list:
+    """Write ingest-large's 50 x 80 grid of squares; return its (id, rings)."""
+    xs = [LON + c * STEP for c in range(GRID_COLS + 1)]
+    ys = [LAT + r * STEP for r in range(GRID_ROWS + 1)]
+    units = [
+        (f"g{r * GRID_COLS + c:05d}", [[(xs[c], ys[r]), (xs[c + 1], ys[r]),
+                                        (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
+                                        (xs[c], ys[r])]])
+        for r in range(GRID_ROWS) for c in range(GRID_COLS)
+    ]
+    features = [{"type": "Feature", "properties": {"id": unit},
+                 "geometry": {"type": "Polygon", "coordinates": rings}}
+                for unit, rings in units]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return units
+
+
+def oracle_queen_edges(units) -> set:
+    """oracles.classify_pair on every pair of units whose bounding boxes
+    touch, in a sweep over the boxes sorted by their left edge."""
+    boxes = []
+    for _, rings in units:
+        xs = [x for ring in rings for x, _ in ring]
+        ys = [y for ring in rings for _, y in ring]
+        boxes.append((min(xs), min(ys), max(xs), max(ys)))
+    order = sorted(range(len(units)), key=lambda i: boxes[i][0])
+    edges = set()
+    for a, i in enumerate(order):
+        for j in order[a + 1:]:
+            if boxes[j][0] > boxes[i][2]:
+                break
+            if boxes[j][1] <= boxes[i][3] and boxes[i][1] <= boxes[j][3] \
+                    and oracles.classify_pair(units[i][1], units[j][1]):
+                edges.add(tuple(sorted((units[i][0], units[j][0]))))
+    return edges
+
+
+def graph_reads() -> dict:
+    """Time GeoJSON to queen graph and the edge-list read, after checking
+    both."""
+    rule = recovnet.ContiguityRule("queen")
+    with tempfile.TemporaryDirectory() as tmp:
+        geometry, edges = Path(tmp) / "units.geojson", Path(tmp) / "edges.csv"
+        units = grid_geojson(geometry)
+        graph = recovnet.build_contiguity_graph(io.read_feature_collection(geometry), rule)
+        assert set(graph.edges) == oracle_queen_edges(units), "contiguity: edges differ"
+        io.write_edge_list(graph, edges)
+        read = io.read_edge_list(edges)
+        assert read.m == 15612 and read.edges == graph.edges, "read_edges: edges differ"
+        return {
+            "contiguity": timed(lambda: recovnet.build_contiguity_graph(
+                io.read_feature_collection(geometry), rule), GRAPH_REPEATS),
+            "read_edges": timed(lambda: io.read_edge_list(edges), GRAPH_REPEATS),
+        }
+
+
 def measure(repeats: int, visit_repeats: int) -> dict:
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,6 +216,7 @@ def measure(repeats: int, visit_repeats: int) -> dict:
         "losses_P65": timed(lambda: problem.losses(chromosomes[65]), repeats),
         "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
         "read_visits": read_visits(visit_repeats),
+        **graph_reads(),
     }
 
 
