@@ -1,71 +1,59 @@
 """Threshold-diffusion modeling of post-disaster recovery on spatial
 contiguity networks: threshold fitting from observed recovery durations and
-search for recovery-multiplier seed sets."""
+search for recovery-multiplier seed sets.
 
-from .analysis import (
-    AttributeTable,
-    CorrelationResult,
-    DistributionSummary,
-    ThresholdSummary,
-    correlate,
-    multiplier_attribute_comparison,
-    split_tertiles,
-    tertile_attribute_report,
-    threshold_summary,
-)
-from .diffusion import (
-    DiffusionSchedule,
-    ThresholdVector,
-    all_affected,
-    recovered_counts,
-    run_diffusion,
-)
-from .empirical import (
-    compute_recovery_durations,
-    durations_to_weeks,
-    zero_one_loss,
-)
-from .errors import ConfigError, DataError, RecovnetError
-from .fitting import (
-    BaselineStats,
-    FitProblem,
-    FitResult,
-    build_fit_problem,
-    fit_thresholds,
-    random_baseline,
-)
-from .ga import (
-    GaConfig,
-    GaResult,
-    GenerationRecord,
-    PerformanceRecord,
-    RealVectorEncoding,
-    SubsetEncoding,
-    performance_index,
-    run_ga,
-)
-from .graph import (
-    ContiguityRule,
-    GraphMetrics,
-    Polygons,
-    SpatialGraph,
-    align_rows,
-    build_contiguity_graph,
-    graph_metrics,
-)
-from .multipliers import (
-    MultiplierProblem,
-    MultiplierResult,
-    brute_force_multipliers,
-    increment_rate,
-    search_multipliers,
-)
-from .synthetic import (
-    SynthSpec,
-    SyntheticInstance,
-    generate_instance,
-    grid_units,
-    write_instance,
-)
+Importing the package loads none of its modules: each public name below is
+imported from its module on first use (PEP 562), so that a command loads
+only the modules it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name, by the module that defines it
+_HOMES = {
+    "analysis": (
+        "AttributeTable", "CorrelationResult", "DistributionSummary", "ThresholdSummary",
+        "correlate", "multiplier_attribute_comparison", "split_tertiles",
+        "tertile_attribute_report", "threshold_summary",
+    ),
+    "diffusion": (
+        "DiffusionSchedule", "ThresholdVector", "all_affected", "recovered_counts",
+        "run_diffusion",
+    ),
+    "empirical": ("compute_recovery_durations", "durations_to_weeks", "zero_one_loss"),
+    "errors": ("ConfigError", "DataError", "RecovnetError"),
+    "fitting": (
+        "BaselineStats", "FitProblem", "FitResult", "build_fit_problem", "fit_thresholds",
+        "random_baseline",
+    ),
+    "ga": (
+        "GaConfig", "GaResult", "GenerationRecord", "PerformanceRecord", "RealVectorEncoding",
+        "SubsetEncoding", "performance_index", "run_ga",
+    ),
+    "graph": (
+        "ContiguityRule", "GraphMetrics", "Polygons", "SpatialGraph", "align_rows",
+        "build_contiguity_graph", "graph_metrics",
+    ),
+    "multipliers": (
+        "MultiplierProblem", "MultiplierResult", "brute_force_multipliers", "increment_rate",
+        "search_multipliers",
+    ),
+    "synthetic": (
+        "SynthSpec", "SyntheticInstance", "generate_instance", "grid_units", "write_instance",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,53 +22,27 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# the modules every command loads; each handler imports the stages it runs
 from . import __version__, io
-from .analysis import (
-    correlate,
-    included,
-    multiplier_attribute_comparison,
-    split_tertiles,
-    tertile_attribute_report,
-    threshold_summary,
-)
 from .diffusion import (
+    DEFAULT_ENUMERATION_CAP,
     DEFAULT_FIRST_UPDATE_WEEK,
     DEFAULT_HORIZON_WEEKS,
+    DEFAULT_SEED_CUTOFF_WEEKS,
     DiffusionSchedule,
     all_affected,
     recovered_counts,
     run_diffusion,
 )
-from .empirical import (
-    VisitRowError,
-    align_durations,
-    compute_recovery_durations,
-    durations_to_weeks,
-)
 from .errors import ConfigError, DataError, RecovnetError
-from .fitting import (
-    DEFAULT_SEED_CUTOFF_WEEKS,
-    FitProblem,
-    build_fit_problem,
-    fit_thresholds,
-    random_baseline,
-)
-from .ga import GaConfig, performance_index
 from .graph import (
     CONTIGUITY_KINDS,
+    GRAPH_KINDS,
     ContiguityRule,
     align_rows,
     build_contiguity_graph,
     graph_metrics,
 )
-from .multipliers import (
-    DEFAULT_ENUMERATION_CAP,
-    MultiplierProblem,
-    brute_force_multipliers,
-    check_enumeration_cap,
-    search_multipliers,
-)
-from .synthetic import GRAPH_KINDS, SynthSpec, generate_instance, write_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -380,7 +354,8 @@ def _load_graph(s: argparse.Namespace):
     return io.read_edge_list(_require_file(s.edges, "edge list"))
 
 
-def _fit_problem(s: argparse.Namespace) -> FitProblem:
+def _fit_problem(s: argparse.Namespace):
+    from .fitting import build_fit_problem
     graph = _load_graph(s)
     path = _require_file(s.durations, "durations")
     durations = io.read_durations(path)
@@ -410,6 +385,7 @@ def cmd_build_graph(s: argparse.Namespace) -> None:
 
 
 def cmd_durations(s: argparse.Namespace) -> None:
+    from .empirical import VisitRowError, compute_recovery_durations
     if not 0 < s.ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {s.ratio}")
     start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
@@ -451,6 +427,8 @@ def cmd_durations(s: argparse.Namespace) -> None:
 
 
 def cmd_fit(s: argparse.Namespace) -> dict:
+    from .fitting import fit_thresholds, random_baseline
+    from .ga import GaConfig, performance_index
     config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
     problem = _fit_problem(s)
     out = Path(s.out)
@@ -494,6 +472,7 @@ def cmd_fit(s: argparse.Namespace) -> dict:
 
 
 def cmd_baseline(s: argparse.Namespace) -> None:
+    from .fitting import random_baseline
     stats = random_baseline(_fit_problem(s), s.runs, rng_seed=s.rng_seed)
     out = Path(s.out)
     io.write_json({"mean": stats.mean, "std": stats.std, "runs": stats.runs}, out / "baseline.json")
@@ -507,6 +486,13 @@ def _multiplier_seed(rng_seed: int, size: int) -> int:
 
 
 def cmd_multipliers(s: argparse.Namespace) -> None:
+    from .ga import GaConfig
+    from .multipliers import (
+        MultiplierProblem,
+        brute_force_multipliers,
+        check_enumeration_cap,
+        search_multipliers,
+    )
     graph = _load_graph(s)
     path = _require_file(s.thresholds, "thresholds")
     table = io.read_thresholds(path)
@@ -567,6 +553,14 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
 
 
 def cmd_analyze(s: argparse.Namespace) -> None:
+    from .analysis import (
+        correlate,
+        included,
+        multiplier_attribute_comparison,
+        split_tertiles,
+        tertile_attribute_report,
+        threshold_summary,
+    )
     curves = bool(s.edges)
     if curves != bool(s.durations):
         missing = "durations" if curves else "edges"
@@ -581,6 +575,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         raise DataError(f"{thresholds_path}: no free nodes to summarize; its {seeds} seed "
                         "node(s) count with --include-seeds")
     if curves:
+        from .empirical import align_durations, durations_to_weeks
         graph = io.read_edge_list(_require_file(s.edges, "edge list"))
         aligned = thresholds.take(align_rows(thresholds.node_ids, graph.nodes, thresholds_path))
         durations_path = _require_file(s.durations, "durations")
@@ -662,6 +657,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
 
 
 def cmd_synth(s: argparse.Namespace) -> None:
+    from .synthetic import SynthSpec, generate_instance, write_instance
     # every synth setting but --out is a SynthSpec field under its config key
     spec = SynthSpec(**{o.config_key("synth"): getattr(s, o.name)
                         for o in _options("synth") if o.name != "out"})

@@ -22,6 +22,10 @@ from .graph import SpatialGraph
 
 DEFAULT_HORIZON_WEEKS = 14
 DEFAULT_FIRST_UPDATE_WEEK = 3
+# stage 1 pins nodes that recover within this many weeks at threshold 0
+DEFAULT_SEED_CUTOFF_WEEKS = 3.0
+# the most seed sets an exhaustive stage-2 search simulates
+DEFAULT_ENUMERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .diffusion import (
+    DEFAULT_SEED_CUTOFF_WEEKS,
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
@@ -25,8 +26,6 @@ from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
 from .ga import GaConfig, GaResult, GenerationRecord, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
-
-DEFAULT_SEED_CUTOFF_WEEKS = 3.0
 
 
 @dataclass(eq=False)

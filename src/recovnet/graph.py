@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 CONTIGUITY_KINDS = ("queen", "rook", "bishop")
+GRAPH_KINDS = ("grid", "perturbed_grid")  # of synthetic instances
 NUMBER_PAIRS = "coordinates must be rings of [x, y] number pairs"
 
 

@@ -21,16 +21,18 @@ from operator import itemgetter
 from pathlib import Path
 from sys import intern
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .analysis import ATTRIBUTE_NAMES, AttributeTable
-from .diffusion import ThresholdVector
 from .errors import DataError
-from .ga import GenerationRecord
 from .graph import GraphMetrics, Polygons, SpatialGraph, align_rows
-from .multipliers import MultiplierResult
+
+if TYPE_CHECKING:  # at run time, a function that needs a stage module imports it
+    from .analysis import AttributeTable
+    from .diffusion import ThresholdVector
+    from .ga import GenerationRecord
+    from .multipliers import MultiplierResult
 
 
 @contextmanager
@@ -116,13 +118,15 @@ def annotate_feature_collection(
     src: str | Path, selections: Mapping[str | Path, set[str]]
 ) -> None:
     """Copy a feature collection (parsed once) to each destination, adding a
-    boolean "multiplier" property that marks that destination's selected ids."""
+    boolean "multiplier" property that marks that destination's selected ids.
+    The copies are compact JSON: json encodes indent=2 in pure Python only."""
     doc = read_json(src)
     for dest, selected in selections.items():
         for feature in doc.get("features", []):
             props = feature.setdefault("properties", {})
             props["multiplier"] = props.get("id") in selected
-        write_json(doc, dest)
+        with atomic_write(dest) as handle:
+            handle.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +553,7 @@ def read_attributes(path: str | Path) -> AttributeTable:
     flood_extent column). The columns are checked at once and an error names
     the file and the first row that breaks a rule.
     """
+    from .analysis import ATTRIBUTE_NAMES, AttributeTable
     rows = list(_open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]], "attribute",
                           optional=ATTRIBUTE_NAMES[3]))
     ids = [row[0].strip() for row in rows]
@@ -583,6 +588,7 @@ def read_attributes(path: str | Path) -> AttributeTable:
 def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
     """Every attribute column; flood_extent cells stay empty when the table
     has none."""
+    from .analysis import ATTRIBUTE_NAMES
     cells = [
         list(map(repr, attrs.columns[name].tolist())) if name in attrs.columns
         else [""] * len(attrs)
@@ -592,6 +598,7 @@ def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
 
 
 def read_thresholds(path: str | Path) -> ThresholdVector:
+    from .diffusion import ThresholdVector
     ids, values, seeds = [], [], []
     seen = set()
     for row in _open_csv(path, ["id", "threshold", "is_seed"], "threshold"):
@@ -697,6 +704,7 @@ def read_multiplier_results(
     multipliers_summary.csv row with the members of its multipliers_N<size>.csv
     set, and their positions in node order. Members keep the set file's
     order; the set file must list every node once and no other id."""
+    from .multipliers import MultiplierResult
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
     results = []

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion import (
+    DEFAULT_ENUMERATION_CAP,
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
@@ -25,8 +26,6 @@ from .diffusion import (
 from .errors import ConfigError, DataError
 from .ga import GaConfig, GaResult, SubsetEncoding, run_ga
 from .graph import SpatialGraph
-
-DEFAULT_ENUMERATION_CAP = 10**6
 
 
 @dataclass

@@ -19,9 +19,8 @@ from . import io
 from .analysis import ATTRIBUTE_NAMES, AttributeTable
 from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, all_affected, run_diffusion
 from .errors import ConfigError
-from .graph import ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
+from .graph import GRAPH_KINDS, ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
 
-GRAPH_KINDS = ("grid", "perturbed_grid")
 SEED_DURATION_WEEKS = 2.5  # any value under the 3-week cutoff; fixed for determinism
 
 

@@ -908,13 +908,33 @@ class TestCliImports:
     """No command loads SciPy: it is a test dependency only. The correlation
     p-values use an in-package t tail, and the manifest records no SciPy
     version. Nor does any command load numpy.ma (np.quantile would, through
-    np.unique), which costs each process tens of milliseconds."""
+    np.unique), which costs each process tens of milliseconds.
+
+    Each command loads only the recovnet modules it runs: the package loads
+    none, the CLI the ones every command uses, and each handler its stages."""
+
+    SCIPY_REPORT = ("print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                    " or m.split('.')[:2] == ['numpy', 'ma']))")
+    RECOVNET_REPORT = ("print('loaded:', *sorted(m for m in sys.modules"
+                       " if m.split('.')[0] == 'recovnet'))")
+    CLI_MODULES = {"recovnet", "recovnet.cli", "recovnet.diffusion", "recovnet.errors",
+                   "recovnet.graph", "recovnet.io"}
+    # each command's stage modules beyond CLI_MODULES, in pipeline order
+    COMMAND_MODULES = {
+        "synth": {"analysis", "synthetic"},
+        "build-graph": set(),
+        "durations": {"empirical"},
+        "fit": {"empirical", "fitting", "ga"},
+        "baseline": {"empirical", "fitting", "ga"},
+        "multipliers": {"ga", "multipliers"},
+        # read_multiplier_results builds MultiplierResult records
+        "analyze": {"analysis", "empirical", "ga", "multipliers"},
+    }
 
     @staticmethod
-    def _scipy_after_each(steps: list[str]) -> list[str]:
-        """Run the steps in one fresh interpreter after `import recovnet.cli`;
-        a line per step (the import first) lists the scipy and numpy.ma
-        modules loaded."""
+    def _fresh(lines: list[str]) -> list[str]:
+        """Run the lines in one fresh interpreter with `sys` imported; the
+        lines of its output that start with 'loaded:'."""
         import os
         import subprocess
         import sys
@@ -922,42 +942,63 @@ class TestCliImports:
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        report = ("print('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                  " or m.split('.')[:2] == ['numpy', 'ma']))")
-        code = "\n".join(
-            ["import sys", "from recovnet.cli import main", report]
-            + [line for step in steps for line in (step, report)]
-        )
+        code = "\n".join(["import sys", *lines])
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         return [line for line in result.stdout.splitlines() if line.startswith("loaded:")]
 
+    @staticmethod
+    def _commands(tmp_path) -> dict[str, list[str]]:
+        """Every command's arguments, in COMMAND_MODULES order; each reads
+        only the outputs of commands before it."""
+        synth, fit, mult = tmp_path / "synth", tmp_path / "fit", tmp_path / "mult"
+        commands = {
+            "synth": ["--nodes", "16", "--rng-seed", "3", "--out", synth],
+            "build-graph": ["--geometry", _grid_geojson(tmp_path / "grid.geojson"),
+                            "--out", tmp_path / "graph"],
+            "durations": ["--visits", _visits_csv(tmp_path / "visits.csv"),
+                          "--baseline-start", "0", "--baseline-end", "20",
+                          "--recovery-start", "27", "--out", tmp_path / "durations"],
+            "fit": ["--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
+                    "--max-iterations", "5", "--out", fit],
+            "baseline": ["--edges", synth / "edges.csv", "--durations",
+                         synth / "durations.csv", "--runs", "20", "--out", tmp_path / "baseline"],
+            "multipliers": ["--edges", synth / "edges.csv", "--thresholds",
+                            fit / "thresholds.csv", "--sizes", "1,2", "--max-iterations", "3",
+                            "--out", mult],
+            "analyze": ["--thresholds", fit / "thresholds.csv",
+                        "--attributes", synth / "attributes.csv", "--edges", synth / "edges.csv",
+                        "--durations", synth / "durations.csv", "--multipliers-dir", mult,
+                        "--out", tmp_path / "analysis"],
+        }
+        return {command: [command, *map(str, argv)] for command, argv in commands.items()}
+
     def test_import_loads_no_scipy(self):
-        assert self._scipy_after_each([]) == ["loaded:"]
+        assert self._fresh(["from recovnet.cli import main", self.SCIPY_REPORT]) == ["loaded:"]
 
     def test_every_command_loads_no_scipy(self, tmp_path):
-        synth, fit, mult = tmp_path / "synth", tmp_path / "fit", tmp_path / "mult"
-        commands = [
-            ["synth", "--nodes", "16", "--rng-seed", "3", "--out", synth],
-            ["build-graph", "--geometry", _grid_geojson(tmp_path / "grid.geojson"),
-             "--out", tmp_path / "graph"],
-            ["durations", "--visits", _visits_csv(tmp_path / "visits.csv"),
-             "--baseline-start", "0", "--baseline-end", "20", "--recovery-start", "27",
-             "--out", tmp_path / "durations"],
-            ["fit", "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
-             "--max-iterations", "5", "--out", fit],
-            ["baseline", "--edges", synth / "edges.csv", "--durations", synth / "durations.csv",
-             "--runs", "20", "--out", tmp_path / "baseline"],
-            ["multipliers", "--edges", synth / "edges.csv", "--thresholds",
-             fit / "thresholds.csv", "--sizes", "1,2", "--max-iterations", "3", "--out", mult],
-            ["analyze", "--thresholds", fit / "thresholds.csv",
-             "--attributes", synth / "attributes.csv", "--edges", synth / "edges.csv",
-             "--durations", synth / "durations.csv", "--multipliers-dir", mult,
-             "--out", tmp_path / "analysis"],
-        ]
-        steps = [f"assert main({list(map(str, argv))!r}) == 0" for argv in commands]
-        assert self._scipy_after_each(steps) == ["loaded:"] * (len(steps) + 1)
+        steps = [f"assert main({argv!r}) == 0" for argv in self._commands(tmp_path).values()]
+        lines = ["from recovnet.cli import main", self.SCIPY_REPORT]
+        lines += [line for step in steps for line in (step, self.SCIPY_REPORT)]
+        assert self._fresh(lines) == ["loaded:"] * (len(steps) + 1)
         assert (tmp_path / "analysis" / "analysis_report.json").exists()
+
+    def test_package_import_loads_no_module(self):
+        assert self._fresh(["import recovnet", self.RECOVNET_REPORT]) == ["loaded: recovnet"]
+
+    def test_cli_import_loads_no_stage(self):
+        loaded = self._fresh(["import recovnet.cli", self.RECOVNET_REPORT])
+        assert loaded == ["loaded: " + " ".join(sorted(self.CLI_MODULES))]
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        commands = self._commands(tmp_path)
+        assert list(commands) == list(self.COMMAND_MODULES)
+        for command, argv in commands.items():
+            loaded = self._fresh(["from recovnet.cli import main",
+                                  f"assert main({argv!r}) == 0", self.RECOVNET_REPORT])
+            expected = self.CLI_MODULES | {f"recovnet.{m}" for m in self.COMMAND_MODULES[command]}
+            assert loaded == ["loaded: " + " ".join(sorted(expected))], command
+        assert (tmp_path / "analysis" / "multiplier_attributes.csv").exists()
 
 
 class TestDeterminism:

@@ -534,15 +534,18 @@ class TestGeojson:
             io.read_feature_collection(path)
 
     def test_annotation(self, tmp_path):
+        """Each copy is the source with its own multiplier flags, written as
+        compact JSON on one line."""
         src = self.make_collection(tmp_path)
         dest, other = tmp_path / "annotated.geojson", tmp_path / "other.geojson"
         io.annotate_feature_collection(src, {dest: {"right"}, other: {"left"}})
-        doc = json.loads(dest.read_text())
-        flags = {f["properties"]["id"]: f["properties"]["multiplier"] for f in doc["features"]}
-        assert flags == {"left": False, "right": True}
-        doc = json.loads(other.read_text())
-        flags = {f["properties"]["id"]: f["properties"]["multiplier"] for f in doc["features"]}
-        assert flags == {"left": True, "right": False}
+        for path, selected in ((dest, "right"), (other, "left")):
+            expected = json.loads(src.read_text())
+            for feature in expected["features"]:
+                feature["properties"]["multiplier"] = feature["properties"]["id"] == selected
+            text = path.read_text()
+            assert json.loads(text) == expected
+            assert text.count("\n") == 1 and text.endswith("}\n") and ", " not in text
 
 
 FEATURE_EDITS = (

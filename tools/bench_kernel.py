@@ -1,5 +1,6 @@
 """Times one fitness call of each kind on a county-scale instance, one read
-of a large visits file, and the GeoJSON-to-graph and edge-list reads.
+of a large visits file, the GeoJSON-to-graph and edge-list reads, and the
+start-up of a fresh process for each command.
 
     PYTHONPATH=src python tools/bench_kernel.py --label change
 
@@ -22,6 +23,19 @@ against the plain-loop re-simulation of ``tests/oracles.py``.
 against ``tests/oracles.naive_read_visit_series``. It is timed as the median
 of --visit-repeats calls after two warm-up calls, and one more call gives
 ``peak_mib``, the tracemalloc peak of a read.
+
+``cold_start`` is the wall time of fresh child processes run with
+COLD_START_ENV (recorded in the entry), as the benchmark runs its stages:
+``import numpy``, ``import recovnet.cli``, then each command as
+``python -m recovnet`` on a 16-node ``synth`` instance (build-graph on a
+4 x 4 grid, durations on 16 units' visits; fit, baseline and multipliers
+with tiny budgets). The steps are run in turn COLD_START_REPEATS (21) times
+after one untimed pass, and each is reported as the median of its runs.
+``package_import`` is the median of ``import recovnet.cli`` minus the
+``import numpy`` of the same turn: the package's own cost, which a drift in
+the machine's speed between turns moves less than either time alone. With
+PYTHONDONTWRITEBYTECODE=1 and no ``__pycache__`` under the package, which
+the harness checks, every child compiles the package from source.
 
 ``contiguity`` is io.read_feature_collection plus build_contiguity_graph
 (queen) on a 50 x 80 grid of squares as GeoJSON (4 000 units, the
@@ -47,6 +61,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -55,9 +70,10 @@ from pathlib import Path
 
 import numpy as np
 
-import recovnet
-from recovnet import MultiplierProblem, build_fit_problem, io
-from recovnet.cli import main as cli
+sys.dont_write_bytecode = True  # cold_start children must compile the package from source
+import recovnet  # noqa: E402
+from recovnet import MultiplierProblem, build_fit_problem, io  # noqa: E402
+from recovnet.cli import main as cli  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -100,6 +116,12 @@ def check_against_oracle(graph, durations, problem, multipliers, chromosomes, se
         assert recovered[p] == final, f"recovered column {p}: {recovered[p]} vs oracle {final}"
 
 
+def quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
+            "calls": len(samples)}
+
+
 def timed(fn, repeats: int) -> dict:
     for _ in range(2):
         fn()
@@ -108,9 +130,7 @@ def timed(fn, repeats: int) -> dict:
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-            "calls": repeats}
+    return quartiles(samples)
 
 
 def read_visits(repeats: int) -> dict:
@@ -143,15 +163,16 @@ GRAPH_REPEATS = 30
 LON, LAT, STEP = -95.8, 29.5, 0.005
 
 
-def grid_geojson(path: Path) -> list:
-    """Write ingest-large's 50 x 80 grid of squares; return its (id, rings)."""
-    xs = [LON + c * STEP for c in range(GRID_COLS + 1)]
-    ys = [LAT + r * STEP for r in range(GRID_ROWS + 1)]
+def grid_geojson(path: Path, rows: int = GRID_ROWS, cols: int = GRID_COLS) -> list:
+    """Write a grid of squares, by default ingest-large's 50 x 80; return
+    its (id, rings)."""
+    xs = [LON + c * STEP for c in range(cols + 1)]
+    ys = [LAT + r * STEP for r in range(rows + 1)]
     units = [
-        (f"g{r * GRID_COLS + c:05d}", [[(xs[c], ys[r]), (xs[c + 1], ys[r]),
-                                        (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
-                                        (xs[c], ys[r])]])
-        for r in range(GRID_ROWS) for c in range(GRID_COLS)
+        (f"g{r * cols + c:05d}", [[(xs[c], ys[r]), (xs[c + 1], ys[r]),
+                                   (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
+                                   (xs[c], ys[r])]])
+        for r in range(rows) for c in range(cols)
     ]
     features = [{"type": "Feature", "properties": {"id": unit},
                  "geometry": {"type": "Polygon", "coordinates": rings}}
@@ -199,6 +220,63 @@ def graph_reads() -> dict:
         }
 
 
+COLD_START_REPEATS = 21
+# as the benchmark runs every stage: no bytecode cache is written
+COLD_START_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def cold_start_steps(root: Path) -> dict[str, list[str]]:
+    """The child command lines, in order: each command reads only what the
+    commands before it write under root."""
+    synth, fit, mult = root / "synth", root / "fit", root / "mult"
+    grid_geojson(root / "grid.geojson", 4, 4)
+    (root / "visits.csv").write_text("id,day,visits\n" + "".join(
+        f"u{unit},{day},{100 if day <= 20 else 85 + unit}\n"
+        for unit in range(16) for day in range(131)))
+    recovnet_cli = [sys.executable, "-m", "recovnet"]
+    graph = ["--edges", synth / "edges.csv"]
+    observed = [*graph, "--durations", synth / "durations.csv"]
+    steps = {
+        "import_numpy": [sys.executable, "-c", "import numpy"],
+        "import_cli": [sys.executable, "-c", "import recovnet.cli"],
+        "synth": ["synth", "--nodes", 16, "--rng-seed", 3, "--out", synth],
+        "build-graph": ["build-graph", "--geometry", root / "grid.geojson",
+                        "--out", root / "graph"],
+        "durations": ["durations", "--visits", root / "visits.csv", "--baseline-start", 0,
+                      "--baseline-end", 20, "--recovery-start", 27, "--out", root / "durations"],
+        "fit": ["fit", *observed, "--max-iterations", 5, "--out", fit],
+        "baseline": ["baseline", *observed, "--runs", 20, "--out", root / "baseline"],
+        "multipliers": ["multipliers", *graph, "--thresholds", fit / "thresholds.csv",
+                        "--sizes", "1,2", "--max-iterations", 3, "--out", mult],
+        "analyze": ["analyze", *observed, "--thresholds", fit / "thresholds.csv",
+                    "--attributes", synth / "attributes.csv", "--multipliers-dir", mult,
+                    "--out", root / "analysis"],
+    }
+    return {name: (argv if name.startswith("import_") else recovnet_cli + list(map(str, argv)))
+            for name, argv in steps.items()}
+
+
+def cold_start() -> dict:
+    """Fresh-process wall times of each step of cold_start_steps, taken in
+    turn COLD_START_REPEATS times after one untimed pass."""
+    package = Path(recovnet.__file__).parent
+    assert not (package / "__pycache__").exists(), \
+        f"cold_start: remove {package / '__pycache__'}, or the children do not compile"
+    env = {**os.environ, **COLD_START_ENV, "PYTHONPATH": str(package.parent)}
+    samples: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        steps = cold_start_steps(Path(tmp))
+        for k in range(COLD_START_REPEATS + 1):
+            for name, argv in steps.items():
+                start = time.perf_counter()
+                subprocess.run(argv, env=env, check=True, capture_output=True)
+                if k:
+                    samples.setdefault(name, []).append((time.perf_counter() - start) * 1e3)
+    package_import = [a - b for a, b in zip(samples["import_cli"], samples["import_numpy"])]
+    return {"environment": COLD_START_ENV, "package_import": quartiles(package_import),
+            **{name: quartiles(times) for name, times in samples.items()}}
+
+
 def measure(repeats: int, visit_repeats: int) -> dict:
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -217,6 +295,7 @@ def measure(repeats: int, visit_repeats: int) -> dict:
         "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
         "read_visits": read_visits(visit_repeats),
         **graph_reads(),
+        "cold_start": cold_start(),
     }
 
 
