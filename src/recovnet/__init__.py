@@ -29,7 +29,7 @@ _HOMES = {
     ),
     "ga": (
         "GaConfig", "GaResult", "GenerationRecord", "PerformanceRecord", "RealVectorEncoding",
-        "SubsetEncoding", "performance_index", "run_ga",
+        "SubsetEncoding", "performance_index", "run_ga", "run_lockstep",
     ),
     "graph": (
         "ContiguityRule", "GraphMetrics", "Polygons", "SpatialGraph", "align_rows",

@@ -16,6 +16,7 @@ import json
 import math
 import platform
 import sys
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -481,11 +482,7 @@ def cmd_baseline(s: argparse.Namespace) -> None:
     print(f"baseline loss over {stats.runs} runs: mean {stats.mean:.3f}, std {stats.std:.3f}")
 
 
-def _multiplier_seed(rng_seed: int, size: int) -> int:
-    return int(np.random.SeedSequence([rng_seed, size]).generate_state(1)[0])
-
-
-def cmd_multipliers(s: argparse.Namespace) -> None:
+def cmd_multipliers(s: argparse.Namespace) -> dict:
     from .ga import GaConfig
     from .multipliers import (
         MultiplierProblem,
@@ -523,21 +520,32 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
             check_enumeration_cap(pool_size, size, s.enumeration_cap)
 
     out = Path(s.out)
-    results, copies = [], {}
-    for size in s.sizes:
-        if s.brute_force:
-            result = brute_force_multipliers(problem, size, candidate_pool, s.enumeration_cap)
-            method = "brute-force"
-        else:
-            config = GaConfig(**_ga_settings(s), rng_seed=_multiplier_seed(s.rng_seed, size))
-            result = search_multipliers(problem, size, config, candidate_pool)
-            method = "ga"
+    start = time.perf_counter()
+    if s.brute_force:
+        method = "brute-force"
+        results = [brute_force_multipliers(problem, size, candidate_pool, s.enumeration_cap)
+                   for size in s.sizes]
+    else:
+        method = "ga"
+        config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
+        results = search_multipliers(problem, s.sizes, config, candidate_pool)
+    # wall-clock figures stay out of the deterministic tables
+    timing = {
+        "search_seconds": time.perf_counter() - start,
+        "kernel_calls": sum(problem.kernel_columns.values()),
+        "columns_per_call": {str(k): v for k, v in sorted(problem.kernel_columns.items())},
+        "rows_scored": {str(size): math.comb(pool_size, size) if result.ga_result is None
+                        else result.ga_result.rows_scored
+                        for size, result in zip(s.sizes, results)},
+    }
+    copies = {}
+    for size, result in zip(s.sizes, results):
+        if result.ga_result is not None:
             io.write_generation_stats(
                 result.ga_result.history, out / f"generations_N{size}.csv", include_seconds=False
             )
         io.write_multiplier_set(graph.nodes, set(result.members), out / f"multipliers_N{size}.csv")
         copies[out / f"multipliers_N{size}.geojson"] = set(result.members)
-        results.append((method, result))
         rate = (
             "undefined" if result.increment_rate is None
             else f"{result.increment_rate:.2f}%"
@@ -549,7 +557,9 @@ def cmd_multipliers(s: argparse.Namespace) -> None:
 
     if s.geometry:  # after the searches, so that one parse serves every copy
         io.annotate_feature_collection(s.geometry, copies)
-    io.write_multiplier_summary(results, out / "multipliers_summary.csv")
+    io.write_multiplier_summary([(method, result) for result in results],
+                                out / "multipliers_summary.csv")
+    return {"timing": timing}
 
 
 def cmd_analyze(s: argparse.Namespace) -> None:

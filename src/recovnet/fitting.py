@@ -54,7 +54,9 @@ class FitProblem:
         thresholds from the all-affected start (rows: P x free_count)."""
         values = np.zeros((self.graph.n, chromosomes.shape[0]))
         values[self._free_rows] = chromosomes.T
-        return self.kernel.weeks_recovered(self.kernel.need(values), np.zeros(values.shape, bool))
+        need = self.kernel.need(values)
+        del values  # free the float64 matrix before the kernel runs
+        return self.kernel.weeks_recovered(need, np.zeros(need.shape, bool))
 
     def losses(self, chromosomes: np.ndarray) -> np.ndarray:
         """0-1 loss of each row's free-node thresholds (rows: P x free_count)."""

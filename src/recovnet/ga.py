@@ -211,9 +211,57 @@ def run_ga(
     values. Ties in fitness go to the lower row: in tournaments, among the
     elites and for the best chromosome.
     """
+    [result] = _lockstep(lambda populations: [fitness(populations[0])], direction,
+                         [(encoding, config)])
+    return result
+
+
+def run_lockstep(
+    fitness: Callable[[list[np.ndarray]], Sequence[Sequence[float]]],
+    direction: str,
+    runs: Sequence[tuple],
+) -> list[GaResult]:
+    """Advance several GA runs, given as (encoding, config) pairs, one
+    generation at a time, and return each run's result as run_ga would.
+
+    Each run draws from its own config's generator, so its result is that
+    of run_ga with the same encoding and config. fitness is called once per
+    generation with the rows to score of every run still going, one matrix
+    per run in run order, and returns one value sequence per matrix; a run
+    drops out after its max_iterations generations.
+    """
+    return _lockstep(fitness, direction, runs)
+
+
+def _lockstep(fitness, direction: str, runs: Sequence[tuple]) -> list[GaResult]:
+    """The loop of run_lockstep. run_ga calls it directly, so that a tracer
+    that wraps both public functions sees a single run's fitness calls
+    directly under run_ga."""
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     sign = 1.0 if direction == "minimize" else -1.0
+    generations = [_generations(encoding, config, sign) for encoding, config in runs]
+    results: list[Optional[GaResult]] = [None] * len(runs)
+    rows = {i: next(gen) for i, gen in enumerate(generations)}
+    while rows:
+        populations = list(rows.values())
+        try:
+            values = [np.asarray(fits) for fits in fitness(populations)]
+        except Exception as exc:
+            raise FitnessEvaluationError(_first_failing(fitness, populations)) from exc
+        for i, fits in zip(list(rows), values):
+            try:
+                rows[i] = generations[i].send(fits)
+            except StopIteration as done:
+                results[i] = done.value
+                del rows[i]
+    return results
+
+
+def _generations(encoding, config: GaConfig, sign: float):
+    """One run as a generator: it yields each generation's rows to score,
+    is sent their fitness values, and returns the GaResult. sign is 1 to
+    minimize, -1 to maximize."""
     rng = np.random.default_rng(config.rng_seed)
     mutation_prob = (
         config.mutation_prob
@@ -223,21 +271,15 @@ def run_ga(
     size, elites = config.population_size, config.elitism_count
     pairs = (size - elites + 1) // 2
 
-    def evaluate(population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The fitness values and, from them, float keys where lower is better."""
-        try:
-            fits = np.asarray(fitness(population))
-        except Exception as exc:
-            raise FitnessEvaluationError(_first_failing(fitness, population)) from exc
-        return fits, sign * fits.astype(np.float64)
-
     population = encoding.random(rng, size)
     history: list[GenerationRecord] = []
     best_chromosome: Optional[np.ndarray] = None
     best_fitness = best_key = 0.0
 
     tick = time.perf_counter()
-    fits, key = evaluate(population)
+    fits = yield population
+    # float keys where lower is better
+    key = sign * fits.astype(np.float64)
     for generation in range(config.max_iterations):
         if generation > 0:
             # sorted contenders, so argmin gives a tie to the lower row
@@ -250,10 +292,10 @@ def run_ga(
             p1[crossed], p2[crossed] = encoding.crossover(p1[crossed], p2[crossed], rng)
             children = encoding.mutate(np.concatenate([p1, p2])[: size - elites], rng, mutation_prob)
             kept = np.argsort(key, kind="stable")[:elites]
-            child_fits, child_key = evaluate(children)
+            child_fits = yield children
             population = np.concatenate([population[kept], children])
             fits = np.concatenate([fits[kept], child_fits])
-            key = np.concatenate([key[kept], child_key])
+            key = np.concatenate([key[kept], sign * child_fits.astype(np.float64)])
 
         gen_best = int(key.argmin())
         if best_chromosome is None or key[gen_best] < best_key:
@@ -276,15 +318,16 @@ def run_ga(
     )
 
 
-def _first_failing(fitness: Callable[[np.ndarray], Sequence[float]], population: np.ndarray):
-    """The first row whose own evaluation, as a population of one, raises
-    (the whole population when each row alone succeeds)."""
-    for chromosome in population:
-        try:
-            fitness(chromosome[None, :])
-        except Exception:
-            return chromosome
-    return population
+def _first_failing(fitness, populations: list[np.ndarray]):
+    """The first row whose own evaluation, as the only population of one
+    row, raises (the list of populations when each row alone succeeds)."""
+    for population in populations:
+        for chromosome in population:
+            try:
+                fitness([chromosome[None, :]])
+            except Exception:
+                return chromosome
+    return populations
 
 
 def performance_index(

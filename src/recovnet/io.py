@@ -699,12 +699,13 @@ def write_multiplier_summary(
 
 def read_multiplier_results(
     directory: str | Path, nodes: Sequence[str]
-) -> list[tuple[MultiplierResult, np.ndarray]]:
+) -> list[tuple[SimpleNamespace, np.ndarray]]:
     """The results of a multipliers run over the given nodes: each
-    multipliers_summary.csv row with the members of its multipliers_N<size>.csv
-    set, and their positions in node order. Members keep the set file's
-    order; the set file must list every node once and no other id."""
-    from .multipliers import MultiplierResult
+    multipliers_summary.csv row as a record of MultiplierResult's fields
+    members, recovered_with, recovered_without and increment_rate, the
+    members read from its multipliers_N<size>.csv set, with their positions
+    in node order. Members keep the set file's order; the set file must
+    list every node once and no other id."""
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
     results = []
@@ -720,7 +721,7 @@ def read_multiplier_results(
         # align_rows maps node order to file rows; its inverse maps file rows to nodes
         positions = np.argsort(align_rows(ids, nodes, set_path))[selected]
         rate = row[4].strip()
-        result = MultiplierResult(
+        result = SimpleNamespace(
             members=members,
             recovered_with=recovered_with,
             recovered_without=recovered_without,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .diffusion import (
     map_column_chunks,
 )
 from .errors import ConfigError, DataError
-from .ga import GaConfig, GaResult, SubsetEncoding, run_ga
+from .ga import GaConfig, GaResult, SubsetEncoding, run_lockstep
 from .graph import SpatialGraph
 
 
@@ -35,8 +36,10 @@ class MultiplierProblem:
 
     unforced_weeks holds each node's recovered weeks (node order) with
     nothing forced; recovered_without counts the nodes that run recovers.
-    The set size and the candidate pool are arguments of search_multipliers
+    The set sizes and the candidate pool are arguments of search_multipliers
     and brute_force_multipliers, so one problem serves every size.
+    kernel_columns counts the kernel calls made so far by their column
+    count, the unforced run's included.
     """
 
     graph: SpatialGraph
@@ -44,29 +47,40 @@ class MultiplierProblem:
     schedule: DiffusionSchedule = DiffusionSchedule()
     kernel: DiffusionKernel = field(init=False, repr=False)
     unforced_weeks: np.ndarray = field(init=False, repr=False)
+    kernel_columns: Counter = field(init=False, repr=False, default_factory=Counter)
 
     def __post_init__(self) -> None:
         check_aligned(self.graph, self.thresholds)
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self._need = self.kernel.need(self.thresholds.values[self.kernel.order, None])
         unforced = np.zeros((self.graph.n, 1), dtype=bool)
-        self.unforced_weeks = self.kernel.weeks_recovered(self._need, unforced)[self.kernel.rank, 0]
+        self.unforced_weeks = self._weeks(unforced)[self.kernel.rank, 0]
+
+    def _weeks(self, initial: np.ndarray) -> np.ndarray:
+        self.kernel_columns[initial.shape[1]] += 1
+        return self.kernel.weeks_recovered(self._need, initial)
 
     @property
     def recovered_without(self) -> int:
         return int(np.count_nonzero(self.unforced_weeks))
 
-    def recovered(self, seed_sets: np.ndarray) -> np.ndarray:
-        """Horizon recovered count for each row of node indices (P x k,
-        k >= 0) forced recovered at week 0."""
+    def recovered(self, *seed_sets: np.ndarray) -> np.ndarray:
+        """Horizon recovered count for each row of node indices forced
+        recovered at week 0, over the rows of every given matrix in turn
+        (P_i x k_i, k_i >= 0). Matrices of different set sizes share each
+        kernel call: one initial-state matrix is filled from (column, node)
+        pairs, chunk_columns(n) columns at a time."""
+        widths = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in seed_sets])
+        column = np.repeat(np.arange(widths.size), widths)
+        node = self.kernel.rank[np.concatenate([rows.ravel() for rows in seed_sets])]
 
-        def chunk(rows: np.ndarray) -> np.ndarray:
-            initial = np.zeros((self.graph.n, rows.shape[0]), dtype=bool)
-            initial[self.kernel.rank[rows], np.arange(rows.shape[0])[:, None]] = True
-            weeks = self.kernel.weeks_recovered(self._need, initial)
-            return np.count_nonzero(weeks, axis=0)
+        def chunk(columns: np.ndarray) -> np.ndarray:
+            lo, hi = np.searchsorted(column, [columns[0], columns[-1] + 1])
+            initial = np.zeros((self.graph.n, columns.size), dtype=bool)
+            initial[node[lo:hi], column[lo:hi] - columns[0]] = True
+            return np.count_nonzero(self._weeks(initial), axis=0)
 
-        return map_column_chunks(chunk, seed_sets, self.graph.n)
+        return map_column_chunks(chunk, np.arange(widths.size), self.graph.n)
 
 
 @dataclass
@@ -93,9 +107,10 @@ def increment_rate(recovered_with: int, recovered_without: int) -> float:
     return 100.0 * (recovered_with - recovered_without) / recovered_without
 
 
-def _pool(problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]]) -> tuple[str, ...]:
+def _pool(problem: MultiplierProblem, sizes: Sequence[int],
+          pool: Optional[Sequence[str]]) -> tuple[str, ...]:
     """The candidate pool (every node when None), checked against the graph
-    and the set size."""
+    and the set sizes."""
     if pool is None:
         pool = problem.graph.nodes
     else:
@@ -105,8 +120,9 @@ def _pool(problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]]) 
             raise DataError(f"candidate pool contains unknown nodes: {unknown[:10]}")
         if len(set(pool)) != len(pool):
             raise DataError("candidate pool contains duplicate nodes")
-    if not 1 <= size <= len(pool):
-        raise ConfigError(f"size must be in [1, {len(pool)}], got {size}")
+    for size in sizes:
+        if not 1 <= size <= len(pool):
+            raise ConfigError(f"size must be in [1, {len(pool)}], got {size}")
     return pool
 
 
@@ -124,23 +140,39 @@ def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with
     return MultiplierResult(members, recovered_with, without, rate, ga_result)
 
 
+def _size_seed(rng_seed: int, size: int) -> int:
+    """The generator seed of one size's search: its own stream for every
+    (rng_seed, size) pair."""
+    return int(np.random.SeedSequence([rng_seed, size]).generate_state(1)[0])
+
+
 def search_multipliers(
-    problem: MultiplierProblem, size: int, config: GaConfig,
+    problem: MultiplierProblem, sizes: Sequence[int], config: GaConfig,
     pool: Optional[Sequence[str]] = None,
-) -> MultiplierResult:
-    """Maximize the horizon recovered count over the size-node subsets of the
-    candidate pool (every node by default) with the GA."""
-    pool = _pool(problem, size, pool)
+) -> list[MultiplierResult]:
+    """For each size, maximize the horizon recovered count over the
+    size-node subsets of the candidate pool (every node by default) with
+    the GA; one result per size, in order.
+
+    Each size's run takes config with rng_seed replaced by
+    _size_seed(config.rng_seed, size), so its result is that of a search of
+    its size alone. The runs advance in lockstep: one recovered call scores
+    the rows of every run's generation."""
+    pool = _pool(problem, sizes, pool)
     indices = np.array([problem.graph.index[n] for n in pool], dtype=np.int64)
-    result = run_ga(
-        lambda population: problem.recovered(indices[population]),
-        direction="maximize",
-        encoding=SubsetEncoding(len(pool), size),
-        config=config,
-    )
-    members = tuple(sorted(pool[i] for i in result.best_chromosome))
-    # the fitness is deterministic, so the best row's value is its count
-    return _finish(problem, members, int(result.best_fitness), result)
+    runs = [(SubsetEncoding(len(pool), size),
+             replace(config, rng_seed=_size_seed(config.rng_seed, size))) for size in sizes]
+
+    def fitness(populations: list[np.ndarray]) -> list[np.ndarray]:
+        counts = problem.recovered(*(indices[rows] for rows in populations))
+        return np.split(counts, np.cumsum([len(rows) for rows in populations[:-1]]))
+
+    return [
+        # the fitness is deterministic, so the best row's value is its count
+        _finish(problem, tuple(sorted(pool[i] for i in result.best_chromosome)),
+                int(result.best_fitness), result)
+        for result in run_lockstep(fitness, "maximize", runs)
+    ]
 
 
 def brute_force_multipliers(
@@ -154,7 +186,7 @@ def brute_force_multipliers(
     Subsets are simulated in chunks in enumeration order; a chunk's best
     replaces the running best only when strictly better, so the first
     maximum is kept across chunk boundaries."""
-    pool_sorted = sorted(_pool(problem, size, pool))
+    pool_sorted = sorted(_pool(problem, (size,), pool))
     check_enumeration_cap(len(pool_sorted), size, enumeration_cap)
     indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
     combos = itertools.combinations(range(len(pool_sorted)), size)

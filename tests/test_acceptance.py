@@ -158,7 +158,7 @@ def test_criterion_06_stage2_oracle_equivalence():
     wins = 0
     for seed in range(10):
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=seed)
-        result = search_multipliers(problem, 3, config)
+        [result] = search_multipliers(problem, [3], config)
         wins += result.recovered_with == exact.recovered_with
     ok = wins >= 9
     report(6, ok, f"C(30,3)=4060 subsets: GA matched the brute-force optimum "

@@ -23,21 +23,28 @@ def run(*argv) -> int:
 
 @contextmanager
 def counted_kernels():
-    """The arguments of every DiffusionKernel built inside the block, in
-    each module that builds one."""
+    """In each module that builds a DiffusionKernel: the arguments of every
+    kernel built inside the block (built) and the column count of every
+    weeks_recovered call (columns), in order."""
+    from types import SimpleNamespace
+
     from recovnet import diffusion, fitting, multipliers
 
-    built = []
+    counted = SimpleNamespace(built=[], columns=[])
 
     class CountedKernel(diffusion.DiffusionKernel):
         def __init__(self, *args, **kwargs):
-            built.append(args)
+            counted.built.append(args)
             super().__init__(*args, **kwargs)
+
+        def weeks_recovered(self, need, initial):
+            counted.columns.append(initial.shape[1])
+            return super().weeks_recovered(need, initial)
 
     with mock.patch.object(diffusion, "DiffusionKernel", CountedKernel), \
             mock.patch.object(fitting, "DiffusionKernel", CountedKernel), \
             mock.patch.object(multipliers, "DiffusionKernel", CountedKernel):
-        yield built
+        yield counted
 
 
 @pytest.fixture
@@ -326,12 +333,42 @@ class TestPoolAndGeometry:
         """One kernel, and so one set of recovery needs and one unforced
         run, serves the pool and every size."""
         inputs = self.stuck_units(tmp_path, 12, stuck=4)
-        with counted_kernels() as built:
+        with counted_kernels() as counted:
             assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3", *flags,
                        "--out", tmp_path / "mult") == 0
-        assert len(built) == 1
+        assert len(counted.built) == 1
         summary = (tmp_path / "mult" / "multipliers_summary.csv").read_text().splitlines()
         assert [row.split(",")[3] for row in summary[1:]] == ["8"] * 3  # the 8 seeds
+
+    @pytest.mark.parametrize("pool", ["all", "unrecovered"])
+    def test_one_kernel_call_per_generation(self, tmp_path, pool):
+        """The sizes' searches advance in lockstep: after the unforced run,
+        one weeks_recovered call scores a generation of every size (10 rows
+        each in generation 0, then 9 children), and the manifest's timing
+        block says so. No other file holds the timing block."""
+        inputs = self.stuck_units(tmp_path, 12, stuck=4)
+        generations, out = 6, tmp_path / "mult"
+        with counted_kernels() as counted:
+            assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3",
+                       "--max-iterations", generations, "--out", out) == 0
+        assert counted.columns == [1, 30] + [27] * (generations - 1)
+        timing = json.loads((out / "manifest.json").read_text())["timing"]
+        assert timing["kernel_calls"] == 1 + generations
+        assert timing["columns_per_call"] == {"1": 1, "30": 1, "27": generations - 1}
+        assert timing["rows_scored"] == {str(size): 10 + 9 * (generations - 1)
+                                         for size in (1, 2, 3)}
+        assert timing["search_seconds"] > 0
+        for path in out.iterdir():
+            if path.name != "manifest.json":
+                assert "search_seconds" not in path.read_text(), path.name
+
+    def test_brute_force_timing_counts_every_subset(self, tmp_path):
+        out = tmp_path / "mult"
+        assert run("multipliers", *self.stuck_units(tmp_path, 12), "--pool", "all",
+                   "--sizes", "1,2,3", "--brute-force", "--out", out) == 0
+        timing = json.loads((out / "manifest.json").read_text())["timing"]
+        assert timing["rows_scored"] == {"1": 12, "2": 66, "3": 220}
+        assert timing["columns_per_call"] == {"1": 1, "12": 1, "66": 1, "220": 1}
 
     def test_enumeration_cap_checked_for_every_size_first(self, tmp_path, capsys):
         """40 nodes: 40 sets of one fit a cap of 100, the 780 pairs do not,
@@ -413,9 +450,9 @@ class TestKernelCount:
         many runs it makes (multipliers: see TestPoolAndGeometry)."""
         inputs = [] if command == "synth" else ["--edges", instance_dir / "edges.csv"]
         flags = [instance_dir / f if str(f).endswith(".csv") else f for f in flags]
-        with counted_kernels() as built:
+        with counted_kernels() as counted:
             assert run(command, *inputs, *flags, "--out", tmp_path / "out") == 0
-        assert len(built) == kernels
+        assert len(counted.built) == kernels
 
 
 class TestDurationsCommand:
@@ -927,8 +964,7 @@ class TestCliImports:
         "fit": {"empirical", "fitting", "ga"},
         "baseline": {"empirical", "fitting", "ga"},
         "multipliers": {"ga", "multipliers"},
-        # read_multiplier_results builds MultiplierResult records
-        "analyze": {"analysis", "empirical", "ga", "multipliers"},
+        "analyze": {"analysis", "empirical"},
     }
 
     @staticmethod

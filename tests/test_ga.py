@@ -12,6 +12,7 @@ from recovnet import (
     SubsetEncoding,
     performance_index,
     run_ga,
+    run_lockstep,
 )
 from recovnet.errors import ConfigError
 from recovnet.ga import DIRECTIONS, FitnessEvaluationError
@@ -179,6 +180,56 @@ class TestFitnessContract:
         offending = [row for row in failing if (row > 0.9).any()]
         assert offending
         assert np.array_equal(info.value.chromosome, offending[0])
+
+
+class TestLockstep:
+    RUNS = [
+        (RealVectorEncoding(4), GaConfig(population_size=6, max_iterations=20, rng_seed=1)),
+        (SubsetEncoding(12, 3), GaConfig(population_size=5, max_iterations=35, elitism_count=2,
+                                         rng_seed=2)),
+        (SubsetEncoding(12, 5), GaConfig(population_size=8, max_iterations=10, rng_seed=3)),
+    ]
+
+    @staticmethod
+    def fitness(population):
+        return np.round(np.sin(population).sum(axis=1), 2)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_runs_equal_single_runs(self, direction):
+        """Each run's result is run_ga's; a finished run drops out of the
+        calls."""
+        live = []
+
+        def batched(populations):
+            live.append([rows.shape for rows in populations])
+            return [self.fitness(rows) for rows in populations]
+
+        together = run_lockstep(batched, direction, self.RUNS)
+        assert live[0] == [(6, 4), (5, 3), (8, 5)]
+        assert live[1:] == ([[(5, 4), (3, 3), (7, 5)]] * 9 + [[(5, 4), (3, 3)]] * 10
+                            + [[(3, 3)]] * 15)
+        for (encoding, config), result in zip(self.RUNS, together):
+            alone = run_ga(self.fitness, direction, encoding, config)
+            assert np.array_equal(result.best_chromosome, alone.best_chromosome)
+            assert result.best_fitness == alone.best_fitness
+            assert ([rec.best_fitness for rec in result.history]
+                    == [rec.best_fitness for rec in alone.history])
+            assert result.rows_scored == alone.rows_scored
+
+    def test_error_names_a_failing_row_of_its_run(self):
+        """Member 7 fails in sets of three only: the error carries such a
+        set, though sets of two and four hold 7 too."""
+
+        def picky(populations):
+            if any(rows.shape[1] == 3 and (rows == 7).any() for rows in populations):
+                raise ValueError("7 in a set of three")
+            return [rows.sum(axis=1) for rows in populations]
+
+        runs = [(SubsetEncoding(12, k), GaConfig(population_size=6, max_iterations=50, rng_seed=k))
+                for k in (2, 3, 4)]
+        with pytest.raises(FitnessEvaluationError) as info:
+            run_lockstep(picky, "minimize", runs)
+        assert info.value.chromosome.shape == (3,) and 7 in info.value.chromosome
 
 
 class TestSubsetGa:

@@ -27,8 +27,9 @@ def path_problem(path_graph):
 
 def _search(search, problem, size, pool):
     if search == "ga":
-        return search_multipliers(problem, size, GaConfig(population_size=4, max_iterations=5),
-                                  pool)
+        [result] = search_multipliers(problem, [size], GaConfig(population_size=4,
+                                                                max_iterations=5), pool)
+        return result
     return brute_force_multipliers(problem, size, pool)
 
 
@@ -134,14 +135,14 @@ class TestSearchMultipliers:
         problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
         exact = brute_force_multipliers(problem, 2)
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=0)
-        searched = search_multipliers(problem, 2, config)
+        [searched] = search_multipliers(problem, [2], config)
         assert searched.recovered_with == exact.recovered_with
 
     def test_respects_candidate_pool(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.6, 0.5, 1.0]))
         problem = MultiplierProblem(graph=path_graph, thresholds=tau)
         config = GaConfig(population_size=4, max_iterations=50, rng_seed=1)
-        result = search_multipliers(problem, 1, config, ("B", "C"))
+        [result] = search_multipliers(problem, [1], config, ("B", "C"))
         assert set(result.members) <= {"B", "C"}
         # B and C tie (each recovers all three): the pool's first in sorted order wins
         assert brute_force_multipliers(problem, 1, ("C", "B")).members == ("B",)
@@ -153,7 +154,7 @@ class TestSearchMultipliers:
         )
         problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
         config = GaConfig(population_size=8, max_iterations=300, rng_seed=2)
-        result = search_multipliers(problem, 3, config)
+        [result] = search_multipliers(problem, [3], config)
         rng = np.random.default_rng(0)
         for _ in range(20):
             members = rng.choice(instance.graph.nodes, size=3, replace=False)
@@ -163,12 +164,57 @@ class TestSearchMultipliers:
         instance = generate_instance(SynthSpec(node_count=16, rng_seed=2))
         problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
         config = GaConfig(population_size=6, max_iterations=100, rng_seed=3)
-        result = search_multipliers(problem, 2, config)
+        [result] = search_multipliers(problem, [2], config)
         assert result.recovered_with >= result.recovered_without
         if result.recovered_without > 0:
             assert result.increment_rate == pytest.approx(
                 increment_rate(result.recovered_with, result.recovered_without)
             )
+
+
+class TestLockstepSearch:
+    """Several sizes searched in one call: each size's result is that of a
+    search of its size alone with the same config."""
+
+    @pytest.fixture
+    def problem(self):
+        instance = generate_instance(
+            SynthSpec(node_count=20, seed_fraction=0.1, threshold_low=0.3,
+                      threshold_high=0.9, rng_seed=4)
+        )
+        return MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3), (2, 5)])
+    @pytest.mark.parametrize("pool", ["all", "unrecovered", "five"])
+    def test_each_size_as_if_alone(self, problem, sizes, pool):
+        unrecovered = tuple(n for n, w in zip(problem.graph.nodes, problem.unforced_weeks) if not w)
+        # five: a pool as large as the largest size of (2, 5)
+        pool = {"all": None, "unrecovered": unrecovered, "five": unrecovered[:5]}[pool]
+        config = GaConfig(population_size=6, max_iterations=30, elitism_count=2, rng_seed=4)
+        together = search_multipliers(problem, sizes, config, pool)
+        assert [len(result.members) for result in together] == list(sizes)
+        for result in together:
+            [alone] = search_multipliers(problem, [len(result.members)], config, pool)
+            assert result.members == alone.members
+            assert result.recovered_with == alone.recovered_with
+            assert result.ga_result.best_fitness == alone.ga_result.best_fitness
+            assert ([rec.best_fitness for rec in result.ga_result.history]
+                    == [rec.best_fitness for rec in alone.ga_result.history])
+            assert result.ga_result.rows_scored == alone.ga_result.rows_scored == 6 + 29 * 4
+
+    def test_one_recovered_call_per_generation(self, problem):
+        """Sets of sizes 1, 2 and 3 share each kernel call; the unforced run
+        made the first."""
+        config = GaConfig(population_size=6, max_iterations=8, rng_seed=1)
+        search_multipliers(problem, (1, 2, 3), config)
+        assert problem.kernel_columns == {1: 1, 18: 1, 15: 7}
+
+    def test_ragged_rows_score_as_separate_calls(self, problem):
+        rng = np.random.default_rng(3)
+        sets = [np.array([np.sort(rng.permutation(problem.graph.n)[:k]) for _ in range(4)],
+                         dtype=np.int64).reshape(4, k) for k in (0, 1, 4)]
+        together = problem.recovered(*sets)
+        assert together.tolist() == np.concatenate([problem.recovered(s) for s in sets]).tolist()
 
 
 class TestSeedDominance:

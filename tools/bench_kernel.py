@@ -24,13 +24,29 @@ against ``tests/oracles.naive_read_visit_series``. It is timed as the median
 of --visit-repeats calls after two warm-up calls, and one more call gives
 ``peak_mib``, the tracemalloc peak of a read.
 
+``stage2_search`` times search_multipliers over every size of two shapes,
+as the benchmark's multipliers stages search them: ``paper`` is the n = 2010
+instance with sizes 20/60/101/201 and 25 generations, ``small`` a 40-node
+``small-exact`` instance (``synth --nodes 40 --seed-fraction 0.1
+--threshold-low 0.3 --threshold-high 0.9 --rng-seed 1``) with sizes 1-3 and
+75 generations. The thresholds are uniform-random on the free nodes
+(``paper``) or planted (``small``), and each size's generator is seeded as
+``multipliers --rng-seed 1`` seeds it. Before timing, each size's set and
+its per-generation best values are checked against a search of that size
+alone. Each shape is timed as the median of STAGE2_REPEATS (15) searches
+after two warm-up searches, with ``kernel_calls``, the weeks_recovered calls
+of one search. A tree whose search_multipliers takes one size searches the
+sizes one after another.
+
 ``cold_start`` is the wall time of fresh child processes run with
 COLD_START_ENV (recorded in the entry), as the benchmark runs its stages:
 ``import numpy``, ``import recovnet.cli``, then each command as
 ``python -m recovnet`` on a 16-node ``synth`` instance (build-graph on a
 4 x 4 grid, durations on 16 units' visits; fit, baseline and multipliers
 with tiny budgets). The steps are run in turn COLD_START_REPEATS (21) times
-after one untimed pass, and each is reported as the median of its runs.
+after one untimed pass, and each is reported as the median of its runs,
+with ``peak_rss_mib``, the median of its children's ru_maxrss: the step
+with the largest one sets the benchmark's ``peak_rss_mib``.
 ``package_import`` is the median of ``import recovnet.cli`` minus the
 ``import numpy`` of the same turn: the package's own cost, which a drift in
 the machine's speed between turns moves less than either time alone. With
@@ -56,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io as stdio
 import json
 import os
@@ -66,6 +83,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +238,54 @@ def graph_reads() -> dict:
         }
 
 
+STAGE2_REPEATS = 15
+STAGE2_SHAPES = {
+    "paper": {"sizes": (20, 60, 101, 201), "generations": 25},
+    "small": {"sizes": (1, 2, 3), "generations": 75},
+}
+
+
+def search_sizes(problem, sizes, config):
+    """search_multipliers over every size, one result per size: in one call,
+    or, where it takes one size, one call per size with that size's seed."""
+    if "sizes" in inspect.signature(recovnet.search_multipliers).parameters:
+        return recovnet.search_multipliers(problem, sizes, config)
+    return [recovnet.search_multipliers(problem, size, replace(config, rng_seed=int(
+        np.random.SeedSequence([config.rng_seed, size]).generate_state(1)[0])))
+        for size in sizes]
+
+
+def small_instance(root: Path):
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        code = cli(["synth", "--nodes", "40", "--seed-fraction", "0.1", "--threshold-low", "0.3",
+                    "--threshold-high", "0.9", "--rng-seed", "1", "--out", str(root)])
+    assert code == 0, "synth failed"
+    graph = io.read_edge_list(root / "edges.csv")
+    planted = io.read_thresholds(root / "planted_thresholds.csv")
+    return graph, planted.take([planted.node_ids.index(n) for n in graph.nodes])
+
+
+def stage2_search(problems: dict) -> dict:
+    """Time each shape's search over all its sizes, after checking every
+    size's result against a search of that size alone."""
+    timings = {}
+    for name, shape in STAGE2_SHAPES.items():
+        problem, sizes = problems[name], shape["sizes"]
+        config = recovnet.GaConfig(max_iterations=shape["generations"], rng_seed=1)
+        for size, result in zip(sizes, search_sizes(problem, sizes, config)):
+            [alone] = search_sizes(problem, (size,), config)
+            assert result.members == alone.members and (
+                [r.best_fitness for r in result.ga_result.history]
+                == [r.best_fitness for r in alone.ga_result.history]
+            ), f"stage2_search {name}: size {size} differs from its search alone"
+        calls = []  # one entry per weeks_recovered call of the timed searches
+        weeks_recovered = problem.kernel.weeks_recovered
+        problem.kernel.weeks_recovered = lambda *args: calls.append(1) or weeks_recovered(*args)
+        timings[name] = timed(lambda: search_sizes(problem, sizes, config), STAGE2_REPEATS)
+        timings[name]["kernel_calls"] = len(calls) // (2 + STAGE2_REPEATS)
+    return timings
+
+
 COLD_START_REPEATS = 21
 # as the benchmark runs every stage: no bytecode cache is written
 COLD_START_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
@@ -256,34 +322,65 @@ def cold_start_steps(root: Path) -> dict[str, list[str]]:
             for name, argv in steps.items()}
 
 
+# Runs each command line it reads (arguments separated by NUL) in a child
+# and writes back the child's seconds, exit code and ru_maxrss (KiB). A
+# child's ru_maxrss includes the memory of the process that spawned it, so
+# the children are spawned from this small process, not from the harness.
+LAUNCHER = """
+import os, sys, time
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+for line in sys.stdin:
+    argv = line.rstrip("\\n").split("\\0")
+    start = time.perf_counter()
+    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet), 0)
+    print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss,
+          flush=True)
+"""
+
+
 def cold_start() -> dict:
-    """Fresh-process wall times of each step of cold_start_steps, taken in
-    turn COLD_START_REPEATS times after one untimed pass."""
+    """Fresh-process wall times and peak RSS of each step of
+    cold_start_steps, taken in turn COLD_START_REPEATS times after one
+    untimed pass."""
     package = Path(recovnet.__file__).parent
     assert not (package / "__pycache__").exists(), \
         f"cold_start: remove {package / '__pycache__'}, or the children do not compile"
     env = {**os.environ, **COLD_START_ENV, "PYTHONPATH": str(package.parent)}
     samples: dict[str, list[float]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    peaks: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as tmp, subprocess.Popen(
+            [sys.executable, "-c", LAUNCHER], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE) as launcher:
         steps = cold_start_steps(Path(tmp))
         for k in range(COLD_START_REPEATS + 1):
             for name, argv in steps.items():
-                start = time.perf_counter()
-                subprocess.run(argv, env=env, check=True, capture_output=True)
+                launcher.stdin.write("\0".join(argv) + "\n")
+                launcher.stdin.flush()
+                seconds, code, maxrss = launcher.stdout.readline().split()
+                if int(code):
+                    raise SystemExit(f"cold_start: {name} failed: {' '.join(argv)}")
                 if k:
-                    samples.setdefault(name, []).append((time.perf_counter() - start) * 1e3)
+                    samples.setdefault(name, []).append(float(seconds) * 1e3)
+                    peaks.setdefault(name, []).append(int(maxrss) / 1024)
+        launcher.stdin.close()
     package_import = [a - b for a, b in zip(samples["import_cli"], samples["import_numpy"])]
     return {"environment": COLD_START_ENV, "package_import": quartiles(package_import),
-            **{name: quartiles(times) for name, times in samples.items()}}
+            **{name: {**quartiles(times), "peak_rss_mib": round(statistics.median(peaks[name]), 2)}
+               for name, times in samples.items()}}
 
 
 def measure(repeats: int, visit_repeats: int) -> dict:
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
         graph, durations, planted = instance(Path(tmp))
+        small_graph, small_planted = small_instance(Path(tmp) / "small")
     schedule = recovnet.DiffusionSchedule(HORIZON, FIRST_UPDATE_WEEK)
     problem = build_fit_problem(graph, durations, schedule=schedule)
     multipliers = MultiplierProblem(graph, planted, schedule=schedule)
+    drawn = recovnet.ThresholdVector.assemble(
+        graph.nodes, problem.seed_mask, np.random.default_rng(1).random(problem.free_count))
+    stage2 = {"paper": MultiplierProblem(graph, drawn, schedule=schedule),
+              "small": MultiplierProblem(small_graph, small_planted, schedule=schedule)}
     chromosomes = {p: rng.random((p, problem.free_count)) for p in (10, 65)}
     seed_sets = np.sort(np.argsort(rng.random((10, graph.n)), axis=1)[:, :20], axis=1)
     check_against_oracle(graph, durations, problem, multipliers, chromosomes[10], seed_sets)
@@ -293,6 +390,7 @@ def measure(repeats: int, visit_repeats: int) -> dict:
         "losses_P10": timed(lambda: problem.losses(chromosomes[10]), repeats),
         "losses_P65": timed(lambda: problem.losses(chromosomes[65]), repeats),
         "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
+        "stage2_search": stage2_search(stage2),
         "read_visits": read_visits(visit_repeats),
         **graph_reads(),
         "cold_start": cold_start(),
