@@ -249,7 +249,7 @@ def _lockstep(fitness, direction: str, runs: Sequence[tuple]) -> list[GaResult]:
             values = [np.asarray(fits) for fits in fitness(populations)]
         except Exception as exc:
             raise FitnessEvaluationError(_first_failing(fitness, populations)) from exc
-        for i, fits in zip(list(rows), values):
+        for i, fits in zip(list(rows), values, strict=True):
             try:
                 rows[i] = generations[i].send(fits)
             except StopIteration as done:

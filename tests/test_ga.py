@@ -216,6 +216,11 @@ class TestLockstep:
                     == [rec.best_fitness for rec in alone.history])
             assert result.rows_scored == alone.rows_scored
 
+    def test_one_value_sequence_per_run_required(self):
+        with pytest.raises(ValueError):
+            run_lockstep(lambda populations: [self.fitness(populations[0])], "minimize",
+                         self.RUNS)
+
     def test_error_names_a_failing_row_of_its_run(self):
         """Member 7 fails in sets of three only: the error carries such a
         set, though sets of two and four hold 7 too."""
