@@ -222,13 +222,19 @@ def run_lockstep(
     runs: Sequence[tuple],
 ) -> list[GaResult]:
     """Advance several GA runs, given as (encoding, config) pairs, one
-    generation at a time, and return each run's result as run_ga would.
+    generation at a time, and return one result per run.
 
     Each run draws from its own config's generator, so its result is that
-    of run_ga with the same encoding and config. fitness is called once per
-    generation with the rows to score of every run still going, one matrix
-    per run in run order, and returns one value sequence per matrix; a run
-    drops out after its max_iterations generations.
+    of run_ga with the same encoding and config, apart from the seconds.
+    fitness is called once per generation with the rows to score of every
+    run still going, one matrix per run in run order, and returns one value
+    sequence per matrix; a run drops out after its max_iterations
+    generations.
+
+    The runs share the wall clock: a generation's seconds, in the history
+    of every run still going, span the whole lockstep generation (the one
+    fitness call and every run's operators). Summing seconds over runs
+    counts that time once per run.
     """
     return _lockstep(fitness, direction, runs)
 
@@ -320,14 +326,15 @@ def _generations(encoding, config: GaConfig, sign: float):
 
 def _first_failing(fitness, populations: list[np.ndarray]):
     """The first row whose own evaluation, as the only population of one
-    row, raises (the list of populations when each row alone succeeds)."""
+    row, raises. When each row alone succeeds: the population of a single
+    run, or the list of populations of several."""
     for population in populations:
         for chromosome in population:
             try:
                 fitness([chromosome[None, :]])
             except Exception:
                 return chromosome
-    return populations
+    return populations[0] if len(populations) == 1 else populations
 
 
 def performance_index(

@@ -89,6 +89,21 @@ class TestRealVectorGa:
             run_ga(broken, "minimize", RealVectorEncoding(3), GaConfig(max_iterations=1))
         assert info.value.chromosome.shape == (3,)
 
+    def test_fitness_error_carries_population_when_rows_pass_alone(self):
+        """Rows that fail only together: the error carries the population."""
+        calls = []
+
+        def crowded(population):
+            calls.append(population.copy())
+            if len(population) > 1:
+                raise RuntimeError("too many rows")
+            return sphere(population)
+
+        with pytest.raises(FitnessEvaluationError) as info:
+            run_ga(crowded, "minimize", RealVectorEncoding(3),
+                   GaConfig(population_size=4, max_iterations=1))
+        assert np.array_equal(info.value.chromosome, calls[0])
+
 
 class TestFitnessContract:
     @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])

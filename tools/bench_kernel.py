@@ -35,8 +35,7 @@ instance with sizes 20/60/101/201 and 25 generations, ``small`` a 40-node
 its per-generation best values are checked against a search of that size
 alone. Each shape is timed as the median of STAGE2_REPEATS (15) searches
 after two warm-up searches, with ``kernel_calls``, the weeks_recovered calls
-of one search. A tree whose search_multipliers takes one size searches the
-sizes one after another.
+of one search.
 
 ``cold_start`` is the wall time of fresh child processes run with
 COLD_START_ENV (recorded in the entry), as the benchmark runs its stages:
@@ -72,7 +71,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io as stdio
 import json
 import os
@@ -83,7 +81,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,16 +242,6 @@ STAGE2_SHAPES = {
 }
 
 
-def search_sizes(problem, sizes, config):
-    """search_multipliers over every size, one result per size: in one call,
-    or, where it takes one size, one call per size with that size's seed."""
-    if "sizes" in inspect.signature(recovnet.search_multipliers).parameters:
-        return recovnet.search_multipliers(problem, sizes, config)
-    return [recovnet.search_multipliers(problem, size, replace(config, rng_seed=int(
-        np.random.SeedSequence([config.rng_seed, size]).generate_state(1)[0])))
-        for size in sizes]
-
-
 def small_instance(root: Path):
     with contextlib.redirect_stdout(stdio.StringIO()):
         code = cli(["synth", "--nodes", "40", "--seed-fraction", "0.1", "--threshold-low", "0.3",
@@ -272,8 +259,8 @@ def stage2_search(problems: dict) -> dict:
     for name, shape in STAGE2_SHAPES.items():
         problem, sizes = problems[name], shape["sizes"]
         config = recovnet.GaConfig(max_iterations=shape["generations"], rng_seed=1)
-        for size, result in zip(sizes, search_sizes(problem, sizes, config)):
-            [alone] = search_sizes(problem, (size,), config)
+        for size, result in zip(sizes, recovnet.search_multipliers(problem, sizes, config)):
+            [alone] = recovnet.search_multipliers(problem, [size], config)
             assert result.members == alone.members and (
                 [r.best_fitness for r in result.ga_result.history]
                 == [r.best_fitness for r in alone.ga_result.history]
@@ -281,7 +268,7 @@ def stage2_search(problems: dict) -> dict:
         calls = []  # one entry per weeks_recovered call of the timed searches
         weeks_recovered = problem.kernel.weeks_recovered
         problem.kernel.weeks_recovered = lambda *args: calls.append(1) or weeks_recovered(*args)
-        timings[name] = timed(lambda: search_sizes(problem, sizes, config), STAGE2_REPEATS)
+        timings[name] = timed(lambda: recovnet.search_multipliers(problem, sizes, config), STAGE2_REPEATS)
         timings[name]["kernel_calls"] = len(calls) // (2 + STAGE2_REPEATS)
     return timings
 
