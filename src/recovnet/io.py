@@ -3,6 +3,22 @@ produces: GeoJSON feature collections, edge lists, duration / attribute /
 threshold tables, trajectories, per-generation GA statistics, and the
 multiplier sets and summary of a multipliers run.
 
+Every CSV table is read column by column by _read_columns, with no Python
+step per row. The file is read as bytes and checked to be UTF-8, then its
+header is checked. A file with no '"' is tokenized with NumPy: lines end at
+\n, \r\n or a lone \r, blank lines are skipped, and cells are split at
+commas, as csv.reader splits them; each block of _BLOCK_ROWS rows packs every
+cell's bytes and length into integer keys, so that one sort per column finds
+the distinct cells and only those are decoded. A file with a '"' (or a line
+past csv's field size limit) is read by csv.reader, the only reader that
+splits quoted cells exactly. Each distinct cell text is parsed once.
+
+Rows are read up to the first short row (fewer cells than the header). A
+fault is named as a row-by-row reader would name it: the first row in file
+order that breaks a rule, by the first rule it breaks in the reader's order;
+else the short row; else a fault of the whole table (a duplicate edge, a gap
+in a visit series).
+
 All writers go through an atomic write-then-rename so a failed run never
 leaves a truncated table behind.
 """
@@ -17,7 +33,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
-from operator import itemgetter
 from pathlib import Path
 from sys import intern
 from types import SimpleNamespace
@@ -101,6 +116,8 @@ def read_feature_collection(path: str | Path) -> Polygons:
             unit_id = props.get("id") if isinstance(props, dict) else None
             if not isinstance(unit_id, str):
                 raise DataError(f"{path}: feature {k} lacks a string property 'id'")
+            if not unit_id.strip():
+                raise DataError(f"{path}: feature {k} has an empty id {unit_id!r}")
             geometry = feature.get("geometry") or {}
             kind = geometry.get("type") if isinstance(geometry, dict) else None
             if kind != "Polygon":
@@ -134,14 +151,12 @@ def annotate_feature_collection(
 # ---------------------------------------------------------------------------
 
 def _check_header(
-    path: str | Path, reader, expected_header: list[str], optional: Optional[str] = None
+    path, header: Optional[list[str]], expected_header: list[str], optional: Optional[str]
 ) -> None:
-    """The header must start with expected_header; the column after it, if
-    named, must be named optional."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    """The header row (None for an empty file) must start with
+    expected_header; the column after it, if named, must be named optional."""
+    if header is None:
+        raise DataError(f"{path}: empty file")
     cells = [h.strip() for h in header[: len(expected_header) + 1]]
     if cells[: len(expected_header)] != expected_header:
         raise DataError(
@@ -155,150 +170,16 @@ def _check_header(
         )
 
 
-def _check_utf8(path, data: bytes) -> None:
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-
-
-@contextmanager
-def _csv_reader(path: str | Path) -> Iterator:
-    """csv.reader over a text file. A byte that is not UTF-8 is a DataError
-    naming the file and the byte's offset, a line csv rejects (a field past
-    csv.field_size_limit(), say) one naming the file and the line."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            yield reader
-    except UnicodeDecodeError:
-        # the decoder counts from the chunk it was given; decode the whole
-        # file again for the offset within it
-        _check_utf8(path, Path(path).read_bytes())
-        raise
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _open_csv(
-    path: str | Path, header: list[str], what: str, optional: Optional[str] = None
-) -> Iterator[list[str]]:
-    """The non-blank rows after the header. A row with fewer cells than the
-    header is a DataError, raised once the rows before it are taken."""
-    with _csv_reader(path) as reader:
-        _check_header(path, reader, header, optional)
-        for row in filter(None, reader):
-            if len(row) < len(header):
-                raise DataError(f"{path}: malformed {what} row {row!r}")
-            yield row
-
-
-def read_edge_list(path: str | Path) -> SpatialGraph:
-    """Edge-list CSV (header src,dst); nodes are the sorted endpoint union."""
-    rows = list(_open_csv(path, ["src", "dst"], "edge"))
-    ends = list(map(str.strip, map(itemgetter(0), rows))) \
-        + list(map(str.strip, map(itemgetter(1), rows)))
-    nodes = sorted(set(ends))
-    index = dict(zip(nodes, range(len(nodes))))
-    codes = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
-    return SpatialGraph(nodes, codes[:len(rows)], codes[len(rows):])
-
-
-def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:
-    write_table(path, ["src", "dst"], graph.edges)
-
-
-def metrics_line(metrics: GraphMetrics) -> str:
-    return (
-        f"n={metrics.n} m={metrics.m} "
-        f"k={metrics.avg_degree:.3f} d={metrics.density:.5f}"
-    )
-
-
-def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
-    histogram = {str(k): v for k, v in metrics.degree_histogram.items()}
-    write_json({**asdict(metrics), "summary": metrics_line(metrics),
-                "degree_histogram": histogram}, path)
-
-
-def _parse_int(text: str, path, row) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"{path}: non-integer value {text!r} in row {row!r}") from None
-
-
-def _parse_float(text: str, path, row) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"{path}: non-numeric value {text!r} in row {row!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"{path}: non-finite value {text!r} in row {row!r}")
-    return value
-
-
-def read_durations(path: str | Path) -> dict[str, float]:
-    durations: dict[str, float] = {}
-    for row in _open_csv(path, ["id", "duration_weeks"], "duration"):
-        node = row[0].strip()
-        if node in durations:
-            raise DataError(f"{path}: duplicate duration for node {node!r}")
-        durations[node] = _parse_float(row[1], path, row)
-    return durations
-
-
-def write_durations(durations: Mapping[str, float], path: str | Path) -> None:
-    write_table(
-        path, ["id", "duration_weeks"],
-        ([node, repr(float(value))] for node, value in durations.items()),
-    )
-
-
-def parse_day(text: str) -> int:
-    """A day column entry: integer index or ISO date (mapped to its ordinal)."""
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return date.fromisoformat(text).toordinal()
-    except ValueError:
-        raise DataError(f"cannot parse day value {text!r}") from None
-
-
-# day indices stay within this bound, so that a difference of two fits int64
-_DAY_LIMIT = 2**62
-
-
-def _visit_day(text: str) -> int:
-    day = parse_day(text)
-    if not -_DAY_LIMIT < day < _DAY_LIMIT:
-        raise DataError(f"day value {text.strip()!r} is out of range")
-    return day
-
-
-def _check_visit_row(path, row: list[str]) -> None:
-    """Raise the error of a visit row whose day or value cell is bad."""
-    try:
-        _visit_day(row[1])
-    except DataError as exc:
-        raise DataError(f"{path}: {exc} in row {row!r}") from None
-    _parse_float(row[2], path, row)
-
-
 def _data_row(path, index: int) -> list[str]:
-    """The index-th non-blank row after the header, read again to quote it."""
-    with _csv_reader(path) as reader:
-        next(reader)
-        return next(itertools.islice(filter(None, reader), index, None))
+    """The index-th non-blank row after the (non-blank) header, read again
+    to quote it."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return next(itertools.islice(filter(None, csv.reader(handle)), index + 1, None))
 
 
 # A column: its distinct cell texts, and per row the index of its text.
 Column = tuple[list[str], np.ndarray]
 
-VISIT_HEADER = ["id", "day", "visits"]
 # rows tokenized at a time: the key arrays of one block stay small next to
 # the columns of the whole file
 _BLOCK_ROWS = 16_384
@@ -387,13 +268,14 @@ def _field_codes(
 
 
 def _byte_columns(
-    data: bytes, starts: np.ndarray, ends: np.ndarray
+    data: bytes, starts: np.ndarray, ends: np.ndarray, required: int, width: int
 ) -> tuple[list[Column], Optional[list[str]]]:
-    """The id, day and value columns of unquoted visit lines (the text of
-    line i is data[starts[i]:ends[i]]), read up to the first short row, and
-    that row's cells (None if there is none). Blank lines are skipped."""
+    """The first width columns of unquoted lines (the text of line i is
+    data[starts[i]:ends[i]]), read up to the first short row (one of fewer
+    than required cells), and that row's cells (None if there is none). A
+    cell past a row's last is empty. Blank lines are skipped."""
     buf = np.frombuffer(data, np.uint8)
-    tables: list[dict] = [{}, {}, {}]
+    tables: list[dict] = [{} for _ in range(width)]
     codes = [np.empty(starts.size, np.intp) for _ in tables]
     n = 0
     short = None
@@ -406,117 +288,250 @@ def _byte_columns(
         commas = np.flatnonzero(buf[s[0]:e[-1]] == 44) + s[0]
         first = np.searchsorted(commas, s)
         count = np.searchsorted(commas, e) - first
-        if (count < 2).any():
-            cut = int(np.argmax(count < 2))
+        if (count < required - 1).any():
+            cut = int(np.argmax(count < required - 1))
             short = next(csv.reader([data[s[cut]:e[cut]].decode("utf-8")]))
             s, e, first, count = s[:cut], e[:cut], first[:cut], count[:cut]
-        c1, c2 = commas[first], commas[first + 1]
-        c3 = np.where(count > 2, commas[np.minimum(first + 2, commas.size - 1)], e)
-        for table, out, (a, b) in zip(tables, codes, ((s, c1), (c1 + 1, c2), (c2 + 1, c3))):
-            out[n:n + s.size] = _field_codes(data, buf, a, b, table)
+        # cell j ends at the row's j-th comma, or at the row's end past its last
+        stop = s - 1
+        for j, (table, out) in enumerate(zip(tables, codes)):
+            start = np.minimum(stop + 1, e)
+            stop = np.where(count > j, commas[np.minimum(first + j, commas.size - 1)], e)
+            out[n:n + s.size] = _field_codes(data, buf, start, stop, table)
         n += s.size
         if short is not None:
             break
-    columns = [([raw.decode("utf-8") for raw in table], out[:n])
-               for table, out in zip(tables, codes)]
-    return columns, short
+    return [([raw.decode("utf-8") for raw in table], out[:n])
+            for table, out in zip(tables, codes)], short
 
 
-def _csv_columns(path) -> tuple[list[Column], Optional[list[str]]]:
-    """The id, day and value columns read by csv.reader, up to the first
-    short row, and that row (None if there is none)."""
-    cells: list[list[str]] = [[], [], []]
+def _csv_columns(
+    path, header: list[str], optional: Optional[str]
+) -> tuple[list[Column], Optional[list[str]]]:
+    """The columns _byte_columns gives, read by csv.reader. A line csv
+    rejects (a field past csv.field_size_limit(), say) is a DataError naming
+    the file and the line."""
+    width = len(header) + (optional is not None)
+    cells: list[list[str]] = [[] for _ in range(width)]
     short = None
-    with _csv_reader(path) as reader:
-        _check_header(path, reader, VISIT_HEADER)
-        add_id, add_day, add_value = (column.append for column in cells)
-        # cells repeat (ids per day, days and counts per unit): interned,
-        # each distinct text is one object, and later lookups hash it once
-        for row in reader:
-            if len(row) >= 3:
-                add_id(intern(row[0]))
-                add_day(intern(row[1]))
-                add_value(intern(row[2]))
-            elif row:
-                short = row
-                break
-    columns = []
-    for column in cells:
-        code = {text: k for k, text in enumerate(dict.fromkeys(column))}
-        columns.append((list(code), np.fromiter(map(code.__getitem__, column), np.intp,
-                                                len(column))))
-    return columns, short
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        adds = [column.append for column in cells]
+        try:
+            _check_header(path, next(reader, None), header, optional)
+            # cells repeat (ids per day, days and counts per unit): interned,
+            # each distinct text is one object, and later lookups hash it once
+            for row in reader:
+                if len(row) >= len(header):
+                    for add, cell in zip(adds, row + [""] * (width - len(row))):
+                        add(intern(cell))
+                elif row:
+                    short = row
+                    break
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    codes = [{text: k for k, text in enumerate(dict.fromkeys(column))} for column in cells]
+    return [(list(code), np.fromiter(map(code.__getitem__, column), np.intp, len(column)))
+            for code, column in zip(codes, cells)], short
 
 
-def _parsed(column: Column, parse, dtype) -> tuple[np.ndarray, Optional[int]]:
-    """Each row's cell through parse, called once per distinct text, and the
-    index of the first row whose text parse rejects (None if none is)."""
+def _read_columns(
+    path: str | Path, header: list[str], optional: Optional[str] = None
+) -> tuple[list[Column], Optional[list[str]]]:
+    """The columns of a CSV table whose header starts with header, then,
+    if named, the optional column: one per header cell, and the optional
+    one, "" in a row without it. They hold the rows up to the first short
+    row, which is returned too (None if there is none). The file's content
+    alone picks the tokenizer, as the module docstring says."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    starts, ends = _line_bounds(data)
+    if b'"' in data or np.any(ends - starts > csv.field_size_limit()):
+        del data, starts, ends  # the csv.reader path reads the file again
+        return _csv_columns(path, header, optional)
+    first = next(csv.reader([data[starts[0]:ends[0]].decode("utf-8")])) if starts.size else None
+    _check_header(path, first, header, optional)
+    return _byte_columns(data, starts[1:], ends[1:], len(header),
+                         len(header) + (optional is not None))
+
+
+def _parsed(column: Column, parse, dtype, k: int) -> tuple[np.ndarray, tuple]:
+    """Each row's cell through parse, called once per distinct text, and
+    the fault (as _raise_first takes it) of a row whose cell, its k-th,
+    parse rejects: the DataError parse raises, said of the row."""
     texts, codes = column
     table = np.zeros(len(texts), dtype)
     bad = np.zeros(len(texts), bool)
-    for k, text in enumerate(texts):
+    rejected = {}
+    for j, text in enumerate(texts):
         try:
-            table[k] = parse(text)
-        except DataError:
-            bad[k] = True
-    first_bad = int(np.argmax(bad[codes])) if bad.any() else None
-    return table[codes], first_bad
+            table[j] = parse(text)
+        except DataError as exc:
+            bad[j], rejected[text] = True, exc
+    return table[codes], (bad[codes] if bad.any() else None,
+                          lambda row: f"{rejected[row[k]]} in row {row!r}")
+
+
+def _node_codes(*columns: Column) -> tuple[list[str], list[np.ndarray], tuple]:
+    """The sorted distinct ids of id columns (cells stripped), each column's
+    rows as indices into them, and the fault of a row with an empty id (""
+    sorts first)."""
+    names = [[text.strip() for text in texts] for texts, _ in columns]
+    nodes = sorted(set().union(*names))
+    index = dict(zip(nodes, range(len(nodes))))
+    codes = [np.fromiter(map(index.__getitem__, column), np.int64, len(column))[rows]
+             for column, (_, rows) in zip(names, columns)]
+    empty = None if nodes[:1] != [""] else np.logical_or.reduce([c == 0 for c in codes])
+    return nodes, codes, (empty, "empty id")
+
+
+def _repeated(codes: np.ndarray) -> np.ndarray:
+    """The rows whose id (an index into the sorted distinct ids) an earlier
+    row has."""
+    first = np.unique(codes, return_index=True)[1]
+    return first[codes] != np.arange(codes.size)
+
+
+def _raise_first(path, what: str, faults: list[tuple], short: Optional[list[str]]) -> None:
+    """Raise for the first row in file order that a fault finds, with the
+    first of its faults in the order listed, the row quoted as csv.reader
+    reads it; else for the short row, if there is one. A fault is the mask
+    of the rows it finds (None if none) and its problem: a text, said "in
+    row" of the row, or a function of the row's cells giving the message."""
+    firsts = [int(np.argmax(rows)) if rows is not None and rows.any() else None
+              for rows, _ in faults]
+    if any(i is not None for i in firsts):
+        at = min(i for i in firsts if i is not None)
+        row = _data_row(path, at)
+        problem = next(problem for i, (_, problem) in zip(firsts, faults) if i == at)
+        raise DataError(f"{path}: " + (problem(row) if callable(problem)
+                                       else f"{problem} in row {row!r}"))
+    if short is not None:
+        raise DataError(f"{path}: malformed {what} row {short!r}")
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"non-integer value {text!r}") from None
+
+
+def _parse_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text!r}")
+    return value
+
+
+def _flag(text: str, name: str) -> bool:
+    """A cell of the 0/1 column name: whether it is 1, once stripped."""
+    flag = text.strip()
+    if flag not in ("0", "1"):
+        raise DataError(f"{name} must be 0 or 1, got {flag!r}")
+    return flag == "1"
+
+
+def read_edge_list(path: str | Path) -> SpatialGraph:
+    """Edge-list CSV (header src,dst); nodes are the sorted endpoint union."""
+    (src, dst), short = _read_columns(path, ["src", "dst"])
+    nodes, (heads, tails), empty = _node_codes(src, dst)
+    _raise_first(path, "edge", [empty], short)
+    return SpatialGraph(nodes, heads, tails)
+
+
+def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:
+    write_table(path, ["src", "dst"], graph.edges)
+
+
+def metrics_line(metrics: GraphMetrics) -> str:
+    return (
+        f"n={metrics.n} m={metrics.m} "
+        f"k={metrics.avg_degree:.3f} d={metrics.density:.5f}"
+    )
+
+
+def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
+    histogram = {str(k): v for k, v in metrics.degree_histogram.items()}
+    write_json({**asdict(metrics), "summary": metrics_line(metrics),
+                "degree_histogram": histogram}, path)
+
+
+def read_durations(path: str | Path) -> dict[str, float]:
+    (ids, weeks), short = _read_columns(path, ["id", "duration_weeks"])
+    nodes, (codes,), empty = _node_codes(ids)
+    durations, bad_duration = _parsed(weeks, _parse_float, np.float64, 1)
+    _raise_first(path, "duration", [
+        empty,
+        (_repeated(codes), lambda row: f"duplicate duration for node {row[0].strip()!r}"),
+        bad_duration,
+    ], short)
+    return dict(zip(map(nodes.__getitem__, codes.tolist()), durations.tolist()))
+
+
+def write_durations(durations: Mapping[str, float], path: str | Path) -> None:
+    write_table(
+        path, ["id", "duration_weeks"],
+        ([node, repr(float(value))] for node, value in durations.items()),
+    )
+
+
+def parse_day(text: str) -> int:
+    """A day column entry: integer index or ISO date (mapped to its ordinal)."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return date.fromisoformat(text).toordinal()
+    except ValueError:
+        raise DataError(f"cannot parse day value {text!r}") from None
+
+
+# day indices stay within this bound, so that a difference of two fits int64
+_DAY_LIMIT = 2**62
+
+
+def _visit_day(text: str) -> int:
+    day = parse_day(text)
+    if not -_DAY_LIMIT < day < _DAY_LIMIT:
+        raise DataError(f"day value {text.strip()!r} is out of range")
+    return day
+
+
+VISIT_HEADER = ["id", "day", "visits"]
 
 
 def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     """Visit CSV (header id,day,visits) grouped per node, in sorted id order.
 
     Each node's days must be consecutive once sorted; the result maps the
-    node id to (first day, daily visit array).
-
-    The file is read as bytes and checked to be UTF-8. A file with no '"'
-    is tokenized with NumPy: lines end at \\n, \\r\\n or a lone \\r, blank
-    lines are skipped, and cells are split at commas, as csv.reader would
-    split them. The rows are taken in blocks of _BLOCK_ROWS; each field is
-    packed with its length into integer keys, the distinct keys are found
-    with one sort per column and block, and only the distinct texts are
-    decoded. A file with a '"' (or a line longer than csv's field size
-    limit) is read by csv.reader instead, the only reader that splits quoted
-    fields exactly. Either way, each distinct day or value text is parsed
-    once, and the rows are sorted by (node, day) at once; every series is a
-    view into one sorted array.
-
-    A bad row, a duplicate day or a gap is named as a row-by-row reader
-    would name it: the first bad row in file order (rows after the first
-    short row are not read), else the first short row, else the first node
-    in order of appearance.
+    node id to (first day, daily visit array). The rows are sorted by (node,
+    day) at once, and every series is a view into one sorted array. A
+    duplicate day or a gap is named for the first node at fault in order of
+    appearance.
     """
-    data = Path(path).read_bytes()
-    _check_utf8(path, data)
-    starts, ends = _line_bounds(data)
-    if b'"' in data or np.any(ends - starts > csv.field_size_limit()):
-        del data, starts, ends  # the csv.reader path reads the file again
-        columns, short = _csv_columns(path)
-    else:
-        header = [data[starts[0]:ends[0]].decode("utf-8")] if starts.size else []
-        _check_header(path, csv.reader(header), VISIT_HEADER)
-        columns, short = _byte_columns(data, starts[1:], ends[1:])
-        del data, starts, ends
+    columns, short = _read_columns(path, VISIT_HEADER)
     # each column is dropped once it is used, to keep the peak memory low
-    (id_texts, id_codes), days, values = columns
+    ids, days, values = columns
     del columns
-    day, bad_day = _parsed(days, _visit_day, np.int64)
-    visits, bad_value = _parsed(values, lambda text: _parse_float(text, path, None), np.float64)
+    day, bad_day = _parsed(days, _visit_day, np.int64, 1)
+    visits, bad_value = _parsed(values, _parse_float, np.float64, 2)
     del days, values
-    bad_rows = [i for i in (bad_day, bad_value) if i is not None]
-    if bad_rows:
-        _check_visit_row(path, _data_row(path, min(bad_rows)))
-    if short is not None:
-        raise DataError(f"{path}: malformed visit row {short!r}")
+    nodes, (codes,), empty = _node_codes(ids)
+    del ids
+    _raise_first(path, "visit", [empty, bad_day, bad_value], short)
     n = day.size
     if not n:
         return {}
 
-    node_of = [text.strip() for text in id_texts]
-    nodes = sorted(set(node_of))
-    index = {node: code for code, node in enumerate(nodes)}
-    codes = np.array([index[node] for node in node_of], np.int64)[id_codes]
-    del id_codes
     order = np.lexsort((day, codes))
     codes = codes[order]
     day = day[order]
@@ -550,39 +565,30 @@ def read_attributes(path: str | Path) -> AttributeTable:
 
     Values must be finite; ids distinct, minority_pct in [0, 100] and
     flood_extent >= 0, given in every row or in none (then the table has no
-    flood_extent column). The columns are checked at once and an error names
-    the file and the first row that breaks a rule.
+    flood_extent column).
     """
     from .analysis import ATTRIBUTE_NAMES, AttributeTable
-    rows = list(_open_csv(path, ["id", *ATTRIBUTE_NAMES[:3]], "attribute",
-                          optional=ATTRIBUTE_NAMES[3]))
-    ids = [row[0].strip() for row in rows]
-    income, household, minority = np.array(
-        [[_parse_float(text, path, row) for text in row[1:4]] for row in rows], dtype=np.float64
-    ).reshape(-1, 3).T.copy()
-    given = np.array([len(row) > 4 and row[4].strip() != "" for row in rows], dtype=bool)
-    flood = np.array(
-        [_parse_float(row[4], path, row) if has else 0.0 for row, has in zip(rows, given)],
-        dtype=np.float64,
-    )
-    first_row: dict[str, int] = {}
-    repeated = [first_row.setdefault(node, i) != i for i, node in enumerate(ids)]
-    faults = (
-        (repeated, "a second attribute row for its node"),
+    (ids, *numbers, floods), short = _read_columns(
+        path, ["id", *ATTRIBUTE_NAMES[:3]], optional=ATTRIBUTE_NAMES[3])
+    nodes, (codes,), empty = _node_codes(ids)
+    (income, bad_income), (household, bad_household), (minority, bad_minority) = (
+        _parsed(column, _parse_float, np.float64, k) for k, column in enumerate(numbers, 1))
+    # NaN marks a blank cell: _parse_float rejects every NaN text
+    flood, bad_flood = _parsed(
+        floods, lambda text: _parse_float(text) if text.strip() else math.nan, np.float64, 4)
+    given = ~np.isnan(flood)
+    _raise_first(path, "attribute", [
+        empty, bad_income, bad_household, bad_minority, bad_flood,
+        (_repeated(codes), "a second attribute row for its node"),
         ((minority < 0) | (minority > 100), "minority_pct outside [0, 100]"),
         (flood < 0, "negative flood_extent"),
         (~given & given.any(), "no flood_extent where other rows give one (give it in every "
                                "row or in none)"),
-    )
-    bad = np.array([mask for mask, _ in faults], dtype=bool)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
-        problem = next(message for mask, message in faults if mask[i])
-        raise DataError(f"{path}: {problem} in row {rows[i]!r}")
+    ], short)
     columns = dict(zip(ATTRIBUTE_NAMES, (income, household, minority)))
     if given.size and given.all():
         columns["flood_extent"] = flood
-    return AttributeTable(ids=tuple(ids), columns=columns)
+    return AttributeTable(ids=tuple(map(nodes.__getitem__, codes.tolist())), columns=columns)
 
 
 def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
@@ -599,28 +605,20 @@ def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
 
 def read_thresholds(path: str | Path) -> ThresholdVector:
     from .diffusion import ThresholdVector
-    ids, values, seeds = [], [], []
-    seen = set()
-    for row in _open_csv(path, ["id", "threshold", "is_seed"], "threshold"):
-        node = row[0].strip()
-        if node in seen:
-            raise DataError(f"{path}: a second threshold row for its node in row {row!r}")
-        seen.add(node)
-        value = _parse_float(row[1], path, row)
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{path}: threshold outside [0, 1] in row {row!r}")
-        flag = row[2].strip()
-        if flag not in ("0", "1"):
-            raise DataError(f"{path}: is_seed must be 0 or 1, got {flag!r}")
-        if flag == "1" and value != 0.0:
-            raise DataError(f"{path}: seed with a non-zero threshold in row {row!r}")
-        ids.append(node)
-        values.append(value)
-        seeds.append(flag == "1")
+    (ids, thresholds, flags), short = _read_columns(path, ["id", "threshold", "is_seed"])
+    nodes, (codes,), empty = _node_codes(ids)
+    values, bad_value = _parsed(thresholds, _parse_float, np.float64, 1)
+    seeds, bad_flag = _parsed(flags, lambda text: _flag(text, "is_seed"), bool, 2)
+    _raise_first(path, "threshold", [
+        empty,
+        (_repeated(codes), "a second threshold row for its node"),
+        bad_value,
+        ((values < 0) | (values > 1), "threshold outside [0, 1]"),
+        bad_flag,
+        (seeds & (values != 0), "seed with a non-zero threshold"),
+    ], short)
     return ThresholdVector(
-        node_ids=tuple(ids),
-        values=np.array(values, dtype=np.float64),
-        seed_mask=np.array(seeds, dtype=bool),
+        node_ids=tuple(map(nodes.__getitem__, codes.tolist())), values=values, seed_mask=seeds
     )
 
 
@@ -674,11 +672,11 @@ def write_multiplier_set(
 
 def read_multiplier_set(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """The ids of a multiplier set file and which are selected, in file order."""
-    ids, selected = [], []
-    for row in _open_csv(path, ["id", "selected"], "multiplier"):
-        ids.append(row[0].strip())
-        selected.append(row[1].strip() == "1")
-    return tuple(ids), np.array(selected, dtype=bool)
+    (ids, flags), short = _read_columns(path, ["id", "selected"])
+    nodes, (codes,), empty = _node_codes(ids)
+    selected, bad_flag = _parsed(flags, lambda text: _flag(text, "selected"), bool, 1)
+    _raise_first(path, "multiplier", [empty, bad_flag], short)
+    return tuple(map(nodes.__getitem__, codes.tolist())), selected
 
 
 MULTIPLIER_SUMMARY_HEADER = [
@@ -705,27 +703,26 @@ def read_multiplier_results(
     members, recovered_with, recovered_without and increment_rate, the
     members read from its multipliers_N<size>.csv set, with their positions
     in node order. Members keep the set file's order; the set file must
-    list every node once and no other id."""
+    list every node once and no other id. The summary's cells are checked
+    before any set file is read."""
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
+    columns, short = _read_columns(path, MULTIPLIER_SUMMARY_HEADER)
+    parsed = [_parsed(columns[k], _parse_int, object, k) for k in (0, 2, 3)] + [_parsed(
+        columns[4], lambda text: _parse_float(text.strip()) if text.strip() else None, object, 4)]
+    _raise_first(path, "summary", [fault for _, fault in parsed], short)
     results = []
-    for row in _open_csv(path, MULTIPLIER_SUMMARY_HEADER, "summary"):
-        size, recovered_with, recovered_without = (
-            _parse_int(text, path, row) for text in (row[0], row[2], row[3])
-        )
+    for i, (size, recovered_with, recovered_without, rate) in enumerate(
+            zip(*(values.tolist() for values, _ in parsed))):
         set_path = directory / f"multipliers_N{size}.csv"
         ids, selected = read_multiplier_set(set_path)
         members = tuple(node for node, chosen in zip(ids, selected) if chosen)
         if len(members) != size:
-            raise DataError(f"{set_path}: {len(members)} nodes selected, row {row!r} says {size}")
+            raise DataError(f"{set_path}: {len(members)} nodes selected, "
+                            f"row {_data_row(path, i)!r} says {size}")
         # align_rows maps node order to file rows; its inverse maps file rows to nodes
         positions = np.argsort(align_rows(ids, nodes, set_path))[selected]
-        rate = row[4].strip()
-        result = SimpleNamespace(
-            members=members,
-            recovered_with=recovered_with,
-            recovered_without=recovered_without,
-            increment_rate=_parse_float(rate, path, row) if rate else None,
-        )
-        results.append((result, positions))
+        results.append((SimpleNamespace(members=members, recovered_with=recovered_with,
+                                        recovered_without=recovered_without,
+                                        increment_rate=rate), positions))
     return results

@@ -78,6 +78,8 @@ def naive_read_feature_collection(path):
         unit_id = props.get("id") if isinstance(props, dict) else None
         if not isinstance(unit_id, str):
             raise ValueError(f"{path}: feature {k} lacks a string property 'id'")
+        if not unit_id.strip():
+            raise ValueError(f"{path}: feature {k} has an empty id {unit_id!r}")
         name = f"{path}: feature {k} ({unit_id!r})"
         geometry = feature.get("geometry") or {}
         kind = geometry.get("type") if isinstance(geometry, dict) else None
@@ -136,22 +138,150 @@ def naive_recovery_duration(
     return 14.0
 
 
+def naive_csv_rows(path, expected, optional=None):
+    """The non-blank rows after a checked header, read one at a time up to
+    the first short row (fewer cells than expected), and that row (None if
+    there is none). Raises ValueError with the package's message for a
+    bad header."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        cells = [h.strip() for h in header[: len(expected) + 1]]
+        if cells[: len(expected)] != expected:
+            raise ValueError(
+                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
+            )
+        if optional is not None and cells[len(expected):] not in ([], [""], [optional]):
+            raise ValueError(f"{path}: column {len(cells)} must be {optional!r} or unnamed, "
+                             f"got header {','.join(header)!r}")
+        rows = []
+        for row in reader:
+            if len(row) >= len(expected):
+                rows.append(row)
+            elif row:
+                return rows, row
+    return rows, None
+
+
+def naive_number(path, row, k):
+    """Cell k of a row as a finite float, or ValueError with the package's
+    message."""
+    try:
+        value = float(row[k])
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric value {row[k]!r} in row {row!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: non-finite value {row[k]!r} in row {row!r}")
+    return value
+
+
+def naive_node(path, row, k=0):
+    """Cell k of a row stripped, as an id; ValueError if it is empty."""
+    node = row[k].strip()
+    if not node:
+        raise ValueError(f"{path}: empty id in row {row!r}")
+    return node
+
+
+def naive_flag(path, row, k, name):
+    flag = row[k].strip()
+    if flag not in ("0", "1"):
+        raise ValueError(f"{path}: {name} must be 0 or 1, got {flag!r} in row {row!r}")
+    return flag == "1"
+
+
+def naive_short_row(path, short, what):
+    if short is not None:
+        raise ValueError(f"{path}: malformed {what} row {short!r}")
+
+
+def naive_read_edge_list(path):
+    """The row-by-row edge-list reader: naive_spatial_graph of the sorted
+    endpoint union and the edges in file order."""
+    rows, short = naive_csv_rows(path, ["src", "dst"])
+    edges = [(naive_node(path, row, 0), naive_node(path, row, 1)) for row in rows]
+    naive_short_row(path, short, "edge")
+    return naive_spatial_graph(sorted({node for edge in edges for node in edge}), edges)
+
+
+def naive_read_durations(path):
+    rows, short = naive_csv_rows(path, ["id", "duration_weeks"])
+    durations = {}
+    for row in rows:
+        node = naive_node(path, row)
+        if node in durations:
+            raise ValueError(f"{path}: duplicate duration for node {node!r}")
+        durations[node] = naive_number(path, row, 1)
+    naive_short_row(path, short, "duration")
+    return durations
+
+
+def naive_read_thresholds(path):
+    """(id, threshold, is_seed) per row, in file order."""
+    rows, short = naive_csv_rows(path, ["id", "threshold", "is_seed"])
+    out, seen = [], set()
+    for row in rows:
+        node = naive_node(path, row)
+        if node in seen:
+            raise ValueError(f"{path}: a second threshold row for its node in row {row!r}")
+        seen.add(node)
+        value = naive_number(path, row, 1)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{path}: threshold outside [0, 1] in row {row!r}")
+        seed = naive_flag(path, row, 2, "is_seed")
+        if seed and value != 0.0:
+            raise ValueError(f"{path}: seed with a non-zero threshold in row {row!r}")
+        out.append((node, value, seed))
+    naive_short_row(path, short, "threshold")
+    return out
+
+
+def naive_read_attributes(path):
+    """The ids in file order and each attribute column as a list; the
+    flood_extent column only if every row gives it."""
+    names = ["per_capita_income", "median_household_income", "minority_pct"]
+    rows, short = naive_csv_rows(path, ["id", *names], optional="flood_extent")
+    given_anywhere = any(len(row) > 4 and row[4].strip() for row in rows)
+    ids, values, seen = [], [], set()
+    for row in rows:
+        node = naive_node(path, row)
+        numbers = [naive_number(path, row, k) for k in (1, 2, 3)]
+        given = len(row) > 4 and row[4].strip() != ""
+        flood = naive_number(path, row, 4) if given else None
+        if node in seen:
+            raise ValueError(f"{path}: a second attribute row for its node in row {row!r}")
+        seen.add(node)
+        if not 0 <= numbers[2] <= 100:
+            raise ValueError(f"{path}: minority_pct outside [0, 100] in row {row!r}")
+        if given and flood < 0:
+            raise ValueError(f"{path}: negative flood_extent in row {row!r}")
+        if given_anywhere and not given:
+            raise ValueError(f"{path}: no flood_extent where other rows give one (give it in "
+                             f"every row or in none) in row {row!r}")
+        ids.append(node)
+        values.append(numbers + [flood])
+    naive_short_row(path, short, "attribute")
+    columns = {name: [v[k] for v in values] for k, name in enumerate(names)}
+    if values and given_anywhere:
+        columns["flood_extent"] = [v[3] for v in values]
+    return ids, columns
+
+
+def naive_read_multiplier_set(path):
+    """The ids and selected flags of a multiplier set file, in file order."""
+    rows, short = naive_csv_rows(path, ["id", "selected"])
+    out = [(naive_node(path, row), naive_flag(path, row, 1, "selected")) for row in rows]
+    naive_short_row(path, short, "multiplier")
+    return out
+
+
 def naive_read_visit_series(path):
     """The row-by-row visit reader: rows in file order, then per node in
     order of first appearance. Raises ValueError with the message the
     package's reader gives for the same file."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        expected = ["id", "day", "visits"]
-        if [h.strip() for h in header[:3]] != expected:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}"
-            )
-        rows = [row for row in reader if row]
+    rows, short = naive_csv_rows(path, ["id", "day", "visits"])
 
     def day_of(text):
         text = text.strip()
@@ -164,25 +294,15 @@ def naive_read_visit_series(path):
         except ValueError:
             raise ValueError(f"cannot parse day value {text!r}") from None
 
-    def value_of(text, row):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric value {text!r} in row {row!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: non-finite value {text!r} in row {row!r}")
-        return value
-
     per_node = {}
     for row in rows:
-        if len(row) < 3:
-            raise ValueError(f"{path}: malformed visit row {row!r}")
-        node = row[0].strip()
+        node = naive_node(path, row)
         try:
             day = day_of(row[1])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc} in row {row!r}") from None
-        per_node.setdefault(node, []).append((day, value_of(row[2], row)))
+        per_node.setdefault(node, []).append((day, naive_number(path, row, 2)))
+    naive_short_row(path, short, "visit")
     out = {}
     for node, pairs in per_node.items():
         pairs.sort()

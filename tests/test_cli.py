@@ -900,6 +900,63 @@ class TestNotUtf8:
         assert not (tmp_path / "out").exists()
 
 
+def _empty_first_id(path: Path) -> list[str]:
+    """Blank the id cell of the first data row; that row's cells."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[0] = " " if cells[0].startswith('"') else ""
+    lines[1] = ",".join(cells)
+    path.write_text("".join(lines))
+    return next(csv.reader([lines[1].rstrip("\n")]))
+
+
+class TestEmptyId:
+    """An id that is empty once stripped names no node: every input exits
+    3 and names the row or feature that has one."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("build-graph", "edges"), ("fit", "durations"), ("multipliers", "thresholds"),
+        ("analyze", "attributes"), ("durations", "visits"), ("durations", "quoted visits"),
+    ])
+    def test_csv_row_named(self, tmp_path, instance_dir, capsys, command, target):
+        code, path, row = _run_on_damaged_input(
+            tmp_path, instance_dir, command, target, _empty_first_id
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {path}: empty id in row {row!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_edge_list_of_the_example(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\na,\nb,a\n")
+        assert run("build-graph", "--edges", path, "--out", tmp_path / "g") == 3
+        assert capsys.readouterr().err == f"data error: {path}: empty id in row ['a', '']\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_multiplier_set_row_named(self, tmp_path, instance_dir, capsys):
+        mult = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", 1, "--max-iterations", 2, "--out", mult) == 0
+        row = _empty_first_id(mult / "multipliers_N1.csv")
+        assert run("analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--attributes", instance_dir / "attributes.csv",
+                   "--multipliers-dir", mult, "--out", tmp_path / "analysis") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {mult / 'multipliers_N1.csv'}: empty id in row {row!r}\n")
+
+    @pytest.mark.parametrize("unit_id", ["", "  "])
+    def test_geojson_feature_named(self, tmp_path, capsys, unit_id):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        doc["features"][2]["properties"]["id"] = unit_id
+        path = tmp_path / "units.geojson"
+        path.write_text(json.dumps(doc))
+        assert run("build-graph", "--geometry", path, "--out", tmp_path / "g") == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: feature 2 has an empty id {unit_id!r}\n")
+        assert not (tmp_path / "g").exists()
+
+
 class TestUnreadableInput:
     """An input that fails to load exits 3, names the file and the line or
     row, and leaves no output directory behind."""
@@ -907,6 +964,7 @@ class TestUnreadableInput:
     @pytest.mark.parametrize("command,target,what", [
         ("build-graph", "edges", "edge"), ("fit", "durations", "duration"),
         ("baseline", "durations", "duration"), ("multipliers", "thresholds", "threshold"),
+        ("analyze", "attributes", "attribute"),
     ])
     def test_short_row(self, tmp_path, instance_dir, capsys, command, target, what):
         code, path, _ = _run_on_damaged_input(
@@ -1345,6 +1403,16 @@ class TestRunDirectoryInputs:
         assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
         err = capsys.readouterr().err
         assert "multipliers_summary.csv" in err and "'two'" in err
+
+    @pytest.mark.parametrize("cell", ["yes", "-1"])
+    def test_set_file_flag_other_than_0_or_1(self, tmp_path, instance_dir, mult_dir, capsys,
+                                             cell):
+        set_file = mult_dir / "multipliers_N1.csv"
+        node = _rewrite_row(set_file, 0, 1, cell)
+        assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {set_file}: selected must be 0 or 1, got {cell!r} "
+            f"in row [{node!r}, {cell!r}]\n")
 
     def test_set_file_disagreeing_with_summary(self, tmp_path, instance_dir, mult_dir, capsys):
         set_file = mult_dir / "multipliers_N1.csv"

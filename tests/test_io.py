@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
@@ -106,8 +107,11 @@ class TestThresholdsCsv:
     def test_bad_seed_flag_rejected(self, tmp_path):
         path = tmp_path / "thresholds.csv"
         path.write_text("id,threshold,is_seed\na,0.5,maybe\n")
-        with pytest.raises(DataError, match="is_seed"):
+        with pytest.raises(DataError) as raised:
             io.read_thresholds(path)
+        assert str(raised.value) == (
+            f"{path}: is_seed must be 0 or 1, got 'maybe' in row ['a', '0.5', 'maybe']"
+        )
 
     def test_repeated_id_names_second_row(self, tmp_path):
         path = tmp_path / "thresholds.csv"
@@ -245,31 +249,60 @@ class TestVisitSeriesCsv:
 
 
 BASE_DAY = 736_900  # near 2018-07, so a day may be written as an index or a date
-ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite")
+ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite", "empty_id")
 # ids longer than a 64-bit word that differ only past it, non-ASCII ids, and
 # ids that differ only by a trailing NUL byte, short and past 255 bytes
 NODE_IDS = ["u0", "u1", "b", "a10", "g480201234567", "g480201234568", "é", "日本",
             "n", "n\x00", "L" * 300, "L" * 300 + "\x00"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
+NUMBER_TEXTS = ["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0", "100.000000001", "0100"]
+BAD_NUMBERS = ["abc", "", "1,0", "inf", "-inf", "nan", "1e999"]
+
+
+def csv_lines(draw, header: list[str], rows: list[list], extras_from: int = 0) -> list[str]:
+    """The header and rows (cells as text; a day as an int, written as an
+    index or an ISO date) as CSV lines, each with its terminator. About half
+    the files quote some cells (read by csv.reader; the header's first cell
+    is quoted, so that they have a quote); the rest have no quote (read by
+    the byte tokenizer). Cells may be padded with spaces, a row of at least
+    extras_from cells may get extra cells, blank lines go in between, lines
+    end at \\n, \\r\\n or a lone \\r, and the last one may have no terminator."""
+    quoted = draw(st.booleans())
+
+    def cell(value):
+        if isinstance(value, int) and draw(st.booleans()):
+            value = date.fromordinal(value).isoformat()
+        text = str(value)
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+        if quoted and ("," in text or draw(st.booleans())):
+            text = '"' + text + '"'
+        return text
+
+    lines = [",".join([f'"{header[0]}"' if quoted else header[0], *header[1:]])]
+    for row in rows:
+        extra = draw(st.sampled_from([[], ["x"], ["", "y"]])) if len(row) >= extras_from else []
+        lines.append(",".join(cell(v) for v in row + extra))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return [line + end for line, end in zip(lines, ends)]
 
 
 @st.composite
 def visit_files(draw):
-    """A visits CSV as lines, each with its terminator: shuffled rows of a
-    few units with different first days and lengths, ids padded with spaces,
-    days written as indices or ISO dates, extra columns and blank lines.
-    About half the files quote some fields (read by csv.reader); the rest
-    have no quote (read by the byte tokenizer). Lines end at \\n, \\r\\n or
-    a lone \\r, and the last one may have no terminator. A unit may have a
-    duplicate day, a gap or both, and up to three bad rows (short rows, bad
-    days or values) go in at random places."""
-    quoted = draw(st.booleans())
+    """A visits CSV as lines (csv_lines): shuffled rows of a few units with
+    different first days and lengths, ids padded with spaces, and extra
+    columns and blank lines. A unit may have a duplicate day, a gap or both,
+    and up to three bad rows (short rows, bad days or values, empty ids) go
+    in at random places."""
     units = draw(st.dictionaries(
         st.sampled_from(NODE_IDS),
         st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=0, max_size=4,
     ))
-    value_texts = st.sampled_from(
-        ["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0", "100.000000001", "0100"])
+    value_texts = st.sampled_from(NUMBER_TEXTS)
     rows = []
     for node, (offset, length) in units.items():
         for day in range(BASE_DAY + offset, BASE_DAY + offset + length):
@@ -294,8 +327,10 @@ def visit_files(draw):
             row[1] = draw(st.sampled_from(["xx", "2018-13-01", "3.5", ""]))
         elif fault == "non_numeric":
             row[2] = draw(st.sampled_from(["abc", "", "1,0"]))
-        else:
+        elif fault == "non_finite":
             row[2] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+        else:
+            row[0] = ""
         return row
 
     if good:
@@ -307,28 +342,126 @@ def visit_files(draw):
         pair = [faulty("short"), faulty(draw(st.sampled_from(ROW_FAULTS[1:])))]
         at = draw(st.one_of(st.just(0), st.integers(0, len(rows))))
         rows[at:at] = draw(st.permutations(pair))
+    return csv_lines(draw, ["id", "day", "visits" + draw(st.sampled_from(["", ",note"]))], rows)
 
-    def cell(value):
-        if isinstance(value, int) and draw(st.booleans()):
-            value = date.fromordinal(value).isoformat()
-        text = str(value)
+
+# per table: its header, with an optional column after a "|", and its
+# faults beyond a short row and an empty id
+TABLES = {
+    "edges": ("src,dst", ("self_loop", "duplicate")),
+    "durations": ("id,duration_weeks", ("duplicate", "bad_number")),
+    "thresholds": ("id,threshold,is_seed",
+                   ("duplicate", "bad_number", "out_of_range", "bad_flag", "seed_non_zero")),
+    "attributes": ("id,per_capita_income,median_household_income,minority_pct|flood_extent",
+                   ("duplicate", "bad_number", "out_of_range", "negative_flood",
+                    "missing_flood")),
+    "multiplier_set": ("id,selected", ("bad_flag",)),
+}
+
+
+@st.composite
+def table_files(draw, table: str):
+    """A CSV file of one table as lines (csv_lines): a row per id of a few
+    (a pair of them per edge), then up to three faulty rows at random
+    places (a short row, an empty id, a repeated id or edge, a bad cell),
+    and perhaps a short row next to a bad one."""
+    header, faults = TABLES[table]
+    header, _, optional = header.partition("|")
+    header = header.split(",")
+
+    def text(options):
+        return draw(st.sampled_from(options))
+
+    ids = draw(st.lists(st.sampled_from(NODE_IDS), unique=True, max_size=5))
+    if table == "edges":
+        pairs = [[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]]
+        rows = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6)) if pairs else []
+        rows = [row[::-1] if draw(st.booleans()) else row for row in rows]
+    elif table == "durations":
+        rows = [[node, text(NUMBER_TEXTS)] for node in ids]
+    elif table == "thresholds":
+        rows = [[node, value, text(["0", " 1"]) if float(value) == 0 else "0"]
+                for node, value in ((node, text(["0", "0.0", "0.25", "1", " 0.5", "1e-1"]))
+                                    for node in ids)]
+    elif table == "attributes":
+        flood = draw(st.booleans())
+        rows = [[node, text(NUMBER_TEXTS), text(NUMBER_TEXTS), text(["0", "5", "100", "37.5"])]
+                + ([text(["0", "1.5", " 2"])] if flood else []) for node in ids]
+    else:
+        rows = [[node, text(["0", "1", " 1"])] for node in ids]
+    good = list(rows)
+
+    def pick():
+        return list(good[draw(st.integers(0, len(good) - 1))])
+
+    def faulty(fault):
+        row = pick()
+        if fault == "short":
+            row = row[:draw(st.integers(1, len(header) - 1))]
+        elif fault == "empty_id":
+            row[draw(st.integers(0, 1)) if table == "edges" else 0] = text(["", "  "])
+        elif fault == "self_loop":
+            row[1] = row[0]
+        elif fault == "duplicate":
+            row = row[::-1] if table == "edges" else row[:1] + pick()[1:]
+        elif fault == "bad_number":
+            row[draw(st.integers(1, len(row) - 1)) if table == "attributes" else 1] = \
+                text(BAD_NUMBERS)
+        elif fault == "out_of_range":
+            row[1 if table == "thresholds" else 3] = text(["1.5", "-0.25", "150"])
+        elif fault == "bad_flag":
+            row[-1] = text(["2", "yes", "", "01"])
+        elif fault == "seed_non_zero":
+            row[1:] = ["0.5", "1"]
+        elif fault == "negative_flood":
+            row[4:] = ["-1"]
+        elif fault == "missing_flood":
+            row[4:] = text([[], [""]])
+        return row
+
+    if good:
+        for fault in draw(st.lists(st.sampled_from(("short", "empty_id") + faults), max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), faulty(fault))
         if draw(st.booleans()):
-            text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
-        if quoted and ("," in text or draw(st.booleans())):
-            text = '"' + text + '"'
-        return text
+            pair = [faulty("short"), faulty(text(("empty_id",) + faults))]
+            at = draw(st.integers(0, len(rows)))
+            rows[at:at] = draw(st.permutations(pair))
+    if optional:
+        header += draw(st.sampled_from([[], [optional], [""], [optional, "note"]]))
+    else:
+        header += draw(st.sampled_from([[], ["note"]]))
+    return csv_lines(draw, header, rows, extras_from=5 if optional else 0)
 
-    # a quoted file quotes its header's first cell, so that it has a quote
-    lines = [('"id"' if quoted else "id") + ",day,visits" + draw(st.sampled_from(["", ",note"]))]
-    for row in rows:
-        extra = draw(st.sampled_from([[], ["x"], ["", "y"]]))
-        lines.append(",".join(cell(v) for v in row + extra))
-        if draw(st.integers(0, 5)) == 0:
-            lines.append("")
-    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
-    if draw(st.booleans()):
-        ends[-1] = ""
-    return [line + end for line, end in zip(lines, ends)]
+
+@contextmanager
+def tokenizer_watched(lines: list[str], block_rows: int):
+    """io._BLOCK_ROWS is block_rows inside the block; on leaving it, checks
+    that csv.reader read the file iff one of its lines has a quote."""
+    default, io._BLOCK_ROWS = io._BLOCK_ROWS, block_rows
+    by_csv_reader = []
+    csv_columns = io._csv_columns
+    io._csv_columns = lambda *args: by_csv_reader.append(True) or csv_columns(*args)
+    try:
+        yield
+    finally:
+        io._BLOCK_ROWS, io._csv_columns = default, csv_columns
+    assert bool(by_csv_reader) == any('"' in line for line in lines)
+
+
+BLOCK_ROWS = st.one_of(st.just(io._BLOCK_ROWS), st.integers(1, 7))
+
+
+def read_as_oracle_reads(read, naive, path):
+    """read(path), or None once read raised the DataError whose message is
+    that of the ValueError naive(path) raised; and naive(path)'s result."""
+    try:
+        expected = naive(path)
+    except ValueError as exc:
+        with pytest.raises(DataError) as raised:
+            read(path)
+        assert str(raised.value) == str(exc)
+        return None, None
+    return read(path), expected
 
 
 class TestVisitReaderAgainstOracle:
@@ -336,29 +469,17 @@ class TestVisitReaderAgainstOracle:
     blocks of a few rows as well as the default: same series, or the same
     error naming the same row, node or file."""
 
-    @given(visit_files(), st.one_of(st.just(io._BLOCK_ROWS), st.sampled_from([1, 2, 3, 7])))
+    @given(visit_files(), BLOCK_ROWS)
     @settings(max_examples=400, deadline=None)
     def test_matches_row_by_row_reader(self, lines, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "visits.csv"
             path.write_text("".join(lines), encoding="utf-8", newline="")
-            default, io._BLOCK_ROWS = io._BLOCK_ROWS, block_rows
-            by_csv_reader = []
-            csv_columns = io._csv_columns
-            io._csv_columns = lambda *args: by_csv_reader.append(True) or csv_columns(*args)
-            try:
-                try:
-                    expected = oracles.naive_read_visit_series(path)
-                except ValueError as exc:
-                    with pytest.raises(DataError) as raised:
-                        io.read_visit_series(path)
-                    assert str(raised.value) == str(exc)
-                    return
-                series = io.read_visit_series(path)
-            finally:
-                io._BLOCK_ROWS, io._csv_columns = default, csv_columns
-                # only a file with a quote needs csv.reader
-                assert bool(by_csv_reader) == any('"' in line for line in lines)
+            with tokenizer_watched(lines, block_rows):
+                series, expected = read_as_oracle_reads(
+                    io.read_visit_series, oracles.naive_read_visit_series, path)
+        if series is None:
+            return
         assert list(series) == sorted(expected)
         for node, (first_day, values) in series.items():
             assert type(first_day) is int and first_day == expected[node][0]
@@ -375,6 +496,50 @@ class TestVisitReaderAgainstOracle:
         with pytest.raises(DataError) as raised:
             io.read_visit_series(path)
         assert str(raised.value) == f"{path}: line 3: {expected.value}"
+
+
+def _attribute_rows(table):
+    return list(table.ids), {name: column.tolist() for name, column in table.columns.items()}
+
+
+# per table: the package's reader, the row-by-row reference, and the
+# package's result in the reference's form
+TABLE_READERS = {
+    "edges": (io.read_edge_list, oracles.naive_read_edge_list,
+              lambda graph: {"nodes": graph.nodes, "edges": graph.edges}),
+    "durations": (io.read_durations, oracles.naive_read_durations, dict),
+    "thresholds": (io.read_thresholds, oracles.naive_read_thresholds,
+                   lambda tau: list(zip(tau.node_ids, tau.values.tolist(),
+                                        tau.seed_mask.tolist()))),
+    "attributes": (io.read_attributes, oracles.naive_read_attributes, _attribute_rows),
+    "multiplier_set": (io.read_multiplier_set, oracles.naive_read_multiplier_set,
+                       lambda read: list(zip(read[0], read[1].tolist()))),
+}
+
+
+class TestTableReadersAgainstOracle:
+    """Every other CSV reader against its row-by-row reference, for both
+    tokenizers and blocks of a few rows as well as the default: the same
+    table, or the same error naming the same row or file."""
+
+    @pytest.mark.parametrize("table", list(TABLE_READERS))
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_by_row_reader(self, table, data):
+        lines = data.draw(table_files(table), "lines")
+        read, naive, as_reference = TABLE_READERS[table]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{table}.csv"
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with tokenizer_watched(lines, data.draw(BLOCK_ROWS, "block_rows")):
+                result, expected = read_as_oracle_reads(read, naive, path)
+        if result is None:
+            return
+        result = as_reference(result)
+        if table == "edges":
+            expected = {key: expected[key] for key in result}
+        assert result == expected
+        assert repr(result) == repr(expected)  # the same types: floats stay floats
 
 
 ATTRIBUTES_HEADER = "id,per_capita_income,median_household_income,minority_pct,flood_extent\n"
@@ -577,7 +742,8 @@ def edited_collections(draw):
         if edit == "not_object":
             features[k] = draw(st.sampled_from([5, "x", None, [1]]))
         elif edit == "no_id":
-            feature["properties"] = draw(st.sampled_from([{}, {"id": 7}, None, []]))
+            feature["properties"] = draw(st.sampled_from(
+                [{}, {"id": 7}, None, [], {"id": ""}, {"id": " "}]))
         elif edit == "not_polygon":
             feature["geometry"] = draw(st.sampled_from(
                 [None, {"type": "MultiPolygon", "coordinates": []}]))
@@ -722,6 +888,16 @@ class TestWriters:
         assert ids == tmp_graph.nodes
         assert selected.tolist() == [False, True, False, True]
 
+    @pytest.mark.parametrize("cell", ["yes", "", "2"])
+    def test_multiplier_set_flag_other_than_0_or_1_named(self, tmp_path, cell):
+        path = tmp_path / "multipliers.csv"
+        path.write_text(f"id,selected\na,{cell}\nb,1\n")
+        with pytest.raises(DataError) as raised:
+            io.read_multiplier_set(path)
+        assert str(raised.value) == (
+            f"{path}: selected must be 0 or 1, got {cell!r} in row ['a', {cell!r}]"
+        )
+
     def test_multiplier_results_in_another_node_order(self, tmp_path):
         io.write_multiplier_set(("a", "b", "c", "d"), {"d", "b"}, tmp_path / "multipliers_N2.csv")
         (tmp_path / "multipliers_summary.csv").write_text(
@@ -733,3 +909,90 @@ class TestWriters:
         assert positions.tolist() == [3, 0]
         with pytest.raises(DataError, match=r"multipliers_N2.csv: no row for 1 of the 5 nodes: e$"):
             io.read_multiplier_results(tmp_path, nodes + ("e",))
+
+
+SUMMARY_HEADER = "size,method,recovered_with,recovered_without,increment_rate_pct\n"
+
+
+class TestFaultPrecedence:
+    """Every CSV reader names the first row in file order that breaks a
+    rule, else the first short row; a byte that is not UTF-8, a bad header
+    or a line csv rejects comes before both. Each case here was named
+    otherwise, or (an empty id) not at all, when most tables were read one
+    row at a time."""
+
+    def test_attribute_bad_cell_before_a_short_row(self, tmp_path):
+        path = tmp_path / "attributes.csv"
+        path.write_text(ATTRIBUTES_HEADER + "a,1,x,5\nb\n")
+        with pytest.raises(DataError) as raised:
+            io.read_attributes(path)
+        assert str(raised.value) == f"{path}: non-numeric value 'x' in row ['a', '1', 'x', '5']"
+
+    def test_attribute_range_fault_before_a_later_bad_cell(self, tmp_path):
+        path = tmp_path / "attributes.csv"
+        path.write_text(ATTRIBUTES_HEADER + "a,1,2,150\nb,1,x,5\n")
+        with pytest.raises(DataError) as raised:
+            io.read_attributes(path)
+        assert str(raised.value) == (
+            f"{path}: minority_pct outside [0, 100] in row ['a', '1', '2', '150']"
+        )
+
+    @pytest.mark.parametrize("read,head", [
+        (io.read_edge_list, "src,dst\nlonely\n"),
+        (io.read_durations, "id,duration_weeks\na,soon\n"),
+        (io.read_thresholds, "id,threshold,is_seed\na,2,0\n"),
+        (io.read_multiplier_set, "id,selected\na\n"),
+        (io.read_attributes, ATTRIBUTES_HEADER + "a,1,2\n"),
+    ], ids=["edges", "durations", "thresholds", "multiplier_set", "attributes"])
+    def test_byte_not_utf8_before_any_row_fault(self, tmp_path, read, head):
+        """A fault in the first rows, and a byte that is not UTF-8 past the
+        first 8 KiB that a text file decodes at once."""
+        path = tmp_path / "table.csv"
+        data = (head + "z,1,0,1\n" * 5000).encode()
+        path.write_bytes(data[:-2] + b"\xff\n")
+        with pytest.raises(DataError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: not valid UTF-8 at byte {len(data) - 2}"
+
+    @pytest.mark.parametrize("read,text", [
+        (io.read_durations, "id,duration_weeks\na,soon\n"),
+        (io.read_thresholds, "id,threshold,is_seed\na,0.5,maybe\n"),
+        (lambda path: io.read_multiplier_results(path.parent, ()), SUMMARY_HEADER + "x,a,1,1,\n"),
+    ], ids=["durations", "thresholds", "summary"])
+    def test_line_past_csv_field_limit_before_an_earlier_bad_row(self, tmp_path, read, text):
+        limit = csv.field_size_limit()
+        path = tmp_path / "multipliers_summary.csv"
+        path.write_text(text + "x" * (limit + 1) + ",1,1,1,1\n")
+        with pytest.raises(DataError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: line 3: field larger than field limit ({limit})"
+
+    @pytest.mark.parametrize("second,named", [
+        ("3,ga,1,1,fast", "non-numeric value 'fast' in row ['3', 'ga', '1', '1', 'fast']"),
+        ("3,ga", "malformed summary row ['3', 'ga']"),
+    ])
+    def test_summary_cells_before_any_set_file(self, tmp_path, second, named):
+        """The first row's set file is missing; the second row's fault is
+        named before it is opened."""
+        path = tmp_path / "multipliers_summary.csv"
+        path.write_text(SUMMARY_HEADER + "2,ga,3,1,200.0\n" + second + "\n")
+        with pytest.raises(DataError) as raised:
+            io.read_multiplier_results(tmp_path, ("a", "b"))
+        assert str(raised.value) == f"{path}: {named}"
+
+    @pytest.mark.parametrize("read,text,row", [
+        (io.read_edge_list, "src,dst\na,\nb,a\n", "['a', '']"),
+        (io.read_durations, "id,duration_weeks\na,1\n ,2\n", "[' ', '2']"),
+        (io.read_thresholds, "id,threshold,is_seed\n,0.5,0\n", "['', '0.5', '0']"),
+        (io.read_attributes, ATTRIBUTES_HEADER + '"",1,2,5,\n', "['', '1', '2', '5', '']"),
+        (io.read_multiplier_set, "id,selected\n\t,1\n", "['\\t', '1']"),
+        (io.read_visit_series, "id,day,visits\nu,1,3\n,2,4\n", "['', '2', '4']"),
+    ], ids=["edges", "durations", "thresholds", "attributes", "multiplier_set", "visits"])
+    def test_empty_id_named(self, tmp_path, read, text, row):
+        """An id cell that is empty once stripped is no node, before any
+        later fault in its row."""
+        path = tmp_path / "table.csv"
+        path.write_text(text + "x\n")
+        with pytest.raises(DataError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: empty id in row {row}"
