@@ -11,15 +11,16 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 data/I-O, 4 internal.
 from __future__ import annotations
 
 import argparse
+import atexit
 import datetime
 import json
 import math
-import platform
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -336,7 +337,7 @@ def _write_manifest(s: argparse.Namespace, extra: Optional[dict]) -> None:
         "settings": {o.config_key(s.command): getattr(s, o.name) for o in _options(s.command)},
         "versions": {
             "recovnet": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],  # as platform.python_version() reads it
             "numpy": np.__version__,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -702,9 +703,10 @@ def _help(option: Option, command: str) -> str:
     return option.help if default is None else f"{option.help} (default: {default})"
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     # built per call, so that a handler rebound after import (by a tracer,
-    # say) is the one that runs
+    # say) is the one that runs; when command is one of them, the others get
+    # no flags, as none of theirs is read
     commands = {
         "build-graph": (cmd_build_graph, "construct a contiguity graph and its metrics"),
         "durations": (cmd_durations, "recovery durations from daily visit series"),
@@ -717,23 +719,26 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="recovnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"recovnet {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, (handler, summary) in commands.items():
-        p = sub.add_parser(command, help=summary)
+    for name, (handler, summary) in commands.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
+        if command in commands and name != command:
+            continue
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        for option in _options(command):
+        for option in _options(name):
             if option.type is _switch:
                 p.add_argument(_flag(option), dest=option.name, action="store_const",
-                               const=True, help=_help(option, command))
+                               const=True, help=_help(option, name))
             else:
                 p.add_argument(_flag(option), dest=option.name, type=_flag_type(option.type),
-                               choices=option.choices or None, help=_help(option, command))
+                               choices=option.choices or None, help=_help(option, name))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv else None).parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         s = _settings(args)
@@ -759,5 +764,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> NoReturn:
+    """The process entry (`python -m recovnet`, the `recovnet` script): main()
+    on sys.argv, then SystemExit with its code.
+
+    Every `finally` around the entry runs as the SystemExit passes, but the
+    interpreter's teardown does not: an atexit handler registered before
+    main() runs after every handler registered later and ends the process
+    with main()'s code once stdout and stderr are flushed. It leaves the exit
+    to Python, as if it were not there, when main() did not return (a
+    KeyboardInterrupt), when an exception other than SystemExit reached the
+    top level, or when a stream is None or its flush raises (a closed or full
+    stdout), so that Python reports it. A caller that catches the SystemExit
+    and goes on still ends with main()'s code: run() belongs at the top of a
+    process; library callers and tests call main().
+    """
+    code = []
+    atexit.register(_exit_without_teardown, code)
+    code.append(main())
+    raise SystemExit(code[0])
+
+
+def _exit_without_teardown(code: list) -> None:
+    if not code or hasattr(sys, "last_value"):  # set as Python prints an uncaught exception
+        return
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # closed as the process started (`>&-`)
+            return
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # full, broken or closed: Python's own exit reports it
+            return
+    os._exit(code[0])
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -93,10 +93,11 @@ def read_json(path: str | Path):
 # ---------------------------------------------------------------------------
 
 def read_feature_collection(path: str | Path) -> Polygons:
-    """Load polygon features (with a string property "id") as a Polygons
-    table, one unit per feature, checked as Polygons.from_coordinates checks
-    them. A fault names the file and the first feature at fault in file
-    order (by index, and by id once it is known).
+    """Load polygon features (with a string property "id", stripped as the
+    CSV readers strip ids) as a Polygons table, one unit per feature, checked
+    as Polygons.from_coordinates checks them. A fault names the file and the
+    first feature at fault in file order (by index, and by id once it is
+    known).
     """
     try:
         doc = read_json(path)
@@ -118,6 +119,7 @@ def read_feature_collection(path: str | Path) -> Polygons:
                 raise DataError(f"{path}: feature {k} lacks a string property 'id'")
             if not unit_id.strip():
                 raise DataError(f"{path}: feature {k} has an empty id {unit_id!r}")
+            unit_id = unit_id.strip()
             geometry = feature.get("geometry") or {}
             kind = geometry.get("type") if isinstance(geometry, dict) else None
             if kind != "Polygon":
@@ -134,14 +136,15 @@ def read_feature_collection(path: str | Path) -> Polygons:
 def annotate_feature_collection(
     src: str | Path, selections: Mapping[str | Path, set[str]]
 ) -> None:
-    """Copy a feature collection (parsed once) to each destination, adding a
-    boolean "multiplier" property that marks that destination's selected ids.
+    """Copy a feature collection that read_feature_collection accepts (parsed
+    once) to each destination, adding a boolean "multiplier" property that
+    marks that destination's selected ids, matched as that reader strips them.
     The copies are compact JSON: json encodes indent=2 in pure Python only."""
     doc = read_json(src)
     for dest, selected in selections.items():
         for feature in doc.get("features", []):
-            props = feature.setdefault("properties", {})
-            props["multiplier"] = props.get("id") in selected
+            props = feature["properties"]
+            props["multiplier"] = props["id"].strip() in selected
         with atomic_write(dest) as handle:
             handle.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 

@@ -80,6 +80,7 @@ def naive_read_feature_collection(path):
             raise ValueError(f"{path}: feature {k} lacks a string property 'id'")
         if not unit_id.strip():
             raise ValueError(f"{path}: feature {k} has an empty id {unit_id!r}")
+        unit_id = unit_id.strip()
         name = f"{path}: feature {k} ({unit_id!r})"
         geometry = feature.get("geometry") or {}
         kind = geometry.get("type") if isinstance(geometry, dict) else None

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from recovnet import io
+from recovnet import cli, io
 from recovnet.cli import OPTIONS, default_multiplier_sizes, main
 
 
@@ -68,6 +72,7 @@ class TestSynth:
         assert manifest["settings"]["node_count"] == 16
         assert manifest["versions"]["recovnet"]
         assert set(manifest["versions"]) == {"recovnet", "python", "numpy"}
+        assert manifest["versions"]["python"] == platform.python_version()
 
 
 class TestBuildGraph:
@@ -685,6 +690,7 @@ class TestGeometryInput:
         ({1: "no_id", 3: "string"}, "feature 1 lacks"),
         ({2: "duplicate", 5: "open"}, "feature 5 ('g12')"),
         ({6: "duplicate"}, "duplicate node id 'g00'"),
+        ({6: "padded"}, "duplicate node id 'g00'"),
     ])
     def test_first_bad_feature_in_file_order_named(self, tmp_path, capsys, faults, named):
         doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
@@ -697,9 +703,27 @@ class TestGeometryInput:
             elif fault == "open":
                 feature["geometry"]["coordinates"][0][-1] = [9, 9]
             else:
-                feature["properties"]["id"] = "g00"
+                feature["properties"]["id"] = " g00" if fault == "padded" else "g00"
         assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 3
         assert named in capsys.readouterr().err
+
+    def test_id_repeated_once_stripped_is_data_error(self, tmp_path, capsys):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        doc["features"] = doc["features"][:3]
+        for feature, unit in zip(doc["features"], (" a", "b", "a")):
+            feature["properties"]["id"] = unit
+        assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 3
+        assert "duplicate node id 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_padded_ids_written_stripped(self, tmp_path):
+        doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
+        doc["features"] = doc["features"][:2]
+        for feature, unit in zip(doc["features"], (" a", "b\t")):
+            feature["properties"]["id"] = unit
+        assert self._build(tmp_path, self._write(tmp_path, json.dumps(doc))) == 0
+        assert (tmp_path / "g" / "edges.csv").read_text() == "src,dst\na,b\n"
+        assert io.read_edge_list(tmp_path / "g" / "edges.csv").edges == (("a", "b"),)
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_snap_tolerance_too_small_is_config(self, tmp_path, capsys, via):
@@ -783,6 +807,22 @@ class TestExitCodes:
         assert run("--version") == 0
         assert "recovnet" in capsys.readouterr().out
         assert run("--help") == 0
+
+    def test_help_and_usage_errors_equal_the_full_parsers(self, capsys, monkeypatch):
+        """A command named first gets a parser with only its own flags; its
+        help, the top-level help and a usage error read as the full parser's."""
+        monkeypatch.setenv("COLUMNS", "80")
+        for command in cli.ALL:
+            assert cli._parser(command).format_help() == cli._parser().format_help()
+            with pytest.raises(SystemExit):
+                cli._parser().parse_args([command, "--help"])
+            expected = capsys.readouterr().out
+            assert run(command, "--help") == 0
+            assert capsys.readouterr().out == expected, command
+            with pytest.raises(cli._UsageError) as raised:
+                cli._parser().parse_args([command, "--nodes", "3", "--edges", "x"])
+            assert run(command, "--nodes", "3", "--edges", "x") == 1
+            assert capsys.readouterr().err == f"usage error: {raised.value}\n", command
 
 
 def _rewrite_row(path: Path, row_index: int, column: int, value: str) -> str:
@@ -1080,6 +1120,14 @@ class TestCliImports:
     def test_package_import_loads_no_module(self):
         assert self._fresh(["import recovnet", self.RECOVNET_REPORT]) == ["loaded: recovnet"]
 
+    def test_cli_imports_no_platform(self):
+        """The manifest reads the Python version from sys.version. NumPy loads
+        platform itself (numpy.lib._utils_impl), so the check starts after
+        NumPy's import."""
+        lines = ["import numpy", "sys.modules.pop('platform', None)", "import recovnet.cli",
+                 "print('loaded:', *(m for m in ('platform',) if m in sys.modules))"]
+        assert self._fresh(lines) == ["loaded:"]
+
     def test_cli_import_loads_no_stage(self):
         loaded = self._fresh(["import recovnet.cli", self.RECOVNET_REPORT])
         assert loaded == ["loaded: " + " ".join(sorted(self.CLI_MODULES))]
@@ -1093,6 +1141,171 @@ class TestCliImports:
             expected = self.CLI_MODULES | {f"recovnet.{m}" for m in self.COMMAND_MODULES[command]}
             assert loaded == ["loaded: " + " ".join(sorted(expected))], command
         assert (tmp_path / "analysis" / "multiplier_attributes.csv").exists()
+
+
+class TestProcessEntry:
+    """`python -m recovnet` ends its process from an atexit handler, without
+    the interpreter's teardown. Each case runs in a fresh process and is
+    compared with the plain entry `sys.exit(main())` or with main() run in
+    this process."""
+
+    PLAIN = "import sys; from recovnet.cli import main; sys.exit(main())"
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    # runs the package's __main__ as perfbench/tracing.py does; argv[1] is a
+    # file that the finally writes, the rest the command's arguments
+    HARNESS = ("import runpy, sys\n"
+               "marker = sys.argv[1]\n"
+               "sys.argv = ['recovnet', *sys.argv[2:]]\n"
+               "try:\n"
+               "    runpy.run_module('recovnet', run_name='__main__', alter_sys=True)\n"
+               "finally:\n"
+               "    with open(marker, 'w') as handle:\n"
+               "        handle.write('ran')\n")
+
+    def _python(self, args, **streams) -> subprocess.CompletedProcess:
+        """`python args` with this tree's package first on PYTHONPATH; stdout
+        and stderr are captured unless streams route them."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+        return subprocess.run([sys.executable, *map(str, args)], env=env, text=True, **streams)
+
+    def _spawn(self, argv, plain: bool = False, **streams) -> subprocess.CompletedProcess:
+        """argv run by `python -m recovnet`, or by the plain entry."""
+        return self._python([*(["-c", self.PLAIN] if plain else ["-m", "recovnet"]), *argv],
+                            **streams)
+
+    @staticmethod
+    def _cases(tmp_path, label: str) -> dict:
+        bad = tmp_path / "self_loop.csv"
+        bad.write_text("src,dst\na,a\n")
+        return {
+            0: ["synth", "--nodes", 16, "--rng-seed", 3, "--out", tmp_path / label],
+            1: ["frobnicate"],
+            2: ["fit", "--out", tmp_path / f"{label}_fit"],
+            3: ["build-graph", "--edges", bad, "--out", tmp_path / f"{label}_graph"],
+        }
+
+    def test_exit_codes_and_messages_unchanged(self, tmp_path):
+        plain, entry = self._cases(tmp_path, "plain"), self._cases(tmp_path, "entry")
+        for code in plain:
+            expected, got = self._spawn(plain[code], plain=True), self._spawn(entry[code])
+            assert expected.returncode == got.returncode == code
+            assert (got.stdout, got.stderr) == (expected.stdout, expected.stderr), code
+            assert got.stderr if code else got.stdout
+
+    def test_stdout_equals_in_process_output(self, tmp_path, instance_dir, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width, in both processes
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # buffered, a line can be lost
+
+        def search(out: str) -> list:
+            return ["multipliers", "--edges", instance_dir / "edges.csv", "--thresholds",
+                    instance_dir / "planted_thresholds.csv", "--sizes", "1,2",
+                    "--max-iterations", 3, "--out", tmp_path / out]
+
+        for command in (lambda _: ["--help"], lambda _: ["fit", "--help"], search):
+            assert run(*command("in_process")) == 0
+            expected = capsys.readouterr().out.splitlines()
+            assert len(expected) > 1
+            assert self._spawn(command("piped")).stdout.splitlines() == expected
+            with open(tmp_path / "stdout.txt", "w") as handle:
+                assert self._spawn(command("to_file"), stdout=handle).returncode == 0
+            assert (tmp_path / "stdout.txt").read_text().splitlines() == expected
+
+    def test_fit_warning_reaches_stderr(self, tmp_path, instance_dir):
+        argv = ["baseline", "--edges", instance_dir / "edges.csv", "--durations",
+                instance_dir / "durations.csv", "--seed-cutoff", 0.01, "--runs", 5,
+                "--out", tmp_path / "b"]
+        result = self._spawn(argv)
+        assert result.returncode == 0
+        assert "UserWarning: no node recovers faster than the seed cutoff" in result.stderr
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("stdout", ["closed", "full", "broken_pipe"])
+    def test_unwritable_stdout_exits_as_plain_entry(self, tmp_path, monkeypatch, stdout,
+                                                    buffered):
+        """With stdout closed (`>&-`), on /dev/full, or a pipe with no reader,
+        the process exits as the plain entry's does. Buffered, a full or
+        broken stdout fails only as the handler flushes it, which leaves the
+        exit to Python to report."""
+        if stdout == "full" and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        if buffered:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        results = []
+        for label in ("plain", "entry"):
+            argv, plain = self._cases(tmp_path, label)[0], label == "plain"
+            if stdout == "closed":
+                results.append(self._spawn(argv, plain, stdout=None,
+                                           preexec_fn=lambda: os.close(1)))
+            elif stdout == "full":
+                with open("/dev/full", "w") as full:
+                    results.append(self._spawn(argv, plain, stdout=full))
+            else:
+                read, write = os.pipe()
+                os.close(read)
+                try:
+                    results.append(self._spawn(argv, plain, stdout=write))
+                finally:
+                    os.close(write)
+        expected, got = results
+        assert (got.returncode, got.stderr) == (expected.returncode, expected.stderr)
+        if stdout != "closed":
+            assert got.returncode == (120 if buffered else 3), got.stderr
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_harness_finally_runs(self, tmp_path, code):
+        """A harness shaped like perfbench/tracing.py gets its finally run
+        and exits with the command's code."""
+        marker = tmp_path / "finally.txt"
+        argv = self._cases(tmp_path, "entry")[code]
+        result = self._python(["-c", self.HARNESS, marker, *argv])
+        assert result.returncode == code, result.stderr
+        assert marker.read_text() == "ran"
+
+    def test_exception_after_the_entry_exits_as_python_reports_it(self, tmp_path):
+        """An exception that reaches the top level after run() raised, here
+        from the harness's finally, ends the process as Python reports it."""
+        harness = self.HARNESS + "    raise RuntimeError('harness fault')\n"
+        argv = self._cases(tmp_path, "entry")[0]
+        result = self._python(["-c", harness, tmp_path / "finally.txt", *argv])
+        assert result.returncode == 1
+        assert result.stderr.rstrip().endswith("RuntimeError: harness fault")
+
+    def test_interrupt_exits_as_python_reports_it(self):
+        """A main() that does not return (a KeyboardInterrupt) leaves the
+        exit to Python."""
+        interrupted = ("import recovnet.cli as cli\n"
+                       "def main():\n"
+                       "    raise KeyboardInterrupt\n"
+                       "cli.main = main\n"
+                       "cli.run()\n")
+        got, expected = (self._python(["-c", code])
+                         for code in (interrupted, "raise KeyboardInterrupt"))
+        assert got.returncode == expected.returncode != 0
+        assert got.stderr.rstrip().endswith("KeyboardInterrupt")
+
+    def test_script_enters_through_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(self.SRC).parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"recovnet": "recovnet.cli:run"}
+
+    def test_main_registers_no_atexit_handler(self, tmp_path, monkeypatch):
+        import atexit
+
+        registered = []
+        monkeypatch.setattr(atexit, "register", lambda *args: registered.append(args))
+        for argv in self._cases(tmp_path, "in_process").values():
+            run(*argv)
+        assert registered == []
+        monkeypatch.setattr(sys, "argv", ["recovnet", "frobnicate"])
+        with pytest.raises(SystemExit) as raised:
+            cli.run()
+        assert raised.value.code == 1 and len(registered) == 1
 
 
 class TestDeterminism:

@@ -682,6 +682,34 @@ class TestGeojson:
         with pytest.raises(DataError, match="id"):
             io.read_feature_collection(path)
 
+    def test_padded_ids_read_stripped(self, tmp_path):
+        path = self.make_collection(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["features"][0]["properties"]["id"] = " left"
+        doc["features"][1]["properties"]["id"] = "right\t"
+        path.write_text(json.dumps(doc))
+        assert io.read_feature_collection(path).ids == ("left", "right")
+
+    def test_id_repeated_once_stripped_rejected(self, tmp_path):
+        path = self.make_collection(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["features"][1]["properties"]["id"] = "left "
+        path.write_text(json.dumps(doc))
+        units = io.read_feature_collection(path)
+        with pytest.raises(DataError, match="duplicate node id 'left'"):
+            build_contiguity_graph(units, ContiguityRule("rook"))
+
+    def test_annotation_matches_stripped_ids(self, tmp_path):
+        path = self.make_collection(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["features"][0]["properties"]["id"] = " left"
+        path.write_text(json.dumps(doc))
+        dest = tmp_path / "annotated.geojson"
+        io.annotate_feature_collection(path, {dest: {"left"}})
+        copied = json.loads(dest.read_text())["features"]
+        assert [f["properties"] for f in copied] == [
+            {"id": " left", "multiplier": True}, {"id": "right", "multiplier": False}]
+
     def test_multipolygon_rejected(self, tmp_path):
         path = tmp_path / "multi.geojson"
         path.write_text(
@@ -716,7 +744,7 @@ class TestGeojson:
 FEATURE_EDITS = (
     "not_object", "no_id", "not_polygon", "string", "two_char", "bool", "three_d", "nan",
     "inf", "big_int", "open", "short", "no_rings", "coordinates_not_list", "hole",
-    "negative_zero", "duplicate",
+    "negative_zero", "duplicate", "padded",
 )
 
 
@@ -724,7 +752,8 @@ FEATURE_EDITS = (
 def edited_collections(draw):
     """A 3 x 3 grid of unit squares as GeoJSON with up to three edits at
     random features: faults of every kind the reader names, a repeated id,
-    and edits that are no fault (a hole, a -0.0)."""
+    and edits that are no fault (a hole, a -0.0, an id padded with blanks,
+    which may repeat another once stripped)."""
     features = [
         {"type": "Feature", "properties": {"id": f"g{r}{c}"},
          "geometry": {"type": "Polygon", "coordinates": [[
@@ -756,6 +785,10 @@ def edited_collections(draw):
                                                        [0.2, 0.2]])
         elif edit == "duplicate":
             feature["properties"] = {"id": f"g{draw(st.integers(0, 2))}0"}
+        elif edit == "padded":
+            before, after = draw(st.sampled_from([(" ", ""), ("", " "), ("\t", "\n"), (" ", " ")]))
+            unit = draw(st.sampled_from(["g00", "g10", "g20", f"p{k}"]))  # p{k} repeats none
+            feature["properties"] = {"id": before + unit + after}
         elif ring is None or len(ring) < 5:
             continue
         elif edit == "two_char":

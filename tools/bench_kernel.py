@@ -48,9 +48,13 @@ with ``peak_rss_mib``, the median of its children's ru_maxrss: the step
 with the largest one sets the benchmark's ``peak_rss_mib``.
 ``package_import`` is the median of ``import recovnet.cli`` minus the
 ``import numpy`` of the same turn: the package's own cost, which a drift in
-the machine's speed between turns moves less than either time alone. With
-PYTHONDONTWRITEBYTECODE=1 and no ``__pycache__`` under the package, which
-the harness checks, every child compiles the package from source.
+the machine's speed between turns moves less than either time alone. In the
+same way each command's ``own`` is its time minus the same turn's ``import
+recovnet.cli``: what the command adds to the import, its end included. The
+import child ends with the interpreter's teardown, so ``own`` also shows
+what the CLI's exit saves. With PYTHONDONTWRITEBYTECODE=1 and no
+``__pycache__`` under the package, which the harness checks, every child
+compiles the package from source.
 
 ``contiguity`` is io.read_feature_collection plus build_contiguity_graph
 (queen) on a 50 x 80 grid of squares as GeoJSON (4 000 units, the
@@ -351,9 +355,12 @@ def cold_start() -> dict:
                     peaks.setdefault(name, []).append(int(maxrss) / 1024)
         launcher.stdin.close()
     package_import = [a - b for a, b in zip(samples["import_cli"], samples["import_numpy"])]
-    return {"environment": COLD_START_ENV, "package_import": quartiles(package_import),
-            **{name: {**quartiles(times), "peak_rss_mib": round(statistics.median(peaks[name]), 2)}
-               for name, times in samples.items()}}
+    entries = {name: {**quartiles(times), "peak_rss_mib": round(statistics.median(peaks[name]), 2)}
+               for name, times in samples.items()}
+    for name, times in samples.items():
+        if not name.startswith("import_"):
+            entries[name]["own"] = quartiles([a - b for a, b in zip(times, samples["import_cli"])])
+    return {"environment": COLD_START_ENV, "package_import": quartiles(package_import), **entries}
 
 
 def measure(repeats: int, visit_repeats: int) -> dict:

@@ -11,10 +11,13 @@ workload's ``prepare`` writes ``inputs/``, and its stages run in order in
 ``run/`` as ``python -m recovnet ...`` with the tree first on PYTHONPATH.
 
 Every file the stages write is compared byte for byte, except
-``manifest.json`` and ``ga_timing.csv``, which hold wall-clock data. The
-script prints the number of files compared, every file that differs or
-exists on one side only, and every failed stage; it exits 1 if there is
-any, else 0. Nothing under ``perfbench/`` is changed.
+``manifest.json`` and ``ga_timing.csv``, which hold wall-clock data. So are
+each stage's exit code and stdout, so that a line lost as a process ends
+shows up. Stderr is not compared: a warning quotes the source line that
+raised it, which moves with any edit above it. The script prints the number
+of files compared, every file that differs or exists on one side only, every
+stage whose exit code or stdout differs, and every failed stage; it exits 1
+if there is any, else 0. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -47,21 +50,23 @@ def environment(src: Path) -> dict:
     return env
 
 
-def run_workload(workload, seed: int, env: dict, work: Path) -> tuple[Path, list[str]]:
+def run_workload(workload, seed: int, env: dict, work: Path) -> tuple[Path, dict, list[str]]:
     """Writes the inputs and runs the stages under work; returns the run
-    directory and a line for each failed stage."""
+    directory, each stage's exit code and stdout by name, and a line for each
+    failed stage."""
     inputs, run = work / "inputs", work / "run"
     inputs.mkdir(parents=True)
     run.mkdir()
     workload.prepare(inputs, seed)
-    failed = []
+    ends, failed = {}, []
     for stage in workload.stages(seed):
         proc = subprocess.run([sys.executable, "-m", "recovnet", *stage.args],
                               cwd=run, env=env, capture_output=True, text=True)
+        ends[stage.name] = (proc.returncode, proc.stdout)
         if proc.returncode != 0:
             last = (proc.stderr.strip().splitlines() or [""])[-1]
             failed.append(f"stage {stage.name} exited {proc.returncode}: {last}")
-    return run, failed
+    return run, ends, failed
 
 
 def outputs(run: Path) -> set[str]:
@@ -86,11 +91,19 @@ def main(argv=None) -> int:
         for name in args.workload or WORKLOADS:
             for seed in args.seed or DEFAULT_SEEDS:
                 case = f"{name}/{seed}"
-                runs = {}
+                runs, ends = {}, {}
                 for label, env in envs.items():
                     work = Path(tmp) / label / name / str(seed)
-                    runs[label], failed = run_workload(WORKLOADS[name], seed, env, work)
+                    runs[label], ends[label], failed = run_workload(WORKLOADS[name], seed, env,
+                                                                    work)
                     problems += [f"{case}: {label}: {line}" for line in failed]
+                for stage, (code, stdout) in ends["old"].items():
+                    new_code, new_stdout = ends["new"][stage]
+                    if code != new_code:
+                        problems.append(f"{case}: stage {stage} exited {code} in old, "
+                                        f"{new_code} in new")
+                    if stdout != new_stdout:
+                        problems.append(f"{case}: stage {stage}: stdout differs")
                 old, new = outputs(runs["old"]), outputs(runs["new"])
                 problems += [f"{case}: only in old: {f}" for f in sorted(old - new)]
                 problems += [f"{case}: only in new: {f}" for f in sorted(new - old)]
