@@ -18,7 +18,7 @@ _HOMES = {
         "tertile_attribute_report", "threshold_summary",
     ),
     "diffusion": (
-        "DiffusionSchedule", "ThresholdVector", "all_affected", "recovered_counts",
+        "DiffusionKernel", "DiffusionSchedule", "ThresholdVector", "recovered_counts",
         "run_diffusion",
     ),
     "empirical": ("compute_recovery_durations", "durations_to_weeks", "zero_one_loss"),

@@ -32,7 +32,6 @@ from .diffusion import (
     DEFAULT_HORIZON_WEEKS,
     DEFAULT_SEED_CUTOFF_WEEKS,
     DiffusionSchedule,
-    all_affected,
     recovered_counts,
     run_diffusion,
 )
@@ -306,9 +305,17 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(command=command, **values)
 
 
-def _ga_settings(s: argparse.Namespace) -> dict:
-    """The staged settings of a fit or multipliers run, as GaConfig fields."""
-    return {o.name: getattr(s, o.name) for o in OPTIONS if o.staged}
+def _ga_config(s: argparse.Namespace):
+    """The GaConfig of a fit or multipliers run's staged settings; an error
+    names the setting by its config key and its flag."""
+    from .ga import GaConfig
+    staged = {o.name: o for o in OPTIONS if o.staged}
+    try:
+        return GaConfig(**{name: getattr(s, name) for name in staged}, rng_seed=s.rng_seed)
+    except ConfigError as exc:
+        name, _, problem = str(exc).partition(" ")  # each message starts with its field
+        option = staged[name]
+        raise ConfigError(f"{option.config_key(s.command)} ({_flag(option)}) {problem}") from None
 
 
 def _round_half_up(x: float) -> int:
@@ -348,12 +355,19 @@ def _write_manifest(s: argparse.Namespace, extra: Optional[dict]) -> None:
 
 
 def _load_graph(s: argparse.Namespace):
+    """The graph of --geometry or --edges, which must hold a node."""
     if (s.geometry is None) == (s.edges is None):
         raise ConfigError("exactly one of --geometry or --edges is required")
     if s.geometry is not None:
-        units = io.read_feature_collection(_require_file(s.geometry, "geometry"))
-        return build_contiguity_graph(units, ContiguityRule(s.rule, s.snap_tolerance))
-    return io.read_edge_list(_require_file(s.edges, "edge list"))
+        path = _require_file(s.geometry, "geometry")
+        units = io.read_feature_collection(path)
+        graph = build_contiguity_graph(units, ContiguityRule(s.rule, s.snap_tolerance))
+    else:
+        path = _require_file(s.edges, "edge list")
+        graph = io.read_edge_list(path)
+    if graph.n == 0:
+        raise DataError(f"{path}: graph has no nodes")
+    return graph
 
 
 def _fit_problem(s: argparse.Namespace):
@@ -430,8 +444,8 @@ def cmd_durations(s: argparse.Namespace) -> None:
 
 def cmd_fit(s: argparse.Namespace) -> dict:
     from .fitting import fit_thresholds, random_baseline
-    from .ga import GaConfig, performance_index
-    config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
+    from .ga import performance_index
+    config = _ga_config(s)
     problem = _fit_problem(s)
     out = Path(s.out)
     result = fit_thresholds(problem, config)
@@ -484,7 +498,6 @@ def cmd_baseline(s: argparse.Namespace) -> None:
 
 
 def cmd_multipliers(s: argparse.Namespace) -> dict:
-    from .ga import GaConfig
     from .multipliers import (
         MultiplierProblem,
         brute_force_multipliers,
@@ -528,13 +541,12 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
                    for size in s.sizes]
     else:
         method = "ga"
-        config = GaConfig(**_ga_settings(s), rng_seed=s.rng_seed)
-        results = search_multipliers(problem, s.sizes, config, candidate_pool)
+        results = search_multipliers(problem, s.sizes, _ga_config(s), candidate_pool)
     # wall-clock figures stay out of the deterministic tables
     timing = {
         "search_seconds": time.perf_counter() - start,
-        "kernel_calls": sum(problem.kernel_columns.values()),
-        "columns_per_call": {str(k): v for k, v in sorted(problem.kernel_columns.items())},
+        "kernel_calls": sum(problem.kernel.calls.values()),
+        "columns_per_call": {str(k): v for k, v in sorted(problem.kernel.calls.items())},
         "rows_scored": {str(size): math.comb(pool_size, size) if result.ga_result is None
                         else result.ga_result.rows_scored
                         for size, result in zip(s.sizes, results)},
@@ -595,7 +607,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         empirical = durations_to_weeks(
             align_durations(durations, graph.nodes, s.horizon, durations_path), s.horizon
         )
-        simulated = run_diffusion(graph, aligned, all_affected(graph.n), schedule)
+        simulated = run_diffusion(graph, aligned, schedule)
     # every attribute summary indexes these columns, in the thresholds' node order
     attributes_path = _require_file(s.attributes, "attributes")
     attrs = io.read_attributes(attributes_path)

@@ -12,6 +12,7 @@ which is what simulations return.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -105,15 +106,6 @@ class ThresholdVector:
         return self.values.shape[0]
 
 
-def _as_state(state: np.ndarray, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(state)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} has shape {arr.shape}, expected ({n},)")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError(f"{what} must be binary (0/1)")
-    return arr.astype(bool)
-
-
 def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
     """Reject a threshold vector that is not in the graph's node order."""
     if tau.n != g.n:
@@ -153,7 +145,9 @@ class DiffusionKernel:
 
     Rows are in kernel order, by descending degree: row r is node order[r]
     and node i is row rank[i]. need and weeks_recovered take and return
-    matrices in that order, so callers map their rows once.
+    matrices in that order, so callers map their rows once; run maps one
+    node-order column in and out. calls counts the weeks_recovered calls
+    made so far by their column count.
 
     Counts use a jagged-diagonal layout: slot k holds the row of the k-th
     neighbour of every node of degree above k, which is a prefix of the
@@ -175,6 +169,7 @@ class DiffusionKernel:
         self.order = np.argsort(-g.degrees, kind="stable")
         self.rank = np.empty(g.n, dtype=np.intp)
         self.rank[self.order] = np.arange(g.n)
+        self.calls: Counter = Counter()
         starts = g.indptr[self.order]
         descending = -g.degrees[self.order]
         self._slots = [
@@ -205,6 +200,12 @@ class DiffusionKernel:
             need[:rows] += below[:rows].view(np.uint8)
         return need
 
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """Recovered weeks, in node order, of one threshold vector in node
+        order from the all-affected start: one 1-column call."""
+        need = self.need(np.asarray(values, dtype=np.float64)[self.order, None])
+        return self.weeks_recovered(need, np.zeros(need.shape, bool))[self.rank, 0]
+
     def _count(self, state: np.ndarray, counts: np.ndarray, gathered: np.ndarray) -> None:
         """Recovered neighbours of every row, written into counts (rows past
         the first slot, the isolates, stay zero)."""
@@ -229,6 +230,7 @@ class DiffusionKernel:
         """
         horizon, first = self.schedule.horizon, self.schedule.first_update_week
         columns = initial.shape[1]
+        self.calls[columns] += 1
         # take copies rows of 1, 2, 4, 8, 16 or 32 bytes far faster than
         # others: pad to such a width with columns whose need is never met
         width = 1 << (columns - 1).bit_length() if columns <= 32 else columns
@@ -257,23 +259,14 @@ class DiffusionKernel:
 
 
 def run_diffusion(
-    g: SpatialGraph,
-    tau: ThresholdVector,
-    initial: np.ndarray,
-    schedule: DiffusionSchedule = DiffusionSchedule(),
+    g: SpatialGraph, tau: ThresholdVector, schedule: DiffusionSchedule = DiffusionSchedule()
 ) -> np.ndarray:
-    """Simulate weeks 1..horizon from the initial state; returns each node's
-    recovered weeks (0 = never recovered) in node order, as
-    DiffusionKernel.weeks_recovered.
-
-    Weeks before first_update_week keep the initial state; every later week
-    applies one synchronous threshold update.
+    """Simulate weeks 1..horizon from the all-affected start; returns each
+    node's recovered weeks (0 = never recovered) in node order, as
+    DiffusionKernel.run. A forced start is DiffusionKernel.weeks_recovered's.
     """
     check_aligned(g, tau)
-    state = _as_state(initial, g.n, "initial state")
-    kernel = DiffusionKernel(g, schedule)
-    rows = kernel.order[:, None]
-    return kernel.weeks_recovered(kernel.need(tau.values[rows]), state[rows])[kernel.rank, 0]
+    return DiffusionKernel(g, schedule).run(tau.values)
 
 
 def recovered_counts(weeks: np.ndarray, horizon: int) -> np.ndarray:
@@ -281,8 +274,3 @@ def recovered_counts(weeks: np.ndarray, horizon: int) -> np.ndarray:
     nodes with the given recovered weeks; week 0 is the all-affected start."""
     first_recovered = horizon + 1 - np.asarray(weeks, dtype=np.int64)
     return np.bincount(first_recovered, minlength=horizon + 2)[: horizon + 1].cumsum()
-
-
-def all_affected(n: int) -> np.ndarray:
-    """The canonical initial state: every node affected."""
-    return np.zeros(n, dtype=bool)

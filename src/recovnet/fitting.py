@@ -49,20 +49,19 @@ class FitProblem:
     def free_count(self) -> int:
         return int(self.free_indices.size)
 
-    def weeks(self, chromosomes: np.ndarray) -> np.ndarray:
-        """Recovered weeks (n x P, kernel order) of each row's free-node
-        thresholds from the all-affected start (rows: P x free_count)."""
-        values = np.zeros((self.graph.n, chromosomes.shape[0]))
-        values[self._free_rows] = chromosomes.T
-        need = self.kernel.need(values)
-        del values  # free the float64 matrix before the kernel runs
-        return self.kernel.weeks_recovered(need, np.zeros(need.shape, bool))
-
     def losses(self, chromosomes: np.ndarray) -> np.ndarray:
-        """0-1 loss of each row's free-node thresholds (rows: P x free_count)."""
-        return map_column_chunks(
-            lambda rows: zero_one_loss(self._empirical, self.weeks(rows)), chromosomes, self.graph.n
-        )
+        """0-1 loss of each row's free-node thresholds (rows: P x free_count),
+        each simulated from the all-affected start."""
+
+        def chunk(rows: np.ndarray) -> np.ndarray:
+            values = np.zeros((self.graph.n, rows.shape[0]))
+            values[self._free_rows] = rows.T
+            need = self.kernel.need(values)
+            del values  # free the float64 matrix before the kernel runs
+            weeks = self.kernel.weeks_recovered(need, np.zeros(need.shape, bool))
+            return zero_one_loss(self._empirical, weeks)
+
+        return map_column_chunks(chunk, chromosomes, self.graph.n)
 
 
 @dataclass
@@ -144,7 +143,7 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
         problem.graph.nodes, problem.seed_mask, result.best_chromosome
     )
     # re-simulate rather than trust the GA bookkeeping
-    weeks = problem.weeks(result.best_chromosome[None])[problem.kernel.rank, 0]
+    weeks = problem.kernel.run(tau.values)
     final_loss = zero_one_loss(problem.empirical, weeks)
     return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result, weeks=weeks)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -38,8 +37,8 @@ class MultiplierProblem:
     nothing forced; recovered_without counts the nodes that run recovers.
     The set sizes and the candidate pool are arguments of search_multipliers
     and brute_force_multipliers, so one problem serves every size.
-    kernel_columns counts the kernel calls made so far by their column
-    count, the unforced run's included.
+    kernel.calls counts the kernel calls made so far, the unforced run's
+    included.
     """
 
     graph: SpatialGraph
@@ -47,18 +46,12 @@ class MultiplierProblem:
     schedule: DiffusionSchedule = DiffusionSchedule()
     kernel: DiffusionKernel = field(init=False, repr=False)
     unforced_weeks: np.ndarray = field(init=False, repr=False)
-    kernel_columns: Counter = field(init=False, repr=False, default_factory=Counter)
 
     def __post_init__(self) -> None:
         check_aligned(self.graph, self.thresholds)
         self.kernel = DiffusionKernel(self.graph, self.schedule)
         self._need = self.kernel.need(self.thresholds.values[self.kernel.order, None])
-        unforced = np.zeros((self.graph.n, 1), dtype=bool)
-        self.unforced_weeks = self._weeks(unforced)[self.kernel.rank, 0]
-
-    def _weeks(self, initial: np.ndarray) -> np.ndarray:
-        self.kernel_columns[initial.shape[1]] += 1
-        return self.kernel.weeks_recovered(self._need, initial)
+        self.unforced_weeks = self.kernel.run(self.thresholds.values)
 
     @property
     def recovered_without(self) -> int:
@@ -78,7 +71,7 @@ class MultiplierProblem:
             lo, hi = np.searchsorted(column, [columns[0], columns[-1] + 1])
             initial = np.zeros((self.graph.n, columns.size), dtype=bool)
             initial[node[lo:hi], column[lo:hi] - columns[0]] = True
-            return np.count_nonzero(self._weeks(initial), axis=0)
+            return np.count_nonzero(self.kernel.weeks_recovered(self._need, initial), axis=0)
 
         return map_column_chunks(chunk, np.arange(widths.size), self.graph.n)
 

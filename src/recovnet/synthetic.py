@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io
 from .analysis import ATTRIBUTE_NAMES, AttributeTable
-from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, all_affected, run_diffusion
+from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, run_diffusion
 from .errors import ConfigError
 from .graph import GRAPH_KINDS, ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
 
@@ -146,7 +146,7 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
     free_values = rng.uniform(spec.threshold_low, spec.threshold_high, int((~seed_mask).sum()))
     tau = ThresholdVector.assemble(graph.nodes, seed_mask, free_values)
 
-    weeks = run_diffusion(graph, tau, all_affected(n))
+    weeks = run_diffusion(graph, tau)
     # a node's first recovered week; one that never recovers gets the horizon
     first_week = np.minimum(DEFAULT_HORIZON_WEEKS + 1 - weeks, DEFAULT_HORIZON_WEEKS)
     values = np.where(seed_mask, SEED_DURATION_WEEKS, first_week.astype(np.float64))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from recovnet import Polygons, SpatialGraph, ThresholdVector
+from recovnet import DiffusionKernel, DiffusionSchedule, Polygons, SpatialGraph, ThresholdVector
 
 
 def square(unit_id: str, x: float, y: float, size: float = 1.0) -> tuple[str, list]:
@@ -27,6 +27,15 @@ def graph_of(nodes, edges) -> SpatialGraph:
     codes = np.array([[index[str(end)] for end in pair] for pair in edges],
                      np.int64).reshape(-1, 2)
     return SpatialGraph(node_list, codes[:, 0], codes[:, 1])
+
+
+def forced_weeks(g, tau, initial, schedule=DiffusionSchedule()) -> np.ndarray:
+    """Recovered weeks (node order) of tau's run from the given week-0 state
+    (node order, nonzero = recovered), through DiffusionKernel.weeks_recovered."""
+    kernel = DiffusionKernel(g, schedule)
+    rows = kernel.order[:, None]
+    initial = np.asarray(initial).astype(bool)[rows]
+    return kernel.weeks_recovered(kernel.need(tau.values[rows]), initial)[kernel.rank, 0]
 
 
 def polygons(units) -> Polygons:

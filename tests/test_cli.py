@@ -27,28 +27,21 @@ def run(*argv) -> int:
 
 @contextmanager
 def counted_kernels():
-    """In each module that builds a DiffusionKernel: the arguments of every
-    kernel built inside the block (built) and the column count of every
-    weeks_recovered call (columns), in order."""
-    from types import SimpleNamespace
-
+    """In each module that builds a DiffusionKernel: every kernel built
+    inside the block, in order; each counts its own calls."""
     from recovnet import diffusion, fitting, multipliers
 
-    counted = SimpleNamespace(built=[], columns=[])
+    built = []
 
     class CountedKernel(diffusion.DiffusionKernel):
         def __init__(self, *args, **kwargs):
-            counted.built.append(args)
             super().__init__(*args, **kwargs)
-
-        def weeks_recovered(self, need, initial):
-            counted.columns.append(initial.shape[1])
-            return super().weeks_recovered(need, initial)
+            built.append(self)
 
     with mock.patch.object(diffusion, "DiffusionKernel", CountedKernel), \
             mock.patch.object(fitting, "DiffusionKernel", CountedKernel), \
             mock.patch.object(multipliers, "DiffusionKernel", CountedKernel):
-        yield counted
+        yield built
 
 
 @pytest.fixture
@@ -338,10 +331,10 @@ class TestPoolAndGeometry:
         """One kernel, and so one set of recovery needs and one unforced
         run, serves the pool and every size."""
         inputs = self.stuck_units(tmp_path, 12, stuck=4)
-        with counted_kernels() as counted:
+        with counted_kernels() as built:
             assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3", *flags,
                        "--out", tmp_path / "mult") == 0
-        assert len(counted.built) == 1
+        assert len(built) == 1
         summary = (tmp_path / "mult" / "multipliers_summary.csv").read_text().splitlines()
         assert [row.split(",")[3] for row in summary[1:]] == ["8"] * 3  # the 8 seeds
 
@@ -353,10 +346,11 @@ class TestPoolAndGeometry:
         block says so. No other file holds the timing block."""
         inputs = self.stuck_units(tmp_path, 12, stuck=4)
         generations, out = 6, tmp_path / "mult"
-        with counted_kernels() as counted:
+        with counted_kernels() as built:
             assert run("multipliers", *inputs, "--pool", pool, "--sizes", "1,2,3",
                        "--max-iterations", generations, "--out", out) == 0
-        assert counted.columns == [1, 30] + [27] * (generations - 1)
+        [kernel] = built
+        assert kernel.calls == {1: 1, 30: 1, 27: generations - 1}
         timing = json.loads((out / "manifest.json").read_text())["timing"]
         assert timing["kernel_calls"] == 1 + generations
         assert timing["columns_per_call"] == {"1": 1, "30": 1, "27": generations - 1}
@@ -455,9 +449,9 @@ class TestKernelCount:
         many runs it makes (multipliers: see TestPoolAndGeometry)."""
         inputs = [] if command == "synth" else ["--edges", instance_dir / "edges.csv"]
         flags = [instance_dir / f if str(f).endswith(".csv") else f for f in flags]
-        with counted_kernels() as counted:
+        with counted_kernels() as built:
             assert run(command, *inputs, *flags, "--out", tmp_path / "out") == 0
-        assert len(counted.built) == kernels
+        assert len(built) == kernels
 
 
 class TestDurationsCommand:
@@ -1039,6 +1033,33 @@ class TestUnreadableInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestEmptyNetwork:
+    """An edge list with a header and no rows, or a feature collection with
+    no features, exits 3 naming the file in every graph command, before any
+    output is written."""
+
+    @pytest.mark.parametrize("kind", ["edges", "geometry"])
+    @pytest.mark.parametrize("command,inputs", [
+        ("build-graph", {}),
+        ("fit", {"durations": "id,duration_weeks\n"}),
+        ("baseline", {"durations": "id,duration_weeks\n"}),
+        ("multipliers", {"thresholds": "id,threshold,is_seed\n"}),
+    ])
+    def test_no_nodes(self, tmp_path, capsys, command, inputs, kind):
+        graph = {"edges": ("edges.csv", "src,dst\n"),
+                 "geometry": ("units.geojson", '{"type": "FeatureCollection", "features": []}')}
+        files = {kind: graph[kind]}
+        files.update((flag, (f"{flag}.csv", text)) for flag, text in inputs.items())
+        argv = []
+        for flag, (name, text) in files.items():
+            (tmp_path / name).write_text(text)
+            argv += [f"--{flag}", tmp_path / name]
+        assert run(command, *argv, "--out", tmp_path / "out") == 3
+        path = tmp_path / graph[kind][0]
+        assert capsys.readouterr().err == f"data error: {path}: graph has no nodes\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliImports:
     """No command loads SciPy: it is a test dependency only. The correlation
     p-values use an in-package t tail, and the manifest records no SciPy
@@ -1511,6 +1532,28 @@ class TestOptionTable:
         capsys.readouterr()
         assert run(command, *inputs[command], "--config", path, "--out", tmp_path / "x") == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,setting,named", [
+        ("fit", {"stage1_population_size": 1},
+         "stage1_population_size (--population-size) must be >= 2, got 1"),
+        ("multipliers", ["--elitism-count", 10],
+         "stage2_elitism_count (--elitism-count) must be in [0, population_size), got 10"),
+    ])
+    def test_ga_setting_error_names_key(self, tmp_path, instance_dir, capsys, command, setting,
+                                        named):
+        """A setting that only GaConfig rejects names the command's config
+        key and the flag: fit's through a config file, multipliers' a flag."""
+        inputs = {"fit": ["--durations", instance_dir / "durations.csv"],
+                  "multipliers": ["--thresholds", instance_dir / "planted_thresholds.csv",
+                                  "--sizes", 1]}[command]
+        if isinstance(setting, dict):
+            (tmp_path / "run.json").write_text(json.dumps(setting))
+            setting = ["--config", tmp_path / "run.json"]
+        capsys.readouterr()
+        assert run(command, "--edges", instance_dir / "edges.csv", *inputs, *setting,
+                   "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_other_stage_key_accepted(self, tmp_path, instance_dir):
         """One config file can serve fit and multipliers."""

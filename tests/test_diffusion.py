@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import graph_of, random_graph
+from conftest import forced_weeks, graph_of, random_graph
 from recovnet import (
     DiffusionSchedule,
     ThresholdVector,
-    all_affected,
     recovered_counts,
     run_diffusion,
 )
@@ -50,15 +49,19 @@ class TestSchedule:
             DiffusionSchedule(first_update_week=first)
 
 
+ONE_WEEK = DiffusionSchedule(horizon=1, first_update_week=1)
+
+
 def step(g, prev, tau):
     """One synchronous update from prev: week 1 of a one-week schedule."""
-    return run_diffusion(g, tau, prev, DiffusionSchedule(horizon=1, first_update_week=1)) > 0
+    return forced_weeks(g, tau, prev, ONE_WEEK) > 0
 
 
 class TestDiffusionStep:
     def test_all_affected_only_zero_threshold_flips(self, path_graph, path_tau):
         out = step(path_graph, np.zeros(3), path_tau)
         assert out.tolist() == [True, False, False]
+        assert (run_diffusion(path_graph, path_tau, ONE_WEEK) > 0).tolist() == out.tolist()
 
     def test_all_recovered_is_absorbing(self, path_graph, path_tau):
         out = step(path_graph, np.ones(3), path_tau)
@@ -69,21 +72,18 @@ class TestDiffusionStep:
         # B sees 1/2 >= 0.5 and flips; C sees 0/1 < 1 and stays
         assert out.tolist() == [True, True, False]
 
-    def test_dimension_mismatch(self, path_graph, path_tau):
-        with pytest.raises(ValueError, match="shape"):
-            step(path_graph, np.zeros(4), path_tau)
-
-    def test_non_binary_state_rejected(self, path_graph, path_tau):
-        with pytest.raises(ValueError, match="binary"):
-            step(path_graph, np.array([0.5, 0, 0]), path_tau)
+    def test_dimension_mismatch(self, path_graph):
+        tau = ThresholdVector(node_ids=("A", "B", "C", "D"), values=np.zeros(4))
+        with pytest.raises(ValueError, match="4 entries, graph has 3 nodes"):
+            run_diffusion(path_graph, tau, ONE_WEEK)
 
     def test_isolate_needs_zero_threshold(self):
         g = graph_of(["lone"], [])
         zero = ThresholdVector(node_ids=g.nodes, values=np.array([0.0]))
-        assert step(g, np.zeros(1), zero).tolist() == [True]
+        assert run_diffusion(g, zero, ONE_WEEK).tolist() == [1]
         for value in (0.7, 1.0):
             tau = ThresholdVector(node_ids=g.nodes, values=np.array([value]))
-            assert step(g, np.zeros(1), tau).tolist() == [False]
+            assert run_diffusion(g, tau, ONE_WEEK).tolist() == [0]
 
 
 def oracle_weeks(g, values, initial, horizon=14, first_update_week=3):
@@ -101,24 +101,24 @@ def oracle_weeks(g, values, initial, horizon=14, first_update_week=3):
 
 class TestRunDiffusion:
     def test_path_recovery_weeks(self, path_graph, path_tau):
-        weeks = run_diffusion(path_graph, path_tau, all_affected(3))
+        weeks = run_diffusion(path_graph, path_tau)
         assert weeks.shape == (3,)
         # recovered from week 15 - w on: weeks 3, 4 and 5
         assert weeks.tolist() == [12, 11, 10]
 
     def test_all_zero_thresholds_recover_at_first_update(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        weeks = run_diffusion(path_graph, tau)
         assert weeks.tolist() == [12, 12, 12]  # weeks 3..14
 
     def test_all_one_thresholds_never_recover(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        weeks = run_diffusion(path_graph, tau)
         assert not weeks.any()
 
     def test_initial_state_preserved_before_first_update(self, path_graph, path_tau):
         initial = np.array([0, 1, 0])
-        weeks = run_diffusion(path_graph, path_tau, initial)
+        weeks = forced_weeks(path_graph, path_tau, initial)
         # B is recovered for all 14 weeks; A (threshold 0) and C (its one
         # neighbour B recovered) wait for the first update, week 3
         assert weeks.tolist() == [12, 14, 12]
@@ -134,8 +134,10 @@ class TestRunDiffusion:
             # a horizon past 127 takes 16-bit states and weeks
             for horizon, first in ((14, 3), (6, 1), (5, 5), (200, 150)):
                 schedule = DiffusionSchedule(horizon, first)
-                weeks = run_diffusion(g, tau, initial, schedule)
+                weeks = forced_weeks(g, tau, initial, schedule)
                 assert weeks.tolist() == oracle_weeks(g, values, initial, horizon, first)
+                assert run_diffusion(g, tau, schedule).tolist() == oracle_weeks(
+                    g, values, np.zeros(n), horizon, first)
 
     def test_deterministic_and_monotone(self):
         rng = np.random.default_rng(99)
@@ -144,8 +146,8 @@ class TestRunDiffusion:
             g = random_graph(rng, n)
             tau = ThresholdVector(node_ids=g.nodes, values=rng.random(n))
             initial = rng.random(n) < 0.3
-            a = run_diffusion(g, tau, initial)
-            b = run_diffusion(g, tau, initial.copy())
+            a = forced_weeks(g, tau, initial)
+            b = forced_weeks(g, tau, initial.copy())
             assert np.array_equal(a, b)
             # a node recovered at week 0 stays recovered for every week
             assert np.all(a[initial] == 14)
@@ -153,7 +155,7 @@ class TestRunDiffusion:
 
     def test_fixed_point_propagates(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.0, 1.0, 1.0]))
-        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        weeks = run_diffusion(path_graph, tau)
         # A flips at week 3; B needs 1/2 >= 1.0, never; steady from week 3 on
         assert weeks.tolist() == [12, 0, 0]
 
@@ -166,12 +168,8 @@ class TestRunDiffusion:
             node = int(rng.integers(n))
             lowered = values.copy()
             lowered[node] = values[node] * rng.random()
-            base = run_diffusion(
-                g, ThresholdVector(node_ids=g.nodes, values=values), all_affected(n)
-            )
-            more = run_diffusion(
-                g, ThresholdVector(node_ids=g.nodes, values=lowered), all_affected(n)
-            )
+            base = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values))
+            more = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=lowered))
             assert np.all(more >= base)  # node by node, not only in total
             assert np.all(recovered_counts(more, 14) >= recovered_counts(base, 14))
 
@@ -183,27 +181,27 @@ class TestRunDiffusion:
             tau = ThresholdVector(node_ids=g.nodes, values=rng.random(n))
             small = rng.random(n) < 0.2
             big = small | (rng.random(n) < 0.2)
-            weeks_small = run_diffusion(g, tau, small)
-            weeks_big = run_diffusion(g, tau, big)
+            weeks_small = forced_weeks(g, tau, small)
+            weeks_big = forced_weeks(g, tau, big)
             assert np.all(weeks_big >= weeks_small)
             assert np.all(recovered_counts(weeks_big, 14) >= recovered_counts(weeks_small, 14))
 
     def test_node_order_mismatch_rejected(self, path_graph):
         tau = ThresholdVector(node_ids=("B", "A", "C"), values=np.zeros(3))
         with pytest.raises(ValueError, match="node ids"):
-            run_diffusion(path_graph, tau, all_affected(3))
+            run_diffusion(path_graph, tau)
 
 
 class TestRecoveredCounts:
     def test_path_counts(self, path_graph, path_tau):
-        weeks = run_diffusion(path_graph, path_tau, all_affected(3))
+        weeks = run_diffusion(path_graph, path_tau)
         counts = recovered_counts(weeks, 14)
         assert counts.shape == (15,)
         assert counts[:6].tolist() == [0, 0, 0, 1, 2, 3]
         assert np.all(counts[5:] == 3)
 
     def test_all_recovered_initial_constant(self, path_graph, path_tau):
-        weeks = run_diffusion(path_graph, path_tau, np.ones(3))
+        weeks = forced_weeks(path_graph, path_tau, np.ones(3))
         counts = recovered_counts(weeks, 14)
         # week 0 is the all-affected start; every node is recovered in weeks 1..14
         assert counts[0] == 0
@@ -211,14 +209,14 @@ class TestRecoveredCounts:
 
     def test_never_recovering_constant_zero(self, path_graph):
         tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        weeks = run_diffusion(path_graph, tau, all_affected(3))
+        weeks = run_diffusion(path_graph, tau)
         assert np.all(recovered_counts(weeks, 14) == 0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 12)
         tau = ThresholdVector(node_ids=g.nodes, values=rng.random(12))
-        counts = recovered_counts(run_diffusion(g, tau, rng.random(12) < 0.3), 14)
+        counts = recovered_counts(forced_weeks(g, tau, rng.random(12) < 0.3), 14)
         assert np.all(np.diff(counts) >= 0)
 
     def test_matches_oracle_weekly_states(self):
@@ -232,7 +230,6 @@ class TestRecoveredCounts:
                 dict(zip(g.nodes, values)),
                 dict.fromkeys(g.nodes, 0),
             )
-            weeks = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values),
-                                  all_affected(n))
+            weeks = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values))
             expected = [sum(state.values()) for state in states]
             assert recovered_counts(weeks, 14).tolist() == expected

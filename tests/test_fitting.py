@@ -97,16 +97,11 @@ class TestFitThresholds:
         assert result.thresholds.seed_mask.tolist() == [True, False, False]
 
     def test_loss_round_trips_through_resimulation(self, path_problem):
-        from recovnet import all_affected, run_diffusion
+        from recovnet import run_diffusion
 
         config = GaConfig(population_size=6, max_iterations=30, rng_seed=4)
         result = fit_thresholds(path_problem, config)
-        simulated = run_diffusion(
-            path_problem.graph,
-            result.thresholds,
-            all_affected(path_problem.graph.n),
-            path_problem.schedule,
-        )
+        simulated = run_diffusion(path_problem.graph, result.thresholds, path_problem.schedule)
         assert zero_one_loss(path_problem.empirical, simulated) == result.final_loss
         assert isinstance(result.final_loss, int)
         assert np.array_equal(result.weeks, simulated)
@@ -132,14 +127,14 @@ class TestFitThresholds:
     def test_weeks_are_the_winner_in_node_order(self):
         """The winner's weeks come from the problem's own kernel, mapped back
         from kernel order; they equal a fresh simulation of the thresholds."""
-        from recovnet import all_affected, run_diffusion
+        from recovnet import run_diffusion
 
         instance = generate_instance(SynthSpec(node_count=30, graph_kind="perturbed_grid",
                                                rng_seed=5))
         schedule = DiffusionSchedule(horizon=16, first_update_week=3)
         problem = build_fit_problem(instance.graph, instance.durations, schedule=schedule)
         result = fit_thresholds(problem, GaConfig(population_size=6, max_iterations=20, rng_seed=2))
-        simulated = run_diffusion(instance.graph, result.thresholds, all_affected(30), schedule)
+        simulated = run_diffusion(instance.graph, result.thresholds, schedule)
         assert np.array_equal(result.weeks, simulated)
         assert not np.array_equal(problem.kernel.order, np.arange(30))  # a real mapping
         assert result.final_loss == zero_one_loss(problem.empirical, simulated)

@@ -19,10 +19,13 @@ import oracles
 from conftest import graph_of
 from recovnet import (
     DiffusionSchedule,
+    GaConfig,
     MultiplierProblem,
     ThresholdVector,
     build_fit_problem,
     diffusion,
+    fit_thresholds,
+    run_diffusion,
 )
 
 HORIZON = 14
@@ -96,6 +99,44 @@ def test_kernel_trajectories_match_oracle(case):
         for i, node in enumerate(graph.nodes):
             recovered_weeks = sum(ref[t][node] for t in range(1, HORIZON + 1))
             assert weeks[i, p] == recovered_weeks, (node, p)
+
+
+def unforced_oracle_weeks(graph, values):
+    """The oracle's recovered weeks (node order) from the all-affected start."""
+    states = oracles.naive_diffusion(
+        neighbor_lists(graph), dict(zip(graph.nodes, values)), dict.fromkeys(graph.nodes, 0)
+    )
+    weeks = oracles.recovered_weeks(states)
+    return [weeks[node] for node in graph.nodes]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # empty or off-schedule seed sets
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_run_matches_oracle_and_every_whole_graph_run(case):
+    """DiffusionKernel.run, one 1-column call from the all-affected start,
+    against the oracle; run_diffusion, MultiplierProblem's unforced run and
+    fit_thresholds' weeks of the winner are that run."""
+    graph, _, _, rng = case
+    values = grid_thresholds(graph, rng, 1)[:, 0]
+    kernel = diffusion.DiffusionKernel(graph)
+    weeks = kernel.run(values)
+    assert kernel.calls == {1: 1}
+    assert weeks.tolist() == unforced_oracle_weeks(graph, values)
+
+    tau = ThresholdVector(graph.nodes, values)
+    assert run_diffusion(graph, tau).tolist() == weeks.tolist()
+    problem = MultiplierProblem(graph, tau)
+    assert problem.unforced_weeks.tolist() == weeks.tolist()
+    assert problem.kernel.calls == {1: 1}
+
+    choices = [2.5, 3.0, 5.0, 10.0, 14.0]
+    durations = {node: float(rng.choice(choices)) for node in graph.nodes}
+    fit = fit_thresholds(build_fit_problem(graph, durations),
+                         GaConfig(population_size=4, max_iterations=3, rng_seed=1))
+    fitted = fit.thresholds.values
+    assert fit.weeks.tolist() == diffusion.DiffusionKernel(graph).run(fitted).tolist()
+    assert fit.weeks.tolist() == unforced_oracle_weeks(graph, fitted)
 
 
 def naive_loss(durations, weeks, nodes):

@@ -9,7 +9,6 @@ from recovnet import (
     MultiplierProblem,
     SynthSpec,
     ThresholdVector,
-    all_affected,
     brute_force_multipliers,
     generate_instance,
     increment_rate,
@@ -53,7 +52,7 @@ class TestMultiplierObjective:
         assert problem.recovered_without == recovered(problem, [])
         assert problem.recovered_without > 0
         assert problem.unforced_weeks.tolist() == run_diffusion(
-            instance.graph, instance.thresholds, all_affected(instance.graph.n)
+            instance.graph, instance.thresholds
         ).tolist()
 
     def test_forcing_everything(self, path_graph):
@@ -207,7 +206,7 @@ class TestLockstepSearch:
         made the first."""
         config = GaConfig(population_size=6, max_iterations=8, rng_seed=1)
         search_multipliers(problem, (1, 2, 3), config)
-        assert problem.kernel_columns == {1: 1, 18: 1, 15: 7}
+        assert problem.kernel.calls == {1: 1, 18: 1, 15: 7}
 
     def test_ragged_rows_score_as_separate_calls(self, problem):
         rng = np.random.default_rng(3)

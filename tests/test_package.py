@@ -37,8 +37,8 @@ def test_unknown_name_raises_attribute_error():
 def test_readme_library_example_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use"):]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code = "".join(re.findall(r"```python\n(.*?)```", section, re.S))  # in one namespace
     assert "max_iterations=2000" in code
     exec(re.sub(r"max_iterations=\d+", "max_iterations=20", code), {})  # noqa: S102
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3

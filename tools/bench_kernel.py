@@ -269,11 +269,10 @@ def stage2_search(problems: dict) -> dict:
                 [r.best_fitness for r in result.ga_result.history]
                 == [r.best_fitness for r in alone.ga_result.history]
             ), f"stage2_search {name}: size {size} differs from its search alone"
-        calls = []  # one entry per weeks_recovered call of the timed searches
-        weeks_recovered = problem.kernel.weeks_recovered
-        problem.kernel.weeks_recovered = lambda *args: calls.append(1) or weeks_recovered(*args)
+        before = sum(problem.kernel.calls.values())
         timings[name] = timed(lambda: recovnet.search_multipliers(problem, sizes, config), STAGE2_REPEATS)
-        timings[name]["kernel_calls"] = len(calls) // (2 + STAGE2_REPEATS)
+        calls = sum(problem.kernel.calls.values()) - before  # of the timed searches
+        timings[name]["kernel_calls"] = calls // (2 + STAGE2_REPEATS)
     return timings
 
 

@@ -11,9 +11,12 @@ workload's ``prepare`` writes ``inputs/``, and its stages run in order in
 ``run/`` as ``python -m recovnet ...`` with the tree first on PYTHONPATH.
 
 Every file the stages write is compared byte for byte, except
-``manifest.json`` and ``ga_timing.csv``, which hold wall-clock data. So are
-each stage's exit code and stdout, so that a line lost as a process ends
-shows up. Stderr is not compared: a warning quotes the source line that
+``ga_timing.csv``, which holds wall-clock data, and ``manifest.json``, whose
+JSON is compared without its ``timestamp`` and without the timing fields
+that hold seconds or are divided by them (CLOCK_FIELDS); so its settings,
+``rows_scored``, ``kernel_calls`` and ``columns_per_call`` are compared. So
+are each stage's exit code and stdout, so that a line lost as a process
+ends shows up. Stderr is not compared: a warning quotes the source line that
 raised it, which moves with any edit above it. The script prints the number
 of files compared, every file that differs or exists on one side only, every
 stage whose exit code or stdout differs, and every failed stage; it exits 1
@@ -23,6 +26,7 @@ if there is any, else 0. Nothing under ``perfbench/`` is changed.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +38,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 DEFAULT_SEEDS = (1, 1009)
-UNSTABLE_FILES = {"manifest.json", "ga_timing.csv"}
+UNSTABLE_FILES = {"ga_timing.csv"}
+# manifest.json fields, at the top or in its timing block, that hold wall-clock time
+CLOCK_FIELDS = {"timestamp", "total_seconds", "seconds_per_generation", "performance_index",
+                "search_seconds"}
 
 
 def environment(src: Path) -> dict:
@@ -74,6 +81,17 @@ def outputs(run: Path) -> set[str]:
             if p.is_file() and p.name not in UNSTABLE_FILES}
 
 
+def comparable(path: Path) -> bytes:
+    """The file's bytes; for a manifest, its JSON without CLOCK_FIELDS."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_bytes())
+    for fields in (manifest, manifest.get("timing", {})):
+        for key in CLOCK_FIELDS & set(fields):
+            del fields[key]
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -110,7 +128,7 @@ def main(argv=None) -> int:
                 same = sorted(old & new)
                 compared += len(same)
                 problems += [f"{case}: differs: {f}" for f in same
-                             if (runs["old"] / f).read_bytes() != (runs["new"] / f).read_bytes()]
+                             if comparable(runs["old"] / f) != comparable(runs["new"] / f)]
                 print(f"{case}: {len(same)} files", flush=True)
     for line in problems:
         print(line)
