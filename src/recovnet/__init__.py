@@ -28,8 +28,8 @@ _HOMES = {
         "random_baseline",
     ),
     "ga": (
-        "GaConfig", "GaResult", "GenerationRecord", "PerformanceRecord", "RealVectorEncoding",
-        "SubsetEncoding", "performance_index", "run_ga", "run_lockstep",
+        "GaConfig", "GaResult", "RealVectorEncoding", "SubsetEncoding", "performance_index",
+        "run_ga", "run_lockstep",
     ),
     "graph": (
         "ContiguityRule", "GraphMetrics", "Polygons", "SpatialGraph", "align_rows",

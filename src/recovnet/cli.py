@@ -355,13 +355,14 @@ def _write_manifest(s: argparse.Namespace, extra: Optional[dict]) -> None:
 
 
 def _load_graph(s: argparse.Namespace):
-    """The graph of --geometry or --edges, which must hold a node."""
+    """The graph of --geometry or --edges, which must hold a node. The
+    contiguity settings are checked whichever input is given."""
     if (s.geometry is None) == (s.edges is None):
         raise ConfigError("exactly one of --geometry or --edges is required")
+    rule = ContiguityRule(s.rule, s.snap_tolerance)
     if s.geometry is not None:
         path = _require_file(s.geometry, "geometry")
-        units = io.read_feature_collection(path)
-        graph = build_contiguity_graph(units, ContiguityRule(s.rule, s.snap_tolerance))
+        graph = build_contiguity_graph(io.read_feature_collection(path), rule)
     else:
         path = _require_file(s.edges, "edge list")
         graph = io.read_edge_list(path)
@@ -449,18 +450,18 @@ def cmd_fit(s: argparse.Namespace) -> dict:
     problem = _fit_problem(s)
     out = Path(s.out)
     result = fit_thresholds(problem, config)
-    history = result.ga_result.history
+    history, seconds = result.ga_result.history, result.ga_result.seconds
 
     io.write_thresholds(result.thresholds, out / "thresholds.csv")
-    io.write_generation_stats(history, out / "generations.csv", include_seconds=False)
-    io.write_generation_stats(history, out / "ga_timing.csv", include_seconds=True)
+    io.write_generation_stats(history, out / "generations.csv")
+    io.write_generation_stats(history, out / "ga_timing.csv", seconds)
     io.write_trajectory(problem.graph.nodes, result.weeks, problem.schedule.horizon,
                         out / "trajectory.csv")
 
     report = {
         "final_loss": result.final_loss,
-        "initial_best_loss": history[0].best_fitness,
-        "generations": result.ga_result.generations,
+        "initial_best_loss": history[0].item(),
+        "generations": history.size,
         "free_nodes": problem.free_count,
         "seed_nodes": int(problem.seed_mask.sum()),
         "generation_stats_file": "generations.csv",
@@ -471,19 +472,12 @@ def cmd_fit(s: argparse.Namespace) -> dict:
     io.write_json(report, out / "fit_report.json")
 
     # wall-clock figures stay out of the deterministic tables
-    timing: dict = {"total_seconds": result.ga_result.total_seconds,
-                    "rows_scored": result.ga_result.rows_scored}
-    if result.ga_result.total_seconds > 0:
-        perf = performance_index(
-            initial_best_loss=history[0].best_fitness,
-            final_best_loss=result.final_loss,
-            generations=result.ga_result.generations,
-            total_seconds=result.ga_result.total_seconds,
-        )
-        timing["loss_descent_per_generation"] = perf.loss_descent_per_generation
-        timing["seconds_per_generation"] = perf.seconds_per_generation
-        timing["performance_index"] = perf.index
-    print(f"final loss {result.final_loss} after {result.ga_result.generations} generations")
+    total_seconds = float(seconds.sum())
+    timing = {"total_seconds": total_seconds, "rows_scored": result.ga_result.rows_scored}
+    if total_seconds > 0:
+        timing.update(performance_index(history[0].item(), result.final_loss, history.size,
+                                        total_seconds))
+    print(f"final loss {result.final_loss} after {history.size} generations")
     return {"timing": timing}
 
 
@@ -504,6 +498,7 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
         check_enumeration_cap,
         search_multipliers,
     )
+    config = _ga_config(s)  # checked, as the manifest records it, even for --brute-force
     graph = _load_graph(s)
     path = _require_file(s.thresholds, "thresholds")
     table = io.read_thresholds(path)
@@ -541,7 +536,7 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
                    for size in s.sizes]
     else:
         method = "ga"
-        results = search_multipliers(problem, s.sizes, _ga_config(s), candidate_pool)
+        results = search_multipliers(problem, s.sizes, config, candidate_pool)
     # wall-clock figures stay out of the deterministic tables
     timing = {
         "search_seconds": time.perf_counter() - start,
@@ -554,9 +549,7 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
     copies = {}
     for size, result in zip(s.sizes, results):
         if result.ga_result is not None:
-            io.write_generation_stats(
-                result.ga_result.history, out / f"generations_N{size}.csv", include_seconds=False
-            )
+            io.write_generation_stats(result.ga_result.history, out / f"generations_N{size}.csv")
         io.write_multiplier_set(graph.nodes, set(result.members), out / f"multipliers_N{size}.csv")
         copies[out / f"multipliers_N{size}.geojson"] = set(result.members)
         rate = (
@@ -588,6 +581,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
     if curves != bool(s.durations):
         missing = "durations" if curves else "edges"
         raise ConfigError(f"recovery curves need both --edges and --durations; missing {missing!r}")
+    schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked with or without curves
     thresholds_path = _require_file(s.thresholds, "thresholds")
     thresholds = io.read_thresholds(thresholds_path)
     keep = included(thresholds, s.include_seeds)
@@ -603,7 +597,6 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         aligned = thresholds.take(align_rows(thresholds.node_ids, graph.nodes, thresholds_path))
         durations_path = _require_file(s.durations, "durations")
         durations = io.read_durations(durations_path)
-        schedule = DiffusionSchedule(s.horizon, s.first_update_week)
         empirical = durations_to_weeks(
             align_durations(durations, graph.nodes, s.horizon, durations_path), s.horizon
         )

@@ -24,7 +24,7 @@ from .diffusion import (
 )
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
-from .ga import GaConfig, GaResult, GenerationRecord, RealVectorEncoding, run_ga
+from .ga import GaConfig, GaResult, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
 
 
@@ -127,15 +127,12 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
 
     A problem with no free nodes (every node a seed) has nothing to
     optimize; the all-zero threshold vector is returned directly with a
-    single synthetic generation record.
+    history of one generation that took no time.
     """
     if problem.free_count == 0:
-        loss = int(problem.losses(np.empty((1, 0)))[0])
-        result = GaResult(
-            best_chromosome=np.empty(0),
-            best_fitness=loss,
-            history=[GenerationRecord(generation=0, best_fitness=loss, seconds=0.0)],
-        )
+        losses = problem.losses(np.empty((1, 0)))
+        result = GaResult(best_chromosome=np.empty(0), best_fitness=losses[0].item(),
+                          history=losses, seconds=np.zeros(1))
     else:
         encoding = RealVectorEncoding(problem.free_count)
         result = run_ga(problem.losses, direction="minimize", encoding=encoding, config=config)

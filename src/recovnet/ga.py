@@ -9,7 +9,7 @@ evaluation draws nothing from it, so runs are reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,44 +61,20 @@ class GaConfig:
             raise ConfigError(f"tournament_size must be >= 2, got {self.tournament_size}")
         if not 0 <= self.elitism_count < self.population_size:
             raise ConfigError(
-                f"elitism_count must be in [0, population_size), got {self.elitism_count}"
+                f"elitism_count must be in [0, {self.population_size}), got {self.elitism_count}"
             )
-
-
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Best fitness and wall-clock seconds for one generation."""
-
-    generation: int
-    best_fitness: float
-    seconds: float
 
 
 @dataclass(eq=False)
 class GaResult:
-    """Best-ever chromosome with its fitness and the per-generation history."""
+    """Best-ever chromosome with its fitness, and per generation its best
+    fitness (history, in the fitness's dtype) and wall-clock seconds."""
 
     best_chromosome: np.ndarray
     best_fitness: float
-    history: list[GenerationRecord] = field(default_factory=list)
+    history: np.ndarray
+    seconds: np.ndarray
     rows_scored: int = 0  # chromosomes passed to the fitness function
-
-    @property
-    def generations(self) -> int:
-        return len(self.history)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(rec.seconds for rec in self.history)
-
-
-@dataclass(frozen=True)
-class PerformanceRecord:
-    """Loss descent per generation, seconds per generation, and their ratio."""
-
-    loss_descent_per_generation: float
-    seconds_per_generation: float
-    index: float
 
 
 class RealVectorEncoding:
@@ -231,7 +207,7 @@ def run_lockstep(
     sequence per matrix; a run drops out after its max_iterations
     generations.
 
-    The runs share the wall clock: a generation's seconds, in the history
+    The runs share the wall clock: a generation's seconds, in the result
     of every run still going, span the whole lockstep generation (the one
     fitness call and every run's operators). Summing seconds over runs
     counts that time once per run.
@@ -278,7 +254,7 @@ def _generations(encoding, config: GaConfig, sign: float):
     pairs = (size - elites + 1) // 2
 
     population = encoding.random(rng, size)
-    history: list[GenerationRecord] = []
+    history, seconds = [], []
     best_chromosome: Optional[np.ndarray] = None
     best_fitness = best_key = 0.0
 
@@ -308,18 +284,14 @@ def _generations(encoding, config: GaConfig, sign: float):
             best_chromosome = population[gen_best].copy()
             best_fitness, best_key = fits[gen_best].item(), key[gen_best]
         tock = time.perf_counter()
-        history.append(
-            GenerationRecord(
-                generation=generation,
-                best_fitness=fits[gen_best].item(),
-                seconds=tock - tick,
-            )
-        )
+        history.append(fits[gen_best])
+        seconds.append(tock - tick)
         tick = tock
 
     assert best_chromosome is not None
     return GaResult(
-        best_chromosome=best_chromosome, best_fitness=best_fitness, history=history,
+        best_chromosome=best_chromosome, best_fitness=best_fitness,
+        history=np.array(history), seconds=np.array(seconds),
         rows_scored=size + (config.max_iterations - 1) * (size - elites),
     )
 
@@ -342,17 +314,18 @@ def performance_index(
     final_best_loss: float,
     generations: int,
     total_seconds: float,
-) -> PerformanceRecord:
+) -> dict[str, float]:
     """Loss descent per generation divided by runtime per generation; the
-    figure of merit used to pick a population size."""
+    figure of merit used to pick a population size. Returns the three
+    figures under the keys a fit run's manifest gives them."""
     if generations < 1:
         raise ConfigError(f"generations must be >= 1, got {generations}")
     if total_seconds <= 0:
         raise ConfigError(f"total_seconds must be > 0, got {total_seconds}")
     descent = (initial_best_loss - final_best_loss) / generations
     seconds = total_seconds / generations
-    return PerformanceRecord(
-        loss_descent_per_generation=descent,
-        seconds_per_generation=seconds,
-        index=descent / seconds,
-    )
+    return {
+        "loss_descent_per_generation": descent,
+        "seconds_per_generation": seconds,
+        "performance_index": descent / seconds,
+    }

@@ -46,7 +46,6 @@ from .graph import GraphMetrics, Polygons, SpatialGraph, align_rows
 if TYPE_CHECKING:  # at run time, a function that needs a stage module imports it
     from .analysis import AttributeTable
     from .diffusion import ThresholdVector
-    from .ga import GenerationRecord
     from .multipliers import MultiplierResult
 
 
@@ -653,16 +652,17 @@ def write_trajectory(
 
 
 def write_generation_stats(
-    history: Iterable[GenerationRecord], path: str | Path, include_seconds: bool = True
+    history: np.ndarray, path: str | Path, seconds: Optional[np.ndarray] = None
 ) -> None:
-    """Per-generation GA statistics; seconds can be dropped so repeated runs
-    with one seed produce byte-identical files."""
-    header = ["generation", "best_fitness"] + (["seconds"] if include_seconds else [])
-    write_table(path, header, (
-        [rec.generation, repr(float(rec.best_fitness))]
-        + ([repr(rec.seconds)] if include_seconds else [])
-        for rec in history
-    ))
+    """Per-generation GA statistics: each generation's best fitness, and its
+    wall-clock seconds when given; without them, repeated runs with one seed
+    produce byte-identical files."""
+    header = ["generation", "best_fitness"]
+    columns = [range(history.size), map(repr, history.astype(np.float64).tolist())]
+    if seconds is not None:
+        header.append("seconds")
+        columns.append(map(repr, seconds.tolist()))
+    write_table(path, header, zip(*columns))
 
 
 def write_multiplier_set(

@@ -147,9 +147,11 @@ class TestFitAndMultipliers:
         assert header == "generation,best_fitness"
 
     def test_timing_confined_to_manifest(self, fit_dir):
+        from recovnet import performance_index
         manifest = json.loads((fit_dir / "manifest.json").read_text())
         assert manifest["timing"]["total_seconds"] > 0
-        assert "performance_index" in manifest["timing"]
+        assert set(manifest["timing"]) - {"total_seconds", "rows_scored"} == set(
+            performance_index(1, 0, 1, 1.0))
         report = json.loads((fit_dir / "fit_report.json").read_text())
         assert "timing" not in report
 
@@ -1536,8 +1538,12 @@ class TestOptionTable:
     @pytest.mark.parametrize("command,setting,named", [
         ("fit", {"stage1_population_size": 1},
          "stage1_population_size (--population-size) must be >= 2, got 1"),
+        ("fit", ["--elitism-count", 10],
+         "stage1_elitism_count (--elitism-count) must be in [0, 10), got 10"),
+        ("fit", {"stage1_population_size": 4, "stage1_elitism_count": 5},
+         "stage1_elitism_count (--elitism-count) must be in [0, 4), got 5"),
         ("multipliers", ["--elitism-count", 10],
-         "stage2_elitism_count (--elitism-count) must be in [0, population_size), got 10"),
+         "stage2_elitism_count (--elitism-count) must be in [0, 10), got 10"),
     ])
     def test_ga_setting_error_names_key(self, tmp_path, instance_dir, capsys, command, setting,
                                         named):
@@ -1553,6 +1559,37 @@ class TestOptionTable:
         assert run(command, "--edges", instance_dir / "edges.csv", *inputs, *setting,
                    "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,setting,named", [
+        ("multipliers", ["--brute-force", "--population-size", 1],
+         "stage2_population_size (--population-size) must be >= 2, got 1"),
+        ("multipliers", ["--brute-force", "--tournament-size", 1],
+         "stage2_tournament_size (--tournament-size) must be >= 2, got 1"),
+        ("analyze", ["--horizon", 0], "horizon must be >= 1, got 0"),
+        ("analyze", ["--first-update-week", 99], "first_update_week must be in [1, 14], got 99"),
+        ("build-graph", ["--snap-tolerance", -1], "snap_tolerance must be finite and >= 0"),
+        ("fit", ["--snap-tolerance", -1], "snap_tolerance must be finite and >= 0"),
+    ])
+    def test_setting_checked_where_the_run_does_not_use_it(
+        self, tmp_path, instance_dir, capsys, command, setting, named
+    ):
+        """A setting is checked on every run of its command, also where that
+        run does not use it: the GA settings under --brute-force, the
+        schedule without recovery curves, the contiguity rule with --edges."""
+        inputs = {
+            "multipliers": ["--edges", instance_dir / "edges.csv",
+                            "--thresholds", instance_dir / "planted_thresholds.csv",
+                            "--sizes", 1],
+            "analyze": ["--thresholds", instance_dir / "planted_thresholds.csv",
+                        "--attributes", instance_dir / "attributes.csv"],
+            "build-graph": ["--edges", instance_dir / "edges.csv"],
+            "fit": ["--edges", instance_dir / "edges.csv",
+                    "--durations", instance_dir / "durations.csv", "--max-iterations", 2],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *inputs, *setting, "--out", tmp_path / "x") == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_other_stage_key_accepted(self, tmp_path, instance_dir):

@@ -121,7 +121,9 @@ class TestFitThresholds:
         result = fit_thresholds(problem, GaConfig(max_iterations=5000, rng_seed=0))
         assert result.final_loss == 0
         assert np.all(result.thresholds.values == 0.0)
-        assert result.ga_result.generations == 1  # nothing to optimize
+        # nothing to optimize: one generation, which took no time
+        assert result.ga_result.history.tolist() == [0]
+        assert result.ga_result.seconds.tolist() == [0.0]
         assert result.weeks.tolist() == problem.empirical.tolist() == [12, 12, 12]
 
     def test_weeks_are_the_winner_in_node_order(self):
@@ -145,7 +147,7 @@ class TestFitThresholds:
         problem = build_fit_problem(instance.graph, instance.durations)
         config = GaConfig(population_size=8, max_iterations=150, rng_seed=6)
         result = fit_thresholds(problem, config)
-        assert result.final_loss <= result.ga_result.history[0].best_fitness
+        assert result.final_loss <= result.ga_result.history[0]
 
 
 class TestRandomBaseline:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from recovnet import (
     GaConfig,
-    PerformanceRecord,
     RealVectorEncoding,
     SubsetEncoding,
     performance_index,
@@ -64,17 +63,31 @@ class TestRealVectorGa:
         assert result.best_fitness == sphere(population).min()
         assert len(result.history) == 1
 
+    @pytest.mark.parametrize("encoding,fitness", [
+        (RealVectorEncoding(4), sphere),
+        (SubsetEncoding(12, 3), lambda population: population.sum(axis=1)),
+    ])
+    def test_history_and_seconds_hold_one_entry_per_generation(self, encoding, fitness):
+        """history holds each generation's best in the fitness's own dtype,
+        seconds its wall-clock time."""
+        config = GaConfig(population_size=6, max_iterations=17, rng_seed=2)
+        result = run_ga(fitness, "minimize", encoding, config)
+        assert result.history.size == result.seconds.size == config.max_iterations
+        assert result.history.dtype == fitness(encoding.random(np.random.default_rng(0), 1)).dtype
+        assert result.seconds.dtype == np.float64 and (result.seconds >= 0).all()
+        assert result.history.min() == result.best_fitness
+
     def test_reproducible(self):
         config = GaConfig(population_size=8, max_iterations=50, rng_seed=7)
         a = run_ga(sphere, "minimize", RealVectorEncoding(5), config)
         b = run_ga(sphere, "minimize", RealVectorEncoding(5), config)
         assert np.array_equal(a.best_chromosome, b.best_chromosome)
-        assert [r.best_fitness for r in a.history] == [r.best_fitness for r in b.history]
+        assert np.array_equal(a.history, b.history)
 
     def test_elitism_keeps_population_best_monotone(self):
         config = GaConfig(population_size=10, max_iterations=120, rng_seed=3)
         result = run_ga(sphere, "minimize", RealVectorEncoding(5), config)
-        best = [r.best_fitness for r in result.history]
+        best = result.history.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(best, best[1:]))
 
     def test_direction_validated(self):
@@ -163,7 +176,7 @@ class TestFitnessContract:
                           rng_seed=5)
         result = run_ga(rescoring, direction, encoding, config)
         best = [sign * (sign * fits).min() for _, fits in rescored]
-        assert [rec.best_fitness for rec in result.history] == best
+        assert result.history.tolist() == best
         assert result.best_fitness == sign * min(sign * b for b in best)
         assert fitness(result.best_chromosome[None])[0] == result.best_fitness
 
@@ -227,8 +240,7 @@ class TestLockstep:
             alone = run_ga(self.fitness, direction, encoding, config)
             assert np.array_equal(result.best_chromosome, alone.best_chromosome)
             assert result.best_fitness == alone.best_fitness
-            assert ([rec.best_fitness for rec in result.history]
-                    == [rec.best_fitness for rec in alone.history])
+            assert np.array_equal(result.history, alone.history)
             assert result.rows_scored == alone.rows_scored
 
     def test_one_value_sequence_per_run_required(self):
@@ -271,7 +283,7 @@ class TestSubsetGa:
             lambda population: weights[population].sum(axis=1), "maximize",
             SubsetEncoding(40, 5), config,
         )
-        best = [r.best_fitness for r in result.history]
+        best = result.history.tolist()
         assert all(b >= a for a, b in zip(best, best[1:]))
 
     def test_full_pool_subset(self):
@@ -366,20 +378,20 @@ class TestOperators:
 
 class TestPerformanceIndex:
     def test_no_descent_gives_zero(self):
-        record = performance_index(100.0, 100.0, 50, 10.0)
-        assert record.loss_descent_per_generation == 0.0
-        assert record.index == 0.0
+        figures = performance_index(100.0, 100.0, 50, 10.0)
+        assert figures["loss_descent_per_generation"] == 0.0
+        assert figures["performance_index"] == 0.0
 
     def test_reported_run_arithmetic(self):
         # 6569.835 -> 2752 over 10,000 generations
-        record = performance_index(6569.835, 2752.0, 10_000, 3600.0)
-        assert record.loss_descent_per_generation == pytest.approx(0.3817835)
+        figures = performance_index(6569.835, 2752.0, 10_000, 3600.0)
+        assert figures["loss_descent_per_generation"] == pytest.approx(0.3817835)
 
     def test_simple_ratio(self):
-        record = performance_index(120.0, 100.0, 2, 4.0)
-        assert record == PerformanceRecord(
-            loss_descent_per_generation=10.0, seconds_per_generation=2.0, index=5.0
-        )
+        assert performance_index(120.0, 100.0, 2, 4.0) == {
+            "loss_descent_per_generation": 10.0, "seconds_per_generation": 2.0,
+            "performance_index": 5.0,
+        }
 
     def test_nonpositive_runtime_rejected(self):
         with pytest.raises(ConfigError, match="total_seconds"):

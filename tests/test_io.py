@@ -892,15 +892,20 @@ class TestWriters:
                     writer.writerow([node, week, int(week >= horizon + 1 - w)])
         assert path.read_bytes() == reference.read_bytes()
 
-    def test_generation_stats_layouts(self, tmp_path):
-        from recovnet import GenerationRecord
-
-        history = [GenerationRecord(0, 12.0, 0.5), GenerationRecord(1, 9.0, 0.4)]
+    @pytest.mark.parametrize("history", [np.array([12, 9]), np.array([12.0, 9.0])],
+                             ids=["int", "float"])
+    def test_generation_stats_layouts(self, tmp_path, history):
+        """Integer and float fitness both print as floats; seconds, when
+        given, add a column."""
         with_seconds = tmp_path / "full.csv"
-        io.write_generation_stats(history, with_seconds, include_seconds=True)
-        assert with_seconds.read_text().splitlines()[0] == "generation,best_fitness,seconds"
+        io.write_generation_stats(history, with_seconds, seconds=np.array([0.5, 0.4]))
+        assert with_seconds.read_text().splitlines() == [
+            "generation,best_fitness,seconds",
+            "0,12.0,0.5",
+            "1,9.0,0.4",
+        ]
         without = tmp_path / "plain.csv"
-        io.write_generation_stats(history, without, include_seconds=False)
+        io.write_generation_stats(history, without)
         assert without.read_text().splitlines() == [
             "generation,best_fitness",
             "0,12.0",

@@ -197,8 +197,7 @@ class TestLockstepSearch:
             assert result.members == alone.members
             assert result.recovered_with == alone.recovered_with
             assert result.ga_result.best_fitness == alone.ga_result.best_fitness
-            assert ([rec.best_fitness for rec in result.ga_result.history]
-                    == [rec.best_fitness for rec in alone.ga_result.history])
+            assert np.array_equal(result.ga_result.history, alone.ga_result.history)
             assert result.ga_result.rows_scored == alone.ga_result.rows_scored == 6 + 29 * 4
 
     def test_one_recovered_call_per_generation(self, problem):

@@ -265,9 +265,8 @@ def stage2_search(problems: dict) -> dict:
         config = recovnet.GaConfig(max_iterations=shape["generations"], rng_seed=1)
         for size, result in zip(sizes, recovnet.search_multipliers(problem, sizes, config)):
             [alone] = recovnet.search_multipliers(problem, [size], config)
-            assert result.members == alone.members and (
-                [r.best_fitness for r in result.ga_result.history]
-                == [r.best_fitness for r in alone.ga_result.history]
+            assert result.members == alone.members and np.array_equal(
+                result.ga_result.history, alone.ga_result.history
             ), f"stage2_search {name}: size {size} differs from its search alone"
         before = sum(problem.kernel.calls.values())
         timings[name] = timed(lambda: recovnet.search_multipliers(problem, sizes, config), STAGE2_REPEATS)
