@@ -5,13 +5,14 @@ multiplier sets and summary of a multipliers run.
 
 Every CSV table is read column by column by _read_columns, with no Python
 step per row. The file is read as bytes and checked to be UTF-8, then its
-header is checked. A file with no '"' is tokenized with NumPy: lines end at
-\n, \r\n or a lone \r, blank lines are skipped, and cells are split at
-commas, as csv.reader splits them; each block of _BLOCK_ROWS rows packs every
-cell's bytes and length into integer keys, so that one sort per column finds
-the distinct cells and only those are decoded. A file with a '"' (or a line
-past csv's field size limit) is read by csv.reader, the only reader that
-splits quoted cells exactly. Each distinct cell text is parsed once.
+header is checked. Every \r\n and lone \r becomes \n, so lines end as
+csv.reader ends them. A file with no '"' and no line over 255 bytes is
+tokenized with NumPy: blank lines are skipped and cells are split at commas,
+as csv.reader splits them; each block of _BLOCK_ROWS rows packs every cell's
+bytes and length into integer keys, so that one sort per column finds the
+distinct cells and only those are decoded. Any other file is read by
+csv.reader, the only reader that splits quoted cells exactly. Each distinct
+cell text is parsed once.
 
 Rows are read up to the first short row (fewer cells than the header). A
 fault is named as a row-by-row reader would name it: the first row in file
@@ -188,27 +189,12 @@ _BLOCK_ROWS = 16_384
 
 
 def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the start and end of each line's text, split as a file
-    opened with newline="" splits them: at \\n, \\r\\n and a lone \\r. A
-    last line without a terminator is a line; nothing after a final
-    terminator is."""
+    """Offsets of the start and end of each line's text, the lines of data
+    ending at \\n. A last line without a terminator is a line; nothing
+    after a final terminator is."""
     buf = np.frombuffer(data, np.uint8)
-    if b"\r" in data:
-        cr = buf == 13
-        ends = buf == 10
-        ends[1:] &= ~cr[:-1]  # the \n of a \r\n ends no second line
-        ends |= cr
-        del cr
-        ends = np.flatnonzero(ends)
-        starts = ends + 1
-        # a \r that ends the file is compared with itself, so it ends no \r\n
-        crlf = buf[ends] == 13
-        crlf[crlf] = buf[np.minimum(starts[crlf], buf.size - 1)] == 10
-        starts += crlf
-    else:
-        ends = np.flatnonzero(buf == 10)
-        starts = ends + 1
-    starts = np.concatenate(([0], starts))
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends + 1))
     if starts[-1] == buf.size:
         return starts[:-1], ends
     return starts, np.append(ends, buf.size)
@@ -219,28 +205,23 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 
 def _field_words(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Each field buf[start:stop] as a row of 64-bit words: its bytes,
-    zero-padded, and its length, so that two rows are equal iff the fields
-    are. The length is the top byte of the last word, a byte past every
-    field, when every field is shorter than 256 bytes, else a word of its
-    own."""
+    """Each field buf[start:stop], shorter than 256 bytes, as a row of 64-bit
+    words: its bytes, zero-padded, with its length in the top byte of the
+    last word, a byte past every field, so that two rows are equal iff the
+    fields are."""
     lengths = stops - starts
-    longest = int(lengths.max())
-    count = longest // 8 + 1
+    count = int(lengths.max()) // 8 + 1
     lo, hi = int(starts.min()), int(stops.max())
     words = np.zeros((hi - lo) // 8 + count + 1, np.uint64)
     words.view(np.uint8)[: hi - lo] = buf[lo:hi]
     index = (starts - lo) >> 3
     shift = ((starts - lo) & 7).astype(np.uint64) * 8
-    keys = np.empty((starts.size, count + (longest > 255)), np.uint64)
+    keys = np.empty((starts.size, count), np.uint64)
     for j in range(count):
         # the 8 bytes from the field's start + 8j, which straddle two words
         word = (words[index + j] >> shift) | ((words[index + j + 1] << 1) << (63 - shift))
         keys[:, j] = word & _LOW_BYTES[np.clip(lengths - 8 * j, 0, 8)]
-    if longest > 255:
-        keys[:, count] = lengths
-    else:
-        keys[:, count - 1] |= lengths.astype(np.uint64) << 56
+    keys[:, -1] |= lengths.astype(np.uint64) << 56
     return keys
 
 
@@ -350,8 +331,11 @@ def _read_columns(
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     starts, ends = _line_bounds(data)
-    if b'"' in data or np.any(ends - starts > csv.field_size_limit()):
+    # a line of at most 255 bytes keeps each field's length in one key byte
+    if b'"' in data or np.any(ends - starts > 255):
         del data, starts, ends  # the csv.reader path reads the file again
         return _csv_columns(path, header, optional)
     first = next(csv.reader([data[starts[0]:ends[0]].decode("utf-8")])) if starts.size else None
@@ -678,7 +662,8 @@ def read_multiplier_set(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     (ids, flags), short = _read_columns(path, ["id", "selected"])
     nodes, (codes,), empty = _node_codes(ids)
     selected, bad_flag = _parsed(flags, lambda text: _flag(text, "selected"), bool, 1)
-    _raise_first(path, "multiplier", [empty, bad_flag], short)
+    _raise_first(path, "multiplier", [
+        empty, (_repeated(codes), "a second multiplier row for its node"), bad_flag], short)
     return tuple(map(nodes.__getitem__, codes.tolist())), selected
 
 

@@ -273,7 +273,13 @@ def naive_read_attributes(path):
 def naive_read_multiplier_set(path):
     """The ids and selected flags of a multiplier set file, in file order."""
     rows, short = naive_csv_rows(path, ["id", "selected"])
-    out = [(naive_node(path, row), naive_flag(path, row, 1, "selected")) for row in rows]
+    out, seen = [], set()
+    for row in rows:
+        node = naive_node(path, row)
+        if node in seen:
+            raise ValueError(f"{path}: a second multiplier row for its node in row {row!r}")
+        seen.add(node)
+        out.append((node, naive_flag(path, row, 1, "selected")))
     naive_short_row(path, short, "multiplier")
     return out
 

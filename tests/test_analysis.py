@@ -145,6 +145,13 @@ class TestTertileAttributeReport:
         with pytest.raises(DataError, match="attributes.csv: no row for 1 of the 3 nodes: n1$"):
             align_rows(attrs.ids, tau_of([0.1, 0.2, 0.3]).node_ids, path)
 
+    def test_repeated_id_named(self):
+        """Every per-node reader rejects a repeated id by its row first; a
+        caller that aligns ids of its own gets the first repeated one."""
+        with pytest.raises(DataError) as raised:
+            align_rows(("n1", "n0", "n2", "n0", "n1"), ("n0", "n1", "n2"), "rows")
+        assert str(raised.value) == "rows: more than one row for node 'n1'"
+
     def test_flood_included_only_when_complete(self):
         tau = tau_of([0.1, 0.2, 0.3])
         tertiles = split_tertiles(tau, include_seeds=True)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from recovnet import cli, io
+from recovnet import RecovnetError, cli, io
+from recovnet.analysis import ATTRIBUTE_NAMES
 from recovnet.cli import OPTIONS, default_multiplier_sizes, main
 
 
@@ -219,6 +220,35 @@ class TestFitAndMultipliers:
         assert not narrow["threshold_summary"]["includes_seeds"]
         assert wide["threshold_summary"]["includes_seeds"]
 
+    def test_analyze_constant_attribute_has_no_correlation(self, tmp_path, instance_dir):
+        attributes = instance_dir / "attributes.csv"
+        for row in range(16):
+            _rewrite_row(attributes, row, 3, "50.0")
+        out = tmp_path / "analysis"
+        assert run("analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--attributes", attributes, "--out", out) == 0
+        report = json.loads((out / "analysis_report.json").read_text())
+        assert report["correlations"]["minority_pct"] == {
+            "error": "degenerate sample: zero variance"}
+        assert "r" in report["correlations"]["per_capita_income"]
+
+    def test_analyze_set_of_every_node_leaves_no_non_multiplier(self, tmp_path, instance_dir):
+        """Every node recovers unforced on this instance, so a set of all 16
+        is a valid run; the non-multiplier group is empty, count 0."""
+        mult = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", 16, "--brute-force", "--out", mult) == 0
+        out = tmp_path / "analysis"
+        assert run("analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--attributes", instance_dir / "attributes.csv",
+                   "--multipliers-dir", mult, "--out", out) == 0
+        rows = _rows(out / "multiplier_attributes.csv")
+        assert [row[:4] for row in rows if row[1] == "multiplier"] == [
+            ["16", "multiplier", name, "16"] for name in ATTRIBUTE_NAMES]
+        assert [row for row in rows if row[1] == "non_multiplier"] == [
+            ["16", "non_multiplier", name, "0", "", "", "", ""] for name in ATTRIBUTE_NAMES]
+
     @pytest.mark.parametrize("given,missing", [("edges", "durations"), ("durations", "edges")])
     def test_analyze_lone_curve_input_is_config(self, tmp_path, instance_dir, capsys,
                                                 given, missing):
@@ -311,6 +341,15 @@ class TestPoolAndGeometry:
         ) == 0
         ids, selected = io.read_multiplier_set(out / "multipliers_N1.csv")
         assert selected.sum() == 1 and ids[np.argmax(selected)] in {"s2", "s3"}
+
+    def test_unrecovered_pool_with_every_node_recovered(self, tmp_path, instance_dir, capsys):
+        out = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", 1, "--pool", "unrecovered", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            "data error: cannot restrict pool to unrecovered nodes: none exist\n")
+        assert not out.exists()
 
     @staticmethod
     def stuck_units(tmp_path, n, stuck=2):
@@ -529,6 +568,14 @@ class TestVisitInput:
         err = capsys.readouterr().err
         assert "short_unit" in err and "too short" in err
 
+    def test_unit_shorter_than_baseline_window_names_unit(self, tmp_path, capsys):
+        rows = self._series("u1") + self._series("u2", days=3)
+        assert self._durations(tmp_path, rows) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'visits.csv'}: unit 'u2': "
+            "baseline window extends past the series\n")
+        assert not (tmp_path / "durations").exists()
+
     def test_bad_day_names_file_and_row(self, tmp_path, capsys):
         rows = self._series("good") + ["b,xx,100"]
         assert self._durations(tmp_path, rows) == 3
@@ -740,6 +787,17 @@ class TestGeometryInput:
         assert self._build(tmp_path, self._write(tmp_path, "{not json")) == 3
         assert "units.geojson" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,named", [
+        ('{"type": "Feature"}', "expected a FeatureCollection"),
+        ("[1, 2]", "expected a FeatureCollection"),
+        ('{"type": "FeatureCollection", "features": {}}', "'features' must be a list"),
+    ])
+    def test_not_a_feature_collection_names_file(self, tmp_path, capsys, doc, named):
+        path = self._write(tmp_path, doc)
+        assert self._build(tmp_path, path) == 3
+        assert capsys.readouterr().err == f"data error: {path}: {named}\n"
+        assert not (tmp_path / "g").exists()
+
     def test_bare_number_feature_names_index(self, tmp_path, capsys):
         doc = json.loads(_grid_geojson(tmp_path / "grid.geojson").read_text())
         doc["features"].insert(2, 5)
@@ -775,6 +833,18 @@ class TestConfigMerging:
         config.write_text("{not json")
         assert run("fit", "--config", config, "--out", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("text,named", [
+        (None, "config file not found: {}"),
+        ("[1]", "config file {} must hold a JSON object"),
+        ("null", "config file {} must hold a JSON object"),
+    ])
+    def test_config_file_absent_or_not_an_object(self, tmp_path, capsys, text, named):
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        assert run("fit", "--config", config, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"configuration error: {named.format(config)}\n"
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage(self):
@@ -798,6 +868,21 @@ class TestExitCodes:
         assert run(
             "build-graph", "--edges", bad, "--out", tmp_path / "g",
         ) == 3
+
+    def test_empty_csv_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        assert run("build-graph", "--edges", empty, "--out", tmp_path / "g") == 3
+        assert capsys.readouterr().err == f"data error: {empty}: empty file\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_package_error_of_no_kind_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken(s):
+            raise RecovnetError("handler broke")
+
+        monkeypatch.setattr(cli, "cmd_build_graph", broken)
+        assert run("build-graph", "--edges", tmp_path / "edges.csv", "--out", tmp_path / "g") == 4
+        assert capsys.readouterr().err == "internal error: handler broke\n"
 
     def test_version_and_help(self, capsys):
         assert run("--version") == 0
@@ -1706,6 +1791,17 @@ class TestRunDirectoryInputs:
         assert capsys.readouterr().err == (
             f"data error: {set_file}: selected must be 0 or 1, got {cell!r} "
             f"in row [{node!r}, {cell!r}]\n")
+
+    def test_set_file_repeated_id_named(self, tmp_path, instance_dir, mult_dir, capsys):
+        set_file = mult_dir / "multipliers_N1.csv"
+        lines = set_file.read_text().splitlines()
+        lines.insert(4, lines[2])
+        set_file.write_text("\n".join(lines) + "\n")
+        assert self._analyze(tmp_path, instance_dir, mult_dir) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {set_file}: a second multiplier row for its node "
+            f"in row {lines[2].split(',')!r}\n")
+        assert not (tmp_path / "analysis").exists()
 
     def test_set_file_disagreeing_with_summary(self, tmp_path, instance_dir, mult_dir, capsys):
         set_file = mult_dir / "multipliers_N1.csv"

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
@@ -88,6 +89,22 @@ class TestDurationsCsv:
         path.write_text("id,duration_weeks\na,soon\n")
         with pytest.raises(DataError, match="non-numeric"):
             io.read_durations(path)
+
+    def test_one_long_id_costs_no_more_memory_than_its_file(self, tmp_path):
+        """A 32 000-byte id in the first of 20 001 rows: csv.reader reads
+        the file, so no key of the other rows in its block is sized to it."""
+        durations = {"L" * 32_000: 2.5}
+        durations.update({f"u{k:05d}": float(k % 15) for k in range(20_000)})
+        path = tmp_path / "durations.csv"
+        io.write_durations(durations, path)
+        tracemalloc.start()
+        try:
+            read = io.read_durations(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == durations
+        assert peak < 16 * 2**20
 
 
 class TestThresholdsCsv:
@@ -211,18 +228,24 @@ class TestVisitSeriesCsv:
             == {"u": (1, [3.0, 4.0, 5.0, 6.0]), "v": (9, [1.0])}
 
     @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
-    def test_fields_alike_in_their_leading_bytes_stay_apart(self, tmp_path, monkeypatch,
-                                                             block_rows):
+    @pytest.mark.parametrize("ids", [
+        ["g480201234567", "g480201234568", "n", "n\x00",
+         "M" * 229, "M" * 229 + "\x00", "W" * 229 + "0", "W" * 229 + "1"],
+        ["L" * 300, "L" * 300 + "\x00"],
+    ], ids=["byte_tokenizer", "csv_reader"])
+    def test_fields_alike_in_their_leading_bytes_stay_apart(self, tmp_path, block_rows, ids):
         """Ids and days that share their first 8 bytes, or differ only by a
-        trailing NUL byte (below and past 255 bytes), are distinct cells; each
-        pair of ids is in one block of 2 rows."""
-        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-        ids = ["g480201234567", "g480201234568", "n", "n\x00", "L" * 300, "L" * 300 + "\x00"]
+        trailing NUL byte or by their last byte, are distinct cells; each
+        pair of ids is in one block of 2 rows. The lines of the 230-byte ids
+        are 255 bytes long, the longest the byte tokenizer reads; those of
+        the 300-byte ids are longer, so csv.reader reads them."""
         rows = [f"{node},2018-07-0{day},100.00000000{k}"
                 for day in (1, 2) for k, node in enumerate(ids)]
+        lines = [line + "\n" for line in ["id,day,visits", *rows]]
         path = tmp_path / "visits.csv"
-        path.write_text("\n".join(["id,day,visits", *rows]) + "\n", encoding="utf-8")
-        series = io.read_visit_series(path)
+        path.write_text("".join(lines), encoding="utf-8")
+        with tokenizer_watched(lines, block_rows):
+            series = io.read_visit_series(path)
         expected = oracles.naive_read_visit_series(path)
         assert sorted(series) == sorted(expected) == sorted(ids)
         for node, (first_day, values) in series.items():
@@ -251,9 +274,11 @@ class TestVisitSeriesCsv:
 BASE_DAY = 736_900  # near 2018-07, so a day may be written as an index or a date
 ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite", "empty_id")
 # ids longer than a 64-bit word that differ only past it, non-ASCII ids, and
-# ids that differ only by a trailing NUL byte, short and past 255 bytes
+# ids that differ only by a trailing NUL byte; short ones, ones whose lines
+# may stay within the byte tokenizer's 255 bytes, and ones whose lines pass it
 NODE_IDS = ["u0", "u1", "b", "a10", "g480201234567", "g480201234568", "é", "日本",
-            "n", "n\x00", "L" * 300, "L" * 300 + "\x00"]
+            "n", "n\x00", "M" * 229, "M" * 229 + "\x00", "W" * 229 + "0", "W" * 229 + "1",
+            "L" * 300, "L" * 300 + "\x00"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 NUMBER_TEXTS = ["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0", "100.000000001", "0100"]
 BAD_NUMBERS = ["abc", "", "1,0", "inf", "-inf", "nan", "1e999"]
@@ -264,9 +289,10 @@ def csv_lines(draw, header: list[str], rows: list[list], extras_from: int = 0) -
     index or an ISO date) as CSV lines, each with its terminator. About half
     the files quote some cells (read by csv.reader; the header's first cell
     is quoted, so that they have a quote); the rest have no quote (read by
-    the byte tokenizer). Cells may be padded with spaces, a row of at least
-    extras_from cells may get extra cells, blank lines go in between, lines
-    end at \\n, \\r\\n or a lone \\r, and the last one may have no terminator."""
+    the byte tokenizer, unless a line is longer than 255 bytes). Cells may
+    be padded with spaces, a row of at least extras_from cells may get extra
+    cells, blank lines go in between, lines end at \\n, \\r\\n or a lone
+    \\r, and the last one may have no terminator."""
     quoted = draw(st.booleans())
 
     def cell(value):
@@ -355,7 +381,7 @@ TABLES = {
     "attributes": ("id,per_capita_income,median_household_income,minority_pct|flood_extent",
                    ("duplicate", "bad_number", "out_of_range", "negative_flood",
                     "missing_flood")),
-    "multiplier_set": ("id,selected", ("bad_flag",)),
+    "multiplier_set": ("id,selected", ("duplicate", "bad_flag")),
 }
 
 
@@ -436,7 +462,8 @@ def table_files(draw, table: str):
 @contextmanager
 def tokenizer_watched(lines: list[str], block_rows: int):
     """io._BLOCK_ROWS is block_rows inside the block; on leaving it, checks
-    that csv.reader read the file iff one of its lines has a quote."""
+    that csv.reader read the file iff one of its lines has a quote or is
+    longer than 255 bytes (its terminator aside)."""
     default, io._BLOCK_ROWS = io._BLOCK_ROWS, block_rows
     by_csv_reader = []
     csv_columns = io._csv_columns
@@ -445,7 +472,8 @@ def tokenizer_watched(lines: list[str], block_rows: int):
         yield
     finally:
         io._BLOCK_ROWS, io._csv_columns = default, csv_columns
-    assert bool(by_csv_reader) == any('"' in line for line in lines)
+    assert bool(by_csv_reader) == any('"' in line or len(line.rstrip("\r\n").encode()) > 255
+                                      for line in lines)
 
 
 BLOCK_ROWS = st.one_of(st.just(io._BLOCK_ROWS), st.integers(1, 7))

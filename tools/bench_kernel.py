@@ -22,7 +22,8 @@ against the plain-loop re-simulation of ``tests/oracles.py``.
 ``ingest-large`` input), written to a temporary directory and checked
 against ``tests/oracles.naive_read_visit_series``. It is timed as the median
 of --visit-repeats calls after two warm-up calls, and one more call gives
-``peak_mib``, the tracemalloc peak of a read.
+``peak_mib``, the tracemalloc peak of a read. ``read_visits_crlf`` is the
+same on the same rows with \\r\\n line ends.
 
 ``stage2_search`` times search_multipliers over every size of two shapes,
 as the benchmark's multipliers stages search them: ``paper`` is the n = 2010
@@ -152,17 +153,18 @@ def timed(fn, repeats: int) -> dict:
     return quartiles(samples)
 
 
-def read_visits(repeats: int) -> dict:
-    """Time io.read_visit_series on an ingest-large-shaped visits file,
-    after checking it against the row-by-row oracle."""
+def read_visits(repeats: int, line_end: str = "\n") -> dict:
+    """Time io.read_visit_series on an ingest-large-shaped visits file whose
+    lines end at line_end, after checking it against the row-by-row oracle."""
     rng = np.random.default_rng(0)
     visits = rng.integers(0, 102, (VISIT_UNITS, VISIT_DAYS)).tolist()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "visits.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("id,day,visits\n")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("id,day,visits" + line_end)
             for unit, series in enumerate(visits):
-                handle.write("".join(f"g{unit:05d},{d},{v}\n" for d, v in enumerate(series)))
+                handle.write("".join(f"g{unit:05d},{d},{v}{line_end}"
+                                     for d, v in enumerate(series)))
         expected = oracles.naive_read_visit_series(path)
         series = io.read_visit_series(path)
         assert list(series) == sorted(expected), "read_visits: node ids differ from the oracle"
@@ -384,6 +386,7 @@ def measure(repeats: int, visit_repeats: int) -> dict:
         "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
         "stage2_search": stage2_search(stage2),
         "read_visits": read_visits(visit_repeats),
+        "read_visits_crlf": read_visits(visit_repeats, "\r\n"),
         **graph_reads(),
         "cold_start": cold_start(),
     }
