@@ -19,7 +19,6 @@ from .diffusion import (
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
-    chunk_columns,
     map_column_chunks,
 )
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
@@ -153,10 +152,9 @@ def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> Baseli
     rng = np.random.default_rng(rng_seed)
     # one chunk of draws at a time: the generator's doubles come in sequence,
     # so the chunks are the rows of one runs x free_count draw
-    size = chunk_columns(problem.graph.n)
-    arr = np.concatenate([
-        problem.losses(rng.random((min(size, runs - start), problem.free_count)))
-        for start in range(0, runs, size)
-    ]).astype(np.float64)
+    arr = map_column_chunks(
+        lambda rows: problem.losses(rng.random((rows.size, problem.free_count))),
+        np.arange(runs), problem.graph.n,
+    ).astype(np.float64)
     std = float(arr.std(ddof=1)) if runs > 1 else 0.0
     return BaselineStats(mean=float(arr.mean()), std=std, runs=runs, losses=arr)

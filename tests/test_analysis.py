@@ -117,6 +117,10 @@ class TestSplitTertiles:
         sizes = sorted(len(g) for g in groups)
         assert sizes[-1] - sizes[0] <= 1
 
+    def test_lone_seed_has_nothing_to_split(self):
+        with pytest.raises(ValueError, match="no nodes to split into tertiles"):
+            split_tertiles(tau_of([0.0], seeds=[0]))
+
 
 def tertile_medians(tau, columns, attribute):
     rows = tertile_attribute_report(split_tertiles(tau, include_seeds=True), columns)
@@ -213,6 +217,10 @@ class TestCorrelate:
         x = rng.random(10) * 3
         result = correlate(x, a * x + b)
         assert result.r == (1.0 if a > 0 else -1.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="paired 1-D samples required"):
+            correlate([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_zero_correlation_has_p_one(self):
         result = correlate([1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0])

@@ -68,6 +68,17 @@ class TestSynth:
         assert set(manifest["versions"]) == {"recovnet", "python", "numpy"}
         assert manifest["versions"]["python"] == platform.python_version()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--nodes", 0], "node_count must be >= 1, got 0"),
+        (["--nodes", 16, "--seed-fraction", 1.5], "seed_fraction must be in [0, 1], got 1.5"),
+        (["--nodes", 16, "--edge-removal-fraction", 1],
+         "edge_removal_fraction must be in [0, 1), got 1.0"),
+    ])
+    def test_spec_out_of_range_is_config(self, tmp_path, capsys, flags, named):
+        capsys.readouterr()
+        assert run("synth", *flags, "--out", tmp_path / "x") == 2
+        assert named in capsys.readouterr().err
+
 
 class TestBuildGraph:
     def test_from_edge_list(self, tmp_path, instance_dir, capsys):
@@ -1598,6 +1609,11 @@ class TestOptionTable:
         ("analyze", {"include_seeds": "no"}, "include_seeds"),
         ("synth", {"nodes": 9}, "node_count"),
         ("durations", {"baseline_start": "xx"}, "baseline_start"),
+        ("durations", {"ratio": [1]}, "config key 'ratio': expected a finite number, got [1]"),
+        ("durations", {"ratio": True}, "config key 'ratio': expected a finite number, got True"),
+        ("durations", {"out": 5}, "config key 'out': expected a string, got 5"),
+        ("multipliers", {"sizes": []}, "config key 'sizes': expected a list of set sizes, got []"),
+        ("baseline", {"runs": 2.5}, "config key 'runs': expected an integer, got 2.5"),
     ])
     def test_bad_config_value_names_key(
         self, tmp_path, instance_dir, capsys, command, config, named
@@ -1613,6 +1629,8 @@ class TestOptionTable:
             "synth": [],
             "durations": ["--visits", _visits_csv(tmp_path / "visits.csv"),
                           "--baseline-end", 20, "--recovery-start", 27],
+            "baseline": ["--edges", instance_dir / "edges.csv",
+                         "--durations", instance_dir / "durations.csv"],
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -1676,6 +1694,17 @@ class TestOptionTable:
         assert run(command, *inputs, *setting, "--out", tmp_path / "x") == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_integral_float_config_value_is_an_integer(self, tmp_path, instance_dir):
+        """A JSON 2.0 is the integer 2."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"runs": 2.0}))
+        out = tmp_path / "baseline"
+        assert run("baseline", "--edges", instance_dir / "edges.csv",
+                   "--durations", instance_dir / "durations.csv",
+                   "--config", path, "--out", out) == 0
+        assert json.loads((out / "baseline.json").read_text())["runs"] == 2
+        assert len((out / "baseline_losses.csv").read_text().splitlines()) == 3
 
     def test_other_stage_key_accepted(self, tmp_path, instance_dir):
         """One config file can serve fit and multipliers."""

@@ -29,6 +29,10 @@ class TestThresholdVector:
         with pytest.raises(ValueError):
             ThresholdVector(node_ids=("a", "b"), values=np.array([0.1]))
 
+    def test_seed_mask_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="seed_mask shape does not match values"):
+            ThresholdVector(("a", "b"), [0.1, 0.2], seed_mask=[False])
+
     def test_assemble(self):
         tau = ThresholdVector.assemble(
             ("a", "b", "c"), np.array([False, True, False]), np.array([0.4, 0.9])

@@ -205,6 +205,10 @@ class TestComputeRecoveryDurations:
         with pytest.raises(ConfigError, match="ma_halfwidth"):
             compute_recovery_durations(visits, 0, 20, RSTART, ma_halfwidth=-1)
 
+    def test_one_dimensional_visits_rejected(self):
+        with pytest.raises(DataError, match="visit matrix must be two-dimensional"):
+            compute_recovery_durations(np.zeros(120), 0, 6, 10)
+
 
 def first_recovered_week(weeks, horizon=14):
     """The week a node with these recovered weeks recovers (horizon + 1: never)."""

@@ -41,6 +41,14 @@ class TestGaConfig:
         with pytest.raises(ConfigError):
             GaConfig(mutation_prob=prob)
 
+    @pytest.mark.parametrize("make,named", [
+        (lambda: RealVectorEncoding(0), "real-vector length must be >= 1, got 0"),
+        (lambda: SubsetEncoding(3, 4), r"subset_size must be in \[1, pool_size=3\], got 4"),
+    ])
+    def test_encoding_size_rejected(self, make, named):
+        with pytest.raises(ConfigError, match=named):
+            make()
+
 
 class TestRealVectorGa:
     def test_sphere_minimization(self):

@@ -1,81 +1,57 @@
-"""Times one fitness call of each kind on a county-scale instance, one read
-of a large visits file, the GeoJSON-to-graph and edge-list reads, and the
-start-up of a fresh process for each command.
+"""Times two recovnet source trees in one process on the benchmark's inputs.
 
-    PYTHONPATH=src python tools/bench_kernel.py --label change
+    python tools/bench_kernel.py OLD_SRC [--out FILE] [--repeats N] [--visit-repeats N]
 
-The instance is ``synth --nodes 2010 --kind perturbed_grid --rng-seed 1``,
-written to a temporary directory. Timed, each as the median of --repeats
-calls after two warm-up calls:
+OLD_SRC holds the old ``recovnet`` package (another checkout's ``src``); the
+new tree is this checkout's ``src``, so ``tools/bench_kernel.py src`` is an
+A/A run. Each tree is loaded as a package of its own name whatever
+PYTHONPATH holds. Neither may hold a ``__pycache__`` and no bytecode is
+written, so every module compiles from source, as in the benchmark.
 
-- ``need``: DiffusionKernel.need on a 2010 x 64 threshold matrix;
-- ``losses_P10`` and ``losses_P65``: FitProblem.losses on 10 and 65
-  uniform-random chromosomes (65 is one column chunk of ``baseline``);
-- ``recovered_P10``: MultiplierProblem.recovered on 10 random seed sets of
-  20 nodes, over the planted thresholds.
+An entry times pairs of one call per tree, alternating which goes first,
+after two warm-up pairs. It records per tree (``old``, ``new``) the median
+and quartiles in ms, and over the pairs ``ratio`` (the median of new / old),
+``new_faster`` (the pairs the new tree won) and ``pairs``. --out receives
+them with both trees' paths, the machine, Python and NumPy. The inputs are
+those of ``perfbench/workloads.py`` at seed 1, written once and read by both
+trees; every check runs for both trees before timing.
 
-Before timing, the losses and recovered counts of a few columns are checked
-against the plain-loop re-simulation of ``tests/oracles.py``.
-
-``read_visits`` is io.read_visit_series on a visits file of 4 000 units x
-110 days (440 000 unquoted rows, 5.7 MB, shaped like the benchmark's
-``ingest-large`` input), written to a temporary directory and checked
-against ``tests/oracles.naive_read_visit_series``. It is timed as the median
-of --visit-repeats calls after two warm-up calls, and one more call gives
-``peak_mib``, the tracemalloc peak of a read. ``read_visits_crlf`` is the
-same on the same rows with \\r\\n line ends.
-
-``stage2_search`` times search_multipliers over every size of two shapes,
-as the benchmark's multipliers stages search them: ``paper`` is the n = 2010
-instance with sizes 20/60/101/201 and 25 generations, ``small`` a 40-node
-``small-exact`` instance (``synth --nodes 40 --seed-fraction 0.1
---threshold-low 0.3 --threshold-high 0.9 --rng-seed 1``) with sizes 1-3 and
-75 generations. The thresholds are uniform-random on the free nodes
-(``paper``) or planted (``small``), and each size's generator is seeded as
-``multipliers --rng-seed 1`` seeds it. Before timing, each size's set and
-its per-generation best values are checked against a search of that size
-alone. Each shape is timed as the median of STAGE2_REPEATS (15) searches
-after two warm-up searches, with ``kernel_calls``, the weeks_recovered calls
-of one search.
-
-``cold_start`` is the wall time of fresh child processes run with
-COLD_START_ENV (recorded in the entry), as the benchmark runs its stages:
-``import numpy``, ``import recovnet.cli``, then each command as
-``python -m recovnet`` on a 16-node ``synth`` instance (build-graph on a
-4 x 4 grid, durations on 16 units' visits; fit, baseline and multipliers
-with tiny budgets). The steps are run in turn COLD_START_REPEATS (21) times
-after one untimed pass, and each is reported as the median of its runs,
-with ``peak_rss_mib``, the median of its children's ru_maxrss: the step
-with the largest one sets the benchmark's ``peak_rss_mib``.
-``package_import`` is the median of ``import recovnet.cli`` minus the
-``import numpy`` of the same turn: the package's own cost, which a drift in
-the machine's speed between turns moves less than either time alone. In the
-same way each command's ``own`` is its time minus the same turn's ``import
-recovnet.cli``: what the command adds to the import, its end included. The
-import child ends with the interpreter's teardown, so ``own`` also shows
-what the CLI's exit saves. With PYTHONDONTWRITEBYTECODE=1 and no
-``__pycache__`` under the package, which the harness checks, every child
-compiles the package from source.
-
-``contiguity`` is io.read_feature_collection plus build_contiguity_graph
-(queen) on a 50 x 80 grid of squares as GeoJSON (4 000 units, the
-coordinates of ``ingest-large``'s ``units.geojson``), and ``read_edges`` is
-io.read_edge_list on the 15 612-edge list of that graph. Before timing, the
-queen edges are checked against the pairwise test of
-``tests/oracles.classify_pair``, run on every pair of units whose bounding
-boxes touch (no other pair can share a vertex), and the edge list read back
-against the graph that wrote it. Each is timed as the median of
-GRAPH_REPEATS (30) calls after two warm-up calls.
-
-The result is stored under --label in --out (other labels are kept), so that
-two source trees can be compared by running the harness once with each on
-PYTHONPATH.
+- ``need``, ``losses_P10``, ``losses_P65``, ``recovered_P10`` (--repeats
+  pairs), on ``paper-scale``'s n = 2010 instance: DiffusionKernel.need on a
+  2010 x 64 matrix, FitProblem.losses on 10 and 65 random chromosomes (65 is
+  one column chunk of ``baseline``), MultiplierProblem.recovered on 10
+  random 20-node seed sets over the planted thresholds. Two columns of each
+  are checked against the plain-loop re-simulation of ``tests/oracles.py``.
+- ``stage2_search`` (15 pairs): search_multipliers over every size of two
+  shapes, as the multipliers stages search them. ``paper`` is that instance
+  with random thresholds on the free nodes, ``default_sizes(2010)`` and
+  ``PaperScale.multiplier_generations``; ``small`` is ``small-exact``'s
+  planted instance with ``SmallExact.sizes`` and ``multiplier_generations``.
+  Each size is checked against a search of that size alone.
+  ``kernel_calls`` is the weeks_recovered calls of one search.
+- ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
+  to a queen graph, checked against ``reference.grid_queen_edges``, and
+  io.read_edge_list on its edge list.
+- ``read_visits`` (--visit-repeats pairs): io.read_visit_series on
+  ``ingest-large``'s ``visits.csv``, checked against
+  ``oracles.naive_read_visit_series``, with ``peak_mib``, the tracemalloc
+  peak of one more read. ``read_visits_crlf`` reads a \\r\\n copy.
+- ``package_import`` (21 pairs, one warm-up): ``import recovnet.cli`` minus
+  the same turn's ``import numpy``, in fresh children with the tree on
+  PYTHONPATH (the difference drifts less with the machine than either).
+- ``paper_budget`` (3 pairs, no warm-up): fit_thresholds for 10 000
+  generations at P = 10, then search_multipliers on that fit for 2 000
+  generations over the default sizes, on the ``paper-scale`` instance with
+  rng_seed 1. Each tree records every pair's stage seconds and fit
+  performance_index, and the final loss, rows scored, the search's kernel
+  calls and the recovered count per size, which must repeat in every pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io as stdio
 import json
 import os
@@ -87,328 +63,282 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-sys.dont_write_bytecode = True  # cold_start children must compile the package from source
-import recovnet  # noqa: E402
-from recovnet import MultiplierProblem, build_fit_problem, io  # noqa: E402
-from recovnet.cli import main as cli  # noqa: E402
-
+sys.dont_write_bytecode = True  # every module of both trees is compiled from source
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
-import oracles  # noqa: E402
+sys.path.insert(0, str(ROOT / "perfbench"))
+import reference  # noqa: E402
+from workloads import IngestLarge, PaperScale, SmallExact, default_sizes, expect  # noqa: E402
 
-NODES = 2010
-HORIZON, FIRST_UPDATE_WEEK = 14, 3
-VISIT_UNITS, VISIT_DAYS = 4000, 110
-
-
-def instance(root: Path):
-    with contextlib.redirect_stdout(stdio.StringIO()):
-        code = cli(["synth", "--nodes", str(NODES), "--kind", "perturbed_grid",
-                     "--rng-seed", "1", "--out", str(root)])
-    assert code == 0, "synth failed"
-    graph = io.read_edge_list(root / "edges.csv")
-    durations = io.read_durations(root / "durations.csv")
-    planted = io.read_thresholds(root / "planted_thresholds.csv")
-    return graph, durations, planted.take([planted.node_ids.index(n) for n in graph.nodes])
+ORACLES = reference.load_oracles(ROOT)
+SEED = 1
+SIDES = ("old", "new")
+GRAPH_PAIRS, STAGE2_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 15, 21, 3
 
 
-def check_against_oracle(graph, durations, problem, multipliers, chromosomes, seed_sets):
-    """Losses and recovered counts of the first two columns equal a plain-loop
-    re-simulation."""
-    neighbors = {node: sorted(graph.neighbors(node)) for node in graph.nodes}
-    affected = {node: 0 for node in graph.nodes}
-    losses = problem.losses(chromosomes[:2])
-    for p, row in enumerate(chromosomes[:2]):
-        values = np.zeros(graph.n)
-        values[problem.free_indices] = row
-        weeks = oracles.naive_diffusion(neighbors, dict(zip(graph.nodes, values)), affected)
-        loss = sum((durations[node] <= t) != bool(weeks[t][node])
-                   for t in range(1, HORIZON + 1) for node in graph.nodes)
-        assert losses[p] == loss, f"losses column {p}: {losses[p]} vs oracle {loss}"
-    recovered = multipliers.recovered(seed_sets[:2])
-    thresholds = dict(zip(graph.nodes, multipliers.thresholds.values))
-    for p, row in enumerate(seed_sets[:2]):
-        initial = dict(affected, **{graph.nodes[i]: 1 for i in row})
-        final = sum(oracles.naive_diffusion(neighbors, thresholds, initial)[-1].values())
-        assert recovered[p] == final, f"recovered column {p}: {recovered[p]} vs oracle {final}"
+def load_tree(name: str, src: Path):
+    """src's recovnet package, loaded as the package `name` with its cli and
+    io modules: its relative imports and lazy names resolve inside `name`."""
+    package = src.resolve() / "recovnet"
+    if (package / "__pycache__").exists():
+        raise SystemExit(f"remove {package / '__pycache__'}: the package must compile from source")
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tree
+    spec.loader.exec_module(tree)
+    importlib.import_module(f"{name}.cli")  # sets tree.cli and tree.io
+    return tree
 
 
 def quartiles(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
-            "calls": len(samples)}
+    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
 
 
-def timed(fn, repeats: int) -> dict:
-    for _ in range(2):
-        fn()
-    samples = []
-    for _ in range(repeats):
+def paired(run, pairs: int, warmups: int = 2) -> dict:
+    """run(side) for both sides in alternating order, `warmups` untimed pairs
+    and then `pairs` pairs; run returns the milliseconds to record."""
+    samples = {side: [] for side in SIDES}
+    for k in range(warmups + pairs):
+        for side in SIDES[::-1] if k % 2 else SIDES:
+            ms = run(side)
+            if k >= warmups:
+                samples[side].append(ms)
+    ratios = [new / old for old, new in zip(samples["old"], samples["new"])]
+    return {**{side: quartiles(samples[side]) for side in SIDES},
+            "ratio": round(statistics.median(ratios), 4),
+            "new_faster": sum(ratio < 1 for ratio in ratios), "pairs": pairs}
+
+
+def timed(call, pairs: int, warmups: int = 2) -> dict:
+    """paired timing of call(side)."""
+    def run(side):
         start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1e3)
-    return quartiles(samples)
+        call(side)
+        return (time.perf_counter() - start) * 1e3
+    return paired(run, pairs, warmups)
 
 
-def read_visits(repeats: int, line_end: str = "\n") -> dict:
-    """Time io.read_visit_series on an ingest-large-shaped visits file whose
-    lines end at line_end, after checking it against the row-by-row oracle."""
+def synth(tree, workload, out: Path) -> Path:
+    """Runs the workload's synth stage at SEED with its --out set to out."""
+    [stage] = [stage for stage in workload.stages(SEED) if stage.name == "synth"]
+    args = list(stage.args)
+    args[args.index("--out") + 1] = str(out)
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        expect(tree.cli.main(args) == 0, f"{workload.name}: synth failed")
+    return out
+
+
+def instance(tree, directory: Path):
+    """The graph, durations and planted thresholds (node order) synth wrote."""
+    graph = tree.io.read_edge_list(directory / "edges.csv")
+    planted = tree.io.read_thresholds(directory / "planted_thresholds.csv")
+    return (graph, tree.io.read_durations(directory / "durations.csv"),
+            planted.take([planted.node_ids.index(n) for n in graph.nodes]))
+
+
+def build(tree, paper: Path, small: Path) -> SimpleNamespace:
+    """What the in-process entries call, built by one tree from the inputs."""
+    graph, durations, planted = instance(tree, paper)
+    problem = tree.build_fit_problem(graph, durations)
+    drawn = tree.ThresholdVector.assemble(
+        graph.nodes, problem.seed_mask, np.random.default_rng(1).random(problem.free_count))
+    small_graph, _, small_planted = instance(tree, small)
+    return SimpleNamespace(
+        tree=tree, graph=graph, durations=durations, problem=problem,
+        multipliers=tree.MultiplierProblem(graph, planted),
+        stage2={"paper": tree.MultiplierProblem(graph, drawn),
+                "small": tree.MultiplierProblem(small_graph, small_planted)})
+
+
+def kernel_entries(sides: dict, paper: Path, repeats: int) -> dict:
+    """need, losses and recovered, after checking the losses and recovered
+    counts of two columns against a plain-loop re-simulation."""
     rng = np.random.default_rng(0)
-    visits = rng.integers(0, 102, (VISIT_UNITS, VISIT_DAYS)).tolist()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "visits.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("id,day,visits" + line_end)
-            for unit, series in enumerate(visits):
-                handle.write("".join(f"g{unit:05d},{d},{v}{line_end}"
-                                     for d, v in enumerate(series)))
-        expected = oracles.naive_read_visit_series(path)
-        series = io.read_visit_series(path)
-        assert list(series) == sorted(expected), "read_visits: node ids differ from the oracle"
-        for node, (first_day, values) in series.items():
-            assert (first_day, values.tolist()) == expected[node], f"read_visits: node {node}"
-        del expected, series
-        timing = timed(lambda: io.read_visit_series(path), repeats)
+    n, free_count = sides["new"].graph.n, sides["new"].problem.free_count
+    chromosomes = {p: rng.random((p, free_count)) for p in (10, 65)}
+    seed_sets = np.sort(np.argsort(rng.random((10, n)), axis=1)[:, :20], axis=1)
+    neighbors = reference.read_neighbors(paper / "edges.csv")
+    durations = reference.read_durations(paper / "durations.csv")
+    for side, s in sides.items():
+        nodes, losses = s.graph.nodes, s.problem.losses(chromosomes[10][:2])
+        for p, row in enumerate(chromosomes[10][:2]):
+            values = np.zeros(n)
+            values[s.problem.free_indices] = row
+            weeks = reference.simulate(ORACLES, neighbors, dict(zip(nodes, values)))
+            loss = reference.zero_one_loss(durations, weeks)
+            expect(losses[p] == loss, f"losses column {p} ({side}): {losses[p]} vs oracle {loss}")
+        recovered = s.multipliers.recovered(seed_sets[:2])
+        planted = dict(zip(nodes, s.multipliers.thresholds.values))
+        for p, row in enumerate(seed_sets[:2]):
+            weeks = reference.simulate(ORACLES, neighbors, planted, [nodes[i] for i in row])
+            final = reference.recovered_at_horizon(weeks)
+            expect(recovered[p] == final,
+                   f"recovered column {p} ({side}): {recovered[p]} vs oracle {final}")
+    thresholds = rng.random((n, 64))
+    return {
+        "need": timed(lambda side: sides[side].problem.kernel.need(thresholds), repeats),
+        "losses_P10": timed(lambda side: sides[side].problem.losses(chromosomes[10]), repeats),
+        "losses_P65": timed(lambda side: sides[side].problem.losses(chromosomes[65]), repeats),
+        "recovered_P10": timed(lambda side: sides[side].multipliers.recovered(seed_sets), repeats),
+    }
+
+
+def stage2_search(sides: dict) -> dict:
+    """Each shape's search over all its sizes, after checking every size's
+    result against a search of that size alone."""
+    shapes = {"paper": (default_sizes(PaperScale.nodes), PaperScale.multiplier_generations),
+              "small": (SmallExact.sizes, SmallExact.multiplier_generations)}
+    timings = {}
+    for name, (sizes, generations) in shapes.items():
+        configs = {side: s.tree.GaConfig(max_iterations=generations, rng_seed=SEED)
+                   for side, s in sides.items()}
+        for side, s in sides.items():
+            search, problem, config = s.tree.search_multipliers, s.stage2[name], configs[side]
+            for size, result in zip(sizes, search(problem, sizes, config)):
+                [alone] = search(problem, [size], config)
+                expect(result.members == alone.members and np.array_equal(
+                    result.ga_result.history, alone.ga_result.history),
+                    f"stage2_search {name} ({side}): size {size} differs from its search alone")
+        before = {side: sum(s.stage2[name].kernel.calls.values()) for side, s in sides.items()}
+        timings[name] = timed(lambda side: sides[side].tree.search_multipliers(
+            sides[side].stage2[name], sizes, configs[side]), STAGE2_PAIRS)
+        for side, s in sides.items():  # the timed searches' calls, warm-ups included
+            calls = sum(s.stage2[name].kernel.calls.values()) - before[side]
+            timings[name][side]["kernel_calls"] = calls // (2 + STAGE2_PAIRS)
+    return timings
+
+
+def graph_reads(sides: dict, inputs: Path, ids: list[list[str]]) -> dict:
+    """GeoJSON to queen graph and the edge-list read, after checking both."""
+    geometry, edges = inputs / "units.geojson", inputs / "edges.csv"
+    expected = reference.grid_queen_edges(ids)
+    rules = {side: s.tree.ContiguityRule("queen") for side, s in sides.items()}
+
+    def contiguity(side):
+        tree = sides[side].tree
+        return tree.build_contiguity_graph(tree.io.read_feature_collection(geometry), rules[side])
+
+    for side in SIDES:
+        expect(set(contiguity(side).edges) == expected, f"contiguity ({side}): edges differ")
+    sides["new"].tree.io.write_edge_list(contiguity("new"), edges)
+    for side, s in sides.items():
+        read = s.tree.io.read_edge_list(edges)
+        expect(set(read.edges) == expected and read.m == len(expected),
+               f"read_edges ({side}): edges differ")
+    return {"contiguity": timed(contiguity, GRAPH_PAIRS),
+            "read_edges": timed(lambda side: sides[side].tree.io.read_edge_list(edges),
+                                GRAPH_PAIRS)}
+
+
+def read_visits(sides: dict, path: Path, repeats: int) -> dict:
+    """io.read_visit_series on path, after checking it against the row-by-row
+    oracle, with each tree's tracemalloc peak of one more read."""
+    expected = ORACLES.naive_read_visit_series(path)
+    for side, s in sides.items():
+        series = s.tree.io.read_visit_series(path)
+        expect(list(series) == sorted(expected) and all(
+            (day, values.tolist()) == expected[node] for node, (day, values) in series.items()),
+            f"{path.name} ({side}): series differ from the oracle")
+    del expected, series
+    timing = timed(lambda side: sides[side].tree.io.read_visit_series(path), repeats)
+    for side, s in sides.items():
         tracemalloc.start()
-        io.read_visit_series(path)
-        timing["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        s.tree.io.read_visit_series(path)
+        timing[side]["peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
         tracemalloc.stop()
     return timing
 
 
-GRID_ROWS, GRID_COLS = 50, 80
-GRAPH_REPEATS = 30
-LON, LAT, STEP = -95.8, 29.5, 0.005
+def package_import(srcs: dict) -> dict:
+    """Fresh-child `import recovnet.cli` minus the same turn's `import numpy`."""
+    def child(code: str, side: str) -> float:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(srcs[side])}
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        return (time.perf_counter() - start) * 1e3
+
+    def run(side: str) -> float:
+        numpy_ms = child("import numpy", side)
+        return child("import recovnet.cli", side) - numpy_ms
+
+    return paired(run, IMPORT_PAIRS, warmups=1)
 
 
-def grid_geojson(path: Path, rows: int = GRID_ROWS, cols: int = GRID_COLS) -> list:
-    """Write a grid of squares, by default ingest-large's 50 x 80; return
-    its (id, rings)."""
-    xs = [LON + c * STEP for c in range(cols + 1)]
-    ys = [LAT + r * STEP for r in range(rows + 1)]
-    units = [
-        (f"g{r * cols + c:05d}", [[(xs[c], ys[r]), (xs[c + 1], ys[r]),
-                                   (xs[c + 1], ys[r + 1]), (xs[c], ys[r + 1]),
-                                   (xs[c], ys[r])]])
-        for r in range(rows) for c in range(cols)
-    ]
-    features = [{"type": "Feature", "properties": {"id": unit},
-                 "geometry": {"type": "Polygon", "coordinates": rings}}
-                for unit, rings in units]
-    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
-    return units
+def paper_budget(sides: dict) -> dict:
+    """Stage 1 and stage 2 at the paper's budget, in PAPER_PAIRS pairs."""
+    clocks = ("fit_s", "search_s", "performance_index")
+    runs = {side: [] for side in SIDES}
+
+    def run(side: str) -> None:
+        s, tree = sides[side], sides[side].tree
+        start = time.perf_counter()
+        fit = tree.fit_thresholds(tree.build_fit_problem(s.graph, s.durations), tree.GaConfig(
+            population_size=10, max_iterations=10_000, rng_seed=SEED))
+        fitted = time.perf_counter()
+        problem, sizes = tree.MultiplierProblem(s.graph, fit.thresholds), default_sizes(s.graph.n)
+        results = tree.search_multipliers(problem, sizes, tree.GaConfig(max_iterations=2_000,
+                                                                        rng_seed=SEED))
+        history = fit.ga_result.history
+        runs[side].append({
+            "fit_s": round(fitted - start, 3), "search_s": round(time.perf_counter() - fitted, 3),
+            "performance_index": round(tree.performance_index(
+                history[0].item(), fit.final_loss, history.size, fitted - start
+            )["performance_index"], 2),
+            "final_loss": fit.final_loss, "rows_scored": fit.ga_result.rows_scored,
+            "kernel_calls": sum(problem.kernel.calls.values()),
+            "recovered_without": problem.recovered_without,
+            "recovered_with": {str(size): r.recovered_with for size, r in zip(sizes, results)},
+        })
+
+    timing = timed(run, PAPER_PAIRS, warmups=0)
+    for side in SIDES:
+        counts = [{k: v for k, v in r.items() if k not in clocks} for r in runs[side]]
+        expect(all(c == counts[0] for c in counts),
+               f"paper_budget ({side}): a pair's loss or counts differ: {counts}")
+        timing[side].update(counts[0], **{k: [r[k] for r in runs[side]] for k in clocks})
+    return timing
 
 
-def oracle_queen_edges(units) -> set:
-    """oracles.classify_pair on every pair of units whose bounding boxes
-    touch, in a sweep over the boxes sorted by their left edge."""
-    boxes = []
-    for _, rings in units:
-        xs = [x for ring in rings for x, _ in ring]
-        ys = [y for ring in rings for _, y in ring]
-        boxes.append((min(xs), min(ys), max(xs), max(ys)))
-    order = sorted(range(len(units)), key=lambda i: boxes[i][0])
-    edges = set()
-    for a, i in enumerate(order):
-        for j in order[a + 1:]:
-            if boxes[j][0] > boxes[i][2]:
-                break
-            if boxes[j][1] <= boxes[i][3] and boxes[i][1] <= boxes[j][3] \
-                    and oracles.classify_pair(units[i][1], units[j][1]):
-                edges.add(tuple(sorted((units[i][0], units[j][0]))))
-    return edges
-
-
-def graph_reads() -> dict:
-    """Time GeoJSON to queen graph and the edge-list read, after checking
-    both."""
-    rule = recovnet.ContiguityRule("queen")
+def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
+    trees = {side: load_tree(f"recovnet_{side}", src) for side, src in srcs.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        geometry, edges = Path(tmp) / "units.geojson", Path(tmp) / "edges.csv"
-        units = grid_geojson(geometry)
-        graph = recovnet.build_contiguity_graph(io.read_feature_collection(geometry), rule)
-        assert set(graph.edges) == oracle_queen_edges(units), "contiguity: edges differ"
-        io.write_edge_list(graph, edges)
-        read = io.read_edge_list(edges)
-        assert read.m == 15612 and read.edges == graph.edges, "read_edges: edges differ"
+        tmp = Path(tmp)
+        paper = synth(trees["new"], PaperScale(), tmp / "paper")
+        small = synth(trees["new"], SmallExact(), tmp / "small")
+        ids = IngestLarge().prepare(tmp, SEED).ids
+        crlf = tmp / "visits_crlf.csv"
+        crlf.write_bytes((tmp / "visits.csv").read_bytes().replace(b"\n", b"\r\n"))
+        sides = {side: build(tree, paper, small) for side, tree in trees.items()}
         return {
-            "contiguity": timed(lambda: recovnet.build_contiguity_graph(
-                io.read_feature_collection(geometry), rule), GRAPH_REPEATS),
-            "read_edges": timed(lambda: io.read_edge_list(edges), GRAPH_REPEATS),
+            **kernel_entries(sides, paper, repeats),
+            "stage2_search": stage2_search(sides),
+            **graph_reads(sides, tmp, ids),
+            "read_visits": read_visits(sides, tmp / "visits.csv", visit_repeats),
+            "read_visits_crlf": read_visits(sides, crlf, visit_repeats),
+            "package_import": package_import(srcs),
+            "paper_budget": paper_budget(sides),
         }
-
-
-STAGE2_REPEATS = 15
-STAGE2_SHAPES = {
-    "paper": {"sizes": (20, 60, 101, 201), "generations": 25},
-    "small": {"sizes": (1, 2, 3), "generations": 75},
-}
-
-
-def small_instance(root: Path):
-    with contextlib.redirect_stdout(stdio.StringIO()):
-        code = cli(["synth", "--nodes", "40", "--seed-fraction", "0.1", "--threshold-low", "0.3",
-                    "--threshold-high", "0.9", "--rng-seed", "1", "--out", str(root)])
-    assert code == 0, "synth failed"
-    graph = io.read_edge_list(root / "edges.csv")
-    planted = io.read_thresholds(root / "planted_thresholds.csv")
-    return graph, planted.take([planted.node_ids.index(n) for n in graph.nodes])
-
-
-def stage2_search(problems: dict) -> dict:
-    """Time each shape's search over all its sizes, after checking every
-    size's result against a search of that size alone."""
-    timings = {}
-    for name, shape in STAGE2_SHAPES.items():
-        problem, sizes = problems[name], shape["sizes"]
-        config = recovnet.GaConfig(max_iterations=shape["generations"], rng_seed=1)
-        for size, result in zip(sizes, recovnet.search_multipliers(problem, sizes, config)):
-            [alone] = recovnet.search_multipliers(problem, [size], config)
-            assert result.members == alone.members and np.array_equal(
-                result.ga_result.history, alone.ga_result.history
-            ), f"stage2_search {name}: size {size} differs from its search alone"
-        before = sum(problem.kernel.calls.values())
-        timings[name] = timed(lambda: recovnet.search_multipliers(problem, sizes, config), STAGE2_REPEATS)
-        calls = sum(problem.kernel.calls.values()) - before  # of the timed searches
-        timings[name]["kernel_calls"] = calls // (2 + STAGE2_REPEATS)
-    return timings
-
-
-COLD_START_REPEATS = 21
-# as the benchmark runs every stage: no bytecode cache is written
-COLD_START_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
-
-
-def cold_start_steps(root: Path) -> dict[str, list[str]]:
-    """The child command lines, in order: each command reads only what the
-    commands before it write under root."""
-    synth, fit, mult = root / "synth", root / "fit", root / "mult"
-    grid_geojson(root / "grid.geojson", 4, 4)
-    (root / "visits.csv").write_text("id,day,visits\n" + "".join(
-        f"u{unit},{day},{100 if day <= 20 else 85 + unit}\n"
-        for unit in range(16) for day in range(131)))
-    recovnet_cli = [sys.executable, "-m", "recovnet"]
-    graph = ["--edges", synth / "edges.csv"]
-    observed = [*graph, "--durations", synth / "durations.csv"]
-    steps = {
-        "import_numpy": [sys.executable, "-c", "import numpy"],
-        "import_cli": [sys.executable, "-c", "import recovnet.cli"],
-        "synth": ["synth", "--nodes", 16, "--rng-seed", 3, "--out", synth],
-        "build-graph": ["build-graph", "--geometry", root / "grid.geojson",
-                        "--out", root / "graph"],
-        "durations": ["durations", "--visits", root / "visits.csv", "--baseline-start", 0,
-                      "--baseline-end", 20, "--recovery-start", 27, "--out", root / "durations"],
-        "fit": ["fit", *observed, "--max-iterations", 5, "--out", fit],
-        "baseline": ["baseline", *observed, "--runs", 20, "--out", root / "baseline"],
-        "multipliers": ["multipliers", *graph, "--thresholds", fit / "thresholds.csv",
-                        "--sizes", "1,2", "--max-iterations", 3, "--out", mult],
-        "analyze": ["analyze", *observed, "--thresholds", fit / "thresholds.csv",
-                    "--attributes", synth / "attributes.csv", "--multipliers-dir", mult,
-                    "--out", root / "analysis"],
-    }
-    return {name: (argv if name.startswith("import_") else recovnet_cli + list(map(str, argv)))
-            for name, argv in steps.items()}
-
-
-# Runs each command line it reads (arguments separated by NUL) in a child
-# and writes back the child's seconds, exit code and ru_maxrss (KiB). A
-# child's ru_maxrss includes the memory of the process that spawned it, so
-# the children are spawned from this small process, not from the harness.
-LAUNCHER = """
-import os, sys, time
-quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
-for line in sys.stdin:
-    argv = line.rstrip("\\n").split("\\0")
-    start = time.perf_counter()
-    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=quiet), 0)
-    print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss,
-          flush=True)
-"""
-
-
-def cold_start() -> dict:
-    """Fresh-process wall times and peak RSS of each step of
-    cold_start_steps, taken in turn COLD_START_REPEATS times after one
-    untimed pass."""
-    package = Path(recovnet.__file__).parent
-    assert not (package / "__pycache__").exists(), \
-        f"cold_start: remove {package / '__pycache__'}, or the children do not compile"
-    env = {**os.environ, **COLD_START_ENV, "PYTHONPATH": str(package.parent)}
-    samples: dict[str, list[float]] = {}
-    peaks: dict[str, list[float]] = {}
-    with tempfile.TemporaryDirectory() as tmp, subprocess.Popen(
-            [sys.executable, "-c", LAUNCHER], env=env, text=True,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE) as launcher:
-        steps = cold_start_steps(Path(tmp))
-        for k in range(COLD_START_REPEATS + 1):
-            for name, argv in steps.items():
-                launcher.stdin.write("\0".join(argv) + "\n")
-                launcher.stdin.flush()
-                seconds, code, maxrss = launcher.stdout.readline().split()
-                if int(code):
-                    raise SystemExit(f"cold_start: {name} failed: {' '.join(argv)}")
-                if k:
-                    samples.setdefault(name, []).append(float(seconds) * 1e3)
-                    peaks.setdefault(name, []).append(int(maxrss) / 1024)
-        launcher.stdin.close()
-    package_import = [a - b for a, b in zip(samples["import_cli"], samples["import_numpy"])]
-    entries = {name: {**quartiles(times), "peak_rss_mib": round(statistics.median(peaks[name]), 2)}
-               for name, times in samples.items()}
-    for name, times in samples.items():
-        if not name.startswith("import_"):
-            entries[name]["own"] = quartiles([a - b for a, b in zip(times, samples["import_cli"])])
-    return {"environment": COLD_START_ENV, "package_import": quartiles(package_import), **entries}
-
-
-def measure(repeats: int, visit_repeats: int) -> dict:
-    rng = np.random.default_rng(0)
-    with tempfile.TemporaryDirectory() as tmp:
-        graph, durations, planted = instance(Path(tmp))
-        small_graph, small_planted = small_instance(Path(tmp) / "small")
-    schedule = recovnet.DiffusionSchedule(HORIZON, FIRST_UPDATE_WEEK)
-    problem = build_fit_problem(graph, durations, schedule=schedule)
-    multipliers = MultiplierProblem(graph, planted, schedule=schedule)
-    drawn = recovnet.ThresholdVector.assemble(
-        graph.nodes, problem.seed_mask, np.random.default_rng(1).random(problem.free_count))
-    stage2 = {"paper": MultiplierProblem(graph, drawn, schedule=schedule),
-              "small": MultiplierProblem(small_graph, small_planted, schedule=schedule)}
-    chromosomes = {p: rng.random((p, problem.free_count)) for p in (10, 65)}
-    seed_sets = np.sort(np.argsort(rng.random((10, graph.n)), axis=1)[:, :20], axis=1)
-    check_against_oracle(graph, durations, problem, multipliers, chromosomes[10], seed_sets)
-    thresholds = rng.random((graph.n, 64))
-    return {
-        "need": timed(lambda: problem.kernel.need(thresholds), repeats),
-        "losses_P10": timed(lambda: problem.losses(chromosomes[10]), repeats),
-        "losses_P65": timed(lambda: problem.losses(chromosomes[65]), repeats),
-        "recovered_P10": timed(lambda: multipliers.recovered(seed_sets), repeats),
-        "stage2_search": stage2_search(stage2),
-        "read_visits": read_visits(visit_repeats),
-        "read_visits_crlf": read_visits(visit_repeats, "\r\n"),
-        **graph_reads(),
-        "cold_start": cold_start(),
-    }
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
+    parser.add_argument("old_src", type=Path, help="directory holding the old recovnet package")
     parser.add_argument("--out", type=Path, default=ROOT / "tools" / "BENCH_kernel.json")
     parser.add_argument("--repeats", type=int, default=200)
     parser.add_argument("--visit-repeats", type=int, default=20)
     args = parser.parse_args(argv)
-    results = json.loads(args.out.read_text()) if args.out.exists() else {}
-    results.setdefault("instance", f"synth --nodes {NODES} --kind perturbed_grid --rng-seed 1")
-    results.setdefault("entries", {})[args.label] = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "timings": measure(args.repeats, args.visit_repeats),
-    }
+    srcs = {"old": args.old_src.resolve(), "new": ROOT / "src"}
+    results = {"old_src": str(args.old_src), "new_src": "src",
+               "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+               "python": platform.python_version(), "numpy": np.__version__,
+               "entries": measure(srcs, args.repeats, args.visit_repeats)}
     args.out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(results["entries"][args.label]["timings"], indent=2))
+    print(json.dumps(results["entries"], indent=2))
 
 
 if __name__ == "__main__":

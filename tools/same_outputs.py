@@ -48,7 +48,6 @@ def environment(src: Path) -> dict:
     """The environment with src first on PYTHONPATH; exits if recovnet does
     not import from src there."""
     env = dict(os.environ)
-    env.pop("RECOVNET_THREADS", None)  # the CLI runs with its own defaults
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = "import recovnet, sys; sys.stdout.write(recovnet.__file__)"
     found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
