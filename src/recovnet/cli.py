@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import datetime
-import json
 import math
 import os
 import sys
@@ -258,7 +257,7 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         loaded = io.read_json(path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bad UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -764,7 +763,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecovnetError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

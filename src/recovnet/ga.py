@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RecovnetError
+from .errors import ConfigError
 
 DIRECTIONS = ("minimize", "maximize")
 
@@ -22,14 +22,6 @@ DIRECTIONS = ("minimize", "maximize")
 # of hit genes resampled uniformly instead
 CREEP_SIGMA = 0.1
 RESAMPLE_PROB = 0.2
-
-
-class FitnessEvaluationError(RecovnetError):
-    """A fitness evaluator raised; carries the offending chromosome."""
-
-    def __init__(self, chromosome):
-        super().__init__(f"fitness evaluation failed for chromosome {chromosome!r}")
-        self.chromosome = chromosome
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ def run_lockstep(
     fitness is called once per generation with the rows to score of every
     run still going, one matrix per run in run order, and returns one value
     sequence per matrix; a run drops out after its max_iterations
-    generations.
+    generations. An exception that fitness raises propagates unchanged.
 
     The runs share the wall clock: a generation's seconds, in the result
     of every run still going, span the whole lockstep generation (the one
@@ -226,11 +218,7 @@ def _lockstep(fitness, direction: str, runs: Sequence[tuple]) -> list[GaResult]:
     results: list[Optional[GaResult]] = [None] * len(runs)
     rows = {i: next(gen) for i, gen in enumerate(generations)}
     while rows:
-        populations = list(rows.values())
-        try:
-            values = [np.asarray(fits) for fits in fitness(populations)]
-        except Exception as exc:
-            raise FitnessEvaluationError(_first_failing(fitness, populations)) from exc
+        values = [np.asarray(fits) for fits in fitness(list(rows.values()))]
         for i, fits in zip(list(rows), values, strict=True):
             try:
                 rows[i] = generations[i].send(fits)
@@ -294,19 +282,6 @@ def _generations(encoding, config: GaConfig, sign: float):
         history=np.array(history), seconds=np.array(seconds),
         rows_scored=size + (config.max_iterations - 1) * (size - elites),
     )
-
-
-def _first_failing(fitness, populations: list[np.ndarray]):
-    """The first row whose own evaluation, as the only population of one
-    row, raises. When each row alone succeeds: the population of a single
-    run, or the list of populations of several."""
-    for population in populations:
-        for chromosome in population:
-            try:
-                fitness([chromosome[None, :]])
-            except Exception:
-                return chromosome
-    return populations[0] if len(populations) == 1 else populations
 
 
 def performance_index(

@@ -839,10 +839,14 @@ class TestConfigMerging:
     def test_default_sizes_match_reported_percentages(self):
         assert default_multiplier_sizes(2010) == [20, 60, 101, 201]
 
-    def test_bad_config_json(self, tmp_path):
+    def test_bad_config_json(self, tmp_path, capsys):
+        """Text that does not parse, and bytes that are not UTF-8."""
         config = tmp_path / "broken.json"
-        config.write_text("{not json")
-        assert run("fit", "--config", config, "--out", tmp_path / "x") == 2
+        for data in (b"{not json", b'{"x": "\xff"}'):
+            config.write_bytes(data)
+            assert run("fit", "--config", config, "--out", tmp_path / "x") == 2
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: config file {config} is not valid JSON: ")
 
     @pytest.mark.parametrize("text,named", [
         (None, "config file not found: {}"),
@@ -894,6 +898,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_build_graph", broken)
         assert run("build-graph", "--edges", tmp_path / "edges.csv", "--out", tmp_path / "g") == 4
         assert capsys.readouterr().err == "internal error: handler broke\n"
+
+    def test_fitness_failure_is_internal_and_named(self, tmp_path, instance_dir, capsys,
+                                                     monkeypatch):
+        """An exception of no recovnet kind from the GA's fitness reaches
+        main() unchanged, on a batch that each of its rows passes alone."""
+        from recovnet import fitting
+
+        losses = fitting.FitProblem.losses
+
+        def crowded(problem, chromosomes):
+            if len(chromosomes) > 1:
+                raise MemoryError(f"{len(chromosomes)} rows")
+            return losses(problem, chromosomes)
+
+        monkeypatch.setattr(fitting.FitProblem, "losses", crowded)
+        assert run("fit", "--edges", instance_dir / "edges.csv",
+                   "--durations", instance_dir / "durations.csv",
+                   "--max-iterations", 2, "--out", tmp_path / "fit") == 4
+        assert capsys.readouterr().err == "internal error: MemoryError('10 rows')\n"
 
     def test_version_and_help(self, capsys):
         assert run("--version") == 0

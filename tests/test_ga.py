@@ -14,7 +14,7 @@ from recovnet import (
     run_lockstep,
 )
 from recovnet.errors import ConfigError
-from recovnet.ga import DIRECTIONS, FitnessEvaluationError
+from recovnet.ga import DIRECTIONS
 
 
 def sphere(population: np.ndarray) -> np.ndarray:
@@ -102,29 +102,6 @@ class TestRealVectorGa:
         with pytest.raises(ConfigError, match="direction"):
             run_ga(sphere, "up", RealVectorEncoding(3), GaConfig())
 
-    def test_fitness_error_carries_chromosome(self):
-        def broken(population):
-            raise RuntimeError("boom")
-
-        with pytest.raises(FitnessEvaluationError) as info:
-            run_ga(broken, "minimize", RealVectorEncoding(3), GaConfig(max_iterations=1))
-        assert info.value.chromosome.shape == (3,)
-
-    def test_fitness_error_carries_population_when_rows_pass_alone(self):
-        """Rows that fail only together: the error carries the population."""
-        calls = []
-
-        def crowded(population):
-            calls.append(population.copy())
-            if len(population) > 1:
-                raise RuntimeError("too many rows")
-            return sphere(population)
-
-        with pytest.raises(FitnessEvaluationError) as info:
-            run_ga(crowded, "minimize", RealVectorEncoding(3),
-                   GaConfig(population_size=4, max_iterations=1))
-        assert np.array_equal(info.value.chromosome, calls[0])
-
 
 class TestFitnessContract:
     @pytest.mark.parametrize("encoding,k", [(RealVectorEncoding(4), 4), (SubsetEncoding(12, 3), 3)])
@@ -199,23 +176,46 @@ class TestFitnessContract:
         first = encoding.random(np.random.default_rng(8), 6)
         assert np.array_equal(result.best_chromosome, first[0])
 
-    def test_error_names_the_first_offending_row(self):
-        populations = []
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["run_ga", "run_lockstep"])
+    def test_fitness_error_propagates_unchanged(self, lockstep):
+        """A fitness that fails only on batches of more than one row: the
+        GA raises that same exception object, once."""
+        raised = []
 
-        def picky(population):
-            if population.shape[0] > 1:
-                populations.append(population.copy())
-            if (population > 0.9).any():
-                raise ValueError("gene above 0.9")
+        def crowded(population):
+            if len(population) > 1:
+                raised.append(MemoryError(f"{len(population)} rows"))
+                raise raised[-1]
             return sphere(population)
 
-        config = GaConfig(population_size=10, max_iterations=50, rng_seed=6)
-        with pytest.raises(FitnessEvaluationError) as info:
-            run_ga(picky, "minimize", RealVectorEncoding(3), config)
-        failing = populations[-1]
-        offending = [row for row in failing if (row > 0.9).any()]
-        assert offending
-        assert np.array_equal(info.value.chromosome, offending[0])
+        runs = [(RealVectorEncoding(3), GaConfig(population_size=4, max_iterations=3)),
+                (SubsetEncoding(12, 3), GaConfig(population_size=4, max_iterations=3))]
+        with pytest.raises(MemoryError) as info:
+            if lockstep:
+                run_lockstep(lambda populations: [crowded(rows) for rows in populations],
+                             "minimize", runs)
+            else:
+                run_ga(crowded, "minimize", *runs[0])
+        assert len(raised) == 1 and info.value is raised[0]
+
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["run_ga", "run_lockstep"])
+    def test_failing_fitness_is_not_called_again(self, lockstep):
+        """A fitness that raises is called once: no row is scored again
+        after the failure."""
+        calls = []
+
+        def broken(population):
+            calls.append(population)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            if lockstep:
+                run_lockstep(broken, "minimize",
+                             [(RealVectorEncoding(3), GaConfig(max_iterations=1)),
+                              (SubsetEncoding(12, 3), GaConfig(max_iterations=1))])
+            else:
+                run_ga(broken, "minimize", RealVectorEncoding(3), GaConfig(max_iterations=1))
+        assert len(calls) == 1
 
 
 class TestLockstep:
@@ -255,21 +255,6 @@ class TestLockstep:
         with pytest.raises(ValueError):
             run_lockstep(lambda populations: [self.fitness(populations[0])], "minimize",
                          self.RUNS)
-
-    def test_error_names_a_failing_row_of_its_run(self):
-        """Member 7 fails in sets of three only: the error carries such a
-        set, though sets of two and four hold 7 too."""
-
-        def picky(populations):
-            if any(rows.shape[1] == 3 and (rows == 7).any() for rows in populations):
-                raise ValueError("7 in a set of three")
-            return [rows.sum(axis=1) for rows in populations]
-
-        runs = [(SubsetEncoding(12, k), GaConfig(population_size=6, max_iterations=50, rng_seed=k))
-                for k in (2, 3, 4)]
-        with pytest.raises(FitnessEvaluationError) as info:
-            run_lockstep(picky, "minimize", runs)
-        assert info.value.chromosome.shape == (3,) and 7 in info.value.chromosome
 
 
 class TestSubsetGa:

@@ -22,7 +22,7 @@ trees; every check runs for both trees before timing.
   one column chunk of ``baseline``), MultiplierProblem.recovered on 10
   random 20-node seed sets over the planted thresholds. Two columns of each
   are checked against the plain-loop re-simulation of ``tests/oracles.py``.
-- ``stage2_search`` (15 pairs): search_multipliers over every size of two
+- ``stage2_search`` (40 pairs): search_multipliers over every size of two
   shapes, as the multipliers stages search them. ``paper`` is that instance
   with random thresholds on the free nodes, ``default_sizes(2010)`` and
   ``PaperScale.multiplier_generations``; ``small`` is ``small-exact``'s
@@ -35,11 +35,14 @@ trees; every check runs for both trees before timing.
 - ``read_visits`` (--visit-repeats pairs): io.read_visit_series on
   ``ingest-large``'s ``visits.csv``, checked against
   ``oracles.naive_read_visit_series``, with ``peak_mib``, the tracemalloc
-  peak of one more read. ``read_visits_crlf`` reads a \\r\\n copy.
-- ``package_import`` (21 pairs, one warm-up): ``import recovnet.cli`` minus
+  peak of one more read. ``read_visits_crlf`` reads a \\r\\n copy, and
+  ``read_visits_geoid`` a copy whose unit ids have the paper's shape: a
+  12-digit block-group GEOID of Harris County (48201 and 7 digits), two
+  64-bit key words where the benchmark's 6-byte ids take one.
+- ``package_import`` (40 pairs, one warm-up): ``import recovnet.cli`` minus
   the same turn's ``import numpy``, in fresh children with the tree on
   PYTHONPATH (the difference drifts less with the machine than either).
-- ``paper_budget`` (3 pairs, no warm-up): fit_thresholds for 10 000
+- ``paper_budget`` (10 pairs, no warm-up): fit_thresholds for 10 000
   generations at P = 10, then search_multipliers on that fit for 2 000
   generations over the default sizes, on the ``paper-scale`` instance with
   rng_seed 1. Each tree records every pair's stage seconds and fit
@@ -56,6 +59,7 @@ import io as stdio
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -76,7 +80,8 @@ from workloads import IngestLarge, PaperScale, SmallExact, default_sizes, expect
 ORACLES = reference.load_oracles(ROOT)
 SEED = 1
 SIDES = ("old", "new")
-GRAPH_PAIRS, STAGE2_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 15, 21, 3
+# even, so that each tree goes first in half the pairs
+GRAPH_PAIRS, STAGE2_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 40, 40, 10
 
 
 def load_tree(name: str, src: Path):
@@ -102,6 +107,7 @@ def quartiles(samples: list[float]) -> dict:
 def paired(run, pairs: int, warmups: int = 2) -> dict:
     """run(side) for both sides in alternating order, `warmups` untimed pairs
     and then `pairs` pairs; run returns the milliseconds to record."""
+    expect(pairs % 2 == 0, f"{pairs} pairs: each tree must go first in half of them")
     samples = {side: [] for side in SIDES}
     for k in range(warmups + pairs):
         for side in SIDES[::-1] if k % 2 else SIDES:
@@ -254,6 +260,17 @@ def read_visits(sides: dict, path: Path, repeats: int) -> dict:
     return timing
 
 
+def geoid_copy(visits: Path, out: Path) -> Path:
+    """visits with unit g<i> renamed to a Harris County block-group GEOID:
+    block group i % 4 + 1 of tract 100000 + 100 * (i // 4)."""
+    def geoid(unit: re.Match) -> bytes:
+        i = int(unit[1])
+        return b"48201%06d%d" % (100000 + i // 4 * 100, i % 4 + 1)
+
+    out.write_bytes(re.sub(rb"^g(\d+)", geoid, visits.read_bytes(), flags=re.M))
+    return out
+
+
 def package_import(srcs: dict) -> dict:
     """Fresh-child `import recovnet.cli` minus the same turn's `import numpy`."""
     def child(code: str, side: str) -> float:
@@ -313,6 +330,7 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
         ids = IngestLarge().prepare(tmp, SEED).ids
         crlf = tmp / "visits_crlf.csv"
         crlf.write_bytes((tmp / "visits.csv").read_bytes().replace(b"\n", b"\r\n"))
+        geoid = geoid_copy(tmp / "visits.csv", tmp / "visits_geoid.csv")
         sides = {side: build(tree, paper, small) for side, tree in trees.items()}
         return {
             **kernel_entries(sides, paper, repeats),
@@ -320,6 +338,7 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
             **graph_reads(sides, tmp, ids),
             "read_visits": read_visits(sides, tmp / "visits.csv", visit_repeats),
             "read_visits_crlf": read_visits(sides, crlf, visit_repeats),
+            "read_visits_geoid": read_visits(sides, geoid, visit_repeats),
             "package_import": package_import(srcs),
             "paper_budget": paper_budget(sides),
         }
