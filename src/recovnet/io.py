@@ -8,11 +8,15 @@ step per row. The file is read as bytes and checked to be UTF-8, then its
 header is checked. Every \r\n and lone \r becomes \n, so lines end as
 csv.reader ends them. A file with no '"' and no line over 255 bytes is
 tokenized with NumPy: blank lines are skipped and cells are split at commas,
-as csv.reader splits them; each block of _BLOCK_ROWS rows packs every cell's
-bytes and length into integer keys, so that one sort per column finds the
-distinct cells and only those are decoded. Any other file is read by
-csv.reader, the only reader that splits quoted cells exactly. Each distinct
-cell text is parsed once.
+as csv.reader splits them; each block of _BLOCK_ROWS rows finds each
+column's distinct cells, and only those are decoded. A column whose cells in
+the block are all canonical integers of a few digits (a day index, a visit
+count) is coded by value through a presence table. Any other packs every
+cell's bytes and length into integer keys, and one sort over the heads of
+its runs of equal cells on consecutive rows (an id repeated day after day)
+finds the distinct cells. Any other file is read by csv.reader, the only
+reader that splits quoted cells exactly. Each distinct cell text is parsed
+once.
 
 Rows are read up to the first short row (fewer cells than the header). A
 fault is named as a row-by-row reader would name it: the first row in file
@@ -225,29 +229,71 @@ def _field_words(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return keys
 
 
+# fields of at most this many digits may be coded by value (_integer_fields),
+# through a presence table of at most 10**_VALUE_DIGITS entries
+_VALUE_DIGITS = 4
+
+
+def _integer_fields(
+    buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> Optional[np.ndarray]:
+    """The value of each field buf[start:stop] if every one is a canonical
+    integer of at most _VALUE_DIGITS digits (digits only, and no leading
+    zero unless the field is 0), so that str(value) is its exact text; else
+    None."""
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > _VALUE_DIGITS:
+        return None
+    values = np.zeros(starts.size, np.int64)
+    for j in range(int(lengths.max())):
+        live = lengths > j
+        digits = buf.take(starts + j, mode="clip") - np.uint8(48)  # a non-digit wraps past 9
+        if (live & (digits > 9)).any() or (j == 0 and ((digits == 0) & (lengths > 1)).any()):
+            return None
+        values = np.where(live, values * 10 + digits, values)
+    return values
+
+
 def _field_codes(
     data: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, table: dict
 ) -> np.ndarray:
     """The code in table of each field data[start:stop]; a field not yet in
-    table gets the next code. Fields are told apart by their integer keys
-    (_field_words), so that only distinct fields become Python objects."""
+    table gets the next code. Only distinct fields become Python objects:
+    canonical small integers are told apart by value, other fields by their
+    integer keys (_field_words), sorted once per run of equal fields on
+    consecutive rows."""
     if not starts.size:
         return np.zeros(0, np.intp)
+    values = _integer_fields(buf, starts, stops)
+    if values is not None:
+        present = np.zeros(int(values.max()) + 1, bool)
+        present[values] = True
+        distinct = np.flatnonzero(present)
+        local = np.zeros(present.size, np.intp)
+        local[distinct] = [table.setdefault(b"%d" % v, len(table)) for v in distinct.tolist()]
+        return local[values]
+    keys = _field_words(buf, starts, stops)
+    head = np.zeros(starts.size, bool)  # the first row of a run of equal fields
+    head[0] = True
+    for word in keys.T:
+        head[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(head)
+    runs = heads.size < starts.size
     inverse = None
-    for column in _field_words(buf, starts, stops).T:
+    for column in (keys[heads] if runs else keys).T:
         _, codes = np.unique(column, return_inverse=True)
         if inverse is not None:
             # both are codes below the row count: their pair fits one int64
             _, codes = np.unique(inverse * (codes.max() + 1) + codes, return_inverse=True)
         inverse = codes.reshape(-1)
     sample = np.empty(int(inverse.max()) + 1, np.intp)
-    sample[inverse] = np.arange(inverse.size)
+    sample[inverse] = heads
     local = np.fromiter(
         (table.setdefault(data[a:b], len(table))
          for a, b in zip(starts[sample].tolist(), stops[sample].tolist())),
         np.intp, sample.size,
-    )
-    return local[inverse]
+    )[inverse]
+    return local[np.cumsum(head) - 1] if runs else local
 
 
 def _byte_columns(
@@ -500,9 +546,9 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
 
     Each node's days must be consecutive once sorted; the result maps the
     node id to (first day, daily visit array). The rows are sorted by (node,
-    day) at once, and every series is a view into one sorted array. A
-    duplicate day or a gap is named for the first node at fault in order of
-    appearance.
+    day) at once, unless they already are in that order, and every series is
+    a view into one sorted array. A duplicate day or a gap is named for the
+    first node at fault in order of appearance.
     """
     columns, short = _read_columns(path, VISIT_HEADER)
     # each column is dropped once it is used, to keep the peak memory low
@@ -518,20 +564,23 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     if not n:
         return {}
 
-    order = np.lexsort((day, codes))
-    codes = codes[order]
-    day = day[order]
-    visits = visits[order]
-
     same_node = codes[1:] == codes[:-1]
     step = np.diff(day)
+    order = None  # rows already in (node, day) order are not sorted again
+    if not ((codes[1:] > codes[:-1]) | (same_node & (step >= 0))).all():
+        order = np.lexsort((day, codes))
+        codes = codes[order]
+        day = day[order]
+        visits = visits[order]
+        same_node = codes[1:] == codes[:-1]
+        step = np.diff(day)
     duplicate = same_node & (step == 0)
     gap = same_node & (step > 1)
     if duplicate.any() or gap.any():
         duplicated = set(codes[1:][duplicate].tolist())
         bad = duplicated | set(codes[1:][gap].tolist())
         first_row = np.full(len(nodes), n)
-        np.minimum.at(first_row, codes, order)
+        np.minimum.at(first_row, codes, np.arange(n) if order is None else order)
         code = min(bad, key=first_row.__getitem__)
         problem = "duplicate day" if code in duplicated else "gaps in the day series"
         raise DataError(f"{path}: {problem} for node {nodes[code]!r}")

@@ -644,11 +644,14 @@ class TestVisitInput:
 
 class TestDurationGroups:
     """Units with different first days and lengths are scored one matrix per
-    (first day, length) group, each as the oracle scores it alone."""
+    (first day, length) group, each as the oracle scores it alone; a panel,
+    whose units share both, is one group."""
 
     # id -> (first day, length); every window ends >= 98 days past day 27
     SHAPES = {"a0": (0, 125), "a1": (-3, 140), "a2": (0, 131), "a3": (-5, 135),
               "a4": (-3, 140), "a5": (0, 125), "a6": (0, 131), "a7": (-5, 132)}
+    PANEL = dict.fromkeys(SHAPES, (0, 125))
+    TWO_GROUPS = {node: (0, 125) if k % 3 else (-3, 140) for k, node in enumerate(SHAPES)}
 
     @staticmethod
     def _visits(rng, length, first_day):
@@ -658,21 +661,24 @@ class TestDurationGroups:
         visits[days <= 20] = rng.uniform(95, 105, int((days <= 20).sum()))
         return np.round(visits, 1)
 
-    def _run(self, tmp_path, series) -> int:
+    def _run(self, tmp_path, series, ordered=False) -> int:
         rows = ["id,day,visits"]
-        for node, (first_day, visits) in series.items():
+        for node, (first_day, visits) in sorted(series.items()):
             rows += [f"{node},{first_day + d},{v!r}" for d, v in enumerate(visits.tolist())]
-        rows = [rows[0]] + rows[:0:-1]  # units interleaved in no id order
+        if not ordered:
+            rows = [rows[0]] + rows[:0:-1]  # units and their days in reverse order
         visits_path = tmp_path / "visits.csv"
         visits_path.write_text("\n".join(rows) + "\n")
         return run("durations", "--visits", visits_path, "--baseline-start", 0,
                    "--baseline-end", 20, "--recovery-start", 27, "--out", tmp_path / "d")
 
-    def test_durations_match_oracle(self, tmp_path):
+    @pytest.mark.parametrize("shapes", ["SHAPES", "PANEL", "TWO_GROUPS"])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_durations_match_oracle(self, tmp_path, shapes, ordered):
         rng = np.random.default_rng(9)
         series = {node: (first, self._visits(rng, length, first))
-                  for node, (first, length) in self.SHAPES.items()}
-        assert self._run(tmp_path, series) == 0
+                  for node, (first, length) in getattr(self, shapes).items()}
+        assert self._run(tmp_path, series, ordered) == 0
         written = io.read_durations(tmp_path / "d" / "durations.csv")
         assert list(written) == sorted(self.SHAPES)
         for node, (first, visits) in series.items():
@@ -680,16 +686,21 @@ class TestDurationGroups:
             assert written[node] == expected, node
         assert len(set(written.values())) > 3
 
-    @pytest.mark.parametrize("late_start,named", [
-        (False, "unit 'a1': visit counts must be nonnegative"),
-        (True, "unit 'a0': invalid baseline window [-4, 16]"),
+    @pytest.mark.parametrize("shapes,late_start,named", [
+        ("SHAPES", False, "unit 'a1': visit counts must be nonnegative"),
+        ("SHAPES", True, "unit 'a0': invalid baseline window [-4, 16]"),
+        ("PANEL", False, "unit 'a1': visit counts must be nonnegative"),
+        ("TWO_GROUPS", False, "unit 'a1': visit counts must be nonnegative"),
+        ("TWO_GROUPS", True, "unit 'a0': invalid baseline window [-4, 16]"),
     ])
-    def test_error_names_first_unit_in_id_order(self, tmp_path, capsys, late_start, named):
-        """a5 fails in the first group and a1 in a later one; a per-unit loop
-        in id order stops at a1, or at a0 once its window starts too late."""
+    def test_error_names_first_unit_in_id_order(self, tmp_path, capsys, shapes, late_start,
+                                                named):
+        """a1 and a5 fail, in different groups of SHAPES and in the one
+        group of a panel; a per-unit loop in id order stops at a1, or at a0
+        once its window starts too late."""
         rng = np.random.default_rng(3)
         series = {node: (first, self._visits(rng, length, first))
-                  for node, (first, length) in self.SHAPES.items()}
+                  for node, (first, length) in getattr(self, shapes).items()}
         for node in ("a1", "a5"):
             series[node][1][60] = -1.0
         if late_start:

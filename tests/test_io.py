@@ -130,6 +130,20 @@ class TestThresholdsCsv:
             f"{path}: is_seed must be 0 or 1, got 'maybe' in row ['a', '0.5', 'maybe']"
         )
 
+    @pytest.mark.parametrize("flags", [["01"], ["1", "01"], ["0", "00", "1"]])
+    def test_seed_flag_with_leading_zero_named_as_written(self, tmp_path, flags):
+        """A flag 01 is not the flag 1, alone or next to canonical flags."""
+        rows = [f"n{k},0,{flag}" for k, flag in enumerate(flags)]
+        path = tmp_path / "thresholds.csv"
+        path.write_text("\n".join(["id,threshold,is_seed", *rows]) + "\n")
+        bad = next(k for k, flag in enumerate(flags) if len(flag) > 1)
+        with pytest.raises(DataError) as raised:
+            io.read_thresholds(path)
+        assert str(raised.value) == (
+            f"{path}: is_seed must be 0 or 1, got {flags[bad]!r} "
+            f"in row ['n{bad}', '0', {flags[bad]!r}]"
+        )
+
     def test_repeated_id_names_second_row(self, tmp_path):
         path = tmp_path / "thresholds.csv"
         path.write_text("id,threshold,is_seed\na,0.0,1\nb,0.5,0\n a,0.25,0\nc,0.5,0\n")
@@ -174,9 +188,12 @@ class TestVisitSeriesCsv:
         with pytest.raises(DataError, match="day"):
             io.parse_day("next tuesday")
 
-    def test_sorted_views_into_one_array(self, tmp_path):
+    @pytest.mark.parametrize("rows", [["z,2,1", " a ,7,4", "z,1,0", "a,6,3"],
+                                      [" a ,6,3", "a,7,4", "z,1,0", "z,2,1"]],
+                             ids=["shuffled", "ordered"])
+    def test_sorted_views_into_one_array(self, tmp_path, rows):
         path = tmp_path / "visits.csv"
-        path.write_text("id,day,visits\nz,2,1\n a ,7,4\nz,1,0\na,6,3\n")
+        path.write_text("\n".join(["id,day,visits", *rows]) + "\n")
         series = io.read_visit_series(path)
         assert list(series) == ["a", "z"]
         assert series["a"][0] == 6 and series["a"][1].tolist() == [3.0, 4.0]
@@ -272,15 +289,27 @@ class TestVisitSeriesCsv:
 
 
 BASE_DAY = 736_900  # near 2018-07, so a day may be written as an index or a date
+# first days of series written as day indices: of 1-3 digits, and of 4-5
+# digits, across the most the byte tokenizer codes by value
+INDEX_DAYS = [0, 95, 9_995]
+# a day index written as other than its canonical text: a leading zero, a sign
+DAY_SPELLINGS = ["0{}", "+{}"]
 ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite", "empty_id")
 # ids longer than a 64-bit word that differ only past it, non-ASCII ids, and
 # ids that differ only by a trailing NUL byte; short ones, ones whose lines
-# may stay within the byte tokenizer's 255 bytes, and ones whose lines pass it
+# may stay within the byte tokenizer's 255 bytes, and ones whose lines pass
+# it; digit ids, two of them texts of one integer
 NODE_IDS = ["u0", "u1", "b", "a10", "g480201234567", "g480201234568", "é", "日本",
             "n", "n\x00", "M" * 229, "M" * 229 + "\x00", "W" * 229 + "0", "W" * 229 + "1",
-            "L" * 300, "L" * 300 + "\x00"]
+            "L" * 300, "L" * 300 + "\x00", "7", "07"]
+# digit ids alone, pairs of them texts of one integer
+DIGIT_IDS = ["0", "00", "7", "07", "12", "12345"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 NUMBER_TEXTS = ["0", "1", "2.5", " 7 ", "1e2", "-3", "4_0", "12.0", "100.000000001", "0100"]
+# canonical integers, which the byte tokenizer may code by value, and integer
+# texts it must not: a leading zero, a sign, or more digits than it takes
+INTEGER_TEXTS = ["0", "7", "42", "101", "9999"]
+NEAR_INTEGER_TEXTS = ["07", "00", "+7", "12345"]
 BAD_NUMBERS = ["abc", "", "1,0", "inf", "-inf", "nan", "1e999"]
 
 
@@ -289,17 +318,18 @@ def csv_lines(draw, header: list[str], rows: list[list], extras_from: int = 0) -
     index or an ISO date) as CSV lines, each with its terminator. About half
     the files quote some cells (read by csv.reader; the header's first cell
     is quoted, so that they have a quote); the rest have no quote (read by
-    the byte tokenizer, unless a line is longer than 255 bytes). Cells may
-    be padded with spaces, a row of at least extras_from cells may get extra
-    cells, blank lines go in between, lines end at \\n, \\r\\n or a lone
-    \\r, and the last one may have no terminator."""
-    quoted = draw(st.booleans())
+    the byte tokenizer, unless a line is longer than 255 bytes). In about
+    half the files cells may be padded with spaces. A row of at least
+    extras_from cells may get extra cells, blank lines go in between, lines
+    end at \\n, \\r\\n or a lone \\r, and the last one may have no
+    terminator."""
+    quoted, padded = draw(st.booleans()), draw(st.booleans())
 
     def cell(value):
         if isinstance(value, int) and draw(st.booleans()):
             value = date.fromordinal(value).isoformat()
         text = str(value)
-        if draw(st.booleans()):
+        if padded and draw(st.booleans()):
             text = draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
         if quoted and ("," in text or draw(st.booleans())):
             text = '"' + text + '"'
@@ -319,19 +349,24 @@ def csv_lines(draw, header: list[str], rows: list[list], extras_from: int = 0) -
 
 @st.composite
 def visit_files(draw):
-    """A visits CSV as lines (csv_lines): shuffled rows of a few units with
-    different first days and lengths, ids padded with spaces, and extra
-    columns and blank lines. A unit may have a duplicate day, a gap or both,
-    and up to three bad rows (short rows, bad days or values, empty ids) go
-    in at random places."""
+    """A visits CSV as lines (csv_lines): rows of a few units (with ids of
+    any form, or digit ids alone) with different first days and lengths,
+    shuffled or in (id, day) order, and extra columns and blank lines. Days
+    are dates near BASE_DAY, or day indices from one of INDEX_DAYS, in some
+    files spelled with a leading zero or a sign. Visit cells are numbers of
+    any form, or integers of which some are canonical. A unit may have a
+    duplicate day, a gap or both, and up to three bad rows (short rows, bad
+    days or values, empty ids) go in at random places."""
+    base = draw(st.sampled_from([BASE_DAY, *INDEX_DAYS]))
     units = draw(st.dictionaries(
-        st.sampled_from(NODE_IDS),
+        st.sampled_from(draw(st.sampled_from([NODE_IDS, DIGIT_IDS]))),
         st.tuples(st.integers(0, 4), st.integers(1, 5)), min_size=0, max_size=4,
     ))
-    value_texts = st.sampled_from(NUMBER_TEXTS)
+    value_texts = st.sampled_from(draw(st.sampled_from(
+        [NUMBER_TEXTS, INTEGER_TEXTS, INTEGER_TEXTS + NEAR_INTEGER_TEXTS])))
     rows = []
     for node, (offset, length) in units.items():
-        for day in range(BASE_DAY + offset, BASE_DAY + offset + length):
+        for day in range(base + offset, base + offset + length):
             rows.append([node, day, draw(value_texts)])
     good = list(rows)
 
@@ -359,15 +394,23 @@ def visit_files(draw):
             row[0] = ""
         return row
 
+    ordered = draw(st.booleans())
+    if ordered:
+        rows.sort(key=lambda row: row[:2])
     if good:
-        faults = draw(st.lists(st.sampled_from(ROW_FAULTS), max_size=3))
-        rows += [faulty(fault) for fault in faults]
-    rows = draw(st.permutations(rows))
+        for fault in draw(st.lists(st.sampled_from(ROW_FAULTS), max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))), faulty(fault))
+    if not ordered:
+        rows = draw(st.permutations(rows))
     if good and draw(st.booleans()):
         # a short row next to a bad cell, in either order
         pair = [faulty("short"), faulty(draw(st.sampled_from(ROW_FAULTS[1:])))]
         at = draw(st.one_of(st.just(0), st.integers(0, len(rows))))
         rows[at:at] = draw(st.permutations(pair))
+    if base != BASE_DAY:
+        spellings = st.sampled_from(["{}", *DAY_SPELLINGS] if draw(st.booleans()) else ["{}"])
+        rows = [[row[0], draw(spellings).format(row[1]), *row[2:]]
+                if len(row) > 1 and isinstance(row[1], int) else row for row in rows]
     return csv_lines(draw, ["id", "day", "visits" + draw(st.sampled_from(["", ",note"]))], rows)
 
 
@@ -479,6 +522,29 @@ def tokenizer_watched(lines: list[str], block_rows: int):
 BLOCK_ROWS = st.one_of(st.just(io._BLOCK_ROWS), st.integers(1, 7))
 
 
+@contextmanager
+def sorts_counted():
+    """Yields a list that gets an entry per np.lexsort call inside the block."""
+    calls = []
+    lexsort = np.lexsort
+    np.lexsort = lambda *args, **kwargs: calls.append(True) or lexsort(*args, **kwargs)
+    try:
+        yield calls
+    finally:
+        np.lexsort = lexsort
+
+
+def in_id_day_order(path) -> bool:
+    """Whether the rows a visit reader reads (up to a short row) are in
+    (stripped id, day) order; False if a day does not parse."""
+    rows, _ = oracles.naive_csv_rows(path, io.VISIT_HEADER)
+    try:
+        keys = [(row[0].strip(), io.parse_day(row[1])) for row in rows]
+    except DataError:
+        return False
+    return keys == sorted(keys)
+
+
 def read_as_oracle_reads(read, naive, path):
     """read(path), or None once read raised the DataError whose message is
     that of the ValueError naive(path) raised; and naive(path)'s result."""
@@ -495,7 +561,8 @@ def read_as_oracle_reads(read, naive, path):
 class TestVisitReaderAgainstOracle:
     """The reader against the row-by-row reference, for both tokenizers and
     blocks of a few rows as well as the default: same series, or the same
-    error naming the same row, node or file."""
+    error naming the same row, node or file. Rows already in (id, day) order
+    are not sorted."""
 
     @given(visit_files(), BLOCK_ROWS)
     @settings(max_examples=400, deadline=None)
@@ -503,9 +570,10 @@ class TestVisitReaderAgainstOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "visits.csv"
             path.write_text("".join(lines), encoding="utf-8", newline="")
-            with tokenizer_watched(lines, block_rows):
+            with tokenizer_watched(lines, block_rows), sorts_counted() as sorts:
                 series, expected = read_as_oracle_reads(
                     io.read_visit_series, oracles.naive_read_visit_series, path)
+            assert not (sorts and in_id_day_order(path))
         if series is None:
             return
         assert list(series) == sorted(expected)
