@@ -118,20 +118,6 @@ def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
 CHUNK_CELLS = 1 << 17
 
 
-def chunk_columns(n: int) -> int:
-    """Columns per kernel call for an n-node graph."""
-    return max(1, CHUNK_CELLS // max(n, 1))
-
-
-def map_column_chunks(
-    fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n: int
-) -> np.ndarray:
-    """Apply fn to consecutive blocks of chunk_columns(n) rows (one kernel
-    column per row) and concatenate the results."""
-    size = chunk_columns(n)
-    return np.concatenate([fn(rows[i : i + size]) for i in range(0, len(rows), size)])
-
-
 class DiffusionKernel:
     """One graph and schedule, prepared once and simulated for many columns.
 
@@ -146,8 +132,10 @@ class DiffusionKernel:
     Rows are in kernel order, by descending degree: row r is node order[r]
     and node i is row rank[i]. need and weeks_recovered take and return
     matrices in that order, so callers map their rows once; run maps one
-    node-order column in and out. calls counts the weeks_recovered calls
-    made so far by their column count.
+    node-order column in and out. Every caller that scores many columns goes
+    through reduce_columns, which runs weeks_recovered in calls of
+    CHUNK_CELLS // n columns and reduces each call's weeks. calls counts the
+    weeks_recovered calls made so far by their column count.
 
     Counts use a jagged-diagonal layout: slot k holds the row of the k-th
     neighbour of every node of degree above k, which is a prefix of the
@@ -205,6 +193,16 @@ class DiffusionKernel:
         order from the all-affected start: one 1-column call."""
         need = self.need(np.asarray(values, dtype=np.float64)[self.order, None])
         return self.weeks_recovered(need, np.zeros(need.shape, bool))[self.rank, 0]
+
+    def reduce_columns(self, columns: int, inputs: Callable[[int, int], tuple],
+                       reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """reduce of each call's recovered weeks, concatenated over columns
+        0..columns-1 in calls of CHUNK_CELLS // n columns, in column order:
+        inputs(lo, hi) gives columns lo..hi-1's need (or the shared n x 1
+        need) and initial states, as weeks_recovered takes them."""
+        size = max(1, CHUNK_CELLS // max(self.order.size, 1))
+        return np.concatenate([reduce(self.weeks_recovered(*inputs(lo, min(lo + size, columns))))
+                               for lo in range(0, columns, size)])
 
     def _count(self, state: np.ndarray, counts: np.ndarray, gathered: np.ndarray) -> None:
         """Recovered neighbours of every row, written into counts (rows past

@@ -19,7 +19,6 @@ from .diffusion import (
     DiffusionKernel,
     DiffusionSchedule,
     ThresholdVector,
-    map_column_chunks,
 )
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
@@ -51,16 +50,18 @@ class FitProblem:
     def losses(self, chromosomes: np.ndarray) -> np.ndarray:
         """0-1 loss of each row's free-node thresholds (rows: P x free_count),
         each simulated from the all-affected start."""
+        return self.kernel.reduce_columns(
+            len(chromosomes), lambda lo, hi: self._inputs(chromosomes[lo:hi]), self._loss)
 
-        def chunk(rows: np.ndarray) -> np.ndarray:
-            values = np.zeros((self.graph.n, rows.shape[0]))
-            values[self._free_rows] = rows.T
-            need = self.kernel.need(values)
-            del values  # free the float64 matrix before the kernel runs
-            weeks = self.kernel.weeks_recovered(need, np.zeros(need.shape, bool))
-            return zero_one_loss(self._empirical, weeks)
+    def _inputs(self, chromosomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The need of each row's thresholds and the all-affected start."""
+        values = np.zeros((self.graph.n, chromosomes.shape[0]))
+        values[self._free_rows] = chromosomes.T
+        need = self.kernel.need(values)
+        return need, np.zeros(need.shape, bool)
 
-        return map_column_chunks(chunk, chromosomes, self.graph.n)
+    def _loss(self, weeks: np.ndarray) -> np.ndarray:
+        return zero_one_loss(self._empirical, weeks)
 
 
 @dataclass
@@ -146,15 +147,15 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
 
 def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:
     """Loss distribution of uniform-random thresholds on the free nodes,
-    drawn and simulated one column chunk at a time."""
+    drawn and simulated one kernel call at a time."""
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     rng = np.random.default_rng(rng_seed)
-    # one chunk of draws at a time: the generator's doubles come in sequence,
-    # so the chunks are the rows of one runs x free_count draw
-    arr = map_column_chunks(
-        lambda rows: problem.losses(rng.random((rows.size, problem.free_count))),
-        np.arange(runs), problem.graph.n,
+    # the generator's doubles come in sequence, so the calls' draws are the
+    # rows of one runs x free_count draw
+    arr = problem.kernel.reduce_columns(
+        runs, lambda lo, hi: problem._inputs(rng.random((hi - lo, problem.free_count))),
+        problem._loss,
     ).astype(np.float64)
     std = float(arr.std(ddof=1)) if runs > 1 else 0.0
     return BaselineStats(mean=float(arr.mean()), std=std, runs=runs, losses=arr)

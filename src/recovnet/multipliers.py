@@ -20,8 +20,6 @@ from .diffusion import (
     DiffusionSchedule,
     ThresholdVector,
     check_aligned,
-    chunk_columns,
-    map_column_chunks,
 )
 from .errors import ConfigError, DataError
 from .ga import GaConfig, GaResult, SubsetEncoding, run_lockstep
@@ -61,19 +59,28 @@ class MultiplierProblem:
         """Horizon recovered count for each row of node indices forced
         recovered at week 0, over the rows of every given matrix in turn
         (P_i x k_i, k_i >= 0). Matrices of different set sizes share each
-        kernel call: one initial-state matrix is filled from (column, node)
-        pairs, chunk_columns(n) columns at a time."""
+        kernel call: a call's initial states come from the (column, node)
+        pairs of its columns."""
         widths = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in seed_sets])
         column = np.repeat(np.arange(widths.size), widths)
-        node = self.kernel.rank[np.concatenate([rows.ravel() for rows in seed_sets])]
+        node = np.concatenate([rows.ravel() for rows in seed_sets])
 
-        def chunk(columns: np.ndarray) -> np.ndarray:
-            lo, hi = np.searchsorted(column, [columns[0], columns[-1] + 1])
-            initial = np.zeros((self.graph.n, columns.size), dtype=bool)
-            initial[node[lo:hi], column[lo:hi] - columns[0]] = True
-            return np.count_nonzero(self.kernel.weeks_recovered(self._need, initial), axis=0)
+        def inputs(lo: int, hi: int) -> tuple:
+            start, stop = np.searchsorted(column, [lo, hi])
+            return self._forced(node[start:stop], column[start:stop] - lo, hi - lo)
 
-        return map_column_chunks(chunk, np.arange(widths.size), self.graph.n)
+        return self.kernel.reduce_columns(widths.size, inputs, _horizon_counts)
+
+    def _forced(self, node: np.ndarray, column: np.ndarray, columns: int) -> tuple:
+        """The shared need and `columns` columns of initial states with each
+        (node index, column) pair, broadcast together, forced recovered."""
+        initial = np.zeros((self.graph.n, columns), dtype=bool)
+        initial[self.kernel.rank[node], column] = True
+        return self._need, initial
+
+
+def _horizon_counts(weeks: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(weeks, axis=0)
 
 
 @dataclass
@@ -176,24 +183,18 @@ def brute_force_multipliers(
     (every node by default) by exhaustive enumeration, ties broken by taking
     the lexicographically first subset of the sorted pool.
 
-    Subsets are simulated in chunks in enumeration order; a chunk's best
-    replaces the running best only when strictly better, so the first
-    maximum is kept across chunk boundaries."""
+    Every subset is one kernel column, in enumeration order, taken from the
+    enumeration as the kernel asks for it; argmax keeps the first maximum."""
     pool_sorted = sorted(_pool(problem, (size,), pool))
     check_enumeration_cap(len(pool_sorted), size, enumeration_cap)
-    indices = np.array([problem.graph.index[n] for n in pool_sorted], dtype=np.int64)
-    combos = itertools.combinations(range(len(pool_sorted)), size)
-    step = chunk_columns(problem.graph.n)
-    best_combo: Optional[np.ndarray] = None
-    best_value = -1
-    while True:
-        chunk = np.array(list(itertools.islice(combos, step)), dtype=np.int64)
-        if chunk.size == 0:
-            break
-        values = problem.recovered(indices[chunk])
-        first_best = int(np.argmax(values))
-        if values[first_best] > best_value:
-            best_combo, best_value = chunk[first_best], int(values[first_best])
-    assert best_combo is not None
-    members = tuple(pool_sorted[i] for i in best_combo)
-    return _finish(problem, members, best_value, None)
+    combos = itertools.combinations([problem.graph.index[n] for n in pool_sorted], size)
+
+    def inputs(lo: int, hi: int) -> tuple:
+        subsets = np.array(list(itertools.islice(combos, hi - lo)), dtype=np.int64)
+        return problem._forced(subsets, np.arange(hi - lo)[:, None], hi - lo)
+
+    counts = problem.kernel.reduce_columns(math.comb(len(pool_sorted), size), inputs,
+                                           _horizon_counts)
+    best = int(np.argmax(counts))
+    members = next(itertools.islice(itertools.combinations(pool_sorted, size), best, None))
+    return _finish(problem, members, int(counts[best]), None)

@@ -8,13 +8,13 @@ from recovnet import (
     GaConfig,
     SynthSpec,
     build_fit_problem,
+    diffusion,
     durations_to_weeks,
     fit_thresholds,
     generate_instance,
     random_baseline,
     zero_one_loss,
 )
-from recovnet.diffusion import chunk_columns
 from recovnet.errors import ConfigError, DataError
 
 
@@ -173,7 +173,8 @@ class TestRandomBaseline:
     def test_chunked_draws_equal_one_draw(self):
         instance = generate_instance(SynthSpec(node_count=400, rng_seed=4))
         problem = build_fit_problem(instance.graph, instance.durations)
-        for runs in (1, 5 * chunk_columns(problem.graph.n) // 2):  # one run, 2.5 chunks
+        columns = diffusion.CHUNK_CELLS // problem.graph.n  # per kernel call
+        for runs in (1, 5 * columns // 2):  # one run, 2.5 calls
             stats = random_baseline(problem, runs=runs, rng_seed=5)
             draw = np.random.default_rng(5).random((runs, problem.free_count))
             assert np.array_equal(stats.losses, problem.losses(draw))

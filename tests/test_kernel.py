@@ -8,6 +8,7 @@ small enough that every run crosses chunk boundaries.
 
 from __future__ import annotations
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,33 @@ def test_kernel_trajectories_match_oracle(case):
         for i, node in enumerate(graph.nodes):
             recovered_weeks = sum(ref[t][node] for t in range(1, HORIZON + 1))
             assert weeks[i, p] == recovered_weeks, (node, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_reduce_columns_is_one_call_in_chunks(case):
+    """reduce_columns asks inputs for consecutive column ranges that cover
+    0..columns in order, one per call of `chunk` columns, and returns reduce
+    of one unchunked weeks_recovered call; the need is per column or shared."""
+    graph, columns, chunk, rng = case
+    kernel = diffusion.DiffusionKernel(graph)
+    shared = bool(rng.integers(2))
+    need = kernel.need(grid_thresholds(graph, rng, 1 if shared else columns))
+    initial = rng.random((graph.n, columns)) < 0.2
+    asked = []
+
+    def inputs(lo, hi):
+        asked.append((lo, hi))
+        return (need if shared else need[:, lo:hi]), initial[:, lo:hi]
+
+    with chunked(graph, chunk):
+        got = kernel.reduce_columns(columns, inputs, lambda weeks: weeks.T)
+    bounds = [lo for lo, _ in asked] + [columns]
+    assert asked == list(zip(bounds, bounds[1:])) and bounds[0] == 0
+    whole = diffusion.DiffusionKernel(graph).weeks_recovered(need, initial)
+    assert np.array_equal(got, whole.T)
+    remainder = Counter({columns % chunk: 1} if columns % chunk else {})
+    assert kernel.calls == Counter({chunk: columns // chunk}) + remainder
 
 
 def unforced_oracle_weeks(graph, values):

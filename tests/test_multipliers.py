@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from recovnet import (
     SynthSpec,
     ThresholdVector,
     brute_force_multipliers,
+    diffusion,
     generate_instance,
     increment_rate,
     run_diffusion,
@@ -208,11 +211,19 @@ class TestLockstepSearch:
         assert problem.kernel.calls == {1: 1, 18: 1, 15: 7}
 
     def test_ragged_rows_score_as_separate_calls(self, problem):
+        """Sets of sizes 0, 1 and 4 in calls of 1, 3 and 5 columns: calls
+        split a matrix and join matrices of different sizes, and every count
+        is that of its set alone."""
         rng = np.random.default_rng(3)
         sets = [np.array([np.sort(rng.permutation(problem.graph.n)[:k]) for _ in range(4)],
                          dtype=np.int64).reshape(4, k) for k in (0, 1, 4)]
-        together = problem.recovered(*sets)
-        assert together.tolist() == np.concatenate([problem.recovered(s) for s in sets]).tolist()
+        alone = [problem.recovered(row[None, :])[0] for rows in sets for row in rows]
+        for chunk, calls in ((1, {1: 12}), (3, {3: 4}), (5, {5: 2, 2: 1})):
+            before = problem.kernel.calls.copy()
+            with mock.patch.object(diffusion, "CHUNK_CELLS", problem.graph.n * chunk):
+                together = problem.recovered(*sets)
+            assert problem.kernel.calls - before == calls, chunk
+            assert together.tolist() == alone, chunk
 
 
 class TestSeedDominance:
@@ -249,10 +260,6 @@ class TestBruteForceChunks:
         (2, ("n2", "n6"), 4),
     ])
     def test_first_maximum_kept_across_chunks(self, tied_problem, chunk, size, expected, value):
-        from unittest import mock
-
-        from recovnet import diffusion
-
         graph, tau = tied_problem
         problem = MultiplierProblem(graph=graph, thresholds=tau)
         with mock.patch.object(diffusion, "CHUNK_CELLS", graph.n * chunk):

@@ -19,7 +19,7 @@ trees; every check runs for both trees before timing.
 - ``need``, ``losses_P10``, ``losses_P65``, ``recovered_P10`` (--repeats
   pairs), on ``paper-scale``'s n = 2010 instance: DiffusionKernel.need on a
   2010 x 64 matrix, FitProblem.losses on 10 and 65 random chromosomes (65 is
-  one column chunk of ``baseline``), MultiplierProblem.recovered on 10
+  one kernel call of ``baseline``), MultiplierProblem.recovered on 10
   random 20-node seed sets over the planted thresholds. Two columns of each
   are checked against the plain-loop re-simulation of ``tests/oracles.py``.
 - ``stage2_search`` (40 pairs): search_multipliers over every size of two
@@ -29,6 +29,12 @@ trees; every check runs for both trees before timing.
   planted instance with ``SmallExact.sizes`` and ``multiplier_generations``.
   Each size is checked against a search of that size alone.
   ``kernel_calls`` is the weeks_recovered calls of one search.
+- ``baseline_1000`` and ``brute_force_small`` (40 pairs): random_baseline
+  with ``PaperScale.baseline_runs`` (1 000) runs at rng_seed 1 on the
+  n = 2010 fit problem, whose losses must be equal across the trees, and
+  brute_force_multipliers for each of ``SmallExact.sizes`` on
+  ``small-exact``'s planted instance, whose members and counts must be equal
+  across the trees.
 - ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
   to a queen graph, checked against ``reference.grid_queen_edges``, and
   io.read_edge_list on its edge list.
@@ -81,7 +87,7 @@ ORACLES = reference.load_oracles(ROOT)
 SEED = 1
 SIDES = ("old", "new")
 # even, so that each tree goes first in half the pairs
-GRAPH_PAIRS, STAGE2_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 40, 40, 10
+GRAPH_PAIRS, STAGE2_PAIRS, SCORING_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 40, 40, 40, 10
 
 
 def load_tree(name: str, src: Path):
@@ -219,6 +225,25 @@ def stage2_search(sides: dict) -> dict:
     return timings
 
 
+def scoring_sites(sides: dict) -> dict:
+    """random_baseline at paper-scale and brute force at small-exact, after
+    checking that the trees agree on the losses and on the chosen sets."""
+    def baseline(side):
+        s = sides[side]
+        return s.tree.random_baseline(s.problem, PaperScale.baseline_runs, rng_seed=SEED).losses
+
+    def brute_force(side):
+        s = sides[side]
+        return [(result.members, result.recovered_with) for result in (
+            s.tree.brute_force_multipliers(s.stage2["small"], size) for size in SmallExact.sizes)]
+
+    expect(np.array_equal(baseline("old"), baseline("new")), "baseline_1000: losses differ")
+    chosen = {side: brute_force(side) for side in SIDES}
+    expect(chosen["old"] == chosen["new"], f"brute_force_small: sets or counts differ: {chosen}")
+    return {"baseline_1000": timed(baseline, SCORING_PAIRS),
+            "brute_force_small": timed(brute_force, SCORING_PAIRS)}
+
+
 def graph_reads(sides: dict, inputs: Path, ids: list[list[str]]) -> dict:
     """GeoJSON to queen graph and the edge-list read, after checking both."""
     geometry, edges = inputs / "units.geojson", inputs / "edges.csv"
@@ -335,6 +360,7 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
         return {
             **kernel_entries(sides, paper, repeats),
             "stage2_search": stage2_search(sides),
+            **scoring_sites(sides),
             **graph_reads(sides, tmp, ids),
             "read_visits": read_visits(sides, tmp / "visits.csv", visit_repeats),
             "read_visits_crlf": read_visits(sides, crlf, visit_repeats),
