@@ -201,7 +201,7 @@ OPTIONS = (
            minimum=0),
     Option("baseline_runs", _integer, 0, "also run a random baseline of this many draws",
            ("fit",), minimum=0),
-    Option("runs", _integer, 1000, "number of random draws", ("baseline",)),
+    Option("runs", _integer, 1000, "number of random draws", ("baseline",), minimum=1),
     Option("sizes", _sizes, None, "comma-separated set sizes (by default those of 1,3,5,10%% "
            "of n that fit the candidate pool)",
            ("multipliers",), minimum=1),
@@ -372,10 +372,10 @@ def _load_graph(s: argparse.Namespace):
 
 def _fit_problem(s: argparse.Namespace):
     from .fitting import build_fit_problem
+    schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked before any read
     graph = _load_graph(s)
     path = _require_file(s.durations, "durations")
     durations = io.read_durations(path)
-    schedule = DiffusionSchedule(s.horizon, s.first_update_week)
     return build_fit_problem(graph, durations, s.seed_cutoff, schedule, source=path)
 
 
@@ -401,7 +401,7 @@ def cmd_build_graph(s: argparse.Namespace) -> None:
 
 
 def cmd_durations(s: argparse.Namespace) -> None:
-    from .empirical import VisitRowError, compute_recovery_durations
+    from .empirical import compute_recovery_durations
     if not 0 < s.ratio <= 1:
         raise ConfigError(f"ratio must be in (0, 1], got {s.ratio}")
     start, end, recovery = map(io.parse_day, (s.baseline_start, s.baseline_end, s.recovery_start))
@@ -414,32 +414,13 @@ def cmd_durations(s: argparse.Namespace) -> None:
                           f"--recovery-start {s.recovery_start}")
     visits_path = _require_file(s.visits, "visits")
 
-    series_by_node = io.read_visit_series(visits_path)
-    if not series_by_node:
+    series = io.read_visit_series(visits_path)
+    if not series:
         raise DataError(f"{visits_path}: no visit rows")
-    nodes, series = list(series_by_node), list(series_by_node.values())
-    # units sharing a first day and a length share a window: one matrix each
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (first_day, visits) in enumerate(series):
-        groups.setdefault((first_day, visits.size), []).append(i)
-    durations = np.empty(len(nodes))
-    failures = []
-    for (first_day, _), rows in groups.items():
-        try:
-            durations[rows] = compute_recovery_durations(
-                np.stack([series[i][1] for i in rows]),
-                start - first_day, end - first_day, recovery - first_day,
-                ratio=s.ratio, persistence_days=s.persistence_days, ma_halfwidth=s.ma_halfwidth,
-            )
-        except VisitRowError as exc:
-            failures.append((nodes[rows[exc.row]], str(exc)))
-    if failures:
-        # the unit that comes first in id order, whatever its group
-        node, problem = min(failures)
-        raise DataError(f"{visits_path}: unit {node!r}: {problem}")
-
-    io.write_durations(dict(zip(nodes, durations.tolist())), Path(s.out) / "durations.csv")
-    print(f"computed recovery durations for {len(nodes)} nodes")
+    durations = compute_recovery_durations(
+        series, start, end, recovery, s.ratio, s.persistence_days, s.ma_halfwidth, visits_path)
+    io.write_durations(dict(zip(series, durations.tolist())), Path(s.out) / "durations.csv")
+    print(f"computed recovery durations for {len(series)} nodes")
 
 
 def cmd_fit(s: argparse.Namespace) -> dict:
@@ -498,11 +479,11 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
         search_multipliers,
     )
     config = _ga_config(s)  # checked, as the manifest records it, even for --brute-force
+    schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked before any read
     graph = _load_graph(s)
     path = _require_file(s.thresholds, "thresholds")
     table = io.read_thresholds(path)
     thresholds = table.take(align_rows(table.node_ids, graph.nodes, path))
-    schedule = DiffusionSchedule(s.horizon, s.first_update_week)
     problem = MultiplierProblem(graph, thresholds, schedule)  # for every size and the pool
 
     candidate_pool = None

@@ -3,7 +3,9 @@ weeks, and the 0-1 loss against simulated recovered weeks.
 
 A unit counts as recovered on the first day its smoothed visit count holds
 at or above a fraction of its pre-event baseline for a run of consecutive
-days; the duration is that day expressed in weeks, capped at 14.
+days; the duration is that day expressed in weeks, capped at 14. One call
+scores a whole visits table: its units that share a first day and a series
+length share a window, and each such group is scored as one matrix.
 Recovery never reverts, so a node's weekly states are fixed by the number
 of weeks 1..T it spends recovered.
 """
@@ -22,41 +24,20 @@ CAP_WEEKS = 14
 CAP_DAYS = CAP_WEEKS * 7
 
 
-class VisitRowError(DataError):
-    """A row of a visit matrix that breaks a series rule; row is its index."""
-
-    def __init__(self, message: str, row: int) -> None:
-        super().__init__(message)
-        self.row = row
-
-
-def _check_visit_matrix(
-    visits: np.ndarray, baseline_start: int, baseline_end: int, recovery_start: int
-) -> None:
-    """The series rules for a units x days matrix whose rows share one
-    window: counts are nonnegative, the inclusive baseline window lies in the
-    series and precedes recovery_start, and 98 days (14 weeks) follow
-    recovery_start. The window and length are checked once; the error names
-    the first row that breaks a rule, a row's counts checked before the
-    shared window."""
-    negative = np.flatnonzero((visits < 0).any(axis=1))
-    length = visits.shape[1]
-    problem = None
-    if not 0 <= baseline_start <= baseline_end:
-        problem = f"invalid baseline window [{baseline_start}, {baseline_end}]"
-    elif baseline_end >= recovery_start:
-        problem = "baseline window must precede recovery start"
-    elif baseline_end >= length:
-        problem = "baseline window extends past the series"
-    elif length - recovery_start < CAP_DAYS:
-        problem = (
-            f"series too short: need >= {CAP_DAYS} days after recovery start, "
-            f"got {length - recovery_start}"
-        )
-    if negative.size and (problem is None or negative[0] == 0):
-        raise VisitRowError("visit counts must be nonnegative", int(negative[0]))
-    if problem is not None:
-        raise VisitRowError(problem, 0)
+def _window_rule(start: int, end: int, recovery: int, length: int) -> Optional[str]:
+    """The window rule a series of length days breaks, else None: the
+    inclusive baseline window start..end lies in the series and precedes
+    recovery, and 98 days (14 weeks) follow recovery (days index the series)."""
+    if not 0 <= start <= end:
+        return f"invalid baseline window [{start}, {end}]"
+    if end >= recovery:
+        return "baseline window must precede recovery start"
+    if end >= length:
+        return "baseline window extends past the series"
+    if length - recovery < CAP_DAYS:
+        return (f"series too short: need >= {CAP_DAYS} days after recovery start, "
+                f"got {length - recovery}")
+    return None
 
 
 def moving_average(values: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -75,20 +56,25 @@ def moving_average(values: np.ndarray, halfwidth: int) -> np.ndarray:
 
 
 def compute_recovery_durations(
-    visits: np.ndarray,
+    series: Mapping[str, tuple[int, np.ndarray]],
     baseline_start: int,
     baseline_end: int,
     recovery_start: int,
     ratio: float = 0.9,
     persistence_days: int = 3,
     ma_halfwidth: int = 3,
+    source: str = "visits",
 ) -> np.ndarray:
     """Weeks until smoothed visits persist at >= ratio x baseline, capped at
-    14, for every row of a units x days matrix whose rows share the window
-    (indices into a row). Counts must be nonnegative, the inclusive baseline
-    window must lie in the series and precede recovery_start, and the series
-    must extend 98 days (14 weeks) past recovery_start; a VisitRowError
-    names the first row that breaks a rule.
+    14, for each unit of series (id -> (first day, daily visits), as
+    io.read_visit_series returns it), in mapping order. The three days are
+    absolute, as the series' first days are.
+
+    Counts must be nonnegative, the inclusive baseline window must lie in a
+    unit's series and precede recovery_start, and the series must extend 98
+    days (14 weeks) past recovery_start. A DataError names source (the
+    file) and the first unit in mapping order that breaks a rule, its counts
+    checked before its window; no group is scored once a fault is found.
 
     The baseline is the mean over the baseline window; the smoothed series is
     a centered moving average (halfwidth days each side). Recovery is the
@@ -104,18 +90,38 @@ def compute_recovery_durations(
         raise ConfigError(f"persistence_days must be >= 1, got {persistence_days}")
     if ma_halfwidth < 0:
         raise ConfigError(f"ma_halfwidth must be >= 0, got {ma_halfwidth}")
-    visits = np.asarray(visits, dtype=np.float64)
-    if visits.ndim != 2:
-        raise DataError("visit matrix must be two-dimensional")
-    _check_visit_matrix(visits, baseline_start, baseline_end, recovery_start)
+    units = list(series.values())
+    # units sharing a first day and a length share a window: one matrix each
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (first_day, visits) in enumerate(units):
+        groups.setdefault((first_day, len(visits)), []).append(i)
+    durations = np.empty(len(units))
+    first, fault = len(units), None  # the first faulty unit and the rule it breaks
+    for (first_day, length), rows in groups.items():
+        visits = np.stack([units[i][1] for i in rows]).astype(np.float64, copy=False)
+        days = (baseline_start - first_day, baseline_end - first_day, recovery_start - first_day)
+        negative = (visits < 0).any(axis=1)
+        window = _window_rule(*days, length)
+        faulty = np.flatnonzero(negative | (window is not None))
+        if faulty.size and rows[faulty[0]] < first:
+            k = faulty[0]
+            first, fault = rows[k], "visit counts must be nonnegative" if negative[k] else window
+        elif fault is None and not faulty.size:
+            durations[rows] = _scan(visits, *days, ratio, persistence_days, ma_halfwidth)
+    if fault is not None:
+        raise DataError(f"{source}: unit {list(series)[first]!r}: {fault}")
+    return durations
 
-    baseline = visits[:, baseline_start : baseline_end + 1].mean(axis=1)
+
+def _scan(visits: np.ndarray, start: int, end: int, recovery: int, ratio: float,
+          persistence_days: int, ma_halfwidth: int) -> np.ndarray:
+    """The durations of a units x days matrix's rows, which share a window
+    that keeps its rules (days index a row)."""
+    threshold = ratio * visits[:, start : end + 1].mean(axis=1)
     smoothed = moving_average(visits, ma_halfwidth)
-    threshold = ratio * baseline
-
     # days 1..CAP_DAYS and the runs that follow them, cut at the series end
     # so that a run needing unseen days has no window
-    scanned = smoothed[:, recovery_start : recovery_start + CAP_DAYS + persistence_days - 1]
+    scanned = smoothed[:, recovery : recovery + CAP_DAYS + persistence_days - 1]
     meets = scanned >= threshold[:, None]
     durations = np.full(visits.shape[0], float(CAP_WEEKS))
     if meets.shape[1] >= persistence_days:

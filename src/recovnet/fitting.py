@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .diffusion import (
 )
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
-from .ga import GaConfig, GaResult, RealVectorEncoding, run_ga
 from .graph import SpatialGraph
+
+if TYPE_CHECKING:  # only fit_thresholds runs the GA, and it imports it
+    from .ga import GaConfig, GaResult
 
 
 @dataclass(eq=False)
@@ -129,6 +131,7 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     optimize; the all-zero threshold vector is returned directly with a
     history of one generation that took no time.
     """
+    from .ga import GaResult, RealVectorEncoding, run_ga
     if problem.free_count == 0:
         losses = problem.losses(np.empty((1, 0)))
         result = GaResult(best_chromosome=np.empty(0), best_fitness=losses[0].item(),

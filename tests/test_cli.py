@@ -1213,7 +1213,7 @@ class TestCliImports:
         "build-graph": set(),
         "durations": {"empirical"},
         "fit": {"empirical", "fitting", "ga"},
-        "baseline": {"empirical", "fitting", "ga"},
+        "baseline": {"empirical", "fitting"},
         "multipliers": {"ga", "multipliers"},
         "analyze": {"analysis", "empirical"},
     }
@@ -1727,6 +1727,26 @@ class TestOptionTable:
         capsys.readouterr()
         assert run(command, *inputs, *setting, "--out", tmp_path / "x") == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,setting,named", [
+        ("fit", ["--horizon", 0], "horizon must be >= 1, got 0"),
+        ("baseline", ["--runs", 0], "--runs must be >= 1, got 0"),
+        ("baseline", ["--first-update-week", 99], "first_update_week must be in [1, 14], got 99"),
+        ("multipliers", ["--horizon", 0], "horizon must be >= 1, got 0"),
+    ])
+    def test_setting_checked_before_input_is_read(self, tmp_path, capsys, command, setting,
+                                                  named):
+        """A bad setting exits 2 and names itself before any input is read,
+        so a malformed input file, which alone exits 3, is not reached."""
+        malformed = tmp_path / "edges.csv"
+        malformed.write_text("src,dst\nx\n")
+        table = "--thresholds" if command == "multipliers" else "--durations"
+        inputs = ["--edges", malformed, table, malformed, "--out", tmp_path / "x"]
+        assert run(command, *inputs) == 3
+        capsys.readouterr()
+        assert run(command, *inputs, *setting) == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
         assert not (tmp_path / "x").exists()
 
     def test_integral_float_config_value_is_an_integer(self, tmp_path, instance_dir):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,18 @@ from recovnet import (
     recovered_counts,
     zero_one_loss,
 )
-from recovnet.empirical import VisitRowError, moving_average
+from recovnet import empirical
+from recovnet.empirical import moving_average
 from recovnet.errors import ConfigError, DataError
 
 RSTART = 27
 
 
 def one_duration(visits, **settings):
-    """compute_recovery_durations for one unit: a one-row matrix with the
-    baseline on days 0-20 and recovery assessed from day RSTART."""
-    row = np.asarray(visits, dtype=float)[None, :]
-    return float(compute_recovery_durations(row, 0, 20, RSTART, **settings)[0])
+    """compute_recovery_durations for one unit whose series starts on day 0,
+    with the baseline on days 0-20 and recovery assessed from day RSTART."""
+    series = {"u": (0, np.asarray(visits, dtype=float))}
+    return float(compute_recovery_durations(series, 0, 20, RSTART, **settings)[0])
 
 
 def dip_recover_visits():
@@ -32,21 +35,21 @@ def dip_recover_visits():
 
 
 class TestVisitSeries:
-    """A unit's series rules, checked by a one-row call."""
+    """A unit's series rules, checked by a one-unit call."""
 
     def test_baseline_must_precede_recovery(self):
         with pytest.raises(DataError, match="precede"):
-            compute_recovery_durations(np.ones((1, 200)), 0, 30, 20)
+            compute_recovery_durations({"u": (0, np.ones(200))}, 0, 30, 20)
 
     def test_series_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            compute_recovery_durations(np.ones((1, 100)), 0, 5, 10)
+            compute_recovery_durations({"u": (0, np.ones(100))}, 0, 5, 10)
 
     def test_negative_visits_rejected(self):
-        visits = np.ones((1, 150))
-        visits[0, 40] = -1
+        visits = np.ones(150)
+        visits[40] = -1
         with pytest.raises(DataError, match="nonnegative"):
-            compute_recovery_durations(visits, 0, 5, 10)
+            compute_recovery_durations({"u": (0, visits)}, 0, 5, 10)
 
 
 class TestMovingAverage:
@@ -68,7 +71,7 @@ class TestMovingAverage:
 
 
 class TestComputeRecoveryDuration:
-    """One unit's duration, from one-row calls."""
+    """One unit's duration, from one-unit calls."""
 
     def test_dip_then_recover(self):
         duration = one_duration(dip_recover_visits())
@@ -137,77 +140,121 @@ class TestComputeRecoveryDuration:
             one_duration(dip_recover_visits(), ratio=0.0)
 
 
-def recovery_rows(rng, units, length, start=RSTART):
-    """Rows of a units x days matrix: a baseline of ~100, a dip, then a
-    noisy recovery from a random day, some false starts and some units that
-    never recover."""
-    rows = []
-    for _ in range(units):
-        visits = rng.uniform(0, 60, length)
-        visits[:21] = rng.uniform(95, 105, 21)
-        recover = int(rng.integers(start - 5, length + 3))
-        visits[recover:] = rng.uniform(80, 120, max(length - recover, 0))
-        blip = int(rng.integers(start, length))
-        visits[blip : blip + int(rng.integers(1, 5))] = 100.0
-        rows.append(visits)
-    return np.array(rows)
+def unit_series(rng, first_day, length):
+    """One unit's visits from day first_day (<= 0): a baseline of ~100 up to
+    day 20, a dip, then a noisy recovery from a random day, some false
+    starts and some units that never recover."""
+    visits = rng.uniform(0, 60, length)
+    visits[: 21 - first_day] = rng.uniform(95, 105, 21 - first_day)
+    start = RSTART - first_day
+    recover = int(rng.integers(start - 5, length + 3))
+    visits[recover:] = rng.uniform(80, 120, max(length - recover, 0))
+    blip = int(rng.integers(start, length))
+    visits[blip : blip + int(rng.integers(1, 5))] = 100.0
+    return visits
 
 
 class TestComputeRecoveryDurations:
-    """The matrix call: each row as the oracle scores it alone, one error
-    naming the row a per-unit loop would stop at."""
+    """The call on a whole visits table: each unit as the oracle scores it
+    alone, whatever its first day and length, and one error naming the unit
+    a per-unit loop would stop at."""
 
-    def test_rows_match_naive_oracle(self):
+    # id -> (first day, length); every window ends >= 98 days past RSTART
+    SHAPES = {"a0": (0, 125), "a1": (-3, 140), "a2": (0, 131), "a3": (-5, 135),
+              "a4": (-3, 140), "a5": (0, 125), "a6": (0, 126), "a7": (-5, 132)}
+
+    @staticmethod
+    def _ones(shapes):
+        return {node: (first, np.ones(length)) for node, (first, length) in shapes.items()}
+
+    def test_units_match_naive_oracle(self):
         rng = np.random.default_rng(44)
-        for length in (125, 126, 131):
-            visits = recovery_rows(rng, 30, length)
-            for persistence in (1, 3, 5):
-                for halfwidth in (0, 3):
-                    durations = compute_recovery_durations(
-                        visits, 0, 20, RSTART, 0.9, persistence, halfwidth
+        series = {f"{node}_{k}": (first, unit_series(rng, first, length))
+                  for k in range(4) for node, (first, length) in self.SHAPES.items()}
+        for persistence in (1, 3, 5):
+            for halfwidth in (0, 3):
+                durations = compute_recovery_durations(
+                    series, 0, 20, RSTART, 0.9, persistence, halfwidth
+                )
+                expected = [
+                    oracles.naive_recovery_duration(
+                        visits, -first, 20 - first, RSTART - first,
+                        persistence_days=persistence, ma_halfwidth=halfwidth,
                     )
-                    expected = [
-                        oracles.naive_recovery_duration(
-                            row, 0, 20, RSTART,
-                            persistence_days=persistence, ma_halfwidth=halfwidth,
-                        )
-                        for row in visits
-                    ]
-                    assert durations.tolist() == expected
-                    assert durations.tolist() == [
-                        one_duration(
-                            row, persistence_days=persistence, ma_halfwidth=halfwidth
-                        )
-                        for row in visits
-                    ]
+                    for first, visits in series.values()
+                ]
+                assert durations.tolist() == expected
+                assert durations.tolist() == [
+                    compute_recovery_durations(
+                        {node: unit}, 0, 20, RSTART, 0.9, persistence, halfwidth
+                    )[0]
+                    for node, unit in series.items()
+                ]
+                assert len(set(durations.tolist())) > 5
 
-    def test_first_negative_row_named(self):
-        visits = np.ones((6, 131))
-        visits[[2, 5], 40] = -1
-        with pytest.raises(VisitRowError, match="nonnegative") as raised:
-            compute_recovery_durations(visits, 0, 20, RSTART)
-        assert raised.value.row == 2
+    def test_first_negative_unit_named(self):
+        series = self._ones(dict.fromkeys(["u0", "u1", "u2", "u3", "u4", "u5"], (0, 131)))
+        for node in ("u2", "u5"):
+            series[node][1][40] = -1
+        with pytest.raises(DataError) as raised:
+            compute_recovery_durations(series, 0, 20, RSTART, source="visits.csv")
+        assert str(raised.value) == "visits.csv: unit 'u2': visit counts must be nonnegative"
 
-    @pytest.mark.parametrize("negative_row,message", [(0, "nonnegative"), (3, "too short")])
-    def test_window_error_names_first_row(self, negative_row, message):
-        visits = np.ones((5, 124))
-        visits[negative_row, 40] = -1
-        with pytest.raises(VisitRowError, match=message) as raised:
-            compute_recovery_durations(visits, 0, 20, RSTART)
-        assert raised.value.row == 0
+    @pytest.mark.parametrize("negative,message", [
+        ("u0", "visit counts must be nonnegative"),
+        ("u3", "series too short: need >= 98 days after recovery start, got 97"),
+    ])
+    def test_window_error_names_first_unit(self, negative, message):
+        series = self._ones(dict.fromkeys(["u0", "u1", "u2", "u3", "u4"], (0, 124)))
+        series[negative][1][40] = -1
+        with pytest.raises(DataError) as raised:
+            compute_recovery_durations(series, 0, 20, RSTART, source="visits.csv")
+        assert str(raised.value) == f"visits.csv: unit 'u0': {message}"
+
+    @pytest.mark.parametrize("faulty,named", [
+        (("a1", "a5"), "unit 'a1': visit counts must be nonnegative"),
+        (("a5", "a7"), "unit 'a5': visit counts must be nonnegative"),
+        (("a2", "a6"), "unit 'a2': visit counts must be nonnegative"),
+    ])
+    def test_error_names_first_unit_across_groups(self, faulty, named):
+        """a0's group (a0, a5) is scored before a1's; a1 and a3 sort before
+        a5 yet come in later groups, and a7's group comes last."""
+        series = self._ones(self.SHAPES)
+        for node in faulty:
+            series[node][1][60] = -1.0
+        with pytest.raises(DataError) as raised:
+            compute_recovery_durations(series, 0, 20, RSTART, source="v.csv")
+        assert str(raised.value) == f"v.csv: {named}"
+
+    def test_no_group_scored_after_the_first_fault(self):
+        """a5 faults in the first group, a0's; the groups of a1 to a4 are
+        checked, as they may hold an earlier fault, but none is scored."""
+        series = self._ones(self.SHAPES)
+        series["a5"][1][60] = -1.0
+        scanned = []
+
+        def scan(visits, *args):
+            scanned.append(visits.shape[0])
+            return np.ones(visits.shape[0])
+
+        with mock.patch.object(empirical, "_scan", scan):
+            with pytest.raises(DataError, match="unit 'a5'"):
+                compute_recovery_durations(series, 0, 20, RSTART)
+            series["a5"][1][60] = 1.0
+            compute_recovery_durations(series, 0, 20, RSTART)
+        assert scanned == [2, 2, 1, 1, 1, 1]
 
     def test_settings_checked_once(self):
-        visits = np.ones((3, 131))
+        series = self._ones({"u0": (0, 131), "u1": (0, 131)})
         with pytest.raises(ConfigError, match="ratio"):
-            compute_recovery_durations(visits, 0, 20, RSTART, ratio=1.5)
+            compute_recovery_durations(series, 0, 20, RSTART, ratio=1.5)
         with pytest.raises(ConfigError, match="persistence_days"):
-            compute_recovery_durations(visits, 0, 20, RSTART, persistence_days=0)
+            compute_recovery_durations(series, 0, 20, RSTART, persistence_days=0)
         with pytest.raises(ConfigError, match="ma_halfwidth"):
-            compute_recovery_durations(visits, 0, 20, RSTART, ma_halfwidth=-1)
+            compute_recovery_durations(series, 0, 20, RSTART, ma_halfwidth=-1)
 
-    def test_one_dimensional_visits_rejected(self):
-        with pytest.raises(DataError, match="visit matrix must be two-dimensional"):
-            compute_recovery_durations(np.zeros(120), 0, 6, 10)
+    def test_empty_table_scores_nothing(self):
+        assert compute_recovery_durations({}, 0, 6, 10).tolist() == []
 
 
 def first_recovered_week(weeks, horizon=14):

@@ -45,6 +45,11 @@ trees; every check runs for both trees before timing.
   ``read_visits_geoid`` a copy whose unit ids have the paper's shape: a
   12-digit block-group GEOID of Harris County (48201 and 7 digits), two
   64-bit key words where the benchmark's 6-byte ids take one.
+- ``durations_cmd`` (--visit-repeats pairs): the ``durations`` command,
+  ``cli.main`` run in process on ``ingest-large``'s ``visits.csv`` with that
+  workload's window flags, into a fresh directory per call. Both trees'
+  ``durations.csv`` must be byte-equal and pass
+  ``IngestLarge.check_durations``.
 - ``package_import`` (40 pairs, one warm-up): ``import recovnet.cli`` minus
   the same turn's ``import numpy``, in fresh children with the tree on
   PYTHONPATH (the difference drifts less with the machine than either).
@@ -62,6 +67,7 @@ import argparse
 import contextlib
 import importlib.util
 import io as stdio
+import itertools
 import json
 import os
 import platform
@@ -285,6 +291,31 @@ def read_visits(sides: dict, path: Path, repeats: int) -> dict:
     return timing
 
 
+def durations_cmd(sides: dict, inputs: Path, ingest, repeats: int) -> dict:
+    """The durations command on inputs/visits.csv, run by each tree's cli.main
+    into a fresh directory per call, after checking both trees' tables."""
+    workload = IngestLarge()
+    [stage] = [stage for stage in workload.stages(SEED) if stage.name == "durations"]
+    args = list(stage.args)
+    args[args.index("--visits") + 1] = str(inputs / "visits.csv")
+    calls = itertools.count()
+
+    def run(side: str) -> Path:
+        directory = inputs / f"durations_{next(calls)}"
+        args[args.index("--out") + 1] = str(directory / "durations")
+        with contextlib.redirect_stdout(stdio.StringIO()):
+            expect(sides[side].tree.cli.main(args) == 0, f"durations_cmd ({side}) failed")
+        return directory
+
+    tables = {}
+    for side in SIDES:
+        directory = run(side)
+        workload.check_durations(ORACLES, directory, ingest)
+        tables[side] = (directory / "durations" / "durations.csv").read_bytes()
+    expect(tables["old"] == tables["new"], "durations_cmd: durations.csv differs across trees")
+    return timed(run, repeats)
+
+
 def geoid_copy(visits: Path, out: Path) -> Path:
     """visits with unit g<i> renamed to a Harris County block-group GEOID:
     block group i % 4 + 1 of tract 100000 + 100 * (i // 4)."""
@@ -352,7 +383,7 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
         tmp = Path(tmp)
         paper = synth(trees["new"], PaperScale(), tmp / "paper")
         small = synth(trees["new"], SmallExact(), tmp / "small")
-        ids = IngestLarge().prepare(tmp, SEED).ids
+        ingest = IngestLarge().prepare(tmp, SEED)
         crlf = tmp / "visits_crlf.csv"
         crlf.write_bytes((tmp / "visits.csv").read_bytes().replace(b"\n", b"\r\n"))
         geoid = geoid_copy(tmp / "visits.csv", tmp / "visits_geoid.csv")
@@ -361,10 +392,11 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
             **kernel_entries(sides, paper, repeats),
             "stage2_search": stage2_search(sides),
             **scoring_sites(sides),
-            **graph_reads(sides, tmp, ids),
+            **graph_reads(sides, tmp, ingest.ids),
             "read_visits": read_visits(sides, tmp / "visits.csv", visit_repeats),
             "read_visits_crlf": read_visits(sides, crlf, visit_repeats),
             "read_visits_geoid": read_visits(sides, geoid, visit_repeats),
+            "durations_cmd": durations_cmd(sides, tmp, ingest, visit_repeats),
             "package_import": package_import(srcs),
             "paper_budget": paper_budget(sides),
         }
