@@ -114,8 +114,11 @@ def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
         raise ValueError("threshold vector node ids do not match graph node order")
 
 
-# cells (nodes x columns) per kernel call: 65 columns at n = 2010
-CHUNK_CELLS = 1 << 17
+# cells (nodes x columns) per kernel call, but never fewer columns than
+# CHUNK_MIN_COLUMNS, the widest row take copies on its fast path (see
+# weeks_recovered): 32 columns at n = 2010 and above, 1 638 at n = 40
+CHUNK_CELLS = 1 << 16
+CHUNK_MIN_COLUMNS = 32
 
 
 class DiffusionKernel:
@@ -134,7 +137,7 @@ class DiffusionKernel:
     matrices in that order, so callers map their rows once; run maps one
     node-order column in and out. Every caller that scores many columns goes
     through reduce_columns, which runs weeks_recovered in calls of
-    CHUNK_CELLS // n columns and reduces each call's weeks. calls counts the
+    chunk_columns() columns and reduces each call's weeks. calls counts the
     weeks_recovered calls made so far by their column count.
 
     Counts use a jagged-diagonal layout: slot k holds the row of the k-th
@@ -194,15 +197,27 @@ class DiffusionKernel:
         need = self.need(np.asarray(values, dtype=np.float64)[self.order, None])
         return self.weeks_recovered(need, np.zeros(need.shape, bool))[self.rank, 0]
 
+    def chunk_columns(self) -> int:
+        """Columns per reduce_columns call: CHUNK_CELLS // n, and at least
+        CHUNK_MIN_COLUMNS. A call's matrices stay cache-sized, and a large
+        graph's calls still copy the widest fast rows."""
+        return max(CHUNK_MIN_COLUMNS, CHUNK_CELLS // max(self.order.size, 1))
+
     def reduce_columns(self, columns: int, inputs: Callable[[int, int], tuple],
                        reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """reduce of each call's recovered weeks, concatenated over columns
-        0..columns-1 in calls of CHUNK_CELLS // n columns, in column order:
+        0..columns-1 in calls of chunk_columns() columns, in column order:
         inputs(lo, hi) gives columns lo..hi-1's need (or the shared n x 1
-        need) and initial states, as weeks_recovered takes them."""
-        size = max(1, CHUNK_CELLS // max(self.order.size, 1))
-        return np.concatenate([reduce(self.weeks_recovered(*inputs(lo, min(lo + size, columns))))
-                               for lo in range(0, columns, size)])
+        need) and initial states, as weeks_recovered takes them. A last
+        call of fewer than half as many columns joins the one before it: a
+        week costs a 4-column call about two thirds of a 32-column one."""
+        size = self.chunk_columns()
+        bounds = list(range(0, columns, size))
+        if len(bounds) > 1 and columns - bounds[-1] < size // 2:
+            del bounds[-1]
+        bounds.append(columns)
+        return np.concatenate([reduce(self.weeks_recovered(*inputs(lo, hi)))
+                               for lo, hi in zip(bounds, bounds[1:])])
 
     def _count(self, state: np.ndarray, counts: np.ndarray, gathered: np.ndarray) -> None:
         """Recovered neighbours of every row, written into counts (rows past

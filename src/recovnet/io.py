@@ -6,17 +6,18 @@ multiplier sets and summary of a multipliers run.
 Every CSV table is read column by column by _read_columns, with no Python
 step per row. The file is read as bytes and checked to be UTF-8, then its
 header is checked. Every \r\n and lone \r becomes \n, so lines end as
-csv.reader ends them. A file with no '"' and no line over 255 bytes is
-tokenized with NumPy: blank lines are skipped and cells are split at commas,
-as csv.reader splits them; each block of _BLOCK_ROWS rows finds each
-column's distinct cells, and only those are decoded. A column whose cells in
-the block are all canonical integers of a few digits (a day index, a visit
-count) is coded by value through a presence table. Any other packs every
-cell's bytes and length into integer keys, and one sort over the heads of
-its runs of equal cells on consecutive rows (an id repeated day after day)
-finds the distinct cells. Any other file is read by csv.reader, the only
-reader that splits quoted cells exactly. Each distinct cell text is parsed
-once.
+csv.reader ends them. A file with no '"', no line past csv's field limit
+and no cell over 255 bytes among the columns a reader keys (the cells past
+them are never looked at) is tokenized with NumPy: blank lines are skipped
+and cells are split at commas, as csv.reader splits them; each block of
+_BLOCK_ROWS rows finds each column's distinct cells, and only those are
+decoded. A column whose cells in the block are all canonical integers of a
+few digits (a day index, a visit count) is coded by value through a
+presence table. Any other packs every cell's bytes and length into
+integer keys, and one sort over the heads of its runs of equal cells on
+consecutive rows (an id repeated day after day) finds the distinct cells.
+Any other file is read by csv.reader, the only reader that splits quoted
+cells exactly. Each distinct cell text is parsed once.
 
 Rows are read up to the first short row (fewer cells than the header). A
 fault is named as a row-by-row reader would name it: the first row in file
@@ -380,14 +381,26 @@ def _read_columns(
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     starts, ends = _line_bounds(data)
-    # a line of at most 255 bytes keeps each field's length in one key byte
-    if b'"' in data or np.any(ends - starts > 255):
+    width = len(header) + (optional is not None)
+    if b'"' in data or not _keyed_cells_fit(data, starts, ends, width):
         del data, starts, ends  # the csv.reader path reads the file again
         return _csv_columns(path, header, optional)
     first = next(csv.reader([data[starts[0]:ends[0]].decode("utf-8")])) if starts.size else None
     _check_header(path, first, header, optional)
-    return _byte_columns(data, starts[1:], ends[1:], len(header),
-                         len(header) + (optional is not None))
+    return _byte_columns(data, starts[1:], ends[1:], len(header), width)
+
+
+def _keyed_cells_fit(data: bytes, starts: np.ndarray, ends: np.ndarray, width: int) -> bool:
+    """Whether the first width cells of every line, the ones a reader keys,
+    are at most 255 bytes long, so that one key byte holds each length
+    (_field_words), and no line is longer than csv.field_size_limit(), so
+    that a field csv.reader rejects is never read. Only lines of more than
+    255 bytes are split."""
+    limit, long = csv.field_size_limit(), ends - starts > 255
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        if b - a > limit or max(map(len, data[a:b].split(b",", width)[:width])) > 255:
+            return False
+    return True
 
 
 def _parsed(column: Column, parse, dtype, k: int) -> tuple[np.ndarray, tuple]:
@@ -630,9 +643,11 @@ def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
     """Every attribute column; flood_extent cells stay empty when the table
     has none."""
     from .analysis import ATTRIBUTE_NAMES
+    # each cell is formatted as its row is written, so no column of texts
+    # is held; repr of a Python float is the shortest text that reads back
     cells = [
-        list(map(repr, attrs.columns[name].tolist())) if name in attrs.columns
-        else [""] * len(attrs)
+        map(repr, map(float, attrs.columns[name])) if name in attrs.columns
+        else itertools.repeat("", len(attrs))
         for name in ATTRIBUTE_NAMES
     ]
     write_table(path, ["id", *ATTRIBUTE_NAMES], zip(attrs.ids, *cells))
@@ -674,14 +689,16 @@ def write_trajectory(
     if first.shape != (len(node_ids),):
         raise ValueError(f"{first.shape} recovered-week counts for {len(node_ids)} nodes")
     # the ",week,state" lines of each start week, joined with each id as
-    # csv.writer quotes it (writerow returns what the file's write returns)
+    # csv.writer quotes it (writerow returns what the file's write returns);
+    # each node's lines go to the file as they are made
     tails = [[""] + [f",{week},{int(week >= start)}\r\n" for week in range(horizon + 1)]
              for start in range(horizon + 2)]
     line = csv.writer(SimpleNamespace(write=str)).writerow
     starts = np.clip(first, 0, horizon + 1).tolist()
     with atomic_write(path) as handle:
-        handle.write(line(["id", "week", "state"]) + "".join(
-            line((node, ""))[:-3].join(tails[start]) for node, start in zip(node_ids, starts)))
+        handle.write(line(["id", "week", "state"]))
+        handle.writelines(
+            line((node, ""))[:-3].join(tails[start]) for node, start in zip(node_ids, starts))
 
 
 def write_generation_stats(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,12 @@ def graph_of(nodes, edges) -> SpatialGraph:
     codes = np.array([[index[str(end)] for end in pair] for pair in edges],
                      np.int64).reshape(-1, 2)
     return SpatialGraph(node_list, codes[:, 0], codes[:, 1])
+
+
+def chunked(chunk: int):
+    """Patch the kernel's width rule so that reduce_columns runs `chunk`
+    columns per call, narrower than its floor allows."""
+    return mock.patch.object(DiffusionKernel, "chunk_columns", lambda self: chunk)
 
 
 def forced_weeks(g, tau, initial, schedule=DiffusionSchedule()) -> np.ndarray:

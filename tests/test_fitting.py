@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import chunked
 from recovnet import (
     DiffusionSchedule,
     GaConfig,
     SynthSpec,
     build_fit_problem,
-    diffusion,
     durations_to_weeks,
     fit_thresholds,
     generate_instance,
@@ -173,11 +173,33 @@ class TestRandomBaseline:
     def test_chunked_draws_equal_one_draw(self):
         instance = generate_instance(SynthSpec(node_count=400, rng_seed=4))
         problem = build_fit_problem(instance.graph, instance.durations)
-        columns = diffusion.CHUNK_CELLS // problem.graph.n  # per kernel call
+        columns = problem.kernel.chunk_columns()  # per kernel call
         for runs in (1, 5 * columns // 2):  # one run, 2.5 calls
             stats = random_baseline(problem, runs=runs, rng_seed=5)
             draw = np.random.default_rng(5).random((runs, problem.free_count))
             assert np.array_equal(stats.losses, problem.losses(draw))
+
+    @pytest.mark.parametrize("nodes,runs,calls", [
+        (2010, 1000, {32: 30, 40: 1}),  # CHUNK_CELLS // n is 32; 8 left over
+        (4000, 100, {32: 2, 36: 1}),  # CHUNK_CELLS // n is 16, below the floor
+    ])
+    def test_paper_scale_calls_are_32_columns(self, nodes, runs, calls):
+        """A remainder under half a call joins the last call."""
+        instance = generate_instance(SynthSpec(node_count=nodes, rng_seed=1))
+        problem = build_fit_problem(instance.graph, instance.durations)
+        random_baseline(problem, runs=runs, rng_seed=1)
+        assert problem.kernel.calls == calls
+
+    def test_losses_equal_across_chunk_widths(self):
+        """The draws do not depend on the chunk: 65 is the width n = 2010
+        had before the 32-column floor."""
+        instance = generate_instance(SynthSpec(node_count=2010, rng_seed=1))
+        problem = build_fit_problem(instance.graph, instance.durations)
+        expected = random_baseline(problem, runs=200, rng_seed=3).losses
+        for chunk in (1, 7, 65, 200):
+            with chunked(chunk):
+                losses = random_baseline(problem, runs=200, rng_seed=3).losses
+            assert np.array_equal(losses, expected), chunk
 
     def test_zero_runs_rejected(self, path_problem):
         with pytest.raises(ConfigError, match="runs"):

@@ -247,15 +247,16 @@ class TestVisitSeriesCsv:
     @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
     @pytest.mark.parametrize("ids", [
         ["g480201234567", "g480201234568", "n", "n\x00",
-         "M" * 229, "M" * 229 + "\x00", "W" * 229 + "0", "W" * 229 + "1"],
+         "M" * 254, "M" * 254 + "\x00", "W" * 254 + "0", "W" * 254 + "1"],
         ["L" * 300, "L" * 300 + "\x00"],
     ], ids=["byte_tokenizer", "csv_reader"])
     def test_fields_alike_in_their_leading_bytes_stay_apart(self, tmp_path, block_rows, ids):
         """Ids and days that share their first 8 bytes, or differ only by a
         trailing NUL byte or by their last byte, are distinct cells; each
-        pair of ids is in one block of 2 rows. The lines of the 230-byte ids
-        are 255 bytes long, the longest the byte tokenizer reads; those of
-        the 300-byte ids are longer, so csv.reader reads them."""
+        pair of ids is in one block of 2 rows. The longest ids are 255
+        bytes, the longest keyed cell the byte tokenizer reads, in lines
+        longer than that; the 300-byte ids are longer, so csv.reader reads
+        them."""
         rows = [f"{node},2018-07-0{day},100.00000000{k}"
                 for day in (1, 2) for k, node in enumerate(ids)]
         lines = [line + "\n" for line in ["id,day,visits", *rows]]
@@ -267,6 +268,19 @@ class TestVisitSeriesCsv:
         assert sorted(series) == sorted(expected) == sorted(ids)
         for node, (first_day, values) in series.items():
             assert (first_day, values.tolist()) == expected[node]
+
+    def test_long_unkeyed_cell_keeps_the_byte_tokenizer(self, tmp_path, monkeypatch):
+        """A 300-byte fourth cell on one row of a 40-unit visits file: no
+        reader keys that column, so csv.reader never reads the file, and the
+        series are the row-by-row reader's."""
+        rows = [f"g{unit:02d},{day},{(unit * day) % 97}" for unit in range(40) for day in range(20)]
+        rows[123] += "," + "Z" * 300
+        path = tmp_path / "visits.csv"
+        path.write_text("\n".join(["id,day,visits", *rows]) + "\n")
+        monkeypatch.setattr(io, "_csv_columns", lambda *args: pytest.fail("csv.reader ran"))
+        series = io.read_visit_series(path)
+        assert {node: (first, values.tolist()) for node, (first, values) in series.items()} \
+            == oracles.naive_read_visit_series(path)
 
     @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
     @pytest.mark.parametrize("quote", ["", '"'])
@@ -296,9 +310,9 @@ INDEX_DAYS = [0, 95, 9_995]
 DAY_SPELLINGS = ["0{}", "+{}"]
 ROW_FAULTS = ("short", "bad_day", "non_numeric", "non_finite", "empty_id")
 # ids longer than a 64-bit word that differ only past it, non-ASCII ids, and
-# ids that differ only by a trailing NUL byte; short ones, ones whose lines
-# may stay within the byte tokenizer's 255 bytes, and ones whose lines pass
-# it; digit ids, two of them texts of one integer
+# ids that differ only by a trailing NUL byte; short ones, ones within the
+# 255 bytes the byte tokenizer keys, and ones past it; digit ids, two of them
+# texts of one integer
 NODE_IDS = ["u0", "u1", "b", "a10", "g480201234567", "g480201234568", "é", "日本",
             "n", "n\x00", "M" * 229, "M" * 229 + "\x00", "W" * 229 + "0", "W" * 229 + "1",
             "L" * 300, "L" * 300 + "\x00", "7", "07"]
@@ -337,7 +351,8 @@ def csv_lines(draw, header: list[str], rows: list[list], extras_from: int = 0) -
 
     lines = [",".join([f'"{header[0]}"' if quoted else header[0], *header[1:]])]
     for row in rows:
-        extra = draw(st.sampled_from([[], ["x"], ["", "y"]])) if len(row) >= extras_from else []
+        extra = (draw(st.sampled_from([[], ["x"], ["", "y"], ["Z" * 300]]))
+                 if len(row) >= extras_from else [])
         lines.append(",".join(cell(v) for v in row + extra))
         if draw(st.integers(0, 5)) == 0:
             lines.append("")
@@ -505,18 +520,31 @@ def table_files(draw, table: str):
 @contextmanager
 def tokenizer_watched(lines: list[str], block_rows: int):
     """io._BLOCK_ROWS is block_rows inside the block; on leaving it, checks
-    that csv.reader read the file iff one of its lines has a quote or is
-    longer than 255 bytes (its terminator aside)."""
+    that csv.reader read the file iff one of its lines has a quote, is
+    longer than csv.field_size_limit(), or has a cell over 255 bytes among
+    its first cells, as many as the reader keys (terminators aside)."""
     default, io._BLOCK_ROWS = io._BLOCK_ROWS, block_rows
-    by_csv_reader = []
-    csv_columns = io._csv_columns
+    by_csv_reader, widths = [], []
+    csv_columns, read_columns = io._csv_columns, io._read_columns
     io._csv_columns = lambda *args: by_csv_reader.append(True) or csv_columns(*args)
+
+    def watched_read(path, header, optional=None):
+        widths.append(len(header) + (optional is not None))
+        return read_columns(path, header, optional)
+
+    io._read_columns = watched_read
     try:
         yield
     finally:
-        io._BLOCK_ROWS, io._csv_columns = default, csv_columns
-    assert bool(by_csv_reader) == any('"' in line or len(line.rstrip("\r\n").encode()) > 255
-                                      for line in lines)
+        io._BLOCK_ROWS, io._csv_columns, io._read_columns = default, csv_columns, read_columns
+    [width] = widths
+
+    def too_long(line: str) -> bool:
+        text = line.rstrip("\r\n")
+        return (len(text.encode()) > csv.field_size_limit()
+                or any(len(cell.encode()) > 255 for cell in text.split(",")[:width]))
+
+    assert bool(by_csv_reader) == any('"' in line or too_long(line) for line in lines)
 
 
 BLOCK_ROWS = st.one_of(st.just(io._BLOCK_ROWS), st.integers(1, 7))
@@ -967,6 +995,33 @@ class TestWriters:
         assert lines[1:] == ["a,0,0", "a,1,1", "a,2,1", "b,0,0", "b,1,0", "b,2,1"]
         with pytest.raises(ValueError, match="2 nodes"):
             io.write_trajectory(["a", "b"], np.array([2, 1, 0]), 2, path)
+
+    @pytest.mark.parametrize("table", ["trajectory", "attributes"])
+    def test_writers_hold_no_whole_table(self, tmp_path, table):
+        """At n = 20 000 the tables are 5.5 and 1.7 MB; each writer's
+        Python-level peak stays under 1 MiB, as it holds no column of texts
+        and no joined table."""
+        n = 20_000
+        rng = np.random.default_rng(0)
+        ids = tuple(f"48201{i:07d}" for i in range(n))
+        if table == "trajectory":
+            weeks = rng.integers(0, 15, n)
+
+            def write():
+                io.write_trajectory(ids, weeks, 14, tmp_path / "trajectory.csv")
+        else:
+            attrs = AttributeTable(ids, {name: rng.random(n) * 1e5 for name in ATTRIBUTE_NAMES})
+
+            def write():
+                io.write_attributes(attrs, tmp_path / "attributes.csv")
+        write()  # the first call's imports and caches are not the writer's
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trajectory_bytes_equal_csv_writer_rows(self, tmp_path):
         """Ids that need quoting, and recovered weeks of every kind, against

@@ -9,7 +9,6 @@ small enough that every run crosses chunk boundaries.
 from __future__ import annotations
 
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import graph_of
+from conftest import chunked, graph_of
 from recovnet import (
     DiffusionSchedule,
     GaConfig,
@@ -75,11 +74,6 @@ def neighbor_lists(graph):
     return {u: sorted(graph.neighbors(u)) for u in graph.nodes}
 
 
-def chunked(graph, chunk):
-    """Patch the chunk size so that the kernel runs `chunk` columns per call."""
-    return mock.patch.object(diffusion, "CHUNK_CELLS", graph.n * chunk)
-
-
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_kernel_trajectories_match_oracle(case):
@@ -106,8 +100,9 @@ def test_kernel_trajectories_match_oracle(case):
 @given(instances())
 def test_reduce_columns_is_one_call_in_chunks(case):
     """reduce_columns asks inputs for consecutive column ranges that cover
-    0..columns in order, one per call of `chunk` columns, and returns reduce
-    of one unchunked weeks_recovered call; the need is per column or shared."""
+    0..columns in order, one per call of `chunk` columns (a remainder of
+    under half a chunk joins the last call), and returns reduce of one
+    unchunked weeks_recovered call; the need is per column or shared."""
     graph, columns, chunk, rng = case
     kernel = diffusion.DiffusionKernel(graph)
     shared = bool(rng.integers(2))
@@ -119,14 +114,17 @@ def test_reduce_columns_is_one_call_in_chunks(case):
         asked.append((lo, hi))
         return (need if shared else need[:, lo:hi]), initial[:, lo:hi]
 
-    with chunked(graph, chunk):
+    with chunked(chunk):
         got = kernel.reduce_columns(columns, inputs, lambda weeks: weeks.T)
     bounds = [lo for lo, _ in asked] + [columns]
     assert asked == list(zip(bounds, bounds[1:])) and bounds[0] == 0
     whole = diffusion.DiffusionKernel(graph).weeks_recovered(need, initial)
     assert np.array_equal(got, whole.T)
-    remainder = Counter({columns % chunk: 1} if columns % chunk else {})
-    assert kernel.calls == Counter({chunk: columns // chunk}) + remainder
+    widths = [chunk] * (columns // chunk) + [columns % chunk] * (columns % chunk > 0)
+    if len(widths) > 1 and widths[-1] < chunk // 2:
+        widths[-2:] = [widths[-2] + widths[-1]]
+    assert [hi - lo for lo, hi in asked] == widths
+    assert kernel.calls == Counter(widths)
 
 
 def unforced_oracle_weeks(graph, values):
@@ -186,7 +184,7 @@ def test_chunked_fit_losses_match_naive_loss(case):
     problem = build_fit_problem(graph, durations)
     values = grid_thresholds(graph, rng, columns)
     values[problem.seed_mask] = 0.0
-    with chunked(graph, chunk):
+    with chunked(chunk):
         losses = problem.losses(values[problem.free_indices].T)
     assert losses.shape == (columns,)
     for p in range(columns):

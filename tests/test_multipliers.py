@@ -1,18 +1,15 @@
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from conftest import graph_of
+from conftest import chunked, graph_of
 from recovnet import (
     GaConfig,
     MultiplierProblem,
     SynthSpec,
     ThresholdVector,
     brute_force_multipliers,
-    diffusion,
     generate_instance,
     increment_rate,
     run_diffusion,
@@ -118,6 +115,15 @@ class TestBruteForce:
         assert result.members == ("A", "B", "C")
         assert result.recovered_with == 3
 
+    def test_small_graph_runs_wide_calls(self):
+        """At n = 40 a call is CHUNK_CELLS // 40 = 1 638 columns: size 3's
+        9 880 subsets take 6 calls, the last with the 52 left over, after
+        the unforced run's one."""
+        instance = generate_instance(SynthSpec(node_count=40, rng_seed=1))
+        problem = MultiplierProblem(instance.graph, instance.thresholds)
+        brute_force_multipliers(problem, 3)
+        assert problem.kernel.calls == {1: 1, 1638: 5, 1690: 1}
+
     def test_cap_enforced(self, path_problem):
         with pytest.raises(ConfigError, match="cap"):
             brute_force_multipliers(path_problem, 1, enumeration_cap=2)
@@ -220,7 +226,7 @@ class TestLockstepSearch:
         alone = [problem.recovered(row[None, :])[0] for rows in sets for row in rows]
         for chunk, calls in ((1, {1: 12}), (3, {3: 4}), (5, {5: 2, 2: 1})):
             before = problem.kernel.calls.copy()
-            with mock.patch.object(diffusion, "CHUNK_CELLS", problem.graph.n * chunk):
+            with chunked(chunk):
                 together = problem.recovered(*sets)
             assert problem.kernel.calls - before == calls, chunk
             assert together.tolist() == alone, chunk
@@ -262,7 +268,7 @@ class TestBruteForceChunks:
     def test_first_maximum_kept_across_chunks(self, tied_problem, chunk, size, expected, value):
         graph, tau = tied_problem
         problem = MultiplierProblem(graph=graph, thresholds=tau)
-        with mock.patch.object(diffusion, "CHUNK_CELLS", graph.n * chunk):
+        with chunked(chunk):
             result = brute_force_multipliers(problem, size)
         assert result.members == expected
         assert result.recovered_with == value

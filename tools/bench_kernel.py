@@ -34,7 +34,9 @@ trees; every check runs for both trees before timing.
   n = 2010 fit problem, whose losses must be equal across the trees, and
   brute_force_multipliers for each of ``SmallExact.sizes`` on
   ``small-exact``'s planted instance, whose members and counts must be equal
-  across the trees.
+  across the trees. ``baseline_n4000`` (40 pairs) is random_baseline with
+  ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on ``ingest-large``'s
+  n = 4000 queen graph and constructed durations, losses equal likewise.
 - ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
   to a queen graph, checked against ``reference.grid_queen_edges``, and
   io.read_edge_list on its edge list.
@@ -53,6 +55,16 @@ trees; every check runs for both trees before timing.
 - ``package_import`` (40 pairs, one warm-up): ``import recovnet.cli`` minus
   the same turn's ``import numpy``, in fresh children with the tree on
   PYTHONPATH (the difference drifts less with the machine than either).
+- ``stage_peaks`` (6 pairs, no warm-up): the peak RSS in MiB (ru_maxrss)
+  of each ``paper-scale`` stage, ``python -m recovnet`` with the tree on
+  PYTHONPATH, run in order in a fresh directory per turn. The stages are
+  children of a small launcher process, so that each ru_maxrss is the
+  stage's own and not this process's high-water mark. Per stage it records
+  each tree's median and quartiles (``median_mib``), ``ratio`` and
+  ``new_lower``, the pairs in which the new tree's peak was lower. The
+  largest is the stage that sets the workload's ``peak_rss_mib``. A peak
+  moves with the length of the tree's path, so give OLD_SRC a path as long
+  as this checkout's ``src``.
 - ``paper_budget`` (10 pairs, no warm-up): fit_thresholds for 10 000
   generations at P = 10, then search_multipliers on that fit for 2 000
   generations over the default sizes, on the ``paper-scale`` instance with
@@ -72,12 +84,14 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -94,6 +108,20 @@ SEED = 1
 SIDES = ("old", "new")
 # even, so that each tree goes first in half the pairs
 GRAPH_PAIRS, STAGE2_PAIRS, SCORING_PAIRS, IMPORT_PAIRS, PAPER_PAIRS = 30, 40, 40, 40, 10
+PEAK_PAIRS = 6
+# runs each command line of the JSON list argv[1] as `python -m recovnet`,
+# in turn, and prints their ru_maxrss in MiB; its own memory stays small
+LAUNCHER = """
+import json, os, subprocess, sys
+peaks = []
+for args in json.loads(sys.argv[1]):
+    proc = subprocess.Popen([sys.executable, "-m", "recovnet", *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit(f"recovnet {args[0]} failed")
+    peaks.append(usage.ru_maxrss / 1024)
+print(json.dumps(peaks))
+"""
 
 
 def load_tree(name: str, src: Path):
@@ -111,9 +139,10 @@ def load_tree(name: str, src: Path):
     return tree
 
 
-def quartiles(samples: list[float]) -> dict:
+def quartiles(samples: list[float], unit: str = "ms") -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+    return {f"median_{unit}": round(median, 4), f"q1_{unit}": round(q1, 4),
+            f"q3_{unit}": round(q3, 4)}
 
 
 def paired(run, pairs: int, warmups: int = 2) -> dict:
@@ -250,6 +279,22 @@ def scoring_sites(sides: dict) -> dict:
             "brute_force_small": timed(brute_force, SCORING_PAIRS)}
 
 
+def baseline_n4000(sides: dict, edges: Path, durations: dict) -> dict:
+    """random_baseline on ingest-large's graph and durations, after checking
+    that the trees agree on the losses."""
+    with warnings.catch_warnings():  # its seeds recover in other weeks than week 3
+        warnings.simplefilter("ignore", UserWarning)
+        problems = {side: s.tree.build_fit_problem(s.tree.io.read_edge_list(edges), durations)
+                    for side, s in sides.items()}
+
+    def baseline(side):
+        return sides[side].tree.random_baseline(
+            problems[side], IngestLarge.baseline_runs, rng_seed=SEED).losses
+
+    expect(np.array_equal(baseline("old"), baseline("new")), "baseline_n4000: losses differ")
+    return timed(baseline, SCORING_PAIRS)
+
+
 def graph_reads(sides: dict, inputs: Path, ids: list[list[str]]) -> dict:
     """GeoJSON to queen graph and the edge-list read, after checking both."""
     geometry, edges = inputs / "units.geojson", inputs / "edges.csv"
@@ -342,6 +387,31 @@ def package_import(srcs: dict) -> dict:
     return paired(run, IMPORT_PAIRS, warmups=1)
 
 
+def stage_peaks(srcs: dict, tmp: Path) -> dict:
+    """Each paper-scale stage's ru_maxrss, the stages run by LAUNCHER."""
+    stages = PaperScale().stages(SEED)
+    argv = json.dumps([list(stage.args) for stage in stages])
+    peaks = {side: [] for side in SIDES}
+    for k in range(PEAK_PAIRS):
+        for side in SIDES[::-1] if k % 2 else SIDES:
+            run = tmp / f"peaks_{k}_{side}"
+            run.mkdir()
+            env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(srcs[side])}
+            done = subprocess.run([sys.executable, "-c", LAUNCHER, argv], cwd=run, env=env,
+                                  check=True, capture_output=True, text=True)
+            peaks[side].append(json.loads(done.stdout))
+            shutil.rmtree(run)
+    entries = {}
+    for j, stage in enumerate(stages):
+        samples = {side: [turn[j] for turn in peaks[side]] for side in SIDES}
+        ratios = [new / old for old, new in zip(samples["old"], samples["new"])]
+        entries[stage.name] = {
+            **{side: quartiles(samples[side], "mib") for side in SIDES},
+            "ratio": round(statistics.median(ratios), 4),
+            "new_lower": sum(ratio < 1 for ratio in ratios), "pairs": PEAK_PAIRS}
+    return entries
+
+
 def paper_budget(sides: dict) -> dict:
     """Stage 1 and stage 2 at the paper's budget, in PAPER_PAIRS pairs."""
     clocks = ("fit_s", "search_s", "performance_index")
@@ -397,7 +467,9 @@ def measure(srcs: dict, repeats: int, visit_repeats: int) -> dict:
             "read_visits_crlf": read_visits(sides, crlf, visit_repeats),
             "read_visits_geoid": read_visits(sides, geoid, visit_repeats),
             "durations_cmd": durations_cmd(sides, tmp, ingest, visit_repeats),
+            "baseline_n4000": baseline_n4000(sides, tmp / "edges.csv", ingest.durations),
             "package_import": package_import(srcs),
+            "stage_peaks": stage_peaks(srcs, tmp),
             "paper_budget": paper_budget(sides),
         }
 
