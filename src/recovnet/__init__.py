@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 # each public name, by the module that defines it
 _HOMES = {
     "analysis": (
-        "AttributeTable", "CorrelationResult", "DistributionSummary", "ThresholdSummary",
         "correlate", "multiplier_attribute_comparison", "split_tertiles",
         "tertile_attribute_report", "threshold_summary",
     ),
@@ -32,7 +31,7 @@ _HOMES = {
         "run_ga", "run_lockstep",
     ),
     "graph": (
-        "ContiguityRule", "GraphMetrics", "Polygons", "SpatialGraph", "align_rows",
+        "ContiguityRule", "Polygons", "SpatialGraph", "align_rows",
         "build_contiguity_graph", "graph_metrics",
     ),
     "multipliers": (

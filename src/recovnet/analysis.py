@@ -2,14 +2,15 @@
 threshold, attribute comparisons for multiplier sets, and correlations.
 
 The tertile and multiplier summaries take attribute columns in the
-thresholds' node order (AttributeTable.take with graph.align_rows puts them
-there) and groups of nodes as positions in that order.
+thresholds' node order (indexing each column with graph.align_rows' rows
+puts them there) and groups of nodes as positions in that order. Every
+result is plain values: the dicts that analysis_report.json holds, and one
+dict of count, mean and quartiles per summarized group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,26 +24,6 @@ ATTRIBUTE_NAMES = (
     "minority_pct",
     "flood_extent",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class AttributeTable:
-    """Per-node attributes: the node ids and one float64 column per attribute,
-    keyed in ATTRIBUTE_NAMES order; flood_extent is present only when every
-    node has a value."""
-
-    ids: tuple[str, ...]
-    columns: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def take(self, rows: np.ndarray) -> "AttributeTable":
-        """The given rows, in that order (graph.align_rows gives node order)."""
-        return AttributeTable(
-            ids=tuple(self.ids[i] for i in rows),
-            columns={name: column[rows] for name, column in self.columns.items()},
-        )
 
 
 def quantiles(values: np.ndarray, probabilities: Sequence[float]) -> np.ndarray:
@@ -59,46 +40,12 @@ def quantiles(values: np.ndarray, probabilities: Sequence[float]) -> np.ndarray:
     return np.where(weight >= 0.5, b - (b - a) * (1 - weight), a + (b - a) * weight)
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Quartiles and mean of one attribute over one node group."""
-
-    count: int
-    mean: float
-    q1: float
-    median: float
-    q3: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "DistributionSummary":
-        values = np.asarray(values, dtype=np.float64)
-        q1, median, q3 = quantiles(values, (0.25, 0.5, 0.75))
-        return cls(
-            count=int(values.size),
-            mean=float(values.mean()),
-            q1=float(q1),
-            median=float(median),
-            q3=float(q3),
-        )
-
-
-@dataclass(frozen=True)
-class ThresholdSummary:
-    """Mean, population variance, and tertile boundaries of the thresholds."""
-
-    mean: float
-    variance: float
-    tertile_lower: float
-    tertile_upper: float
-    count: int
-    includes_seeds: bool
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    p_value: float
-    n: int
+def _distribution(values: np.ndarray) -> dict:
+    """count, mean and quartiles of one attribute over one node group."""
+    values = np.asarray(values, dtype=np.float64)
+    q1, median, q3 = quantiles(values, (0.25, 0.5, 0.75))
+    return {"count": int(values.size), "mean": float(values.mean()),
+            "q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
 def included(tau: ThresholdVector, include_seeds: bool) -> np.ndarray:
@@ -107,23 +54,18 @@ def included(tau: ThresholdVector, include_seeds: bool) -> np.ndarray:
     return np.arange(tau.n) if include_seeds else np.flatnonzero(~tau.seed_mask)
 
 
-def threshold_summary(
-    tau: ThresholdVector, include_seeds: bool = False
-) -> ThresholdSummary:
-    """Mean, population variance, and 1/3-2/3 quantile boundaries; seeds
-    (threshold pinned at 0) are excluded unless requested."""
+def threshold_summary(tau: ThresholdVector, include_seeds: bool = False) -> dict:
+    """Mean, population variance, 1/3-2/3 quantile boundaries and count, as
+    analysis_report.json holds them; seeds (threshold pinned at 0) are
+    excluded unless requested."""
     values = tau.values[included(tau, include_seeds)]
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
     lower, upper = quantiles(values, (1.0 / 3.0, 2.0 / 3.0))
-    return ThresholdSummary(
-        mean=float(values.mean()),
-        variance=float(values.var()),
-        tertile_lower=float(lower),
-        tertile_upper=float(upper),
-        count=int(values.size),
-        includes_seeds=include_seeds,
-    )
+    return {"mean": float(values.mean()), "variance": float(values.var()),
+            "variance_convention": "population", "tertile_lower": float(lower),
+            "tertile_upper": float(upper), "count": int(values.size),
+            "includes_seeds": include_seeds}
 
 
 def split_tertiles(
@@ -141,11 +83,12 @@ def split_tertiles(
 
 def tertile_attribute_report(
     tertiles: Mapping[str, np.ndarray], columns: Mapping[str, np.ndarray]
-) -> list[tuple[str, str, DistributionSummary]]:
+) -> list[tuple[str, str, dict]]:
     """(tertile, attribute, summary) rows: every attribute column summarized
-    within each non-empty tertile, members taken in tertile order."""
+    (count, mean, q1, median, q3) within each non-empty tertile, members
+    taken in tertile order."""
     return [
-        (name, attribute, DistributionSummary.from_values(column[members]))
+        (name, attribute, _distribution(column[members]))
         for name, members in tertiles.items()
         if members.size
         for attribute, column in columns.items()
@@ -211,9 +154,9 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     return h
 
 
-def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Pearson r with a two-sided p-value from the t distribution on n-2
-    degrees of freedom."""
+def correlate(x: Sequence[float], y: Sequence[float]) -> dict:
+    """Pearson r, its two-sided p-value from the t distribution on n-2
+    degrees of freedom, and n."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -239,12 +182,12 @@ def correlate(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         # cost more than the rest of analyze); the tests hold it to 1e-10 of stdtr
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = t_two_sided(t_stat, n - 2)
-    return CorrelationResult(r=r, p_value=p, n=n)
+    return {"r": r, "p_value": p, "n": n}
 
 
 def multiplier_attribute_comparison(
     selections: Iterable[np.ndarray], columns: Mapping[str, np.ndarray]
-) -> list[tuple[int, str, str, Optional[DistributionSummary]]]:
+) -> list[tuple[int, str, str, Optional[dict]]]:
     """(size, group, attribute, summary) rows: for each multiplier set, given
     as positions in selection order, every attribute column summarized over
     the selected nodes and over all the others in node order. An empty group
@@ -255,6 +198,6 @@ def multiplier_attribute_comparison(
         others = np.delete(np.arange(n), selected)
         for group, members in (("multiplier", selected), ("non_multiplier", others)):
             for attribute, column in columns.items():
-                summary = DistributionSummary.from_values(column[members]) if members.size else None
+                summary = _distribution(column[members]) if members.size else None
                 rows.append((len(selected), group, attribute, summary))
     return rows

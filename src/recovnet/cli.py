@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -379,12 +379,13 @@ def _fit_problem(s: argparse.Namespace):
     return build_fit_problem(graph, durations, s.seed_cutoff, schedule, source=path)
 
 
-def _summary_cells(summary) -> list:
-    """count, mean, q1, median and q3 of a distribution summary; for none,
-    count 0 and the rest empty."""
+def _summary_cells(summary: Optional[dict]) -> list:
+    """count, mean, q1, median and q3 of a group's summary; for none, count
+    0 and the rest empty."""
     if summary is None:
         return [0, "", "", "", ""]
-    return [summary.count, *map(repr, (summary.mean, summary.q1, summary.median, summary.q3))]
+    return [summary["count"],
+            *(repr(summary[key]) for key in ("mean", "q1", "median", "q3"))]
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +584,9 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         simulated = run_diffusion(graph, aligned, schedule)
     # every attribute summary indexes these columns, in the thresholds' node order
     attributes_path = _require_file(s.attributes, "attributes")
-    attrs = io.read_attributes(attributes_path)
-    columns = attrs.take(align_rows(attrs.ids, thresholds.node_ids, attributes_path)).columns
+    ids, attributes = io.read_attributes(attributes_path)
+    rows = align_rows(ids, thresholds.node_ids, attributes_path)
+    columns = {name: column[rows] for name, column in attributes.items()}
     if s.multipliers_dir:
         directory = Path(s.multipliers_dir)
         _require_file(directory / "multipliers_summary.csv", "multiplier summary")
@@ -592,13 +594,10 @@ def cmd_analyze(s: argparse.Namespace) -> None:
     out = Path(s.out)
 
     summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
-    report = {
-        "threshold_summary": {**asdict(summary), "variance_convention": "population"},
-        "correlations": {},
-    }
+    report = {"threshold_summary": summary, "correlations": {}}
     for attribute, column in columns.items():
         try:
-            corr = asdict(correlate(thresholds.values[keep], column[keep]))
+            corr = correlate(thresholds.values[keep], column[keep])
         except ValueError as exc:
             corr = {"error": str(exc)}
         report["correlations"][attribute] = corr
@@ -647,8 +646,8 @@ def cmd_analyze(s: argparse.Namespace) -> None:
 
     io.write_json(report, out / "analysis_report.json")
     print(
-        f"threshold mean {summary.mean:.4f}, variance {summary.variance:.4f} "
-        f"over {summary.count} nodes"
+        f"threshold mean {summary['mean']:.4f}, variance {summary['variance']:.4f} "
+        f"over {summary['count']} nodes"
     )
 
 

@@ -197,17 +197,6 @@ class SpatialGraph:
         return f"SpatialGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Size, average degree, density, and the degree histogram of a graph."""
-
-    n: int
-    m: int
-    avg_degree: float
-    density: float
-    degree_histogram: dict[int, int]
-
-
 def _pair_codes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """From one sort: a code per entry, the rank of (a[i], b[i]) among the
     distinct pairs (compared as numbers, so 0.0 == -0.0), and one entry of
@@ -275,16 +264,18 @@ def build_contiguity_graph(
     return SpatialGraph(polygons.ids, src, dst)
 
 
-def graph_metrics(g: SpatialGraph) -> GraphMetrics:
-    """Average degree k = 2m/n, density d = 2m/(n(n-1)), and degree counts."""
+def graph_metrics(g: SpatialGraph) -> dict:
+    """n, m, average degree k = 2m/n, density d = 2m/(n(n-1)), and the
+    count of nodes of each degree, in ascending degree order."""
     if g.n < 1:
         raise DataError("graph has no nodes")
-    avg_degree = 2.0 * g.m / g.n
-    density = 0.0 if g.n == 1 else 2.0 * g.m / (g.n * (g.n - 1))
-    histogram = dict(sorted(Counter(int(d) for d in g.degrees).items()))
-    return GraphMetrics(
-        n=g.n, m=g.m, avg_degree=avg_degree, density=density, degree_histogram=histogram
-    )
+    return {
+        "n": g.n,
+        "m": g.m,
+        "avg_degree": 2.0 * g.m / g.n,
+        "density": 0.0 if g.n == 1 else 2.0 * g.m / (g.n * (g.n - 1)),
+        "degree_histogram": dict(sorted(Counter(int(d) for d in g.degrees).items())),
+    }
 
 
 def _first_ten(ids: Sequence[str]) -> str:

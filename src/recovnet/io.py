@@ -37,7 +37,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 from sys import intern
@@ -47,10 +46,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequenc
 import numpy as np
 
 from .errors import DataError
-from .graph import GraphMetrics, Polygons, SpatialGraph, align_rows
+from .graph import Polygons, SpatialGraph, align_rows
 
 if TYPE_CHECKING:  # at run time, a function that needs a stage module imports it
-    from .analysis import AttributeTable
     from .diffusion import ThresholdVector
     from .multipliers import MultiplierResult
 
@@ -299,11 +297,11 @@ def _field_codes(
 
 def _byte_columns(
     data: bytes, starts: np.ndarray, ends: np.ndarray, required: int, width: int
-) -> tuple[list[Column], Optional[list[str]]]:
+) -> tuple[list[Column], Optional[int]]:
     """The first width columns of unquoted lines (the text of line i is
     data[starts[i]:ends[i]]), read up to the first short row (one of fewer
-    than required cells), and that row's cells (None if there is none). A
-    cell past a row's last is empty. Blank lines are skipped."""
+    than required cells), and that row's data-row index (None if there is
+    none). A cell past a row's last is empty. Blank lines are skipped."""
     buf = np.frombuffer(data, np.uint8)
     tables: list[dict] = [{} for _ in range(width)]
     codes = [np.empty(starts.size, np.intp) for _ in tables]
@@ -320,7 +318,7 @@ def _byte_columns(
         count = np.searchsorted(commas, e) - first
         if (count < required - 1).any():
             cut = int(np.argmax(count < required - 1))
-            short = next(csv.reader([data[s[cut]:e[cut]].decode("utf-8")]))
+            short = n + cut
             s, e, first, count = s[:cut], e[:cut], first[:cut], count[:cut]
         # cell j ends at the row's j-th comma, or at the row's end past its last
         stop = s - 1
@@ -337,7 +335,7 @@ def _byte_columns(
 
 def _csv_columns(
     path, header: list[str], optional: Optional[str]
-) -> tuple[list[Column], Optional[list[str]]]:
+) -> tuple[list[Column], Optional[int]]:
     """The columns _byte_columns gives, read by csv.reader. A line csv
     rejects (a field past csv.field_size_limit(), say) is a DataError naming
     the file and the line."""
@@ -356,7 +354,7 @@ def _csv_columns(
                     for add, cell in zip(adds, row + [""] * (width - len(row))):
                         add(intern(cell))
                 elif row:
-                    short = row
+                    short = len(cells[0])
                     break
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -367,12 +365,13 @@ def _csv_columns(
 
 def _read_columns(
     path: str | Path, header: list[str], optional: Optional[str] = None
-) -> tuple[list[Column], Optional[list[str]]]:
+) -> tuple[list[Column], Optional[int]]:
     """The columns of a CSV table whose header starts with header, then,
     if named, the optional column: one per header cell, and the optional
     one, "" in a row without it. They hold the rows up to the first short
-    row, which is returned too (None if there is none). The file's content
-    alone picks the tokenizer, as the module docstring says."""
+    row, whose data-row index (as _data_row takes it) is returned too (None
+    if there is none). The file's content alone picks the tokenizer, as the
+    module docstring says."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
@@ -440,22 +439,25 @@ def _repeated(codes: np.ndarray) -> np.ndarray:
     return first[codes] != np.arange(codes.size)
 
 
-def _raise_first(path, what: str, faults: list[tuple], short: Optional[list[str]]) -> None:
+def _raise_first(path, what: str, faults: list[tuple], short: Optional[int]) -> None:
     """Raise for the first row in file order that a fault finds, with the
-    first of its faults in the order listed, the row quoted as csv.reader
-    reads it; else for the short row, if there is one. A fault is the mask
-    of the rows it finds (None if none) and its problem: a text, said "in
-    row" of the row, or a function of the row's cells giving the message."""
+    first of its faults in the order listed; else for the short row (given
+    by its data-row index), if there is one. The row is quoted as csv.reader
+    reads it. A fault is the mask of the rows it finds (None if none) and
+    its problem: a text, said "in row" of the row, or a function of the
+    row's cells giving the message. Every row a fault finds is before the
+    short row."""
     firsts = [int(np.argmax(rows)) if rows is not None and rows.any() else None
               for rows, _ in faults]
-    if any(i is not None for i in firsts):
-        at = min(i for i in firsts if i is not None)
-        row = _data_row(path, at)
-        problem = next(problem for i, (_, problem) in zip(firsts, faults) if i == at)
-        raise DataError(f"{path}: " + (problem(row) if callable(problem)
-                                       else f"{problem} in row {row!r}"))
-    if short is not None:
-        raise DataError(f"{path}: malformed {what} row {short!r}")
+    at = min((i for i in firsts if i is not None), default=short)
+    if at is None:
+        return
+    row = _data_row(path, at)
+    if at == short:
+        raise DataError(f"{path}: malformed {what} row {row!r}")
+    problem = next(problem for i, (_, problem) in zip(firsts, faults) if i == at)
+    raise DataError(f"{path}: " + (problem(row) if callable(problem)
+                                   else f"{problem} in row {row!r}"))
 
 
 def _parse_int(text: str) -> int:
@@ -495,17 +497,20 @@ def write_edge_list(graph: SpatialGraph, path: str | Path) -> None:
     write_table(path, ["src", "dst"], graph.edges)
 
 
-def metrics_line(metrics: GraphMetrics) -> str:
+def metrics_line(metrics: Mapping) -> str:
+    """The one-line summary of graph.graph_metrics' dict."""
     return (
-        f"n={metrics.n} m={metrics.m} "
-        f"k={metrics.avg_degree:.3f} d={metrics.density:.5f}"
+        f"n={metrics['n']} m={metrics['m']} "
+        f"k={metrics['avg_degree']:.3f} d={metrics['density']:.5f}"
     )
 
 
-def write_metrics(metrics: GraphMetrics, path: str | Path) -> None:
-    histogram = {str(k): v for k, v in metrics.degree_histogram.items()}
-    write_json({**asdict(metrics), "summary": metrics_line(metrics),
-                "degree_histogram": histogram}, path)
+def write_metrics(metrics: Mapping, path: str | Path) -> None:
+    """graph.graph_metrics' dict, with its one-line summary, as JSON; the
+    degree histogram's keys become text, in text order."""
+    histogram = {str(k): v for k, v in metrics["degree_histogram"].items()}
+    write_json({**metrics, "summary": metrics_line(metrics), "degree_histogram": histogram},
+               path)
 
 
 def read_durations(path: str | Path) -> dict[str, float]:
@@ -607,15 +612,16 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     }
 
 
-def read_attributes(path: str | Path) -> AttributeTable:
+def read_attributes(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Attributes CSV (header id,per_capita_income,median_household_income,
-    minority_pct, then optionally flood_extent) as columns.
+    minority_pct, then optionally flood_extent): the ids in file order, and
+    one float64 column per attribute, keyed in ATTRIBUTE_NAMES order.
 
     Values must be finite; ids distinct, minority_pct in [0, 100] and
     flood_extent >= 0, given in every row or in none (then the table has no
     flood_extent column).
     """
-    from .analysis import ATTRIBUTE_NAMES, AttributeTable
+    from .analysis import ATTRIBUTE_NAMES
     (ids, *numbers, floods), short = _read_columns(
         path, ["id", *ATTRIBUTE_NAMES[:3]], optional=ATTRIBUTE_NAMES[3])
     nodes, (codes,), empty = _node_codes(ids)
@@ -636,21 +642,24 @@ def read_attributes(path: str | Path) -> AttributeTable:
     columns = dict(zip(ATTRIBUTE_NAMES, (income, household, minority)))
     if given.size and given.all():
         columns["flood_extent"] = flood
-    return AttributeTable(ids=tuple(map(nodes.__getitem__, codes.tolist())), columns=columns)
+    return tuple(map(nodes.__getitem__, codes.tolist())), columns
 
 
-def write_attributes(attrs: AttributeTable, path: str | Path) -> None:
-    """Every attribute column; flood_extent cells stay empty when the table
+def write_attributes(
+    ids: Sequence[str], columns: Mapping[str, np.ndarray], path: str | Path
+) -> None:
+    """One row per id, with its cell of every attribute column (keyed as
+    read_attributes keys them); flood_extent cells stay empty when columns
     has none."""
     from .analysis import ATTRIBUTE_NAMES
     # each cell is formatted as its row is written, so no column of texts
     # is held; repr of a Python float is the shortest text that reads back
     cells = [
-        map(repr, map(float, attrs.columns[name])) if name in attrs.columns
-        else itertools.repeat("", len(attrs))
+        map(repr, map(float, columns[name])) if name in columns
+        else itertools.repeat("", len(ids))
         for name in ATTRIBUTE_NAMES
     ]
-    write_table(path, ["id", *ATTRIBUTE_NAMES], zip(attrs.ids, *cells))
+    write_table(path, ["id", *ATTRIBUTE_NAMES], zip(ids, *cells))
 
 
 def read_thresholds(path: str | Path) -> ThresholdVector:

@@ -10,13 +10,13 @@ that never recover, which the 14-week cap marks recovered at the horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .analysis import ATTRIBUTE_NAMES, AttributeTable
+from .analysis import ATTRIBUTE_NAMES
 from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, run_diffusion
 from .errors import ConfigError
 from .graph import GRAPH_KINDS, ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
@@ -72,12 +72,14 @@ class SynthSpec:
 
 @dataclass(eq=False)
 class SyntheticInstance:
-    """Everything the pipeline consumes, plus the planted run's recovered weeks."""
+    """Everything the pipeline consumes, plus the planted run's recovered
+    weeks; attributes holds one column per attribute in the graph's node
+    order."""
 
     graph: SpatialGraph
     thresholds: ThresholdVector
     durations: dict[str, float]
-    attributes: AttributeTable
+    attributes: dict[str, np.ndarray]
     weeks: np.ndarray
 
 
@@ -167,7 +169,7 @@ def _coupled_attributes(
     tau: ThresholdVector,
     coupling: float,
     rng: np.random.Generator,
-) -> AttributeTable:
+) -> dict[str, np.ndarray]:
     """Income attributes with (approximately) the requested rank correlation
     to the thresholds, exact at coupling +/-1; minority share mirrors income."""
     n = graph.n
@@ -184,8 +186,7 @@ def _coupled_attributes(
     minority = 10.0 + 80.0 * (1.0 - position)
     flood = rng.uniform(0.0, 3.0, n)
 
-    columns = dict(zip(ATTRIBUTE_NAMES, (per_capita, household, minority, flood)))
-    return AttributeTable(ids=graph.nodes, columns=columns)
+    return dict(zip(ATTRIBUTE_NAMES, (per_capita, household, minority, flood)))
 
 
 def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str | Path) -> None:
@@ -194,9 +195,9 @@ def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str 
     directory = Path(directory)
     io.write_edge_list(instance.graph, directory / "edges.csv")
     io.write_durations(instance.durations, directory / "durations.csv")
-    io.write_attributes(instance.attributes, directory / "attributes.csv")
+    io.write_attributes(instance.graph.nodes, instance.attributes, directory / "attributes.csv")
     io.write_thresholds(instance.thresholds, directory / "planted_thresholds.csv")
     io.write_trajectory(
         instance.graph.nodes, instance.weeks, DEFAULT_HORIZON_WEEKS, directory / "trajectory.csv"
     )
-    io.write_json(asdict(spec), directory / "instance.json")
+    io.write_json(vars(spec), directory / "instance.json")

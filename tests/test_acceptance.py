@@ -47,8 +47,9 @@ def test_criterion_01_graph_metrics():
         if i != j:
             edges.add((nodes[min(i, j)], nodes[max(i, j)]))
     metrics = graph_metrics(graph_of(nodes, sorted(edges)))
-    ok = abs(metrics.avg_degree - 6.049) <= 0.001 and abs(metrics.density - 0.00301) <= 0.00001
-    report(1, ok, f"n=2010 m=6079 gives k={metrics.avg_degree:.4f} d={metrics.density:.6f}")
+    k, d = metrics["avg_degree"], metrics["density"]
+    ok = abs(k - 6.049) <= 0.001 and abs(d - 0.00301) <= 0.00001
+    report(1, ok, f"n=2010 m=6079 gives k={k:.4f} d={d:.6f}")
 
 
 def test_criterion_02_contiguity_oracle():

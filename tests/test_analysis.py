@@ -19,7 +19,7 @@ from recovnet import (
     threshold_summary,
 )
 from recovnet import io
-from recovnet.analysis import DistributionSummary, quantiles
+from recovnet.analysis import quantiles
 from recovnet.errors import DataError
 
 
@@ -56,26 +56,26 @@ def write_attributes_csv(path, rows):
 class TestThresholdSummary:
     def test_three_point_example(self):
         summary = threshold_summary(tau_of([0.0, 0.5, 1.0]), include_seeds=True)
-        assert summary.mean == pytest.approx(0.5)
-        assert summary.variance == pytest.approx(1 / 6)
+        assert summary["mean"] == pytest.approx(0.5)
+        assert summary["variance"] == pytest.approx(1 / 6)
 
     def test_constant_values(self):
         summary = threshold_summary(tau_of([0.3, 0.3, 0.3, 0.3]))
-        assert summary.mean == pytest.approx(0.3)
-        assert summary.variance == 0.0
+        assert summary["mean"] == pytest.approx(0.3)
+        assert summary["variance"] == 0.0
 
     def test_seeds_excluded_by_default(self):
         summary = threshold_summary(tau_of([0.0, 0.0, 0.6, 0.8], seeds=[0, 1]))
-        assert summary.count == 2
-        assert summary.mean == pytest.approx(0.7)
+        assert summary["count"] == 2
+        assert summary["mean"] == pytest.approx(0.7)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         values = rng.random(25)
         a = threshold_summary(tau_of(values), include_seeds=True)
         b = threshold_summary(tau_of(values[::-1]), include_seeds=True)
-        assert a.mean == pytest.approx(b.mean)
-        assert a.variance == pytest.approx(b.variance)
+        assert a["mean"] == pytest.approx(b["mean"])
+        assert a["variance"] == pytest.approx(b["variance"])
 
     def test_all_seeds_without_include_raises(self):
         with pytest.raises(ValueError, match="no threshold"):
@@ -85,8 +85,8 @@ class TestThresholdSummary:
         summary = threshold_summary(
             tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
         )
-        assert 0.2 < summary.tertile_lower < 0.3
-        assert 0.4 < summary.tertile_upper < 0.5
+        assert 0.2 < summary["tertile_lower"] < 0.3
+        assert 0.4 < summary["tertile_upper"] < 0.5
 
 
 class TestSplitTertiles:
@@ -124,7 +124,7 @@ class TestSplitTertiles:
 
 def tertile_medians(tau, columns, attribute):
     rows = tertile_attribute_report(split_tertiles(tau, include_seeds=True), columns)
-    return {name: summary.median for name, attr, summary in rows if attr == attribute}
+    return {name: summary["median"] for name, attr, summary in rows if attr == attribute}
 
 
 class TestTertileAttributeReport:
@@ -145,9 +145,9 @@ class TestTertileAttributeReport:
     def test_missing_rows_listed(self, tmp_path):
         path = write_attributes_csv(tmp_path / "attributes.csv",
                                     [("n0", 1, 2, 3, ""), ("n2", 1, 2, 3, "")])
-        attrs = io.read_attributes(path)
+        ids, _ = io.read_attributes(path)
         with pytest.raises(DataError, match="attributes.csv: no row for 1 of the 3 nodes: n1$"):
-            align_rows(attrs.ids, tau_of([0.1, 0.2, 0.3]).node_ids, path)
+            align_rows(ids, tau_of([0.1, 0.2, 0.3]).node_ids, path)
 
     def test_repeated_id_named(self):
         """Every per-node reader rejects a repeated id by its row first; a
@@ -185,17 +185,17 @@ class TestCorrelate:
     def test_perfect_positive(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         result = correlate(x, x)
-        assert result.r == 1.0
-        assert result.p_value == 0.0
+        assert result["r"] == 1.0
+        assert result["p_value"] == 0.0
 
     def test_perfect_negative_affine(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         result = correlate(x, -2.0 * x + 7.0)
-        assert result.r == -1.0
+        assert result["r"] == -1.0
 
     def test_hand_computed_point_eight(self):
         result = correlate([1, 2, 3, 4], [1, 3, 2, 4])
-        assert result.r == pytest.approx(0.8)
+        assert result["r"] == pytest.approx(0.8)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(12)
@@ -203,8 +203,8 @@ class TestCorrelate:
         y = 0.4 * x + rng.random(40)
         expected = scipy_stats.pearsonr(x, y)
         result = correlate(x, y)
-        assert result.r == pytest.approx(expected.statistic)
-        assert result.p_value == pytest.approx(expected.pvalue)
+        assert result["r"] == pytest.approx(expected.statistic)
+        assert result["p_value"] == pytest.approx(expected.pvalue)
 
     @given(
         st.floats(min_value=-5, max_value=5).filter(lambda a: abs(a) > 1e-6),
@@ -216,7 +216,7 @@ class TestCorrelate:
         rng = np.random.default_rng(seed)
         x = rng.random(10) * 3
         result = correlate(x, a * x + b)
-        assert result.r == (1.0 if a > 0 else -1.0)
+        assert result["r"] == (1.0 if a > 0 else -1.0)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="paired 1-D samples required"):
@@ -224,8 +224,8 @@ class TestCorrelate:
 
     def test_zero_correlation_has_p_one(self):
         result = correlate([1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0])
-        assert result.r == 0.0
-        assert result.p_value == 1.0
+        assert result["r"] == 0.0
+        assert result["p_value"] == 1.0
 
     @given(sizes_and_correlations())
     # t near 1.7 on ~17 000 df, where the tail is 1 - (an incomplete beta
@@ -246,9 +246,9 @@ class TestCorrelate:
             rest[2:4] = (1.0, -1.0)
         y = target * x + np.sqrt(1.0 - target * target) * rest
         result = correlate(x, y)
-        r = result.r
+        r = result["r"]
         if abs(r) == 1.0:
-            assert result.p_value == 0.0
+            assert result["p_value"] == 0.0
             return
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
         if n == 3:
@@ -258,9 +258,9 @@ class TestCorrelate:
         else:
             expected = float(2.0 * special.stdtr(n - 2, -abs(t)))
         if expected >= 1e-300:
-            assert abs(result.p_value - expected) <= 1e-10 * expected
+            assert abs(result["p_value"] - expected) <= 1e-10 * expected
         else:
-            assert result.p_value <= 1e-300
+            assert result["p_value"] <= 1e-300
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError, match="variance"):
@@ -285,7 +285,7 @@ class TestMultiplierComparison:
         columns = attrs_for(tau, minority=100.0 * values)
         rows = multiplier_attribute_comparison([np.argsort(values)[-4:]], columns)
         by_group = {group: summary for _, group, attr, summary in rows if attr == "minority_pct"}
-        assert by_group["multiplier"].median > by_group["non_multiplier"].median
+        assert by_group["multiplier"]["median"] > by_group["non_multiplier"]["median"]
 
     def test_sizes_reported_independently(self):
         tau = tau_of([0.1, 0.2, 0.3, 0.4])
@@ -294,23 +294,24 @@ class TestMultiplierComparison:
         )
         assert {size for size, *_ in rows} == {1, 2}
         for size, group, _, summary in rows:
-            assert summary.count == (size if group == "multiplier" else 4 - size)
+            assert summary["count"] == (size if group == "multiplier" else 4 - size)
 
     def test_missing_attribute_rows_rejected(self, tmp_path):
         path = write_attributes_csv(tmp_path / "attributes.csv", [("n1", 1, 2, 3, "")])
         with pytest.raises(DataError, match="no row for 1 of the 2 nodes: n0$"):
-            align_rows(io.read_attributes(path).ids, ("n0", "n1"), path)
+            align_rows(io.read_attributes(path)[0], ("n0", "n1"), path)
 
 
 class TestDistributionSummary:
     def test_quartiles_match_numpy(self):
         rng = np.random.default_rng(2)
         values = rng.random(37)
-        summary = DistributionSummary.from_values(values)
-        assert summary.q1 == pytest.approx(np.quantile(values, 0.25))
-        assert summary.median == pytest.approx(np.median(values))
-        assert summary.q3 == pytest.approx(np.quantile(values, 0.75))
-        assert summary.count == 37
+        # every node selected: the multiplier group is all of values
+        [(_, _, _, summary), _] = multiplier_attribute_comparison([np.arange(37)], {"x": values})
+        assert summary["q1"] == pytest.approx(np.quantile(values, 0.25))
+        assert summary["median"] == pytest.approx(np.median(values))
+        assert summary["q3"] == pytest.approx(np.quantile(values, 0.75))
+        assert summary["count"] == 37
 
     def test_quantiles_bit_equal_numpy(self):
         """The sort-and-lerp rule equals np.quantile bit for bit on arrays of

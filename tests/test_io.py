@@ -25,7 +25,7 @@ from recovnet import (
     graph_metrics,
 )
 from recovnet import io
-from recovnet.analysis import ATTRIBUTE_NAMES, AttributeTable
+from recovnet.analysis import ATTRIBUTE_NAMES
 
 
 @pytest.fixture
@@ -623,7 +623,8 @@ class TestVisitReaderAgainstOracle:
 
 
 def _attribute_rows(table):
-    return list(table.ids), {name: column.tolist() for name, column in table.columns.items()}
+    ids, columns = table
+    return list(ids), {name: column.tolist() for name, column in columns.items()}
 
 
 # per table: the package's reader, the row-by-row reference, and the
@@ -671,30 +672,27 @@ ATTRIBUTES_HEADER = "id,per_capita_income,median_household_income,minority_pct,f
 
 class TestAttributesCsv:
     def test_round_trip_with_flood(self, tmp_path):
-        attrs = AttributeTable(
-            ids=("a", "b"),
-            columns={
-                "per_capita_income": np.array([30_000.0, 50_000.0]),
-                "median_household_income": np.array([60_000.0, 90_000.0]),
-                "minority_pct": np.array([25.0, 10.0]),
-                "flood_extent": np.array([1.5, 0.0]),
-            },
-        )
+        columns = {
+            "per_capita_income": np.array([30_000.0, 50_000.0]),
+            "median_household_income": np.array([60_000.0, 90_000.0]),
+            "minority_pct": np.array([25.0, 10.0]),
+            "flood_extent": np.array([1.5, 0.0]),
+        }
         path = tmp_path / "attributes.csv"
-        io.write_attributes(attrs, path)
-        loaded = io.read_attributes(path)
-        assert loaded.ids == attrs.ids
-        assert list(loaded.columns) == list(attrs.columns)
-        for name, column in attrs.columns.items():
-            assert loaded.columns[name].tolist() == column.tolist()
-        assert all(column.dtype == np.float64 for column in loaded.columns.values())
+        io.write_attributes(("a", "b"), columns, path)
+        ids, loaded = io.read_attributes(path)
+        assert ids == ("a", "b")
+        assert list(loaded) == list(columns)
+        for name, column in columns.items():
+            assert loaded[name].tolist() == column.tolist()
+        assert all(column.dtype == np.float64 for column in loaded.values())
 
     def test_missing_flood_cells(self, tmp_path):
         path = tmp_path / "attributes.csv"
         path.write_text(ATTRIBUTES_HEADER + "a,1000,2000,5.0,\nb,1000,2000,5.0,\n")
-        loaded = io.read_attributes(path)
-        assert "flood_extent" not in loaded.columns
-        io.write_attributes(loaded, tmp_path / "again.csv")
+        ids, loaded = io.read_attributes(path)
+        assert "flood_extent" not in loaded
+        io.write_attributes(ids, loaded, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_text() == (
             ATTRIBUTES_HEADER + "a,1000.0,2000.0,5.0,\nb,1000.0,2000.0,5.0,\n"
         )
@@ -704,9 +702,9 @@ class TestAttributesCsv:
         path.write_text(
             "id,per_capita_income,median_household_income,minority_pct\na,1,2,5\n"
         )
-        loaded = io.read_attributes(path)
-        assert loaded.ids == ("a",) and loaded.columns["minority_pct"].tolist() == [5.0]
-        assert "flood_extent" not in loaded.columns
+        ids, loaded = io.read_attributes(path)
+        assert ids == ("a",) and loaded["minority_pct"].tolist() == [5.0]
+        assert "flood_extent" not in loaded
 
     @pytest.mark.parametrize("rows,problem,row", [
         (["a,1,2,5,1", "b,1,2,5,", "c,1,2,5,"], "no flood_extent where other rows give one",
@@ -747,13 +745,14 @@ class TestAttributesCsv:
         path.write_text(
             f"id,per_capita_income,median_household_income,minority_pct,{fifth}\na,1,2,5,4\n"
         )
-        assert io.read_attributes(path).columns["flood_extent"].tolist() == [4.0]
+        assert io.read_attributes(path)[1]["flood_extent"].tolist() == [4.0]
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "attributes.csv"
         path.write_text(ATTRIBUTES_HEADER)
-        loaded = io.read_attributes(path)
-        assert len(loaded) == 0 and list(loaded.columns) == list(ATTRIBUTE_NAMES[:3])
+        ids, loaded = io.read_attributes(path)
+        assert ids == () and list(loaded) == list(ATTRIBUTE_NAMES[:3])
+        assert all(column.size == 0 for column in loaded.values())
 
 
 class TestGeojson:
@@ -1010,10 +1009,10 @@ class TestWriters:
             def write():
                 io.write_trajectory(ids, weeks, 14, tmp_path / "trajectory.csv")
         else:
-            attrs = AttributeTable(ids, {name: rng.random(n) * 1e5 for name in ATTRIBUTE_NAMES})
+            columns = {name: rng.random(n) * 1e5 for name in ATTRIBUTE_NAMES}
 
             def write():
-                io.write_attributes(attrs, tmp_path / "attributes.csv")
+                io.write_attributes(ids, columns, tmp_path / "attributes.csv")
         write()  # the first call's imports and caches are not the writer's
         tracemalloc.start()
         try:
@@ -1063,12 +1062,18 @@ class TestWriters:
             "1,9.0",
         ]
 
-    def test_metrics_json(self, tmp_path, tmp_graph):
+    def test_metrics_json(self, tmp_path):
+        """The whole file, byte for byte: a hub of degree 10 puts the
+        histogram's keys in text order ("1", "10", "2")."""
+        leaves = [f"l{i}" for i in range(10)]
+        graph = graph_of(["h", *leaves], [("h", leaf) for leaf in leaves] + [("l0", "l1")])
         path = tmp_path / "metrics.json"
-        io.write_metrics(graph_metrics(tmp_graph), path)
-        doc = json.loads(path.read_text())
-        assert doc["n"] == 4 and doc["m"] == 3
-        assert "k=1.500" in doc["summary"]
+        io.write_metrics(graph_metrics(graph), path)
+        assert path.read_bytes() == (
+            b'{\n  "avg_degree": 2.0,\n  "degree_histogram": {\n    "1": 8,\n    "10": 1,\n'
+            b'    "2": 2\n  },\n  "density": 0.2,\n  "m": 11,\n  "n": 11,\n'
+            b'  "summary": "n=11 m=11 k=2.000 d=0.20000"\n}\n'
+        )
 
     def test_multiplier_set_round_trip(self, tmp_path, tmp_graph):
         path = tmp_path / "multipliers.csv"

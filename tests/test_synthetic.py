@@ -122,10 +122,10 @@ class TestGenerateInstance:
         assert a.graph.edges == b.graph.edges
         assert a.durations == b.durations
         assert np.array_equal(a.thresholds.values, b.thresholds.values)
-        assert a.attributes.ids == b.attributes.ids == a.graph.nodes
-        assert a.attributes.columns.keys() == b.attributes.columns.keys()
-        for name, column in a.attributes.columns.items():
-            assert np.array_equal(column, b.attributes.columns[name])
+        assert a.attributes.keys() == b.attributes.keys()
+        for name, column in a.attributes.items():
+            assert column.shape == (a.graph.n,)
+            assert np.array_equal(column, b.attributes[name])
 
     def test_different_seeds_differ(self):
         a = generate_instance(SynthSpec(node_count=30, rng_seed=0))
@@ -137,8 +137,9 @@ class TestAttributeCoupling:
     @staticmethod
     def free_arrays(instance, attribute):
         free = ~instance.thresholds.seed_mask
-        assert instance.attributes.ids == instance.thresholds.node_ids
-        return instance.thresholds.values[free], instance.attributes.columns[attribute][free]
+        # attribute columns are in node order, as the thresholds are
+        assert instance.graph.nodes == instance.thresholds.node_ids
+        return instance.thresholds.values[free], instance.attributes[attribute][free]
 
     def test_perfect_negative_coupling(self):
         instance = generate_instance(
@@ -169,7 +170,7 @@ class TestAttributeCoupling:
 
     def test_minority_within_bounds(self):
         instance = generate_instance(SynthSpec(node_count=50, rng_seed=8))
-        minority = instance.attributes.columns["minority_pct"]
+        minority = instance.attributes["minority_pct"]
         assert minority.min() >= 0 and minority.max() <= 100
 
 
@@ -187,11 +188,11 @@ class TestWriteInstance:
         assert io.read_durations(tmp_path / "durations.csv") == instance.durations
         tau = io.read_thresholds(tmp_path / "planted_thresholds.csv")
         assert np.array_equal(tau.values, instance.thresholds.values)
-        attrs = io.read_attributes(tmp_path / "attributes.csv")
-        assert attrs.ids == instance.attributes.ids
-        assert list(attrs.columns) == list(ATTRIBUTE_NAMES)
-        for name, column in attrs.columns.items():
-            assert column.tolist() == instance.attributes.columns[name].tolist()
+        ids, columns = io.read_attributes(tmp_path / "attributes.csv")
+        assert ids == instance.graph.nodes
+        assert list(columns) == list(ATTRIBUTE_NAMES)
+        for name, column in columns.items():
+            assert column.tolist() == instance.attributes[name].tolist()
         recipe = json.loads((tmp_path / "instance.json").read_text())
         assert recipe["node_count"] == 20 and recipe["rng_seed"] == 13
 

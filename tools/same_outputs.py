@@ -20,7 +20,11 @@ ends shows up. Stderr is not compared: a warning quotes the source line that
 raised it, which moves with any edit above it. The script prints the number
 of files compared, every file that differs or exists on one side only, every
 stage whose exit code or stdout differs, and every failed stage; it exits 1
-if there is any, else 0. Nothing under ``perfbench/`` is changed.
+if there is any, else 0. Two manifests that differ only in the kernel's call
+widths (WIDTH_FIELDS) are printed on a ``call widths differ`` line with both
+``columns_per_call`` maps, so that a change of chunking reads apart from a
+changed result; it still counts as a difference. Nothing under
+``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -42,6 +47,8 @@ UNSTABLE_FILES = {"ga_timing.csv"}
 # manifest.json fields, at the top or in its timing block, that hold wall-clock time
 CLOCK_FIELDS = {"timestamp", "total_seconds", "seconds_per_generation", "performance_index",
                 "search_seconds"}
+# manifest.json timing fields that record how the kernel split its columns
+WIDTH_FIELDS = frozenset({"kernel_calls", "columns_per_call"})
 
 
 def environment(src: Path) -> dict:
@@ -80,15 +87,31 @@ def outputs(run: Path) -> set[str]:
             if p.is_file() and p.name not in UNSTABLE_FILES}
 
 
-def comparable(path: Path) -> bytes:
-    """The file's bytes; for a manifest, its JSON without CLOCK_FIELDS."""
+def comparable(path: Path, ignored: frozenset = frozenset()) -> bytes:
+    """The file's bytes; for a manifest, its JSON without CLOCK_FIELDS and
+    the ignored fields."""
     if path.name != "manifest.json":
         return path.read_bytes()
     manifest = json.loads(path.read_bytes())
     for fields in (manifest, manifest.get("timing", {})):
-        for key in CLOCK_FIELDS & set(fields):
+        for key in (CLOCK_FIELDS | ignored) & set(fields):
             del fields[key]
     return json.dumps(manifest, sort_keys=True).encode()
+
+
+def difference(old: Path, new: Path, name: str) -> Optional[str]:
+    """None if the two files compare equal; else the line that reports
+    them: ``call widths differ`` with both ``columns_per_call`` maps when
+    they are manifests that differ only in WIDTH_FIELDS, else ``differs``."""
+    if comparable(old) == comparable(new):
+        return None
+    if old.name == "manifest.json" and (comparable(old, WIDTH_FIELDS)
+                                        == comparable(new, WIDTH_FIELDS)):
+        old_map, new_map = (
+            json.dumps(json.loads(path.read_bytes()).get("timing", {}).get("columns_per_call"))
+            for path in (old, new))
+        return f"call widths differ: {name}: old {old_map}, new {new_map}"
+    return f"differs: {name}"
 
 
 def main(argv=None) -> int:
@@ -126,8 +149,8 @@ def main(argv=None) -> int:
                 problems += [f"{case}: only in new: {f}" for f in sorted(new - old)]
                 same = sorted(old & new)
                 compared += len(same)
-                problems += [f"{case}: differs: {f}" for f in same
-                             if comparable(runs["old"] / f) != comparable(runs["new"] / f)]
+                lines = (difference(runs["old"] / f, runs["new"] / f, f) for f in same)
+                problems += [f"{case}: {line}" for line in lines if line is not None]
                 print(f"{case}: {len(same)} files", flush=True)
     for line in problems:
         print(line)
