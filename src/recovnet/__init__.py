@@ -16,10 +16,7 @@ _HOMES = {
         "correlate", "multiplier_attribute_comparison", "split_tertiles",
         "tertile_attribute_report", "threshold_summary",
     ),
-    "diffusion": (
-        "DiffusionKernel", "DiffusionSchedule", "ThresholdVector", "recovered_counts",
-        "run_diffusion",
-    ),
+    "diffusion": ("DiffusionKernel", "DiffusionSchedule", "recovered_counts", "run_diffusion"),
     "empirical": ("compute_recovery_durations", "durations_to_weeks", "zero_one_loss"),
     "errors": ("ConfigError", "DataError", "RecovnetError"),
     "fitting": (

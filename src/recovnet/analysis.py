@@ -1,11 +1,13 @@
 """Post-fit analytics: threshold summary statistics, tertile splits by
 threshold, attribute comparisons for multiplier sets, and correlations.
 
-The tertile and multiplier summaries take attribute columns in the
-thresholds' node order (indexing each column with graph.align_rows' rows
-puts them there) and groups of nodes as positions in that order. Every
-result is plain values: the dicts that analysis_report.json holds, and one
-dict of count, mean and quartiles per summarized group.
+Thresholds come as io.read_thresholds gives them: ids, a float64 array of
+values and a boolean seed_mask, in one node order. The tertile and
+multiplier summaries take attribute columns in that order (indexing each
+column with graph.align_rows' rows puts them there) and groups of nodes as
+positions in it. Every result is plain values: the dicts that
+analysis_report.json holds, and one dict of count, mean and quartiles per
+summarized group.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-
-from .diffusion import ThresholdVector
 
 TERTILE_NAMES = ("low", "middle", "high")
 ATTRIBUTE_NAMES = (
@@ -48,17 +48,19 @@ def _distribution(values: np.ndarray) -> dict:
             "q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
-def included(tau: ThresholdVector, include_seeds: bool) -> np.ndarray:
+def included(seed_mask: np.ndarray, include_seeds: bool) -> np.ndarray:
     """Positions of the nodes a summary covers: the free nodes, and the
     seeds on request."""
-    return np.arange(tau.n) if include_seeds else np.flatnonzero(~tau.seed_mask)
+    return np.arange(len(seed_mask)) if include_seeds else np.flatnonzero(~seed_mask)
 
 
-def threshold_summary(tau: ThresholdVector, include_seeds: bool = False) -> dict:
+def threshold_summary(
+    values: np.ndarray, seed_mask: np.ndarray, include_seeds: bool = False
+) -> dict:
     """Mean, population variance, 1/3-2/3 quantile boundaries and count, as
     analysis_report.json holds them; seeds (threshold pinned at 0) are
     excluded unless requested."""
-    values = tau.values[included(tau, include_seeds)]
+    values = np.asarray(values, dtype=np.float64)[included(seed_mask, include_seeds)]
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
     lower, upper = quantiles(values, (1.0 / 3.0, 2.0 / 3.0))
@@ -69,15 +71,15 @@ def threshold_summary(tau: ThresholdVector, include_seeds: bool = False) -> dict
 
 
 def split_tertiles(
-    tau: ThresholdVector, include_seeds: bool = False
+    ids: Sequence[str], values: np.ndarray, seed_mask: np.ndarray, include_seeds: bool = False
 ) -> dict[str, np.ndarray]:
     """Partition the covered nodes into low/middle/high-threshold thirds of
-    near-equal size: positions into tau, ordered by threshold with ties
-    broken by node id."""
-    positions = included(tau, include_seeds).tolist()
+    near-equal size: positions into ids and values, ordered by threshold
+    with ties broken by node id."""
+    positions = included(seed_mask, include_seeds).tolist()
     if not positions:
         raise ValueError("no nodes to split into tertiles")
-    ranked = sorted(positions, key=lambda i: (tau.values[i], tau.node_ids[i]))
+    ranked = sorted(positions, key=lambda i: (values[i], ids[i]))
     return dict(zip(TERTILE_NAMES, np.array_split(np.array(ranked, dtype=np.intp), 3)))
 
 

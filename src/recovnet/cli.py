@@ -433,7 +433,8 @@ def cmd_fit(s: argparse.Namespace) -> dict:
     result = fit_thresholds(problem, config)
     history, seconds = result.ga_result.history, result.ga_result.seconds
 
-    io.write_thresholds(result.thresholds, out / "thresholds.csv")
+    io.write_thresholds(problem.graph.nodes, result.thresholds, problem.seed_mask,
+                        out / "thresholds.csv")
     io.write_generation_stats(history, out / "generations.csv")
     io.write_generation_stats(history, out / "ga_timing.csv", seconds)
     io.write_trajectory(problem.graph.nodes, result.weeks, problem.schedule.horizon,
@@ -483,8 +484,8 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked before any read
     graph = _load_graph(s)
     path = _require_file(s.thresholds, "thresholds")
-    table = io.read_thresholds(path)
-    thresholds = table.take(align_rows(table.node_ids, graph.nodes, path))
+    ids, values, _ = io.read_thresholds(path)
+    thresholds = values[align_rows(ids, graph.nodes, path)]
     problem = MultiplierProblem(graph, thresholds, schedule)  # for every size and the pool
 
     candidate_pool = None
@@ -564,10 +565,10 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         raise ConfigError(f"recovery curves need both --edges and --durations; missing {missing!r}")
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked with or without curves
     thresholds_path = _require_file(s.thresholds, "thresholds")
-    thresholds = io.read_thresholds(thresholds_path)
-    keep = included(thresholds, s.include_seeds)
+    ids, thresholds, seed_mask = io.read_thresholds(thresholds_path)
+    keep = included(seed_mask, s.include_seeds)
     if not keep.size:
-        seeds = int(thresholds.seed_mask.sum())
+        seeds = int(seed_mask.sum())
         if not seeds:
             raise DataError(f"{thresholds_path}: no nodes to summarize")
         raise DataError(f"{thresholds_path}: no free nodes to summarize; its {seeds} seed "
@@ -575,7 +576,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
     if curves:
         from .empirical import align_durations, durations_to_weeks
         graph = io.read_edge_list(_require_file(s.edges, "edge list"))
-        aligned = thresholds.take(align_rows(thresholds.node_ids, graph.nodes, thresholds_path))
+        aligned = thresholds[align_rows(ids, graph.nodes, thresholds_path)]
         durations_path = _require_file(s.durations, "durations")
         durations = io.read_durations(durations_path)
         empirical = durations_to_weeks(
@@ -584,25 +585,25 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         simulated = run_diffusion(graph, aligned, schedule)
     # every attribute summary indexes these columns, in the thresholds' node order
     attributes_path = _require_file(s.attributes, "attributes")
-    ids, attributes = io.read_attributes(attributes_path)
-    rows = align_rows(ids, thresholds.node_ids, attributes_path)
+    attribute_ids, attributes = io.read_attributes(attributes_path)
+    rows = align_rows(attribute_ids, ids, attributes_path)
     columns = {name: column[rows] for name, column in attributes.items()}
     if s.multipliers_dir:
         directory = Path(s.multipliers_dir)
         _require_file(directory / "multipliers_summary.csv", "multiplier summary")
-        results = io.read_multiplier_results(directory, thresholds.node_ids)
+        results = io.read_multiplier_results(directory, ids)
     out = Path(s.out)
 
-    summary = threshold_summary(thresholds, include_seeds=s.include_seeds)
+    summary = threshold_summary(thresholds, seed_mask, include_seeds=s.include_seeds)
     report = {"threshold_summary": summary, "correlations": {}}
     for attribute, column in columns.items():
         try:
-            corr = correlate(thresholds.values[keep], column[keep])
+            corr = correlate(thresholds[keep], column[keep])
         except ValueError as exc:
             corr = {"error": str(exc)}
         report["correlations"][attribute] = corr
 
-    tertiles = split_tertiles(thresholds, include_seeds=s.include_seeds)
+    tertiles = split_tertiles(ids, thresholds, seed_mask, include_seeds=s.include_seeds)
     io.write_table(
         out / "tertile_attributes.csv",
         ["tertile", "attribute", "count", "mean", "q1", "median", "q3"],
@@ -611,7 +612,7 @@ def cmd_analyze(s: argparse.Namespace) -> None:
     )
     io.write_table(
         out / "tertile_members.csv", ["tertile", "id"],
-        ([tertile, thresholds.node_ids[i]] for tertile, members in tertiles.items()
+        ([tertile, ids[i]] for tertile, members in tertiles.items()
          for i in members),
     )
 
@@ -661,7 +662,7 @@ def cmd_synth(s: argparse.Namespace) -> None:
     unrecovered = int(np.count_nonzero(instance.weeks == 0))
     print(
         f"synthesized {instance.graph.n} nodes / {instance.graph.m} edges, "
-        f"{int(instance.thresholds.seed_mask.sum())} seeds, "
+        f"{int(instance.seed_mask.sum())} seeds, "
         f"{unrecovered} unrecovered at the horizon"
     )
 

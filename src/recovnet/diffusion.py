@@ -8,13 +8,18 @@ configurable week, and stop at the horizon.
 A run is therefore described in full by each node's recovered weeks w in
 0..horizon (the node recovers at week horizon + 1 - w; w = 0 means never),
 which is what simulations return.
+
+Thresholds are plain float64 arrays in the graph's node order (graph.align_rows
+puts a table's rows there); where seeds matter, a boolean seed_mask beside them
+marks the nodes pinned at 0. DiffusionKernel.run, which every whole-vector
+simulation goes through, is where a vector is checked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,70 +53,6 @@ class DiffusionSchedule:
                 f"first_update_week must be in [1, {self.horizon}], "
                 f"got {self.first_update_week}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class ThresholdVector:
-    """Per-node thresholds in [0, 1] with a seed subset frozen at zero.
-
-    Aligned to a graph's node order; seed_mask marks nodes whose threshold
-    is pinned to 0 (the first group to recover).
-    """
-
-    node_ids: tuple[str, ...]
-    values: np.ndarray
-    seed_mask: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        seed_mask = self.seed_mask
-        if seed_mask is None:
-            seed_mask = np.zeros(values.shape, dtype=bool)
-        seed_mask = np.asarray(seed_mask, dtype=bool)
-        object.__setattr__(self, "seed_mask", seed_mask)
-        object.__setattr__(self, "node_ids", tuple(str(n) for n in self.node_ids))
-
-        if values.ndim != 1 or len(self.node_ids) != values.shape[0]:
-            raise ValueError(
-                f"{len(self.node_ids)} node ids but {values.shape} threshold values"
-            )
-        if seed_mask.shape != values.shape:
-            raise ValueError("seed_mask shape does not match values")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError("threshold values must be finite and lie in [0, 1]")
-        if np.any(values[seed_mask] != 0.0):
-            raise ValueError("seed nodes must have threshold 0")
-
-    @classmethod
-    def assemble(
-        cls, node_ids: tuple[str, ...], seed_mask: np.ndarray, free_values: np.ndarray
-    ) -> "ThresholdVector":
-        """Zeros on seed nodes, the given values (in node order) elsewhere."""
-        seed_mask = np.asarray(seed_mask, dtype=bool)
-        values = np.zeros(len(node_ids), dtype=np.float64)
-        values[~seed_mask] = np.asarray(free_values, dtype=np.float64)
-        return cls(node_ids=tuple(node_ids), values=values, seed_mask=seed_mask)
-
-    def take(self, rows: np.ndarray) -> "ThresholdVector":
-        """The given rows, in that order (graph.align_rows gives node order)."""
-        return ThresholdVector(
-            node_ids=tuple(self.node_ids[i] for i in rows),
-            values=self.values[rows],
-            seed_mask=self.seed_mask[rows],
-        )
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def check_aligned(g: SpatialGraph, tau: ThresholdVector) -> None:
-    """Reject a threshold vector that is not in the graph's node order."""
-    if tau.n != g.n:
-        raise ValueError(f"threshold vector has {tau.n} entries, graph has {g.n} nodes")
-    if tau.node_ids != g.nodes:
-        raise ValueError("threshold vector node ids do not match graph node order")
 
 
 # cells (nodes x columns) per kernel call, but never fewer columns than
@@ -193,8 +134,16 @@ class DiffusionKernel:
 
     def run(self, values: np.ndarray) -> np.ndarray:
         """Recovered weeks, in node order, of one threshold vector in node
-        order from the all-affected start: one 1-column call."""
-        need = self.need(np.asarray(values, dtype=np.float64)[self.order, None])
+        order from the all-affected start: one 1-column call. The vector
+        must have one value in [0, 1] per node (so no NaN): every
+        whole-vector simulation comes here, and this is its one check."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.rank.shape:
+            raise ValueError(f"threshold vector has shape {values.shape}, graph has "
+                             f"{self.rank.size} nodes")
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError("threshold values must lie in [0, 1]")
+        need = self.need(values[self.order, None])
         return self.weeks_recovered(need, np.zeros(need.shape, bool))[self.rank, 0]
 
     def chunk_columns(self) -> int:
@@ -272,14 +221,14 @@ class DiffusionKernel:
 
 
 def run_diffusion(
-    g: SpatialGraph, tau: ThresholdVector, schedule: DiffusionSchedule = DiffusionSchedule()
+    g: SpatialGraph, thresholds: np.ndarray, schedule: DiffusionSchedule = DiffusionSchedule()
 ) -> np.ndarray:
     """Simulate weeks 1..horizon from the all-affected start; returns each
     node's recovered weeks (0 = never recovered) in node order, as
-    DiffusionKernel.run. A forced start is DiffusionKernel.weeks_recovered's.
+    DiffusionKernel.run, which checks the node-order thresholds. A forced
+    start is DiffusionKernel.weeks_recovered's.
     """
-    check_aligned(g, tau)
-    return DiffusionKernel(g, schedule).run(tau.values)
+    return DiffusionKernel(g, schedule).run(thresholds)
 
 
 def recovered_counts(weeks: np.ndarray, horizon: int) -> np.ndarray:

@@ -14,12 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .diffusion import (
-    DEFAULT_SEED_CUTOFF_WEEKS,
-    DiffusionKernel,
-    DiffusionSchedule,
-    ThresholdVector,
-)
+from .diffusion import DEFAULT_SEED_CUTOFF_WEEKS, DiffusionKernel, DiffusionSchedule
 from .empirical import align_durations, durations_to_weeks, zero_one_loss
 from .errors import ConfigError
 from .graph import SpatialGraph
@@ -68,9 +63,10 @@ class FitProblem:
 
 @dataclass
 class FitResult:
-    """Fitted thresholds, their simulated weeks (node order) and loss, and the GA trace."""
+    """Fitted thresholds and their simulated weeks (both node order; the
+    problem's seed_mask marks the seeds), their loss, and the GA trace."""
 
-    thresholds: ThresholdVector
+    thresholds: np.ndarray
     final_loss: int
     ga_result: GaResult
     weeks: np.ndarray
@@ -139,13 +135,12 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     else:
         encoding = RealVectorEncoding(problem.free_count)
         result = run_ga(problem.losses, direction="minimize", encoding=encoding, config=config)
-    tau = ThresholdVector.assemble(
-        problem.graph.nodes, problem.seed_mask, result.best_chromosome
-    )
+    thresholds = np.zeros(problem.graph.n)
+    thresholds[problem.free_indices] = result.best_chromosome
     # re-simulate rather than trust the GA bookkeeping
-    weeks = problem.kernel.run(tau.values)
+    weeks = problem.kernel.run(thresholds)
     final_loss = zero_one_loss(problem.empirical, weeks)
-    return FitResult(thresholds=tau, final_loss=final_loss, ga_result=result, weeks=weeks)
+    return FitResult(thresholds=thresholds, final_loss=final_loss, ga_result=result, weeks=weeks)
 
 
 def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:

@@ -49,7 +49,6 @@ from .errors import DataError
 from .graph import Polygons, SpatialGraph, align_rows
 
 if TYPE_CHECKING:  # at run time, a function that needs a stage module imports it
-    from .diffusion import ThresholdVector
     from .multipliers import MultiplierResult
 
 
@@ -662,8 +661,9 @@ def write_attributes(
     write_table(path, ["id", *ATTRIBUTE_NAMES], zip(ids, *cells))
 
 
-def read_thresholds(path: str | Path) -> ThresholdVector:
-    from .diffusion import ThresholdVector
+def read_thresholds(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Thresholds CSV (header id,threshold,is_seed): the distinct ids, the
+    thresholds in [0, 1] and the seed mask (a seed's threshold is 0), in file order."""
     (ids, thresholds, flags), short = _read_columns(path, ["id", "threshold", "is_seed"])
     nodes, (codes,), empty = _node_codes(ids)
     values, bad_value = _parsed(thresholds, _parse_float, np.float64, 1)
@@ -676,15 +676,16 @@ def read_thresholds(path: str | Path) -> ThresholdVector:
         bad_flag,
         (seeds & (values != 0), "seed with a non-zero threshold"),
     ], short)
-    return ThresholdVector(
-        node_ids=tuple(map(nodes.__getitem__, codes.tolist())), values=values, seed_mask=seeds
-    )
+    return tuple(map(nodes.__getitem__, codes.tolist())), values, seeds
 
 
-def write_thresholds(tau: ThresholdVector, path: str | Path) -> None:
+def write_thresholds(
+    ids: Sequence[str], values: np.ndarray, seed_mask: np.ndarray, path: str | Path
+) -> None:
+    """One row per id, with its threshold and is_seed flag, as read_thresholds reads them."""
     write_table(path, ["id", "threshold", "is_seed"], (
         [node, repr(float(value)), "1" if seed else "0"]
-        for node, value, seed in zip(tau.node_ids, tau.values, tau.seed_mask)
+        for node, value, seed in zip(ids, values, seed_mask)
     ))
 
 

@@ -14,13 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffusion import (
-    DEFAULT_ENUMERATION_CAP,
-    DiffusionKernel,
-    DiffusionSchedule,
-    ThresholdVector,
-    check_aligned,
-)
+from .diffusion import DEFAULT_ENUMERATION_CAP, DiffusionKernel, DiffusionSchedule
 from .errors import ConfigError, DataError
 from .ga import GaConfig, GaResult, SubsetEncoding, run_lockstep
 from .graph import SpatialGraph
@@ -28,8 +22,9 @@ from .graph import SpatialGraph
 
 @dataclass
 class MultiplierProblem:
-    """Fitted thresholds on a graph, prepared once for seed sets of any size:
-    the kernel, the recovery needs and the unforced run.
+    """Fitted thresholds (node order) on a graph, prepared once for seed sets
+    of any size: the kernel, the recovery needs and the unforced run, which
+    checks the thresholds.
 
     unforced_weeks holds each node's recovered weeks (node order) with
     nothing forced; recovered_without counts the nodes that run recovers.
@@ -40,16 +35,15 @@ class MultiplierProblem:
     """
 
     graph: SpatialGraph
-    thresholds: ThresholdVector
+    thresholds: np.ndarray
     schedule: DiffusionSchedule = DiffusionSchedule()
     kernel: DiffusionKernel = field(init=False, repr=False)
     unforced_weeks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_aligned(self.graph, self.thresholds)
         self.kernel = DiffusionKernel(self.graph, self.schedule)
-        self._need = self.kernel.need(self.thresholds.values[self.kernel.order, None])
-        self.unforced_weeks = self.kernel.run(self.thresholds.values)
+        self.unforced_weeks = self.kernel.run(self.thresholds)
+        self._need = self.kernel.need(np.asarray(self.thresholds)[self.kernel.order, None])
 
     @property
     def recovered_without(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io
 from .analysis import ATTRIBUTE_NAMES
-from .diffusion import DEFAULT_HORIZON_WEEKS, ThresholdVector, run_diffusion
+from .diffusion import DEFAULT_HORIZON_WEEKS, run_diffusion
 from .errors import ConfigError
 from .graph import GRAPH_KINDS, ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
 
@@ -73,11 +73,12 @@ class SynthSpec:
 @dataclass(eq=False)
 class SyntheticInstance:
     """Everything the pipeline consumes, plus the planted run's recovered
-    weeks; attributes holds one column per attribute in the graph's node
-    order."""
+    weeks; the planted thresholds, their seed_mask, the weeks and each
+    attribute column are in the graph's node order."""
 
     graph: SpatialGraph
-    thresholds: ThresholdVector
+    thresholds: np.ndarray
+    seed_mask: np.ndarray
     durations: dict[str, float]
     attributes: dict[str, np.ndarray]
     weeks: np.ndarray
@@ -145,19 +146,21 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
     n = graph.n
     seed_mask = np.zeros(n, dtype=bool)
     seed_mask[rng.choice(n, size=spec.seed_count, replace=False)] = True
-    free_values = rng.uniform(spec.threshold_low, spec.threshold_high, int((~seed_mask).sum()))
-    tau = ThresholdVector.assemble(graph.nodes, seed_mask, free_values)
+    thresholds = np.zeros(n)
+    thresholds[~seed_mask] = rng.uniform(spec.threshold_low, spec.threshold_high,
+                                         int((~seed_mask).sum()))
 
-    weeks = run_diffusion(graph, tau)
+    weeks = run_diffusion(graph, thresholds)
     # a node's first recovered week; one that never recovers gets the horizon
     first_week = np.minimum(DEFAULT_HORIZON_WEEKS + 1 - weeks, DEFAULT_HORIZON_WEEKS)
     values = np.where(seed_mask, SEED_DURATION_WEEKS, first_week.astype(np.float64))
     durations = dict(zip(graph.nodes, values.tolist()))
 
-    attributes = _coupled_attributes(graph, tau, spec.attribute_coupling, rng)
+    attributes = _coupled_attributes(graph, thresholds, spec.attribute_coupling, rng)
     return SyntheticInstance(
         graph=graph,
-        thresholds=tau,
+        thresholds=thresholds,
+        seed_mask=seed_mask,
         durations=durations,
         attributes=attributes,
         weeks=weeks,
@@ -166,7 +169,7 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
 
 def _coupled_attributes(
     graph: SpatialGraph,
-    tau: ThresholdVector,
+    thresholds: np.ndarray,
     coupling: float,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
@@ -175,7 +178,7 @@ def _coupled_attributes(
     n = graph.n
     weight = abs(coupling)
     direction = 1.0 if coupling >= 0 else -1.0
-    tau_score = (_rank_positions(tau.values) + 0.5) / n
+    tau_score = (_rank_positions(thresholds) + 0.5) / n
     noise = rng.random(n)
     score = direction * weight * tau_score + math.sqrt(1.0 - weight * weight) * noise
 
@@ -196,7 +199,8 @@ def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str 
     io.write_edge_list(instance.graph, directory / "edges.csv")
     io.write_durations(instance.durations, directory / "durations.csv")
     io.write_attributes(instance.graph.nodes, instance.attributes, directory / "attributes.csv")
-    io.write_thresholds(instance.thresholds, directory / "planted_thresholds.csv")
+    io.write_thresholds(instance.graph.nodes, instance.thresholds, instance.seed_mask,
+                        directory / "planted_thresholds.csv")
     io.write_trajectory(
         instance.graph.nodes, instance.weeks, DEFAULT_HORIZON_WEEKS, directory / "trajectory.csv"
     )

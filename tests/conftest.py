@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from recovnet import DiffusionKernel, DiffusionSchedule, Polygons, SpatialGraph, ThresholdVector
+from recovnet import DiffusionKernel, DiffusionSchedule, Polygons, SpatialGraph
 
 
 def square(unit_id: str, x: float, y: float, size: float = 1.0) -> tuple[str, list]:
@@ -38,12 +38,13 @@ def chunked(chunk: int):
 
 
 def forced_weeks(g, tau, initial, schedule=DiffusionSchedule()) -> np.ndarray:
-    """Recovered weeks (node order) of tau's run from the given week-0 state
-    (node order, nonzero = recovered), through DiffusionKernel.weeks_recovered."""
+    """Recovered weeks (node order) of the run of thresholds tau (node order)
+    from the given week-0 state (node order, nonzero = recovered), through
+    DiffusionKernel.weeks_recovered."""
     kernel = DiffusionKernel(g, schedule)
     rows = kernel.order[:, None]
     initial = np.asarray(initial).astype(bool)[rows]
-    return kernel.weeks_recovered(kernel.need(tau.values[rows]), initial)[kernel.rank, 0]
+    return kernel.weeks_recovered(kernel.need(np.asarray(tau)[rows]), initial)[kernel.rank, 0]
 
 
 def polygons(units) -> Polygons:
@@ -64,12 +65,9 @@ def path_graph():
 
 
 @pytest.fixture
-def path_tau(path_graph):
-    return ThresholdVector(
-        node_ids=path_graph.nodes,
-        values=np.array([0.0, 0.5, 1.0]),
-        seed_mask=np.array([True, False, False]),
-    )
+def path_tau():
+    """path_graph's thresholds in node order; A is the seed, at 0."""
+    return np.array([0.0, 0.5, 1.0])
 
 
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float = 0.25):

@@ -14,7 +14,6 @@ from recovnet import (
     MultiplierProblem,
     RealVectorEncoding,
     SynthSpec,
-    ThresholdVector,
     brute_force_multipliers,
     build_contiguity_graph,
     build_fit_problem,
@@ -69,11 +68,7 @@ def test_criterion_02_contiguity_oracle():
 
 def test_criterion_03_diffusion_correctness():
     g = graph_of(["A", "B", "C"], [("A", "B"), ("B", "C")])
-    tau = ThresholdVector(
-        node_ids=g.nodes, values=np.array([0.0, 0.5, 1.0]),
-        seed_mask=np.array([True, False, False]),
-    )
-    weeks = (15 - run_diffusion(g, tau)).tolist()
+    weeks = (15 - run_diffusion(g, np.array([0.0, 0.5, 1.0]))).tolist()
     ok = weeks == [3, 4, 5]
 
     rng = np.random.default_rng(2024)
@@ -81,10 +76,9 @@ def test_criterion_03_diffusion_correctness():
         n = int(rng.integers(2, 16))
         graph = random_graph(rng, n, edge_prob=0.3)
         values = rng.random(n)
-        thresholds = ThresholdVector(node_ids=graph.nodes, values=values)
         initial = rng.random(n) < 0.25
-        first = forced_weeks(graph, thresholds, initial)
-        second = forced_weeks(graph, thresholds, initial.copy())
+        first = forced_weeks(graph, values, initial)
+        second = forced_weeks(graph, values, initial.copy())
         ok = ok and np.array_equal(first, second)
         reference = oracles.recovered_weeks(oracles.naive_diffusion(
             {u: sorted(graph.neighbors(u)) for u in graph.nodes},
@@ -132,10 +126,10 @@ def test_criterion_05_planted_round_trip(planted_50):
         if not other.weeks.all():
             continue
         other_problem = build_fit_problem(other.graph, other.durations)
-        planted = other.thresholds.values[~other.thresholds.seed_mask]
+        planted = other.thresholds[~other.seed_mask]
         ok = ok and other_problem.losses(planted[None])[0] == 0
 
-    planted = instance.thresholds.values[~instance.thresholds.seed_mask]
+    planted = instance.thresholds[~instance.seed_mask]
     planted_loss = problem.losses(planted[None])[0]
     ok = ok and planted_loss == 0
 

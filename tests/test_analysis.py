@@ -10,7 +10,6 @@ from scipy import special
 from scipy import stats as scipy_stats
 
 from recovnet import (
-    ThresholdVector,
     align_rows,
     correlate,
     multiplier_attribute_comparison,
@@ -24,17 +23,23 @@ from recovnet.errors import DataError
 
 
 def tau_of(values, seeds=None):
+    """(ids, values, seed_mask) as io.read_thresholds returns them, ids n0, n1, ..."""
     values = np.asarray(values, dtype=float)
     ids = tuple(f"n{i}" for i in range(values.size))
     mask = np.zeros(values.size, dtype=bool)
     if seeds:
         mask[list(seeds)] = True
-    return ThresholdVector(node_ids=ids, values=values, seed_mask=mask)
+    return ids, values, mask
+
+
+def summarized(values, seeds=None):
+    """The (values, seed_mask) that threshold_summary takes."""
+    return tau_of(values, seeds)[1:]
 
 
 def attrs_for(tau, pci=None, mhi=None, minority=None, flood=None):
     """Attribute columns in tau's node order; flood_extent only when given."""
-    n = tau.n
+    n = len(tau[0])
     columns = {
         "per_capita_income": pci if pci is not None else [50_000.0] * n,
         "median_household_income": mhi if mhi is not None else [80_000.0] * n,
@@ -55,35 +60,35 @@ def write_attributes_csv(path, rows):
 
 class TestThresholdSummary:
     def test_three_point_example(self):
-        summary = threshold_summary(tau_of([0.0, 0.5, 1.0]), include_seeds=True)
+        summary = threshold_summary(*summarized([0.0, 0.5, 1.0]), include_seeds=True)
         assert summary["mean"] == pytest.approx(0.5)
         assert summary["variance"] == pytest.approx(1 / 6)
 
     def test_constant_values(self):
-        summary = threshold_summary(tau_of([0.3, 0.3, 0.3, 0.3]))
+        summary = threshold_summary(*summarized([0.3, 0.3, 0.3, 0.3]))
         assert summary["mean"] == pytest.approx(0.3)
         assert summary["variance"] == 0.0
 
     def test_seeds_excluded_by_default(self):
-        summary = threshold_summary(tau_of([0.0, 0.0, 0.6, 0.8], seeds=[0, 1]))
+        summary = threshold_summary(*summarized([0.0, 0.0, 0.6, 0.8], seeds=[0, 1]))
         assert summary["count"] == 2
         assert summary["mean"] == pytest.approx(0.7)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         values = rng.random(25)
-        a = threshold_summary(tau_of(values), include_seeds=True)
-        b = threshold_summary(tau_of(values[::-1]), include_seeds=True)
+        a = threshold_summary(*summarized(values), include_seeds=True)
+        b = threshold_summary(*summarized(values[::-1]), include_seeds=True)
         assert a["mean"] == pytest.approx(b["mean"])
         assert a["variance"] == pytest.approx(b["variance"])
 
     def test_all_seeds_without_include_raises(self):
         with pytest.raises(ValueError, match="no threshold"):
-            threshold_summary(tau_of([0.0, 0.0], seeds=[0, 1]))
+            threshold_summary(*summarized([0.0, 0.0], seeds=[0, 1]))
 
     def test_six_node_boundaries(self):
         summary = threshold_summary(
-            tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
+            *summarized([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
         )
         assert 0.2 < summary["tertile_lower"] < 0.3
         assert 0.4 < summary["tertile_upper"] < 0.5
@@ -92,15 +97,15 @@ class TestThresholdSummary:
 class TestSplitTertiles:
     def test_six_nodes_equal_thirds(self):
         tertiles = split_tertiles(
-            tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
+            *tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
         )
         assert tertiles["low"].tolist() == [0, 1]
         assert tertiles["middle"].tolist() == [2, 3]
         assert tertiles["high"].tolist() == [4, 5]
 
     def test_ties_broken_by_id(self):
-        tau = ThresholdVector(node_ids=("n2", "n0", "n1"), values=np.full(3, 0.5))
-        tertiles = split_tertiles(tau, include_seeds=True)
+        tertiles = split_tertiles(("n2", "n0", "n1"), np.full(3, 0.5), np.zeros(3, bool),
+                                  include_seeds=True)
         assert {name: members.tolist() for name, members in tertiles.items()} == {
             "low": [1], "middle": [2], "high": [0]
         }
@@ -110,7 +115,7 @@ class TestSplitTertiles:
     def test_partition_with_balanced_sizes(self, n, seed):
         rng = np.random.default_rng(seed)
         tau = tau_of(rng.random(n))
-        tertiles = split_tertiles(tau, include_seeds=True)
+        tertiles = split_tertiles(*tau, include_seeds=True)
         groups = [set(v.tolist()) for v in tertiles.values()]
         assert set().union(*groups) == set(range(n))
         assert sum(len(g) for g in groups) == n
@@ -119,11 +124,11 @@ class TestSplitTertiles:
 
     def test_lone_seed_has_nothing_to_split(self):
         with pytest.raises(ValueError, match="no nodes to split into tertiles"):
-            split_tertiles(tau_of([0.0], seeds=[0]))
+            split_tertiles(*tau_of([0.0], seeds=[0]))
 
 
 def tertile_medians(tau, columns, attribute):
-    rows = tertile_attribute_report(split_tertiles(tau, include_seeds=True), columns)
+    rows = tertile_attribute_report(split_tertiles(*tau, include_seeds=True), columns)
     return {name: summary["median"] for name, attr, summary in rows if attr == attribute}
 
 
@@ -147,7 +152,7 @@ class TestTertileAttributeReport:
                                     [("n0", 1, 2, 3, ""), ("n2", 1, 2, 3, "")])
         ids, _ = io.read_attributes(path)
         with pytest.raises(DataError, match="attributes.csv: no row for 1 of the 3 nodes: n1$"):
-            align_rows(ids, tau_of([0.1, 0.2, 0.3]).node_ids, path)
+            align_rows(ids, tau_of([0.1, 0.2, 0.3])[0], path)
 
     def test_repeated_id_named(self):
         """Every per-node reader rejects a repeated id by its row first; a
@@ -158,7 +163,7 @@ class TestTertileAttributeReport:
 
     def test_flood_included_only_when_complete(self):
         tau = tau_of([0.1, 0.2, 0.3])
-        tertiles = split_tertiles(tau, include_seeds=True)
+        tertiles = split_tertiles(*tau, include_seeds=True)
         with_flood = tertile_attribute_report(tertiles, attrs_for(tau, flood=[1.0, 2.0, 0.5]))
         assert ("low", "flood_extent") in {(name, attr) for name, attr, _ in with_flood}
         without = tertile_attribute_report(tertiles, attrs_for(tau))

@@ -6,39 +6,50 @@ import pytest
 import oracles
 from conftest import forced_weeks, graph_of, random_graph
 from recovnet import (
+    DiffusionKernel,
     DiffusionSchedule,
-    ThresholdVector,
+    MultiplierProblem,
     recovered_counts,
     run_diffusion,
 )
 from recovnet.errors import ConfigError
 
+# path_graph threshold vectors that DiffusionKernel.run rejects: a value
+# outside [0, 1] (NaN included) or a length other than n = 3
+BAD_VECTORS = {
+    "nan": [0.0, np.nan, 0.5],
+    "inf": [0.0, np.inf, 0.5],
+    "below_zero": [0.0, -0.1, 0.5],
+    "above_one": [0.0, 1.5, 0.5],
+    "n_minus_1": [0.0, 0.5],
+    "n_plus_1": [0.0, 0.5, 1.0, 0.5],
+}
+SIMULATIONS = {
+    "kernel_run": lambda g, values: DiffusionKernel(g).run(values),
+    "run_diffusion": run_diffusion,
+    "multiplier_problem": lambda g, values: MultiplierProblem(g, values),
+}
 
-class TestThresholdVector:
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ThresholdVector(node_ids=("a",), values=np.array([1.5]))
 
-    def test_nonzero_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            ThresholdVector(
-                node_ids=("a",), values=np.array([0.3]), seed_mask=np.array([True])
-            )
+class TestThresholdGuard:
+    """DiffusionKernel.run is the one check of a threshold vector outside
+    io.read_thresholds; every whole-vector simulation goes through it."""
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdVector(node_ids=("a", "b"), values=np.array([0.1]))
+    @pytest.mark.parametrize("values", BAD_VECTORS.values(), ids=BAD_VECTORS)
+    @pytest.mark.parametrize("simulate", SIMULATIONS.values(), ids=SIMULATIONS)
+    def test_rejected(self, path_graph, simulate, values):
+        match = r"shape \(\d,\), graph has 3 nodes" if len(values) != 3 else r"\[0, 1\]"
+        with pytest.raises(ValueError, match=match):
+            simulate(path_graph, np.array(values))
 
-    def test_seed_mask_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="seed_mask shape does not match values"):
-            ThresholdVector(("a", "b"), [0.1, 0.2], seed_mask=[False])
+    @pytest.mark.parametrize("simulate", SIMULATIONS.values(), ids=SIMULATIONS)
+    def test_column_matrix_rejected(self, path_graph, path_tau, simulate):
+        with pytest.raises(ValueError, match=r"shape \(3, 1\)"):
+            simulate(path_graph, path_tau[:, None])
 
-    def test_assemble(self):
-        tau = ThresholdVector.assemble(
-            ("a", "b", "c"), np.array([False, True, False]), np.array([0.4, 0.9])
-        )
-        assert tau.values.tolist() == [0.4, 0.0, 0.9]
-        assert tau.seed_mask.tolist() == [False, True, False]
+    @pytest.mark.parametrize("simulate", SIMULATIONS.values(), ids=SIMULATIONS)
+    def test_bounds_and_lists_accepted(self, path_graph, simulate):
+        simulate(path_graph, [0.0, 1.0, -0.0])
 
 
 class TestSchedule:
@@ -77,17 +88,14 @@ class TestDiffusionStep:
         assert out.tolist() == [True, True, False]
 
     def test_dimension_mismatch(self, path_graph):
-        tau = ThresholdVector(node_ids=("A", "B", "C", "D"), values=np.zeros(4))
-        with pytest.raises(ValueError, match="4 entries, graph has 3 nodes"):
-            run_diffusion(path_graph, tau, ONE_WEEK)
+        with pytest.raises(ValueError, match=r"shape \(4,\), graph has 3 nodes"):
+            run_diffusion(path_graph, np.zeros(4), ONE_WEEK)
 
     def test_isolate_needs_zero_threshold(self):
         g = graph_of(["lone"], [])
-        zero = ThresholdVector(node_ids=g.nodes, values=np.array([0.0]))
-        assert run_diffusion(g, zero, ONE_WEEK).tolist() == [1]
+        assert run_diffusion(g, np.array([0.0]), ONE_WEEK).tolist() == [1]
         for value in (0.7, 1.0):
-            tau = ThresholdVector(node_ids=g.nodes, values=np.array([value]))
-            assert run_diffusion(g, tau, ONE_WEEK).tolist() == [0]
+            assert run_diffusion(g, np.array([value]), ONE_WEEK).tolist() == [0]
 
 
 def oracle_weeks(g, values, initial, horizon=14, first_update_week=3):
@@ -111,12 +119,12 @@ class TestRunDiffusion:
         assert weeks.tolist() == [12, 11, 10]
 
     def test_all_zero_thresholds_recover_at_first_update(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
+        tau = np.zeros(3)
         weeks = run_diffusion(path_graph, tau)
         assert weeks.tolist() == [12, 12, 12]  # weeks 3..14
 
     def test_all_one_thresholds_never_recover(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
+        tau = np.ones(3)
         weeks = run_diffusion(path_graph, tau)
         assert not weeks.any()
 
@@ -133,14 +141,13 @@ class TestRunDiffusion:
             n = int(rng.integers(2, 15))
             g = random_graph(rng, n, edge_prob=0.3)
             values = np.round(rng.random(n), 3)
-            tau = ThresholdVector(node_ids=g.nodes, values=values)
             initial = rng.random(n) < 0.2
             # a horizon past 127 takes 16-bit states and weeks
             for horizon, first in ((14, 3), (6, 1), (5, 5), (200, 150)):
                 schedule = DiffusionSchedule(horizon, first)
-                weeks = forced_weeks(g, tau, initial, schedule)
+                weeks = forced_weeks(g, values, initial, schedule)
                 assert weeks.tolist() == oracle_weeks(g, values, initial, horizon, first)
-                assert run_diffusion(g, tau, schedule).tolist() == oracle_weeks(
+                assert run_diffusion(g, values, schedule).tolist() == oracle_weeks(
                     g, values, np.zeros(n), horizon, first)
 
     def test_deterministic_and_monotone(self):
@@ -148,7 +155,7 @@ class TestRunDiffusion:
         for _ in range(50):
             n = int(rng.integers(2, 20))
             g = random_graph(rng, n)
-            tau = ThresholdVector(node_ids=g.nodes, values=rng.random(n))
+            tau = rng.random(n)
             initial = rng.random(n) < 0.3
             a = forced_weeks(g, tau, initial)
             b = forced_weeks(g, tau, initial.copy())
@@ -158,7 +165,7 @@ class TestRunDiffusion:
             assert np.all((a >= 0) & (a <= 14))
 
     def test_fixed_point_propagates(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.0, 1.0, 1.0]))
+        tau = np.array([0.0, 1.0, 1.0])
         weeks = run_diffusion(path_graph, tau)
         # A flips at week 3; B needs 1/2 >= 1.0, never; steady from week 3 on
         assert weeks.tolist() == [12, 0, 0]
@@ -172,8 +179,8 @@ class TestRunDiffusion:
             node = int(rng.integers(n))
             lowered = values.copy()
             lowered[node] = values[node] * rng.random()
-            base = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values))
-            more = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=lowered))
+            base = run_diffusion(g, values)
+            more = run_diffusion(g, lowered)
             assert np.all(more >= base)  # node by node, not only in total
             assert np.all(recovered_counts(more, 14) >= recovered_counts(base, 14))
 
@@ -182,7 +189,7 @@ class TestRunDiffusion:
         for _ in range(20):
             n = int(rng.integers(3, 15))
             g = random_graph(rng, n, edge_prob=0.35)
-            tau = ThresholdVector(node_ids=g.nodes, values=rng.random(n))
+            tau = rng.random(n)
             small = rng.random(n) < 0.2
             big = small | (rng.random(n) < 0.2)
             weeks_small = forced_weeks(g, tau, small)
@@ -190,10 +197,6 @@ class TestRunDiffusion:
             assert np.all(weeks_big >= weeks_small)
             assert np.all(recovered_counts(weeks_big, 14) >= recovered_counts(weeks_small, 14))
 
-    def test_node_order_mismatch_rejected(self, path_graph):
-        tau = ThresholdVector(node_ids=("B", "A", "C"), values=np.zeros(3))
-        with pytest.raises(ValueError, match="node ids"):
-            run_diffusion(path_graph, tau)
 
 
 class TestRecoveredCounts:
@@ -212,14 +215,14 @@ class TestRecoveredCounts:
         assert np.all(counts[1:] == 3)
 
     def test_never_recovering_constant_zero(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
+        tau = np.ones(3)
         weeks = run_diffusion(path_graph, tau)
         assert np.all(recovered_counts(weeks, 14) == 0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 12)
-        tau = ThresholdVector(node_ids=g.nodes, values=rng.random(12))
+        tau = rng.random(12)
         counts = recovered_counts(forced_weeks(g, tau, rng.random(12) < 0.3), 14)
         assert np.all(np.diff(counts) >= 0)
 
@@ -234,6 +237,6 @@ class TestRecoveredCounts:
                 dict(zip(g.nodes, values)),
                 dict.fromkeys(g.nodes, 0),
             )
-            weeks = run_diffusion(g, ThresholdVector(node_ids=g.nodes, values=values))
+            weeks = run_diffusion(g, values)
             expected = [sum(state.values()) for state in states]
             assert recovered_counts(weeks, 14).tolist() == expected

@@ -93,8 +93,9 @@ class TestFitThresholds:
     def test_seeds_pinned_at_zero(self, path_problem):
         config = GaConfig(population_size=6, max_iterations=20, rng_seed=1)
         result = fit_thresholds(path_problem, config)
-        assert np.all(result.thresholds.values[result.thresholds.seed_mask] == 0.0)
-        assert result.thresholds.seed_mask.tolist() == [True, False, False]
+        assert result.thresholds.shape == (3,)  # node order, seeds included
+        assert np.all(result.thresholds[path_problem.seed_mask] == 0.0)
+        assert path_problem.seed_mask.tolist() == [True, False, False]
 
     def test_loss_round_trips_through_resimulation(self, path_problem):
         from recovnet import run_diffusion
@@ -120,7 +121,7 @@ class TestFitThresholds:
         problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})
         result = fit_thresholds(problem, GaConfig(max_iterations=5000, rng_seed=0))
         assert result.final_loss == 0
-        assert np.all(result.thresholds.values == 0.0)
+        assert np.all(result.thresholds == 0.0)
         # nothing to optimize: one generation, which took no time
         assert result.ga_result.history.tolist() == [0]
         assert result.ga_result.seconds.tolist() == [0.0]

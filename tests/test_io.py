@@ -20,7 +20,6 @@ from conftest import graph_of
 from recovnet import (
     ContiguityRule,
     DataError,
-    ThresholdVector,
     build_contiguity_graph,
     graph_metrics,
 )
@@ -109,17 +108,14 @@ class TestDurationsCsv:
 
 class TestThresholdsCsv:
     def test_round_trip(self, tmp_path):
-        tau = ThresholdVector(
-            node_ids=("a", "b", "c"),
-            values=np.array([0.0, 0.25, 1.0]),
-            seed_mask=np.array([True, False, False]),
-        )
+        ids = ("a", "b", "c")
+        values, seed_mask = np.array([0.0, 0.25, 1.0]), np.array([True, False, False])
         path = tmp_path / "thresholds.csv"
-        io.write_thresholds(tau, path)
-        loaded = io.read_thresholds(path)
-        assert loaded.node_ids == tau.node_ids
-        assert np.array_equal(loaded.values, tau.values)
-        assert np.array_equal(loaded.seed_mask, tau.seed_mask)
+        io.write_thresholds(ids, values, seed_mask, path)
+        loaded_ids, loaded_values, loaded_mask = io.read_thresholds(path)
+        assert loaded_ids == ids
+        assert loaded_values.dtype == np.float64 and np.array_equal(loaded_values, values)
+        assert loaded_mask.dtype == bool and np.array_equal(loaded_mask, seed_mask)
 
     def test_bad_seed_flag_rejected(self, tmp_path):
         path = tmp_path / "thresholds.csv"
@@ -634,8 +630,7 @@ TABLE_READERS = {
               lambda graph: {"nodes": graph.nodes, "edges": graph.edges}),
     "durations": (io.read_durations, oracles.naive_read_durations, dict),
     "thresholds": (io.read_thresholds, oracles.naive_read_thresholds,
-                   lambda tau: list(zip(tau.node_ids, tau.values.tolist(),
-                                        tau.seed_mask.tolist()))),
+                   lambda read: list(zip(read[0], read[1].tolist(), read[2].tolist()))),
     "attributes": (io.read_attributes, oracles.naive_read_attributes, _attribute_rows),
     "multiplier_set": (io.read_multiplier_set, oracles.naive_read_multiplier_set,
                        lambda read: list(zip(read[0], read[1].tolist()))),

@@ -21,7 +21,6 @@ from recovnet import (
     DiffusionSchedule,
     GaConfig,
     MultiplierProblem,
-    ThresholdVector,
     build_fit_problem,
     diffusion,
     fit_thresholds,
@@ -150,9 +149,8 @@ def test_run_matches_oracle_and_every_whole_graph_run(case):
     assert kernel.calls == {1: 1}
     assert weeks.tolist() == unforced_oracle_weeks(graph, values)
 
-    tau = ThresholdVector(graph.nodes, values)
-    assert run_diffusion(graph, tau).tolist() == weeks.tolist()
-    problem = MultiplierProblem(graph, tau)
+    assert run_diffusion(graph, values).tolist() == weeks.tolist()
+    problem = MultiplierProblem(graph, values)
     assert problem.unforced_weeks.tolist() == weeks.tolist()
     assert problem.kernel.calls == {1: 1}
 
@@ -160,7 +158,7 @@ def test_run_matches_oracle_and_every_whole_graph_run(case):
     durations = {node: float(rng.choice(choices)) for node in graph.nodes}
     fit = fit_thresholds(build_fit_problem(graph, durations),
                          GaConfig(population_size=4, max_iterations=3, rng_seed=1))
-    fitted = fit.thresholds.values
+    fitted = fit.thresholds
     assert fit.weeks.tolist() == diffusion.DiffusionKernel(graph).run(fitted).tolist()
     assert fit.weeks.tolist() == unforced_oracle_weeks(graph, fitted)
 
@@ -253,11 +251,11 @@ def test_star_of_degree_300_matches_oracle():
 
     # multipliers: no seeds, every leaf waits for the hub; force s leaves
     for tau in taus:
-        thresholds = ThresholdVector(graph.nodes, np.r_[tau, np.ones(degree)])
+        thresholds = np.r_[tau, np.ones(degree)]
         multipliers = MultiplierProblem(graph, thresholds)
         for s in (14, 255, 256, 270, 300):
             initial = np.zeros(graph.n, dtype=int)
             initial[1 : s + 1] = 1
-            ref = simulate(thresholds.values, initial)
+            ref = simulate(thresholds, initial)
             got = multipliers.recovered(np.arange(1, s + 1)[None, :])[0]
             assert got == sum(ref[-1].values()), (tau, s)

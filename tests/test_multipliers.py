@@ -8,7 +8,6 @@ from recovnet import (
     GaConfig,
     MultiplierProblem,
     SynthSpec,
-    ThresholdVector,
     brute_force_multipliers,
     generate_instance,
     increment_rate,
@@ -20,8 +19,7 @@ from recovnet.errors import ConfigError, DataError
 
 @pytest.fixture
 def path_problem(path_graph):
-    tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.6, 0.5, 1.0]))
-    return MultiplierProblem(graph=path_graph, thresholds=tau)
+    return MultiplierProblem(graph=path_graph, thresholds=np.array([0.6, 0.5, 1.0]))
 
 
 def _search(search, problem, size, pool):
@@ -56,28 +54,24 @@ class TestMultiplierObjective:
         ).tolist()
 
     def test_forcing_everything(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.ones(3))
         assert recovered(problem, ["A", "B", "C"]) == 3
 
     def test_bad_size_rejected(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
         for search in ("ga", "brute-force"):
             for size, pool in [(4, None), (0, None), (3, ("A", "B")), (1, ())]:
                 with pytest.raises(ConfigError, match="size"):
                     _search(search, problem, size, pool)
 
     def test_unknown_pool_node_rejected(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
         for search in ("ga", "brute-force"):
             with pytest.raises(DataError, match="unknown"):
                 _search(search, problem, 1, ("A", "Z"))
 
     def test_duplicate_pool_node_rejected(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.zeros(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
         for search in ("ga", "brute-force"):
             with pytest.raises(DataError, match="duplicate"):
                 _search(search, problem, 1, ("A", "B", "A"))
@@ -109,8 +103,7 @@ class TestBruteForce:
         assert result.recovered_with == 3
 
     def test_full_pool(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.ones(3))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.ones(3))
         result = brute_force_multipliers(problem, 3)
         assert result.members == ("A", "B", "C")
         assert result.recovered_with == 3
@@ -147,8 +140,7 @@ class TestSearchMultipliers:
         assert searched.recovered_with == exact.recovered_with
 
     def test_respects_candidate_pool(self, path_graph):
-        tau = ThresholdVector(node_ids=path_graph.nodes, values=np.array([0.6, 0.5, 1.0]))
-        problem = MultiplierProblem(graph=path_graph, thresholds=tau)
+        problem = MultiplierProblem(graph=path_graph, thresholds=np.array([0.6, 0.5, 1.0]))
         config = GaConfig(population_size=4, max_iterations=50, rng_seed=1)
         [result] = search_multipliers(problem, [1], config, ("B", "C"))
         assert set(result.members) <= {"B", "C"}
@@ -257,8 +249,7 @@ class TestBruteForceChunks:
     def tied_problem(self):
         nodes = [f"n{i}" for i in range(10)]
         graph = graph_of(nodes, [("n2", "n3"), ("n6", "n7")])
-        tau = ThresholdVector(node_ids=graph.nodes, values=np.ones(10))
-        return graph, tau
+        return graph, np.ones(10)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 100])
     @pytest.mark.parametrize("size,expected,value", [
@@ -266,8 +257,8 @@ class TestBruteForceChunks:
         (2, ("n2", "n6"), 4),
     ])
     def test_first_maximum_kept_across_chunks(self, tied_problem, chunk, size, expected, value):
-        graph, tau = tied_problem
-        problem = MultiplierProblem(graph=graph, thresholds=tau)
+        graph, thresholds = tied_problem
+        problem = MultiplierProblem(graph=graph, thresholds=thresholds)
         with chunked(chunk):
             result = brute_force_multipliers(problem, size)
         assert result.members == expected

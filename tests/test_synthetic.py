@@ -86,7 +86,7 @@ class TestGenerateInstance:
         instance = generate_instance(SynthSpec(node_count=36, rng_seed=1))
         assert instance.weeks.all()
         problem = build_fit_problem(instance.graph, instance.durations)
-        planted = instance.thresholds.values[~instance.thresholds.seed_mask]
+        planted = instance.thresholds[~instance.seed_mask]
         assert problem.losses(planted[None])[0] == 0
 
     def test_planted_loss_equals_capped_count(self):
@@ -98,7 +98,7 @@ class TestGenerateInstance:
         capped = int(np.count_nonzero(instance.weeks == 0))
         assert capped > 0
         problem = build_fit_problem(instance.graph, instance.durations)
-        planted = instance.thresholds.values[~instance.thresholds.seed_mask]
+        planted = instance.thresholds[~instance.seed_mask]
         assert problem.losses(planted[None])[0] == capped
 
     def test_all_seeds_recover_at_first_update(self):
@@ -110,7 +110,7 @@ class TestGenerateInstance:
         instance = generate_instance(SynthSpec(node_count=49, rng_seed=5))
         values = np.array(durations_in_graph_order(instance))
         assert np.all(values > 0) and np.all(values <= 14)
-        seeds = instance.thresholds.seed_mask
+        seeds = instance.seed_mask
         assert np.all(values[seeds] == SEED_DURATION_WEEKS)
         assert np.all(values[seeds] < 3.0)
         assert np.all(values[~seeds] >= 4.0)
@@ -121,7 +121,7 @@ class TestGenerateInstance:
         b = generate_instance(spec)
         assert a.graph.edges == b.graph.edges
         assert a.durations == b.durations
-        assert np.array_equal(a.thresholds.values, b.thresholds.values)
+        assert np.array_equal(a.thresholds, b.thresholds)
         assert a.attributes.keys() == b.attributes.keys()
         for name, column in a.attributes.items():
             assert column.shape == (a.graph.n,)
@@ -136,10 +136,10 @@ class TestGenerateInstance:
 class TestAttributeCoupling:
     @staticmethod
     def free_arrays(instance, attribute):
-        free = ~instance.thresholds.seed_mask
+        free = ~instance.seed_mask
         # attribute columns are in node order, as the thresholds are
-        assert instance.graph.nodes == instance.thresholds.node_ids
-        return instance.thresholds.values[free], instance.attributes[attribute][free]
+        assert instance.thresholds.shape == free.shape == (instance.graph.n,)
+        return instance.thresholds[free], instance.attributes[attribute][free]
 
     def test_perfect_negative_coupling(self):
         instance = generate_instance(
@@ -186,8 +186,10 @@ class TestWriteInstance:
         graph = io.read_edge_list(tmp_path / "edges.csv")
         assert set(graph.edges) == set(instance.graph.edges)
         assert io.read_durations(tmp_path / "durations.csv") == instance.durations
-        tau = io.read_thresholds(tmp_path / "planted_thresholds.csv")
-        assert np.array_equal(tau.values, instance.thresholds.values)
+        ids, values, seed_mask = io.read_thresholds(tmp_path / "planted_thresholds.csv")
+        assert ids == instance.graph.nodes
+        assert np.array_equal(values, instance.thresholds)
+        assert np.array_equal(seed_mask, instance.seed_mask)
         ids, columns = io.read_attributes(tmp_path / "attributes.csv")
         assert ids == instance.graph.nodes
         assert list(columns) == list(ATTRIBUTE_NAMES)

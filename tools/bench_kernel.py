@@ -180,26 +180,39 @@ def synth(tree, workload, out: Path) -> Path:
     return out
 
 
+def thresholds_for(tree, graph, values: np.ndarray, seed_mask: np.ndarray):
+    """Node-order thresholds in the form tree's MultiplierProblem takes: a
+    ThresholdVector on a tree that still defines one, else the array."""
+    if hasattr(tree, "ThresholdVector"):
+        return tree.ThresholdVector(graph.nodes, values, seed_mask)
+    return values
+
+
 def instance(tree, directory: Path):
-    """The graph, durations and planted thresholds (node order) synth wrote."""
+    """The graph, durations, planted thresholds and seed mask (both in node
+    order) synth wrote; the thresholds are read by perfbench's reader, which
+    neither tree's form changes."""
     graph = tree.io.read_edge_list(directory / "edges.csv")
-    planted = tree.io.read_thresholds(directory / "planted_thresholds.csv")
+    planted, seeds = reference.read_thresholds(directory / "planted_thresholds.csv")
     return (graph, tree.io.read_durations(directory / "durations.csv"),
-            planted.take([planted.node_ids.index(n) for n in graph.nodes]))
+            np.array([planted[n] for n in graph.nodes]),
+            np.array([n in seeds for n in graph.nodes]))
 
 
 def build(tree, paper: Path, small: Path) -> SimpleNamespace:
     """What the in-process entries call, built by one tree from the inputs."""
-    graph, durations, planted = instance(tree, paper)
+    graph, durations, planted, seeds = instance(tree, paper)
     problem = tree.build_fit_problem(graph, durations)
-    drawn = tree.ThresholdVector.assemble(
-        graph.nodes, problem.seed_mask, np.random.default_rng(1).random(problem.free_count))
-    small_graph, _, small_planted = instance(tree, small)
+    drawn = np.zeros(graph.n)
+    drawn[problem.free_indices] = np.random.default_rng(1).random(problem.free_count)
+    small_graph, _, small_planted, small_seeds = instance(tree, small)
     return SimpleNamespace(
-        tree=tree, graph=graph, durations=durations, problem=problem,
-        multipliers=tree.MultiplierProblem(graph, planted),
-        stage2={"paper": tree.MultiplierProblem(graph, drawn),
-                "small": tree.MultiplierProblem(small_graph, small_planted)})
+        tree=tree, graph=graph, durations=durations, problem=problem, planted=planted,
+        multipliers=tree.MultiplierProblem(graph, thresholds_for(tree, graph, planted, seeds)),
+        stage2={"paper": tree.MultiplierProblem(
+                    graph, thresholds_for(tree, graph, drawn, problem.seed_mask)),
+                "small": tree.MultiplierProblem(small_graph, thresholds_for(
+                    tree, small_graph, small_planted, small_seeds))})
 
 
 def kernel_entries(sides: dict, paper: Path, repeats: int) -> dict:
@@ -220,7 +233,7 @@ def kernel_entries(sides: dict, paper: Path, repeats: int) -> dict:
             loss = reference.zero_one_loss(durations, weeks)
             expect(losses[p] == loss, f"losses column {p} ({side}): {losses[p]} vs oracle {loss}")
         recovered = s.multipliers.recovered(seed_sets[:2])
-        planted = dict(zip(nodes, s.multipliers.thresholds.values))
+        planted = dict(zip(nodes, s.planted))
         for p, row in enumerate(seed_sets[:2]):
             weeks = reference.simulate(ORACLES, neighbors, planted, [nodes[i] for i in row])
             final = reference.recovered_at_horizon(weeks)
