@@ -375,8 +375,8 @@ def _fit_problem(s: argparse.Namespace):
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked before any read
     graph = _load_graph(s)
     path = _require_file(s.durations, "durations")
-    durations = io.read_durations(path)
-    return build_fit_problem(graph, durations, s.seed_cutoff, schedule, source=path)
+    return build_fit_problem(graph, *io.read_durations(path), s.seed_cutoff, schedule,
+                             source=path)
 
 
 def _summary_cells(summary: Optional[dict]) -> list:
@@ -420,7 +420,7 @@ def cmd_durations(s: argparse.Namespace) -> None:
         raise DataError(f"{visits_path}: no visit rows")
     durations = compute_recovery_durations(
         series, start, end, recovery, s.ratio, s.persistence_days, s.ma_halfwidth, visits_path)
-    io.write_durations(dict(zip(series, durations.tolist())), Path(s.out) / "durations.csv")
+    io.write_durations(tuple(series), durations, Path(s.out) / "durations.csv")
     print(f"computed recovery durations for {len(series)} nodes")
 
 
@@ -578,10 +578,8 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         graph = io.read_edge_list(_require_file(s.edges, "edge list"))
         aligned = thresholds[align_rows(ids, graph.nodes, thresholds_path)]
         durations_path = _require_file(s.durations, "durations")
-        durations = io.read_durations(durations_path)
-        empirical = durations_to_weeks(
-            align_durations(durations, graph.nodes, s.horizon, durations_path), s.horizon
-        )
+        empirical = durations_to_weeks(align_durations(
+            *io.read_durations(durations_path), graph.nodes, s.horizon, durations_path), s.horizon)
         simulated = run_diffusion(graph, aligned, schedule)
     # every attribute summary indexes these columns, in the thresholds' node order
     attributes_path = _require_file(s.attributes, "attributes")

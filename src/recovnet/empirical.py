@@ -6,8 +6,9 @@ at or above a fraction of its pre-event baseline for a run of consecutive
 days; the duration is that day expressed in weeks, capped at 14. One call
 scores a whole visits table: its units that share a first day and a series
 length share a window, and each such group is scored as one matrix.
-Recovery never reverts, so a node's weekly states are fixed by the number
-of weeks 1..T it spends recovered.
+align_durations, the one range check of a duration table, puts it in node
+order. Recovery never reverts, so a node's weekly states are fixed by the
+number of weeks 1..T it spends recovered.
 """
 
 from __future__ import annotations
@@ -131,36 +132,12 @@ def _scan(visits: np.ndarray, start: int, end: int, recovery: int, ratio: float,
     return durations
 
 
-def validate_durations(
-    durations: Sequence[float],
-    horizon: int = CAP_WEEKS,
-    node_ids: Optional[Sequence[str]] = None,
-) -> np.ndarray:
-    """Durations as float64, each finite, positive and at most horizon weeks;
-    a DataError names the first entry that is not, by its id in node_ids
-    when given, else by its index."""
-    arr = np.asarray(durations, dtype=np.float64)
-    bad = ~np.isfinite(arr) | (arr <= 0) | (arr > horizon)
-    if bad.any():
-        i = int(np.argmax(bad))
-        value = arr[i]
-        rule = (
-            "must be finite" if not np.isfinite(value)
-            else "must be strictly positive" if value <= 0
-            else f"must be capped at {horizon} weeks"
-        )
-        entry = f"node {node_ids[i]!r}" if node_ids is not None else f"entry {i}"
-        raise DataError(f"durations {rule}; {entry} has {value:g}")
-    return arr
-
-
 def durations_to_weeks(durations: Sequence[float], horizon: int = CAP_WEEKS) -> np.ndarray:
     """Empirical recovered weeks: a node with duration d is recovered at
     week t iff d <= t, so for weeks 1..horizon it spends horizon + 1 -
-    ceil(d) of them recovered. Durations must already be capped at the
-    horizon."""
-    arr = validate_durations(durations, horizon)
-    return (horizon + 1 - np.ceil(arr)).astype(np.int64)
+    ceil(d) of them recovered. The durations are taken as align_durations
+    checked them: finite, positive and at most horizon."""
+    return (horizon + 1 - np.ceil(np.asarray(durations, dtype=np.float64))).astype(np.int64)
 
 
 def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int | np.ndarray:
@@ -184,20 +161,23 @@ def zero_one_loss(empirical: np.ndarray, simulated: np.ndarray) -> int | np.ndar
     return int(loss) if loss.ndim == 0 else loss
 
 
-def align_durations(
-    durations: Mapping[str, float],
-    node_ids: Sequence[str],
-    horizon: int = CAP_WEEKS,
-    source: str = "durations",
-) -> np.ndarray:
-    """Duration table values in the given node order, checked by
-    validate_durations; errors name source (the table's file)."""
-    rows = align_rows(
-        tuple(durations), node_ids, source,
-        hint="an edge list cannot hold isolated units, a graph built from --geometry can",
-    )
-    values = np.fromiter(durations.values(), np.float64, len(durations))[rows]
-    try:
-        return validate_durations(values, horizon, node_ids)
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
+def align_durations(ids: Sequence[str], values: Sequence[float], nodes: Sequence[str],
+                    horizon: int = CAP_WEEKS, source: str = "durations") -> np.ndarray:
+    """A duration table's values (the rows of ids) as float64 in the given
+    node order, each finite, positive and at most horizon weeks. A DataError
+    names source (the table's file) and, for a value out of range, the first
+    such node in node order."""
+    rows = align_rows(ids, nodes, source, hint="an edge list cannot hold isolated units, "
+                      "a graph built from --geometry can")
+    aligned = np.asarray(values, dtype=np.float64)[rows]
+    bad = ~np.isfinite(aligned) | (aligned <= 0) | (aligned > horizon)
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = aligned[i]
+        rule = (
+            "must be finite" if not np.isfinite(value)
+            else "must be strictly positive" if value <= 0
+            else f"must be capped at {horizon} weeks"
+        )
+        raise DataError(f"{source}: durations {rule}; node {nodes[i]!r} has {value:g}")
+    return aligned

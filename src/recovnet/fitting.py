@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -84,14 +84,15 @@ class BaselineStats:
 
 def build_fit_problem(
     graph: SpatialGraph,
-    durations: Mapping[str, float],
+    ids: Sequence[str],
+    durations: Sequence[float],
     seed_cutoff_weeks: float = DEFAULT_SEED_CUTOFF_WEEKS,
     schedule: DiffusionSchedule = DiffusionSchedule(),
     source: str = "durations",
 ) -> FitProblem:
     """Split nodes into seeds (duration below the cutoff) and free nodes,
-    and take the empirical recovered weeks from the duration table (errors
-    name source, its file).
+    and take the empirical recovered weeks from the duration table, its
+    ids and their durations (errors name source, its file).
 
     Warns when the seed set is empty (nothing can ever recover from an
     all-affected start) and when a seed's empirical recovery week differs
@@ -99,7 +100,7 @@ def build_fit_problem(
     """
     if seed_cutoff_weeks <= 0:
         raise ConfigError(f"seed_cutoff must be > 0, got {seed_cutoff_weeks}")
-    values = align_durations(durations, graph.nodes, schedule.horizon, source)
+    values = align_durations(ids, durations, graph.nodes, schedule.horizon, source)
     empirical = durations_to_weeks(values, schedule.horizon)
     seed_mask = values < seed_cutoff_weeks
 

@@ -512,7 +512,9 @@ def write_metrics(metrics: Mapping, path: str | Path) -> None:
                path)
 
 
-def read_durations(path: str | Path) -> dict[str, float]:
+def read_durations(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Durations CSV (header id,duration_weeks): the distinct ids and their
+    finite durations in weeks, in file order."""
     (ids, weeks), short = _read_columns(path, ["id", "duration_weeks"])
     nodes, (codes,), empty = _node_codes(ids)
     durations, bad_duration = _parsed(weeks, _parse_float, np.float64, 1)
@@ -521,14 +523,13 @@ def read_durations(path: str | Path) -> dict[str, float]:
         (_repeated(codes), lambda row: f"duplicate duration for node {row[0].strip()!r}"),
         bad_duration,
     ], short)
-    return dict(zip(map(nodes.__getitem__, codes.tolist()), durations.tolist()))
+    return tuple(map(nodes.__getitem__, codes.tolist())), durations
 
 
-def write_durations(durations: Mapping[str, float], path: str | Path) -> None:
-    write_table(
-        path, ["id", "duration_weeks"],
-        ([node, repr(float(value))] for node, value in durations.items()),
-    )
+def write_durations(ids: Sequence[str], values: np.ndarray, path: str | Path) -> None:
+    """One row per id, with its duration, as read_durations reads them."""
+    write_table(path, ["id", "duration_weeks"],
+                ([node, repr(float(value))] for node, value in zip(ids, values)))
 
 
 def parse_day(text: str) -> int:

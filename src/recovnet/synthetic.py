@@ -73,13 +73,13 @@ class SynthSpec:
 @dataclass(eq=False)
 class SyntheticInstance:
     """Everything the pipeline consumes, plus the planted run's recovered
-    weeks; the planted thresholds, their seed_mask, the weeks and each
-    attribute column are in the graph's node order."""
+    weeks; the planted thresholds, their seed_mask, the durations, the weeks
+    and each attribute column are in the graph's node order."""
 
     graph: SpatialGraph
     thresholds: np.ndarray
     seed_mask: np.ndarray
-    durations: dict[str, float]
+    durations: np.ndarray
     attributes: dict[str, np.ndarray]
     weeks: np.ndarray
 
@@ -153,8 +153,7 @@ def generate_instance(spec: SynthSpec) -> SyntheticInstance:
     weeks = run_diffusion(graph, thresholds)
     # a node's first recovered week; one that never recovers gets the horizon
     first_week = np.minimum(DEFAULT_HORIZON_WEEKS + 1 - weeks, DEFAULT_HORIZON_WEEKS)
-    values = np.where(seed_mask, SEED_DURATION_WEEKS, first_week.astype(np.float64))
-    durations = dict(zip(graph.nodes, values.tolist()))
+    durations = np.where(seed_mask, SEED_DURATION_WEEKS, first_week.astype(np.float64))
 
     attributes = _coupled_attributes(graph, thresholds, spec.attribute_coupling, rng)
     return SyntheticInstance(
@@ -197,7 +196,7 @@ def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str 
     record of the generating recipe (instance.json)."""
     directory = Path(directory)
     io.write_edge_list(instance.graph, directory / "edges.csv")
-    io.write_durations(instance.durations, directory / "durations.csv")
+    io.write_durations(instance.graph.nodes, instance.durations, directory / "durations.csv")
     io.write_attributes(instance.graph.nodes, instance.attributes, directory / "attributes.csv")
     io.write_thresholds(instance.graph.nodes, instance.thresholds, instance.seed_mask,
                         directory / "planted_thresholds.csv")

@@ -114,7 +114,7 @@ def test_criterion_04_loss_correctness():
 def planted_50():
     instance = generate_instance(SynthSpec(node_count=50, seed_fraction=0.2, rng_seed=7))
     assert instance.weeks.all(), "instance must fully recover for the round trip"
-    problem = build_fit_problem(instance.graph, instance.durations)
+    problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
     return instance, problem
 
 
@@ -125,7 +125,7 @@ def test_criterion_05_planted_round_trip(planted_50):
         other = generate_instance(SynthSpec(node_count=36, seed_fraction=0.25, rng_seed=seed))
         if not other.weeks.all():
             continue
-        other_problem = build_fit_problem(other.graph, other.durations)
+        other_problem = build_fit_problem(other.graph, other.graph.nodes, other.durations)
         planted = other.thresholds[~other.seed_mask]
         ok = ok and other_problem.losses(planted[None])[0] == 0
 
@@ -173,9 +173,7 @@ def test_criterion_08_week14_cap_artifact():
     )
     unrecovered = int(np.count_nonzero(instance.weeks == 0))
     assert unrecovered > 0, "need an instance the fitted simulation cannot finish"
-    empirical = durations_to_weeks(
-        [instance.durations[n] for n in instance.graph.nodes]
-    )
+    empirical = durations_to_weeks(instance.durations)
     diff = recovered_counts(empirical, 14) - recovered_counts(instance.weeks, 14)
     ok = diff[14] == unrecovered and not diff[:14].any()
     report(8, ok, f"diff(14) = {diff[14]} equals the {unrecovered} unrecovered nodes")

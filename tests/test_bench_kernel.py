@@ -42,12 +42,13 @@ def directories(tmp_path_factory):
 
 def test_instance_is_in_node_order(directories):
     paper, _ = directories
-    graph, durations, planted, seeds = bench_kernel.instance(recovnet, paper)
-    ids, values, seed_mask = io.read_thresholds(paper / "planted_thresholds.csv")
-    rows = align_rows(ids, graph.nodes, "planted_thresholds.csv")
+    graph, (ids, durations), planted = bench_kernel.instance(recovnet, paper)
+    threshold_ids, values, _ = io.read_thresholds(paper / "planted_thresholds.csv")
+    rows = align_rows(threshold_ids, graph.nodes, "planted_thresholds.csv")
     assert planted.tolist() == values[rows].tolist()
-    assert seeds.tolist() == seed_mask[rows].tolist()
-    assert durations == io.read_durations(paper / "durations.csv")
+    read_ids, read = io.read_durations(paper / "durations.csv")
+    assert ids == read_ids
+    assert durations.tolist() == read.tolist()
 
 
 def test_build_gives_this_tree_arrays(directories):
@@ -63,12 +64,16 @@ def test_build_gives_this_tree_arrays(directories):
     assert s.stage2["small"].graph.n == 12
 
 
-def test_tree_with_a_vector_class_gets_the_object():
-    """A tree from before thresholds became arrays takes a ThresholdVector
-    of node ids, values and seed mask."""
-    tree = SimpleNamespace(ThresholdVector=lambda *fields: ("vector", *fields))
-    graph = SimpleNamespace(nodes=("a", "b"))
-    values, seeds = np.array([0.0, 0.5]), np.array([True, False])
-    assert bench_kernel.thresholds_for(tree, graph, values, seeds) == (
-        "vector", graph.nodes, values, seeds)
-    assert bench_kernel.thresholds_for(recovnet, graph, values, seeds) is values
+def test_tree_with_a_durations_mapping_gets_the_dict():
+    """A tree from before durations travelled as ids and values takes the
+    mapping itself after the graph; this tree takes the ids and values."""
+    def build_fit_problem(graph, durations, seed_cutoff_weeks=2.75, schedule=None,
+                          source="durations"):
+        """The signature of the mapping form."""
+
+    durations = {"b": 5.0, "a": 2.5}
+    tree = SimpleNamespace(build_fit_problem=build_fit_problem)
+    assert bench_kernel.durations_for(tree, durations) == (durations,)
+    ids, values = bench_kernel.durations_for(recovnet, durations)
+    assert ids == ("b", "a")
+    assert values.dtype == np.float64 and values.tolist() == [5.0, 2.5]

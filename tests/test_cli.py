@@ -276,6 +276,19 @@ class TestFitAndMultipliers:
         assert f"missing {missing!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_baseline_block_equals_baseline_command(self, tmp_path, instance_dir):
+        """fit --baseline-runs R --rng-seed S reports the baseline that
+        baseline --runs R --rng-seed S writes on the same inputs."""
+        inputs = ["--edges", instance_dir / "edges.csv",
+                  "--durations", instance_dir / "durations.csv", "--rng-seed", 2]
+        assert run("fit", *inputs, "--max-iterations", 3, "--baseline-runs", 7,
+                   "--out", tmp_path / "fit") == 0
+        assert run("baseline", *inputs, "--runs", 7, "--out", tmp_path / "baseline") == 0
+        report = json.loads((tmp_path / "fit" / "fit_report.json").read_text())
+        baseline = json.loads((tmp_path / "baseline" / "baseline.json").read_text())
+        assert report["baseline"] == baseline
+        assert baseline["runs"] == 7 and baseline["std"] > 0
+
     def test_baseline_command(self, tmp_path, instance_dir):
         out = tmp_path / "baseline"
         assert run(
@@ -526,7 +539,9 @@ class TestDurationsCommand:
             "--recovery-start", "2017-08-28",
             "--out", out,
         ) == 0
-        assert io.read_durations(out / "durations.csv")["u"] == pytest.approx(1 / 7)
+        ids, durations = io.read_durations(out / "durations.csv")
+        assert ids == ("u",)
+        assert durations.tolist() == [pytest.approx(1 / 7)]
 
     def test_computes_from_visits(self, tmp_path):
         rows = ["id,day,visits"]
@@ -545,9 +560,10 @@ class TestDurationsCommand:
             "--recovery-start", 27,
             "--out", out,
         ) == 0
-        durations = io.read_durations(out / "durations.csv")
-        assert durations["fast"] == pytest.approx(1 / 7)
-        assert durations["slow"] == 14.0
+        ids, durations = io.read_durations(out / "durations.csv")
+        assert ids == ("fast", "slow")
+        assert durations[0] == pytest.approx(1 / 7)
+        assert durations[1] == 14.0
 
 
 class TestVisitInput:
@@ -679,12 +695,13 @@ class TestDurationGroups:
         series = {node: (first, self._visits(rng, length, first))
                   for node, (first, length) in getattr(self, shapes).items()}
         assert self._run(tmp_path, series, ordered) == 0
-        written = io.read_durations(tmp_path / "d" / "durations.csv")
-        assert list(written) == sorted(self.SHAPES)
-        for node, (first, visits) in series.items():
+        ids, written = io.read_durations(tmp_path / "d" / "durations.csv")
+        assert list(ids) == sorted(self.SHAPES)
+        for node, duration in zip(ids, written.tolist()):
+            first, visits = series[node]
             expected = oracles.naive_recovery_duration(visits, -first, 20 - first, 27 - first)
-            assert written[node] == expected, node
-        assert len(set(written.values())) > 3
+            assert duration == expected, node
+        assert len(set(written.tolist())) > 3
 
     @pytest.mark.parametrize("shapes,late_start,named", [
         ("SHAPES", False, "unit 'a1': visit counts must be nonnegative"),
@@ -2011,20 +2028,22 @@ class TestNodeTables:
         assert self._analyze(tmp_path, instance_dir, "--multipliers-dir", mult_dir) == 3
         assert f"{path}: 1 row(s) for ids not among the 16 nodes: zz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value,rule", [
-        ("20", "must be capped at 14 weeks"), ("0", "must be strictly positive"),
+    @pytest.mark.parametrize("value,flags,rule", [
+        ("20", [], "must be capped at 14 weeks"), ("0", [], "must be strictly positive"),
+        # every other duration of the instance is at most 8 weeks
+        ("14", ["--horizon", 10], "must be capped at 10 weeks"),
     ])
     @pytest.mark.parametrize("command", ["fit", "analyze"])
     def test_out_of_range_duration_names_node(self, tmp_path, instance_dir, capsys,
-                                              command, value, rule):
+                                              command, value, flags, rule):
         path = instance_dir / "durations.csv"
         first = _rewrite_row(path, 6, 1, value)
         _rewrite_row(path, 11, 1, value)
         if command == "fit":
             code = run("fit", "--edges", instance_dir / "edges.csv", "--durations", path,
-                       "--max-iterations", 2, "--out", tmp_path / "fit")
+                       "--max-iterations", 2, *flags, "--out", tmp_path / "fit")
         else:
-            code = self._analyze(tmp_path, instance_dir, durations=path)
+            code = self._analyze(tmp_path, instance_dir, *flags, durations=path)
         assert code == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: durations {rule}; node {first!r} has {value}\n"

@@ -15,7 +15,7 @@ from recovnet import (
     zero_one_loss,
 )
 from recovnet import empirical
-from recovnet.empirical import moving_average
+from recovnet.empirical import align_durations, moving_average
 from recovnet.errors import ConfigError, DataError
 
 RSTART = 27
@@ -291,18 +291,54 @@ class TestDurationsToTrajectory:
             weeks, [sum(1 for t in range(1, 15) if t >= d) for d in durations]
         )
 
-    def test_uncapped_duration_rejected(self):
-        with pytest.raises(DataError, match="capped"):
-            durations_to_weeks([15.0])
-
-    def test_nonpositive_duration_rejected(self):
-        with pytest.raises(DataError, match="positive"):
-            durations_to_weeks([0.0])
-
     def test_horizon_sets_the_count(self):
         assert durations_to_weeks([2.5, 10.0], horizon=10).tolist() == [8, 1]
-        with pytest.raises(DataError, match="capped at 10"):
-            durations_to_weeks([10.5], horizon=10)
+
+
+class TestAlignDurations:
+    """align_durations: a duration table in node order, and the one check of
+    its range, which names the first bad node in node order."""
+
+    NODES = ("a", "b", "c")
+
+    def rejected(self, ids, values, **kwargs) -> str:
+        with pytest.raises(DataError) as excinfo:
+            align_durations(ids, values, self.NODES, source="d.csv", **kwargs)
+        return str(excinfo.value)
+
+    def test_node_order(self):
+        aligned = align_durations(("c", "a", "b"), [14.0, 2.5, 7.0], self.NODES)
+        assert aligned.dtype == np.float64
+        assert aligned.tolist() == [2.5, 7.0, 14.0]
+
+    def test_uncapped_duration_rejected(self):
+        assert self.rejected(self.NODES, [2.5, 15.0, 14.0]) == (
+            "d.csv: durations must be capped at 14 weeks; node 'b' has 15")
+
+    def test_nonpositive_duration_rejected(self):
+        assert self.rejected(self.NODES, [2.5, 0.0, 14.0]) == (
+            "d.csv: durations must be strictly positive; node 'b' has 0")
+
+    @pytest.mark.parametrize("value,rule", [
+        (15.0, "must be capped at 14 weeks"), (-1.0, "must be strictly positive"),
+        (np.nan, "must be finite"), (np.inf, "must be finite"),
+    ])
+    def test_first_bad_node_in_node_order(self, value, rule):
+        # the file lists c before b; b comes first in node order
+        assert self.rejected(("c", "b", "a"), [value, value, 2.5]) == (
+            f"d.csv: durations {rule}; node 'b' has {value:g}")
+
+    def test_horizon_sets_the_cap(self):
+        assert align_durations(self.NODES, [2.5, 10.0, 1.0], self.NODES,
+                               horizon=10).tolist() == [2.5, 10.0, 1.0]
+        assert self.rejected(self.NODES, [2.5, 10.5, 14.0], horizon=10) == (
+            "d.csv: durations must be capped at 10 weeks; node 'b' has 10.5")
+
+    def test_missing_and_extra_rows_named(self):
+        assert self.rejected(("a", "b", "zz"), [2.5, 99.0, 3.0]) == (
+            "d.csv: no row for 1 of the 3 nodes: c; 1 row(s) for ids not among the 3 "
+            "nodes: zz; an edge list cannot hold isolated units, a graph built from "
+            "--geometry can")
 
 
 def weeks_of(week, horizon=14):

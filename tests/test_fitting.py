@@ -17,42 +17,43 @@ from recovnet import (
 )
 from recovnet.errors import ConfigError, DataError
 
+ABC = ("A", "B", "C")  # path_graph's nodes
+
 
 @pytest.fixture
 def path_problem(path_graph):
     # seed recovers week 3, then neighbors at weeks 4 and 5
-    durations = {"A": 2.5, "B": 4.0, "C": 5.0}
-    return build_fit_problem(path_graph, durations)
+    return build_fit_problem(path_graph, ABC, [2.5, 4.0, 5.0])
 
 
 class TestBuildFitProblem:
     def test_seed_split_on_cutoff(self, path_graph):
-        problem = build_fit_problem(path_graph, {"A": 2.14, "B": 5.0, "C": 14.0})
+        problem = build_fit_problem(path_graph, ABC, [2.14, 5.0, 14.0])
         assert problem.seed_mask.tolist() == [True, False, False]
         assert problem.free_count == 2
 
     def test_missing_duration_named(self, path_graph):
         with pytest.raises(DataError, match="C"):
-            build_fit_problem(path_graph, {"A": 2.5, "B": 5.0})
+            build_fit_problem(path_graph, ("A", "B"), [2.5, 5.0])
 
     def test_empty_seed_set_warns(self, path_graph):
         with pytest.warns(UserWarning, match="never recover"):
-            problem = build_fit_problem(path_graph, {"A": 3.0, "B": 5.0, "C": 14.0})
+            problem = build_fit_problem(path_graph, ABC, [3.0, 5.0, 14.0])
         assert problem.seed_mask.sum() == 0
 
     def test_all_seeds_trivially_zero_loss(self, path_graph):
-        problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})
+        problem = build_fit_problem(path_graph, ABC, [2.5, 2.5, 2.5])
         assert problem.free_count == 0
         assert problem.losses(np.empty((1, 0)))[0] == 0
 
     def test_off_schedule_seed_warns(self, path_graph):
         # a 1.5-week duration recovers empirically at week 2, before updates start
         with pytest.warns(UserWarning, match="week"):
-            build_fit_problem(path_graph, {"A": 1.5, "B": 5.0, "C": 14.0})
+            build_fit_problem(path_graph, ABC, [1.5, 5.0, 14.0])
 
     def test_bad_cutoff_rejected(self, path_graph):
         with pytest.raises(ConfigError, match="seed_cutoff"):
-            build_fit_problem(path_graph, {"A": 2.5, "B": 4.0, "C": 5.0}, seed_cutoff_weeks=0)
+            build_fit_problem(path_graph, ABC, [2.5, 4.0, 5.0], seed_cutoff_weeks=0)
 
     def test_empirical_matches_durations(self, path_problem):
         assert path_problem.empirical.tolist() == [12, 11, 10]
@@ -110,7 +111,7 @@ class TestFitThresholds:
     def test_custom_horizon(self, path_graph):
         schedule = DiffusionSchedule(horizon=10, first_update_week=3)
         problem = build_fit_problem(
-            path_graph, {"A": 2.5, "B": 4.0, "C": 10.0}, schedule=schedule
+            path_graph, ABC, [2.5, 4.0, 10.0], schedule=schedule
         )
         assert problem.empirical.tolist() == [8, 7, 1]  # weeks 3..10, 4..10, 10
         # sim: A week 3, B week 4, C week 5; empirically C waits until week 10,
@@ -118,7 +119,7 @@ class TestFitThresholds:
         assert problem.losses(np.array([0.5, 1.0])[None])[0] == 5
 
     def test_all_seed_problem_short_circuits(self, path_graph):
-        problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})
+        problem = build_fit_problem(path_graph, ABC, [2.5, 2.5, 2.5])
         result = fit_thresholds(problem, GaConfig(max_iterations=5000, rng_seed=0))
         assert result.final_loss == 0
         assert np.all(result.thresholds == 0.0)
@@ -135,7 +136,7 @@ class TestFitThresholds:
         instance = generate_instance(SynthSpec(node_count=30, graph_kind="perturbed_grid",
                                                rng_seed=5))
         schedule = DiffusionSchedule(horizon=16, first_update_week=3)
-        problem = build_fit_problem(instance.graph, instance.durations, schedule=schedule)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations, schedule=schedule)
         result = fit_thresholds(problem, GaConfig(population_size=6, max_iterations=20, rng_seed=2))
         simulated = run_diffusion(instance.graph, result.thresholds, schedule)
         assert np.array_equal(result.weeks, simulated)
@@ -145,7 +146,7 @@ class TestFitThresholds:
 
     def test_never_worse_than_initial_population(self):
         instance = generate_instance(SynthSpec(node_count=30, rng_seed=3))
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         config = GaConfig(population_size=8, max_iterations=150, rng_seed=6)
         result = fit_thresholds(problem, config)
         assert result.final_loss <= result.ga_result.history[0]
@@ -153,14 +154,14 @@ class TestFitThresholds:
 
 class TestRandomBaseline:
     def test_degenerate_all_seed_problem(self, path_graph):
-        problem = build_fit_problem(path_graph, {"A": 2.5, "B": 2.5, "C": 2.5})
+        problem = build_fit_problem(path_graph, ABC, [2.5, 2.5, 2.5])
         stats = random_baseline(problem, runs=10, rng_seed=0)
         assert stats.mean == 0.0
         assert stats.std == 0.0
 
     def test_self_consistent_across_seeds(self):
         instance = generate_instance(SynthSpec(node_count=50, rng_seed=7))
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         a = random_baseline(problem, runs=1000, rng_seed=1)
         b = random_baseline(problem, runs=1000, rng_seed=2)
         stderr = max(a.std, b.std) / np.sqrt(1000)
@@ -173,7 +174,7 @@ class TestRandomBaseline:
 
     def test_chunked_draws_equal_one_draw(self):
         instance = generate_instance(SynthSpec(node_count=400, rng_seed=4))
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         columns = problem.kernel.chunk_columns()  # per kernel call
         for runs in (1, 5 * columns // 2):  # one run, 2.5 calls
             stats = random_baseline(problem, runs=runs, rng_seed=5)
@@ -187,7 +188,7 @@ class TestRandomBaseline:
     def test_paper_scale_calls_are_32_columns(self, nodes, runs, calls):
         """A remainder under half a call joins the last call."""
         instance = generate_instance(SynthSpec(node_count=nodes, rng_seed=1))
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         random_baseline(problem, runs=runs, rng_seed=1)
         assert problem.kernel.calls == calls
 
@@ -195,7 +196,7 @@ class TestRandomBaseline:
         """The draws do not depend on the chunk: 65 is the width n = 2010
         had before the 32-column floor."""
         instance = generate_instance(SynthSpec(node_count=2010, rng_seed=1))
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         expected = random_baseline(problem, runs=200, rng_seed=3).losses
         for chunk in (1, 7, 65, 200):
             with chunked(chunk):

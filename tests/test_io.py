@@ -72,10 +72,14 @@ class TestEdgeListCsv:
 
 class TestDurationsCsv:
     def test_round_trip(self, tmp_path):
-        durations = {"a": 2.5, "b": 10 / 7, "c": 14.0}
+        """Ids and durations come back in file order, as float64."""
+        ids, durations = ("c", "a", "b"), np.array([14.0, 2.5, 10 / 7])
         path = tmp_path / "durations.csv"
-        io.write_durations(durations, path)
-        assert io.read_durations(path) == durations
+        io.write_durations(ids, durations, path)
+        read_ids, read = io.read_durations(path)
+        assert read_ids == ids
+        assert read.dtype == np.float64
+        assert read.tolist() == durations.tolist()
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "durations.csv"
@@ -92,17 +96,18 @@ class TestDurationsCsv:
     def test_one_long_id_costs_no_more_memory_than_its_file(self, tmp_path):
         """A 32 000-byte id in the first of 20 001 rows: csv.reader reads
         the file, so no key of the other rows in its block is sized to it."""
-        durations = {"L" * 32_000: 2.5}
-        durations.update({f"u{k:05d}": float(k % 15) for k in range(20_000)})
+        ids = ("L" * 32_000, *(f"u{k:05d}" for k in range(20_000)))
+        durations = np.array([2.5, *(float(k % 15) for k in range(20_000))])
         path = tmp_path / "durations.csv"
-        io.write_durations(durations, path)
+        io.write_durations(ids, durations, path)
         tracemalloc.start()
         try:
             read = io.read_durations(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert read == durations
+        assert read[0] == ids
+        assert read[1].tolist() == durations.tolist()
         assert peak < 16 * 2**20
 
 
@@ -628,7 +633,8 @@ def _attribute_rows(table):
 TABLE_READERS = {
     "edges": (io.read_edge_list, oracles.naive_read_edge_list,
               lambda graph: {"nodes": graph.nodes, "edges": graph.edges}),
-    "durations": (io.read_durations, oracles.naive_read_durations, dict),
+    "durations": (io.read_durations, oracles.naive_read_durations,
+                  lambda read: dict(zip(read[0], read[1].tolist()))),
     "thresholds": (io.read_thresholds, oracles.naive_read_thresholds,
                    lambda read: list(zip(read[0], read[1].tolist(), read[2].tolist()))),
     "attributes": (io.read_attributes, oracles.naive_read_attributes, _attribute_rows),

@@ -156,7 +156,7 @@ def test_run_matches_oracle_and_every_whole_graph_run(case):
 
     choices = [2.5, 3.0, 5.0, 10.0, 14.0]
     durations = {node: float(rng.choice(choices)) for node in graph.nodes}
-    fit = fit_thresholds(build_fit_problem(graph, durations),
+    fit = fit_thresholds(build_fit_problem(graph, tuple(durations), list(durations.values())),
                          GaConfig(population_size=4, max_iterations=3, rng_seed=1))
     fitted = fit.thresholds
     assert fit.weeks.tolist() == diffusion.DiffusionKernel(graph).run(fitted).tolist()
@@ -179,7 +179,7 @@ def test_chunked_fit_losses_match_naive_loss(case):
     graph, columns, chunk, rng = case
     choices = [2.5, 3.0, 3.5, 4.0, 5.0, 7.0, 10.0, 13.5, 14.0]
     durations = {node: float(rng.choice(choices)) for node in graph.nodes}
-    problem = build_fit_problem(graph, durations)
+    problem = build_fit_problem(graph, tuple(durations), list(durations.values()))
     values = grid_thresholds(graph, rng, columns)
     values[problem.seed_mask] = 0.0
     with chunked(chunk):
@@ -240,7 +240,7 @@ def test_star_of_degree_300_matches_oracle():
     # fit: 270 leaves are seeds; the other leaves recover only after the hub
     durations = {leaf: 2.5 if i < 270 else 5.0 for i, leaf in enumerate(leaves)}
     durations["c"] = 4.0
-    problem = build_fit_problem(graph, durations)
+    problem = build_fit_problem(graph, tuple(durations), list(durations.values()))
     values = np.ones((graph.n, taus.size))
     values[0] = taus
     values[problem.seed_mask] = 0.0

@@ -51,6 +51,24 @@ def test_setting_difference_differs(tmp_path):
         "differs: brute_force/manifest.json")
 
 
+def test_settings_keys_only_difference_is_labelled(tmp_path):
+    """Manifests that differ only in added or removed settings keys, as a
+    new option row makes them, get a line of their own naming the keys."""
+    old = manifest(tmp_path, "old")
+    new = manifest(tmp_path, "new", settings={"objective": "recovered", "init": "random"})
+    assert same_outputs.difference(old, new, "fit/manifest.json") == (
+        'settings differ: fit/manifest.json: added ["init", "objective"], removed []')
+    assert same_outputs.difference(new, old, "fit/manifest.json") == (
+        'settings differ: fit/manifest.json: added [], removed ["init", "objective"]')
+    # a changed value of a shared key, or a change outside the settings, is
+    # a plain difference even beside an added key
+    for name, timing, settings in (("value", (), {"init": "random", "sizes": [1, 2]}),
+                                   ("rows", {"rows_scored": {"1": 41}}, {"init": "random"})):
+        other = manifest(tmp_path, name, settings=settings, timing=timing)
+        assert same_outputs.difference(old, other, "fit/manifest.json") == (
+            "differs: fit/manifest.json")
+
+
 def test_width_only_difference_is_labelled(tmp_path):
     """Manifests that differ only in kernel_calls and columns_per_call get a
     line of their own, with both width maps."""

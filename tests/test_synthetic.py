@@ -18,10 +18,6 @@ from recovnet.errors import ConfigError
 from recovnet.synthetic import SEED_DURATION_WEEKS
 
 
-def durations_in_graph_order(instance):
-    return [instance.durations[n] for n in instance.graph.nodes]
-
-
 class TestSynthSpec:
     def test_zero_seed_fraction_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -79,13 +75,13 @@ class TestGenerateInstance:
                       threshold_high=0.6, rng_seed=0)
         )
         assert instance.weeks.all()  # precondition: no capped nodes
-        empirical = durations_to_weeks(durations_in_graph_order(instance))
+        empirical = durations_to_weeks(instance.durations)
         assert np.array_equal(empirical, instance.weeks)
 
     def test_planted_fit_loss_is_zero(self):
         instance = generate_instance(SynthSpec(node_count=36, rng_seed=1))
         assert instance.weeks.all()
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         planted = instance.thresholds[~instance.seed_mask]
         assert problem.losses(planted[None])[0] == 0
 
@@ -97,18 +93,20 @@ class TestGenerateInstance:
         )
         capped = int(np.count_nonzero(instance.weeks == 0))
         assert capped > 0
-        problem = build_fit_problem(instance.graph, instance.durations)
+        problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         planted = instance.thresholds[~instance.seed_mask]
         assert problem.losses(planted[None])[0] == capped
 
     def test_all_seeds_recover_at_first_update(self):
         instance = generate_instance(SynthSpec(node_count=9, seed_fraction=1.0, rng_seed=2))
-        assert all(v == SEED_DURATION_WEEKS for v in instance.durations.values())
+        assert instance.durations.shape == (9,)
+        assert np.all(instance.durations == SEED_DURATION_WEEKS)
         assert np.all(instance.weeks == 12)  # recovered in weeks 3..14
 
     def test_durations_within_bounds_and_seed_convention(self):
         instance = generate_instance(SynthSpec(node_count=49, rng_seed=5))
-        values = np.array(durations_in_graph_order(instance))
+        values = instance.durations
+        assert values.dtype == np.float64 and values.shape == (instance.graph.n,)
         assert np.all(values > 0) and np.all(values <= 14)
         seeds = instance.seed_mask
         assert np.all(values[seeds] == SEED_DURATION_WEEKS)
@@ -120,7 +118,7 @@ class TestGenerateInstance:
         a = generate_instance(spec)
         b = generate_instance(spec)
         assert a.graph.edges == b.graph.edges
-        assert a.durations == b.durations
+        assert np.array_equal(a.durations, b.durations)
         assert np.array_equal(a.thresholds, b.thresholds)
         assert a.attributes.keys() == b.attributes.keys()
         for name, column in a.attributes.items():
@@ -130,7 +128,7 @@ class TestGenerateInstance:
     def test_different_seeds_differ(self):
         a = generate_instance(SynthSpec(node_count=30, rng_seed=0))
         b = generate_instance(SynthSpec(node_count=30, rng_seed=1))
-        assert a.durations != b.durations
+        assert not np.array_equal(a.durations, b.durations)
 
 
 class TestAttributeCoupling:
@@ -185,7 +183,9 @@ class TestWriteInstance:
 
         graph = io.read_edge_list(tmp_path / "edges.csv")
         assert set(graph.edges) == set(instance.graph.edges)
-        assert io.read_durations(tmp_path / "durations.csv") == instance.durations
+        ids, durations = io.read_durations(tmp_path / "durations.csv")
+        assert ids == instance.graph.nodes
+        assert np.array_equal(durations, instance.durations)
         ids, values, seed_mask = io.read_thresholds(tmp_path / "planted_thresholds.csv")
         assert ids == instance.graph.nodes
         assert np.array_equal(values, instance.thresholds)

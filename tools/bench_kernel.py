@@ -78,6 +78,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io as stdio
 import itertools
 import json
@@ -180,39 +181,37 @@ def synth(tree, workload, out: Path) -> Path:
     return out
 
 
-def thresholds_for(tree, graph, values: np.ndarray, seed_mask: np.ndarray):
-    """Node-order thresholds in the form tree's MultiplierProblem takes: a
-    ThresholdVector on a tree that still defines one, else the array."""
-    if hasattr(tree, "ThresholdVector"):
-        return tree.ThresholdVector(graph.nodes, values, seed_mask)
-    return values
+def durations_for(tree, durations: dict) -> tuple:
+    """Durations (id -> weeks) as the arguments after the graph that tree's
+    build_fit_problem takes: the dict itself on a tree from before durations
+    travelled as ids and values, else the ids and the values."""
+    if "ids" not in inspect.signature(tree.build_fit_problem).parameters:
+        return (durations,)
+    return tuple(durations), np.array(list(durations.values()))
 
 
 def instance(tree, directory: Path):
-    """The graph, durations, planted thresholds and seed mask (both in node
-    order) synth wrote; the thresholds are read by perfbench's reader, which
-    neither tree's form changes."""
+    """The graph, the durations (as durations_for gives them) and the planted
+    thresholds (in node order) synth wrote; the tables are read by
+    perfbench's readers, which neither tree's form changes."""
     graph = tree.io.read_edge_list(directory / "edges.csv")
-    planted, seeds = reference.read_thresholds(directory / "planted_thresholds.csv")
-    return (graph, tree.io.read_durations(directory / "durations.csv"),
-            np.array([planted[n] for n in graph.nodes]),
-            np.array([n in seeds for n in graph.nodes]))
+    planted, _ = reference.read_thresholds(directory / "planted_thresholds.csv")
+    return (graph, durations_for(tree, reference.read_durations(directory / "durations.csv")),
+            np.array([planted[n] for n in graph.nodes]))
 
 
 def build(tree, paper: Path, small: Path) -> SimpleNamespace:
     """What the in-process entries call, built by one tree from the inputs."""
-    graph, durations, planted, seeds = instance(tree, paper)
-    problem = tree.build_fit_problem(graph, durations)
+    graph, durations, planted = instance(tree, paper)
+    problem = tree.build_fit_problem(graph, *durations)
     drawn = np.zeros(graph.n)
     drawn[problem.free_indices] = np.random.default_rng(1).random(problem.free_count)
-    small_graph, _, small_planted, small_seeds = instance(tree, small)
+    small_graph, _, small_planted = instance(tree, small)
     return SimpleNamespace(
         tree=tree, graph=graph, durations=durations, problem=problem, planted=planted,
-        multipliers=tree.MultiplierProblem(graph, thresholds_for(tree, graph, planted, seeds)),
-        stage2={"paper": tree.MultiplierProblem(
-                    graph, thresholds_for(tree, graph, drawn, problem.seed_mask)),
-                "small": tree.MultiplierProblem(small_graph, thresholds_for(
-                    tree, small_graph, small_planted, small_seeds))})
+        multipliers=tree.MultiplierProblem(graph, planted),
+        stage2={"paper": tree.MultiplierProblem(graph, drawn),
+                "small": tree.MultiplierProblem(small_graph, small_planted)})
 
 
 def kernel_entries(sides: dict, paper: Path, repeats: int) -> dict:
@@ -297,7 +296,8 @@ def baseline_n4000(sides: dict, edges: Path, durations: dict) -> dict:
     that the trees agree on the losses."""
     with warnings.catch_warnings():  # its seeds recover in other weeks than week 3
         warnings.simplefilter("ignore", UserWarning)
-        problems = {side: s.tree.build_fit_problem(s.tree.io.read_edge_list(edges), durations)
+        problems = {side: s.tree.build_fit_problem(s.tree.io.read_edge_list(edges),
+                                                   *durations_for(s.tree, durations))
                     for side, s in sides.items()}
 
     def baseline(side):
@@ -433,7 +433,7 @@ def paper_budget(sides: dict) -> dict:
     def run(side: str) -> None:
         s, tree = sides[side], sides[side].tree
         start = time.perf_counter()
-        fit = tree.fit_thresholds(tree.build_fit_problem(s.graph, s.durations), tree.GaConfig(
+        fit = tree.fit_thresholds(tree.build_fit_problem(s.graph, *s.durations), tree.GaConfig(
             population_size=10, max_iterations=10_000, rng_seed=SEED))
         fitted = time.perf_counter()
         problem, sizes = tree.MultiplierProblem(s.graph, fit.thresholds), default_sizes(s.graph.n)

@@ -23,8 +23,10 @@ stage whose exit code or stdout differs, and every failed stage; it exits 1
 if there is any, else 0. Two manifests that differ only in the kernel's call
 widths (WIDTH_FIELDS) are printed on a ``call widths differ`` line with both
 ``columns_per_call`` maps, so that a change of chunking reads apart from a
-changed result; it still counts as a difference. Nothing under
-``perfbench/`` is changed.
+changed result; two that differ only in added or removed ``settings`` keys
+(a new option, say) are printed on a ``settings differ`` line with those
+keys. Either still counts as a difference. Nothing under ``perfbench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -101,12 +103,22 @@ def comparable(path: Path, ignored: frozenset = frozenset()) -> bytes:
 
 def difference(old: Path, new: Path, name: str) -> Optional[str]:
     """None if the two files compare equal; else the line that reports
-    them: ``call widths differ`` with both ``columns_per_call`` maps when
-    they are manifests that differ only in WIDTH_FIELDS, else ``differs``."""
+    them. For manifests that differ only in added or removed ``settings``
+    keys, that is ``settings differ`` with the keys; for manifests that
+    differ only in WIDTH_FIELDS, ``call widths differ`` with both
+    ``columns_per_call`` maps; else ``differs``."""
     if comparable(old) == comparable(new):
         return None
-    if old.name == "manifest.json" and (comparable(old, WIDTH_FIELDS)
-                                        == comparable(new, WIDTH_FIELDS)):
+    if old.name != "manifest.json":
+        return f"differs: {name}"
+    old_doc, new_doc = (json.loads(comparable(path)) for path in (old, new))
+    old_settings, new_settings = old_doc.pop("settings", {}), new_doc.pop("settings", {})
+    shared = old_settings.keys() & new_settings.keys()
+    if old_doc == new_doc and all(old_settings[key] == new_settings[key] for key in shared):
+        added = json.dumps(sorted(new_settings.keys() - shared))
+        removed = json.dumps(sorted(old_settings.keys() - shared))
+        return f"settings differ: {name}: added {added}, removed {removed}"
+    if comparable(old, WIDTH_FIELDS) == comparable(new, WIDTH_FIELDS):
         old_map, new_map = (
             json.dumps(json.loads(path.read_bytes()).get("timing", {}).get("columns_per_call"))
             for path in (old, new))
