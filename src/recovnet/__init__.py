@@ -20,8 +20,7 @@ _HOMES = {
     "empirical": ("compute_recovery_durations", "durations_to_weeks", "zero_one_loss"),
     "errors": ("ConfigError", "DataError", "RecovnetError"),
     "fitting": (
-        "BaselineStats", "FitProblem", "FitResult", "build_fit_problem", "fit_thresholds",
-        "random_baseline",
+        "FitProblem", "FitResult", "build_fit_problem", "fit_thresholds", "random_baseline",
     ),
     "ga": (
         "GaConfig", "GaResult", "RealVectorEncoding", "SubsetEncoding", "performance_index",

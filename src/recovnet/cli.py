@@ -449,8 +449,7 @@ def cmd_fit(s: argparse.Namespace) -> dict:
         "generation_stats_file": "generations.csv",
     }
     if s.baseline_runs > 0:
-        baseline = random_baseline(problem, s.baseline_runs, rng_seed=s.rng_seed)
-        report["baseline"] = {"mean": baseline.mean, "std": baseline.std, "runs": baseline.runs}
+        report["baseline"], _ = random_baseline(problem, s.baseline_runs, rng_seed=s.rng_seed)
     io.write_json(report, out / "fit_report.json")
 
     # wall-clock figures stay out of the deterministic tables
@@ -465,12 +464,12 @@ def cmd_fit(s: argparse.Namespace) -> dict:
 
 def cmd_baseline(s: argparse.Namespace) -> None:
     from .fitting import random_baseline
-    stats = random_baseline(_fit_problem(s), s.runs, rng_seed=s.rng_seed)
+    summary, losses = random_baseline(_fit_problem(s), s.runs, rng_seed=s.rng_seed)
     out = Path(s.out)
-    io.write_json({"mean": stats.mean, "std": stats.std, "runs": stats.runs}, out / "baseline.json")
+    io.write_json(summary, out / "baseline.json")
     io.write_table(out / "baseline_losses.csv", ["run", "loss"],
-                   ([i, int(loss)] for i, loss in enumerate(stats.losses)))
-    print(f"baseline loss over {stats.runs} runs: mean {stats.mean:.3f}, std {stats.std:.3f}")
+                   ([i, int(loss)] for i, loss in enumerate(losses)))
+    print("baseline loss over {runs} runs: mean {mean:.3f}, std {std:.3f}".format(**summary))
 
 
 def cmd_multipliers(s: argparse.Namespace) -> dict:
@@ -635,12 +634,9 @@ def cmd_analyze(s: argparse.Namespace) -> None:
             ([size, group, attribute, *_summary_cells(st)]
              for size, group, attribute, st in comparison),
         )
-        io.write_table(
-            out / "increment_rates.csv",
-            ["size", "recovered_with", "recovered_without", "increment_rate_pct"],
-            ([len(r.members), r.recovered_with, r.recovered_without,
-              "" if r.increment_rate is None else repr(r.increment_rate)] for r, _ in results),
-        )
+        io.write_table(out / "increment_rates.csv",
+                       ["size", "recovered_with", "recovered_without", "increment_rate_pct"],
+                       (cells for cells, _ in results))
         report["multiplier_comparison_file"] = "multiplier_attributes.csv"
 
     io.write_json(report, out / "analysis_report.json")

@@ -72,16 +72,6 @@ class FitResult:
     weeks: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineStats:
-    """Loss of repeated uniform-random threshold draws."""
-
-    mean: float
-    std: float
-    runs: int
-    losses: np.ndarray
-
-
 def build_fit_problem(
     graph: SpatialGraph,
     ids: Sequence[str],
@@ -144,9 +134,10 @@ def fit_thresholds(problem: FitProblem, config: GaConfig) -> FitResult:
     return FitResult(thresholds=thresholds, final_loss=final_loss, ga_result=result, weeks=weeks)
 
 
-def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> BaselineStats:
+def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> tuple[dict, np.ndarray]:
     """Loss distribution of uniform-random thresholds on the free nodes,
-    drawn and simulated one kernel call at a time."""
+    drawn and simulated one kernel call at a time: the {"mean", "std",
+    "runs"} summary that the baseline files hold, and each run's loss."""
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     rng = np.random.default_rng(rng_seed)
@@ -157,4 +148,4 @@ def random_baseline(problem: FitProblem, runs: int, rng_seed: int = 0) -> Baseli
         problem._loss,
     ).astype(np.float64)
     std = float(arr.std(ddof=1)) if runs > 1 else 0.0
-    return BaselineStats(mean=float(arr.mean()), std=std, runs=runs, losses=arr)
+    return {"mean": float(arr.mean()), "std": std, "runs": runs}, arr

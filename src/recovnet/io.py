@@ -749,45 +749,47 @@ MULTIPLIER_SUMMARY_HEADER = [
 ]
 
 
+def _rate_cell(rate: Optional[float]) -> str:
+    """The rate cell of both multiplier summaries: blank when undefined."""
+    return "" if rate is None else repr(rate)
+
+
 def write_multiplier_summary(
     results: Iterable[tuple[str, MultiplierResult]], path: str | Path
 ) -> None:
     """One row per (method, result), its size being the set's size."""
     write_table(path, MULTIPLIER_SUMMARY_HEADER, (
         [len(result.members), method, result.recovered_with, result.recovered_without,
-         "" if result.increment_rate is None else repr(result.increment_rate)]
+         _rate_cell(result.increment_rate)]
         for method, result in results
     ))
 
 
 def read_multiplier_results(
     directory: str | Path, nodes: Sequence[str]
-) -> list[tuple[SimpleNamespace, np.ndarray]]:
+) -> list[tuple[tuple, np.ndarray]]:
     """The results of a multipliers run over the given nodes: each
-    multipliers_summary.csv row as a record of MultiplierResult's fields
-    members, recovered_with, recovered_without and increment_rate, the
-    members read from its multipliers_N<size>.csv set, with their positions
-    in node order. Members keep the set file's order; the set file must
-    list every node once and no other id. The summary's cells are checked
-    before any set file is read."""
+    multipliers_summary.csv row as the cells increment_rates.csv holds
+    (size, recovered_with, recovered_without and the rate cell), with the
+    positions in node order of the nodes its multipliers_N<size>.csv set
+    selects, in the set file's order. The set file must list every node
+    once and no other id, and select size nodes. The summary's cells are
+    checked before any set file is read."""
     directory = Path(directory)
     path = directory / "multipliers_summary.csv"
     columns, short = _read_columns(path, MULTIPLIER_SUMMARY_HEADER)
     parsed = [_parsed(columns[k], _parse_int, object, k) for k in (0, 2, 3)] + [_parsed(
-        columns[4], lambda text: _parse_float(text.strip()) if text.strip() else None, object, 4)]
+        columns[4], lambda text: _rate_cell(_parse_float(text.strip()) if text.strip() else None),
+        object, 4)]
     _raise_first(path, "summary", [fault for _, fault in parsed], short)
     results = []
-    for i, (size, recovered_with, recovered_without, rate) in enumerate(
-            zip(*(values.tolist() for values, _ in parsed))):
+    for i, (size, *counts) in enumerate(zip(*(values.tolist() for values, _ in parsed))):
         set_path = directory / f"multipliers_N{size}.csv"
         ids, selected = read_multiplier_set(set_path)
-        members = tuple(node for node, chosen in zip(ids, selected) if chosen)
-        if len(members) != size:
-            raise DataError(f"{set_path}: {len(members)} nodes selected, "
+        count = np.count_nonzero(selected)
+        if count != size:
+            raise DataError(f"{set_path}: {count} nodes selected, "
                             f"row {_data_row(path, i)!r} says {size}")
         # align_rows maps node order to file rows; its inverse maps file rows to nodes
-        positions = np.argsort(align_rows(ids, nodes, set_path))[selected]
-        results.append((SimpleNamespace(members=members, recovered_with=recovered_with,
-                                        recovered_without=recovered_without,
-                                        increment_rate=rate), positions))
+        results.append(((size, *counts), np.argsort(align_rows(ids, nodes, set_path))[selected]))
     return results

@@ -77,3 +77,20 @@ def test_tree_with_a_durations_mapping_gets_the_dict():
     ids, values = bench_kernel.durations_for(recovnet, durations)
     assert ids == ("b", "a")
     assert values.dtype == np.float64 and values.tolist() == [5.0, 2.5]
+
+
+def test_baseline_losses_from_either_return_form(directories):
+    """This tree's random_baseline returns (summary, losses); a tree from
+    before that returns an object whose losses attribute holds them."""
+    s = bench_kernel.build(recovnet, *directories)
+    losses = bench_kernel.baseline_losses(recovnet, s.problem, 7)
+    _, expected = recovnet.random_baseline(s.problem, 7, rng_seed=bench_kernel.SEED)
+    assert np.array_equal(losses, expected)
+
+    def random_baseline(problem, runs, rng_seed=0):
+        """The stats-object form."""
+        assert (problem, runs, rng_seed) == (s.problem, 7, bench_kernel.SEED)
+        return SimpleNamespace(mean=float(expected.mean()), std=0.0, runs=runs, losses=expected)
+
+    tree = SimpleNamespace(random_baseline=random_baseline)
+    assert bench_kernel.baseline_losses(tree, s.problem, 7) is expected

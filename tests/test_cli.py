@@ -485,7 +485,7 @@ class TestPoolAndGeometry:
             "dropped default sizes 3, larger than the 'unrecovered' candidate pool's 2 nodes\n"
         )
         nodes = io.read_edge_list(tmp_path / "edges.csv").nodes
-        assert [len(r.members) for r, _ in io.read_multiplier_results(out, nodes)] == [1]
+        assert [cells[0] for cells, _ in io.read_multiplier_results(out, nodes)] == [1]
         assert json.loads((out / "manifest.json").read_text())["settings"]["sizes"] == [1]
         assert not (out / "multipliers_N3.csv").exists()
 
@@ -1912,13 +1912,38 @@ class TestRunDirectoryInputs:
     def test_summary_round_trip(self, tmp_path, instance_dir, mult_dir):
         nodes = io.read_edge_list(instance_dir / "edges.csv").nodes
         results = io.read_multiplier_results(mult_dir, nodes)
-        assert [len(r.members) for r, _ in results] == [1, 2]
-        for result, positions in results:
-            assert tuple(nodes[i] for i in positions) == result.members
-        io.write_multiplier_summary([("brute-force", r) for r, _ in results],
-                                    tmp_path / "summary.csv")
-        assert (tmp_path / "summary.csv").read_bytes() == (
-            mult_dir / "multipliers_summary.csv").read_bytes()
+        assert [cells[0] for cells, _ in results] == [1, 2]
+        for (size, *_), positions in results:
+            ids, selected = io.read_multiplier_set(mult_dir / f"multipliers_N{size}.csv")
+            assert [nodes[i] for i in positions] == [
+                node for node, chosen in zip(ids, selected) if chosen]
+        # the rows, less the method column, give back the summary's bytes
+        lines = (mult_dir / "multipliers_summary.csv").read_text().splitlines()
+        io.write_table(tmp_path / "summary.csv", ["size", *lines[0].split(",")[2:]],
+                       (cells for cells, _ in results))
+        assert (tmp_path / "summary.csv").read_text().splitlines() == [
+            ",".join(line.split(",")[:1] + line.split(",")[2:]) for line in lines]
+
+    def test_undefined_increment_rate_end_to_end(self, tmp_path):
+        """Nothing recovers unforced when every threshold is 1 and no node is
+        a seed, so each rate cell is blank in both summaries."""
+        instance = tmp_path / "instance"
+        assert run("synth", "--nodes", 30, "--rng-seed", 3, "--out", instance) == 0
+        ids, _, _ = io.read_thresholds(instance / "planted_thresholds.csv")
+        thresholds = tmp_path / "ones.csv"
+        io.write_thresholds(ids, np.ones(len(ids)), np.zeros(len(ids), bool), thresholds)
+        mult = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance / "edges.csv", "--thresholds", thresholds,
+                   "--sizes", "1,2", "--max-iterations", 3, "--out", mult) == 0
+        summary = (mult / "multipliers_summary.csv").read_text().splitlines()
+        assert summary[1:] == ["1,ga,1,0,", "2,ga,2,0,"]
+        out = tmp_path / "analysis"
+        assert run("analyze", "--thresholds", thresholds,
+                   "--attributes", instance / "attributes.csv",
+                   "--multipliers-dir", mult, "--out", out) == 0
+        rates = (out / "increment_rates.csv").read_text().splitlines()
+        assert rates[1:] == ["1,1,0,", "2,2,0,"]
+        assert rates == [",".join(line.split(",")[:1] + line.split(",")[2:]) for line in summary]
 
     def test_durations_for_absent_nodes(self, tmp_path, instance_dir, capsys):
         path = instance_dir / "durations.csv"

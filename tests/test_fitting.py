@@ -155,31 +155,32 @@ class TestFitThresholds:
 class TestRandomBaseline:
     def test_degenerate_all_seed_problem(self, path_graph):
         problem = build_fit_problem(path_graph, ABC, [2.5, 2.5, 2.5])
-        stats = random_baseline(problem, runs=10, rng_seed=0)
-        assert stats.mean == 0.0
-        assert stats.std == 0.0
+        summary, losses = random_baseline(problem, runs=10, rng_seed=0)
+        assert summary == {"mean": 0.0, "std": 0.0, "runs": 10}
+        assert losses.dtype == np.float64 and losses.tolist() == [0.0] * 10
 
     def test_self_consistent_across_seeds(self):
         instance = generate_instance(SynthSpec(node_count=50, rng_seed=7))
         problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
-        a = random_baseline(problem, runs=1000, rng_seed=1)
-        b = random_baseline(problem, runs=1000, rng_seed=2)
-        stderr = max(a.std, b.std) / np.sqrt(1000)
-        assert abs(a.mean - b.mean) <= 3 * stderr
+        a, _ = random_baseline(problem, runs=1000, rng_seed=1)
+        b, _ = random_baseline(problem, runs=1000, rng_seed=2)
+        stderr = max(a["std"], b["std"]) / np.sqrt(1000)
+        assert abs(a["mean"] - b["mean"]) <= 3 * stderr
 
     def test_deterministic_per_seed(self, path_problem):
         a = random_baseline(path_problem, runs=50, rng_seed=9)
         b = random_baseline(path_problem, runs=50, rng_seed=9)
-        assert np.array_equal(a.losses, b.losses)
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_chunked_draws_equal_one_draw(self):
         instance = generate_instance(SynthSpec(node_count=400, rng_seed=4))
         problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
         columns = problem.kernel.chunk_columns()  # per kernel call
         for runs in (1, 5 * columns // 2):  # one run, 2.5 calls
-            stats = random_baseline(problem, runs=runs, rng_seed=5)
+            summary, losses = random_baseline(problem, runs=runs, rng_seed=5)
             draw = np.random.default_rng(5).random((runs, problem.free_count))
-            assert np.array_equal(stats.losses, problem.losses(draw))
+            assert np.array_equal(losses, problem.losses(draw))
+            assert summary["mean"] == losses.mean() and summary["runs"] == runs
 
     @pytest.mark.parametrize("nodes,runs,calls", [
         (2010, 1000, {32: 30, 40: 1}),  # CHUNK_CELLS // n is 32; 8 left over
@@ -197,10 +198,10 @@ class TestRandomBaseline:
         had before the 32-column floor."""
         instance = generate_instance(SynthSpec(node_count=2010, rng_seed=1))
         problem = build_fit_problem(instance.graph, instance.graph.nodes, instance.durations)
-        expected = random_baseline(problem, runs=200, rng_seed=3).losses
+        _, expected = random_baseline(problem, runs=200, rng_seed=3)
         for chunk in (1, 7, 65, 200):
             with chunked(chunk):
-                losses = random_baseline(problem, runs=200, rng_seed=3).losses
+                _, losses = random_baseline(problem, runs=200, rng_seed=3)
             assert np.array_equal(losses, expected), chunk
 
     def test_zero_runs_rejected(self, path_problem):

@@ -1099,9 +1099,9 @@ class TestWriters:
             "size,method,recovered_with,recovered_without,increment_rate_pct\n2,ga,3,1,200.0\n"
         )
         nodes = ("d", "c", "a", "b")
-        [(result, positions)] = io.read_multiplier_results(tmp_path, nodes)
-        assert result.members == ("b", "d")  # the set file's order
-        assert positions.tolist() == [3, 0]
+        [(cells, positions)] = io.read_multiplier_results(tmp_path, nodes)
+        assert cells == (2, 3, 1, "200.0")
+        assert positions.tolist() == [3, 0]  # b and d, the set file's order
         with pytest.raises(DataError, match=r"multipliers_N2.csv: no row for 1 of the 5 nodes: e$"):
             io.read_multiplier_results(tmp_path, nodes + ("e",))
 

@@ -190,6 +190,14 @@ def durations_for(tree, durations: dict) -> tuple:
     return tuple(durations), np.array(list(durations.values()))
 
 
+def baseline_losses(tree, problem, runs: int) -> np.ndarray:
+    """tree's random_baseline losses at SEED: the second item of the
+    (summary, losses) pair, or the losses of the stats object that a tree
+    from before that pair returns."""
+    result = tree.random_baseline(problem, runs, rng_seed=SEED)
+    return result[1] if isinstance(result, tuple) else result.losses
+
+
 def instance(tree, directory: Path):
     """The graph, the durations (as durations_for gives them) and the planted
     thresholds (in node order) synth wrote; the tables are read by
@@ -276,8 +284,7 @@ def scoring_sites(sides: dict) -> dict:
     """random_baseline at paper-scale and brute force at small-exact, after
     checking that the trees agree on the losses and on the chosen sets."""
     def baseline(side):
-        s = sides[side]
-        return s.tree.random_baseline(s.problem, PaperScale.baseline_runs, rng_seed=SEED).losses
+        return baseline_losses(sides[side].tree, sides[side].problem, PaperScale.baseline_runs)
 
     def brute_force(side):
         s = sides[side]
@@ -301,8 +308,7 @@ def baseline_n4000(sides: dict, edges: Path, durations: dict) -> dict:
                     for side, s in sides.items()}
 
     def baseline(side):
-        return sides[side].tree.random_baseline(
-            problems[side], IngestLarge.baseline_runs, rng_seed=SEED).losses
+        return baseline_losses(sides[side].tree, problems[side], IngestLarge.baseline_runs)
 
     expect(np.array_equal(baseline("old"), baseline("new")), "baseline_n4000: losses differ")
     return timed(baseline, SCORING_PAIRS)
