@@ -473,12 +473,7 @@ def cmd_baseline(s: argparse.Namespace) -> None:
 
 
 def cmd_multipliers(s: argparse.Namespace) -> dict:
-    from .multipliers import (
-        MultiplierProblem,
-        brute_force_multipliers,
-        check_enumeration_cap,
-        search_multipliers,
-    )
+    from .multipliers import MultiplierProblem, brute_force_multipliers, search_multipliers
     config = _ga_config(s)  # checked, as the manifest records it, even for --brute-force
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked before any read
     graph = _load_graph(s)
@@ -505,19 +500,12 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
             raise ConfigError(f"every default size exceeds {pool}; give --sizes")
     if max(s.sizes) > pool_size:
         raise ConfigError(f"sizes must be at most {pool}, got {max(s.sizes)}")
-    if s.brute_force:
-        for size in s.sizes:
-            check_enumeration_cap(pool_size, size, s.enumeration_cap)
 
     out = Path(s.out)
+    method = "brute-force" if s.brute_force else "ga"
     start = time.perf_counter()
-    if s.brute_force:
-        method = "brute-force"
-        results = [brute_force_multipliers(problem, size, candidate_pool, s.enumeration_cap)
-                   for size in s.sizes]
-    else:
-        method = "ga"
-        results = search_multipliers(problem, s.sizes, config, candidate_pool)
+    results = (brute_force_multipliers(problem, s.sizes, candidate_pool, s.enumeration_cap)
+               if s.brute_force else search_multipliers(problem, s.sizes, config, candidate_pool))
     # wall-clock figures stay out of the deterministic tables
     timing = {
         "search_seconds": time.perf_counter() - start,
@@ -544,8 +532,7 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
 
     if s.geometry:  # after the searches, so that one parse serves every copy
         io.annotate_feature_collection(s.geometry, copies)
-    io.write_multiplier_summary([(method, result) for result in results],
-                                out / "multipliers_summary.csv")
+    io.write_multiplier_summary(method, results, out / "multipliers_summary.csv")
     return {"timing": timing}
 
 

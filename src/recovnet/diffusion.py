@@ -160,6 +160,8 @@ class DiffusionKernel:
         need) and initial states, as weeks_recovered takes them. A last
         call of fewer than half as many columns joins the one before it: a
         week costs a 4-column call about two thirds of a 32-column one."""
+        if columns == 0:
+            return reduce(np.zeros((self.order.size, 0), self.weeks_dtype))
         size = self.chunk_columns()
         bounds = list(range(0, columns, size))
         if len(bounds) > 1 and columns - bounds[-1] < size // 2:

@@ -755,13 +755,13 @@ def _rate_cell(rate: Optional[float]) -> str:
 
 
 def write_multiplier_summary(
-    results: Iterable[tuple[str, MultiplierResult]], path: str | Path
+    method: str, results: Iterable[MultiplierResult], path: str | Path
 ) -> None:
-    """One row per (method, result), its size being the set's size."""
+    """One row per result of the search method, its size the set's size."""
     write_table(path, MULTIPLIER_SUMMARY_HEADER, (
         [len(result.members), method, result.recovered_with, result.recovered_without,
          _rate_cell(result.increment_rate)]
-        for method, result in results
+        for result in results
     ))
 
 

@@ -1,8 +1,9 @@
 """Stage-2 optimization: find the fixed-size node set whose forced recovery
 at week 0 maximizes the number of recovered nodes at the horizon.
 
-Includes an exhaustive enumerator usable as an exact oracle whenever the
-candidate space is small enough.
+Both searches, the GA and an exhaustive enumerator (an exact oracle while
+every size's subset count fits the enumeration cap), take (problem, sizes,
+..., pool) and give one result per size.
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ def _pool(problem: MultiplierProblem, sizes: Sequence[int],
     return pool
 
 
-def check_enumeration_cap(pool_size: int, size: int, enumeration_cap: int) -> None:
-    """Reject enumerating more than enumeration_cap size-subsets of the pool."""
-    total = math.comb(pool_size, size)
-    if total > enumeration_cap:
-        raise ConfigError(f"{total} candidate subsets exceed the enumeration cap {enumeration_cap}")
-
-
 def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with: int,
             ga_result: Optional[GaResult]) -> MultiplierResult:
     without = problem.recovered_without
@@ -170,17 +164,26 @@ def search_multipliers(
 
 
 def brute_force_multipliers(
-    problem: MultiplierProblem, size: int, pool: Optional[Sequence[str]] = None,
+    problem: MultiplierProblem, sizes: Sequence[int], pool: Optional[Sequence[str]] = None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MultiplierResult:
-    """Exact maximizer over the size-node subsets of the candidate pool
-    (every node by default) by exhaustive enumeration, ties broken by taking
-    the lexicographically first subset of the sorted pool.
+) -> list[MultiplierResult]:
+    """For each size in turn, the exact maximizer over the size-node subsets
+    of the candidate pool (every node by default), ties broken by taking the
+    lexicographically first subset of the sorted pool. Every size's subset
+    count is checked against enumeration_cap before any is enumerated."""
+    pool_sorted = sorted(_pool(problem, sizes, pool))
+    for size in sizes:
+        total = math.comb(len(pool_sorted), size)
+        if total > enumeration_cap:
+            raise ConfigError(f"{total} candidate subsets exceed the enumeration cap "
+                              f"{enumeration_cap}")
+    return [_enumerate(problem, pool_sorted, size) for size in sizes]
 
-    Every subset is one kernel column, in enumeration order, taken from the
+
+def _enumerate(problem: MultiplierProblem, pool_sorted: list[str], size: int) -> MultiplierResult:
+    """The best size-subset of the sorted pool, by exhaustive enumeration:
+    each subset is one kernel column, in enumeration order, taken from the
     enumeration as the kernel asks for it; argmax keeps the first maximum."""
-    pool_sorted = sorted(_pool(problem, (size,), pool))
-    check_enumeration_cap(len(pool_sorted), size, enumeration_cap)
     combos = itertools.combinations([problem.graph.index[n] for n in pool_sorted], size)
 
     def inputs(lo: int, hi: int) -> tuple:

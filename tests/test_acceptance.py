@@ -148,7 +148,7 @@ def test_criterion_06_stage2_oracle_equivalence():
                   threshold_high=0.9, rng_seed=11)
     )
     problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
-    exact = brute_force_multipliers(problem, 3)
+    [exact] = brute_force_multipliers(problem, [3])
     wins = 0
     for seed in range(10):
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=seed)

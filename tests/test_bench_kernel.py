@@ -10,6 +10,7 @@ import io as stdio
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_instance_is_in_node_order(directories):
     assert planted.tolist() == values[rows].tolist()
     read_ids, read = io.read_durations(paper / "durations.csv")
     assert ids == read_ids
-    assert durations.tolist() == read.tolist()
+    assert durations.dtype == np.float64 and durations.tolist() == read.tolist()
 
 
 def test_build_gives_this_tree_arrays(directories):
@@ -64,33 +65,36 @@ def test_build_gives_this_tree_arrays(directories):
     assert s.stage2["small"].graph.n == 12
 
 
-def test_tree_with_a_durations_mapping_gets_the_dict():
-    """A tree from before durations travelled as ids and values takes the
-    mapping itself after the graph; this tree takes the ids and values."""
-    def build_fit_problem(graph, durations, seed_cutoff_weeks=2.75, schedule=None,
-                          source="durations"):
-        """The signature of the mapping form."""
-
-    durations = {"b": 5.0, "a": 2.5}
-    tree = SimpleNamespace(build_fit_problem=build_fit_problem)
-    assert bench_kernel.durations_for(tree, durations) == (durations,)
-    ids, values = bench_kernel.durations_for(recovnet, durations)
-    assert ids == ("b", "a")
-    assert values.dtype == np.float64 and values.tolist() == [5.0, 2.5]
-
-
-def test_baseline_losses_from_either_return_form(directories):
-    """This tree's random_baseline returns (summary, losses); a tree from
-    before that returns an object whose losses attribute holds them."""
+def test_baseline_losses_are_the_pairs_second_item(directories):
+    """random_baseline returns (summary, losses); the helper gives the losses."""
     s = bench_kernel.build(recovnet, *directories)
     losses = bench_kernel.baseline_losses(recovnet, s.problem, 7)
     _, expected = recovnet.random_baseline(s.problem, 7, rng_seed=bench_kernel.SEED)
     assert np.array_equal(losses, expected)
 
-    def random_baseline(problem, runs, rng_seed=0):
-        """The stats-object form."""
-        assert (problem, runs, rng_seed) == (s.problem, 7, bench_kernel.SEED)
-        return SimpleNamespace(mean=float(expected.mean()), std=0.0, runs=runs, losses=expected)
 
-    tree = SimpleNamespace(random_baseline=random_baseline)
-    assert bench_kernel.baseline_losses(tree, s.problem, 7) is expected
+def test_brute_force_results_from_either_call_form(directories):
+    """This tree's brute_force_multipliers takes every size in one call; a
+    tree from before that takes one size per call."""
+    s = bench_kernel.build(recovnet, *directories)
+    problem, sizes = s.stage2["small"], [1, 2, 3]
+    expected = [(r.members, r.recovered_with) for r in
+                recovnet.brute_force_multipliers(problem, sizes)]
+    with mock.patch.object(recovnet, "brute_force_multipliers", autospec=True,
+                           side_effect=recovnet.brute_force_multipliers) as search:
+        results = bench_kernel.brute_force_results(recovnet, problem, sizes)
+    search.assert_called_once_with(problem, sizes)
+    assert [(r.members, r.recovered_with) for r in results] == expected
+
+    asked = []
+
+    def brute_force_multipliers(problem, size, pool=None, enumeration_cap=10**6):
+        """The one-size form."""
+        asked.append(size)
+        [result] = recovnet.brute_force_multipliers(problem, [size], pool, enumeration_cap)
+        return result
+
+    tree = SimpleNamespace(brute_force_multipliers=brute_force_multipliers)
+    results = bench_kernel.brute_force_results(tree, problem, sizes)
+    assert asked == sizes
+    assert [(r.members, r.recovered_with) for r in results] == expected

@@ -126,6 +126,21 @@ def test_reduce_columns_is_one_call_in_chunks(case):
     assert kernel.calls == Counter(widths)
 
 
+def test_zero_columns_make_no_call():
+    """Scoring no rows gives a length-0 array in the dtype of a scored row,
+    through both problem types, with no kernel call."""
+    graph = graph_of(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    fit = build_fit_problem(graph, ("a", "b", "c", "d"), [2.5, 5.0, 7.0, 14.0])
+    multipliers = MultiplierProblem(graph, np.array([0.5, 0.5, 1.0, 0.0]))
+    for problem, score, width, dtype in ((fit, fit.losses, fit.free_count, np.float64),
+                                         (multipliers, multipliers.recovered, 2, np.int64)):
+        calls = Counter(problem.kernel.calls)
+        empty = score(np.zeros((0, width), dtype))
+        assert empty.shape == (0,)
+        assert problem.kernel.calls == calls
+        assert empty.dtype == score(np.zeros((1, width), dtype)).dtype
+
+
 def unforced_oracle_weeks(graph, values):
     """The oracle's recovered weeks (node order) from the all-affected start."""
     states = oracles.naive_diffusion(

@@ -27,7 +27,8 @@ def _search(search, problem, size, pool):
         [result] = search_multipliers(problem, [size], GaConfig(population_size=4,
                                                                 max_iterations=5), pool)
         return result
-    return brute_force_multipliers(problem, size, pool)
+    [result] = brute_force_multipliers(problem, [size], pool)
+    return result
 
 
 def recovered(problem, members):
@@ -98,13 +99,13 @@ class TestIncrementRate:
 
 class TestBruteForce:
     def test_singleton_tie_breaks_lexicographically(self, path_problem):
-        result = brute_force_multipliers(path_problem, 1)
+        [result] = brute_force_multipliers(path_problem, [1])
         assert result.members == ("A",)
         assert result.recovered_with == 3
 
     def test_full_pool(self, path_graph):
         problem = MultiplierProblem(graph=path_graph, thresholds=np.ones(3))
-        result = brute_force_multipliers(problem, 3)
+        [result] = brute_force_multipliers(problem, [3])
         assert result.members == ("A", "B", "C")
         assert result.recovered_with == 3
 
@@ -114,15 +115,36 @@ class TestBruteForce:
         the unforced run's one."""
         instance = generate_instance(SynthSpec(node_count=40, rng_seed=1))
         problem = MultiplierProblem(instance.graph, instance.thresholds)
-        brute_force_multipliers(problem, 3)
+        brute_force_multipliers(problem, [3])
         assert problem.kernel.calls == {1: 1, 1638: 5, 1690: 1}
 
     def test_cap_enforced(self, path_problem):
-        with pytest.raises(ConfigError, match="cap"):
-            brute_force_multipliers(path_problem, 1, enumeration_cap=2)
+        with pytest.raises(ConfigError, match="^3 candidate subsets exceed the enumeration cap 2$"):
+            brute_force_multipliers(path_problem, [1], enumeration_cap=2)
+
+    def test_every_size_in_one_call(self):
+        """One call over sizes 1-3 gives what three calls of one size give."""
+        instance = generate_instance(SynthSpec(node_count=12, rng_seed=3))
+        problem = MultiplierProblem(instance.graph, instance.thresholds)
+        results = brute_force_multipliers(problem, [1, 2, 3])
+        alone = [brute_force_multipliers(problem, [size])[0] for size in (1, 2, 3)]
+        assert [(r.members, r.recovered_with, r.recovered_without) for r in results] == [
+            (r.members, r.recovered_with, r.recovered_without) for r in alone]
+        assert [len(r.members) for r in results] == [1, 2, 3]
+
+    def test_cap_checked_for_every_size_before_any_enumeration(self):
+        """12 nodes: the 12 sets of one fit a cap of 100, the 220 of three do
+        not, so the call raises before it enumerates size 1."""
+        instance = generate_instance(SynthSpec(node_count=12, rng_seed=3))
+        problem = MultiplierProblem(instance.graph, instance.thresholds)
+        calls = dict(problem.kernel.calls)
+        message = "^220 candidate subsets exceed the enumeration cap 100$"
+        with pytest.raises(ConfigError, match=message):
+            brute_force_multipliers(problem, [1, 3], enumeration_cap=100)
+        assert problem.kernel.calls == calls
 
     def test_increment_rate_none_when_nothing_recovers_naturally(self, path_problem):
-        result = brute_force_multipliers(path_problem, 1)
+        [result] = brute_force_multipliers(path_problem, [1])
         assert result.recovered_without == 0
         assert result.increment_rate is None
 
@@ -134,7 +156,7 @@ class TestSearchMultipliers:
                       threshold_high=0.9, rng_seed=5)
         )
         problem = MultiplierProblem(graph=instance.graph, thresholds=instance.thresholds)
-        exact = brute_force_multipliers(problem, 2)
+        [exact] = brute_force_multipliers(problem, [2])
         config = GaConfig(population_size=10, max_iterations=2000, rng_seed=0)
         [searched] = search_multipliers(problem, [2], config)
         assert searched.recovered_with == exact.recovered_with
@@ -145,7 +167,8 @@ class TestSearchMultipliers:
         [result] = search_multipliers(problem, [1], config, ("B", "C"))
         assert set(result.members) <= {"B", "C"}
         # B and C tie (each recovers all three): the pool's first in sorted order wins
-        assert brute_force_multipliers(problem, 1, ("C", "B")).members == ("B",)
+        [result] = brute_force_multipliers(problem, [1], ("C", "B"))
+        assert result.members == ("B",)
 
     def test_beats_random_sets(self):
         instance = generate_instance(
@@ -260,6 +283,6 @@ class TestBruteForceChunks:
         graph, thresholds = tied_problem
         problem = MultiplierProblem(graph=graph, thresholds=thresholds)
         with chunked(chunk):
-            result = brute_force_multipliers(problem, size)
+            [result] = brute_force_multipliers(problem, [size])
         assert result.members == expected
         assert result.recovered_with == value

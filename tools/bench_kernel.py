@@ -4,8 +4,10 @@
 
 OLD_SRC holds the old ``recovnet`` package (another checkout's ``src``); the
 new tree is this checkout's ``src``, so ``tools/bench_kernel.py src`` is an
-A/A run. Each tree is loaded as a package of its own name whatever
-PYTHONPATH holds. Neither may hold a ``__pycache__`` and no bytecode is
+A/A run. OLD_SRC is this checkout's parent commit or newer: where an API
+changes, a helper here calls each tree in its own form, and that branch is
+deleted once no parent takes the older form. Each tree is loaded as a
+package of its own name whatever PYTHONPATH holds. Neither may hold a ``__pycache__`` and no bytecode is
 written, so every module compiles from source, as in the benchmark.
 
 An entry times pairs of one call per tree, alternating which goes first,
@@ -32,9 +34,10 @@ trees; every check runs for both trees before timing.
 - ``baseline_1000`` and ``brute_force_small`` (40 pairs): random_baseline
   with ``PaperScale.baseline_runs`` (1 000) runs at rng_seed 1 on the
   n = 2010 fit problem, whose losses must be equal across the trees, and
-  brute_force_multipliers for each of ``SmallExact.sizes`` on
-  ``small-exact``'s planted instance, whose members and counts must be equal
-  across the trees. ``baseline_n4000`` (40 pairs) is random_baseline with
+  brute_force_multipliers over ``SmallExact.sizes`` on ``small-exact``'s
+  planted instance (one call on a tree that takes the sizes, one per size
+  on an older one), whose members and counts must be equal across the
+  trees. ``baseline_n4000`` (40 pairs) is random_baseline with
   ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on ``ingest-large``'s
   n = 4000 queen graph and constructed durations, losses equal likewise.
 - ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
@@ -181,30 +184,35 @@ def synth(tree, workload, out: Path) -> Path:
     return out
 
 
-def durations_for(tree, durations: dict) -> tuple:
-    """Durations (id -> weeks) as the arguments after the graph that tree's
-    build_fit_problem takes: the dict itself on a tree from before durations
-    travelled as ids and values, else the ids and the values."""
-    if "ids" not in inspect.signature(tree.build_fit_problem).parameters:
-        return (durations,)
+def durations_args(durations: dict) -> tuple:
+    """Durations (id -> weeks) as the arguments after the graph that
+    build_fit_problem takes: the ids and the values."""
     return tuple(durations), np.array(list(durations.values()))
 
 
 def baseline_losses(tree, problem, runs: int) -> np.ndarray:
-    """tree's random_baseline losses at SEED: the second item of the
-    (summary, losses) pair, or the losses of the stats object that a tree
-    from before that pair returns."""
-    result = tree.random_baseline(problem, runs, rng_seed=SEED)
-    return result[1] if isinstance(result, tuple) else result.losses
+    """tree's random_baseline losses at SEED, the second item of the
+    (summary, losses) pair it returns."""
+    return tree.random_baseline(problem, runs, rng_seed=SEED)[1]
+
+
+def brute_force_results(tree, problem, sizes) -> list:
+    """tree's brute_force_multipliers results, one per size: one call on a
+    tree whose brute_force_multipliers takes the sizes, else one call per
+    size."""
+    search = tree.brute_force_multipliers
+    if "sizes" in inspect.signature(search).parameters:
+        return search(problem, sizes)
+    return [search(problem, size) for size in sizes]
 
 
 def instance(tree, directory: Path):
-    """The graph, the durations (as durations_for gives them) and the planted
+    """The graph, the durations (as durations_args gives them) and the planted
     thresholds (in node order) synth wrote; the tables are read by
     perfbench's readers, which neither tree's form changes."""
     graph = tree.io.read_edge_list(directory / "edges.csv")
     planted, _ = reference.read_thresholds(directory / "planted_thresholds.csv")
-    return (graph, durations_for(tree, reference.read_durations(directory / "durations.csv")),
+    return (graph, durations_args(reference.read_durations(directory / "durations.csv")),
             np.array([planted[n] for n in graph.nodes]))
 
 
@@ -288,8 +296,8 @@ def scoring_sites(sides: dict) -> dict:
 
     def brute_force(side):
         s = sides[side]
-        return [(result.members, result.recovered_with) for result in (
-            s.tree.brute_force_multipliers(s.stage2["small"], size) for size in SmallExact.sizes)]
+        return [(result.members, result.recovered_with) for result in
+                brute_force_results(s.tree, s.stage2["small"], SmallExact.sizes)]
 
     expect(np.array_equal(baseline("old"), baseline("new")), "baseline_1000: losses differ")
     chosen = {side: brute_force(side) for side in SIDES}
@@ -304,7 +312,7 @@ def baseline_n4000(sides: dict, edges: Path, durations: dict) -> dict:
     with warnings.catch_warnings():  # its seeds recover in other weeks than week 3
         warnings.simplefilter("ignore", UserWarning)
         problems = {side: s.tree.build_fit_problem(s.tree.io.read_edge_list(edges),
-                                                   *durations_for(s.tree, durations))
+                                                   *durations_args(durations))
                     for side, s in sides.items()}
 
     def baseline(side):
