@@ -415,13 +415,14 @@ def cmd_durations(s: argparse.Namespace) -> None:
                           f"--recovery-start {s.recovery_start}")
     visits_path = _require_file(s.visits, "visits")
 
-    series = io.read_visit_series(visits_path)
-    if not series:
+    panel = io.read_visit_series(visits_path)
+    ids = panel[0]
+    if not ids:
         raise DataError(f"{visits_path}: no visit rows")
     durations = compute_recovery_durations(
-        series, start, end, recovery, s.ratio, s.persistence_days, s.ma_halfwidth, visits_path)
-    io.write_durations(tuple(series), durations, Path(s.out) / "durations.csv")
-    print(f"computed recovery durations for {len(series)} nodes")
+        *panel, start, end, recovery, s.ratio, s.persistence_days, s.ma_halfwidth, visits_path)
+    io.write_durations(ids, durations, Path(s.out) / "durations.csv")
+    print(f"computed recovery durations for {len(ids)} nodes")
 
 
 def cmd_fit(s: argparse.Namespace) -> dict:

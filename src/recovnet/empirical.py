@@ -4,8 +4,8 @@ weeks, and the 0-1 loss against simulated recovered weeks.
 A unit counts as recovered on the first day its smoothed visit count holds
 at or above a fraction of its pre-event baseline for a run of consecutive
 days; the duration is that day expressed in weeks, capped at 14. One call
-scores a whole visits table: its units that share a first day and a series
-length share a window, and each such group is scored as one matrix.
+checks, then scores, a whole visits panel: units that share a first day and
+a series length share a window, and each such group is one gathered matrix.
 align_durations, the one range check of a duration table, puts it in node
 order. Recovery never reverts, so a node's weekly states are fixed by the
 number of weeks 1..T it spends recovered.
@@ -13,7 +13,7 @@ number of weeks 1..T it spends recovered.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,7 +57,10 @@ def moving_average(values: np.ndarray, halfwidth: int) -> np.ndarray:
 
 
 def compute_recovery_durations(
-    series: Mapping[str, tuple[int, np.ndarray]],
+    ids: Sequence[str],
+    first_days: np.ndarray,
+    indptr: np.ndarray,
+    visits: np.ndarray,
     baseline_start: int,
     baseline_end: int,
     recovery_start: int,
@@ -67,15 +70,16 @@ def compute_recovery_durations(
     source: str = "visits",
 ) -> np.ndarray:
     """Weeks until smoothed visits persist at >= ratio x baseline, capped at
-    14, for each unit of series (id -> (first day, daily visits), as
-    io.read_visit_series returns it), in mapping order. The three days are
-    absolute, as the series' first days are.
+    14, for each unit of a panel as io.read_visit_series returns it: unit i,
+    named ids[i], has first day first_days[i] and daily visits
+    visits[indptr[i]:indptr[i + 1]]. The three days are absolute, as the
+    first days are.
 
     Counts must be nonnegative, the inclusive baseline window must lie in a
     unit's series and precede recovery_start, and the series must extend 98
-    days (14 weeks) past recovery_start. A DataError names source (the
-    file) and the first unit in mapping order that breaks a rule, its counts
-    checked before its window; no group is scored once a fault is found.
+    days (14 weeks) past recovery_start. Every unit is checked before any is
+    scored: a DataError names source (the file) and the first unit in panel
+    order that breaks a rule, its counts checked before its window.
 
     The baseline is the mean over the baseline window; the smoothed series is
     a centered moving average (halfwidth days each side). Recovery is the
@@ -91,26 +95,26 @@ def compute_recovery_durations(
         raise ConfigError(f"persistence_days must be >= 1, got {persistence_days}")
     if ma_halfwidth < 0:
         raise ConfigError(f"ma_halfwidth must be >= 0, got {ma_halfwidth}")
-    units = list(series.values())
+    indptr, visits = np.asarray(indptr, dtype=np.int64), np.asarray(visits, dtype=np.float64)
     # units sharing a first day and a length share a window: one matrix each
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (first_day, visits) in enumerate(units):
-        groups.setdefault((first_day, len(visits)), []).append(i)
-    durations = np.empty(len(units))
-    first, fault = len(units), None  # the first faulty unit and the rule it breaks
-    for (first_day, length), rows in groups.items():
-        visits = np.stack([units[i][1] for i in rows]).astype(np.float64, copy=False)
-        days = (baseline_start - first_day, baseline_end - first_day, recovery_start - first_day)
-        negative = (visits < 0).any(axis=1)
-        window = _window_rule(*days, length)
-        faulty = np.flatnonzero(negative | (window is not None))
-        if faulty.size and rows[faulty[0]] < first:
-            k = faulty[0]
-            first, fault = rows[k], "visit counts must be nonnegative" if negative[k] else window
-        elif fault is None and not faulty.size:
-            durations[rows] = _scan(visits, *days, ratio, persistence_days, ma_halfwidth)
-    if fault is not None:
-        raise DataError(f"{source}: unit {list(series)[first]!r}: {fault}")
+    keys, group, counts = np.unique(np.stack([first_days, np.diff(indptr)], axis=1), axis=0,
+                                    return_inverse=True, return_counts=True)
+    group = group.reshape(-1)  # NumPy 2.0.0 shapes it n x 1
+    windows = [(baseline_start - first_day, baseline_end - first_day,
+                recovery_start - first_day, length) for first_day, length in keys.tolist()]
+    rules = [_window_rule(*window) for window in windows]
+    negatives = np.concatenate(([0], np.cumsum(visits < 0)))
+    negative = negatives[indptr[1:]] > negatives[indptr[:-1]]
+    faulty = negative | np.array([rule is not None for rule in rules], dtype=bool)[group]
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        fault = "visit counts must be nonnegative" if negative[i] else rules[group[i]]
+        raise DataError(f"{source}: unit {ids[i]!r}: {fault}")
+    durations = np.empty(len(ids))
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(counts)[:-1])
+    for (*days, length), rows in zip(windows, members):
+        durations[rows] = _scan(visits[indptr[rows, None] + np.arange(length)], *days,
+                                ratio, persistence_days, ma_halfwidth)
     return durations
 
 

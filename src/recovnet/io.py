@@ -23,7 +23,7 @@ Rows are read up to the first short row (fewer cells than the header). A
 fault is named as a row-by-row reader would name it: the first row in file
 order that breaks a rule, by the first rule it breaks in the reader's order;
 else the short row; else a fault of the whole table (a duplicate edge, a gap
-in a visit series).
+in a visit series). A visits table becomes one array, cut per unit by indptr.
 
 All writers go through an atomic write-then-rename so a failed run never
 leaves a truncated table behind.
@@ -506,10 +506,8 @@ def metrics_line(metrics: Mapping) -> str:
 
 def write_metrics(metrics: Mapping, path: str | Path) -> None:
     """graph.graph_metrics' dict, with its one-line summary, as JSON; the
-    degree histogram's keys become text, in text order."""
-    histogram = {str(k): v for k, v in metrics["degree_histogram"].items()}
-    write_json({**metrics, "summary": metrics_line(metrics), "degree_histogram": histogram},
-               path)
+    degree histogram's keys become text, in degree order."""
+    write_json({**metrics, "summary": metrics_line(metrics)}, path)
 
 
 def read_durations(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -559,14 +557,15 @@ def _visit_day(text: str) -> int:
 VISIT_HEADER = ["id", "day", "visits"]
 
 
-def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
-    """Visit CSV (header id,day,visits) grouped per node, in sorted id order.
+def read_visit_series(path: str | Path) -> tuple:
+    """Visit CSV (header id,day,visits) as one panel (ids, first_days,
+    indptr, visits), its units in sorted id order.
 
-    Each node's days must be consecutive once sorted; the result maps the
-    node id to (first day, daily visit array). The rows are sorted by (node,
-    day) at once, unless they already are in that order, and every series is
-    a view into one sorted array. A duplicate day or a gap is named for the
-    first node at fault in order of appearance.
+    Each unit's days must be consecutive once sorted. first_days (int64)
+    holds each unit's first day, and unit i's daily visits (float64) are
+    visits[indptr[i]:indptr[i + 1]]. The rows are sorted by (unit, day) at
+    once, unless they already are in that order. A duplicate day or a gap
+    is named for the first unit at fault in order of appearance.
     """
     columns, short = _read_columns(path, VISIT_HEADER)
     # each column is dropped once it is used, to keep the peak memory low
@@ -578,9 +577,6 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     nodes, (codes,), empty = _node_codes(ids)
     del ids
     _raise_first(path, "visit", [empty, bad_day, bad_value], short)
-    n = day.size
-    if not n:
-        return {}
 
     same_node = codes[1:] == codes[:-1]
     step = np.diff(day)
@@ -597,19 +593,14 @@ def read_visit_series(path: str | Path) -> dict[str, tuple[int, np.ndarray]]:
     if duplicate.any() or gap.any():
         duplicated = set(codes[1:][duplicate].tolist())
         bad = duplicated | set(codes[1:][gap].tolist())
-        first_row = np.full(len(nodes), n)
-        np.minimum.at(first_row, codes, np.arange(n) if order is None else order)
+        first_row = np.full(len(nodes), day.size)
+        np.minimum.at(first_row, codes, np.arange(day.size) if order is None else order)
         code = min(bad, key=first_row.__getitem__)
         problem = "duplicate day" if code in duplicated else "gaps in the day series"
         raise DataError(f"{path}: {problem} for node {nodes[code]!r}")
 
-    starts = np.flatnonzero(np.concatenate(([True], ~same_node))).tolist()
-    ends = starts[1:] + [n]
-    first_days = day[starts].tolist()
-    return {
-        node: (first_day, visits[a:b])
-        for node, first_day, a, b in zip(nodes, first_days, starts, ends)
-    }
+    indptr = np.flatnonzero(np.diff(codes, prepend=-1, append=len(nodes)))
+    return tuple(nodes), day[indptr[:-1]], indptr, visits
 
 
 def read_attributes(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:

@@ -55,7 +55,9 @@ class MultiplierProblem:
         recovered at week 0, over the rows of every given matrix in turn
         (P_i x k_i, k_i >= 0). Matrices of different set sizes share each
         kernel call: a call's initial states come from the (column, node)
-        pairs of its columns."""
+        pairs of its columns. No matrix, like no row, makes no kernel call."""
+        if not seed_sets:
+            seed_sets = (np.zeros((0, 0), np.int64),)
         widths = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in seed_sets])
         column = np.repeat(np.arange(widths.size), widths)
         node = np.concatenate([rows.ravel() for rows in seed_sets])

@@ -13,6 +13,8 @@ import itertools
 import json
 import math
 
+import numpy as np
+
 
 def snapped(coord, tolerance):
     """A coordinate pair, or with tolerance > 0 the pair of round(c / tolerance)."""
@@ -320,6 +322,21 @@ def naive_read_visit_series(path):
             raise ValueError(f"{path}: gaps in the day series for node {node!r}")
         out[node] = (days[0], [v for _, v in pairs])
     return out
+
+
+def visit_panel(series):
+    """A mapping id -> (first day, daily visits), as naive_read_visit_series
+    returns it, as the panel (ids, first_days, indptr, visits) that
+    io.read_visit_series returns, in mapping order."""
+    ids = tuple(series)
+    lengths = [len(visits) for _, visits in series.values()]
+    return (
+        ids,
+        np.array([first_day for first_day, _ in series.values()], dtype=np.int64),
+        np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        np.concatenate([np.zeros(0), *(np.asarray(v, dtype=np.float64)
+                                       for _, v in series.values())]),
+    )
 
 
 def naive_spatial_graph(nodes, edges):

@@ -73,9 +73,8 @@ def test_baseline_losses_are_the_pairs_second_item(directories):
     assert np.array_equal(losses, expected)
 
 
-def test_brute_force_results_from_either_call_form(directories):
-    """This tree's brute_force_multipliers takes every size in one call; a
-    tree from before that takes one size per call."""
+def test_brute_force_results_take_every_size_in_one_call(directories):
+    """This tree's brute_force_multipliers takes every size in one call."""
     s = bench_kernel.build(recovnet, *directories)
     problem, sizes = s.stage2["small"], [1, 2, 3]
     expected = [(r.members, r.recovered_with) for r in
@@ -86,15 +85,24 @@ def test_brute_force_results_from_either_call_form(directories):
     search.assert_called_once_with(problem, sizes)
     assert [(r.members, r.recovered_with) for r in results] == expected
 
-    asked = []
 
-    def brute_force_multipliers(problem, size, pool=None, enumeration_cap=10**6):
-        """The one-size form."""
-        asked.append(size)
-        [result] = recovnet.brute_force_multipliers(problem, [size], pool, enumeration_cap)
-        return result
+def test_visit_panel_from_either_return_form(tmp_path):
+    """This tree's reader returns the panel itself; a tree from before that
+    returns an id -> (first day, visits) dict, which becomes the same panel."""
+    path = tmp_path / "visits.csv"
+    path.write_text("id,day,visits\nz,2,1\na,6,3\nz,1,0\na,7,4\nm,3,5\n")
+    ids, first_days, indptr, visits = bench_kernel.visit_panel(recovnet, path)
+    assert ids == ("a", "m", "z") and first_days.tolist() == [6, 3, 1]
+    assert indptr.tolist() == [0, 2, 3, 5] and visits.tolist() == [3.0, 4.0, 5.0, 0.0, 1.0]
 
-    tree = SimpleNamespace(brute_force_multipliers=brute_force_multipliers)
-    results = bench_kernel.brute_force_results(tree, problem, sizes)
-    assert asked == sizes
-    assert [(r.members, r.recovered_with) for r in results] == expected
+    def read_visit_series(path):
+        """The dict form."""
+        ids, first_days, indptr, visits = io.read_visit_series(path)
+        return {node: (int(first_days[i]), visits[indptr[i]:indptr[i + 1]])
+                for i, node in enumerate(ids)}
+
+    tree = SimpleNamespace(io=SimpleNamespace(read_visit_series=read_visit_series))
+    converted = bench_kernel.visit_panel(tree, path)
+    assert converted[0] == ids
+    for got, want in zip(converted[1:], (first_days, indptr, visits)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

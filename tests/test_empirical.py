@@ -14,18 +14,24 @@ from recovnet import (
     recovered_counts,
     zero_one_loss,
 )
-from recovnet import empirical
+from recovnet import empirical, io
 from recovnet.empirical import align_durations, moving_average
 from recovnet.errors import ConfigError, DataError
 
 RSTART = 27
 
 
+def durations_of(series, *args, **settings):
+    """compute_recovery_durations on the panel of series (id -> (first day,
+    visits)), in mapping order."""
+    return compute_recovery_durations(*oracles.visit_panel(series), *args, **settings)
+
+
 def one_duration(visits, **settings):
     """compute_recovery_durations for one unit whose series starts on day 0,
     with the baseline on days 0-20 and recovery assessed from day RSTART."""
     series = {"u": (0, np.asarray(visits, dtype=float))}
-    return float(compute_recovery_durations(series, 0, 20, RSTART, **settings)[0])
+    return float(durations_of(series, 0, 20, RSTART, **settings)[0])
 
 
 def dip_recover_visits():
@@ -39,17 +45,17 @@ class TestVisitSeries:
 
     def test_baseline_must_precede_recovery(self):
         with pytest.raises(DataError, match="precede"):
-            compute_recovery_durations({"u": (0, np.ones(200))}, 0, 30, 20)
+            durations_of({"u": (0, np.ones(200))}, 0, 30, 20)
 
     def test_series_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            compute_recovery_durations({"u": (0, np.ones(100))}, 0, 5, 10)
+            durations_of({"u": (0, np.ones(100))}, 0, 5, 10)
 
     def test_negative_visits_rejected(self):
         visits = np.ones(150)
         visits[40] = -1
         with pytest.raises(DataError, match="nonnegative"):
-            compute_recovery_durations({"u": (0, visits)}, 0, 5, 10)
+            durations_of({"u": (0, visits)}, 0, 5, 10)
 
 
 class TestMovingAverage:
@@ -173,9 +179,7 @@ class TestComputeRecoveryDurations:
                   for k in range(4) for node, (first, length) in self.SHAPES.items()}
         for persistence in (1, 3, 5):
             for halfwidth in (0, 3):
-                durations = compute_recovery_durations(
-                    series, 0, 20, RSTART, 0.9, persistence, halfwidth
-                )
+                durations = durations_of(series, 0, 20, RSTART, 0.9, persistence, halfwidth)
                 expected = [
                     oracles.naive_recovery_duration(
                         visits, -first, 20 - first, RSTART - first,
@@ -185,9 +189,7 @@ class TestComputeRecoveryDurations:
                 ]
                 assert durations.tolist() == expected
                 assert durations.tolist() == [
-                    compute_recovery_durations(
-                        {node: unit}, 0, 20, RSTART, 0.9, persistence, halfwidth
-                    )[0]
+                    durations_of({node: unit}, 0, 20, RSTART, 0.9, persistence, halfwidth)[0]
                     for node, unit in series.items()
                 ]
                 assert len(set(durations.tolist())) > 5
@@ -197,7 +199,7 @@ class TestComputeRecoveryDurations:
         for node in ("u2", "u5"):
             series[node][1][40] = -1
         with pytest.raises(DataError) as raised:
-            compute_recovery_durations(series, 0, 20, RSTART, source="visits.csv")
+            durations_of(series, 0, 20, RSTART, source="visits.csv")
         assert str(raised.value) == "visits.csv: unit 'u2': visit counts must be nonnegative"
 
     @pytest.mark.parametrize("negative,message", [
@@ -208,7 +210,7 @@ class TestComputeRecoveryDurations:
         series = self._ones(dict.fromkeys(["u0", "u1", "u2", "u3", "u4"], (0, 124)))
         series[negative][1][40] = -1
         with pytest.raises(DataError) as raised:
-            compute_recovery_durations(series, 0, 20, RSTART, source="visits.csv")
+            durations_of(series, 0, 20, RSTART, source="visits.csv")
         assert str(raised.value) == f"visits.csv: unit 'u0': {message}"
 
     @pytest.mark.parametrize("faulty,named", [
@@ -217,18 +219,20 @@ class TestComputeRecoveryDurations:
         (("a2", "a6"), "unit 'a2': visit counts must be nonnegative"),
     ])
     def test_error_names_first_unit_across_groups(self, faulty, named):
-        """a0's group (a0, a5) is scored before a1's; a1 and a3 sort before
-        a5 yet come in later groups, and a7's group comes last."""
+        """The first faulty unit in panel order is named, whatever its
+        group's place in (first day, length) order: a7's group comes first,
+        and a2's after a6's."""
         series = self._ones(self.SHAPES)
         for node in faulty:
             series[node][1][60] = -1.0
         with pytest.raises(DataError) as raised:
-            compute_recovery_durations(series, 0, 20, RSTART, source="v.csv")
+            durations_of(series, 0, 20, RSTART, source="v.csv")
         assert str(raised.value) == f"v.csv: {named}"
 
     def test_no_group_scored_after_the_first_fault(self):
-        """a5 faults in the first group, a0's; the groups of a1 to a4 are
-        checked, as they may hold an earlier fault, but none is scored."""
+        """a5 faults in a0's group; every other group is checked, as it may
+        hold an earlier fault, but none is scored. Without the fault, the
+        groups are scored in (first day, length) order."""
         series = self._ones(self.SHAPES)
         series["a5"][1][60] = -1.0
         scanned = []
@@ -239,22 +243,54 @@ class TestComputeRecoveryDurations:
 
         with mock.patch.object(empirical, "_scan", scan):
             with pytest.raises(DataError, match="unit 'a5'"):
-                compute_recovery_durations(series, 0, 20, RSTART)
+                durations_of(series, 0, 20, RSTART)
             series["a5"][1][60] = 1.0
-            compute_recovery_durations(series, 0, 20, RSTART)
-        assert scanned == [2, 2, 1, 1, 1, 1]
+            durations_of(series, 0, 20, RSTART)
+        assert scanned == [1, 1, 2, 2, 1, 1]
 
     def test_settings_checked_once(self):
         series = self._ones({"u0": (0, 131), "u1": (0, 131)})
         with pytest.raises(ConfigError, match="ratio"):
-            compute_recovery_durations(series, 0, 20, RSTART, ratio=1.5)
+            durations_of(series, 0, 20, RSTART, ratio=1.5)
         with pytest.raises(ConfigError, match="persistence_days"):
-            compute_recovery_durations(series, 0, 20, RSTART, persistence_days=0)
+            durations_of(series, 0, 20, RSTART, persistence_days=0)
         with pytest.raises(ConfigError, match="ma_halfwidth"):
-            compute_recovery_durations(series, 0, 20, RSTART, ma_halfwidth=-1)
+            durations_of(series, 0, 20, RSTART, ma_halfwidth=-1)
 
     def test_empty_table_scores_nothing(self):
-        assert compute_recovery_durations({}, 0, 6, 10).tolist() == []
+        assert durations_of({}, 0, 6, 10).tolist() == []
+
+    def test_ragged_panel_matches_one_unit_calls(self):
+        """Two first days and three lengths, in no id order: each unit as
+        a call of its own scores it, in panel order."""
+        rng = np.random.default_rng(45)
+        shapes = {"z": (0, 131), "b": (-3, 140), "m": (0, 140), "a": (-3, 128),
+                  "y": (0, 131), "c": (-3, 128)}
+        series = {node: (first, unit_series(rng, first, length))
+                  for node, (first, length) in shapes.items()}
+        panel = oracles.visit_panel(series)
+        durations = compute_recovery_durations(*panel, 0, 20, RSTART, ma_halfwidth=0)
+        assert durations.tolist() == [
+            durations_of({node: unit}, 0, 20, RSTART, ma_halfwidth=0)[0]
+            for node, unit in series.items()
+        ]
+        assert len(set(durations.tolist())) > 2
+
+    def test_zero_length_unit_named_by_its_window(self):
+        """A unit with no days (only a library caller can pass one) breaks
+        its window rule; the next unit's negative first day is not its."""
+        visits = np.ones(131)
+        visits[0] = -1.0
+        with pytest.raises(DataError) as raised:
+            compute_recovery_durations(("u", "v"), np.array([0, 0]), np.array([0, 0, 131]),
+                                       visits, 0, 20, RSTART)
+        assert str(raised.value) == "visits: unit 'u': baseline window extends past the series"
+
+    def test_empty_panel_gives_no_durations(self, tmp_path):
+        path = tmp_path / "visits.csv"
+        path.write_text("id,day,visits\n")
+        durations = compute_recovery_durations(*io.read_visit_series(path), 0, 6, 10)
+        assert durations.shape == (0,) and durations.dtype == np.float64
 
 
 def first_recovered_week(weeks, horizon=14):

@@ -155,13 +155,24 @@ class TestThresholdsCsv:
         )
 
 
+def assert_same_panel(panel, expected):
+    """The reader's panel holds the oracle's series (id -> (first day,
+    visits)) in sorted id order: int64 first days, float64 visits."""
+    ids, first_days, indptr, values = panel
+    want = oracles.visit_panel({node: expected[node] for node in sorted(expected)})
+    assert ids == want[0]
+    assert first_days.dtype == np.int64 and first_days.tolist() == want[1].tolist()
+    assert indptr.tolist() == want[2].tolist()
+    assert values.dtype == np.float64 and values.tolist() == want[3].tolist()
+
+
 class TestVisitSeriesCsv:
     def test_integer_days(self, tmp_path):
         path = tmp_path / "visits.csv"
         path.write_text("id,day,visits\nu,3,5\nu,1,3\nu,2,4\n")
-        series = io.read_visit_series(path)
-        first, values = series["u"]
-        assert first == 1
+        ids, first_days, indptr, values = io.read_visit_series(path)
+        assert ids == ("u",) and indptr.tolist() == [0, 3]
+        assert first_days.tolist() == [1]
         assert values.tolist() == [3.0, 4.0, 5.0]
 
     def test_iso_dates(self, tmp_path):
@@ -169,7 +180,7 @@ class TestVisitSeriesCsv:
         path.write_text(
             "id,day,visits\nu,2017-08-01,10\nu,2017-08-02,11\nu,2017-08-03,12\n"
         )
-        first, values = io.read_visit_series(path)["u"]
+        _, (first,), _, values = io.read_visit_series(path)
         assert first == io.parse_day("2017-08-01")
         assert values.tolist() == [10.0, 11.0, 12.0]
 
@@ -192,14 +203,14 @@ class TestVisitSeriesCsv:
     @pytest.mark.parametrize("rows", [["z,2,1", " a ,7,4", "z,1,0", "a,6,3"],
                                       [" a ,6,3", "a,7,4", "z,1,0", "z,2,1"]],
                              ids=["shuffled", "ordered"])
-    def test_sorted_views_into_one_array(self, tmp_path, rows):
+    def test_sorted_into_one_array(self, tmp_path, rows):
         path = tmp_path / "visits.csv"
         path.write_text("\n".join(["id,day,visits", *rows]) + "\n")
-        series = io.read_visit_series(path)
-        assert list(series) == ["a", "z"]
-        assert series["a"][0] == 6 and series["a"][1].tolist() == [3.0, 4.0]
-        assert series["z"][0] == 1 and series["z"][1].tolist() == [0.0, 1.0]
-        assert series["a"][1].base is series["z"][1].base is not None
+        ids, first_days, indptr, values = io.read_visit_series(path)
+        assert ids == ("a", "z")
+        assert first_days.dtype == np.int64 and first_days.tolist() == [6, 1]
+        assert indptr.tolist() == [0, 2, 4]
+        assert values.tolist() == [3.0, 4.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("rows,named", [
         # z comes first in the file, a first in id order
@@ -231,7 +242,9 @@ class TestVisitSeriesCsv:
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "visits.csv"
         path.write_text("id,day,visits\n\n")
-        assert io.read_visit_series(path) == {}
+        ids, first_days, indptr, values = io.read_visit_series(path)
+        assert ids == () and indptr.tolist() == [0]
+        assert first_days.shape == values.shape == (0,)
 
     @pytest.mark.parametrize("quote", ["", '"'])
     def test_line_ends_split_as_csv_reader_splits_them(self, tmp_path, quote):
@@ -240,10 +253,9 @@ class TestVisitSeriesCsv:
         path = tmp_path / "visits.csv"
         path.write_bytes(f"id,day,visits\r{quote}u{quote},1,3\r\nu,2,4\ru,3,5\r\r\n"
                          "\nu,4,6\rv,9,1".encode())
-        series = io.read_visit_series(path)
-        assert {node: (first, values.tolist()) for node, (first, values) in series.items()} \
-            == oracles.naive_read_visit_series(path) \
-            == {"u": (1, [3.0, 4.0, 5.0, 6.0]), "v": (9, [1.0])}
+        expected = oracles.naive_read_visit_series(path)
+        assert expected == {"u": (1, [3.0, 4.0, 5.0, 6.0]), "v": (9, [1.0])}
+        assert_same_panel(io.read_visit_series(path), expected)
 
     @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
     @pytest.mark.parametrize("ids", [
@@ -266,9 +278,8 @@ class TestVisitSeriesCsv:
         with tokenizer_watched(lines, block_rows):
             series = io.read_visit_series(path)
         expected = oracles.naive_read_visit_series(path)
-        assert sorted(series) == sorted(expected) == sorted(ids)
-        for node, (first_day, values) in series.items():
-            assert (first_day, values.tolist()) == expected[node]
+        assert sorted(expected) == sorted(ids)
+        assert_same_panel(series, expected)
 
     def test_long_unkeyed_cell_keeps_the_byte_tokenizer(self, tmp_path, monkeypatch):
         """A 300-byte fourth cell on one row of a 40-unit visits file: no
@@ -279,9 +290,7 @@ class TestVisitSeriesCsv:
         path = tmp_path / "visits.csv"
         path.write_text("\n".join(["id,day,visits", *rows]) + "\n")
         monkeypatch.setattr(io, "_csv_columns", lambda *args: pytest.fail("csv.reader ran"))
-        series = io.read_visit_series(path)
-        assert {node: (first, values.tolist()) for node, (first, values) in series.items()} \
-            == oracles.naive_read_visit_series(path)
+        assert_same_panel(io.read_visit_series(path), oracles.naive_read_visit_series(path))
 
     @pytest.mark.parametrize("block_rows", [1, 2, io._BLOCK_ROWS])
     @pytest.mark.parametrize("quote", ["", '"'])
@@ -605,10 +614,7 @@ class TestVisitReaderAgainstOracle:
             assert not (sorts and in_id_day_order(path))
         if series is None:
             return
-        assert list(series) == sorted(expected)
-        for node, (first_day, values) in series.items():
-            assert type(first_day) is int and first_day == expected[node][0]
-            assert values.dtype == np.float64 and values.tolist() == expected[node][1]
+        assert_same_panel(series, expected)
 
     def test_line_past_csv_field_limit_read_by_csv_reader(self, tmp_path):
         """csv.reader rejects a field longer than its limit; such a file is
@@ -1065,14 +1071,14 @@ class TestWriters:
 
     def test_metrics_json(self, tmp_path):
         """The whole file, byte for byte: a hub of degree 10 puts the
-        histogram's keys in text order ("1", "10", "2")."""
+        histogram's keys in degree order ("1", "2", "10"), not text order."""
         leaves = [f"l{i}" for i in range(10)]
         graph = graph_of(["h", *leaves], [("h", leaf) for leaf in leaves] + [("l0", "l1")])
         path = tmp_path / "metrics.json"
         io.write_metrics(graph_metrics(graph), path)
         assert path.read_bytes() == (
-            b'{\n  "avg_degree": 2.0,\n  "degree_histogram": {\n    "1": 8,\n    "10": 1,\n'
-            b'    "2": 2\n  },\n  "density": 0.2,\n  "m": 11,\n  "n": 11,\n'
+            b'{\n  "avg_degree": 2.0,\n  "degree_histogram": {\n    "1": 8,\n    "2": 2,\n'
+            b'    "10": 1\n  },\n  "density": 0.2,\n  "m": 11,\n  "n": 11,\n'
             b'  "summary": "n=11 m=11 k=2.000 d=0.20000"\n}\n'
         )
 

@@ -141,6 +141,17 @@ def test_zero_columns_make_no_call():
         assert empty.dtype == score(np.zeros((1, width), dtype)).dtype
 
 
+def test_no_seed_matrices_make_no_call():
+    """MultiplierProblem.recovered() with no matrix scores no row: a length-0
+    int64 array, with no kernel call."""
+    graph = graph_of(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    problem = MultiplierProblem(graph, np.array([0.5, 0.5, 1.0]))
+    calls = Counter(problem.kernel.calls)
+    empty = problem.recovered()
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert problem.kernel.calls == calls
+
+
 def unforced_oracle_weeks(graph, values):
     """The oracle's recovered weeks (node order) from the all-affected start."""
     states = oracles.naive_diffusion(

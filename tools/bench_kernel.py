@@ -34,17 +34,18 @@ trees; every check runs for both trees before timing.
 - ``baseline_1000`` and ``brute_force_small`` (40 pairs): random_baseline
   with ``PaperScale.baseline_runs`` (1 000) runs at rng_seed 1 on the
   n = 2010 fit problem, whose losses must be equal across the trees, and
-  brute_force_multipliers over ``SmallExact.sizes`` on ``small-exact``'s
-  planted instance (one call on a tree that takes the sizes, one per size
-  on an older one), whose members and counts must be equal across the
-  trees. ``baseline_n4000`` (40 pairs) is random_baseline with
-  ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on ``ingest-large``'s
-  n = 4000 queen graph and constructed durations, losses equal likewise.
+  brute_force_multipliers over ``SmallExact.sizes`` in one call on
+  ``small-exact``'s planted instance, whose members and counts must be
+  equal across the trees. ``baseline_n4000`` (40 pairs) is random_baseline
+  with ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on
+  ``ingest-large``'s n = 4000 queen graph and constructed durations, losses
+  equal likewise.
 - ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
   to a queen graph, checked against ``reference.grid_queen_edges``, and
   io.read_edge_list on its edge list.
 - ``read_visits`` (--visit-repeats pairs): io.read_visit_series on
-  ``ingest-large``'s ``visits.csv``, checked against
+  ``ingest-large``'s ``visits.csv``, checked as a panel (``visit_panel``
+  takes either tree's return form) against
   ``oracles.naive_read_visit_series``, with ``peak_mib``, the tracemalloc
   peak of one more read. ``read_visits_crlf`` reads a \\r\\n copy, and
   ``read_visits_geoid`` a copy whose unit ids have the paper's shape: a
@@ -81,7 +82,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
-import inspect
 import io as stdio
 import itertools
 import json
@@ -197,13 +197,17 @@ def baseline_losses(tree, problem, runs: int) -> np.ndarray:
 
 
 def brute_force_results(tree, problem, sizes) -> list:
-    """tree's brute_force_multipliers results, one per size: one call on a
-    tree whose brute_force_multipliers takes the sizes, else one call per
-    size."""
-    search = tree.brute_force_multipliers
-    if "sizes" in inspect.signature(search).parameters:
-        return search(problem, sizes)
-    return [search(problem, size) for size in sizes]
+    """tree's brute_force_multipliers results, one per size, from one call
+    over every size."""
+    return tree.brute_force_multipliers(problem, sizes)
+
+
+def visit_panel(tree, path: Path) -> tuple:
+    """tree's io.read_visit_series on path as the panel (ids, first_days,
+    indptr, visits): the tuple it returns, or its id -> (first day, visits)
+    dict on a tree that returns one."""
+    read = tree.io.read_visit_series(path)
+    return ORACLES.visit_panel(read) if isinstance(read, dict) else read
 
 
 def instance(tree, directory: Path):
@@ -347,13 +351,14 @@ def graph_reads(sides: dict, inputs: Path, ids: list[list[str]]) -> dict:
 def read_visits(sides: dict, path: Path, repeats: int) -> dict:
     """io.read_visit_series on path, after checking it against the row-by-row
     oracle, with each tree's tracemalloc peak of one more read."""
-    expected = ORACLES.naive_read_visit_series(path)
+    naive = ORACLES.naive_read_visit_series(path)
+    expected = ORACLES.visit_panel({node: naive[node] for node in sorted(naive)})
+    del naive
     for side, s in sides.items():
-        series = s.tree.io.read_visit_series(path)
-        expect(list(series) == sorted(expected) and all(
-            (day, values.tolist()) == expected[node] for node, (day, values) in series.items()),
-            f"{path.name} ({side}): series differ from the oracle")
-    del expected, series
+        ids, *arrays = visit_panel(s.tree, path)
+        expect(ids == expected[0] and all(map(np.array_equal, arrays, expected[1:])),
+               f"{path.name} ({side}): series differ from the oracle")
+    del expected, arrays
     timing = timed(lambda side: sides[side].tree.io.read_visit_series(path), repeats)
     for side, s in sides.items():
         tracemalloc.start()
