@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _HOMES = {
-    "analysis": (
-        "correlate", "multiplier_attribute_comparison", "split_tertiles",
-        "tertile_attribute_report", "threshold_summary",
-    ),
+    "analysis": ("attribute_summaries", "correlate", "split_tertiles", "threshold_summary"),
     "diffusion": ("DiffusionKernel", "DiffusionSchedule", "recovered_counts", "run_diffusion"),
     "empirical": ("compute_recovery_durations", "durations_to_weeks", "zero_one_loss"),
     "errors": ("ConfigError", "DataError", "RecovnetError"),

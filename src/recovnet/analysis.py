@@ -1,29 +1,23 @@
-"""Post-fit analytics: threshold summary statistics, tertile splits by
-threshold, attribute comparisons for multiplier sets, and correlations.
+"""Post-fit analytics: threshold summary statistics, tertile splits,
+attribute summaries over groups of nodes, and correlations.
 
-Thresholds come as io.read_thresholds gives them: ids, a float64 array of
-values and a boolean seed_mask, in one node order. The tertile and
-multiplier summaries take attribute columns in that order (indexing each
-column with graph.align_rows' rows puts them there) and groups of nodes as
-positions in it. Every result is plain values: the dicts that
-analysis_report.json holds, and one dict of count, mean and quartiles per
-summarized group.
+Every function summarises the values and node positions its caller gives
+it: the caller chooses which nodes count (the free nodes, or every node)
+and how they are grouped. Values come in one node order, as
+io.read_thresholds gives thresholds and as graph.align_rows' rows put
+attribute columns; a group of nodes is positions in that order. Every
+result is plain values: the dicts that analysis_report.json holds, and one
+dict of count, mean and quartiles per summarized group.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 TERTILE_NAMES = ("low", "middle", "high")
-ATTRIBUTE_NAMES = (
-    "per_capita_income",
-    "median_household_income",
-    "minority_pct",
-    "flood_extent",
-)
 
 
 def quantiles(values: np.ndarray, probabilities: Sequence[float]) -> np.ndarray:
@@ -48,51 +42,39 @@ def _distribution(values: np.ndarray) -> dict:
             "q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
-def included(seed_mask: np.ndarray, include_seeds: bool) -> np.ndarray:
-    """Positions of the nodes a summary covers: the free nodes, and the
-    seeds on request."""
-    return np.arange(len(seed_mask)) if include_seeds else np.flatnonzero(~seed_mask)
-
-
-def threshold_summary(
-    values: np.ndarray, seed_mask: np.ndarray, include_seeds: bool = False
-) -> dict:
-    """Mean, population variance, 1/3-2/3 quantile boundaries and count, as
-    analysis_report.json holds them; seeds (threshold pinned at 0) are
-    excluded unless requested."""
-    values = np.asarray(values, dtype=np.float64)[included(seed_mask, include_seeds)]
+def threshold_summary(values: np.ndarray) -> dict:
+    """Mean, population variance, 1/3-2/3 quantile boundaries and count of
+    the given thresholds, as analysis_report.json holds them."""
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("no threshold values to summarize")
     lower, upper = quantiles(values, (1.0 / 3.0, 2.0 / 3.0))
     return {"mean": float(values.mean()), "variance": float(values.var()),
             "variance_convention": "population", "tertile_lower": float(lower),
-            "tertile_upper": float(upper), "count": int(values.size),
-            "includes_seeds": include_seeds}
+            "tertile_upper": float(upper), "count": int(values.size)}
 
 
 def split_tertiles(
-    ids: Sequence[str], values: np.ndarray, seed_mask: np.ndarray, include_seeds: bool = False
+    ids: Sequence[str], values: np.ndarray, positions: Sequence[int]
 ) -> dict[str, np.ndarray]:
-    """Partition the covered nodes into low/middle/high-threshold thirds of
-    near-equal size: positions into ids and values, ordered by threshold
-    with ties broken by node id."""
-    positions = included(seed_mask, include_seeds).tolist()
-    if not positions:
+    """Partition the given positions into low/middle/high thirds of
+    near-equal size, ordered by value with ties broken by node id."""
+    ranked = sorted(np.asarray(positions).tolist(), key=lambda i: (values[i], ids[i]))
+    if not ranked:
         raise ValueError("no nodes to split into tertiles")
-    ranked = sorted(positions, key=lambda i: (values[i], ids[i]))
     return dict(zip(TERTILE_NAMES, np.array_split(np.array(ranked, dtype=np.intp), 3)))
 
 
-def tertile_attribute_report(
-    tertiles: Mapping[str, np.ndarray], columns: Mapping[str, np.ndarray]
-) -> list[tuple[str, str, dict]]:
-    """(tertile, attribute, summary) rows: every attribute column summarized
-    (count, mean, q1, median, q3) within each non-empty tertile, members
-    taken in tertile order."""
+def attribute_summaries(
+    groups: Iterable[tuple[tuple, Sequence[int]]], columns: Mapping[str, np.ndarray]
+) -> list[tuple]:
+    """(*key, attribute, summary) rows: for each (key, positions) group,
+    every attribute column summarized (count, mean, q1, median, q3) over
+    those positions in the order given. An empty group has summary None so
+    callers can flag it."""
     return [
-        (name, attribute, _distribution(column[members]))
-        for name, members in tertiles.items()
-        if members.size
+        (*key, attribute, _distribution(column[members]) if len(members) else None)
+        for key, members in groups
         for attribute, column in columns.items()
     ]
 
@@ -185,21 +167,3 @@ def correlate(x: Sequence[float], y: Sequence[float]) -> dict:
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = t_two_sided(t_stat, n - 2)
     return {"r": r, "p_value": p, "n": n}
-
-
-def multiplier_attribute_comparison(
-    selections: Iterable[np.ndarray], columns: Mapping[str, np.ndarray]
-) -> list[tuple[int, str, str, Optional[dict]]]:
-    """(size, group, attribute, summary) rows: for each multiplier set, given
-    as positions in selection order, every attribute column summarized over
-    the selected nodes and over all the others in node order. An empty group
-    (every node selected) has summary None so callers can flag it."""
-    n = len(next(iter(columns.values())))
-    rows = []
-    for selected in selections:
-        others = np.delete(np.arange(n), selected)
-        for group, members in (("multiplier", selected), ("non_multiplier", others)):
-            for attribute, column in columns.items():
-                summary = _distribution(column[members]) if members.size else None
-                rows.append((len(selected), group, attribute, summary))
-    return rows

@@ -253,8 +253,7 @@ def _check(option: Option, value, source: str) -> None:
 def _read_config(path: str) -> dict:
     """The config file's values by key, each converted and checked by its
     row; a null value counts as absent."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
+    _require_file(path, "config")
     try:
         loaded = io.read_json(path)
     except ValueError as exc:  # JSONDecodeError, or bad UTF-8
@@ -538,14 +537,7 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
 
 
 def cmd_analyze(s: argparse.Namespace) -> None:
-    from .analysis import (
-        correlate,
-        included,
-        multiplier_attribute_comparison,
-        split_tertiles,
-        tertile_attribute_report,
-        threshold_summary,
-    )
+    from .analysis import attribute_summaries, correlate, split_tertiles, threshold_summary
     curves = bool(s.edges)
     if curves != bool(s.durations):
         missing = "durations" if curves else "edges"
@@ -553,7 +545,8 @@ def cmd_analyze(s: argparse.Namespace) -> None:
     schedule = DiffusionSchedule(s.horizon, s.first_update_week)  # checked with or without curves
     thresholds_path = _require_file(s.thresholds, "thresholds")
     ids, thresholds, seed_mask = io.read_thresholds(thresholds_path)
-    keep = included(seed_mask, s.include_seeds)
+    # the nodes every summary covers: the free nodes, and the seeds on request
+    keep = np.arange(len(ids)) if s.include_seeds else np.flatnonzero(~seed_mask)
     if not keep.size:
         seeds = int(seed_mask.sum())
         if not seeds:
@@ -579,21 +572,22 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         results = io.read_multiplier_results(directory, ids)
     out = Path(s.out)
 
-    summary = threshold_summary(thresholds, seed_mask, include_seeds=s.include_seeds)
+    kept = thresholds[keep]
+    summary = {**threshold_summary(kept), "includes_seeds": s.include_seeds}
     report = {"threshold_summary": summary, "correlations": {}}
     for attribute, column in columns.items():
         try:
-            corr = correlate(thresholds[keep], column[keep])
+            corr = correlate(kept, column[keep])
         except ValueError as exc:
             corr = {"error": str(exc)}
         report["correlations"][attribute] = corr
 
-    tertiles = split_tertiles(ids, thresholds, seed_mask, include_seeds=s.include_seeds)
+    tertiles = split_tertiles(ids, thresholds, keep)
+    groups = [((name,), members) for name, members in tertiles.items() if members.size]
     io.write_table(
         out / "tertile_attributes.csv",
         ["tertile", "attribute", "count", "mean", "q1", "median", "q3"],
-        ([tertile, attribute, *_summary_cells(st)]
-         for tertile, attribute, st in tertile_attribute_report(tertiles, columns)),
+        ([*head, *_summary_cells(st)] for *head, st in attribute_summaries(groups, columns)),
     )
     io.write_table(
         out / "tertile_members.csv", ["tertile", "id"],
@@ -615,12 +609,15 @@ def cmd_analyze(s: argparse.Namespace) -> None:
         report["recovery_curves_file"] = "recovery_curves.csv"
 
     if s.multipliers_dir:
-        comparison = multiplier_attribute_comparison([p for _, p in results], columns)
+        groups = []
+        for _, selected in results:
+            others = np.delete(np.arange(len(ids)), selected)  # in node order
+            groups += [((len(selected), "multiplier"), selected),
+                       ((len(selected), "non_multiplier"), others)]
         io.write_table(
             out / "multiplier_attributes.csv",
             ["size", "group", "attribute", "count", "mean", "q1", "median", "q3"],
-            ([size, group, attribute, *_summary_cells(st)]
-             for size, group, attribute, st in comparison),
+            ([*head, *_summary_cells(st)] for *head, st in attribute_summaries(groups, columns)),
         )
         io.write_table(out / "increment_rates.csv",
                        ["size", "recovered_with", "recovered_without", "increment_rate_pct"],

@@ -603,6 +603,16 @@ def read_visit_series(path: str | Path) -> tuple:
     return tuple(nodes), day[indptr[:-1]], indptr, visits
 
 
+# the attributes table's header after its id column, in order; flood_extent
+# is optional and is the last
+ATTRIBUTE_NAMES = (
+    "per_capita_income",
+    "median_household_income",
+    "minority_pct",
+    "flood_extent",
+)
+
+
 def read_attributes(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
     """Attributes CSV (header id,per_capita_income,median_household_income,
     minority_pct, then optionally flood_extent): the ids in file order, and
@@ -612,7 +622,6 @@ def read_attributes(path: str | Path) -> tuple[tuple[str, ...], dict[str, np.nda
     flood_extent >= 0, given in every row or in none (then the table has no
     flood_extent column).
     """
-    from .analysis import ATTRIBUTE_NAMES
     (ids, *numbers, floods), short = _read_columns(
         path, ["id", *ATTRIBUTE_NAMES[:3]], optional=ATTRIBUTE_NAMES[3])
     nodes, (codes,), empty = _node_codes(ids)
@@ -642,7 +651,6 @@ def write_attributes(
     """One row per id, with its cell of every attribute column (keyed as
     read_attributes keys them); flood_extent cells stay empty when columns
     has none."""
-    from .analysis import ATTRIBUTE_NAMES
     # each cell is formatted as its row is written, so no column of texts
     # is held; repr of a Python float is the shortest text that reads back
     cells = [

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .analysis import ATTRIBUTE_NAMES
 from .diffusion import DEFAULT_HORIZON_WEEKS, run_diffusion
 from .errors import ConfigError
 from .graph import GRAPH_KINDS, ContiguityRule, Polygons, SpatialGraph, build_contiguity_graph
@@ -188,7 +187,7 @@ def _coupled_attributes(
     minority = 10.0 + 80.0 * (1.0 - position)
     flood = rng.uniform(0.0, 3.0, n)
 
-    return dict(zip(ATTRIBUTE_NAMES, (per_capita, household, minority, flood)))
+    return dict(zip(io.ATTRIBUTE_NAMES, (per_capita, household, minority, flood)))
 
 
 def write_instance(instance: SyntheticInstance, spec: SynthSpec, directory: str | Path) -> None:

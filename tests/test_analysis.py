@@ -11,10 +11,9 @@ from scipy import stats as scipy_stats
 
 from recovnet import (
     align_rows,
+    attribute_summaries,
     correlate,
-    multiplier_attribute_comparison,
     split_tertiles,
-    tertile_attribute_report,
     threshold_summary,
 )
 from recovnet import io
@@ -22,19 +21,15 @@ from recovnet.analysis import quantiles
 from recovnet.errors import DataError
 
 
-def tau_of(values, seeds=None):
-    """(ids, values, seed_mask) as io.read_thresholds returns them, ids n0, n1, ..."""
+def tau_of(values):
+    """(ids, values) in one node order, ids n0, n1, ..."""
     values = np.asarray(values, dtype=float)
-    ids = tuple(f"n{i}" for i in range(values.size))
-    mask = np.zeros(values.size, dtype=bool)
-    if seeds:
-        mask[list(seeds)] = True
-    return ids, values, mask
+    return tuple(f"n{i}" for i in range(values.size)), values
 
 
-def summarized(values, seeds=None):
-    """The (values, seed_mask) that threshold_summary takes."""
-    return tau_of(values, seeds)[1:]
+def every(tau):
+    """The positions of every node of tau."""
+    return np.arange(len(tau[0]))
 
 
 def attrs_for(tau, pci=None, mhi=None, minority=None, flood=None):
@@ -60,54 +55,66 @@ def write_attributes_csv(path, rows):
 
 class TestThresholdSummary:
     def test_three_point_example(self):
-        summary = threshold_summary(*summarized([0.0, 0.5, 1.0]), include_seeds=True)
+        summary = threshold_summary(np.array([0.0, 0.5, 1.0]))
         assert summary["mean"] == pytest.approx(0.5)
         assert summary["variance"] == pytest.approx(1 / 6)
 
     def test_constant_values(self):
-        summary = threshold_summary(*summarized([0.3, 0.3, 0.3, 0.3]))
+        summary = threshold_summary(np.full(4, 0.3))
         assert summary["mean"] == pytest.approx(0.3)
         assert summary["variance"] == 0.0
-
-    def test_seeds_excluded_by_default(self):
-        summary = threshold_summary(*summarized([0.0, 0.0, 0.6, 0.8], seeds=[0, 1]))
-        assert summary["count"] == 2
-        assert summary["mean"] == pytest.approx(0.7)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         values = rng.random(25)
-        a = threshold_summary(*summarized(values), include_seeds=True)
-        b = threshold_summary(*summarized(values[::-1]), include_seeds=True)
+        a = threshold_summary(values)
+        b = threshold_summary(values[::-1])
         assert a["mean"] == pytest.approx(b["mean"])
         assert a["variance"] == pytest.approx(b["variance"])
 
-    def test_all_seeds_without_include_raises(self):
+    def test_summarizes_only_the_values_given(self):
+        """The caller's choice of nodes (here the two free ones, as analyze
+        passes thresholds[keep]) is the whole sample."""
+        values = np.array([0.0, 0.0, 0.6, 0.8])
+        summary = threshold_summary(values[[2, 3]])
+        assert summary["count"] == 2
+        assert summary["mean"] == pytest.approx(0.7)
+        assert summary["variance"] == pytest.approx(0.01)
+        assert 0.6 < summary["tertile_lower"] < summary["tertile_upper"] < 0.8
+
+    def test_no_values_raises(self):
         with pytest.raises(ValueError, match="no threshold"):
-            threshold_summary(*summarized([0.0, 0.0], seeds=[0, 1]))
+            threshold_summary(np.array([]))
 
     def test_six_node_boundaries(self):
-        summary = threshold_summary(
-            *summarized([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
-        )
+        summary = threshold_summary(np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         assert 0.2 < summary["tertile_lower"] < 0.3
         assert 0.4 < summary["tertile_upper"] < 0.5
+        assert summary["count"] == 6
 
 
 class TestSplitTertiles:
     def test_six_nodes_equal_thirds(self):
-        tertiles = split_tertiles(
-            *tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), include_seeds=True
-        )
+        tau = tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        tertiles = split_tertiles(*tau, every(tau))
         assert tertiles["low"].tolist() == [0, 1]
         assert tertiles["middle"].tolist() == [2, 3]
         assert tertiles["high"].tolist() == [4, 5]
 
     def test_ties_broken_by_id(self):
-        tertiles = split_tertiles(("n2", "n0", "n1"), np.full(3, 0.5), np.zeros(3, bool),
-                                  include_seeds=True)
+        tertiles = split_tertiles(("n2", "n0", "n1"), np.full(3, 0.5), np.arange(3))
         assert {name: members.tolist() for name, members in tertiles.items()} == {
             "low": [1], "middle": [2], "high": [0]
+        }
+
+    def test_attribute_column_over_given_positions(self):
+        """An attribute column split over a strict subset of the nodes: only
+        those positions are placed, the three tied at 3.0 by id (c < e < f)."""
+        ids = ("h", "g", "f", "e", "d", "c", "b", "a")
+        income = np.array([5.0, 1.0, 3.0, 3.0, 9.0, 3.0, 7.0, 2.0])
+        tertiles = split_tertiles(ids, income, [7, 5, 3, 2, 1, 6])
+        assert {name: members.tolist() for name, members in tertiles.items()} == {
+            "low": [1, 7], "middle": [5, 3], "high": [2, 6]
         }
 
     @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=10**6))
@@ -115,24 +122,31 @@ class TestSplitTertiles:
     def test_partition_with_balanced_sizes(self, n, seed):
         rng = np.random.default_rng(seed)
         tau = tau_of(rng.random(n))
-        tertiles = split_tertiles(*tau, include_seeds=True)
+        tertiles = split_tertiles(*tau, every(tau))
         groups = [set(v.tolist()) for v in tertiles.values()]
         assert set().union(*groups) == set(range(n))
         assert sum(len(g) for g in groups) == n
         sizes = sorted(len(g) for g in groups)
         assert sizes[-1] - sizes[0] <= 1
 
-    def test_lone_seed_has_nothing_to_split(self):
+    def test_no_positions_to_split(self):
         with pytest.raises(ValueError, match="no nodes to split into tertiles"):
-            split_tertiles(*tau_of([0.0], seeds=[0]))
+            split_tertiles(*tau_of([0.0]), [])
+
+
+def tertile_rows(tau, columns):
+    """attribute_summaries over tau's threshold tertiles, as analyze groups them."""
+    tertiles = split_tertiles(*tau, every(tau))
+    return attribute_summaries(
+        [((name,), members) for name, members in tertiles.items() if members.size], columns)
 
 
 def tertile_medians(tau, columns, attribute):
-    rows = tertile_attribute_report(split_tertiles(*tau, include_seeds=True), columns)
-    return {name: summary["median"] for name, attr, summary in rows if attr == attribute}
+    return {name: summary["median"]
+            for name, attr, summary in tertile_rows(tau, columns) if attr == attribute}
 
 
-class TestTertileAttributeReport:
+class TestTertileAttributes:
     def test_constant_attributes_identical_summaries(self):
         tau = tau_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         medians = tertile_medians(tau, attrs_for(tau), "per_capita_income")
@@ -163,10 +177,9 @@ class TestTertileAttributeReport:
 
     def test_flood_included_only_when_complete(self):
         tau = tau_of([0.1, 0.2, 0.3])
-        tertiles = split_tertiles(*tau, include_seeds=True)
-        with_flood = tertile_attribute_report(tertiles, attrs_for(tau, flood=[1.0, 2.0, 0.5]))
+        with_flood = tertile_rows(tau, attrs_for(tau, flood=[1.0, 2.0, 0.5]))
         assert ("low", "flood_extent") in {(name, attr) for name, attr, _ in with_flood}
-        without = tertile_attribute_report(tertiles, attrs_for(tau))
+        without = tertile_rows(tau, attrs_for(tau))
         assert "flood_extent" not in {attr for _, attr, _ in without}
 
 
@@ -276,30 +289,48 @@ class TestCorrelate:
             correlate([1.0, 2.0], [0.5, 0.6])
 
 
-class TestMultiplierComparison:
-    def test_all_nodes_selected_flags_empty_complement(self):
+class TestAttributeSummaries:
+    def test_empty_group_has_no_summary(self):
         tau = tau_of([0.1, 0.2, 0.3])
-        rows = multiplier_attribute_comparison([np.arange(3)], attrs_for(tau))
+        rows = attribute_summaries(
+            [((3, "multiplier"), every(tau)), ((3, "non_multiplier"), np.arange(0))],
+            attrs_for(tau))
+        assert [row[:3] for row in rows] == [
+            (3, group, attribute) for group in ("multiplier", "non_multiplier")
+            for attribute in attrs_for(tau)]
         non = [summary for _, group, _, summary in rows if group == "non_multiplier"]
         assert non and all(summary is None for summary in non)
+        assert all(summary["count"] == 3 for _, group, _, summary in rows
+                   if group == "multiplier")
 
     def test_high_threshold_selection_shifts_minority(self):
         rng = np.random.default_rng(5)
         values = rng.random(20)
         tau = tau_of(values)
         columns = attrs_for(tau, minority=100.0 * values)
-        rows = multiplier_attribute_comparison([np.argsort(values)[-4:]], columns)
-        by_group = {group: summary for _, group, attr, summary in rows if attr == "minority_pct"}
+        selected = np.argsort(values)[-4:]
+        others = np.delete(every(tau), selected)
+        rows = attribute_summaries(
+            [(("multiplier",), selected), (("non_multiplier",), others)], columns)
+        by_group = {group: summary for group, attr, summary in rows if attr == "minority_pct"}
         assert by_group["multiplier"]["median"] > by_group["non_multiplier"]["median"]
 
-    def test_sizes_reported_independently(self):
+    def test_groups_reported_independently(self):
+        """Each group is summarized over its own positions: two multiplier
+        sets of sizes 1 and 2 and their complements, with the key of each
+        group leading its rows."""
         tau = tau_of([0.1, 0.2, 0.3, 0.4])
-        rows = multiplier_attribute_comparison(
-            [np.array([0]), np.array([1, 2])], attrs_for(tau)
-        )
-        assert {size for size, *_ in rows} == {1, 2}
+        columns = attrs_for(tau, pci=[1.0, 2.0, 4.0, 8.0])
+        groups = [((1, "multiplier"), [0]), ((1, "non_multiplier"), [1, 2, 3]),
+                  ((2, "multiplier"), [1, 2]), ((2, "non_multiplier"), [0, 3])]
+        rows = attribute_summaries(groups, columns)
+        assert [row[:2] for row in rows] == [key for key, _ in groups for _ in columns]
         for size, group, _, summary in rows:
             assert summary["count"] == (size if group == "multiplier" else 4 - size)
+        means = {(size, group): summary["mean"]
+                 for size, group, attr, summary in rows if attr == "per_capita_income"}
+        assert means == pytest.approx({(1, "multiplier"): 1.0, (1, "non_multiplier"): 14.0 / 3.0,
+                                       (2, "multiplier"): 3.0, (2, "non_multiplier"): 4.5})
 
     def test_missing_attribute_rows_rejected(self, tmp_path):
         path = write_attributes_csv(tmp_path / "attributes.csv", [("n1", 1, 2, 3, "")])
@@ -311,8 +342,7 @@ class TestDistributionSummary:
     def test_quartiles_match_numpy(self):
         rng = np.random.default_rng(2)
         values = rng.random(37)
-        # every node selected: the multiplier group is all of values
-        [(_, _, _, summary), _] = multiplier_attribute_comparison([np.arange(37)], {"x": values})
+        [(_, summary)] = attribute_summaries([((), np.arange(37))], {"x": values})
         assert summary["q1"] == pytest.approx(np.quantile(values, 0.25))
         assert summary["median"] == pytest.approx(np.median(values))
         assert summary["q3"] == pytest.approx(np.quantile(values, 0.75))

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import oracles
 from recovnet import RecovnetError, cli, io
-from recovnet.analysis import ATTRIBUTE_NAMES
 from recovnet.cli import OPTIONS, default_multiplier_sizes, main
+from recovnet.io import ATTRIBUTE_NAMES
 
 
 def run(*argv) -> int:
@@ -259,6 +259,23 @@ class TestFitAndMultipliers:
             ["16", "multiplier", name, "16"] for name in ATTRIBUTE_NAMES]
         assert [row for row in rows if row[1] == "non_multiplier"] == [
             ["16", "non_multiplier", name, "0", "", "", "", ""] for name in ATTRIBUTE_NAMES]
+
+    def test_analyze_compares_each_set_with_every_other_node(self, tmp_path, instance_dir):
+        """Each size's multiplier group is its set and its non-multiplier
+        group every other one of the 16 nodes."""
+        mult = tmp_path / "mult"
+        assert run("multipliers", "--edges", instance_dir / "edges.csv",
+                   "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--sizes", "1,2", "--brute-force", "--out", mult) == 0
+        out = tmp_path / "analysis"
+        assert run("analyze", "--thresholds", instance_dir / "planted_thresholds.csv",
+                   "--attributes", instance_dir / "attributes.csv",
+                   "--multipliers-dir", mult, "--out", out) == 0
+        rows = _rows(out / "multiplier_attributes.csv")
+        assert [row[:4] for row in rows] == [
+            [str(size), group, name, str(size if group == "multiplier" else 16 - size)]
+            for size in (1, 2) for group in ("multiplier", "non_multiplier")
+            for name in ATTRIBUTE_NAMES]
 
     @pytest.mark.parametrize("given,missing", [("edges", "durations"), ("durations", "edges")])
     def test_analyze_lone_curve_input_is_config(self, tmp_path, instance_dir, capsys,
@@ -1231,7 +1248,7 @@ class TestCliImports:
                    "recovnet.graph", "recovnet.io"}
     # each command's stage modules beyond CLI_MODULES, in pipeline order
     COMMAND_MODULES = {
-        "synth": {"analysis", "synthetic"},
+        "synth": {"synthetic"},
         "build-graph": set(),
         "durations": {"empirical"},
         "fit": {"empirical", "fitting", "ga"},

@@ -24,7 +24,7 @@ from recovnet import (
     graph_metrics,
 )
 from recovnet import io
-from recovnet.analysis import ATTRIBUTE_NAMES
+from recovnet.io import ATTRIBUTE_NAMES
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from recovnet import (
     generate_instance,
     grid_units,
 )
-from recovnet.analysis import ATTRIBUTE_NAMES
 from recovnet.errors import ConfigError
+from recovnet.io import ATTRIBUTE_NAMES
 from recovnet.synthetic import SEED_DURATION_WEEKS
 
 

@@ -44,8 +44,7 @@ trees; every check runs for both trees before timing.
   to a queen graph, checked against ``reference.grid_queen_edges``, and
   io.read_edge_list on its edge list.
 - ``read_visits`` (--visit-repeats pairs): io.read_visit_series on
-  ``ingest-large``'s ``visits.csv``, checked as a panel (``visit_panel``
-  takes either tree's return form) against
+  ``ingest-large``'s ``visits.csv``, its panel checked against
   ``oracles.naive_read_visit_series``, with ``peak_mib``, the tracemalloc
   peak of one more read. ``read_visits_crlf`` reads a \\r\\n copy, and
   ``read_visits_geoid`` a copy whose unit ids have the paper's shape: a
@@ -196,20 +195,6 @@ def baseline_losses(tree, problem, runs: int) -> np.ndarray:
     return tree.random_baseline(problem, runs, rng_seed=SEED)[1]
 
 
-def brute_force_results(tree, problem, sizes) -> list:
-    """tree's brute_force_multipliers results, one per size, from one call
-    over every size."""
-    return tree.brute_force_multipliers(problem, sizes)
-
-
-def visit_panel(tree, path: Path) -> tuple:
-    """tree's io.read_visit_series on path as the panel (ids, first_days,
-    indptr, visits): the tuple it returns, or its id -> (first day, visits)
-    dict on a tree that returns one."""
-    read = tree.io.read_visit_series(path)
-    return ORACLES.visit_panel(read) if isinstance(read, dict) else read
-
-
 def instance(tree, directory: Path):
     """The graph, the durations (as durations_args gives them) and the planted
     thresholds (in node order) synth wrote; the tables are read by
@@ -301,7 +286,7 @@ def scoring_sites(sides: dict) -> dict:
     def brute_force(side):
         s = sides[side]
         return [(result.members, result.recovered_with) for result in
-                brute_force_results(s.tree, s.stage2["small"], SmallExact.sizes)]
+                s.tree.brute_force_multipliers(s.stage2["small"], SmallExact.sizes)]
 
     expect(np.array_equal(baseline("old"), baseline("new")), "baseline_1000: losses differ")
     chosen = {side: brute_force(side) for side in SIDES}
@@ -355,7 +340,7 @@ def read_visits(sides: dict, path: Path, repeats: int) -> dict:
     expected = ORACLES.visit_panel({node: naive[node] for node in sorted(naive)})
     del naive
     for side, s in sides.items():
-        ids, *arrays = visit_panel(s.tree, path)
+        ids, *arrays = s.tree.io.read_visit_series(path)
         expect(ids == expected[0] and all(map(np.array_equal, arrays, expected[1:])),
                f"{path.name} ({side}): series differ from the oracle")
     del expected, arrays
