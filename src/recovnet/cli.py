@@ -484,10 +484,10 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
 
     candidate_pool = None
     if s.pool == "unrecovered":
-        candidate_pool = tuple(n for n, w in zip(graph.nodes, problem.unforced_weeks) if w == 0)
-        if not candidate_pool:
+        candidate_pool = np.flatnonzero(problem.unforced_weeks == 0)
+        if not candidate_pool.size:
             raise DataError("cannot restrict pool to unrecovered nodes: none exist")
-    pool_size = len(candidate_pool or graph.nodes)
+    pool_size = graph.n if candidate_pool is None else candidate_pool.size
     pool = f"the {s.pool!r} candidate pool's {pool_size} nodes"
     if s.sizes is None:
         sizes = default_multiplier_sizes(graph.n)
@@ -519,8 +519,8 @@ def cmd_multipliers(s: argparse.Namespace) -> dict:
     for size, result in zip(s.sizes, results):
         if result.ga_result is not None:
             io.write_generation_stats(result.ga_result.history, out / f"generations_N{size}.csv")
-        io.write_multiplier_set(graph.nodes, set(result.members), out / f"multipliers_N{size}.csv")
-        copies[out / f"multipliers_N{size}.geojson"] = set(result.members)
+        io.write_multiplier_set(graph.nodes, result.members, out / f"multipliers_N{size}.csv")
+        copies[out / f"multipliers_N{size}.geojson"] = result.members
         rate = (
             "undefined" if result.increment_rate is None
             else f"{result.increment_rate:.2f}%"

@@ -136,17 +136,18 @@ def read_feature_collection(path: str | Path) -> Polygons:
 
 
 def annotate_feature_collection(
-    src: str | Path, selections: Mapping[str | Path, set[str]]
+    src: str | Path, selections: Mapping[str | Path, np.ndarray]
 ) -> None:
     """Copy a feature collection that read_feature_collection accepts (parsed
     once) to each destination, adding a boolean "multiplier" property that
-    marks that destination's selected ids, matched as that reader strips them.
-    The copies are compact JSON: json encodes indent=2 in pure Python only."""
+    marks feature k when k is among that destination's selected positions:
+    a graph built from src has its features' order as node order. The
+    copies are compact JSON: json encodes indent=2 in pure Python only."""
     doc = read_json(src)
-    for dest, selected in selections.items():
-        for feature in doc.get("features", []):
-            props = feature["properties"]
-            props["multiplier"] = props["id"].strip() in selected
+    features = doc.get("features", [])
+    for dest, members in selections.items():
+        for feature, flag in zip(features, np.isin(np.arange(len(features)), members).tolist()):
+            feature["properties"]["multiplier"] = flag
         with atomic_write(dest) as handle:
             handle.write(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
@@ -725,12 +726,10 @@ def write_generation_stats(
     write_table(path, header, zip(*columns))
 
 
-def write_multiplier_set(
-    node_ids: Sequence[str], selected: set[str], path: str | Path
-) -> None:
-    write_table(
-        path, ["id", "selected"], ([node, "1" if node in selected else "0"] for node in node_ids)
-    )
+def write_multiplier_set(nodes: Sequence[str], members: np.ndarray, path: str | Path) -> None:
+    """Every node in node order, selected (1) when its position is among members."""
+    flags = np.isin(np.arange(len(nodes)), members).astype(int).tolist()
+    write_table(path, ["id", "selected"], zip(nodes, flags))
 
 
 def read_multiplier_set(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -3,7 +3,8 @@ at week 0 maximizes the number of recovered nodes at the horizon.
 
 Both searches, the GA and an exhaustive enumerator (an exact oracle while
 every size's subset count fits the enumeration cap), take (problem, sizes,
-..., pool) and give one result per size.
+..., pool) and give one result per size. Nodes are positions in graph node
+order throughout: the pool, and each result's members.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion import DEFAULT_ENUMERATION_CAP, DiffusionKernel, DiffusionSchedule
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .ga import GaConfig, GaResult, SubsetEncoding, run_lockstep
 from .graph import SpatialGraph
 
@@ -80,15 +81,16 @@ def _horizon_counts(weeks: np.ndarray) -> np.ndarray:
     return np.count_nonzero(weeks, axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class MultiplierResult:
-    """The selected set and its effect against the unforced simulation.
+    """The selected set, as ascending node positions, and its effect against
+    the unforced simulation.
 
     increment_rate is None when nothing recovers without forcing (the
     percentage gain is undefined).
     """
 
-    members: tuple[str, ...]
+    members: np.ndarray
     recovered_with: int
     recovered_without: int
     increment_rate: Optional[float]
@@ -105,25 +107,17 @@ def increment_rate(recovered_with: int, recovered_without: int) -> float:
 
 
 def _pool(problem: MultiplierProblem, sizes: Sequence[int],
-          pool: Optional[Sequence[str]]) -> tuple[str, ...]:
-    """The candidate pool (every node when None), checked against the graph
-    and the set sizes."""
-    if pool is None:
-        pool = problem.graph.nodes
-    else:
-        pool = tuple(pool)
-        unknown = [n for n in pool if n not in problem.graph.index]
-        if unknown:
-            raise DataError(f"candidate pool contains unknown nodes: {unknown[:10]}")
-        if len(set(pool)) != len(pool):
-            raise DataError("candidate pool contains duplicate nodes")
+          pool: Optional[Sequence[int]]) -> np.ndarray:
+    """The candidate pool as node positions (every node when None), checked
+    against the set sizes."""
+    pool = np.arange(problem.graph.n) if pool is None else np.asarray(pool, dtype=np.int64)
     for size in sizes:
         if not 1 <= size <= len(pool):
             raise ConfigError(f"size must be in [1, {len(pool)}], got {size}")
     return pool
 
 
-def _finish(problem: MultiplierProblem, members: tuple[str, ...], recovered_with: int,
+def _finish(problem: MultiplierProblem, members: np.ndarray, recovered_with: int,
             ga_result: Optional[GaResult]) -> MultiplierResult:
     without = problem.recovered_without
     rate = increment_rate(recovered_with, without) if without > 0 else None
@@ -138,42 +132,42 @@ def _size_seed(rng_seed: int, size: int) -> int:
 
 def search_multipliers(
     problem: MultiplierProblem, sizes: Sequence[int], config: GaConfig,
-    pool: Optional[Sequence[str]] = None,
+    pool: Optional[Sequence[int]] = None,
 ) -> list[MultiplierResult]:
     """For each size, maximize the horizon recovered count over the
-    size-node subsets of the candidate pool (every node by default) with
-    the GA; one result per size, in order.
+    size-node subsets of the candidate pool (node positions; every node by
+    default) with the GA; one result per size, in order.
 
     Each size's run takes config with rng_seed replaced by
     _size_seed(config.rng_seed, size), so its result is that of a search of
     its size alone. The runs advance in lockstep: one recovered call scores
     the rows of every run's generation."""
     pool = _pool(problem, sizes, pool)
-    indices = np.array([problem.graph.index[n] for n in pool], dtype=np.int64)
     runs = [(SubsetEncoding(len(pool), size),
              replace(config, rng_seed=_size_seed(config.rng_seed, size))) for size in sizes]
 
     def fitness(populations: list[np.ndarray]) -> list[np.ndarray]:
-        counts = problem.recovered(*(indices[rows] for rows in populations))
+        counts = problem.recovered(*(pool[rows] for rows in populations))
         return np.split(counts, np.cumsum([len(rows) for rows in populations[:-1]]))
 
     return [
         # the fitness is deterministic, so the best row's value is its count
-        _finish(problem, tuple(sorted(pool[i] for i in result.best_chromosome)),
-                int(result.best_fitness), result)
+        _finish(problem, np.sort(pool[result.best_chromosome]), int(result.best_fitness), result)
         for result in run_lockstep(fitness, "maximize", runs)
     ]
 
 
 def brute_force_multipliers(
-    problem: MultiplierProblem, sizes: Sequence[int], pool: Optional[Sequence[str]] = None,
+    problem: MultiplierProblem, sizes: Sequence[int], pool: Optional[Sequence[int]] = None,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[MultiplierResult]:
     """For each size in turn, the exact maximizer over the size-node subsets
-    of the candidate pool (every node by default), ties broken by taking the
-    lexicographically first subset of the sorted pool. Every size's subset
-    count is checked against enumeration_cap before any is enumerated."""
-    pool_sorted = sorted(_pool(problem, sizes, pool))
+    of the candidate pool (node positions; every node by default), ties
+    broken by taking the lexicographically first subset of the pool sorted
+    by id. Every size's subset count is checked against enumeration_cap
+    before any is enumerated."""
+    pool_sorted = sorted(_pool(problem, sizes, pool).tolist(),
+                         key=problem.graph.nodes.__getitem__)
     for size in sizes:
         total = math.comb(len(pool_sorted), size)
         if total > enumeration_cap:
@@ -182,11 +176,12 @@ def brute_force_multipliers(
     return [_enumerate(problem, pool_sorted, size) for size in sizes]
 
 
-def _enumerate(problem: MultiplierProblem, pool_sorted: list[str], size: int) -> MultiplierResult:
-    """The best size-subset of the sorted pool, by exhaustive enumeration:
-    each subset is one kernel column, in enumeration order, taken from the
-    enumeration as the kernel asks for it; argmax keeps the first maximum."""
-    combos = itertools.combinations([problem.graph.index[n] for n in pool_sorted], size)
+def _enumerate(problem: MultiplierProblem, pool_sorted: list[int], size: int) -> MultiplierResult:
+    """The best size-subset of the pool (sorted by id), by exhaustive
+    enumeration: each subset is one kernel column, in enumeration order,
+    taken from the enumeration as the kernel asks for it; argmax keeps the
+    first maximum."""
+    combos = itertools.combinations(pool_sorted, size)
 
     def inputs(lo: int, hi: int) -> tuple:
         subsets = np.array(list(itertools.islice(combos, hi - lo)), dtype=np.int64)
@@ -196,4 +191,4 @@ def _enumerate(problem: MultiplierProblem, pool_sorted: list[str], size: int) ->
                                            _horizon_counts)
     best = int(np.argmax(counts))
     members = next(itertools.islice(itertools.combinations(pool_sorted, size), best, None))
-    return _finish(problem, members, int(counts[best]), None)
+    return _finish(problem, np.sort(members), int(counts[best]), None)

@@ -69,3 +69,11 @@ def test_baseline_losses_are_the_pairs_second_item(directories):
     losses = bench_kernel.baseline_losses(recovnet, s.problem, 7)
     _, expected = recovnet.random_baseline(s.problem, 7, rng_seed=bench_kernel.SEED)
     assert np.array_equal(losses, expected)
+
+
+def test_member_ids_from_either_result_form():
+    """A set as node positions (this tree) and as sorted ids (trees before
+    positions) reads as the same sorted ids."""
+    graph = recovnet.SpatialGraph(["c", "a", "b"], [], [])
+    assert bench_kernel.member_ids(graph, np.array([0, 1])) == ("a", "c")
+    assert bench_kernel.member_ids(graph, ("a", "c")) == ("a", "c")

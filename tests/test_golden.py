@@ -3,23 +3,30 @@
 synth -> fit -> baseline -> multipliers -> analyze runs on a 60-node
 instance with small budgets, and every deterministic table it writes must
 hash to the SHA-256 recorded below. manifest.json and ga_timing.csv hold
-wall-clock data and are left out.
+wall-clock data and are left out. STAGE2_GOLDEN pins the multiplier sets of
+the stage-2 paths that pipeline does not take: the GA and brute force over
+the 'unrecovered' pool, and brute force on a --geometry graph whose features
+are out of id order and whose ids carry blanks.
 
 A change that is meant to alter a table (a new random stream, a new column,
 a different rounding) re-records the digests: run
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the GOLDEN mapping for the current code, paste it over the one
-below, and name the tables that changed, and why, in CHANGES.md.
+which prints the GOLDEN and STAGE2_GOLDEN mappings for the current code,
+paste them over the ones below, and name the tables that changed, and why,
+in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from recovnet.cli import main
 
@@ -83,6 +90,40 @@ GOLDEN = {
 }
 
 
+STAGE2_GOLDEN = {
+    "geometry/multipliers_N1.csv":
+        "0f379fac9a5cbbd6cae21394d64cf5a4dde487a338f4b7fe0ac484cd4496d28a",
+    "geometry/multipliers_N1.geojson":
+        "2d9e8f1ec513073a4a9ffe93b5ccaa7f0b0d1ee5c0608c473bdade9436bcc7af",
+    "geometry/multipliers_N2.csv":
+        "e00d0c79d7ad5381013ecc19a9a30af9ca6174bd8c77e1fabf556d8a68189213",
+    "geometry/multipliers_N2.geojson":
+        "308d4a60e8bf3fe394f3019215dadbaed109eaa090aebc23c7303e99d7394836",
+    "geometry/multipliers_N3.csv":
+        "68bbe29d4ce73a49a102072016744307ac0bbf3f8e1120891fe62fe8632a4d59",
+    "geometry/multipliers_N3.geojson":
+        "10a2324d1b4006ab5537e95fe12938417d55b889ff8abb64adfdbaa4c2be4e88",
+    "geometry/multipliers_summary.csv":
+        "5493cbf87c1a4e800e37fca4e49433e49ca516494612e02fadc6902a4db5a0c3",
+    "unrecovered_brute_force/multipliers_N1.csv":
+        "0073d1c7e358df159607be38c076847747590a4235dbe1cd2c29576a09f861cc",
+    "unrecovered_brute_force/multipliers_N2.csv":
+        "d5a0d3cac1deb52e97cafc76005fb4d0c641682d5fe2cffcf22b7fcdf9b6a3da",
+    "unrecovered_brute_force/multipliers_N3.csv":
+        "d502b2cb64cedee0ee582fc810799e5360ab61faa7aa748a1071ca73bb4219fb",
+    "unrecovered_brute_force/multipliers_summary.csv":
+        "ca5d7b96562e0df05205c764c239d02312035dae1eb187946e14e3e0a045d825",
+    "unrecovered_ga/multipliers_N1.csv":
+        "853b94a133e217d60edf98767c131f59381bf244315d23a0379e4cbb54ba67b0",
+    "unrecovered_ga/multipliers_N2.csv":
+        "d5a0d3cac1deb52e97cafc76005fb4d0c641682d5fe2cffcf22b7fcdf9b6a3da",
+    "unrecovered_ga/multipliers_N3.csv":
+        "7a7fc145a34a2a5dd4a179b9d3af111c439867d139b9d243b68e2483727fa3eb",
+    "unrecovered_ga/multipliers_summary.csv":
+        "5cb23bae5e9c4f1f7cd03a442a881c8455cff33938aa5d900aae858650ca5e20",
+}
+
+
 def run_pipeline(root: Path) -> None:
     synth, fit, mult = root / "synth", root / "fit", root / "multipliers"
     commands = [
@@ -103,6 +144,56 @@ def run_pipeline(root: Path) -> None:
         assert main([str(a) for a in argv]) == 0, argv
 
 
+def write_shuffled_grid(root: Path, size: int = 5) -> tuple[Path, Path]:
+    """A size x size grid of unit squares as a GeoJSON whose features are in
+    a shuffled order and whose ids carry blanks, and a thresholds table over
+    the stripped ids with two seeds; its thresholds tie often."""
+    rng = np.random.default_rng(11)
+    cells = [(r, c) for r in range(size) for c in range(size)]
+    pad = ["", " ", "  "]
+    features = [{
+        "type": "Feature",
+        "properties": {"id": f"{pad[k % 3]}u{r}{c}{pad[(k + 1) % 3]}"},
+        "geometry": {"type": "Polygon", "coordinates": [[
+            [c, r], [c + 1, r], [c + 1, r + 1], [c, r + 1], [c, r]]]},
+    } for k, (r, c) in ((k, cells[i]) for k, i in enumerate(rng.permutation(len(cells))))]
+    geometry = root / "shuffled.geojson"
+    geometry.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    values = rng.choice([0.25, 0.5, 1.0], size=len(cells))
+    values[[3, 17]] = 0.0
+    thresholds = root / "shuffled_thresholds.csv"
+    thresholds.write_text("id,threshold,is_seed\n" + "".join(
+        f"u{r}{c},{value!r},{int(value == 0.0)}\n" for (r, c), value in zip(cells, values.tolist())))
+    return geometry, thresholds
+
+
+def run_stage2(root: Path) -> None:
+    """The GA and brute force over the 'unrecovered' pool of a 30-node
+    instance whose planted run leaves 17 nodes unrecovered, and brute force
+    on the shuffled grid."""
+    synth = root / "synth"
+    geometry, thresholds = write_shuffled_grid(root)
+    unrecovered = ["--edges", synth / "edges.csv", "--thresholds",
+                   synth / "planted_thresholds.csv", "--pool", "unrecovered", "--sizes", "1,2,3"]
+    commands = [
+        ["synth", "--nodes", "30", "--kind", "perturbed_grid", "--threshold-high", "0.9",
+         "--rng-seed", "7", "--out", synth],
+        ["multipliers", *unrecovered, "--max-iterations", "10", "--rng-seed", "7",
+         "--out", root / "unrecovered_ga"],
+        ["multipliers", *unrecovered, "--brute-force", "--out", root / "unrecovered_brute_force"],
+        ["multipliers", "--geometry", geometry, "--thresholds", thresholds, "--sizes", "1,2,3",
+         "--brute-force", "--out", root / "geometry"],
+    ]
+    for argv in commands:
+        assert main([str(a) for a in argv]) == 0, argv
+
+
+def set_digests(root: Path) -> dict[str, str]:
+    """The digests of every multiplier set, GeoJSON copy and summary under root."""
+    return {name: digest for name, digest in digests(root).items()
+            if Path(name).name.startswith("multipliers_")}
+
+
 def digests(root: Path) -> dict[str, str]:
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -117,10 +208,18 @@ def test_pipeline_tables_match_recorded_digests(tmp_path, capsys):
     assert digests(tmp_path) == GOLDEN
 
 
+def test_stage2_sets_match_recorded_digests(tmp_path, capsys):
+    run_stage2(tmp_path)
+    capsys.readouterr()
+    assert set_digests(tmp_path) == STAGE2_GOLDEN
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        run_pipeline(Path(tmp))
-        print("GOLDEN = {", file=sys.stderr)
-        for name, digest in digests(Path(tmp)).items():
-            print(f'    "{name}":\n        "{digest}",', file=sys.stderr)
-        print("}", file=sys.stderr)
+    for name, run, read in (("GOLDEN", run_pipeline, digests),
+                            ("STAGE2_GOLDEN", run_stage2, set_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            run(Path(tmp))
+            print(f"{name} = {{", file=sys.stderr)
+            for path, digest in read(Path(tmp)).items():
+                print(f'    "{path}":\n        "{digest}",', file=sys.stderr)
+            print("}", file=sys.stderr)

@@ -829,13 +829,15 @@ class TestGeojson:
         with pytest.raises(DataError, match="duplicate node id 'left'"):
             build_contiguity_graph(units, ContiguityRule("rook"))
 
-    def test_annotation_matches_stripped_ids(self, tmp_path):
+    def test_annotation_marks_features_by_position(self, tmp_path):
+        """Feature k is node k of the graph built from the file, whatever its
+        id's blanks."""
         path = self.make_collection(tmp_path)
         doc = json.loads(path.read_text())
         doc["features"][0]["properties"]["id"] = " left"
         path.write_text(json.dumps(doc))
         dest = tmp_path / "annotated.geojson"
-        io.annotate_feature_collection(path, {dest: {"left"}})
+        io.annotate_feature_collection(path, {dest: np.array([0])})
         copied = json.loads(dest.read_text())["features"]
         assert [f["properties"] for f in copied] == [
             {"id": " left", "multiplier": True}, {"id": "right", "multiplier": False}]
@@ -861,7 +863,7 @@ class TestGeojson:
         compact JSON on one line."""
         src = self.make_collection(tmp_path)
         dest, other = tmp_path / "annotated.geojson", tmp_path / "other.geojson"
-        io.annotate_feature_collection(src, {dest: {"right"}, other: {"left"}})
+        io.annotate_feature_collection(src, {dest: np.array([1]), other: np.array([0])})
         for path, selected in ((dest, "right"), (other, "left")):
             expected = json.loads(src.read_text())
             for feature in expected["features"]:
@@ -1084,7 +1086,7 @@ class TestWriters:
 
     def test_multiplier_set_round_trip(self, tmp_path, tmp_graph):
         path = tmp_path / "multipliers.csv"
-        io.write_multiplier_set(tmp_graph.nodes, {"b", "d"}, path)
+        io.write_multiplier_set(tmp_graph.nodes, np.array([1, 3]), path)  # b and d
         ids, selected = io.read_multiplier_set(path)
         assert ids == tmp_graph.nodes
         assert selected.tolist() == [False, True, False, True]
@@ -1100,7 +1102,8 @@ class TestWriters:
         )
 
     def test_multiplier_results_in_another_node_order(self, tmp_path):
-        io.write_multiplier_set(("a", "b", "c", "d"), {"d", "b"}, tmp_path / "multipliers_N2.csv")
+        io.write_multiplier_set(("a", "b", "c", "d"), np.array([1, 3]),  # b and d
+                                tmp_path / "multipliers_N2.csv")
         (tmp_path / "multipliers_summary.csv").write_text(
             "size,method,recovered_with,recovered_without,increment_rate_pct\n2,ga,3,1,200.0\n"
         )

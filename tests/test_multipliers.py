@@ -7,6 +7,7 @@ from conftest import chunked, graph_of
 from recovnet import (
     GaConfig,
     MultiplierProblem,
+    SpatialGraph,
     SynthSpec,
     brute_force_multipliers,
     generate_instance,
@@ -14,7 +15,7 @@ from recovnet import (
     run_diffusion,
     search_multipliers,
 )
-from recovnet.errors import ConfigError, DataError
+from recovnet.errors import ConfigError
 
 
 @pytest.fixture
@@ -61,21 +62,9 @@ class TestMultiplierObjective:
     def test_bad_size_rejected(self, path_graph):
         problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
         for search in ("ga", "brute-force"):
-            for size, pool in [(4, None), (0, None), (3, ("A", "B")), (1, ())]:
+            for size, pool in [(4, None), (0, None), (3, [0, 1]), (1, [])]:
                 with pytest.raises(ConfigError, match="size"):
                     _search(search, problem, size, pool)
-
-    def test_unknown_pool_node_rejected(self, path_graph):
-        problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
-        for search in ("ga", "brute-force"):
-            with pytest.raises(DataError, match="unknown"):
-                _search(search, problem, 1, ("A", "Z"))
-
-    def test_duplicate_pool_node_rejected(self, path_graph):
-        problem = MultiplierProblem(graph=path_graph, thresholds=np.zeros(3))
-        for search in ("ga", "brute-force"):
-            with pytest.raises(DataError, match="duplicate"):
-                _search(search, problem, 1, ("A", "B", "A"))
 
 
 class TestIncrementRate:
@@ -100,13 +89,20 @@ class TestIncrementRate:
 class TestBruteForce:
     def test_singleton_tie_breaks_lexicographically(self, path_problem):
         [result] = brute_force_multipliers(path_problem, [1])
-        assert result.members == ("A",)
+        assert result.members.tolist() == [0]  # A
         assert result.recovered_with == 3
+
+    def test_ties_broken_by_id_not_position(self):
+        """Nodes c, a, b in that order, none of which recovers unforced:
+        every set of a size ties, and the first in id order wins."""
+        problem = MultiplierProblem(SpatialGraph(["c", "a", "b"], [], []), np.ones(3))
+        results = brute_force_multipliers(problem, [1, 2])
+        assert [result.members.tolist() for result in results] == [[1], [1, 2]]  # a; a and b
 
     def test_full_pool(self, path_graph):
         problem = MultiplierProblem(graph=path_graph, thresholds=np.ones(3))
         [result] = brute_force_multipliers(problem, [3])
-        assert result.members == ("A", "B", "C")
+        assert result.members.tolist() == [0, 1, 2]
         assert result.recovered_with == 3
 
     def test_small_graph_runs_wide_calls(self):
@@ -128,8 +124,8 @@ class TestBruteForce:
         problem = MultiplierProblem(instance.graph, instance.thresholds)
         results = brute_force_multipliers(problem, [1, 2, 3])
         alone = [brute_force_multipliers(problem, [size])[0] for size in (1, 2, 3)]
-        assert [(r.members, r.recovered_with, r.recovered_without) for r in results] == [
-            (r.members, r.recovered_with, r.recovered_without) for r in alone]
+        assert [(r.members.tolist(), r.recovered_with, r.recovered_without) for r in results] == [
+            (r.members.tolist(), r.recovered_with, r.recovered_without) for r in alone]
         assert [len(r.members) for r in results] == [1, 2, 3]
 
     def test_cap_checked_for_every_size_before_any_enumeration(self):
@@ -164,11 +160,11 @@ class TestSearchMultipliers:
     def test_respects_candidate_pool(self, path_graph):
         problem = MultiplierProblem(graph=path_graph, thresholds=np.array([0.6, 0.5, 1.0]))
         config = GaConfig(population_size=4, max_iterations=50, rng_seed=1)
-        [result] = search_multipliers(problem, [1], config, ("B", "C"))
-        assert set(result.members) <= {"B", "C"}
+        [result] = search_multipliers(problem, [1], config, [1, 2])  # B and C
+        assert set(result.members.tolist()) <= {1, 2}
         # B and C tie (each recovers all three): the pool's first in sorted order wins
-        [result] = brute_force_multipliers(problem, [1], ("C", "B"))
-        assert result.members == ("B",)
+        [result] = brute_force_multipliers(problem, [1], [2, 1])
+        assert result.members.tolist() == [1]
 
     def test_beats_random_sets(self):
         instance = generate_instance(
@@ -210,7 +206,7 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("sizes", [(1, 2, 3), (2, 5)])
     @pytest.mark.parametrize("pool", ["all", "unrecovered", "five"])
     def test_each_size_as_if_alone(self, problem, sizes, pool):
-        unrecovered = tuple(n for n, w in zip(problem.graph.nodes, problem.unforced_weeks) if not w)
+        unrecovered = np.flatnonzero(problem.unforced_weeks == 0)
         # five: a pool as large as the largest size of (2, 5)
         pool = {"all": None, "unrecovered": unrecovered, "five": unrecovered[:5]}[pool]
         config = GaConfig(population_size=6, max_iterations=30, elitism_count=2, rng_seed=4)
@@ -218,7 +214,7 @@ class TestLockstepSearch:
         assert [len(result.members) for result in together] == list(sizes)
         for result in together:
             [alone] = search_multipliers(problem, [len(result.members)], config, pool)
-            assert result.members == alone.members
+            assert np.array_equal(result.members, alone.members)
             assert result.recovered_with == alone.recovered_with
             assert result.ga_result.best_fitness == alone.ga_result.best_fitness
             assert np.array_equal(result.ga_result.history, alone.ga_result.history)
@@ -276,13 +272,13 @@ class TestBruteForceChunks:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 100])
     @pytest.mark.parametrize("size,expected,value", [
-        (1, ("n2",), 2),
-        (2, ("n2", "n6"), 4),
+        (1, [2], 2),  # n2
+        (2, [2, 6], 4),  # n2 and n6
     ])
     def test_first_maximum_kept_across_chunks(self, tied_problem, chunk, size, expected, value):
         graph, thresholds = tied_problem
         problem = MultiplierProblem(graph=graph, thresholds=thresholds)
         with chunked(chunk):
             [result] = brute_force_multipliers(problem, [size])
-        assert result.members == expected
+        assert result.members.tolist() == expected
         assert result.recovered_with == value

@@ -35,9 +35,10 @@ trees; every check runs for both trees before timing.
   with ``PaperScale.baseline_runs`` (1 000) runs at rng_seed 1 on the
   n = 2010 fit problem, whose losses must be equal across the trees, and
   brute_force_multipliers over ``SmallExact.sizes`` in one call on
-  ``small-exact``'s planted instance, whose members and counts must be
-  equal across the trees. ``baseline_n4000`` (40 pairs) is random_baseline
-  with ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on
+  ``small-exact``'s planted instance, whose sets (as sorted ids, through
+  ``member_ids``) and counts must be equal across the trees.
+  ``baseline_n4000`` (40 pairs) is random_baseline with
+  ``IngestLarge.baseline_runs`` (100) runs at rng_seed 1 on
   ``ingest-large``'s n = 4000 queen graph and constructed durations, losses
   equal likewise.
 - ``contiguity`` and ``read_edges`` (30 pairs): ``ingest-large``'s GeoJSON
@@ -189,6 +190,15 @@ def durations_args(durations: dict) -> tuple:
     return tuple(durations), np.array(list(durations.values()))
 
 
+def member_ids(graph, members) -> tuple[str, ...]:
+    """A MultiplierResult's members as sorted ids, from either tree's form:
+    node positions, or the sorted ids of trees before positions."""
+    members = np.asarray(members)
+    if members.dtype.kind in "iu":
+        members = np.array(graph.nodes, dtype=object)[members]
+    return tuple(sorted(members.tolist()))
+
+
 def baseline_losses(tree, problem, runs: int) -> np.ndarray:
     """tree's random_baseline losses at SEED, the second item of the
     (summary, losses) pair it returns."""
@@ -265,7 +275,7 @@ def stage2_search(sides: dict) -> dict:
             search, problem, config = s.tree.search_multipliers, s.stage2[name], configs[side]
             for size, result in zip(sizes, search(problem, sizes, config)):
                 [alone] = search(problem, [size], config)
-                expect(result.members == alone.members and np.array_equal(
+                expect(np.array_equal(result.members, alone.members) and np.array_equal(
                     result.ga_result.history, alone.ga_result.history),
                     f"stage2_search {name} ({side}): size {size} differs from its search alone")
         before = {side: sum(s.stage2[name].kernel.calls.values()) for side, s in sides.items()}
@@ -285,8 +295,9 @@ def scoring_sites(sides: dict) -> dict:
 
     def brute_force(side):
         s = sides[side]
-        return [(result.members, result.recovered_with) for result in
-                s.tree.brute_force_multipliers(s.stage2["small"], SmallExact.sizes)]
+        problem = s.stage2["small"]
+        return [(member_ids(problem.graph, result.members), result.recovered_with) for result in
+                s.tree.brute_force_multipliers(problem, SmallExact.sizes)]
 
     expect(np.array_equal(baseline("old"), baseline("new")), "baseline_1000: losses differ")
     chosen = {side: brute_force(side) for side in SIDES}
